@@ -19,8 +19,6 @@ subtracting the mean of the trace over the measurement arc afterwards.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -47,10 +45,6 @@ class Conductivity:
         self.values.setflags(write=False)
 
     @classmethod
-    def constant(cls, mesh, value=1.0):
-        return cls(mesh, value)
-
-    @classmethod
     def from_spec(cls, mesh, spec):
         """Build from a number or a {default, boxes: [{box, value}]} mapping."""
         if isinstance(spec, (int, float)):
@@ -70,7 +64,11 @@ class Conductivity:
 
 
 class Field:
-    """A dof vector tied to the DofMap it was solved on."""
+    """A dof vector tied to the DofMap it was solved on.
+
+    ``values`` has shape ``(n_dofs,)`` for one solve, or ``(n_dofs, k)``
+    when a block of k currents was solved at once (one column per current).
+    """
 
     def __init__(self, values, dofmap):
         self.values = np.asarray(values, dtype=float)
@@ -370,51 +368,68 @@ class Factorization:
         self._lu = spla.splu(K[keep][:, keep].tocsc())
 
     def solve(self, b):
-        x = np.zeros(self.dm.n_dofs)
-        x[self.keep] = self._lu.solve(b[self.keep])
+        """Solve for a right-hand side ``(n_dofs,)`` or a block ``(n_dofs, k)``.
+
+        A block goes through the factorization in one call; the pinned dof
+        is zero in every column.
+        """
+        y = self._lu.solve(b[self.keep])
+        # allocated after the solve, so the block's temporary copies are
+        # gone before the result exists
+        x = np.zeros(b.shape)
+        x[self.keep] = y
         return x
 
 
-def _ground(dm, x):
-    M = gamma_mass(dm.mesh)
-    w = M.sum(axis=1)
-    mean = float(w @ x[dm.gamma_dofs]) / float(w.sum())
-    return x - mean
-
-
 def _check_residual(K, x, b):
-    bn = float(np.linalg.norm(b))
-    if bn == 0.0:
-        return 0.0
-    r = float(np.linalg.norm(K @ x - b))
-    if r > RESIDUAL_RTOL * bn:
-        raise RuntimeError(
-            "linear solve did not converge: relative residual %.3e" % (r / bn)
-        )
-    return r / bn
+    """Largest relative residual over the columns; raises if any is too big.
 
-
-def solve_neumann(K, dm, f, fact=None):
-    """Solve the weak problem for a mean-free current on the arc.
-
-    ``f`` holds nodal current-density values on the ordered arc vertices.
-    The result is grounded: its trace has zero mean.
+    Each column is judged against its own right-hand side, so one bad
+    column cannot hide behind the norm of a large block.
     """
-    f = np.asarray(f, dtype=float)
-    M = gamma_mass(dm.mesh)
-    if f.shape != (len(M),):
-        raise ValueError("current vector does not match the arc nodes")
-    total = float(M.sum(axis=1) @ f)
-    scale = float(M.sum()) * max(1.0, float(np.max(np.abs(f))))
-    if abs(total) > MEAN_FREE_RTOL * scale:
-        raise ValueError("boundary current must be mean-free on the arc")
-    b = np.zeros(dm.n_dofs)
-    np.add.at(b, dm.gamma_dofs, M @ f)
+    r = K @ x
+    r -= b
+    bn = np.linalg.norm(b.reshape(len(b), -1), axis=0)
+    rn = np.linalg.norm(r.reshape(len(r), -1), axis=0)
+    rel = np.divide(rn, bn, out=np.zeros_like(rn), where=bn > 0)
+    worst = float(np.max(rel, initial=0.0))
+    if worst > RESIDUAL_RTOL:
+        raise RuntimeError("linear solve did not converge: relative residual %.3e" % worst)
+    return worst
+
+
+def _solve(K, dm, b, fact):
+    # shared tail of every solve: factorize if needed, one solve for the
+    # whole block, per-column residual check, then grounding in place
     if fact is None:
         fact = Factorization(K, dm)
     x = fact.solve(b)
     _check_residual(K, x, b)
-    return Field(_ground(dm, x), dm)
+    w = gamma_mass(dm.mesh).sum(axis=1)
+    x -= (w @ x[dm.gamma_dofs]) / w.sum()
+    return Field(x, dm)
+
+
+def solve_neumann(K, dm, f, fact=None):
+    """Solve the weak problem for mean-free currents on the arc.
+
+    ``f`` holds nodal current-density values on the ordered arc vertices:
+    one current of shape ``(G,)``, or a block ``(G, k)`` of k currents,
+    which are solved together and give a Field with k columns. Every
+    current must be mean-free. The result is grounded: each trace has zero
+    mean.
+    """
+    f = np.asarray(f, dtype=float)
+    M = gamma_mass(dm.mesh)
+    if f.ndim not in (1, 2) or f.shape[0] != len(M):
+        raise ValueError("current vector does not match the arc nodes")
+    total = M.sum(axis=1) @ f
+    scale = float(M.sum()) * np.maximum(1.0, np.max(np.abs(f), axis=0))
+    if np.any(np.abs(total) > MEAN_FREE_RTOL * scale):
+        raise ValueError("boundary current must be mean-free on the arc")
+    b = np.zeros((dm.n_dofs,) + f.shape[1:])
+    np.add.at(b, dm.gamma_dofs, M @ f)
+    return _solve(K, dm, b, fact)
 
 
 def solve_source(K, dm, F, fact=None):
@@ -429,11 +444,7 @@ def solve_source(K, dm, F, fact=None):
             raise ValueError("source support meets the excluded region")
         contrib = areas[t] * (g[t] @ F.values[t])
         np.add.at(b, dm.corner_dof[t], contrib)
-    if fact is None:
-        fact = Factorization(K, dm)
-    x = fact.solve(b)
-    _check_residual(K, x, b)
-    return Field(_ground(dm, x), dm)
+    return _solve(K, dm, b, fact)
 
 
 def energy(K, a, b):
@@ -494,21 +505,3 @@ def embed_field(field, target_dm):
     if np.any(np.isnan(out)):
         raise ValueError("target space has dofs outside the source's support")
     return Field(out, target_dm)
-
-
-def field_to_csv(field, path):
-    arr = np.column_stack([np.arange(len(field.values)), field.values])
-    np.savetxt(path, arr, fmt=["%d", "%.17g"], delimiter=",", header="dof,value", comments="")
-
-
-def field_to_vertex_json(field, path=None):
-    """Per-vertex values aligned with the mesh schema (side A on slits)."""
-    dm = field.dofmap
-    vals = [
-        float(field.values[d]) if d >= 0 else None for d in dm.vertex_dof
-    ]
-    payload = {"vertex_values": vals}
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-    return payload

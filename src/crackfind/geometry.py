@@ -299,10 +299,6 @@ class Mesh:
             order.append(cur)
         return np.array(order, dtype=np.int64)
 
-    def gamma_edge_lengths(self):
-        d = self.vertices[self.gamma_edges[:, 0]] - self.vertices[self.gamma_edges[:, 1]]
-        return np.linalg.norm(d, axis=1)
-
     def boundary_segments(self):
         return self.vertices[self.boundary_edges[:, 0]], self.vertices[self.boundary_edges[:, 1]]
 
@@ -323,25 +319,6 @@ class Mesh:
         ok = (s >= -1e-12) & (u >= -1e-12) & (s + u <= 1 + 1e-12)
         idx = np.nonzero(ok)[0]
         return int(idx[0]) if idx.size else -1
-
-    # ------------------------------------------------------------------ #
-    def to_json(self):
-        return {
-            "vertices": self.vertices.tolist(),
-            "triangles": self.triangles.tolist(),
-            "boundary_edges": self.boundary_edges.tolist(),
-            "gamma_edges": self.gamma_edges.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data, check=True):
-        return cls(
-            np.array(data["vertices"], dtype=float),
-            np.array(data["triangles"], dtype=np.int64),
-            np.array(data["boundary_edges"], dtype=np.int64),
-            np.array(data["gamma_edges"], dtype=np.int64),
-            check=check,
-        )
 
 
 # ---------------------------------------------------------------------- #
@@ -664,20 +641,6 @@ class CrackSet:
                     stack.append(w)
         return bool(seen.all())
 
-    def to_json(self):
-        return {
-            "components": [
-                {"chain": list(c.chain), "kind": c.kind} for c in self.components
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data, mesh=None):
-        cs = cls([CrackComponent(c["chain"], c["kind"]) for c in data["components"]])
-        if mesh is not None:
-            cs.validate(mesh)
-        return cs
-
 
 def embed_crack(mesh, polyline, kind, cracks=None):
     """Embed a polyline crack along mesh edges; returns (new mesh, crack set).
@@ -865,6 +828,15 @@ class PixelGrid:
         """Pixels whose closed square meets the closed segment p0-p1."""
         return set(self._pixels_near_segment(np.asarray(p0, float), np.asarray(p1, float)))
 
+    def crack_pixels(self, cracks):
+        """Pixels whose closed square meets some edge of a crack set."""
+        out = set()
+        for comp in cracks.components:
+            pts = self.mesh.vertices[list(comp.chain)]
+            for a, b in zip(pts[:-1], pts[1:]):
+                out |= self.pixels_touching_segment(a, b)
+        return out
+
     @property
     def n_pixels(self):
         return self.nx * self.ny
@@ -915,16 +887,6 @@ class PixelGrid:
             "ny": self.ny,
             "h": self.h,
         }
-
-    @classmethod
-    def from_json(cls, data, mesh):
-        grid = cls(mesh, int(data["nx"]), int(data["ny"]))
-        if (
-            abs(grid.h - data["h"]) > 1e-9 * grid.h
-            or np.max(np.abs(grid.origin - np.asarray(data["origin"]))) > 1e-9 * grid.h
-        ):
-            raise ValueError("pixel grid does not match the mesh extent")
-        return grid
 
 
 class PixelSet:
@@ -1011,9 +973,6 @@ class PixelSet:
         """Vertices incident to any member-pixel triangle."""
         t = self.triangles()
         return set(mesh.triangles[t].ravel().tolist()) if t.size else set()
-
-    def to_json(self):
-        return {"grid": self.grid.to_json(), "members": sorted(self.members)}
 
 
 def pixelset_is_admissible(p):

@@ -84,6 +84,15 @@ class Scenario:
         return {kind for kind, _ in self.cracks}
 
 
+def _numbers(val, n):
+    # whether val is a list of n numbers
+    return (
+        isinstance(val, (list, tuple))
+        and len(val) == n
+        and all(isinstance(x, (int, float)) for x in val)
+    )
+
+
 def _check_gamma(gamma, problems):
     if gamma == "all":
         return
@@ -95,10 +104,10 @@ def _check_gamma(gamma, problems):
         if val not in ("left", "right", "bottom", "top"):
             problems.append("gamma side must be left/right/bottom/top")
     elif key == "box":
-        if len(val) != 4 or not all(isinstance(x, (int, float)) for x in val):
+        if not _numbers(val, 4):
             problems.append("gamma box needs [xmin, ymin, xmax, ymax]")
     elif key == "angle":
-        if len(val) != 2 or not all(isinstance(x, (int, float)) for x in val):
+        if not _numbers(val, 2):
             problems.append("gamma angle needs [a0, a1]")
     else:
         problems.append("unknown gamma selector %r" % key)
@@ -112,14 +121,22 @@ def _check_gamma0(gamma0, problems):
     if not isinstance(gamma0, dict):
         problems.append("gamma0 must be a number or a {default, boxes} map")
         return
-    if float(gamma0.get("default", 1.0)) <= 0:
-        problems.append("gamma0 default must be positive")
-    for i, rule in enumerate(gamma0.get("boxes", ())):
-        box = rule.get("box", ())
-        if len(box) != 4:
+    default = gamma0.get("default", 1.0)
+    if not isinstance(default, (int, float)) or default <= 0:
+        problems.append("gamma0 default must be a positive number")
+    boxes = gamma0.get("boxes", ())
+    if not isinstance(boxes, (list, tuple)):
+        problems.append("gamma0 boxes must be a list")
+        return
+    for i, rule in enumerate(boxes):
+        if not isinstance(rule, dict):
+            problems.append("gamma0 box %d must be a {box, value} map" % i)
+            continue
+        if not _numbers(rule.get("box"), 4):
             problems.append("gamma0 box %d needs [xmin, ymin, xmax, ymax]" % i)
-        if float(rule.get("value", 0.0)) <= 0:
-            problems.append("gamma0 box %d value must be positive" % i)
+        value = rule.get("value", 0.0)
+        if not isinstance(value, (int, float)) or value <= 0:
+            problems.append("gamma0 box %d value must be a positive number" % i)
 
 
 def _point_inside(shape, size, p):
@@ -147,7 +164,7 @@ def validate_scenario(s):
     _check_gamma(s.gamma, problems)
     _check_gamma0(s.gamma0, problems)
     for i, (kind, poly) in enumerate(s.cracks):
-        if kind not in KIND_NAMES:
+        if not isinstance(kind, str) or kind not in KIND_NAMES:
             problems.append("crack %d: kind must be insulating or conducting" % i)
         if len(poly) < 2:
             problems.append("crack %d: polyline needs at least two points" % i)
@@ -166,17 +183,17 @@ def validate_scenario(s):
         problems.append("tau must be positive when given")
     if any(m not in METHODS for m in s.methods):
         problems.append("methods must be a subset of %s" % (METHODS,))
-    if len(set(s.methods)) != len(s.methods):
+    elif len(set(s.methods)) != len(s.methods):
         problems.append("methods must not repeat")
     if s.mode not in reconstruct.MODES:
         problems.append("mode must be one of %s" % (reconstruct.MODES,))
-    if any(int(k) < 1 for k in s.inner_lengths):
-        problems.append("inner_lengths must be positive")
-    if any(int(n) < 1 for n in s.locpot_n):
-        problems.append("locpot_n values must be positive")
+    if not all(isinstance(k, int) and k >= 1 for k in s.inner_lengths):
+        problems.append("inner_lengths must be positive integers")
+    if not all(isinstance(n, (int, float)) and np.isfinite(n) and n >= 1 for n in s.locpot_n):
+        problems.append("locpot_n values must be positive numbers")
     if not float(s.noise) >= 0:
         problems.append("noise must be nonnegative")
-    kinds = s.crack_set_kinds()
+    kinds = {kind for kind, _ in s.cracks if isinstance(kind, str)}
     if "inner" in s.methods and len(kinds) != 1:
         problems.append("the inner method needs cracks of exactly one kind")
     if "locpot" in s.methods and kinds != set(KIND_NAMES):
@@ -252,13 +269,8 @@ class Built:
 def _crack_region(grid, cracks, kind):
     # pixels meeting the cracks of one kind; both wings of every crack edge
     # lie inside, so the slit space nests in the region's excluded space
-    touch = set()
-    for comp in cracks.of_kind(kind).components:
-        pts = grid.mesh.vertices[list(comp.chain)]
-        for a, b in zip(pts[:-1], pts[1:]):
-            touch |= grid.pixels_touching_segment(a, b)
-    interior = geometry.interior_pixel_set(grid)
-    return geometry.PixelSet(grid, touch & interior.members)
+    touch = grid.crack_pixels(cracks.of_kind(kind))
+    return geometry.PixelSet(grid, touch & geometry.interior_pixel_set(grid).members)
 
 
 def build_scenario(s):
@@ -388,7 +400,10 @@ def generate_data(s, built):
 
 
 def _chain_report(built, data, tau):
-    """The five-configuration comparison chain around the crack-free map."""
+    """The five-configuration comparison chain around the crack-free map.
+
+    Every test entry is an ``ndmap.certificate`` record.
+    """
     mesh, gamma0, basis = built.mesh, built.gamma0, built.basis
     ins = built.cracks.of_kind(geometry.INSULATING)
     con = built.cracks.of_kind(geometry.CONDUCTING)
@@ -399,39 +414,16 @@ def _chain_report(built, data, tau):
         ndmap.nd_matrix(mesh, gamma0, con, basis),
         ndmap.nd_matrix(mesh, gamma0, {"frozen": built.W}, basis),
     ]
-    tests = []
-    for hi, lo in zip(mats, mats[1:]):
-        t = tau if tau is not None else ndmap.default_tau(hi)
-        ok, eig = ndmap.psd_test(hi.entries - lo.entries, t)
-        tests.append(
-            {
-                "test": "%s >= %s" % (hi.config_label, lo.config_label),
-                "passed": bool(ok),
-                "min_eig": float(eig),
-                "tau": float(t),
-            }
-        )
-    # the measured matrix must sit inside the bracket around its crack set
-    t = tau if tau is not None else ndmap.default_tau(mats[0])
-    ok_hi, eig_hi = ndmap.psd_test(mats[0].entries - data.entries, t)
-    t_lo = tau if tau is not None else ndmap.default_tau(data)
-    ok_lo, eig_lo = ndmap.psd_test(data.entries - mats[-1].entries, t_lo)
-    tests.append(
-        {
-            "test": "%s >= data" % mats[0].config_label,
-            "passed": bool(ok_hi),
-            "min_eig": float(eig_hi),
-            "tau": float(t),
-        }
-    )
-    tests.append(
-        {
-            "test": "data >= %s" % mats[-1].config_label,
-            "passed": bool(ok_lo),
-            "min_eig": float(eig_lo),
-            "tau": float(t_lo),
-        }
-    )
+    named = [(m.config_label, m) for m in mats]
+    # the measured matrix must also sit inside the bracket around its crack set
+    pairs = list(zip(named, named[1:])) + [
+        (named[0], ("data", data)),
+        (("data", data), named[-1]),
+    ]
+    tests = [
+        ndmap.certificate("%s >= %s" % (a, b), hi.entries - lo.entries, hi, tau)
+        for (a, hi), (b, lo) in pairs
+    ]
     return {"tests": tests, "passed": all(e["passed"] for e in tests)}
 
 
@@ -449,10 +441,10 @@ def run_scenario(s, out_dir=None):
     results = {}
     artifacts = {"data_matrix.json": data.to_json()}
     if s.noise > 0:
-        scale = s.tau if s.tau is not None else ndmap.default_tau(data)
+        scale = ndmap.tau_for(data, s.tau)
         results["noise_check"] = {
             "noise_norm": provenance["noise_norm"],
-            "tau": float(scale),
+            "tau": scale,
             "exceeds_tau": bool(provenance["noise_norm"] > scale),
         }
 

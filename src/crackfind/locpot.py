@@ -101,7 +101,7 @@ def build_source_operator(mesh, gamma0, config, V, basis):
     interior = geometry.interior_pixel_set(V.grid).members
     if V.members - interior:
         raise ValueError("source region must lie in the meshed interior")
-    solver = ndmap._solver_from_config(mesh, gamma0, config)
+    solver = ndmap.NdSolver(mesh, gamma0, config)
     tris = V.triangles()
     Mg = fem.gamma_mass(mesh)
     weighted = Mg @ basis.vectors

@@ -18,6 +18,10 @@ from . import fem, geometry
 SYM_RTOL = 1e-8
 PSD_TAU_FACTOR = 1e-8
 
+# extra slack multiple reported with every certificate so near-threshold
+# decisions are visible without re-running
+MARGIN_SCALE = 10.0
+
 
 class CurrentBasis:
     """Orthonormal mean-free current vectors on the ordered arc nodes.
@@ -102,11 +106,6 @@ class NdMatrix:
     def __repr__(self):
         return "NdMatrix(%s, M=%d)" % (self.config_label, len(self.entries))
 
-    def quad(self, f):
-        """Quadratic form at a coefficient vector."""
-        f = np.asarray(f, dtype=float)
-        return float(f @ (self.entries @ f))
-
     def to_json(self):
         return {
             "config": self.config_label,
@@ -114,64 +113,48 @@ class NdMatrix:
             "entries": [float(x) for x in self.entries.reshape(-1)],
         }
 
-    @classmethod
-    def from_json(cls, data, basis=None):
-        M = int(data["M"])
-        e = np.array(data["entries"], dtype=float).reshape(M, M)
-        return cls(0.5 * (e + e.T), basis, data.get("config", "unknown"))
-
 
 class NdSolver:
     """One configuration's forward machinery: dof map, stiffness, factorization.
 
-    Reusable for many currents; building it once per configuration is what
-    makes reconstruction loops affordable.
+    ``config`` is None (no cracks, no region), a CrackSet, or a dict with
+    any of the keys ``cracks``, ``excluded``, ``frozen``; other keys are
+    rejected. Reusable for many currents; building it once per
+    configuration is what makes reconstruction loops affordable.
     """
 
-    def __init__(self, mesh, gamma0, cracks=None, excluded=None, frozen=None):
+    def __init__(self, mesh, gamma0, config=None):
+        if config is None:
+            config = {}
+        if isinstance(config, geometry.CrackSet):
+            config = {"cracks": config}
+        unknown = set(config) - {"cracks", "excluded", "frozen"}
+        if unknown:
+            raise ValueError("unknown configuration keys: %s" % sorted(unknown))
         self.mesh = mesh
         self.gamma0 = gamma0
-        self.dm = fem.build_dofmap(mesh, cracks, excluded=excluded, frozen=frozen)
+        self.dm = fem.build_dofmap(
+            mesh,
+            config.get("cracks"),
+            excluded=config.get("excluded"),
+            frozen=config.get("frozen"),
+        )
         self.K = fem.assemble_stiffness(mesh, gamma0, self.dm)
         self.fact = fem.Factorization(self.K, self.dm)
 
     def solve_current(self, f):
+        """Potential for one arc current ``(G,)`` or a block ``(G, k)``."""
         return fem.solve_neumann(self.K, self.dm, f, self.fact)
 
     def solve_source(self, F):
         return fem.solve_source(self.K, self.dm, F, self.fact)
 
-    def traces_for(self, basis):
-        """Trace vectors of the solves for every basis current (columns)."""
-        out = np.empty((basis.vectors.shape[0], basis.M))
-        for j in range(basis.M):
-            u = self.solve_current(basis.vectors[:, j])
-            out[:, j] = fem.trace_on_gamma(u)
-        return out
-
     def nd_matrix(self, basis):
-        Mg = fem.gamma_mass(self.mesh)
-        weighted = Mg @ basis.vectors
-        traces = self.traces_for(basis)
+        """The configuration's matrix in ``basis``, from one block solve."""
+        weighted = fem.gamma_mass(self.mesh) @ basis.vectors
+        traces = fem.trace_on_gamma(self.solve_current(basis.vectors))
         N = traces.T @ weighted
         return NdMatrix(0.5 * (N + N.T), basis, self.dm.config_label())
-
-
-def _solver_from_config(mesh, gamma0, config):
-    if config is None:
-        config = {}
-    if isinstance(config, geometry.CrackSet):
-        config = {"cracks": config}
-    unknown = set(config) - {"cracks", "excluded", "frozen"}
-    if unknown:
-        raise ValueError("unknown configuration keys: %s" % sorted(unknown))
-    return NdSolver(
-        mesh,
-        gamma0,
-        cracks=config.get("cracks"),
-        excluded=config.get("excluded"),
-        frozen=config.get("frozen"),
-    )
 
 
 def nd_matrix(mesh, gamma0, config, basis):
@@ -180,7 +163,7 @@ def nd_matrix(mesh, gamma0, config, basis):
     ``config`` is None, a CrackSet, or a dict with any of the keys
     ``cracks``, ``excluded``, ``frozen``.
     """
-    return _solver_from_config(mesh, gamma0, config).nd_matrix(basis)
+    return NdSolver(mesh, gamma0, config).nd_matrix(basis)
 
 
 def psd_test(A, tau):
@@ -209,6 +192,33 @@ def default_tau(minuend, factor=PSD_TAU_FACTOR):
         minuend = minuend.entries
     w = np.linalg.eigvalsh(0.5 * (minuend + minuend.T))
     return factor * float(np.max(np.abs(w)))
+
+
+def tau_for(minuend, tau):
+    """The threshold a test uses: ``tau`` when given, else the default."""
+    if tau is not None:
+        return float(tau)
+    return default_tau(minuend)
+
+
+def certificate(name, diff, minuend, tau):
+    """Run one inequality test and return its stored certificate.
+
+    ``diff`` is the matrix difference that must be positive semidefinite;
+    ``minuend`` sets the default threshold when ``tau`` is None. The record
+    holds the test name, the verdict, the smallest eigenvalue, the
+    threshold, and whether the call was close (|min_eig| within
+    ``MARGIN_SCALE`` thresholds).
+    """
+    t = tau_for(minuend, tau)
+    passed, min_eig = psd_test(diff, t)
+    return {
+        "test": name,
+        "passed": bool(passed),
+        "min_eig": float(min_eig),
+        "tau": float(t),
+        "close_call": bool(abs(min_eig) < MARGIN_SCALE * t),
+    }
 
 
 def projection_identity_check(mesh, gamma0, cracks, basis, f_index, which="P"):

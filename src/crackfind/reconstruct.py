@@ -11,23 +11,11 @@ from inside.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import geometry, ndmap
 
 MODES = ("both", "insulating", "conducting")
-
-# extra slack multiple reported with every certificate so near-threshold
-# decisions are visible without re-running
-MARGIN_SCALE = 10.0
-
-
-def _tau_for(minuend, tau):
-    if tau is not None:
-        return float(tau)
-    return ndmap.default_tau(minuend)
 
 
 def _entries(m):
@@ -48,12 +36,6 @@ class UpperBoundResult:
         self.peel_trace = tuple(peel_trace)
         self.inequalities_used = inequalities_used
         self.initial_ok = bool(initial_ok)
-
-    def accepted_pixels(self):
-        return [e["pixel"] for e in self.peel_trace if e["action"] == "peel" and e["passed"]]
-
-    def rejected_pixels(self):
-        return sorted({e["pixel"] for e in self.peel_trace if e["action"] == "peel" and not e["passed"]})
 
     def decision_margins(self):
         """Smallest pass margin and weakest fail margin over the whole trace.
@@ -114,18 +96,6 @@ class InnerResult:
         }
 
 
-def _certificate(name, diff, minuend, tau):
-    t = _tau_for(minuend, tau)
-    passed, min_eig = ndmap.psd_test(diff, t)
-    return {
-        "test": name,
-        "passed": bool(passed),
-        "min_eig": float(min_eig),
-        "tau": float(t),
-        "close_call": bool(abs(min_eig) < MARGIN_SCALE * t),
-    }
-
-
 def upper_bound_tests(data, mesh, gamma0, basis, region, mode="both", tau=None):
     """Run the bracket tests for one candidate region.
 
@@ -140,12 +110,12 @@ def upper_bound_tests(data, mesh, gamma0, basis, region, mode="both", tau=None):
     ok = True
     if mode in ("both", "insulating"):
         upper = ndmap.nd_matrix(mesh, gamma0, {"excluded": region}, basis)
-        cert = _certificate("excluded_minus_data", upper.entries - d, upper, tau)
+        cert = ndmap.certificate("excluded_minus_data", upper.entries - d, upper, tau)
         certs.append(cert)
         ok = ok and cert["passed"]
     if mode in ("both", "conducting"):
         lower = ndmap.nd_matrix(mesh, gamma0, {"frozen": region}, basis)
-        cert = _certificate("data_minus_frozen", d - lower.entries, data, tau)
+        cert = ndmap.certificate("data_minus_frozen", d - lower.entries, data, tau)
         certs.append(cert)
         ok = ok and cert["passed"]
     return ok, certs
@@ -230,7 +200,7 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
             diff, minuend = d - n_chain.entries, data
         else:
             diff, minuend = n_chain.entries - d, n_chain
-        cert = _certificate("chain", diff, minuend, tau)
+        cert = ndmap.certificate("chain", diff, minuend, tau)
         entry = {
             "chain": [int(v) for v in comp.chain],
             "min_eig": cert["min_eig"],
@@ -312,19 +282,16 @@ def axis_chain_candidates(mesh, region, lengths=(1, 2, 4)):
     return out
 
 
-def _truth_pixels_and_segments(ground_truth, grid):
-    mesh = grid.mesh
-    pixels = set()
+def _crack_segments(cracks, mesh):
+    # (start points, end points) of every crack edge
     seg_a, seg_b = [], []
-    for comp in ground_truth.components:
+    for comp in cracks.components:
         pts = mesh.vertices[np.asarray(comp.chain, dtype=np.int64)]
-        for a, b in zip(pts[:-1], pts[1:]):
-            pixels |= grid.pixels_touching_segment(a, b)
-            seg_a.append(a)
-            seg_b.append(b)
+        seg_a.extend(pts[:-1])
+        seg_b.extend(pts[1:])
     if seg_a:
-        return pixels, np.asarray(seg_a), np.asarray(seg_b)
-    return pixels, np.zeros((0, 2)), np.zeros((0, 2))
+        return np.asarray(seg_a), np.asarray(seg_b)
+    return np.zeros((0, 2)), np.zeros((0, 2))
 
 
 def _dist_to_segments(pt, seg_a, seg_b):
@@ -344,7 +311,8 @@ def score(result, ground_truth, grid):
     1-dilated truth, and the reported recall counts truth pixels within
     the 1-dilated result ("recall_strict" counts exact membership).
     """
-    truth, seg_a, seg_b = _truth_pixels_and_segments(ground_truth, grid)
+    truth = grid.crack_pixels(ground_truth)
+    seg_a, seg_b = _crack_segments(ground_truth, grid.mesh)
 
     if isinstance(result, InnerResult):
         truth_edges = set()
@@ -398,12 +366,6 @@ def score(result, ground_truth, grid):
         "hausdorff_result_to_truth": h_res,
         "hausdorff_truth_to_result": h_truth,
     }
-
-
-def result_to_json_file(result, path):
-    with open(path, "w") as fh:
-        json.dump(result.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def raster_csv(pixelset, path):

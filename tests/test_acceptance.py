@@ -140,7 +140,7 @@ def test_criterion_4_adjoint_identity(chain_setup):
     worst = 0.0
     for config in (None, cracks):
         op = locpot.build_source_operator(mesh, gamma0, config, V, basis)
-        solver = ndmap._solver_from_config(mesh, gamma0, config)
+        solver = ndmap.NdSolver(mesh, gamma0, config)
         for _ in range(100):
             Fv = rng.standard_normal((len(op.tris), 2))
             d = rng.standard_normal(basis.M)

@@ -34,7 +34,7 @@ def square(n=8):
 
 
 def one(mesh):
-    return Conductivity.constant(mesh, 1.0)
+    return Conductivity(mesh, 1.0)
 
 
 def cos_theta_current(mesh):
@@ -137,7 +137,7 @@ def test_stiffness_linear_in_conductivity():
     mesh = square(8)
     dm = build_dofmap(mesh)
     K1 = assemble_stiffness(mesh, one(mesh), dm)
-    K2 = assemble_stiffness(mesh, Conductivity.constant(mesh, 2.0), dm)
+    K2 = assemble_stiffness(mesh, Conductivity(mesh, 2.0), dm)
     assert abs(K2 - 2.0 * K1).max() < 1e-14
 
 
@@ -172,6 +172,68 @@ def test_solve_requires_mean_free():
     K = assemble_stiffness(mesh, one(mesh), dm)
     with pytest.raises(ValueError):
         solve_neumann(K, dm, np.ones(len(dm.gamma_order)))
+
+
+@pytest.fixture(scope="module")
+def dofmaps():
+    """One dof map of each kind: plain, slit, tied, excluded, frozen."""
+    mesh = square(16)
+    m_ins, c_ins = embed_crack(mesh, [(0.25, 0.5), (0.75, 0.5)], INSULATING)
+    m_con, c_con = embed_crack(mesh, [(0.25, 0.5), (0.75, 0.5)], CONDUCTING)
+    block = PixelSet.from_rect(PixelGrid(mesh, 8, 8), 3, 3, 4, 4)
+    return {
+        "plain": build_dofmap(mesh),
+        "slit": build_dofmap(m_ins, c_ins),
+        "tied": build_dofmap(m_con, c_con),
+        "excluded": build_dofmap(mesh, excluded=block),
+        "frozen": build_dofmap(mesh, frozen=block),
+    }
+
+
+def mean_free_block(mesh, k, seed):
+    f = np.random.default_rng(seed).standard_normal((len(mesh.gamma_vertices()), k))
+    w = gamma_mass(mesh).sum(axis=1)
+    return f - (w @ f) / w.sum()
+
+
+@pytest.mark.parametrize("kind", ["plain", "slit", "tied", "excluded", "frozen"])
+def test_block_solve_matches_single_columns(dofmaps, kind):
+    dm = dofmaps[kind]
+    K = assemble_stiffness(dm.mesh, one(dm.mesh), dm)
+    fact = Factorization(K, dm)
+    F = mean_free_block(dm.mesh, 5, 1)
+    U = solve_neumann(K, dm, F, fact)
+    assert U.values.shape == (dm.n_dofs, 5)
+    for j in range(5):
+        u = solve_neumann(K, dm, F[:, j], fact).values
+        assert np.linalg.norm(U.values[:, j] - u) <= 1e-12 * np.linalg.norm(u)
+
+
+def test_block_with_one_charged_column_rejected(dofmaps):
+    dm = dofmaps["plain"]
+    K = assemble_stiffness(dm.mesh, one(dm.mesh), dm)
+    F = mean_free_block(dm.mesh, 4, 2)
+    F[:, 2] += 1.0
+    with pytest.raises(ValueError):
+        solve_neumann(K, dm, F)
+
+
+def test_residual_is_checked_per_column(dofmaps):
+    # the bad column's residual is 1e-5 of its own norm but far below
+    # RESIDUAL_RTOL of the whole block's norm
+    dm = dofmaps["plain"]
+    K = assemble_stiffness(dm.mesh, one(dm.mesh), dm)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((dm.n_dofs, 4))
+    x[:, 3] *= 1e-6
+    b = K @ x
+    assert fem._check_residual(K, x, b) < 1e-14
+    e = rng.standard_normal(dm.n_dofs)
+    b[:, 3] += 1e-5 * np.linalg.norm(b[:, 3]) * e / np.linalg.norm(e)
+    whole = np.linalg.norm(K @ x - b) / np.linalg.norm(b)
+    assert whole < fem.RESIDUAL_RTOL
+    with pytest.raises(RuntimeError):
+        fem._check_residual(K, x, b)
 
 
 def test_disk_cos_theta_energy():
@@ -428,18 +490,6 @@ def test_trace_of_linear_on_left_arc():
     u = fem.Field(mesh.vertices[:, 0], dm)
     tr = trace_on_gamma(u)
     assert np.max(np.abs(tr)) < 1e-14  # x = 0 on the left edge
-
-
-def test_field_exports(tmp_path):
-    mesh = square(4)
-    dm = build_dofmap(mesh)
-    u = fem.Field(np.arange(dm.n_dofs, dtype=float), dm)
-    path = tmp_path / "field.csv"
-    fem.field_to_csv(u, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (dm.n_dofs, 2)
-    payload = fem.field_to_vertex_json(u)
-    assert len(payload["vertex_values"]) == len(mesh.vertices)
 
 
 def test_energy_dofmap_mismatch_rejected():

@@ -10,7 +10,6 @@ from crackfind import geometry
 from crackfind.geometry import (
     CONDUCTING,
     INSULATING,
-    Mesh,
     PixelGrid,
     PixelSet,
     build_disk_mesh,
@@ -84,14 +83,6 @@ def test_disk_mesh_counts():
     assert mesh.h_max() <= 1.5 * 0.21
     # total area approximates the disk from inside
     assert 0.9 * np.pi < mesh.tri_areas().sum() < np.pi
-
-
-def test_mesh_json_roundtrip():
-    mesh = build_rect_mesh(1.0, 1.0, 0.3)
-    back = Mesh.from_json(mesh.to_json())
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.gamma_edges, mesh.gamma_edges)
 
 
 # ------------------------------------------------------------------ #
@@ -199,14 +190,6 @@ def test_embed_diagonal_crack():
     assert np.all(m2.tri_areas() > 0)
 
 
-def test_crackset_json_roundtrip():
-    mesh = build_rect_mesh(1.0, 1.0, 1 / 16)
-    m2, cracks = embed_crack(mesh, [(0.3, 0.5), (0.7, 0.5)], INSULATING)
-    back = geometry.CrackSet.from_json(cracks.to_json(), mesh=m2)
-    assert back.components[0].chain == cracks.components[0].chain
-    assert back.components[0].kind == INSULATING
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     x0=st.floats(0.2, 0.45),
@@ -256,14 +239,6 @@ def test_grid_boundary_pixels_square():
         if ix in (0, 7) or iy in (0, 7)
     }
     assert grid.boundary_pixels == ring
-
-
-def test_grid_json_roundtrip():
-    mesh = build_rect_mesh(1.0, 1.0, 1 / 16)
-    grid = PixelGrid(mesh, 8, 8)
-    back = PixelGrid.from_json(grid.to_json(), mesh)
-    assert back.nx == 8 and back.ny == 8
-    assert back.h == pytest.approx(grid.h)
 
 
 def test_full_interior_block_admissible():

@@ -251,6 +251,25 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
     assert "problems" in json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize(
+    "update",
+    [
+        {"gamma": {"box": 5}},
+        {"inner_lengths": ["a"]},
+        {"gamma0": {"boxes": [{"box": 3, "value": 1}]}},
+        {"locpot_n": [None]},
+    ],
+)
+def test_malformed_nested_values_are_itemized(update, tmp_path, capsys):
+    bad = dict(MIXED, **update)
+    with pytest.raises(harness.ScenarioError):
+        harness.scenario_from_dict(bad)
+    cfg = _write_config(tmp_path, bad)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "invalid config" and err["problems"]
+
+
 def test_cli_inner_single_kind(tmp_path, capsys):
     scn = {
         "name": "ins",

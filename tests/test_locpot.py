@@ -30,7 +30,7 @@ def test_adjoint_identity_on_random_pairs(chain_setup, ops):
     areas = mesh.tri_areas()
     rng = np.random.default_rng(3)
     for op, config in ((op_empty, None), (op_mixed, cracks)):
-        solver = ndmap._solver_from_config(mesh, gamma0, config)
+        solver = ndmap.NdSolver(mesh, gamma0, config)
         for _ in range(20):
             Fv = rng.standard_normal((len(op.tris), 2))
             d = rng.standard_normal(basis.M)

@@ -49,15 +49,6 @@ def setup():
     return mesh, cracks, grid, gamma0, basis, data
 
 
-def truth_pixels(cracks, grid):
-    out = set()
-    for comp in cracks.components:
-        pts = grid.mesh.vertices[list(comp.chain)]
-        for a, b in zip(pts[:-1], pts[1:]):
-            out |= grid.pixels_touching_segment(a, b)
-    return out
-
-
 def core_pixels(cracks, grid):
     """Pixels holding a crack edge midpoint: inside D beyond any doubt."""
     out = set()
@@ -293,7 +284,7 @@ def test_axis_chain_candidates_counts():
 
 def test_score_trivial_cases(setup):
     mesh, cracks, grid, gamma0, basis, data = setup
-    truth = truth_pixels(cracks, grid)
+    truth = grid.crack_pixels(cracks)
 
     exact = reconstruct.UpperBoundResult(PixelSet(grid, truth), [], "both", True)
     s = reconstruct.score(exact, cracks, grid)
@@ -317,9 +308,7 @@ def test_score_trivial_cases(setup):
 def test_result_serialization_roundtrip(setup, tmp_path):
     mesh, cracks, grid, gamma0, basis, data = setup
     res = reconstruct.reconstruct_upper(data["mixed"], mesh, gamma0, basis, grid)
-    path = tmp_path / "upper.json"
-    reconstruct.result_to_json_file(res, path)
-    loaded = json.loads(path.read_text())
+    loaded = json.loads(json.dumps(res.to_json()))
     assert loaded["final_members"] == sorted(res.final_set.members)
     assert loaded["initial_ok"] is True
     assert loaded["decision_margins"]["closest_fail"] < 0
