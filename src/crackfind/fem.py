@@ -138,12 +138,13 @@ class DofMap:
 
     ``corner_dof`` has one dof index per triangle corner (-1 on excluded
     triangles), which is the resolution needed to keep the two sides of an
-    insulating slit apart. ``vertex_dof`` gives a representative dof per
-    vertex (the side-A dof for slit vertices, -1 for vertices swallowed by
-    an excluded region) and is what boundary traces use.
+    insulating slit apart. ``vertex_dof`` is what boundary traces use: the
+    smallest dof on the vertex's active corners, -1 for a vertex swallowed
+    by an excluded region. Only interior slit vertices carry two dofs; for
+    them it is the dof of the side holding their lowest triangle.
     """
 
-    def __init__(self, mesh, cracks, excluded, frozen, corner_dof, active_tri, n_dofs, counts):
+    def __init__(self, mesh, cracks, excluded, frozen, corner_dof, active_tri, n_dofs):
         self.mesh = mesh
         self.cracks = cracks
         self.excluded = excluded
@@ -151,28 +152,12 @@ class DofMap:
         self.corner_dof = corner_dof
         self.active_tri = active_tri
         self.n_dofs = int(n_dofs)
-        self.counts = counts
         for arr in (self.corner_dof, self.active_tri):
             arr.setflags(write=False)
 
-        vertex_dof = np.full(len(mesh.vertices), -1, dtype=np.int64)
-        tri = mesh.triangles
-        # reversed order: lower triangle indices win as representatives
-        for t in range(len(tri) - 1, -1, -1):
-            if active_tri[t]:
-                vertex_dof[tri[t]] = corner_dof[t]
-        # side A of a slit vertex is the fan that kept the original dof;
-        # make the representative deterministic: smallest dof at the vertex
-        for comp in cracks.components:
-            if comp.kind != INSULATING:
-                continue
-            for v in comp.chain:
-                dofs = [
-                    corner_dof[t, list(tri[t]).index(v)]
-                    for t in mesh.vertex_tris()[v]
-                    if active_tri[t]
-                ]
-                vertex_dof[v] = min(dofs)
+        vertex_dof = np.full(len(mesh.vertices), self.n_dofs, dtype=np.int64)
+        np.minimum.at(vertex_dof, mesh.triangles[active_tri], corner_dof[active_tri])
+        vertex_dof[vertex_dof == self.n_dofs] = -1
         self.vertex_dof = vertex_dof
         self.vertex_dof.setflags(write=False)
 
@@ -229,110 +214,67 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
     tri = mesh.triangles
     corner = tri.astype(np.int64).copy()
     active = np.ones(len(tri), dtype=bool)
-    vt = mesh.vertex_tris()
 
     # insulating slits: a second dof for the far-side fan of each interior
-    # chain vertex
+    # chain vertex. The fans are graphs on corners (flat index 3 t + c),
+    # joined across the uncut edges at the vertex; the side holding the
+    # vertex's lowest triangle keeps the vertex's own dof.
     next_dof = nv
-    slit_extra = 0
-    for comp in cracks.components:
-        if comp.kind != INSULATING:
-            continue
-        ch = comp.chain
-        for i in range(1, len(ch) - 1):
-            v, prv, nxt = ch[i], ch[i - 1], ch[i + 1]
-            tris_v = vt[v]
-            cut = {frozenset((v, prv)), frozenset((v, nxt))}
-            pair = {}
-            for t in tris_v:
-                for w in tri[t]:
-                    w = int(w)
-                    if w != v and frozenset((v, w)) not in cut:
-                        pair.setdefault(w, []).append(t)
-            adj = {t: [] for t in tris_v}
-            for ts in pair.values():
-                if len(ts) == 2:
-                    adj[ts[0]].append(ts[1])
-                    adj[ts[1]].append(ts[0])
-            comp_id = {}
-            n_sides = 0
-            for t0 in tris_v:
-                if t0 in comp_id:
-                    continue
-                stack = [t0]
-                comp_id[t0] = n_sides
-                while stack:
-                    u = stack.pop()
-                    for w in adj[u]:
-                        if w not in comp_id:
-                            comp_id[w] = n_sides
-                            stack.append(w)
-                n_sides += 1
-            if n_sides != 2:
+    insulating = cracks.of_kind(INSULATING)
+    slit = [v for comp in insulating.components for v in comp.chain[1:-1]]
+    if slit:
+        is_slit = np.zeros(nv, dtype=bool)
+        is_slit[slit] = True
+        edges = mesh.edges()
+        uncut = np.ones(len(edges), dtype=bool)
+        uncut[insulating.edge_ids(mesh)] = False
+        pairs = []
+        for end in (0, 1):
+            at = uncut & is_slit[edges[:, end]]
+            v = edges[at, end][:, None]
+            t1, t2 = mesh.edge_tris()[at].T
+            c1 = np.argmax(tri[t1] == v, axis=1)
+            c2 = np.argmax(tri[t2] == v, axis=1)
+            pairs.append(np.column_stack([3 * t1 + c1, 3 * t2 + c2]))
+        fan = np.flatnonzero(is_slit[tri.ravel()])
+        label = geometry.components(fan.tolist(), np.concatenate(pairs).tolist())
+        side = np.array([label[c] for c in fan.tolist()])
+        fan_vertex = tri.ravel()[fan]
+        flat_corner = corner.reshape(-1)
+        for v in slit:
+            mine = fan_vertex == v
+            if len(set(side[mine].tolist())) != 2:
                 raise ValueError("slit vertex fan does not split into two sides")
-            for t in tris_v:
-                if comp_id[t] == 1:
-                    c = list(tri[t]).index(v)
-                    corner[t, c] = next_dof
+            flat_corner[fan[mine & (side != fan[mine][0])]] = next_dof
             next_dof += 1
-            slit_extra += 1
 
     # ties: conducting chains and frozen-region components map onto their
     # smallest vertex id
     remap = np.arange(next_dof, dtype=np.int64)
-    tied_reduction = 0
     for comp in cracks.components:
-        if comp.kind != CONDUCTING:
-            continue
-        rep = min(comp.chain)
-        for v in comp.chain:
-            remap[v] = rep
-        tied_reduction += len(comp.chain) - 1
+        if comp.kind == CONDUCTING:
+            remap[list(comp.chain)] = min(comp.chain)
 
-    frozen_reduction = 0
     if frozen is not None:
-        todo = set(frozen.members)
-        while todo:
-            seed = min(todo)
-            block = {seed}
-            stack = [seed]
-            todo.discard(seed)
-            while stack:
-                p = stack.pop()
-                for q in frozen.grid.neighbors4(p):
-                    if q in todo:
-                        todo.discard(q)
-                        block.add(q)
-                        stack.append(q)
-            verts = geometry.PixelSet(frozen.grid, block).vertex_set(mesh)
-            rep = min(verts)
-            for v in verts:
-                remap[v] = rep
-            frozen_reduction += len(verts) - 1
+        grid = frozen.grid
+        members = sorted(frozen.members)
+        pairs = [(p, q) for p in members for q in grid.neighbors4(p) if q in frozen.members]
+        label = geometry.components(members, pairs)
+        for root in sorted(set(label.values())):
+            block = [p for p in members if label[p] == root]
+            verts = list(geometry.PixelSet(grid, block).vertex_set(mesh))
+            remap[verts] = min(verts)
 
     corner = remap[corner]
 
-    excluded_vertices = 0
     if excluded is not None:
         active[excluded.triangles()] = False
-        used = np.unique(tri[active])
-        excluded_vertices = nv - len(used)
 
     used_dofs = np.unique(corner[active])
     dense = np.full(next_dof, -1, dtype=np.int64)
     dense[used_dofs] = np.arange(len(used_dofs))
     final = np.where(active[:, None], dense[corner], -1)
-
-    counts = {
-        "vertices": nv,
-        "slit_extra": slit_extra,
-        "tied_reduction": tied_reduction,
-        "excluded_vertices": excluded_vertices,
-        "frozen_reduction": frozen_reduction,
-    }
-    return DofMap(
-        mesh, cracks, excluded, frozen, final, active, len(used_dofs), counts
-    )
+    return DofMap(mesh, cracks, excluded, frozen, final, active, len(used_dofs))
 
 
 def assemble_stiffness(mesh, gamma0, dm):

@@ -37,9 +37,29 @@ def _signed_areas(vertices, triangles):
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def _edge_key(a, b, n):
-    lo, hi = (a, b) if a < b else (b, a)
-    return int(lo) * n + int(hi)
+def components(nodes, pairs):
+    """Connected components of the undirected graph on ``nodes``.
+
+    ``pairs`` lists the graph's edges as node pairs; both ends must be in
+    ``nodes``. Returns ``{node: smallest node of its component}``, so two
+    nodes are connected exactly when their labels agree.
+    """
+    adj = {v: [] for v in nodes}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = {}
+    for root in sorted(adj):
+        if root in label:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in label:
+                    label[w] = root
+                    stack.append(w)
+    return label
 
 
 def point_segment_distance(pt, a, b):
@@ -159,65 +179,41 @@ class Mesh:
         if np.any(areas <= 0):
             raise ValueError("all triangles must have positive signed area")
 
-        n = len(v)
-        undirected = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        keys = (
-            np.minimum(undirected[:, 0], undirected[:, 1]) * n
-            + np.maximum(undirected[:, 0], undirected[:, 1])
-        )
-        uniq, counts = np.unique(keys, return_counts=True)
-        if np.any(counts > 2):
+        if np.any(np.bincount(self.tri_edges().ravel()) > 2):
             raise ValueError("non-conforming mesh: an edge is shared by > 2 triangles")
-        hull_keys = set(uniq[counts == 1].tolist())
+        et = self.edge_tris()
+        inner = et[et[:, 1] >= 0]
+        if len(set(components(range(len(t)), inner.tolist()).values())) > 1:
+            raise ValueError("mesh triangles must form one connected piece")
 
         be = self.boundary_edges
         if be.ndim != 2 or be.shape[1] != 2:
             raise ValueError("boundary_edges must be a (b, 2) array")
-        be_keys = {_edge_key(a, b, n) for a, b in be}
-        if len(be_keys) != len(be):
-            raise ValueError("duplicate boundary edge")
-        if be_keys != hull_keys:
+        be_ids = self.edge_index(be[:, 0], be[:, 1])
+        if np.any(be_ids < 0) or not np.array_equal(
+            np.sort(be_ids), np.flatnonzero(et[:, 1] < 0)
+        ):
             raise ValueError("boundary_edges must cover the mesh hull exactly once")
-        directed = set()
-        for tri in t:
-            directed.add((int(tri[0]), int(tri[1])))
-            directed.add((int(tri[1]), int(tri[2])))
-            directed.add((int(tri[2]), int(tri[0])))
-        for a, b in be:
-            if (int(a), int(b)) not in directed:
-                raise ValueError("boundary edge oriented with the domain on the right")
-        outdeg = {}
-        indeg = {}
-        for a, b in be:
-            outdeg[int(a)] = outdeg.get(int(a), 0) + 1
-            indeg[int(b)] = indeg.get(int(b), 0) + 1
-        for vtx in set(outdeg) | set(indeg):
-            if outdeg.get(vtx, 0) != 1 or indeg.get(vtx, 0) != 1:
-                raise ValueError("boundary edges do not form simple closed loops")
+        # a boundary edge a -> b is the side a -> b of its one triangle
+        hull_tri = et[be_ids, 0]
+        side = np.argmax(self.tri_edges()[hull_tri] == be_ids[:, None], axis=1)
+        if np.any(t[hull_tri, side] != be[:, 0]):
+            raise ValueError("boundary edge oriented with the domain on the right")
+        outdeg = np.bincount(be[:, 0], minlength=len(v))
+        indeg = np.bincount(be[:, 1], minlength=len(v))
+        if np.any(outdeg > 1) or not np.array_equal(outdeg, indeg):
+            raise ValueError("boundary edges do not form simple closed loops")
 
         ge = self.gamma_edges
         if len(ge) == 0:
             raise ValueError("gamma must be nonempty")
-        ge_keys = {_edge_key(a, b, n) for a, b in ge}
-        if not ge_keys <= be_keys:
+        ge_ids = self.edge_index(ge[:, 0], ge[:, 1])
+        if not np.all(np.isin(ge_ids, be_ids)):
             raise ValueError("gamma_edges must be a subset of boundary_edges")
-        if len(ge_keys) != len(ge):
+        if len(np.unique(ge_ids)) != len(ge):
             raise ValueError("duplicate gamma edge")
         # connectivity along the boundary via shared vertices
-        adj = {}
-        for a, b in ge:
-            adj.setdefault(int(a), []).append(int(b))
-            adj.setdefault(int(b), []).append(int(a))
-        start = int(ge[0, 0])
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if set(adj) != seen:
+        if len(set(components(ge.ravel().tolist(), ge.tolist()).values())) > 1:
             raise ValueError("gamma must be connected along the boundary")
 
     # ------------------------------------------------------------------ #
@@ -238,39 +234,69 @@ class Mesh:
             self._cache["areas"] = a
         return self._cache["areas"]
 
-    def edge_tris(self):
-        """Map from undirected edge key (lo * n + hi) to incident triangles."""
-        if "edge_tris" not in self._cache:
-            n = len(self.vertices)
-            out = {}
-            for ti, tri in enumerate(self.triangles):
-                for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                    out.setdefault(_edge_key(a, b, n), []).append(ti)
-            self._cache["edge_tris"] = out
-        return self._cache["edge_tris"]
+    def _edge_table(self):
+        # one np.unique over the undirected keys lo * n + hi of all triangle
+        # sides; the key encoding stays inside this method and edge_index
+        if "edges" not in self._cache:
+            n, t = len(self.vertices), self.triangles
+            sides = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+            keys = sides.min(axis=1) * n + sides.max(axis=1)
+            uniq, inv = np.unique(keys, return_inverse=True)
+            # sides are numbered triangle by triangle, so an edge's first and
+            # last side lie in its lowest and highest triangle
+            _, first = np.unique(inv, return_index=True)
+            _, last = np.unique(inv[::-1], return_index=True)
+            lo, hi = first // 3, (len(inv) - 1 - last) // 3
+            self._cache.update(
+                edge_keys=uniq,
+                edges=np.column_stack([uniq // n, uniq % n]),
+                tri_edges=inv.reshape(-1, 3),
+                edge_tris=np.column_stack([lo, np.where(hi > lo, hi, -1)]),
+            )
+            for name in ("edge_keys", "edges", "tri_edges", "edge_tris"):
+                self._cache[name].setflags(write=False)
+        return self._cache
 
-    def vertex_tris(self):
-        """Per-vertex list of incident triangle indices."""
-        if "vertex_tris" not in self._cache:
-            out = [[] for _ in range(len(self.vertices))]
-            for ti, tri in enumerate(self.triangles):
-                for vtx in tri:
-                    out[int(vtx)].append(ti)
-            self._cache["vertex_tris"] = out
-        return self._cache["vertex_tris"]
+    def edges(self):
+        """Undirected edges, shape (E, 2), lower vertex first, rows sorted.
+
+        A row index is the edge id that the other edge-table methods use.
+        """
+        return self._edge_table()["edges"]
+
+    def tri_edges(self):
+        """Edge ids of the triangle sides (0, 1), (1, 2), (2, 0), shape (T, 3)."""
+        return self._edge_table()["tri_edges"]
+
+    def edge_tris(self):
+        """The two triangles at each edge, shape (E, 2).
+
+        The lower triangle index comes first; a hull edge has -1 second.
+        """
+        return self._edge_table()["edge_tris"]
+
+    def edge_index(self, a, b):
+        """Edge id of the vertex pair(s) ``a``-``b`` (either order), -1 if none.
+
+        Works elementwise on arrays and returns an int for scalar input.
+        """
+        keys = self._edge_table()["edge_keys"]
+        n = len(self.vertices)
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        q = lo * n + hi
+        i = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        out = np.where((lo >= 0) & (hi < n) & (keys[i] == q), i, -1)
+        return out if out.ndim else int(out)
 
     def boundary_vertex_set(self):
         if "bvs" not in self._cache:
             self._cache["bvs"] = set(self.boundary_edges.ravel().tolist())
         return self._cache["bvs"]
 
-    def edge_key(self, a, b):
-        return _edge_key(a, b, len(self.vertices))
-
     def h_max(self):
-        e = np.concatenate(
-            [self.triangles[:, [0, 1]], self.triangles[:, [1, 2]], self.triangles[:, [2, 0]]]
-        )
+        e = self.edges()
         d = self.vertices[e[:, 0]] - self.vertices[e[:, 1]]
         return float(np.max(np.linalg.norm(d, axis=1)))
 
@@ -425,36 +451,32 @@ def refine_mesh(mesh, cracks=None):
     Returns the refined mesh, or (mesh, cracks) when ``cracks`` is given.
     """
     nv = len(mesh.vertices)
-    t = mesh.triangles
-    mid = {}
-    new_pts = []
+    te = mesh.tri_edges()
+    # midpoints are numbered in the order a sweep over the triangle sides
+    # first meets their edges
+    _, first = np.unique(te.ravel(), return_index=True)
+    order = np.argsort(first)
+    mid = np.empty(len(order), dtype=np.int64)
+    mid[order] = nv + np.arange(len(order))
+    ends = mesh.edges()[order]
+    new_pts = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
+
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = mid[te].T
+    tris = np.stack(
+        [a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1
+    ).reshape(-1, 3)
 
     def midpoint(a, b):
-        key = _edge_key(a, b, nv)
-        if key not in mid:
-            mid[key] = nv + len(new_pts)
-            new_pts.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-        return mid[key]
-
-    tris = []
-    for a, b, c in t:
-        mab = midpoint(a, b)
-        mbc = midpoint(b, c)
-        mca = midpoint(c, a)
-        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
+        return mid[mesh.edge_index(a, b)]
 
     def split_edges(edges):
-        out = []
-        for a, b in edges:
-            m = midpoint(a, b)
-            out.append((a, m))
-            out.append((m, b))
-        return np.array(out, dtype=np.int64)
+        m = midpoint(edges[:, 0], edges[:, 1])
+        return np.column_stack([edges[:, 0], m, m, edges[:, 1]]).reshape(-1, 2)
 
-    vertices = np.vstack([mesh.vertices, np.array(new_pts, dtype=float)])
     fine = Mesh(
-        vertices,
-        np.array(tris, dtype=np.int64),
+        np.vstack([mesh.vertices, new_pts]),
+        tris,
         split_edges(mesh.boundary_edges),
         split_edges(mesh.gamma_edges),
         check=False,
@@ -574,13 +596,11 @@ class CrackSet:
     def of_kind(self, kind):
         return CrackSet([c for c in self.components if c.kind == kind])
 
-    def edge_keys(self, mesh):
-        """Undirected edge keys of every crack edge."""
-        out = set()
-        for comp in self.components:
-            for a, b in comp.edges():
-                out.add(mesh.edge_key(a, b))
-        return out
+    def edge_ids(self, mesh):
+        """Mesh edge ids of the crack edges, chain by chain (-1: not an edge)."""
+        a = [v for c in self.components for v in c.chain[:-1]]
+        b = [v for c in self.components for v in c.chain[1:]]
+        return mesh.edge_index(a, b)
 
     def vertex_set(self):
         out = set()
@@ -589,7 +609,18 @@ class CrackSet:
         return out
 
     def validate(self, mesh):
-        """Check all invariants against the mesh; raise ValueError on failure."""
+        """Check all invariants against the mesh; raise ValueError on failure.
+
+        The checks leave vertex-disjoint simple chains of interior edges,
+        no chain vertex on the boundary. Such a crack set cannot disconnect
+        the mesh interior, so connectivity is not searched here: a chain
+        vertex is interior, so its triangles form a closed fan, and the
+        only edges cut in that fan are its own chain's (at most two). A tip
+        loses one edge of its fan, which stays in one piece. The two
+        triangles at any crack edge are therefore joined by walking along
+        one side of the chain, through the fans of its vertices, and around
+        a tip. ``Mesh`` checks once that the uncut mesh is connected.
+        """
         bvs = mesh.boundary_vertex_set()
         et = mesh.edge_tris()
         seen_vertices = set()
@@ -600,10 +631,9 @@ class CrackSet:
             if cv & seen_vertices:
                 raise ValueError("crack components share a vertex")
             seen_vertices |= cv
-            for a, b in comp.edges():
-                tris = et.get(mesh.edge_key(a, b))
-                if tris is None or len(tris) != 2:
-                    raise ValueError("crack chain must follow interior mesh edges")
+            ids = mesh.edge_index(comp.chain[:-1], comp.chain[1:])
+            if np.any(ids < 0) or np.any(et[ids, 1] < 0):
+                raise ValueError("crack chain must follow interior mesh edges")
             for v in comp.chain:
                 if mesh.distance_to_boundary(mesh.vertices[v]) <= 0:
                     raise ValueError("crack vertex on the boundary")
@@ -617,29 +647,6 @@ class CrackSet:
                     )
                     if d <= 0:
                         raise ValueError("crack components must stay separated")
-        if self.components and not self._interior_connected(mesh):
-            raise ValueError("cracks must leave the domain interior connected")
-
-    def _interior_connected(self, mesh):
-        cut = self.edge_keys(mesh)
-        et = mesh.edge_tris()
-        nt = len(mesh.triangles)
-        adj = [[] for _ in range(nt)]
-        for key, tris in et.items():
-            if len(tris) == 2 and key not in cut:
-                a, b = tris
-                adj[a].append(b)
-                adj[b].append(a)
-        seen = np.zeros(nt, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return bool(seen.all())
 
 
 def embed_crack(mesh, polyline, kind, cracks=None):
@@ -688,16 +695,13 @@ def embed_crack(mesh, polyline, kind, cracks=None):
         raise ValueError("polyline is too short for the mesh resolution")
 
     # adjacency over interior, unblocked vertices
-    n = len(mesh.vertices)
+    free = np.ones(len(mesh.vertices), dtype=bool)
+    free[list(blocked)] = False
+    e = mesh.edges()
     adj = {}
-    tri = mesh.triangles
-    pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    for a, b in pairs:
-        a, b = int(a), int(b)
-        if a in blocked or b in blocked:
-            continue
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
+    for a, b in e[free[e].all(axis=1)].tolist():
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
 
     def dijkstra(src, dst, seg_a, seg_b):
         seg_len = float(np.linalg.norm(seg_b - seg_a))
@@ -1004,27 +1008,19 @@ def pixelset_is_admissible(p):
     if np.any((a & d & ~b & ~c) | (b & c & ~a & ~d)):
         return False
 
-    # complement connectivity to the grid exterior
-    comp = ~m
-    seen = np.zeros_like(comp)
-    stack = []
-    for ix in range(nx):
-        for iy in (0, ny - 1):
-            if comp[iy, ix] and not seen[iy, ix]:
-                seen[iy, ix] = True
-                stack.append((ix, iy))
-    for iy in range(ny):
-        for ix in (0, nx - 1):
-            if comp[iy, ix] and not seen[iy, ix]:
-                seen[iy, ix] = True
-                stack.append((ix, iy))
-    while stack:
-        ix, iy = stack.pop()
-        for jx, jy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
-            if 0 <= jx < nx and 0 <= jy < ny and comp[jy, jx] and not seen[jy, jx]:
-                seen[jy, jx] = True
-                stack.append((jx, jy))
-    return bool(np.all(seen[comp]))
+    # complement connectivity to the grid exterior: the padding ring is
+    # complement too and stands for the outside, node -1
+    ids = np.full((ny + 2, nx + 2), -1)
+    ids[1:-1, 1:-1] = np.arange(nx * ny).reshape(ny, nx)
+    free = ~pad
+    across = free[:, :-1] & free[:, 1:]
+    down = free[:-1] & free[1:]
+    pairs = np.concatenate([
+        np.column_stack([ids[:, :-1][across], ids[:, 1:][across]]),
+        np.column_stack([ids[:-1][down], ids[1:][down]]),
+    ])
+    label = components(ids[free].tolist(), pairs.tolist())
+    return all(root == -1 for root in label.values())
 
 
 def interior_pixel_set(grid):

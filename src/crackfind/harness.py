@@ -84,6 +84,11 @@ class Scenario:
         return {kind for kind, _ in self.cracks}
 
 
+def _positive(x):
+    # a finite number above zero
+    return isinstance(x, (int, float)) and bool(np.isfinite(x)) and x > 0
+
+
 def _numbers(val, n):
     # whether val is a list of n numbers
     return (
@@ -115,15 +120,15 @@ def _check_gamma(gamma, problems):
 
 def _check_gamma0(gamma0, problems):
     if isinstance(gamma0, (int, float)):
-        if gamma0 <= 0:
-            problems.append("gamma0 must be positive")
+        if not _positive(gamma0):
+            problems.append("gamma0 must be a positive finite number")
         return
     if not isinstance(gamma0, dict):
         problems.append("gamma0 must be a number or a {default, boxes} map")
         return
     default = gamma0.get("default", 1.0)
-    if not isinstance(default, (int, float)) or default <= 0:
-        problems.append("gamma0 default must be a positive number")
+    if not _positive(default):
+        problems.append("gamma0 default must be a positive finite number")
     boxes = gamma0.get("boxes", ())
     if not isinstance(boxes, (list, tuple)):
         problems.append("gamma0 boxes must be a list")
@@ -135,8 +140,8 @@ def _check_gamma0(gamma0, problems):
         if not _numbers(rule.get("box"), 4):
             problems.append("gamma0 box %d needs [xmin, ymin, xmax, ymax]" % i)
         value = rule.get("value", 0.0)
-        if not isinstance(value, (int, float)) or value <= 0:
-            problems.append("gamma0 box %d value must be a positive number" % i)
+        if not _positive(value):
+            problems.append("gamma0 box %d value must be a positive finite number" % i)
 
 
 def _point_inside(shape, size, p):
@@ -155,8 +160,8 @@ def validate_scenario(s):
         problems.append("shape must be one of %s" % (SHAPES,))
         return problems
     want = 2 if s.shape == "rect" else 1
-    if len(s.size) != want or any(float(x) <= 0 for x in s.size):
-        problems.append("size needs %d positive number(s) for %s" % (want, s.shape))
+    if len(s.size) != want or not all(_positive(x) for x in s.size):
+        problems.append("size needs %d positive finite number(s) for %s" % (want, s.shape))
         return problems
     extent = min(s.size) if s.shape == "rect" else 2 * s.size[0]
     if not 0 < s.h <= extent / 4:
@@ -179,8 +184,8 @@ def validate_scenario(s):
         problems.append("grid needs nx, ny >= 3 (a margin ring plus an interior)")
     if int(s.M) < 1:
         problems.append("M must be at least 1")
-    if s.tau is not None and not float(s.tau) > 0:
-        problems.append("tau must be positive when given")
+    if s.tau is not None and not _positive(s.tau):
+        problems.append("tau must be a positive finite number when given")
     if any(m not in METHODS for m in s.methods):
         problems.append("methods must be a subset of %s" % (METHODS,))
     elif len(set(s.methods)) != len(s.methods):
@@ -189,10 +194,12 @@ def validate_scenario(s):
         problems.append("mode must be one of %s" % (reconstruct.MODES,))
     if not all(isinstance(k, int) and k >= 1 for k in s.inner_lengths):
         problems.append("inner_lengths must be positive integers")
-    if not all(isinstance(n, (int, float)) and np.isfinite(n) and n >= 1 for n in s.locpot_n):
+    if not all(_positive(n) and n >= 1 for n in s.locpot_n):
         problems.append("locpot_n values must be positive numbers")
-    if not float(s.noise) >= 0:
-        problems.append("noise must be nonnegative")
+    elif any(a >= b for a, b in zip(s.locpot_n, s.locpot_n[1:])):
+        problems.append("locpot_n must be strictly increasing")
+    if not (np.isfinite(s.noise) and s.noise >= 0):
+        problems.append("noise must be a nonnegative finite number")
     kinds = {kind for kind, _ in s.cracks if isinstance(kind, str)}
     if "inner" in s.methods and len(kinds) != 1:
         problems.append("the inner method needs cracks of exactly one kind")

@@ -220,15 +220,12 @@ def axis_chain_candidates(mesh, region, lengths=(1, 2, 4)):
     orientation, line, offset, and length.
     """
     verts = mesh.vertices
-    nv = len(verts)
     bvs = mesh.boundary_vertex_set()
     tol = 1e-9 * mesh.h_max()
 
     lines = {"h": {}, "v": {}}
-    for key, tris in mesh.edge_tris().items():
-        if len(tris) != 2:
-            continue
-        a, b = divmod(key, nv)
+    for a, b in mesh.edges().tolist():
+        # an edge with no boundary vertex is an interior edge
         if a in bvs or b in bvs:
             continue
         dx = verts[b, 0] - verts[a, 0]
@@ -315,14 +312,10 @@ def score(result, ground_truth, grid):
     seg_a, seg_b = _crack_segments(ground_truth, grid.mesh)
 
     if isinstance(result, InnerResult):
-        truth_edges = set()
-        for comp in ground_truth.components:
-            for a, b in comp.edges():
-                truth_edges.add(grid.mesh.edge_key(a, b))
+        truth_edges = set(ground_truth.edge_ids(grid.mesh).tolist())
         covered = set()
         for chain in result.accepted_chains():
-            for a, b in zip(chain[:-1], chain[1:]):
-                covered.add(grid.mesh.edge_key(a, b))
+            covered.update(grid.mesh.edge_index(chain[:-1], chain[1:]).tolist())
         n_truth = len(truth_edges)
         return {
             "kind": result.kind,

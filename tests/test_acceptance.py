@@ -220,7 +220,7 @@ def _inner_roundtrip(kind):
     comp = cracks.components[0]
     pts = mesh.vertices[list(comp.chain)]
     segs = [(np.array([a]), np.array([b])) for a, b in zip(pts[:-1], pts[1:])]
-    truth_edges = cracks.edge_keys(mesh)
+    truth_edges = set(cracks.edge_ids(mesh).tolist())
 
     def min_dist(chain):
         return min(
@@ -231,7 +231,7 @@ def _inner_roundtrip(kind):
 
     subs = [
         c for c in cands
-        if all(mesh.edge_key(a, b) in truth_edges for a, b in zip(c[:-1], c[1:]))
+        if all(mesh.edge_index(a, b) in truth_edges for a, b in zip(c[:-1], c[1:]))
     ]
     far = [c for c in cands if min_dist(c) >= 2.0 / 16]
     accepted = {tuple(e["chain"]) for e in res.accepted}

@@ -10,12 +10,16 @@ from crackfind import geometry
 from crackfind.geometry import (
     CONDUCTING,
     INSULATING,
+    CrackComponent,
+    CrackSet,
+    Mesh,
     PixelGrid,
     PixelSet,
     build_disk_mesh,
     build_rect_mesh,
     embed_crack,
     mark_gamma,
+    refine_mesh,
     peel_candidates,
     pixelset_is_admissible,
 )
@@ -126,9 +130,129 @@ def test_gamma_vertices_ordered():
     arc = left.gamma_vertices()
     assert len(arc) == len(left.gamma_edges) + 1
     # consecutive entries are gamma edges
-    keys = {left.edge_key(a, b) for a, b in left.gamma_edges}
+    keys = {left.edge_index(a, b) for a, b in left.gamma_edges}
     for a, b in zip(arc[:-1], arc[1:]):
-        assert left.edge_key(a, b) in keys
+        assert left.edge_index(a, b) in keys
+
+
+# ------------------------------------------------------------------ #
+# topology: edge table and components
+# ------------------------------------------------------------------ #
+
+
+def _edge_dict(mesh):
+    # reference: sorted vertex pair -> ascending incident triangles
+    out = {}
+    for ti, tri in enumerate(mesh.triangles.tolist()):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            out.setdefault((min(a, b), max(a, b)), []).append(ti)
+    return out
+
+
+def _cracked_refined_mesh():
+    mesh = build_rect_mesh(1.0, 1.0, 1 / 8)
+    mesh, cracks = embed_crack(mesh, [(0.25, 0.5), (0.75, 0.5)], INSULATING)
+    return refine_mesh(mesh, cracks)[0]
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_rect_mesh(2.0, 1.0, 0.2), build_disk_mesh(1.0, 0.21), _cracked_refined_mesh()],
+    ids=["rect", "disk", "cracked-refined"],
+)
+def test_edge_table_matches_reference(mesh):
+    ref = _edge_dict(mesh)
+    edges = mesh.edges()
+    assert [tuple(e) for e in edges.tolist()] == sorted(ref)
+    assert mesh.edge_tris().tolist() == [(ref[e] + [-1])[:2] for e in sorted(ref)]
+    for tri, ids in zip(mesh.triangles.tolist(), mesh.tri_edges().tolist()):
+        sides = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
+        assert [tuple(edges[i]) for i in ids] == [(min(s), max(s)) for s in sides]
+    ids = np.arange(len(edges))
+    assert np.array_equal(mesh.edge_index(edges[:, 0], edges[:, 1]), ids)
+    assert np.array_equal(mesh.edge_index(edges[:, 1], edges[:, 0]), ids)
+
+    n = len(mesh.vertices)
+    c, d = edges[-1]
+    # lo * n + hi of (c - 1, n + d) is the key of the real edge (c, d)
+    assert mesh.edge_index(c - 1, n + d) == -1
+    assert mesh.edge_index(-1, c) == mesh.edge_index(c, c) == -1
+    far = int(np.argmax(np.linalg.norm(mesh.vertices - mesh.vertices[0], axis=1)))
+    assert (0, far) not in ref
+    assert mesh.edge_index([0, far, c], [far, 0, d]).tolist() == [-1, -1, len(edges) - 1]
+
+
+def test_components_small_graphs():
+    assert geometry.components([], []) == {}
+    assert geometry.components([3], []) == {3: 3}
+    label = geometry.components([5, 2, 7, 4, 9, 1], [(5, 2), (2, 7), (9, 1)])
+    assert label == {5: 2, 2: 2, 7: 2, 4: 4, 9: 1, 1: 1}
+    # repeated pairs, a self loop, and the node -1 that stands for outside
+    label = geometry.components([-1, 0, 1, 2], [(0, 1), (1, 0), (2, 2), (1, -1)])
+    assert label == {-1: -1, 0: -1, 1: -1, 2: 2}
+    cycle = geometry.components(range(6), [(i, (i + 1) % 6) for i in range(6)])
+    assert set(cycle.values()) == {0}
+
+
+def test_disconnected_mesh_rejected():
+    # two unit squares side by side with a gap: each part is a valid mesh
+    v = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [3, 0], [2, 1], [3, 1]]
+    t = [[0, 1, 2], [1, 3, 2], [4, 5, 6], [5, 7, 6]]
+    be = np.array([[0, 1], [1, 3], [3, 2], [2, 0], [4, 5], [5, 7], [7, 6], [6, 4]])
+    Mesh(v[:4], t[:2], be[:4], be[:4])
+    with pytest.raises(ValueError, match="one connected piece"):
+        Mesh(v, t, be, be[:4])
+
+
+def _interior_connected(mesh, cracks):
+    # the per-crack-set search CrackSet.validate no longer runs: triangles
+    # joined across every interior edge that is not a crack edge
+    cut = {(min(a, b), max(a, b)) for c in cracks.components for a, b in c.edges()}
+    adj = [[] for _ in mesh.triangles]
+    for key, tris in _edge_dict(mesh).items():
+        if len(tris) == 2 and key not in cut:
+            adj[tris[0]].append(tris[1])
+            adj[tris[1]].append(tris[0])
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(mesh.triangles)
+
+
+CHAIN_MESHES = {"rect": build_rect_mesh(1.0, 1.0, 1 / 8), "disk": build_disk_mesh(1.0, 0.25)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CHAIN_MESHES)), data=st.data())
+def test_random_interior_chains_keep_interior_connected(name, data):
+    mesh = CHAIN_MESHES[name]
+    nbrs = {}
+    for a, b in mesh.edges().tolist():
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    used = set(mesh.boundary_vertex_set())
+    comps = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        free = sorted(set(range(len(mesh.vertices))) - used)
+        if not free:
+            break
+        chain = [data.draw(st.sampled_from(free))]
+        for _ in range(data.draw(st.integers(1, 25))):
+            step = sorted(set(nbrs[chain[-1]]) - used - set(chain))
+            if not step:
+                break
+            chain.append(data.draw(st.sampled_from(step)))
+        used.update(chain)
+        if len(chain) > 1:
+            kind = data.draw(st.sampled_from([INSULATING, CONDUCTING]))
+            comps.append(CrackComponent(chain, kind))
+    cracks = CrackSet(comps)
+    cracks.validate(mesh)
+    assert _interior_connected(mesh, cracks)
 
 
 # ------------------------------------------------------------------ #

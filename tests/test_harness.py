@@ -1,3 +1,4 @@
+import glob
 import hashlib
 import json
 import os
@@ -258,6 +259,14 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
         {"inner_lengths": ["a"]},
         {"gamma0": {"boxes": [{"box": 3, "value": 1}]}},
         {"locpot_n": [None]},
+        # non-finite numbers and an unordered sequence
+        {"tau": float("inf")},
+        {"noise": float("inf")},
+        {"size": [float("inf"), 1.0]},
+        {"gamma0": float("nan")},
+        {"gamma0": {"default": float("inf")}},
+        {"gamma0": {"boxes": [{"box": [0, 0, 0.5, 0.5], "value": float("inf")}]}},
+        {"locpot_n": [10, 1]},
     ],
 )
 def test_malformed_nested_values_are_itemized(update, tmp_path, capsys):
@@ -268,6 +277,26 @@ def test_malformed_nested_values_are_itemized(update, tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "invalid config" and err["problems"]
+
+
+def test_infinite_tau_override_rejected(tmp_path, capsys):
+    # an infinite threshold would certify every test
+    cfg = _write_config(tmp_path, MIXED)
+    argv = ["verify-monotonicity", "--config", cfg, "--out", str(tmp_path / "x")]
+    assert cli.main(argv + ["--tau", "inf"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "invalid config"
+    assert any("tau" in p for p in err["problems"])
+
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[os.path.basename(p) for p in CONFIGS])
+def test_shipped_config_loads_and_builds(path):
+    s = harness.load_scenario(path)
+    built = harness.build_scenario(s)
+    assert len(built.cracks) == len(s.cracks)
 
 
 def test_cli_inner_single_kind(tmp_path, capsys):
