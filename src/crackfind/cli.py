@@ -4,7 +4,8 @@ Every subcommand reads a scenario config (JSON) and writes its artifacts to
 an output directory. Scenario fields can be overridden from the command
 line without editing the config. Errors are reported as a single JSON
 object on stdout; exit code 2 means the config itself was rejected, 1 means
-the run failed or a verification verdict was negative.
+the run failed, a verification verdict was negative, or the upper method's
+initial bracket failed (its result then carries no score).
 """
 
 import argparse
@@ -104,13 +105,13 @@ def main(argv=None):
         return _fail("run failed", {"detail": "%s: %s" % (type(exc).__name__, exc)}, 1)
 
     summary = {"command": args.command, "out": args.out, "artifacts": sorted(report.manifest)}
+    ok = True
     if args.command == "verify-monotonicity":
-        passed = report.results["chain"]["passed"]
-        summary["passed"] = passed
-        print(json.dumps(summary, sort_keys=True))
-        return 0 if passed else 1
+        ok = summary["passed"] = report.results["chain"]["passed"]
+    if "upper" in report.results:
+        ok = summary["initial_ok"] = report.results["upper"]["report"]["initial_ok"]
     print(json.dumps(summary, sort_keys=True))
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -298,6 +298,13 @@ class Factorization:
     One dof (the first measurement-arc vertex) is pinned to zero, which
     makes the reduced matrix positive definite; callers re-ground the
     solution by subtracting the trace mean.
+
+    Because the reduced matrix is symmetric positive definite, SuperLU runs
+    in symmetric mode: a minimum-degree ordering of its pattern, applied to
+    rows and columns alike, with the diagonal taken as pivot. That keeps
+    the factors much sparser than the default column ordering does, which
+    sees only the pattern of A^T A. ``_check_residual`` still guards every
+    solve.
     """
 
     def __init__(self, K, dm):
@@ -307,7 +314,12 @@ class Factorization:
         keep[self.pin] = False
         self.keep = keep
         self.K = K
-        self._lu = spla.splu(K[keep][:, keep].tocsc())
+        self._lu = spla.splu(
+            K[keep][:, keep].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
     def solve(self, b):
         """Solve for a right-hand side ``(n_dofs,)`` or a block ``(n_dofs, k)``.
@@ -375,17 +387,36 @@ def solve_neumann(K, dm, f, fact=None):
 
 
 def solve_source(K, dm, F, fact=None):
-    """Solve for the potential generated by an interior element source."""
-    if F.mesh is not dm.mesh:
-        raise ValueError("source field lives on a different mesh")
-    g = _hat_gradients(dm.mesh)
-    areas = dm.mesh.tri_areas()
-    b = np.zeros(dm.n_dofs)
-    for t in F.support:
-        if not dm.active_tri[t]:
-            raise ValueError("source support meets the excluded region")
-        contrib = areas[t] * (g[t] @ F.values[t])
-        np.add.at(b, dm.corner_dof[t], contrib)
+    """Solve for the potentials generated by interior element sources.
+
+    ``F`` is either one ElementVectorField, which gives a Field with one
+    column, or a pair ``(tris, vectors)`` of shapes ``(k,)`` and ``(k, 2)``
+    standing for k sources: source j is the constant vector ``vectors[j]``
+    on triangle ``tris[j]`` and zero elsewhere. The k sources are solved
+    together and give a Field with k columns. No source may meet an
+    excluded region.
+    """
+    mesh = dm.mesh
+    if isinstance(F, ElementVectorField):
+        if F.mesh is not mesh:
+            raise ValueError("source field lives on a different mesh")
+        tris, vectors = F.support, F.values[F.support]
+        cols, shape = np.zeros(len(tris), dtype=np.int64), (dm.n_dofs,)
+    else:
+        tris, vectors = F
+        tris = np.asarray(tris, dtype=np.int64)
+        vectors = np.asarray(vectors, dtype=float)
+        if tris.ndim != 1 or vectors.shape != (len(tris), 2):
+            raise ValueError("sources need one triangle and one 2-vector each")
+        if tris.size and (tris.min() < 0 or tris.max() >= len(mesh.triangles)):
+            raise ValueError("source triangle index out of range")
+        cols, shape = np.arange(len(tris)), (dm.n_dofs, len(tris))
+    if not np.all(dm.active_tri[tris]):
+        raise ValueError("source support meets the excluded region")
+    g = _hat_gradients(mesh)[tris]
+    contrib = mesh.tri_areas()[tris, None] * np.einsum("tic,tc->ti", g, vectors)
+    b = np.zeros(shape)
+    np.add.at(b.reshape(dm.n_dofs, -1), (dm.corner_dof[tris], cols[:, None]), contrib)
     return _solve(K, dm, b, fact)
 
 

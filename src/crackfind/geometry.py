@@ -65,8 +65,9 @@ def components(nodes, pairs):
 def point_segment_distance(pt, a, b):
     """Distance from point ``pt`` to the closed segment ``a``-``b``.
 
-    ``a`` and ``b`` may be arrays of segments (shape (k, 2)); returns the
-    per-segment distances in that case.
+    ``a`` and ``b`` may be arrays of segments (shape (m, 2)); returns the
+    per-segment distances in that case. ``pt`` may also be an array of
+    points (shape (k, 2)), which gives a (k, m) array of distances.
     """
     pt = np.asarray(pt, dtype=float)
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -74,10 +75,11 @@ def point_segment_distance(pt, a, b):
     d = b - a
     l2 = np.einsum("ij,ij->i", d, d)
     safe = np.where(l2 == 0.0, 1.0, l2)
-    t = np.clip(np.einsum("ij,ij->i", pt - a, d) / safe, 0.0, 1.0)
-    proj = a + t[:, None] * d
-    out = np.linalg.norm(pt - proj, axis=1)
-    return out if out.size > 1 else float(out[0])
+    rel = pt[..., None, :] - a
+    t = np.clip(np.einsum("...ij,ij->...i", rel, d) / safe, 0.0, 1.0)
+    proj = a + t[..., None] * d
+    out = np.linalg.norm(pt[..., None, :] - proj, axis=-1)
+    return out if pt.ndim > 1 or out.size > 1 else float(out[0])
 
 
 def _segments_intersect(p0, p1, q0, q1):
@@ -306,31 +308,42 @@ class Mesh:
         Follows the boundary orientation. For a gamma that is the full
         closed boundary the walk starts at the smallest vertex index and
         each vertex appears once; for a proper arc the list runs from one
-        arc end to the other (one more vertex than edges).
+        arc end to the other (one more vertex than edges). The walk is
+        done once per mesh; the returned array is read-only.
         """
-        nxt = {int(a): int(b) for a, b in self.gamma_edges}
-        has_in = set(nxt.values())
-        starts = [a for a in nxt if a not in has_in]
-        if starts:
-            cur = min(starts)  # open arc
-            closed = False
-        else:
-            cur = min(nxt)  # full loop
-            closed = True
-        order = [cur]
-        while len(order) <= len(nxt):
-            cur = nxt.get(cur)
-            if cur is None or (closed and cur == order[0]):
-                break
-            order.append(cur)
-        return np.array(order, dtype=np.int64)
+        if "gamma_vertices" not in self._cache:
+            nxt = {int(a): int(b) for a, b in self.gamma_edges}
+            has_in = set(nxt.values())
+            starts = [a for a in nxt if a not in has_in]
+            if starts:
+                cur = min(starts)  # open arc
+                closed = False
+            else:
+                cur = min(nxt)  # full loop
+                closed = True
+            order = [cur]
+            while len(order) <= len(nxt):
+                cur = nxt.get(cur)
+                if cur is None or (closed and cur == order[0]):
+                    break
+                order.append(cur)
+            order = np.array(order, dtype=np.int64)
+            order.setflags(write=False)
+            self._cache["gamma_vertices"] = order
+        return self._cache["gamma_vertices"]
 
     def boundary_segments(self):
         return self.vertices[self.boundary_edges[:, 0]], self.vertices[self.boundary_edges[:, 1]]
 
     def distance_to_boundary(self, pt):
+        """Distance from a point to the boundary polygon.
+
+        ``pt`` is one point, which gives a float, or an array of shape
+        (k, 2), which gives the k distances from one vectorized pass.
+        """
         a, b = self.boundary_segments()
-        return float(np.min(point_segment_distance(pt, a, b)))
+        d = point_segment_distance(pt, a, b)
+        return d.min(axis=-1) if np.ndim(pt) > 1 else float(np.min(d))
 
     def containing_triangle(self, pt):
         """Index of a triangle whose closure contains ``pt``, or -1."""
@@ -634,9 +647,8 @@ class CrackSet:
             ids = mesh.edge_index(comp.chain[:-1], comp.chain[1:])
             if np.any(ids < 0) or np.any(et[ids, 1] < 0):
                 raise ValueError("crack chain must follow interior mesh edges")
-            for v in comp.chain:
-                if mesh.distance_to_boundary(mesh.vertices[v]) <= 0:
-                    raise ValueError("crack vertex on the boundary")
+            if np.any(mesh.distance_to_boundary(mesh.vertices[list(comp.chain)]) <= 0):
+                raise ValueError("crack vertex on the boundary")
         if len(self.components) > 1:
             for i in range(len(self.components)):
                 for j in range(i + 1, len(self.components)):

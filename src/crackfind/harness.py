@@ -462,10 +462,10 @@ def run_scenario(s, out_dir=None):
                 data, built.mesh, built.gamma0, built.basis, built.grid,
                 mode=s.mode, tau=s.tau,
             )
-            results["upper"] = {
-                "report": res.to_json(),
-                "score": reconstruct.score(res, built.cracks, built.grid),
-            }
+            # a failed initial bracket leaves the start region untouched,
+            # which is no reconstruction and gets no score
+            score = reconstruct.score(res, built.cracks, built.grid) if res.initial_ok else None
+            results["upper"] = {"report": res.to_json(), "score": score}
             artifacts["upper_result.json"] = res.to_json()
             artifacts["upper_raster.csv"] = res.final_set
         elif method == "inner":

@@ -93,28 +93,28 @@ class DifferenceOperator:
 def build_source_operator(mesh, gamma0, config, V, basis):
     """Assemble the source-to-voltage matrix for sources on region ``V``.
 
-    Each column is the current-basis representation of the voltage of one
-    canonical element source, computed by a full interior solve; the shared
-    factorization makes the column sweep cheap. An empty region gives a
-    zero-column operator.
+    Column 2k + d is the current-basis representation of the voltage of the
+    canonical element source on triangle k of the region: direction d,
+    scaled to unit L2 norm. All columns share one factorization, and the
+    sources go through ``fem.solve_source`` in blocks of ``basis.M``
+    columns, so a block is never wider than the current block of the
+    configuration's ND matrix. An empty region gives a zero-column operator.
     """
     interior = geometry.interior_pixel_set(V.grid).members
     if V.members - interior:
         raise ValueError("source region must lie in the meshed interior")
     solver = ndmap.NdSolver(mesh, gamma0, config)
     tris = V.triangles()
-    Mg = fem.gamma_mass(mesh)
-    weighted = Mg @ basis.vectors
-    areas = mesh.tri_areas()
+    weighted = fem.gamma_mass(mesh) @ basis.vectors
+    src_tris = np.repeat(tris, 2)
+    unit = np.tile(np.eye(2), (len(tris), 1)) / np.sqrt(mesh.tri_areas()[src_tris])[:, None]
     matrix = np.zeros((basis.M, 2 * len(tris)))
-    unit = np.eye(2)
-    for k, t in enumerate(tris):
-        for d in (0, 1):
-            F = fem.ElementVectorField(
-                mesh, unit[d][None, :] / np.sqrt(areas[t]), [int(t)]
-            )
-            w = solver.solve_source(F)
-            matrix[:, 2 * k + d] = weighted.T @ fem.trace_on_gamma(w)
+    for lo in range(0, len(src_tris), basis.M):
+        cols = slice(lo, lo + basis.M)
+        # keep only the traces: the block's potentials are freed before the
+        # next block is solved
+        traces = fem.trace_on_gamma(solver.solve_source((src_tris[cols], unit[cols])))
+        matrix[:, cols] = weighted.T @ traces
     return SourceOperator(mesh, basis, tris, matrix, solver.dm.config_label())
 
 

@@ -147,6 +147,7 @@ class NdSolver:
         return fem.solve_neumann(self.K, self.dm, f, self.fact)
 
     def solve_source(self, F):
+        """Potential of one ElementVectorField or a ``(tris, vectors)`` block."""
         return fem.solve_source(self.K, self.dm, F, self.fact)
 
     def nd_matrix(self, basis):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from crackfind import fem, geometry
 from crackfind.fem import (
@@ -428,6 +429,43 @@ def test_source_linearity():
     w2 = solve_source(K, dm, F2, fact)
     ws = solve_source(K, dm, Fsum, fact)
     assert np.allclose(ws.values, w1.values + w2.values, atol=1e-11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["plain", "slit", "tied", "excluded", "frozen"]),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_block_sources_match_single_fields(dofmaps, kind, k, seed):
+    # differential oracle: one block solve of k single-triangle sources
+    # against one ElementVectorField solve per source
+    dm = dofmaps[kind]
+    mesh = dm.mesh
+    K = assemble_stiffness(mesh, one(mesh), dm)
+    fact = Factorization(K, dm)
+    rng = np.random.default_rng(seed)
+    tris = rng.choice(np.flatnonzero(dm.active_tri), size=k)
+    vectors = rng.standard_normal((k, 2))
+    U = solve_source(K, dm, (tris, vectors), fact).values
+    assert U.shape == (dm.n_dofs, k)
+    for j in range(k):
+        F = ElementVectorField(mesh, vectors[j : j + 1], [tris[j]])
+        u = solve_source(K, dm, F, fact).values
+        assert np.linalg.norm(U[:, j] - u) <= 1e-12 * np.linalg.norm(u)
+
+
+def test_block_sources_guard_excluded_region_and_shapes(dofmaps):
+    dm = dofmaps["excluded"]
+    K = assemble_stiffness(dm.mesh, one(dm.mesh), dm)
+    inside = np.flatnonzero(~dm.active_tri)[0]
+    outside = np.flatnonzero(dm.active_tri)[:2]
+    with pytest.raises(ValueError, match="excluded region"):
+        solve_source(K, dm, (np.append(outside, inside), np.ones((3, 2))))
+    with pytest.raises(ValueError):
+        solve_source(K, dm, (outside, np.ones((2, 3))))
+    with pytest.raises(ValueError):
+        solve_source(K, dm, ([len(dm.mesh.triangles)], np.ones((1, 2))))
 
 
 def test_source_variational_identity():

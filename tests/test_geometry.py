@@ -122,6 +122,22 @@ def test_mark_gamma_disconnected_selection():
         mark_gamma(mesh, lambda x, y: x < 0.01 or x > 0.99)
 
 
+def test_gamma_vertices_cached_read_only():
+    mesh = build_rect_mesh(1.0, 1.0, 0.25)
+    order = mesh.gamma_vertices()
+    assert mesh.gamma_vertices() is order
+    assert not order.flags.writeable
+
+
+def test_distance_to_boundary_of_many_points():
+    mesh = build_rect_mesh(1.0, 1.0, 0.25)
+    pts = np.random.default_rng(0).uniform(-0.2, 1.2, size=(40, 2))
+    pts[0] = mesh.vertices[mesh.boundary_edges[0, 0]]
+    many = mesh.distance_to_boundary(pts)
+    assert many.shape == (40,) and many[0] == 0.0
+    assert np.array_equal(many, [mesh.distance_to_boundary(p) for p in pts])
+
+
 def test_gamma_vertices_ordered():
     mesh = build_rect_mesh(1.0, 1.0, 0.25)
     order = mesh.gamma_vertices()

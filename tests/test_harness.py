@@ -206,6 +206,19 @@ def test_cli_upper_roundtrip(tmp_path, capsys):
     assert rep["scenario"]["methods"] == ["upper"]
 
 
+def test_cli_failed_initial_bracket_is_not_scored(tmp_path, capsys):
+    # at this noise level the bracket around the start region fails, and the
+    # untouched start region must not be reported as a reconstruction
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "mixed_chain_32.json")
+    out = tmp_path / "u"
+    code = cli.main(["reconstruct-upper", "--config", cfg, "--noise", "1e-3", "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["initial_ok"] is False
+    upper = json.loads((out / "report.json").read_text())["results"]["upper"]
+    assert upper["report"]["initial_ok"] is False
+    assert upper["score"] is None
+
+
 def test_cli_verify_monotonicity_exit_codes(tmp_path, capsys):
     cfg = _write_config(tmp_path, MIXED)
     assert cli.main(["verify-monotonicity", "--config", cfg, "--out", str(tmp_path / "c")]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -55,6 +57,51 @@ def test_adjoint_matches_direct_gradient(chain_setup, ops):
     assert np.max(np.abs(grad.values - direct.values)) < 1e-10 * max(
         1.0, np.max(np.abs(direct.values))
     )
+
+
+def test_source_operator_matches_per_column_reference(chain_setup, ops, monkeypatch):
+    # reference: one ElementVectorField solve per canonical source
+    mesh, cracks, grid, V, W, gamma0, basis = chain_setup
+    areas = mesh.tri_areas()
+    weighted = fem.gamma_mass(mesh) @ basis.vectors
+    for op, config in zip(ops, (None, cracks)):
+        solver = ndmap.NdSolver(mesh, gamma0, config)
+        ref = np.zeros_like(op.matrix)
+        for k, t in enumerate(op.tris):
+            for d in (0, 1):
+                F = fem.ElementVectorField(mesh, np.eye(2)[d : d + 1] / np.sqrt(areas[t]), [t])
+                ref[:, 2 * k + d] = weighted.T @ fem.trace_on_gamma(solver.solve_source(F))
+        assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # the sources go through in blocks of basis.M columns
+    calls = []
+    solve = fem.solve_source
+    monkeypatch.setattr(fem, "solve_source", lambda *a: calls.append(a) or solve(*a))
+    op = locpot.build_source_operator(mesh, gamma0, None, V, basis)
+    assert len(calls) == -(-op.matrix.shape[1] // basis.M) > 1
+
+
+def test_source_operator_memory_stays_near_nd_matrix():
+    # chunked sources keep the peak near that of one M-column current block;
+    # one block of all 2 * #triangles sources would be several times larger
+    mesh = build_rect_mesh(1.0, 1.0, 1.0 / 32)
+    grid = PixelGrid(mesh, 8, 8)
+    V = PixelSet.from_rect(grid, 2, 2, 4, 4)
+    gamma0 = fem.Conductivity(mesh, 1.0)
+    basis = ndmap.build_basis(mesh, 32)
+
+    def peak(fn):
+        fn()  # fill the mesh caches outside the measurement
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sources = peak(lambda: locpot.build_source_operator(mesh, gamma0, None, V, basis))
+    currents = peak(lambda: ndmap.NdSolver(mesh, gamma0).nd_matrix(basis))
+    assert sources <= 1.5 * currents
 
 
 def test_pack_unpack_round_trip(ops):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from crackfind import fem, geometry, ndmap
@@ -80,6 +81,38 @@ def test_nd_matrix_matches_column_loop(chain_setup, which):
         ref[j] = trace @ weighted
     ref = 0.5 * (ref + ref.T)
     assert np.max(np.abs(N - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    which=st.sampled_from(["none", "cracks", "insulating", "conducting", "excluded", "frozen"]),
+    box=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3), st.integers(0, 3)),
+)
+def test_nd_matrix_matches_default_ordering_lu(chain_setup, which, box):
+    # the symmetric-mode factorization against SuperLU's default ordering
+    mesh, cracks, grid, V, W, gamma0, basis = chain_setup
+    x0, y0, dx, dy = box
+    region = geometry.PixelSet.from_rect(grid, x0, y0, min(x0 + dx, 6), min(y0 + dy, 6))
+    config = {
+        "none": None,
+        "cracks": cracks,
+        "insulating": cracks.of_kind(geometry.INSULATING),
+        "conducting": cracks.of_kind(geometry.CONDUCTING),
+        "excluded": {"excluded": region},
+        "frozen": {"frozen": region},
+    }[which]
+    solver = ndmap.NdSolver(mesh, gamma0, config)
+    N = solver.nd_matrix(basis).entries
+    dm, keep = solver.dm, solver.fact.keep
+    lu = scipy.sparse.linalg.splu(solver.K[keep][:, keep].tocsc())
+    weighted = fem.gamma_mass(mesh) @ basis.vectors
+    b = np.zeros((dm.n_dofs, basis.M))
+    np.add.at(b, dm.gamma_dofs, weighted)
+    x = np.zeros_like(b)
+    x[keep] = lu.solve(b[keep])
+    ref = x[dm.gamma_dofs].T @ weighted
+    ref = 0.5 * (ref + ref.T)
+    assert np.max(np.abs(N - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_nd_matrix_basis_covariance():
