@@ -288,8 +288,11 @@ def assemble_stiffness(mesh, gamma0, dm):
     rows = np.repeat(dm.corner_dof[act], 3, axis=1).reshape(-1)
     cols = np.tile(dm.corner_dof[act], (1, 3)).reshape(-1)
     vals = local[act].reshape(-1)
+    # exactly symmetric: the conversion sums each entry and its mirror over
+    # the same triangles in the same order; zeros (right angles) are dropped
     K = sp.coo_matrix((vals, (rows, cols)), shape=(dm.n_dofs, dm.n_dofs)).tocsr()
-    return 0.5 * (K + K.T)
+    K.eliminate_zeros()
+    return K
 
 
 class Factorization:
@@ -415,8 +418,12 @@ def solve_source(K, dm, F, fact=None):
         raise ValueError("source support meets the excluded region")
     g = _hat_gradients(mesh)[tris]
     contrib = mesh.tri_areas()[tris, None] * np.einsum("tic,tc->ti", g, vectors)
+    # a triangle whose corners share one dof (inside a frozen block) loads it
+    # with exactly zero; rounding would leave a residue the solve fails on
+    dofs = dm.corner_dof[tris]
+    contrib[(dofs[:, 0] == dofs[:, 1]) & (dofs[:, 1] == dofs[:, 2])] = 0.0
     b = np.zeros(shape)
-    np.add.at(b.reshape(dm.n_dofs, -1), (dm.corner_dof[tris], cols[:, None]), contrib)
+    np.add.at(b.reshape(dm.n_dofs, -1), (dofs, cols[:, None]), contrib)
     return _solve(K, dm, b, fact)
 
 

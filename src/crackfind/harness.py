@@ -98,6 +98,13 @@ def _numbers(val, n):
     )
 
 
+def _check_keys(obj, allowed, what, problems):
+    # a misspelt optional key would otherwise be ignored without a word
+    unknown = sorted(str(k) for k in set(obj) - set(allowed))
+    if unknown:
+        problems.append("%s has unknown keys: %s" % (what, ", ".join(unknown)))
+
+
 def _check_gamma(gamma, problems):
     if gamma == "all":
         return
@@ -126,6 +133,7 @@ def _check_gamma0(gamma0, problems):
     if not isinstance(gamma0, dict):
         problems.append("gamma0 must be a number or a {default, boxes} map")
         return
+    _check_keys(gamma0, ("default", "boxes"), "gamma0", problems)
     default = gamma0.get("default", 1.0)
     if not _positive(default):
         problems.append("gamma0 default must be a positive finite number")
@@ -137,6 +145,7 @@ def _check_gamma0(gamma0, problems):
         if not isinstance(rule, dict):
             problems.append("gamma0 box %d must be a {box, value} map" % i)
             continue
+        _check_keys(rule, ("box", "value"), "gamma0 box %d" % i, problems)
         if not _numbers(rule.get("box"), 4):
             problems.append("gamma0 box %d needs [xmin, ymin, xmax, ymax]" % i)
         value = rule.get("value", 0.0)
@@ -203,6 +212,11 @@ def validate_scenario(s):
     kinds = {kind for kind, _ in s.cracks if isinstance(kind, str)}
     if "inner" in s.methods and len(kinds) != 1:
         problems.append("the inner method needs cracks of exactly one kind")
+    elif "inner" in s.methods and kinds == {"insulating"} and not any(
+        isinstance(k, int) and k >= 2 for k in s.inner_lengths
+    ):
+        # a one-edge chain has no interior vertex to slit
+        problems.append("insulating inner tests need an inner_lengths value of at least 2")
     if "locpot" in s.methods and kinds != set(KIND_NAMES):
         problems.append("locpot needs one insulating and one conducting crack region")
     return problems
@@ -216,6 +230,11 @@ def scenario_from_dict(obj):
     unknown = sorted(set(obj) - known)
     if unknown:
         raise ScenarioError(["unknown fields: %s" % ", ".join(unknown)])
+    problems = []
+    cracks = obj.get("cracks", ())
+    for i, c in enumerate(cracks if isinstance(cracks, (list, tuple)) else ()):
+        if isinstance(c, dict):
+            _check_keys(c, ("kind", "polyline"), "crack %d" % i, problems)
     kw = dict(obj)
     try:
         if "size" in kw:
@@ -244,8 +263,8 @@ def scenario_from_dict(obj):
             kw["tau"] = float(kw["tau"])
         s = Scenario(**kw)
     except (TypeError, KeyError, ValueError, IndexError) as exc:
-        raise ScenarioError(["malformed field: %s" % exc]) from exc
-    problems = validate_scenario(s)
+        raise ScenarioError(problems + ["malformed field: %s" % exc]) from exc
+    problems += validate_scenario(s)
     if problems:
         raise ScenarioError(problems)
     return s
@@ -388,7 +407,9 @@ def generate_data(s, built):
         Nf_empty = ndmap.nd_matrix(fine, fine_gamma0, None, fine_basis)
         entries = N_empty.entries + (Nf_crack.entries - Nf_empty.entries)
         entries = 0.5 * (entries + entries.T)
-        data = ndmap.NdMatrix(entries, built.basis, "anti-crime:" + Nf_crack.config_label)
+        data = ndmap.NdMatrix(
+            entries, built.basis, "anti-crime:" + Nf_crack.config_label, Nf_crack.kinds
+        )
         provenance["fine_triangles"] = int(len(fine.triangles))
         provenance["signature_norm"] = float(
             np.linalg.norm(Nf_crack.entries - Nf_empty.entries, 2)
@@ -487,15 +508,13 @@ def run_scenario(s, out_dir=None):
             results["chain"] = _chain_report(built, data, s.tau)
             artifacts["chain_result.json"] = results["chain"]
         elif method == "locpot":
-            results["locpot"] = {}
-            n_values = list(s.locpot_n) or None
-            for variant in ("insulating", "conducting"):
-                seq, rep = locpot.run_localized_demo(
-                    built.mesh, built.gamma0, built.cracks, built.grid,
-                    built.V, built.W, built.basis, variant, n_values=n_values,
-                )
-                results["locpot"][variant] = rep
-                artifacts["locpot_%s.csv" % variant] = (seq, rep)
+            runs = locpot.run_localized_demo(
+                built.mesh, built.gamma0, built.cracks, built.grid,
+                built.V, built.W, built.basis, n_values=list(s.locpot_n) or None,
+            )
+            results["locpot"] = {variant: rep for variant, (_, rep) in runs.items()}
+            for variant, run in runs.items():
+                artifacts["locpot_%s.csv" % variant] = run
         timings[method] = time.perf_counter() - t0
 
     report = RunReport(

@@ -69,41 +69,21 @@ class SourceOperator:
         return fem.ElementVectorField(self.mesh, self.unpack(c), self.tris)
 
 
-class DifferenceOperator:
-    """Difference of two source operators sharing a region and basis."""
-
-    def __init__(self, op_a, op_b):
-        if op_a.mesh is not op_b.mesh or op_a.basis is not op_b.basis:
-            raise ValueError("operators must share a mesh and basis")
-        if not np.array_equal(op_a.tris, op_b.tris):
-            raise ValueError("operators must share a region")
-        self.mesh = op_a.mesh
-        self.basis = op_a.basis
-        self.tris = op_a.tris
-        self.matrix = op_a.matrix - op_b.matrix
-        self.config_label = "%s minus %s" % (op_a.config_label, op_b.config_label)
-        self._parts = (op_a, op_b)
-
-    def adjoint(self, f_coeffs):
-        a = self._parts[0].adjoint(f_coeffs)
-        b = self._parts[1].adjoint(f_coeffs)
-        return fem.ElementVectorField(self.mesh, a.values - b.values, self.tris)
-
-
-def build_source_operator(mesh, gamma0, config, V, basis):
+def build_source_operator(solver, V, basis):
     """Assemble the source-to-voltage matrix for sources on region ``V``.
 
-    Column 2k + d is the current-basis representation of the voltage of the
-    canonical element source on triangle k of the region: direction d,
-    scaled to unit L2 norm. All columns share one factorization, and the
-    sources go through ``fem.solve_source`` in blocks of ``basis.M``
-    columns, so a block is never wider than the current block of the
-    configuration's ND matrix. An empty region gives a zero-column operator.
+    ``solver`` is the configuration's ``ndmap.NdSolver``. Column 2k + d is
+    the current-basis representation of the voltage of the canonical
+    element source on triangle k of the region: direction d, scaled to unit
+    L2 norm. All columns share the solver's factorization, and the sources
+    go through ``fem.solve_source`` in blocks of ``basis.M`` columns, so a
+    block is never wider than the current block of the configuration's ND
+    matrix. An empty region gives a zero-column operator.
     """
     interior = geometry.interior_pixel_set(V.grid).members
     if V.members - interior:
         raise ValueError("source region must lie in the meshed interior")
-    solver = ndmap.NdSolver(mesh, gamma0, config)
+    mesh = solver.mesh
     tris = V.triangles()
     weighted = fem.gamma_mass(mesh) @ basis.vectors
     src_tris = np.repeat(tris, 2)
@@ -129,7 +109,7 @@ def numerical_range(op, rtol=RANGE_RTOL):
 
 
 class Y0Pick:
-    """Dominant voltage direction of a crack-difference operator."""
+    """Dominant voltage direction of a crack-difference matrix ``difference``."""
 
     def __init__(self, y0, sigma, visible, difference):
         self.y0 = y0
@@ -142,32 +122,21 @@ class Y0Pick:
         return "Y0Pick(sigma=%.3e, %s)" % (self.sigma, state)
 
 
-def pick_y0(mesh, gamma0, cracks, V, basis, variant="insulating"):
+def pick_y0(op_hi, op_lo):
     """Pick the target voltage for the localized-current construction.
 
-    ``variant="insulating"`` differences the full-crack operator on ``V``
-    against the conducting-only one (sensitive to the insulating cracks);
-    ``variant="conducting"`` differences insulating-only against full
-    (sensitive to the conducting cracks, with ``V`` covering those).
-
-    Returns the dominant left singular vector with its singular value; a
-    singular value below the visibility floor means the configuration is
+    ``op_hi`` and ``op_lo`` are source operators on one region whose
+    configurations differ by the sought cracks (see ``VARIANTS``). Returns
+    the dominant left singular vector of their difference with its singular
+    value; a singular value below the visibility floor means the cracks are
     invisible at this resolution and no vector is returned.
     """
-    if variant not in ("insulating", "conducting"):
-        raise ValueError("variant must be 'insulating' or 'conducting'")
-    ins = cracks.of_kind(geometry.INSULATING)
-    con = cracks.of_kind(geometry.CONDUCTING)
-    if variant == "insulating":
-        op_a = build_source_operator(mesh, gamma0, cracks, V, basis)
-        op_b = build_source_operator(mesh, gamma0, con, V, basis)
-    else:
-        op_a = build_source_operator(mesh, gamma0, ins, V, basis)
-        op_b = build_source_operator(mesh, gamma0, cracks, V, basis)
-    diff = DifferenceOperator(op_a, op_b)
-    if diff.matrix.shape[1] == 0:
+    if not np.array_equal(op_hi.tris, op_lo.tris):
+        raise ValueError("operators must share a region")
+    diff = op_hi.matrix - op_lo.matrix
+    if diff.shape[1] == 0:
         return Y0Pick(None, 0.0, False, diff)
-    U, s, _ = np.linalg.svd(diff.matrix, full_matrices=False)
+    U, s, _ = np.linalg.svd(diff, full_matrices=False)
     sigma = float(s[0])
     if sigma < INVISIBLE_ATOL:
         return Y0Pick(None, sigma, False, diff)
@@ -175,30 +144,27 @@ def pick_y0(mesh, gamma0, cracks, V, basis, variant="insulating"):
 
 
 class LocSequence:
-    """Regularized current sequence with its per-step localization metrics."""
+    """Regularized current sequence with the adjoint norms of each step."""
 
-    def __init__(self, y0, n_values, f_n, xi, a1_norms, a2_norms, metrics, degenerate):
+    def __init__(self, y0, n_values, f_n, a1_norms, a2_norms, degenerate):
         self.y0 = y0
         self.n_values = list(n_values)
         self.f_n = f_n
-        self.xi = xi
         self.a1_norms = a1_norms
         self.a2_norms = a2_norms
-        self.metrics = metrics
         self.degenerate = degenerate
 
     def __len__(self):
         return len(self.f_n)
 
 
-def localized_sequence(A1, A2, y0, n_values=None, diff_pair=None):
+def localized_sequence(A1, A2, y0, n_values=None):
     """Currents whose energy drains off A2's region while A1's response grows.
 
-    For each regularization index n, solves (A2 A2* + I/n) xi = y0 in the
-    current basis and normalizes f = xi / |A2* xi|^(3/2). Records |A1* f|
-    and |A2* f|; when ``diff_pair`` (a high/low matrix pair) is given, the
-    corresponding quadratic form at f is recorded as the difference-field
-    energy.
+    ``A1`` and ``A2`` are source operators or their matrices. For each
+    regularization index n, solves (A2 A2* + I/n) xi = y0 in the current
+    basis and normalizes f = xi / |A2* xi|^(3/2). Records |A1* f| and
+    |A2* f|, whose squares are the energies f drives into the two regions.
     """
     y0 = np.asarray(y0, dtype=float)
     if not np.any(y0):
@@ -214,7 +180,7 @@ def localized_sequence(A1, A2, y0, n_values=None, diff_pair=None):
     B2 = getattr(A2, "matrix", A2)
     G2 = B2 @ B2.T
     eye = np.eye(len(G2))
-    f_n, xi_list, a1_norms, a2_norms, metrics = [], [], [], [], []
+    f_n, a1_norms, a2_norms = [], [], []
     degenerate = False
     used = []
     for n in n_values:
@@ -224,21 +190,11 @@ def localized_sequence(A1, A2, y0, n_values=None, diff_pair=None):
             degenerate = True
             break
         f = xi / a2_xi ** 1.5
-        a1 = float(np.linalg.norm(B1.T @ f))
-        a2 = float(np.linalg.norm(B2.T @ f))
-        entry = {"energy_V": a1 ** 2, "energy_Y": a2 ** 2}
-        if diff_pair is not None:
-            hi, lo = diff_pair
-            hi = hi.entries if isinstance(hi, ndmap.NdMatrix) else hi
-            lo = lo.entries if isinstance(lo, ndmap.NdMatrix) else lo
-            entry["diff_energy"] = float(f @ ((hi - lo) @ f))
         used.append(n)
         f_n.append(f)
-        xi_list.append(xi)
-        a1_norms.append(a1)
-        a2_norms.append(a2)
-        metrics.append(entry)
-    return LocSequence(y0, used, f_n, xi_list, a1_norms, a2_norms, metrics, degenerate)
+        a1_norms.append(float(np.linalg.norm(B1.T @ f)))
+        a2_norms.append(float(np.linalg.norm(B2.T @ f)))
+    return LocSequence(y0, used, f_n, a1_norms, a2_norms, degenerate)
 
 
 def monotone_flags(seq):
@@ -272,55 +228,75 @@ def blowup_metrics(seq, configs):
     return report
 
 
-def run_localized_demo(
-    mesh, gamma0, cracks, grid, V, W, basis, variant="insulating", n_values=None
-):
-    """End-to-end localized-current run on a two-crack scenario.
+# variant: (near region, far region, high and low crack configuration,
+# background seen from the far region). High minus low is the sought kind
+# of crack; the background is the other kind alone.
+VARIANTS = {
+    "insulating": ("V", "W", "all", "conducting", "conducting"),
+    "conducting": ("W", "V", "insulating", "all", "insulating"),
+}
+
+
+def run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis, n_values=None):
+    """End-to-end localized-current runs of both variants on a two-crack scenario.
 
     ``V`` surrounds the insulating cracks and ``W`` the conducting ones.
-    The far region for the regularization is the other region grown by one
-    pixel ring (clipped to the meshed interior). Returns the sequence and
-    the three-form trend report: the form localized at the cracks inside
-    the near region should grow while the far-region forms shrink.
+    Each variant in ``VARIANTS`` picks its target voltage from the source
+    operators of its high and low configurations on the near region, and
+    regularizes against the background's operator on the far region grown
+    by one pixel ring (clipped to the meshed interior).
+
+    The eight configurations involved (no cracks, all cracks, each kind
+    alone, each region excluded or frozen) are solved once each, one solver
+    at a time; the variants work only on the ND matrices and source
+    operators taken from them. Returns ``{variant: (sequence, report)}``;
+    a report's form localized at the near cracks should grow while its
+    far-region forms shrink.
     """
-    ins = cracks.of_kind(geometry.INSULATING)
-    con = cracks.of_kind(geometry.CONDUCTING)
-    interior = geometry.interior_pixel_set(grid)
-    if variant == "insulating":
-        near, far, bg = V, W, con
-    elif variant == "conducting":
-        near, far, bg = W, V, ins
-    else:
-        raise ValueError("variant must be 'insulating' or 'conducting'")
-    pick = pick_y0(mesh, gamma0, cracks, near, basis, variant)
-    if not pick.visible:
-        raise ValueError(
-            "configuration invisible at this resolution (sigma=%.3e)" % pick.sigma
-        )
-    Y = geometry.PixelSet(grid, far.dilate(1).members & interior.members)
-    op_far = build_source_operator(mesh, gamma0, bg, Y, basis)
-    N_empty = ndmap.nd_matrix(mesh, gamma0, None, basis)
-    N_excl = ndmap.nd_matrix(mesh, gamma0, {"excluded": far}, basis)
-    N_froz = ndmap.nd_matrix(mesh, gamma0, {"frozen": far}, basis)
-    if variant == "insulating":
-        N_hi = ndmap.nd_matrix(mesh, gamma0, cracks, basis)
-        N_lo = ndmap.nd_matrix(mesh, gamma0, con, basis)
-    else:
-        N_hi = ndmap.nd_matrix(mesh, gamma0, ins, basis)
-        N_lo = ndmap.nd_matrix(mesh, gamma0, cracks, basis)
-    seq = localized_sequence(
-        pick.difference, op_far, pick.y0, n_values, diff_pair=(N_hi, N_lo)
-    )
-    forms = {
-        "upper_far": (N_excl, N_empty),
-        "lower_far": (N_empty, N_froz),
-        "crack_near": (N_hi, N_lo),
+    interior = geometry.interior_pixel_set(grid).members
+    pixels = {"V": V, "W": W}
+    configs = {
+        "none": None,
+        "all": cracks,
+        "insulating": cracks.of_kind(geometry.INSULATING),
+        "conducting": cracks.of_kind(geometry.CONDUCTING),
     }
-    report = blowup_metrics(seq, forms)
-    report["variant"] = variant
-    report["sigma"] = pick.sigma
-    report["monotone"] = monotone_flags(seq)
-    return seq, report
+    for key, region in (("V", V), ("W", W)):
+        pixels["grown " + key] = geometry.PixelSet(grid, region.dilate(1).members & interior)
+        configs["excluded " + key] = {"excluded": region}
+        configs["frozen " + key] = {"frozen": region}
+    # the source regions each crack configuration feeds
+    feeds = {}
+    for near, far, hi, lo, bg in VARIANTS.values():
+        for name, region in ((hi, near), (lo, near), (bg, "grown " + far)):
+            feeds.setdefault(name, []).append(region)
+
+    nd, ops = {}, {}
+    for name, config in configs.items():
+        solver = ndmap.NdSolver(mesh, gamma0, config)
+        nd[name] = solver.nd_matrix(basis)
+        for region in feeds.get(name, ()):
+            ops[name, region] = build_source_operator(solver, pixels[region], basis)
+        del solver  # one factorization alive at a time
+
+    out = {}
+    for variant, (near, far, hi, lo, bg) in VARIANTS.items():
+        pick = pick_y0(ops[hi, near], ops[lo, near])
+        if not pick.visible:
+            raise ValueError(
+                "%s cracks invisible at this resolution (sigma=%.3e)" % (variant, pick.sigma)
+            )
+        seq = localized_sequence(pick.difference, ops[bg, "grown " + far], pick.y0, n_values)
+        report = blowup_metrics(seq, {
+            "upper_far": (nd["excluded " + far], nd["none"]),
+            "lower_far": (nd["none"], nd["frozen " + far]),
+            "crack_near": (nd[hi], nd[lo]),
+        })
+        report["variant"] = variant
+        report["sigma"] = pick.sigma
+        report["monotone"] = monotone_flags(seq)
+        out[variant] = (seq, report)
+    return out
 
 
 def sequence_to_csv(seq, report, path):

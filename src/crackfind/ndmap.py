@@ -91,9 +91,13 @@ def build_basis(mesh, M):
 
 
 class NdMatrix:
-    """Symmetric Gram matrix of a current-to-voltage map in a fixed basis."""
+    """Symmetric Gram matrix of a current-to-voltage map in a fixed basis.
 
-    def __init__(self, entries, basis, config_label):
+    ``kinds`` holds the crack kinds of the configuration the matrix comes
+    from (empty when it has no cracks); ``config_label`` is for display.
+    """
+
+    def __init__(self, entries, basis, config_label, kinds):
         e = np.asarray(entries, dtype=float)
         scale = max(1.0e-300, float(np.max(np.abs(e))))
         if np.max(np.abs(e - e.T)) > 1e-12 * scale:
@@ -102,6 +106,7 @@ class NdMatrix:
         self.entries.setflags(write=False)
         self.basis = basis
         self.config_label = config_label
+        self.kinds = frozenset(kinds)
 
     def __repr__(self):
         return "NdMatrix(%s, M=%d)" % (self.config_label, len(self.entries))
@@ -155,7 +160,7 @@ class NdSolver:
         weighted = fem.gamma_mass(self.mesh) @ basis.vectors
         traces = fem.trace_on_gamma(self.solve_current(basis.vectors))
         N = traces.T @ weighted
-        return NdMatrix(0.5 * (N + N.T), basis, self.dm.config_label())
+        return NdMatrix(0.5 * (N + N.T), basis, self.dm.config_label(), self.dm.cracks.kinds())
 
 
 def nd_matrix(mesh, gamma0, config, basis):
@@ -274,4 +279,4 @@ def symmetric_noise(N, level, rng):
     norm_N = float(np.linalg.norm(N.entries, 2))
     norm_E = float(np.linalg.norm(E, 2))
     E *= level * norm_N / norm_E
-    return NdMatrix(N.entries + E, N.basis, N.config_label + "+noise")
+    return NdMatrix(N.entries + E, N.basis, N.config_label + "+noise", N.kinds)

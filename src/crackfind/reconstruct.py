@@ -168,26 +168,20 @@ def reconstruct_upper(data, mesh, gamma0, basis, grid, mode="both", tau=None):
     return UpperBoundResult(region, trace, mode, initial_ok=True)
 
 
-def _single_kind_label(label, kind):
-    tag = "ins:" if kind == geometry.INSULATING else "con:"
-    other = "con:" if kind == geometry.INSULATING else "ins:"
-    return tag in label and other not in label
-
-
 def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     """Classify candidate chains by whether the data dominates their response.
 
     For insulating data a chain is kept when data - N_chain stays positive
     semidefinite; for conducting data when N_chain - data does. The data
-    must come from cracks of the single matching kind; a config label
-    showing both kinds is refused.
+    must come from cracks of the single matching kind: an NdMatrix whose
+    crack kinds are both, or the other one, is refused.
     """
     if kind not in geometry.KINDS:
         raise ValueError("kind must be one of %s" % (geometry.KINDS,))
-    label = getattr(data, "config_label", "") or ""
-    if "ins:" in label and "con:" in label:
+    kinds = data.kinds if isinstance(data, ndmap.NdMatrix) else frozenset()
+    if len(kinds) > 1:
         raise ValueError("data mixes crack kinds; inner tests need single-kind data")
-    if ("ins:" in label or "con:" in label) and not _single_kind_label(label, kind):
+    if kinds and kind not in kinds:
         raise ValueError("data kind does not match the requested test kind")
     d = _entries(data)
     accepted, rejected = [], []
@@ -291,13 +285,6 @@ def _crack_segments(cracks, mesh):
     return np.zeros((0, 2)), np.zeros((0, 2))
 
 
-def _dist_to_segments(pt, seg_a, seg_b):
-    if len(seg_a) == 0:
-        return None
-    d = geometry.point_segment_distance(pt, seg_a, seg_b)
-    return float(np.min(d)) if np.ndim(d) else float(d)
-
-
 def score(result, ground_truth, grid):
     """Quality metrics of a reconstruction against the true crack set.
 
@@ -334,13 +321,11 @@ def score(result, ground_truth, grid):
     recall = (len(truth & dil_final) / len(truth)) if truth else 1.0
     precision = (len(members & dil_truth) / len(members)) if members else 1.0
 
-    h_res = None
-    if members:
-        dists = [_dist_to_segments(np.asarray(grid.center(p)), seg_a, seg_b) for p in sorted(members)]
-        h_res = max(d for d in dists) if dists[0] is not None else None
-    h_truth = None
+    h_res = h_truth = None
     if len(seg_a) and members:
         centers = np.asarray([grid.center(p) for p in sorted(members)])
+        dists = geometry.point_segment_distance(centers, seg_a, seg_b)
+        h_res = float(np.max(np.min(dists, axis=1)))
         samples = []
         for a, b in zip(seg_a, seg_b):
             n = max(2, int(np.ceil(np.linalg.norm(b - a) / (0.5 * grid.h))) + 1)

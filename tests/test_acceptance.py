@@ -139,8 +139,8 @@ def test_criterion_4_adjoint_identity(chain_setup):
     rng = np.random.default_rng(404)
     worst = 0.0
     for config in (None, cracks):
-        op = locpot.build_source_operator(mesh, gamma0, config, V, basis)
         solver = ndmap.NdSolver(mesh, gamma0, config)
+        op = locpot.build_source_operator(solver, V, basis)
         for _ in range(100):
             Fv = rng.standard_normal((len(op.tris), 2))
             d = rng.standard_normal(basis.M)
@@ -169,10 +169,8 @@ def test_criterion_5_localized_potential_trends():
     gamma0 = fem.Conductivity(mesh, 0.01)
     basis = ndmap.build_basis(mesh, 40)
     ratios = {}
-    for variant in ("insulating", "conducting"):
-        seq, report = locpot.run_localized_demo(
-            mesh, gamma0, cracks, grid, V, W, basis, variant
-        )
+    runs = locpot.run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis)
+    for variant, (seq, report) in runs.items():
         assert seq.n_values[0] == 1 and seq.n_values[-1] == 10**6
         t = report["trend"]
         assert t["upper_far"]["ratio"] <= 1e-2, t

@@ -455,6 +455,32 @@ def test_block_sources_match_single_fields(dofmaps, kind, k, seed):
         assert np.linalg.norm(U[:, j] - u) <= 1e-12 * np.linalg.norm(u)
 
 
+def test_sources_inside_frozen_block_give_zero_potential(dofmaps):
+    # a triangle whose three corners share one dof carries no load: every
+    # single-triangle source in the frozen block solves to zero in both forms
+    dm = dofmaps["frozen"]
+    mesh = dm.mesh
+    K = assemble_stiffness(mesh, one(mesh), dm)
+    fact = Factorization(K, dm)
+    cd = dm.corner_dof
+    tris = np.flatnonzero((cd[:, 0] == cd[:, 1]) & (cd[:, 1] == cd[:, 2]))
+    assert len(tris) == 32
+    vectors = np.random.default_rng(0).standard_normal((len(tris), 2))
+    assert not np.any(solve_source(K, dm, (tris, vectors), fact).values)
+    for t, v in zip(tris, vectors):
+        F = ElementVectorField(mesh, v[None, :], [t])
+        assert not np.any(solve_source(K, dm, F, fact).values)
+
+
+@pytest.mark.parametrize("kind", ["plain", "slit", "tied", "excluded", "frozen"])
+def test_stiffness_is_exactly_symmetric(dofmaps, kind):
+    dm = dofmaps[kind]
+    values = np.random.default_rng(1).uniform(0.1, 10.0, len(dm.mesh.triangles))
+    K = assemble_stiffness(dm.mesh, Conductivity(dm.mesh, values), dm)
+    assert (K != K.T).nnz == 0
+    assert np.all(K.data != 0)
+
+
 def test_block_sources_guard_excluded_region_and_shapes(dofmaps):
     dm = dofmaps["excluded"]
     K = assemble_stiffness(dm.mesh, one(dm.mesh), dm)

@@ -280,6 +280,11 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
         {"gamma0": {"default": float("inf")}},
         {"gamma0": {"boxes": [{"box": [0, 0, 0.5, 0.5], "value": float("inf")}]}},
         {"locpot_n": [10, 1]},
+        # misspelt keys and a length set with no insulating test in it
+        {"gamma0": {"default": 1.0, "boxs": []}},
+        {"gamma0": {"boxes": [{"box": [0, 0, 0.5, 0.5], "value": 2.0, "vale": 3.0}]}},
+        {"cracks": [dict(MIXED["cracks"][0], knd="conducting"), MIXED["cracks"][1]]},
+        {"cracks": MIXED["cracks"][:1], "methods": ["inner"], "inner_lengths": [1]},
     ],
 )
 def test_malformed_nested_values_are_itemized(update, tmp_path, capsys):

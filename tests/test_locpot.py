@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,12 +17,16 @@ from crackfind.geometry import (
 )
 
 
+def source_op(chain_setup, config, region):
+    # a fresh solver per operator, as every caller outside the demo does
+    mesh, cracks, grid, V, W, gamma0, basis = chain_setup
+    return locpot.build_source_operator(ndmap.NdSolver(mesh, gamma0, config), region, basis)
+
+
 @pytest.fixture(scope="module")
 def ops(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    op_empty = locpot.build_source_operator(mesh, gamma0, None, V, basis)
-    op_mixed = locpot.build_source_operator(mesh, gamma0, cracks, V, basis)
-    return op_empty, op_mixed
+    return source_op(chain_setup, None, V), source_op(chain_setup, cracks, V)
 
 
 def test_adjoint_identity_on_random_pairs(chain_setup, ops):
@@ -77,7 +82,7 @@ def test_source_operator_matches_per_column_reference(chain_setup, ops, monkeypa
     calls = []
     solve = fem.solve_source
     monkeypatch.setattr(fem, "solve_source", lambda *a: calls.append(a) or solve(*a))
-    op = locpot.build_source_operator(mesh, gamma0, None, V, basis)
+    op = source_op(chain_setup, None, V)
     assert len(calls) == -(-op.matrix.shape[1] // basis.M) > 1
 
 
@@ -99,7 +104,9 @@ def test_source_operator_memory_stays_near_nd_matrix():
         finally:
             tracemalloc.stop()
 
-    sources = peak(lambda: locpot.build_source_operator(mesh, gamma0, None, V, basis))
+    sources = peak(
+        lambda: locpot.build_source_operator(ndmap.NdSolver(mesh, gamma0), V, basis)
+    )
     currents = peak(lambda: ndmap.NdSolver(mesh, gamma0).nd_matrix(basis))
     assert sources <= 1.5 * currents
 
@@ -117,9 +124,7 @@ def test_pack_unpack_round_trip(ops):
 
 def test_empty_region_gives_zero_columns(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    op = locpot.build_source_operator(
-        mesh, gamma0, None, PixelSet(grid, ()), basis
-    )
+    op = source_op(chain_setup, None, PixelSet(grid, ()))
     assert op.matrix.shape == (basis.M, 0)
     assert np.array_equal(op.apply(np.zeros((0, 2))), np.zeros(basis.M))
 
@@ -128,7 +133,7 @@ def test_boundary_region_rejected(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     edge = PixelSet.from_rect(grid, 0, 0, 2, 0)
     with pytest.raises(ValueError):
-        locpot.build_source_operator(mesh, gamma0, None, edge, basis)
+        source_op(chain_setup, None, edge)
 
 
 def test_range_equality_with_crack_inside_region(chain_setup, ops):
@@ -137,7 +142,7 @@ def test_range_equality_with_crack_inside_region(chain_setup, ops):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     op_empty, _ = ops
     ins = cracks.of_kind(geometry.INSULATING)
-    op_slit = locpot.build_source_operator(mesh, gamma0, ins, V, basis)
+    op_slit = source_op(chain_setup, ins, V)
     U0 = locpot.numerical_range(op_empty)
     US = locpot.numerical_range(op_slit)
     r = min(U0.shape[1], US.shape[1])
@@ -152,7 +157,7 @@ def test_range_containment_for_nested_regions(chain_setup, ops):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     op_V, _ = ops
     Ybig = PixelSet(grid, V.dilate(1).members & interior_pixel_set(grid).members)
-    op_Y = locpot.build_source_operator(mesh, gamma0, None, Ybig, basis)
+    op_Y = source_op(chain_setup, None, Ybig)
     P = locpot.numerical_range(op_Y)
     resid = np.linalg.norm(
         op_V.matrix - P @ (P.T @ op_V.matrix), 2
@@ -166,7 +171,7 @@ def test_range_containment_for_nested_regions(chain_setup, ops):
             np.linalg.norm(op_V.matrix.T @ x) / np.linalg.norm(op_Y.matrix.T @ x)
         )
     assert max(ratios) < 10.0
-    op_far = locpot.build_source_operator(mesh, gamma0, None, W, basis)
+    op_far = source_op(chain_setup, None, W)
     Pf = locpot.numerical_range(op_far)
     resid_far = np.linalg.norm(
         op_V.matrix - Pf @ (Pf.T @ op_V.matrix), 2
@@ -176,16 +181,20 @@ def test_range_containment_for_nested_regions(chain_setup, ops):
 
 def test_pick_y0_visible_for_crack_in_region(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    pick = locpot.pick_y0(mesh, gamma0, cracks, V, basis, "insulating")
+    con_only = cracks.of_kind(geometry.CONDUCTING)
+    pick = locpot.pick_y0(source_op(chain_setup, cracks, V), source_op(chain_setup, con_only, V))
     assert pick.visible
     assert pick.sigma > 1e-3
     assert np.linalg.norm(pick.y0) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError, match="share a region"):
+        locpot.pick_y0(source_op(chain_setup, cracks, V), source_op(chain_setup, cracks, W))
 
 
 def test_pick_y0_invisible_without_matching_kind(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     con_only = cracks.of_kind(geometry.CONDUCTING)
-    pick = locpot.pick_y0(mesh, gamma0, con_only, V, basis, "insulating")
+    op_con = source_op(chain_setup, con_only, V)
+    pick = locpot.pick_y0(op_con, source_op(chain_setup, con_only, V))
     assert not pick.visible
     assert pick.y0 is None
     assert pick.sigma < locpot.INVISIBLE_ATOL
@@ -201,19 +210,25 @@ def test_pick_y0_symmetry_needs_enough_modes():
     V = PixelSet.from_rect(grid, 2, 3, 5, 4)
     order = mesh.gamma_vertices()
     ang = np.arctan2(mesh.vertices[order, 1], mesh.vertices[order, 0])
+    cracked, plain = ndmap.NdSolver(mesh, gamma0, cracks), ndmap.NdSolver(mesh, gamma0)
+
+    def pick(basis):
+        return locpot.pick_y0(
+            locpot.build_source_operator(cracked, V, basis),
+            locpot.build_source_operator(plain, V, basis),
+        )
+
     even = ndmap.CurrentBasis.from_vectors(mesh, np.cos(ang)[:, None])
-    pick = locpot.pick_y0(mesh, gamma0, cracks, V, even, "insulating")
-    assert not pick.visible
+    assert not pick(even).visible
     both = ndmap.CurrentBasis.from_vectors(
         mesh, np.stack([np.cos(ang), np.sin(ang)], axis=1)
     )
-    pick = locpot.pick_y0(mesh, gamma0, cracks, V, both, "insulating")
-    assert pick.visible
+    assert pick(both).visible
 
 
 def test_localized_sequence_input_validation(ops):
     op_empty, op_mixed = ops
-    diff = locpot.DifferenceOperator(op_mixed, op_empty)
+    diff = op_mixed.matrix - op_empty.matrix
     with pytest.raises(ValueError):
         locpot.localized_sequence(diff, op_empty, np.zeros(op_empty.basis.M))
     y = np.ones(op_empty.basis.M)
@@ -226,9 +241,7 @@ def test_localized_sequence_input_validation(ops):
 def test_localized_sequence_degenerate_far_operator(chain_setup, ops):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     _, op_mixed = ops
-    empty_far = locpot.build_source_operator(
-        mesh, gamma0, None, PixelSet(grid, ()), basis
-    )
+    empty_far = source_op(chain_setup, None, PixelSet(grid, ()))
     y = np.zeros(basis.M)
     y[0] = 1.0
     seq = locpot.localized_sequence(op_mixed, empty_far, y)
@@ -241,8 +254,8 @@ def test_localized_sequence_y0_in_far_range_stays_bounded(chain_setup, ops):
     # starvation happens: recorded norms stay in a modest band
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     op_empty, op_mixed = ops
-    diff = locpot.DifferenceOperator(op_mixed, op_empty)
-    op_far = locpot.build_source_operator(mesh, gamma0, None, W, basis)
+    diff = op_mixed.matrix - op_empty.matrix
+    op_far = source_op(chain_setup, None, W)
     rng = np.random.default_rng(7)
     y = op_far.matrix @ rng.standard_normal(op_far.matrix.shape[1])
     y /= np.linalg.norm(y)
@@ -253,10 +266,10 @@ def test_localized_sequence_y0_in_far_range_stays_bounded(chain_setup, ops):
 
 def test_localized_demo_trends(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    for variant in ("insulating", "conducting"):
-        seq, report = locpot.run_localized_demo(
-            mesh, gamma0, cracks, grid, V, W, basis, variant
-        )
+    runs = locpot.run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis)
+    assert sorted(runs) == ["conducting", "insulating"]
+    for variant, (seq, report) in runs.items():
+        assert report["variant"] == variant
         assert not seq.degenerate
         # the monotone flags report the observed trends faithfully
         flags = report["monotone"]
@@ -266,18 +279,94 @@ def test_localized_demo_trends(chain_setup):
         assert trend["upper_far"]["ratio"] < 1e-2
         assert trend["lower_far"]["ratio"] < 1e-2
         assert trend["crack_near"]["ratio"] > 1.5
-        # the difference-field energy metric is exactly the crack form
-        for k in range(len(seq)):
-            assert seq.metrics[k]["diff_energy"] == pytest.approx(
-                report["forms"]["crack_near"][k], rel=1e-12
-            )
+
+
+def reference_variant(mesh, gamma0, cracks, grid, V, W, basis, variant):
+    # the straightforward path: a fresh solver for every source operator and
+    # every ND matrix, the variant written out by hand
+    ins = cracks.of_kind(geometry.INSULATING)
+    con = cracks.of_kind(geometry.CONDUCTING)
+    if variant == "insulating":
+        near, far, hi, lo, bg = V, W, cracks, con, con
+    else:
+        near, far, hi, lo, bg = W, V, ins, cracks, ins
+
+    def op(config, region):
+        return locpot.build_source_operator(ndmap.NdSolver(mesh, gamma0, config), region, basis)
+
+    def nd(config):
+        return ndmap.nd_matrix(mesh, gamma0, config, basis)
+
+    diff = op(hi, near).matrix - op(lo, near).matrix
+    U, s, _ = np.linalg.svd(diff, full_matrices=False)
+    Y = PixelSet(grid, far.dilate(1).members & interior_pixel_set(grid).members)
+    seq = locpot.localized_sequence(diff, op(bg, Y), U[:, 0])
+    forms = {
+        "upper_far": (nd({"excluded": far}), nd(None)),
+        "lower_far": (nd(None), nd({"frozen": far})),
+        "crack_near": (nd(hi), nd(lo)),
+    }
+    return seq, locpot.blowup_metrics(seq, forms), float(s[0])
+
+
+def contrast_setup():
+    # the scenario of acceptance criterion 5
+    mesh = build_rect_mesh(1.0, 1.0, 1.0 / 16)
+    mesh, cracks = embed_crack(mesh, [(0.25, 0.125), (0.5, 0.125)], geometry.INSULATING)
+    mesh, cracks = embed_crack(
+        mesh, [(0.5, 0.875), (0.75, 0.875)], geometry.CONDUCTING, cracks=cracks
+    )
+    grid = PixelGrid(mesh, 16, 16)
+    V = PixelSet.from_rect(grid, 3, 1, 8, 2)
+    W = PixelSet.from_rect(grid, 7, 13, 12, 14)
+    return mesh, cracks, grid, V, W, fem.Conductivity(mesh, 0.01), ndmap.build_basis(mesh, 40)
+
+
+@pytest.mark.parametrize("scenario", ["chain_setup", "criterion_5"])
+def test_localized_demo_matches_fresh_solver_reference(chain_setup, scenario):
+    # differential oracle: the one table of configurations against a fresh
+    # solver per call gives the same numbers, bit for bit
+    setup = chain_setup if scenario == "chain_setup" else contrast_setup()
+    mesh, cracks, grid, V, W, gamma0, basis = setup
+    runs = locpot.run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis)
+    for variant, (seq, report) in runs.items():
+        ref_seq, ref_report, sigma = reference_variant(
+            mesh, gamma0, cracks, grid, V, W, basis, variant
+        )
+        assert seq.n_values == ref_seq.n_values and seq.degenerate == ref_seq.degenerate
+        assert all(np.array_equal(f, g) for f, g in zip(seq.f_n, ref_seq.f_n))
+        assert seq.a1_norms == ref_seq.a1_norms
+        assert seq.a2_norms == ref_seq.a2_norms
+        assert report["forms"] == ref_report["forms"]
+        assert report["sigma"] == sigma
+        assert report["monotone"] == locpot.monotone_flags(ref_seq)
+
+
+def test_localized_demo_factorizes_each_configuration_once(chain_setup, monkeypatch):
+    # eight configurations, one factorization each, never two alive at once
+    mesh, cracks, grid, V, W, gamma0, basis = chain_setup
+    made, alive, most = [], [0], [0]
+    real = fem.Factorization
+
+    def counting(*args):
+        fact = real(*args)
+        made.append(1)
+        alive[0] += 1
+        most[0] = max(most[0], alive[0])
+        weakref.finalize(fact, lambda: alive.__setitem__(0, alive[0] - 1))
+        return fact
+
+    monkeypatch.setattr(fem, "Factorization", counting)
+    locpot.run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis)
+    assert len(made) == 8
+    assert most[0] == 1
 
 
 def test_no_crack_control_form_is_zero(chain_setup, ops):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     op_empty, op_mixed = ops
-    diff = locpot.DifferenceOperator(op_mixed, op_empty)
-    op_far = locpot.build_source_operator(mesh, gamma0, None, W, basis)
+    diff = op_mixed.matrix - op_empty.matrix
+    op_far = source_op(chain_setup, None, W)
     y = np.zeros(basis.M)
     y[1] = 1.0
     seq = locpot.localized_sequence(diff, op_far, y)
@@ -288,9 +377,9 @@ def test_no_crack_control_form_is_zero(chain_setup, ops):
 
 def test_sequence_csv_round_trip(tmp_path, chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    seq, report = locpot.run_localized_demo(
-        mesh, gamma0, cracks, grid, V, W, basis, "insulating"
-    )
+    seq, report = locpot.run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis)[
+        "insulating"
+    ]
     path = tmp_path / "seq.csv"
     locpot.sequence_to_csv(seq, report, str(path))
     lines = path.read_text().strip().splitlines()

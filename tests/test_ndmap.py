@@ -238,8 +238,9 @@ def test_disk_axis_crack_matrix_invisible():
 def test_symmetric_noise_scales_and_reproduces():
     rng = np.random.default_rng(11)
     base = rng.standard_normal((12, 12))
-    N = ndmap.NdMatrix(base @ base.T, None, "none")
+    N = ndmap.NdMatrix(base @ base.T, None, "ins:1", {geometry.INSULATING})
     noisy = ndmap.symmetric_noise(N, 0.01, np.random.default_rng(5))
+    assert noisy.kinds == {geometry.INSULATING}
     E = noisy.entries - N.entries
     assert np.max(np.abs(E - E.T)) < 1e-12
     ratio = np.linalg.norm(E, 2) / np.linalg.norm(N.entries, 2)

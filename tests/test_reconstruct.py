@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crackfind import fem, geometry, ndmap, reconstruct
+from crackfind import fem, geometry, harness, ndmap, reconstruct
 from crackfind.geometry import (
     CrackComponent,
     CrackSet,
@@ -249,6 +249,35 @@ def test_inner_mixed_data_refused(setup):
         reconstruct.reconstruct_inner(
             data["ins"], mesh, gamma0, basis, [comp], geometry.INSULATING
         )
+    # the crack kinds ride along through anti-crime data and noise
+    assert data["mixed"].kinds == set(geometry.KINDS)
+    assert data["empty"].kinds == set()
+    spec = {
+        "h": 1 / 16,
+        "cracks": [
+            {"kind": "insulating", "polyline": [[2 / 16, 13 / 16], [6 / 16, 13 / 16]]},
+            {"kind": "conducting", "polyline": [[10 / 16, 13 / 16], [14 / 16, 13 / 16]]},
+        ],
+        "M": 20,
+        "anti_crime": True,
+        "noise": 1e-6,
+    }
+    for cracks_spec, kind, refused in (
+        (spec["cracks"], geometry.INSULATING, True),
+        (spec["cracks"][:1], geometry.CONDUCTING, True),
+        (spec["cracks"][:1], geometry.INSULATING, False),
+    ):
+        scn = harness.scenario_from_dict(dict(spec, cracks=cracks_spec))
+        built = harness.build_scenario(scn)
+        noisy, _ = harness.generate_data(scn, built)
+        assert noisy.kinds == {c["kind"] for c in cracks_spec}
+        own_chain = built.cracks.components[0].chain[:3]
+        args = (noisy, built.mesh, built.gamma0, built.basis, [own_chain], kind)
+        if refused:
+            with pytest.raises(ValueError, match="kind"):
+                reconstruct.reconstruct_inner(*args)
+        else:
+            reconstruct.reconstruct_inner(*args)
 
 
 def test_axis_chain_candidates_structure(setup):
