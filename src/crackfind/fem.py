@@ -106,19 +106,31 @@ def gamma_mass(mesh):
     """
     if "gamma_mass" not in mesh._cache:
         order = mesh.gamma_vertices()
-        pos = {int(v): i for i, v in enumerate(order)}
-        G = len(order)
-        M = np.zeros((G, G))
-        for a, b in mesh.gamma_edges:
-            ell = float(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b]))
-            ia, ib = pos[int(a)], pos[int(b)]
-            M[ia, ia] += ell / 3.0
-            M[ib, ib] += ell / 3.0
-            M[ia, ib] += ell / 6.0
-            M[ib, ia] += ell / 6.0
+        pos = np.zeros(len(mesh.vertices), dtype=np.int64)
+        pos[order] = np.arange(len(order))
+        ia, ib = pos[mesh.gamma_edges].T
+        d = mesh.vertices[mesh.gamma_edges[:, 0]] - mesh.vertices[mesh.gamma_edges[:, 1]]
+        # one dot per edge vector, as np.linalg.norm takes it, so the lengths
+        # and the sums below (edge by edge, in edge order) match a loop's bits
+        ell = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+        M = np.zeros((len(order), len(order)))
+        np.add.at(
+            M,
+            (np.column_stack([ia, ib, ia, ib]), np.column_stack([ia, ib, ib, ia])),
+            np.column_stack([ell / 3.0, ell / 3.0, ell / 6.0, ell / 6.0]),
+        )
         M.setflags(write=False)
         mesh._cache["gamma_mass"] = M
     return mesh._cache["gamma_mass"]
+
+
+def arc_weights(mesh):
+    """Integrals of the arc vertices' hat functions: the row sums of ``gamma_mass``."""
+    if "arc_weights" not in mesh._cache:
+        w = gamma_mass(mesh).sum(axis=1)
+        w.setflags(write=False)
+        mesh._cache["arc_weights"] = w
+    return mesh._cache["arc_weights"]
 
 
 def _hat_gradients(mesh):
@@ -185,6 +197,47 @@ class DofMap:
         return "DofMap(%s, %d dofs)" % (self.config_label(), self.n_dofs)
 
 
+def split_fans(mesh, insulating):
+    """The far sides of the interior vertices of insulating chains.
+
+    An interior chain vertex has a closed fan of triangles, which its two
+    crack edges cut in two. The fan is a graph on the vertex's corners
+    (flat index 3 t + c), joined across the uncut edges at the vertex; the
+    side holding the vertex's lowest triangle keeps the vertex's own dof and
+    the other side gets a new one. Returns ``(corners, owner)``: the flat
+    corner indices of every far side, ascending, and for each the position
+    of its vertex in the slit order (chain by chain, interior vertices in
+    chain order). Raises if a fan does not split into exactly two sides.
+    """
+    slit = [v for comp in insulating.components for v in comp.chain[1:-1]]
+    if not slit:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    flat = mesh.triangles.reshape(-1)
+    pos = np.full(len(mesh.vertices), -1, dtype=np.int64)
+    pos[slit] = np.arange(len(slit))
+    fan = np.flatnonzero(pos[flat] >= 0)
+    owner = pos[flat[fan]]
+    # the two sides of each corner that meet at its vertex; an uncut one is
+    # shared by exactly two corners of the same (interior) vertex
+    t, c = np.divmod(fan, 3)
+    sides = mesh.tri_edges()[t[:, None], np.column_stack([c, (c + 2) % 3])].reshape(-1)
+    cut = np.zeros(len(mesh.edges()), dtype=bool)
+    cut[insulating.edge_ids(mesh)] = True
+    uncut = np.flatnonzero(~cut[sides])
+    at = uncut[np.argsort(sides[uncut] * len(slit) + owner[uncut // 2], kind="stable")]
+    pairs = np.column_stack([fan[at[0::2] // 2], fan[at[1::2] // 2]])
+    label = geometry.components(fan.tolist(), pairs.tolist())
+    # fan is ascending, so a vertex's first corner is its lowest
+    lowest, sides = {}, set()
+    for k, v in zip(fan.tolist(), owner.tolist()):
+        lowest.setdefault(v, k)
+        sides.add((v, label[k]))
+    if np.any(np.bincount([v for v, _ in sides], minlength=len(slit)) != 2):
+        raise ValueError("slit vertex fan does not split into two sides")
+    far = np.array([label[k] != lowest[v] for k, v in zip(fan.tolist(), owner.tolist())])
+    return fan[far], owner[far]
+
+
 def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
     """Construct the dof map for a crack set and an optional pixel region.
 
@@ -216,37 +269,11 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
     active = np.ones(len(tri), dtype=bool)
 
     # insulating slits: a second dof for the far-side fan of each interior
-    # chain vertex. The fans are graphs on corners (flat index 3 t + c),
-    # joined across the uncut edges at the vertex; the side holding the
-    # vertex's lowest triangle keeps the vertex's own dof.
-    next_dof = nv
+    # chain vertex, numbered after the vertices in slit order
     insulating = cracks.of_kind(INSULATING)
-    slit = [v for comp in insulating.components for v in comp.chain[1:-1]]
-    if slit:
-        is_slit = np.zeros(nv, dtype=bool)
-        is_slit[slit] = True
-        edges = mesh.edges()
-        uncut = np.ones(len(edges), dtype=bool)
-        uncut[insulating.edge_ids(mesh)] = False
-        pairs = []
-        for end in (0, 1):
-            at = uncut & is_slit[edges[:, end]]
-            v = edges[at, end][:, None]
-            t1, t2 = mesh.edge_tris()[at].T
-            c1 = np.argmax(tri[t1] == v, axis=1)
-            c2 = np.argmax(tri[t2] == v, axis=1)
-            pairs.append(np.column_stack([3 * t1 + c1, 3 * t2 + c2]))
-        fan = np.flatnonzero(is_slit[tri.ravel()])
-        label = geometry.components(fan.tolist(), np.concatenate(pairs).tolist())
-        side = np.array([label[c] for c in fan.tolist()])
-        fan_vertex = tri.ravel()[fan]
-        flat_corner = corner.reshape(-1)
-        for v in slit:
-            mine = fan_vertex == v
-            if len(set(side[mine].tolist())) != 2:
-                raise ValueError("slit vertex fan does not split into two sides")
-            flat_corner[fan[mine & (side != fan[mine][0])]] = next_dof
-            next_dof += 1
+    far, owner = split_fans(mesh, insulating)
+    corner.reshape(-1)[far] = nv + owner
+    next_dof = nv + sum(len(comp.chain) - 2 for comp in insulating.components)
 
     # ties: conducting chains and frozen-region components map onto their
     # smallest vertex id
@@ -277,13 +304,20 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
     return DofMap(mesh, cracks, excluded, frozen, final, active, len(used_dofs))
 
 
+def element_stiffness(mesh, gamma0):
+    """Per-triangle stiffness of the weighted Dirichlet form, shape (T, 3, 3).
+
+    Entry ``[t, i, j]`` pairs the hats of corners i and j of triangle t.
+    """
+    g = _hat_gradients(mesh)
+    return np.einsum("tic,tjc->tij", g, g) * (mesh.tri_areas() * gamma0.values)[:, None, None]
+
+
 def assemble_stiffness(mesh, gamma0, dm):
     """Sparse symmetric stiffness matrix of the weighted Dirichlet form."""
     if dm.mesh is not mesh:
         raise ValueError("dof map was built for a different mesh")
-    g = _hat_gradients(mesh)
-    areas = mesh.tri_areas()
-    local = np.einsum("tic,tjc->tij", g, g) * (areas * gamma0.values)[:, None, None]
+    local = element_stiffness(mesh, gamma0)
     act = dm.active_tri
     rows = np.repeat(dm.corner_dof[act], 3, axis=1).reshape(-1)
     cols = np.tile(dm.corner_dof[act], (1, 3)).reshape(-1)
@@ -324,28 +358,41 @@ class Factorization:
             options={"SymmetricMode": True},
         )
 
-    def solve(self, b):
+    def solve(self, b, rows=None):
         """Solve for a right-hand side ``(n_dofs,)`` or a block ``(n_dofs, k)``.
 
+        With ``rows`` (distinct dofs), ``b`` holds only those rows of the
+        right-hand side and every other row is zero. The dense block the
+        factorization solves is built once, already without the pinned row.
         A block goes through the factorization in one call; the pinned dof
         is zero in every column.
         """
-        y = self._lu.solve(b[self.keep])
+        rows = np.arange(self.dm.n_dofs) if rows is None else np.asarray(rows, dtype=np.int64)
+        free = rows != self.pin
+        dense = np.zeros((self.dm.n_dofs - 1,) + b.shape[1:])
+        dense[rows[free] - (rows[free] > self.pin)] = b[free]
+        y = self._lu.solve(dense)
+        del dense
         # allocated after the solve, so the block's temporary copies are
         # gone before the result exists
-        x = np.zeros(b.shape)
+        x = np.zeros((self.dm.n_dofs,) + y.shape[1:])
         x[self.keep] = y
         return x
 
 
-def _check_residual(K, x, b):
+def _check_residual(K, x, b, rows=None):
     """Largest relative residual over the columns; raises if any is too big.
 
     Each column is judged against its own right-hand side, so one bad
-    column cannot hide behind the norm of a large block.
+    column cannot hide behind the norm of a large block. With ``rows``
+    (distinct), ``b`` holds only those rows of the right-hand side, as in
+    ``Factorization.solve``. ``K`` may be sparse or a dense array.
     """
     r = K @ x
-    r -= b
+    if rows is None:
+        r -= b
+    else:
+        r[rows] -= b
     bn = np.linalg.norm(b.reshape(len(b), -1), axis=0)
     rn = np.linalg.norm(r.reshape(len(r), -1), axis=0)
     rel = np.divide(rn, bn, out=np.zeros_like(rn), where=bn > 0)
@@ -355,14 +402,25 @@ def _check_residual(K, x, b):
     return worst
 
 
-def _solve(K, dm, b, fact):
+def _load(dofs, cols, values, tail):
+    # right-hand side as (distinct rows, their values) for one column
+    # (tail ()) or k columns (tail (k,)); np.add.at sums each entry's
+    # contributions in the order given, as it would on the dense block
+    rows, at = np.unique(dofs, return_inverse=True)
+    b = np.zeros((len(rows),) + tail)
+    np.add.at(b.reshape(len(rows), -1), (at.reshape(dofs.shape), cols), values)
+    return rows, b
+
+
+def _solve(K, dm, rows, b, fact):
     # shared tail of every solve: factorize if needed, one solve for the
-    # whole block, per-column residual check, then grounding in place
+    # whole block from the load on its rows, per-column residual check,
+    # then grounding in place
     if fact is None:
         fact = Factorization(K, dm)
-    x = fact.solve(b)
-    _check_residual(K, x, b)
-    w = gamma_mass(dm.mesh).sum(axis=1)
+    x = fact.solve(b, rows)
+    _check_residual(K, x, b, rows)
+    w = arc_weights(dm.mesh)
     x -= (w @ x[dm.gamma_dofs]) / w.sum()
     return Field(x, dm)
 
@@ -380,13 +438,13 @@ def solve_neumann(K, dm, f, fact=None):
     M = gamma_mass(dm.mesh)
     if f.ndim not in (1, 2) or f.shape[0] != len(M):
         raise ValueError("current vector does not match the arc nodes")
-    total = M.sum(axis=1) @ f
+    total = arc_weights(dm.mesh) @ f
     scale = float(M.sum()) * np.maximum(1.0, np.max(np.abs(f), axis=0))
     if np.any(np.abs(total) > MEAN_FREE_RTOL * scale):
         raise ValueError("boundary current must be mean-free on the arc")
-    b = np.zeros((dm.n_dofs,) + f.shape[1:])
-    np.add.at(b, dm.gamma_dofs, M @ f)
-    return _solve(K, dm, b, fact)
+    cols = np.arange(f.size // len(M))[None, :]
+    rows, b = _load(dm.gamma_dofs[:, None], cols, (M @ f).reshape(len(M), -1), f.shape[1:])
+    return _solve(K, dm, rows, b, fact)
 
 
 def solve_source(K, dm, F, fact=None):
@@ -404,7 +462,7 @@ def solve_source(K, dm, F, fact=None):
         if F.mesh is not mesh:
             raise ValueError("source field lives on a different mesh")
         tris, vectors = F.support, F.values[F.support]
-        cols, shape = np.zeros(len(tris), dtype=np.int64), (dm.n_dofs,)
+        cols, tail = np.zeros(len(tris), dtype=np.int64), ()
     else:
         tris, vectors = F
         tris = np.asarray(tris, dtype=np.int64)
@@ -413,7 +471,7 @@ def solve_source(K, dm, F, fact=None):
             raise ValueError("sources need one triangle and one 2-vector each")
         if tris.size and (tris.min() < 0 or tris.max() >= len(mesh.triangles)):
             raise ValueError("source triangle index out of range")
-        cols, shape = np.arange(len(tris)), (dm.n_dofs, len(tris))
+        cols, tail = np.arange(len(tris)), (len(tris),)
     if not np.all(dm.active_tri[tris]):
         raise ValueError("source support meets the excluded region")
     g = _hat_gradients(mesh)[tris]
@@ -422,9 +480,8 @@ def solve_source(K, dm, F, fact=None):
     # with exactly zero; rounding would leave a residue the solve fails on
     dofs = dm.corner_dof[tris]
     contrib[(dofs[:, 0] == dofs[:, 1]) & (dofs[:, 1] == dofs[:, 2])] = 0.0
-    b = np.zeros(shape)
-    np.add.at(b.reshape(dm.n_dofs, -1), (dofs, cols[:, None]), contrib)
-    return _solve(K, dm, b, fact)
+    rows, b = _load(dofs, cols[:, None], contrib, tail)
+    return _solve(K, dm, rows, b, fact)
 
 
 def energy(K, a, b):

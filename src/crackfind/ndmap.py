@@ -39,7 +39,7 @@ class CurrentBasis:
         Mg = fem.gamma_mass(mesh)
         if v.shape[0] != len(Mg):
             raise ValueError("vectors do not match the arc nodes")
-        w = Mg.sum(axis=1)
+        w = fem.arc_weights(mesh)
         means = np.abs(w @ v) / w.sum()
         if np.max(means) > 1e-10:
             raise ValueError("basis vectors must be mean-free on the arc")
@@ -64,7 +64,7 @@ class CurrentBasis:
         if v.ndim == 1:
             v = v[:, None]
         Mg = fem.gamma_mass(mesh)
-        w = Mg.sum(axis=1)
+        w = fem.arc_weights(mesh)
         v = v - np.outer(np.ones(len(w)), (w @ v) / w.sum())
         if orthonormalize:
             gram = v.T @ Mg @ v
@@ -157,9 +157,12 @@ class NdSolver:
 
     def nd_matrix(self, basis):
         """The configuration's matrix in ``basis``, from one block solve."""
+        return self._nd_matrix(self.solve_current(basis.vectors), basis)
+
+    def _nd_matrix(self, potentials, basis):
+        # the matrix from the potentials of the basis currents
         weighted = fem.gamma_mass(self.mesh) @ basis.vectors
-        traces = fem.trace_on_gamma(self.solve_current(basis.vectors))
-        N = traces.T @ weighted
+        N = fem.trace_on_gamma(potentials).T @ weighted
         return NdMatrix(0.5 * (N + N.T), basis, self.dm.config_label(), self.dm.cracks.kinds())
 
 
@@ -170,6 +173,139 @@ def nd_matrix(mesh, gamma0, config, basis):
     ``cracks``, ``excluded``, ``frozen``.
     """
     return NdSolver(mesh, gamma0, config).nd_matrix(basis)
+
+
+# background Green's columns solved per block in ChainMaps; bounds the
+# dense n x k block that one batch of neighbouring chains needs
+GREEN_COLUMNS = 128
+
+
+def _dense_solve(A, B):
+    # small dense system with the relative-residual guard of the sparse solves
+    X = np.linalg.solve(A, B)
+    fem._check_residual(A, X, B)
+    return X
+
+
+class ChainMaps:
+    """ND matrices of single test chains as low-rank updates of one background.
+
+    A chain changes the crack-free forward problem only on its star, the
+    triangles at its slit or tied vertices, so its matrix is the background
+    matrix ``N0`` minus a small dense correction (static condensation plus
+    Woodbury). The background gets one ``NdSolver``: one factorization and
+    one block solve, which give ``N0`` and the pinned potentials ``Z`` (one
+    column per basis current). ``G`` is the background Green's function of
+    the pinned stiffness; only its blocks on stars are formed, from columns
+    solved in batches of neighbouring chains.
+
+    * insulating chain: the slit gives each interior vertex a new dof for
+      its far fan (``fem.split_fans``). ``dS``, the stiffness of the far
+      triangles with the new dofs minus their original stiffness, is
+      condensed onto the old dofs ``S`` of those triangles,
+      ``E = dS_SS - dS_Sn dS_nn^-1 dS_nS``, and
+      ``N = N0 - Z_S^T (I + E G_SS)^-1 E Z_S``.
+    * conducting chain C, tied to one dof by ``T`` (a column of ones):
+      ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C`` with
+      ``H = G_CC^-1``.
+
+    The pinned dof is zero in every potential, so a star that holds it
+    drops its row and column, which is exact. Every chain goes through
+    ``CrackSet.validate``; every small dense solve is checked against
+    ``fem.RESIDUAL_RTOL``. ``NdSolver`` on the chain's configuration is the
+    reference this path must match.
+    """
+
+    def __init__(self, mesh, gamma0, basis):
+        self.mesh = mesh
+        self.basis = basis
+        background = NdSolver(mesh, gamma0)
+        potentials = background.solve_current(basis.vectors)
+        self.background = background._nd_matrix(potentials, basis)
+        self._fact = background.fact
+        self._K = background.K
+        pin = self._fact.pin
+        self._Z = potentials.values - potentials.values[pin]
+        self._local = fem.element_stiffness(mesh, gamma0)
+
+    def nd_matrices(self, components):
+        """One NdMatrix per single-chain configuration, in the given order."""
+        batch, columns = [], set()
+        for comp in components:
+            star = self._star(comp)
+            batch.append((comp, star))
+            columns.update(star[0].tolist())
+            if len(columns) >= GREEN_COLUMNS:
+                yield from self._updated(batch, columns)
+                batch, columns = [], set()
+        yield from self._updated(batch, columns)
+
+    def _star(self, comp):
+        # (star dofs S without the pin, the update E on them; None for a tie)
+        cracks = geometry.CrackSet([comp])
+        cracks.validate(self.mesh)
+        if comp.kind == geometry.CONDUCTING:
+            return np.asarray(comp.chain, dtype=np.int64), None
+        n_slit = len(comp.chain) - 2
+        if not n_slit:
+            # no interior vertex: nothing opens, the background's matrix
+            return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
+        far, owner = fem.split_fans(self.mesh, cracks)
+        # far is ascending: number its triangles and their vertices locally,
+        # the new dofs after the old ones
+        t = far // 3
+        first = np.concatenate([[True], t[1:] != t[:-1]])
+        tris, at = t[first], np.cumsum(first) - 1
+        index = {}
+        old = [index.setdefault(v, len(index)) for v in self.mesh.triangles[tris].ravel().tolist()]
+        old = np.array(old).reshape(-1, 3)
+        verts, m = np.array(list(index), dtype=np.int64), len(index)
+        new = old.copy()
+        new[at, far % 3] = m + owner
+        # entry (i, j) of a far triangle moves when corner i or j does
+        moved = new != old
+        changed = (moved[:, :, None] | moved[:, None, :]).reshape(-1, 9)
+        entries = self._local[tris].reshape(-1, 9)[changed]
+        rows = [np.repeat(dofs, 3, axis=1)[changed] for dofs in (new, old)]
+        cols = [np.tile(dofs, (1, 3))[changed] for dofs in (new, old)]
+        dS = np.zeros((m + n_slit, m + n_slit))
+        np.add.at(dS, (np.concatenate(rows), np.concatenate(cols)), np.concatenate([entries, -entries]))
+        E = dS[:m, :m] - dS[:m, m:] @ _dense_solve(dS[m:, m:], dS[m:, :m])
+        keep = verts != self._fact.pin
+        return verts[keep], E[keep][:, keep]
+
+    def _updated(self, batch, columns):
+        if not batch:
+            return
+        columns = np.array(sorted(columns), dtype=np.int64)
+        green = self._green(columns)
+        for comp, (verts, E) in batch:
+            at = np.searchsorted(columns, verts)
+            G, Z = green[at][:, at], self._Z[verts]
+            if not len(verts):
+                corr = 0.0
+            elif E is None:
+                HZ = _dense_solve(G, np.column_stack([Z, np.ones(len(verts))]))
+                HZ, H1 = HZ[:, :-1], HZ[:, -1]
+                t = Z.T @ H1
+                corr = Z.T @ HZ - np.outer(t, t) / H1.sum()
+            else:
+                corr = Z.T @ _dense_solve(np.eye(len(verts)) + E @ G, E @ Z)
+            N = self.background.entries - corr
+            label = "ins:1" if comp.kind == geometry.INSULATING else "con:1"
+            yield NdMatrix(0.5 * (N + N.T), self.basis, label, {comp.kind})
+
+    def _green(self, verts):
+        # rows ``verts`` of the pinned Green's columns of ``verts``: the load
+        # e_v - e_pin is balanced, so the residual holds on every row
+        if not len(verts):
+            return np.zeros((0, 0))
+        pin = self._fact.pin
+        b = np.vstack([np.eye(len(verts)), -np.ones((1, len(verts)))])
+        rows = np.append(verts, pin)
+        x = self._fact.solve(b, rows)
+        fem._check_residual(self._K, x, b, rows)
+        return x[verts]
 
 
 def psd_test(A, tau):

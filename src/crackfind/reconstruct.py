@@ -175,6 +175,19 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     semidefinite; for conducting data when N_chain - data does. The data
     must come from cracks of the single matching kind: an NdMatrix whose
     crack kinds are both, or the other one, is refused.
+
+    Every N_chain comes from ``ndmap.ChainMaps``: one factorization of the
+    crack-free background for the whole call, then one low-rank update on
+    the chain's star per candidate,
+
+    * insulating: ``N_chain = N0 - Z_S^T (I + E G_SS)^-1 E Z_S``, with E the
+      slit's stiffness change condensed onto the star's old dofs S;
+    * conducting: ``N_chain = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C``,
+      with ``H = G_CC^-1`` and T tying the chain C to one dof;
+
+    where N0 is the background matrix, Z its potentials and G its Green's
+    function. A candidate that fails ``CrackSet.validate`` raises. The
+    insulating threshold depends only on the data, so it is computed once.
     """
     if kind not in geometry.KINDS:
         raise ValueError("kind must be one of %s" % (geometry.KINDS,))
@@ -184,12 +197,17 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     if kinds and kind not in kinds:
         raise ValueError("data kind does not match the requested test kind")
     d = _entries(data)
-    accepted, rejected = [], []
+    comps = []
     for raw in candidates:
         comp = raw if isinstance(raw, geometry.CrackComponent) else geometry.CrackComponent(raw, kind)
         if comp.kind != kind:
             raise ValueError("candidate kind does not match the requested test kind")
-        n_chain = ndmap.nd_matrix(mesh, gamma0, geometry.CrackSet([comp]), basis)
+        comps.append(comp)
+    if kind == geometry.INSULATING:
+        tau = ndmap.tau_for(data, tau)
+    accepted, rejected = [], []
+    maps = ndmap.ChainMaps(mesh, gamma0, basis)
+    for comp, n_chain in zip(comps, maps.nd_matrices(comps)):
         if kind == geometry.INSULATING:
             diff, minuend = d - n_chain.entries, data
         else:

@@ -237,6 +237,45 @@ def test_residual_is_checked_per_column(dofmaps):
         fem._check_residual(K, x, b)
 
 
+@pytest.mark.parametrize("kind", ["plain", "slit", "tied", "excluded", "frozen"])
+def test_load_rows_solve_like_the_dense_load(dofmaps, kind):
+    # a right-hand side given by its nonzero rows (the pinned one among
+    # them) solves bit for bit like the same load as a dense block
+    dm = dofmaps[kind]
+    K = assemble_stiffness(dm.mesh, one(dm.mesh), dm)
+    fact = Factorization(K, dm)
+    rng = np.random.default_rng(7)
+    rows = rng.permutation(np.append(rng.choice(dm.n_dofs, 9, replace=False), fact.pin))
+    rows = np.unique(rows)
+    vals = rng.standard_normal((len(rows), 3))
+    vals -= vals.mean(axis=0)
+    dense = np.zeros((dm.n_dofs, 3))
+    dense[rows] = vals
+    x = fact.solve(vals, rows)
+    assert np.array_equal(x, fact.solve(dense))
+    assert fem._check_residual(K, x, vals, rows) == pytest.approx(
+        fem._check_residual(K, x, dense), rel=1e-6, abs=1e-15
+    )
+
+
+def test_gamma_mass_matches_edge_loop():
+    # the vectorized arc mass against an edge-by-edge loop, bit for bit
+    disk = build_disk_mesh(1.0, 0.1)
+    for mesh in (disk, geometry.mark_gamma(disk, {"angle": [0.3, 2.0]}), square(8)):
+        order = mesh.gamma_vertices()
+        pos = {int(v): i for i, v in enumerate(order)}
+        ref = np.zeros((len(order), len(order)))
+        for a, b in mesh.gamma_edges:
+            ell = float(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b]))
+            ia, ib = pos[int(a)], pos[int(b)]
+            ref[ia, ia] += ell / 3.0
+            ref[ib, ib] += ell / 3.0
+            ref[ia, ib] += ell / 6.0
+            ref[ib, ia] += ell / 6.0
+        assert np.array_equal(gamma_mass(mesh), ref)
+        assert np.array_equal(fem.arc_weights(mesh), ref.sum(axis=1))
+
+
 def test_disk_cos_theta_energy():
     values = []
     for target_h in (0.08, 0.04, 0.02):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -254,3 +256,104 @@ def test_config_dict_validation(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     with pytest.raises(ValueError):
         ndmap.nd_matrix(mesh, gamma0, {"bogus": V}, basis)
+
+
+# ------------------------------------------------------------------ #
+# single chains as low-rank updates of the crack-free background
+# ------------------------------------------------------------------ #
+
+CHAIN_MESHES = {
+    ("rect", False): build_rect_mesh(1.0, 1.0, 1.0 / 8),
+    ("rect", True): mark_gamma(build_rect_mesh(1.0, 1.0, 1.0 / 8), {"box": [-0.1, 0.9, 0.5, 1.1]}),
+    ("disk", False): build_disk_mesh(1.0, 0.2),
+    ("disk", True): mark_gamma(build_disk_mesh(1.0, 0.2), {"angle": [0.5, 2.5]}),
+}
+
+
+def random_chain(mesh, rng, n_edges):
+    """A simple chain of n_edges interior edges from a random walk."""
+    bvs = mesh.boundary_vertex_set()
+    inner = [v for v in range(len(mesh.vertices)) if v not in bvs]
+    edges = mesh.edges()
+    for _ in range(100):
+        chain = [int(rng.choice(inner))]
+        while len(chain) <= n_edges:
+            a = chain[-1]
+            nbrs = np.concatenate([edges[edges[:, 0] == a, 1], edges[edges[:, 1] == a, 0]])
+            nbrs = [w for w in nbrs.tolist() if w not in bvs and w not in chain]
+            if not nbrs:
+                break
+            chain.append(int(rng.choice(nbrs)))
+        if len(chain) == n_edges + 1:
+            return tuple(chain)
+    raise AssertionError("no chain of %d interior edges found" % n_edges)
+
+
+def assert_matches_nd_solver(mesh, gamma0, basis, comps, got):
+    assert len(got) == len(comps)
+    for comp, N in zip(comps, got):
+        ref = ndmap.NdSolver(mesh, gamma0, CrackSet([comp])).nd_matrix(basis)
+        assert N.kinds == ref.kinds
+        assert N.config_label == ref.config_label
+        assert np.max(np.abs(N.entries - ref.entries)) <= 1e-10 * np.max(np.abs(ref.entries))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from(["rect", "disk"]),
+    arc=st.booleans(),
+    box=st.booleans(),
+    green=st.sampled_from([3, ndmap.GREEN_COLUMNS]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_chain_maps_match_nd_solver(shape, arc, box, green, seed):
+    # differential oracle: the low-rank update of every chain against its own
+    # factorization, both kinds, under a gamma0 box and on partial arcs; a
+    # small Green's batch makes batches end between chains
+    mesh = CHAIN_MESHES[shape, arc]
+    rng = np.random.default_rng(seed)
+    spec = 1.0
+    if box:
+        x0, y0 = rng.uniform(-1.0, 0.5, 2)
+        spec = {"boxes": [{"box": [x0, y0, x0 + 0.6, y0 + 0.6], "value": rng.uniform(0.1, 10.0)}]}
+    gamma0 = fem.Conductivity.from_spec(mesh, spec)
+    basis = ndmap.build_basis(mesh, min(8, len(mesh.gamma_vertices()) - 1))
+    comps = [
+        geometry.CrackComponent(random_chain(mesh, rng, int(rng.integers(1, 6))), kind)
+        for kind in rng.choice(geometry.KINDS, size=5)
+    ]
+    with mock.patch.object(ndmap, "GREEN_COLUMNS", green):
+        got = list(ndmap.ChainMaps(mesh, gamma0, basis).nd_matrices(comps))
+    assert_matches_nd_solver(mesh, gamma0, basis, comps, got)
+
+
+def test_chain_maps_star_holding_the_pinned_dof():
+    # the arc starts at (0.5, 1), so that vertex is pinned, and it is a
+    # corner of the far fan of the slit below it
+    mesh = CHAIN_MESHES["rect", True]
+    pin = int(fem.build_dofmap(mesh).gamma_dofs[0])
+    assert np.allclose(mesh.vertices[pin], [0.5, 1.0])
+    chain = tuple(
+        int(np.argmin(np.linalg.norm(mesh.vertices - [x, 0.875], axis=1)))
+        for x in (0.375, 0.5, 0.625)
+    )
+    comp = geometry.CrackComponent(chain, geometry.INSULATING)
+    far, _ = fem.split_fans(mesh, CrackSet([comp]))
+    assert pin in mesh.triangles[far // 3]
+    gamma0 = fem.Conductivity.from_spec(mesh, {"boxes": [{"box": [0, 0.7, 1, 1], "value": 3.0}]})
+    basis = ndmap.build_basis(mesh, 4)
+    got = list(ndmap.ChainMaps(mesh, gamma0, basis).nd_matrices([comp]))
+    assert_matches_nd_solver(mesh, gamma0, basis, [comp], got)
+
+
+def test_chain_maps_refuse_invalid_chains():
+    mesh = CHAIN_MESHES["rect", False]
+    gamma0 = fem.Conductivity(mesh, 1.0)
+    maps = ndmap.ChainMaps(mesh, gamma0, ndmap.build_basis(mesh, 6))
+    bvs = sorted(mesh.boundary_vertex_set())
+    edges = mesh.edges()
+    # an edge from a boundary vertex into the interior
+    a, b = next(e for e in edges.tolist() if (e[0] in bvs) != (e[1] in bvs))
+    for kind in geometry.KINDS:
+        with pytest.raises(ValueError, match="boundary"):
+            list(maps.nd_matrices([geometry.CrackComponent((a, b), kind)]))

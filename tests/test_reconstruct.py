@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -278,6 +279,102 @@ def test_inner_mixed_data_refused(setup):
                 reconstruct.reconstruct_inner(*args)
         else:
             reconstruct.reconstruct_inner(*args)
+
+
+def test_inner_factorizes_the_background_once(setup, monkeypatch):
+    # one factorization per call whatever the candidate count, and one
+    # default threshold per insulating call (conducting ones are per chain)
+    mesh, cracks, grid, gamma0, basis, data = setup
+    made, taus = [], []
+    real_fact, real_tau = fem.Factorization, ndmap.default_tau
+
+    def counting_fact(*args):
+        made.append(1)
+        return real_fact(*args)
+
+    def counting_tau(*args, **kwargs):
+        taus.append(1)
+        return real_tau(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "Factorization", counting_fact)
+    monkeypatch.setattr(ndmap, "default_tau", counting_tau)
+    region = interior_pixel_set(grid)
+    for kind, lengths, key in (
+        (geometry.INSULATING, (2, 4), "ins"),
+        (geometry.CONDUCTING, (1, 2), "con"),
+    ):
+        cands = reconstruct.axis_chain_candidates(mesh, region, lengths)
+        assert len(cands) > 400
+        for subset in (cands[:3], cands):
+            made.clear()
+            taus.clear()
+            res = reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, subset, kind)
+            assert len(res.accepted) + len(res.rejected) == len(subset)
+            assert len(made) == 1
+            assert len(taus) == (1 if kind == geometry.INSULATING else len(subset))
+
+
+def test_inner_refuses_invalid_candidates(setup):
+    # a candidate that fails CrackSet.validate raises wherever it sits among
+    # valid ones, for both kinds
+    mesh, cracks, grid, gamma0, basis, data = setup
+    valid = [tuple(vid(mesh, x / 16, 9 / 16) for x in range(s, s + 3)) for s in (4, 6, 8)]
+    invalid = {
+        "boundary": tuple(vid(mesh, x / 16, 8 / 16) for x in (0, 1, 2)),
+        "interior mesh edges": (vid(mesh, 4 / 16, 4 / 16), vid(mesh, 6 / 16, 4 / 16)),
+    }
+    for kind, key in ((geometry.INSULATING, "ins"), (geometry.CONDUCTING, "con")):
+        for message, bad in invalid.items():
+            for at in range(len(valid) + 1):
+                cands = valid[:at] + [bad] + valid[at:]
+                with pytest.raises(ValueError, match=message):
+                    reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, cands, kind)
+
+
+def inner_reference(data, built, cands, kind):
+    """Per-candidate classification with one NdSolver per chain."""
+    out = {"accepted": [], "rejected": []}
+    for chain in cands:
+        comp = CrackComponent(chain, kind)
+        n_chain = ndmap.NdSolver(built.mesh, built.gamma0, CrackSet([comp])).nd_matrix(built.basis)
+        if kind == geometry.INSULATING:
+            diff, minuend = data.entries - n_chain.entries, data
+        else:
+            diff, minuend = n_chain.entries - data.entries, n_chain
+        cert = ndmap.certificate("chain", diff, minuend, None)
+        out["accepted" if cert["passed"] else "rejected"].append((list(chain), cert))
+    return out
+
+
+@pytest.mark.parametrize("kind", geometry.KINDS)
+def test_inner_partition_matches_per_candidate_reference(kind):
+    # the shipped inner config and its conducting twin: the same partition,
+    # the insulating tau bit for bit, min_eig within 1e-12 of the data's size
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "inner_insulating_16.json")
+    with open(path) as fh:
+        spec = json.load(fh)
+    for crack in spec["cracks"]:
+        crack["kind"] = kind
+    scn = harness.scenario_from_dict(spec)
+    built = harness.build_scenario(scn)
+    data, _ = harness.generate_data(scn, built)
+    region = interior_pixel_set(built.grid)
+    cands = reconstruct.axis_chain_candidates(built.mesh, region, scn.inner_lengths)
+    res = reconstruct.reconstruct_inner(
+        data, built.mesh, built.gamma0, built.basis, cands, kind
+    )
+    ref = inner_reference(data, built, cands, kind)
+    assert ref["accepted"] and ref["rejected"]
+    scale = np.max(np.abs(data.entries))
+    for key in ("accepted", "rejected"):
+        got = res.to_json()[key]
+        assert [e["chain"] for e in got] == [chain for chain, _ in ref[key]]
+        for e, (_, cert) in zip(got, ref[key]):
+            if kind == geometry.INSULATING:
+                assert e["tau"] == cert["tau"]
+            else:
+                assert e["tau"] == pytest.approx(cert["tau"], rel=1e-12, abs=0)
+            assert abs(e["min_eig"] - cert["min_eig"]) <= 1e-12 * scale
 
 
 def test_axis_chain_candidates_structure(setup):
