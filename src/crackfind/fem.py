@@ -133,6 +133,20 @@ def arc_weights(mesh):
     return mesh._cache["arc_weights"]
 
 
+def require_mean_free(mesh, f, what):
+    """Raise unless every column of ``f`` (values on the arc nodes) is mean-free.
+
+    A column passes when ``|w . f| <= MEAN_FREE_RTOL * sum(w) * max|f|``
+    with ``w`` the arc weights: relative to the column's own size, so a
+    rescaled current passes or fails alike, and a zero column passes.
+    """
+    w = arc_weights(mesh)
+    f = f.reshape(len(w), -1)
+    scale = MEAN_FREE_RTOL * w.sum() * np.max(np.abs(f), axis=0, initial=0.0)
+    if np.any(np.abs(w @ f) > scale):
+        raise ValueError("%s must be mean-free on the arc" % what)
+
+
 def _hat_gradients(mesh):
     # gradients of the three nodal hats per triangle, shape (t, 3, 2)
     if "hat_grads" not in mesh._cache:
@@ -438,10 +452,7 @@ def solve_neumann(K, dm, f, fact=None):
     M = gamma_mass(dm.mesh)
     if f.ndim not in (1, 2) or f.shape[0] != len(M):
         raise ValueError("current vector does not match the arc nodes")
-    total = arc_weights(dm.mesh) @ f
-    scale = float(M.sum()) * np.maximum(1.0, np.max(np.abs(f), axis=0))
-    if np.any(np.abs(total) > MEAN_FREE_RTOL * scale):
-        raise ValueError("boundary current must be mean-free on the arc")
+    require_mean_free(dm.mesh, f, "boundary current")
     cols = np.arange(f.size // len(M))[None, :]
     rows, b = _load(dm.gamma_dofs[:, None], cols, (M @ f).reshape(len(M), -1), f.shape[1:])
     return _solve(K, dm, rows, b, fact)

@@ -89,6 +89,11 @@ def _positive(x):
     return isinstance(x, (int, float)) and bool(np.isfinite(x)) and x > 0
 
 
+def _integer(x):
+    # an int proper: no bool, no float (32.7 or 1.9 must not round quietly)
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _numbers(val, n):
     # whether val is a list of n numbers
     return (
@@ -189,10 +194,10 @@ def validate_scenario(s):
             if not _point_inside(s.shape, s.size, p):
                 problems.append("crack %d: point %s is not inside the domain" % (i, list(p)))
                 break
-    if len(s.grid) != 2 or any(int(n) < 3 for n in s.grid):
-        problems.append("grid needs nx, ny >= 3 (a margin ring plus an interior)")
-    if int(s.M) < 1:
-        problems.append("M must be at least 1")
+    if len(s.grid) != 2 or not all(_integer(n) and n >= 3 for n in s.grid):
+        problems.append("grid needs integers nx, ny >= 3 (a margin ring plus an interior)")
+    if not (_integer(s.M) and s.M >= 1):
+        problems.append("M must be an integer of at least 1")
     if s.tau is not None and not _positive(s.tau):
         problems.append("tau must be a positive finite number when given")
     if any(m not in METHODS for m in s.methods):
@@ -201,7 +206,7 @@ def validate_scenario(s):
         problems.append("methods must not repeat")
     if s.mode not in reconstruct.MODES:
         problems.append("mode must be one of %s" % (reconstruct.MODES,))
-    if not all(isinstance(k, int) and k >= 1 for k in s.inner_lengths):
+    if not all(_integer(k) and k >= 1 for k in s.inner_lengths):
         problems.append("inner_lengths must be positive integers")
     if not all(_positive(n) and n >= 1 for n in s.locpot_n):
         problems.append("locpot_n values must be positive numbers")
@@ -209,6 +214,10 @@ def validate_scenario(s):
         problems.append("locpot_n must be strictly increasing")
     if not (np.isfinite(s.noise) and s.noise >= 0):
         problems.append("noise must be a nonnegative finite number")
+    if not (_integer(s.seed) and s.seed >= 0):
+        problems.append("seed must be a nonnegative integer")
+    if not isinstance(s.anti_crime, bool):
+        problems.append("anti_crime must be true or false")
     kinds = {kind for kind, _ in s.cracks if isinstance(kind, str)}
     if "inner" in s.methods and len(kinds) != 1:
         problems.append("the inner method needs cracks of exactly one kind")
@@ -239,9 +248,7 @@ def scenario_from_dict(obj):
     try:
         if "size" in kw:
             kw["size"] = tuple(float(x) for x in kw["size"])
-        if "grid" in kw:
-            kw["grid"] = tuple(int(x) for x in kw["grid"])
-        for key in ("methods", "inner_lengths", "locpot_n"):
+        for key in ("grid", "methods", "inner_lengths", "locpot_n"):
             if key in kw:
                 kw[key] = tuple(kw[key])
         if "cracks" in kw:
@@ -251,14 +258,8 @@ def scenario_from_dict(obj):
             )
         if "h" in kw:
             kw["h"] = float(kw["h"])
-        if "M" in kw:
-            kw["M"] = int(kw["M"])
         if "noise" in kw:
             kw["noise"] = float(kw["noise"])
-        if "seed" in kw:
-            kw["seed"] = int(kw["seed"])
-        if "anti_crime" in kw:
-            kw["anti_crime"] = bool(kw["anti_crime"])
         if kw.get("tau") is not None and "tau" in kw:
             kw["tau"] = float(kw["tau"])
         s = Scenario(**kw)
@@ -290,6 +291,7 @@ class Built:
     basis: object
     V: object
     W: object
+    table: object
 
 
 def _crack_region(grid, cracks, kind):
@@ -352,7 +354,8 @@ def build_scenario(s):
                 )
         if problems:
             raise ScenarioError(problems)
-    return Built(mesh, cracks, grid, gamma0, basis, V, W)
+    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    return Built(mesh, cracks, grid, gamma0, basis, V, W, table)
 
 
 def carry_basis(basis, fine_mesh):
@@ -392,17 +395,18 @@ def carry_basis(basis, fine_mesh):
 def generate_data(s, built):
     """Measured matrix for the scenario, with a provenance record.
 
-    Anti-crime data keeps the inversion mesh's crack-free response and adds
-    the crack signature computed on a once refined mesh, so the systematic
-    part of the discretization error stays matched while the crack part
-    comes from a different discrete operator.
+    Plain data is the ``"all"`` matrix of the run's configuration table.
+    Anti-crime data keeps the table's crack-free (``"none"``) matrix on the
+    inversion mesh and adds the crack signature computed on a once refined
+    mesh, so the systematic part of the discretization error stays matched
+    while the crack part comes from a different discrete operator.
     """
     provenance = {"seed": s.seed, "anti_crime": bool(s.anti_crime), "noise": float(s.noise)}
     if s.anti_crime:
         fine, fine_cracks = geometry.refine_mesh(built.mesh, built.cracks)
         fine_basis = carry_basis(built.basis, fine)
         fine_gamma0 = fem.Conductivity.from_spec(fine, s.gamma0)
-        N_empty = ndmap.nd_matrix(built.mesh, built.gamma0, None, built.basis)
+        N_empty = built.table.nd("none")
         Nf_crack = ndmap.nd_matrix(fine, fine_gamma0, fine_cracks, fine_basis)
         Nf_empty = ndmap.nd_matrix(fine, fine_gamma0, None, fine_basis)
         entries = N_empty.entries + (Nf_crack.entries - Nf_empty.entries)
@@ -415,8 +419,7 @@ def generate_data(s, built):
             np.linalg.norm(Nf_crack.entries - Nf_empty.entries, 2)
         )
     else:
-        config = built.cracks if s.cracks else None
-        data = ndmap.nd_matrix(built.mesh, built.gamma0, config, built.basis)
+        data = built.table.nd("all")
     if s.noise > 0:
         rng = np.random.default_rng(s.seed)
         noisy = ndmap.symmetric_noise(data, s.noise, rng)
@@ -430,19 +433,12 @@ def generate_data(s, built):
 def _chain_report(built, data, tau):
     """The five-configuration comparison chain around the crack-free map.
 
-    Every test entry is an ``ndmap.certificate`` record.
+    The five matrices come from the run's configuration table, so a
+    configuration the data or the localized potentials solved is not solved
+    again. Every test entry is an ``ndmap.certificate`` record.
     """
-    mesh, gamma0, basis = built.mesh, built.gamma0, built.basis
-    ins = built.cracks.of_kind(geometry.INSULATING)
-    con = built.cracks.of_kind(geometry.CONDUCTING)
-    mats = [
-        ndmap.nd_matrix(mesh, gamma0, {"excluded": built.V}, basis),
-        ndmap.nd_matrix(mesh, gamma0, ins, basis),
-        ndmap.nd_matrix(mesh, gamma0, None, basis),
-        ndmap.nd_matrix(mesh, gamma0, con, basis),
-        ndmap.nd_matrix(mesh, gamma0, {"frozen": built.W}, basis),
-    ]
-    named = [(m.config_label, m) for m in mats]
+    names = ("excluded V", "insulating", "none", "conducting", "frozen W")
+    named = [(m.config_label, m) for m in map(built.table.nd, names)]
     # the measured matrix must also sit inside the bracket around its crack set
     pairs = list(zip(named, named[1:])) + [
         (named[0], ("data", data)),
@@ -508,10 +504,7 @@ def run_scenario(s, out_dir=None):
             results["chain"] = _chain_report(built, data, s.tau)
             artifacts["chain_result.json"] = results["chain"]
         elif method == "locpot":
-            runs = locpot.run_localized_demo(
-                built.mesh, built.gamma0, built.cracks, built.grid,
-                built.V, built.W, built.basis, n_values=list(s.locpot_n) or None,
-            )
+            runs = locpot.run_localized_demo(built.table, n_values=list(s.locpot_n) or None)
             results["locpot"] = {variant: rep for variant, (_, rep) in runs.items()}
             for variant, run in runs.items():
                 artifacts["locpot_%s.csv" % variant] = run

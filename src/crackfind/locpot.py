@@ -237,46 +237,36 @@ VARIANTS = {
 }
 
 
-def run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis, n_values=None):
-    """End-to-end localized-current runs of both variants on a two-crack scenario.
+def run_localized_demo(table, n_values=None):
+    """End-to-end localized-current runs of both variants on a two-crack run.
 
-    ``V`` surrounds the insulating cracks and ``W`` the conducting ones.
-    Each variant in ``VARIANTS`` picks its target voltage from the source
-    operators of its high and low configurations on the near region, and
-    regularizes against the background's operator on the far region grown
-    by one pixel ring (clipped to the meshed interior).
-
-    The eight configurations involved (no cracks, all cracks, each kind
-    alone, each region excluded or frozen) are solved once each, one solver
-    at a time; the variants work only on the ND matrices and source
-    operators taken from them. Returns ``{variant: (sequence, report)}``;
-    a report's form localized at the near cracks should grow while its
-    far-region forms shrink.
+    ``table`` is the run's ``ndmap.Configurations``. Each variant in
+    ``VARIANTS`` picks its target voltage from the source operators of its
+    high and low configurations on the near region, and regularizes against
+    the background's operator on the far region grown by one pixel ring
+    (clipped to the meshed interior). The source operators come from the
+    table's solvers, one alive at a time; every ND matrix comes from the
+    table, so configurations another method of the run has solved are not
+    solved again. Returns ``{variant: (sequence, report)}``; a report's
+    form localized at the near cracks should grow while its far-region
+    forms shrink.
     """
+    grid = table.V.grid
     interior = geometry.interior_pixel_set(grid).members
-    pixels = {"V": V, "W": W}
-    configs = {
-        "none": None,
-        "all": cracks,
-        "insulating": cracks.of_kind(geometry.INSULATING),
-        "conducting": cracks.of_kind(geometry.CONDUCTING),
-    }
-    for key, region in (("V", V), ("W", W)):
-        pixels["grown " + key] = geometry.PixelSet(grid, region.dilate(1).members & interior)
-        configs["excluded " + key] = {"excluded": region}
-        configs["frozen " + key] = {"frozen": region}
+    pixels = {"V": table.V, "W": table.W}
+    for key in ("V", "W"):
+        pixels["grown " + key] = geometry.PixelSet(grid, pixels[key].dilate(1).members & interior)
     # the source regions each crack configuration feeds
     feeds = {}
     for near, far, hi, lo, bg in VARIANTS.values():
         for name, region in ((hi, near), (lo, near), (bg, "grown " + far)):
             feeds.setdefault(name, []).append(region)
 
-    nd, ops = {}, {}
-    for name, config in configs.items():
-        solver = ndmap.NdSolver(mesh, gamma0, config)
-        nd[name] = solver.nd_matrix(basis)
-        for region in feeds.get(name, ()):
-            ops[name, region] = build_source_operator(solver, pixels[region], basis)
+    ops = {}
+    for name, regions in feeds.items():
+        solver = table.solver(name)
+        for region in regions:
+            ops[name, region] = build_source_operator(solver, pixels[region], table.basis)
         del solver  # one factorization alive at a time
 
     out = {}
@@ -288,9 +278,9 @@ def run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis, n_values=None):
             )
         seq = localized_sequence(pick.difference, ops[bg, "grown " + far], pick.y0, n_values)
         report = blowup_metrics(seq, {
-            "upper_far": (nd["excluded " + far], nd["none"]),
-            "lower_far": (nd["none"], nd["frozen " + far]),
-            "crack_near": (nd[hi], nd[lo]),
+            "upper_far": (table.nd("excluded " + far), table.nd("none")),
+            "lower_far": (table.nd("none"), table.nd("frozen " + far)),
+            "crack_near": (table.nd(hi), table.nd(lo)),
         })
         report["variant"] = variant
         report["sigma"] = pick.sigma

@@ -39,10 +39,7 @@ class CurrentBasis:
         Mg = fem.gamma_mass(mesh)
         if v.shape[0] != len(Mg):
             raise ValueError("vectors do not match the arc nodes")
-        w = fem.arc_weights(mesh)
-        means = np.abs(w @ v) / w.sum()
-        if np.max(means) > 1e-10:
-            raise ValueError("basis vectors must be mean-free on the arc")
+        fem.require_mean_free(mesh, v, "basis vectors")
         self.vectors = v
         self.vectors.setflags(write=False)
         self.M = v.shape[1]
@@ -173,6 +170,53 @@ def nd_matrix(mesh, gamma0, config, basis):
     ``cracks``, ``excluded``, ``frozen``.
     """
     return NdSolver(mesh, gamma0, config).nd_matrix(basis)
+
+
+class Configurations:
+    """The named configurations of one two-crack run and their ND matrices.
+
+    ``V`` surrounds the insulating cracks and ``W`` the conducting ones.
+    The eight names: ``none`` (no cracks), ``all`` (every crack),
+    ``insulating`` and ``conducting`` (one kind alone), and ``excluded V``,
+    ``frozen V``, ``excluded W``, ``frozen W`` (a region excluded or frozen,
+    no cracks). The data, the monotonicity chain and the localized
+    potentials all compare matrices of these configurations, so a run keeps
+    one table: ``nd(name)`` solves a configuration the first time it is
+    asked for, and ``solver(name)`` gives a fresh ``NdSolver`` to callers
+    that need more than the matrix, recording its matrix if the table lacks
+    it. The table keeps matrices only, never a solver, so at most one
+    factorization is alive at a time.
+    """
+
+    def __init__(self, mesh, gamma0, basis, cracks, V, W):
+        self.mesh = mesh
+        self.gamma0 = gamma0
+        self.basis = basis
+        self.V = V
+        self.W = W
+        self.configs = {
+            "none": None,
+            "all": cracks,
+            "insulating": cracks.of_kind(geometry.INSULATING),
+            "conducting": cracks.of_kind(geometry.CONDUCTING),
+        }
+        for key, region in (("V", V), ("W", W)):
+            self.configs["excluded " + key] = {"excluded": region}
+            self.configs["frozen " + key] = {"frozen": region}
+        self._nd = {}
+
+    def nd(self, name):
+        """The named configuration's NdMatrix, solved on first request."""
+        if name not in self._nd:
+            self._nd[name] = nd_matrix(self.mesh, self.gamma0, self.configs[name], self.basis)
+        return self._nd[name]
+
+    def solver(self, name):
+        """A fresh NdSolver for the named configuration; the caller owns it."""
+        solver = NdSolver(self.mesh, self.gamma0, self.configs[name])
+        if name not in self._nd:
+            self._nd[name] = solver.nd_matrix(self.basis)
+        return solver
 
 
 # background Green's columns solved per block in ChainMaps; bounds the

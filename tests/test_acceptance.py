@@ -169,7 +169,7 @@ def test_criterion_5_localized_potential_trends():
     gamma0 = fem.Conductivity(mesh, 0.01)
     basis = ndmap.build_basis(mesh, 40)
     ratios = {}
-    runs = locpot.run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis)
+    runs = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
     for variant, (seq, report) in runs.items():
         assert seq.n_values[0] == 1 and seq.n_values[-1] == 10**6
         t = report["trend"]

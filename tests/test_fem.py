@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from crackfind import fem, geometry
+from crackfind import fem, geometry, ndmap
 from crackfind.fem import (
     Conductivity,
     ElementVectorField,
@@ -173,6 +173,28 @@ def test_solve_requires_mean_free():
     K = assemble_stiffness(mesh, one(mesh), dm)
     with pytest.raises(ValueError):
         solve_neumann(K, dm, np.ones(len(dm.gamma_order)))
+
+
+def test_mean_free_rule_is_relative_to_each_column():
+    # one rule for bases and solves: a projected basis passes at any scale,
+    # a tiny constant column fails with the mean-free message, not later as
+    # a solve that "did not converge"
+    mesh = build_disk_mesh(1.0, 0.04)
+    p = mesh.vertices[mesh.gamma_vertices()]
+    theta = np.arctan2(p[:, 1], p[:, 0])
+    raw = np.column_stack([np.cos(theta), np.sin(2 * theta) + 0.3])
+    dm = build_dofmap(mesh)
+    K = assemble_stiffness(mesh, one(mesh), dm)
+    for scale in (1.0, 1e8):
+        basis = ndmap.CurrentBasis.from_vectors(mesh, scale * raw, orthonormalize=False)
+        solve_neumann(K, dm, basis.vectors)
+    tiny = np.full((len(p), 1), 1e-12)
+    with pytest.raises(ValueError, match="mean-free"):
+        ndmap.CurrentBasis(mesh, tiny)
+    with pytest.raises(ValueError, match="mean-free"):
+        solve_neumann(K, dm, tiny[:, 0])
+    # a zero column has nothing to balance
+    solve_neumann(K, dm, np.zeros(len(p)))
 
 
 @pytest.fixture(scope="module")

@@ -2,12 +2,13 @@ import glob
 import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crackfind import cli, geometry, harness, ndmap
+from crackfind import cli, fem, geometry, harness, ndmap
 from crackfind.geometry import refine_mesh
 
 
@@ -285,6 +286,15 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
         {"gamma0": {"boxes": [{"box": [0, 0, 0.5, 0.5], "value": 2.0, "vale": 3.0}]}},
         {"cracks": [dict(MIXED["cracks"][0], knd="conducting"), MIXED["cracks"][1]]},
         {"cracks": MIXED["cracks"][:1], "methods": ["inner"], "inner_lengths": [1]},
+        # values that used to be coerced: a string flag turned on, fractions
+        # and booleans rounded to integers, and a seed the generator refuses
+        {"anti_crime": "false"},
+        {"anti_crime": "no"},
+        {"M": 32.7},
+        {"M": True},
+        {"grid": [8.5, 8]},
+        {"seed": 1.9},
+        {"seed": -1},
     ],
 )
 def test_malformed_nested_values_are_itemized(update, tmp_path, capsys):
@@ -305,6 +315,16 @@ def test_infinite_tau_override_rejected(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "invalid config"
     assert any("tau" in p for p in err["problems"])
+
+
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    # with noise the seed reaches the generator, which refuses it mid-run
+    cfg = _write_config(tmp_path, MIXED)
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "x"), "--noise", "1e-3"]
+    assert cli.main(argv + ["--seed", "-3"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "invalid config"
+    assert any("seed" in p for p in err["problems"])
 
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
@@ -358,3 +378,68 @@ def test_scenario_normalization_idempotent(h_div, n, M, noise, seed):
     }
     s = harness.scenario_from_dict(obj)
     assert harness.scenario_from_dict(s.to_json()) == s
+
+
+# two cracks, one per kind, small enough for every method family in a second
+TWO_KINDS = {
+    "name": "two-kinds",
+    "h": 1 / 16,
+    "cracks": [
+        {"kind": "insulating", "polyline": [[0.25, 0.25], [0.5, 0.25]]},
+        {"kind": "conducting", "polyline": [[0.5, 0.75], [0.75, 0.75]]},
+    ],
+    "grid": [8, 8],
+    "M": 16,
+}
+
+METHOD_ORDERS = [("locpot", "chain"), ("chain", "locpot"), ("chain",), ("locpot",)]
+
+
+@pytest.fixture(scope="module")
+def table_runs(tmp_path_factory):
+    # per method list: (factorizations built, most alive at once, output dir)
+    out = {}
+    made, alive, most = [0], [0], [0]
+    real = fem.Factorization
+
+    def counting(*args):
+        fact = real(*args)
+        made[0] += 1
+        alive[0] += 1
+        most[0] = max(most[0], alive[0])
+        weakref.finalize(fact, lambda: alive.__setitem__(0, alive[0] - 1))
+        return fact
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fem, "Factorization", counting)
+        for methods in METHOD_ORDERS:
+            made[0] = most[0] = 0
+            s = harness.scenario_from_dict(dict(TWO_KINDS, methods=list(methods)))
+            run_dir = tmp_path_factory.mktemp("-".join(methods))
+            harness.run_scenario(s, out_dir=str(run_dir))
+            out[methods] = (made[0], most[0], run_dir)
+    return out
+
+
+@pytest.mark.parametrize("methods, count", [
+    # data ("all"), locpot's eight with "all" refactorized for its source
+    # operators, nothing new for the chain
+    (("locpot", "chain"), 9),
+    # data, the chain's five, locpot's three source-operator solvers and
+    # its two configurations the chain does not use
+    (("chain", "locpot"), 11),
+    (("chain",), 6),
+])
+def test_run_solves_each_configuration_once(table_runs, methods, count):
+    made, most, _ = table_runs[methods]
+    assert made == count
+    assert most == 1
+
+
+@pytest.mark.parametrize("methods", [("locpot", "chain"), ("chain", "locpot")])
+def test_shared_table_keeps_artifacts_of_separate_runs(table_runs, methods):
+    combined = table_runs[methods][2]
+    for name, alone in (("chain_result.json", ("chain",)),
+                        ("locpot_insulating.csv", ("locpot",)),
+                        ("locpot_conducting.csv", ("locpot",))):
+        assert (combined / name).read_bytes() == (table_runs[alone][2] / name).read_bytes()

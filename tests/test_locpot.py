@@ -266,7 +266,7 @@ def test_localized_sequence_y0_in_far_range_stays_bounded(chain_setup, ops):
 
 def test_localized_demo_trends(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    runs = locpot.run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis)
+    runs = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
     assert sorted(runs) == ["conducting", "insulating"]
     for variant, (seq, report) in runs.items():
         assert report["variant"] == variant
@@ -328,7 +328,7 @@ def test_localized_demo_matches_fresh_solver_reference(chain_setup, scenario):
     # solver per call gives the same numbers, bit for bit
     setup = chain_setup if scenario == "chain_setup" else contrast_setup()
     mesh, cracks, grid, V, W, gamma0, basis = setup
-    runs = locpot.run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis)
+    runs = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
     for variant, (seq, report) in runs.items():
         ref_seq, ref_report, sigma = reference_variant(
             mesh, gamma0, cracks, grid, V, W, basis, variant
@@ -357,7 +357,7 @@ def test_localized_demo_factorizes_each_configuration_once(chain_setup, monkeypa
         return fact
 
     monkeypatch.setattr(fem, "Factorization", counting)
-    locpot.run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis)
+    locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
     assert len(made) == 8
     assert most[0] == 1
 
@@ -377,9 +377,8 @@ def test_no_crack_control_form_is_zero(chain_setup, ops):
 
 def test_sequence_csv_round_trip(tmp_path, chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    seq, report = locpot.run_localized_demo(mesh, gamma0, cracks, grid, V, W, basis)[
-        "insulating"
-    ]
+    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    seq, report = locpot.run_localized_demo(table)["insulating"]
     path = tmp_path / "seq.csv"
     locpot.sequence_to_csv(seq, report, str(path))
     lines = path.read_text().strip().splitlines()

@@ -258,6 +258,43 @@ def test_config_dict_validation(chain_setup):
         ndmap.nd_matrix(mesh, gamma0, {"bogus": V}, basis)
 
 
+def test_configurations_match_nd_matrix_and_solve_once(chain_setup):
+    # the named table against a direct nd_matrix call per configuration
+    mesh, cracks, grid, V, W, gamma0, basis = chain_setup
+    configs = {
+        "none": None,
+        "all": cracks,
+        "insulating": cracks.of_kind(geometry.INSULATING),
+        "conducting": cracks.of_kind(geometry.CONDUCTING),
+        "excluded V": {"excluded": V},
+        "frozen V": {"frozen": V},
+        "excluded W": {"excluded": W},
+        "frozen W": {"frozen": W},
+    }
+    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    assert sorted(table.configs) == sorted(configs)
+    fresh = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    for name, config in configs.items():
+        ref = ndmap.nd_matrix(mesh, gamma0, config, basis)
+        fresh.solver(name)  # records the matrix of the solver it hands out
+        for got in (table.nd(name), fresh.nd(name)):
+            assert np.array_equal(got.entries, ref.entries)
+            assert (got.config_label, got.kinds) == (ref.config_label, ref.kinds)
+
+    # asked twice, or after a solver: one factorization, one current solve
+    with mock.patch.object(fem, "Factorization", wraps=fem.Factorization) as fact, \
+            mock.patch.object(fem, "solve_neumann", wraps=fem.solve_neumann) as solve:
+        table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+        first = table.nd("frozen W")
+        assert table.nd("frozen W") is first
+        assert (fact.call_count, solve.call_count) == (1, 1)
+        table.solver("frozen W")
+        assert (fact.call_count, solve.call_count) == (2, 1)
+        table.solver("all")
+        assert table.nd("all") is table.nd("all")
+        assert (fact.call_count, solve.call_count) == (3, 2)
+
+
 # ------------------------------------------------------------------ #
 # single chains as low-rank updates of the crack-free background
 # ------------------------------------------------------------------ #
