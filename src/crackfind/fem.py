@@ -297,13 +297,11 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
             remap[list(comp.chain)] = min(comp.chain)
 
     if frozen is not None:
-        grid = frozen.grid
         members = sorted(frozen.members)
-        pairs = [(p, q) for p in members for q in grid.neighbors4(p) if q in frozen.members]
-        label = geometry.components(members, pairs)
+        label = frozen.components()
         for root in sorted(set(label.values())):
             block = [p for p in members if label[p] == root]
-            verts = list(geometry.PixelSet(grid, block).vertex_set(mesh))
+            verts = list(geometry.PixelSet(frozen.grid, block).vertex_set(mesh))
             remap[verts] = min(verts)
 
     corner = remap[corner]
@@ -526,30 +524,3 @@ def gradient_on(field, region):
 def trace_on_gamma(field):
     """Nodal trace on the ordered measurement-arc vertices."""
     return field.values[field.dofmap.gamma_dofs].copy()
-
-
-def embed_field(field, target_dm):
-    """Re-express a field in a larger space on the same mesh.
-
-    Works per triangle corner, so it is exact whenever the source space is
-    a subspace of the target space (for example: an unslit solution viewed
-    in a slit space, or a frozen-region solution viewed without the
-    region). Inconsistent corner values mean the spaces do not nest.
-    """
-    src = field.dofmap
-    if src.mesh is not target_dm.mesh:
-        raise ValueError("dof maps live on different meshes")
-    out = np.full(target_dm.n_dofs, np.nan)
-    act = target_dm.active_tri & src.active_tri
-    scale = max(1.0, float(np.max(np.abs(field.values))))
-    for t in np.nonzero(act)[0]:
-        for c in range(3):
-            d_t = target_dm.corner_dof[t, c]
-            v = field.values[src.corner_dof[t, c]]
-            if np.isnan(out[d_t]):
-                out[d_t] = v
-            elif abs(out[d_t] - v) > 1e-9 * scale:
-                raise ValueError("field is not representable in the target space")
-    if np.any(np.isnan(out)):
-        raise ValueError("target space has dofs outside the source's support")
-    return Field(out, target_dm)

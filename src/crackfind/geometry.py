@@ -911,9 +911,8 @@ class PixelSet:
     def __init__(self, grid, members=()):
         self.grid = grid
         self.members = frozenset(int(m) for m in members)
-        for m in self.members:
-            if not (0 <= m < grid.n_pixels):
-                raise ValueError("pixel index out of range")
+        if self.members and not (0 <= min(self.members) and max(self.members) < grid.n_pixels):
+            raise ValueError("pixel index out of range")
 
     def __len__(self):
         return len(self.members)
@@ -962,6 +961,11 @@ class PixelSet:
             if len(nbrs) < 4 or any(q not in self.members for q in nbrs):
                 out.append(p)
         return out
+
+    def components(self):
+        """``{member: smallest member of its 4-connected component}``."""
+        pairs = [(p, q) for p in self.members for q in self.grid.neighbors4(p) if q in self.members]
+        return components(self.members, pairs)
 
     def dilate(self, rings=1):
         """Grow by ``rings`` layers of 8-neighbors (clipped to the grid)."""
@@ -1043,13 +1047,28 @@ def interior_pixel_set(grid):
 def peel_candidates(p):
     """All admissible sets reachable by removing one boundary pixel of ``p``.
 
+    ``p`` must be admissible. Then a removal keeps the complement connected
+    to the outside (the freed pixel joins it across an edge) and keeps the
+    set clear of the boundary, so it can only go wrong by a corner contact,
+    and only in the four 2x2 blocks around the freed pixel: one whose two
+    neighbours of it are members and whose diagonal pixel is not.
+
     Candidates are generated in row-major pixel order, so the result is
     deterministic. The list is empty when no single removal stays
     admissible.
     """
+    grid, members = p.grid, p.members
+
+    def member(ix, iy):
+        return 0 <= ix < grid.nx and 0 <= iy < grid.ny and grid.index(ix, iy) in members
+
     out = []
     for m in p.boundary_members():
-        q = p.minus(m)
-        if pixelset_is_admissible(q):
-            out.append(q)
+        ix, iy = grid.coords(m)
+        if not any(
+            member(ix + dx, iy) and member(ix, iy + dy) and not member(ix + dx, iy + dy)
+            for dx in (-1, 1)
+            for dy in (-1, 1)
+        ):
+            out.append(p.minus(m))
     return out

@@ -84,9 +84,15 @@ class Scenario:
         return {kind for kind, _ in self.cracks}
 
 
+def _real(x):
+    # a number proper: no bool, no string (true and "1e-3" must not convert
+    # quietly)
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _positive(x):
     # a finite number above zero
-    return isinstance(x, (int, float)) and bool(np.isfinite(x)) and x > 0
+    return _real(x) and bool(np.isfinite(x)) and x > 0
 
 
 def _integer(x):
@@ -99,7 +105,7 @@ def _numbers(val, n):
     return (
         isinstance(val, (list, tuple))
         and len(val) == n
-        and all(isinstance(x, (int, float)) for x in val)
+        and all(_real(x) for x in val)
     )
 
 
@@ -178,7 +184,7 @@ def validate_scenario(s):
         problems.append("size needs %d positive finite number(s) for %s" % (want, s.shape))
         return problems
     extent = min(s.size) if s.shape == "rect" else 2 * s.size[0]
-    if not 0 < s.h <= extent / 4:
+    if not (_real(s.h) and 0 < s.h <= extent / 4):
         problems.append("h must be positive and at most a quarter of the domain")
     _check_gamma(s.gamma, problems)
     _check_gamma0(s.gamma0, problems)
@@ -190,6 +196,9 @@ def validate_scenario(s):
         for p in poly:
             if len(p) != 2:
                 problems.append("crack %d: points must be 2D" % i)
+                break
+            if not all(_real(x) for x in p):
+                problems.append("crack %d: point coordinates must be numbers" % i)
                 break
             if not _point_inside(s.shape, s.size, p):
                 problems.append("crack %d: point %s is not inside the domain" % (i, list(p)))
@@ -212,7 +221,7 @@ def validate_scenario(s):
         problems.append("locpot_n values must be positive numbers")
     elif any(a >= b for a, b in zip(s.locpot_n, s.locpot_n[1:])):
         problems.append("locpot_n must be strictly increasing")
-    if not (np.isfinite(s.noise) and s.noise >= 0):
+    if not (_real(s.noise) and np.isfinite(s.noise) and s.noise >= 0):
         problems.append("noise must be a nonnegative finite number")
     if not (_integer(s.seed) and s.seed >= 0):
         problems.append("seed must be a nonnegative integer")
@@ -245,23 +254,25 @@ def scenario_from_dict(obj):
         if isinstance(c, dict):
             _check_keys(c, ("kind", "polyline"), "crack %d" % i, problems)
     kw = dict(obj)
+
+    def real(x):
+        # numbers become floats; anything else stays for validate_scenario
+        return float(x) if _real(x) else x
+
     try:
         if "size" in kw:
-            kw["size"] = tuple(float(x) for x in kw["size"])
+            kw["size"] = tuple(real(x) for x in kw["size"])
         for key in ("grid", "methods", "inner_lengths", "locpot_n"):
             if key in kw:
                 kw[key] = tuple(kw[key])
         if "cracks" in kw:
             kw["cracks"] = tuple(
-                (c["kind"], tuple((float(p[0]), float(p[1])) for p in c["polyline"]))
+                (c["kind"], tuple(tuple(real(x) for x in p) for p in c["polyline"]))
                 for c in kw["cracks"]
             )
-        if "h" in kw:
-            kw["h"] = float(kw["h"])
-        if "noise" in kw:
-            kw["noise"] = float(kw["noise"])
-        if kw.get("tau") is not None and "tau" in kw:
-            kw["tau"] = float(kw["tau"])
+        for key in ("h", "noise", "tau"):
+            if kw.get(key) is not None:
+                kw[key] = real(kw[key])
         s = Scenario(**kw)
     except (TypeError, KeyError, ValueError, IndexError) as exc:
         raise ScenarioError(problems + ["malformed field: %s" % exc]) from exc

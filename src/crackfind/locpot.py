@@ -18,7 +18,6 @@ import scipy.linalg
 from . import fem, geometry, ndmap
 
 INVISIBLE_ATOL = 1e-12
-RANGE_RTOL = 1e-10
 DEFAULT_N_VALUES = tuple(10 ** k for k in range(7))
 
 
@@ -96,16 +95,6 @@ def build_source_operator(solver, V, basis):
         traces = fem.trace_on_gamma(solver.solve_source((src_tris[cols], unit[cols])))
         matrix[:, cols] = weighted.T @ traces
     return SourceOperator(mesh, basis, tris, matrix, solver.dm.config_label())
-
-
-def numerical_range(op, rtol=RANGE_RTOL):
-    """Orthonormal basis of the operator's column space at the given cut."""
-    matrix = getattr(op, "matrix", op)
-    if matrix.shape[1] == 0:
-        return np.zeros((matrix.shape[0], 0))
-    U, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    rank = int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
-    return U[:, :rank]
 
 
 class Y0Pick:

@@ -231,6 +231,38 @@ def _dense_solve(A, B):
     return X
 
 
+def _green(fact, K, rows, cols):
+    # rows ``rows`` of the pinned Green's columns of the dofs ``cols`` (none
+    # of them the pin), in one block solve: the load e_c - e_pin is
+    # balanced, so the residual holds on every row
+    if not len(cols):
+        return np.zeros((len(rows), 0))
+    b = np.vstack([np.eye(len(cols)), -np.ones((1, len(cols)))])
+    at = np.append(cols, fact.pin)
+    x = fact.solve(b, at)
+    fem._check_residual(K, x, b, at)
+    return x[rows]
+
+
+def _green_block(fact, K, dofs, width):
+    # the pinned Green's block on ``dofs``, solved ``width`` columns at a time
+    # so that no n x |dofs| array is formed
+    G = np.empty((len(dofs), len(dofs)))
+    for lo in range(0, len(dofs), width):
+        G[:, lo:lo + width] = _green(fact, K, dofs, dofs[lo:lo + width])
+    return G
+
+
+def _tied_correction(G, Z, T):
+    # how much tying the rows of the Green's block G by the indicator columns
+    # T lowers the ND matrix of the potentials Z on them:
+    # Z^T (H - H T (T^T H T)^-1 T^T H) Z with H = G^-1
+    HZ = _dense_solve(G, np.column_stack([Z, T]))
+    HZ, HT = HZ[:, :Z.shape[1]], HZ[:, Z.shape[1]:]
+    ZHT = Z.T @ HT
+    return Z.T @ HZ - ZHT @ _dense_solve(T.T @ HT, ZHT.T)
+
+
 class ChainMaps:
     """ND matrices of single test chains as low-rank updates of one background.
 
@@ -322,34 +354,221 @@ class ChainMaps:
         if not batch:
             return
         columns = np.array(sorted(columns), dtype=np.int64)
-        green = self._green(columns)
+        green = _green(self._fact, self._K, columns, columns)
         for comp, (verts, E) in batch:
             at = np.searchsorted(columns, verts)
             G, Z = green[at][:, at], self._Z[verts]
             if not len(verts):
                 corr = 0.0
             elif E is None:
-                HZ = _dense_solve(G, np.column_stack([Z, np.ones(len(verts))]))
-                HZ, H1 = HZ[:, :-1], HZ[:, -1]
-                t = Z.T @ H1
-                corr = Z.T @ HZ - np.outer(t, t) / H1.sum()
+                corr = _tied_correction(G, Z, np.ones((len(verts), 1)))
             else:
                 corr = Z.T @ _dense_solve(np.eye(len(verts)) + E @ G, E @ Z)
             N = self.background.entries - corr
             label = "ins:1" if comp.kind == geometry.INSULATING else "con:1"
             yield NdMatrix(0.5 * (N + N.T), self.basis, label, {comp.kind})
 
-    def _green(self, verts):
-        # rows ``verts`` of the pinned Green's columns of ``verts``: the load
-        # e_v - e_pin is balanced, so the residual holds on every row
-        if not len(verts):
-            return np.zeros((0, 0))
-        pin = self._fact.pin
-        b = np.vstack([np.eye(len(verts)), -np.ones((1, len(verts)))])
-        rows = np.append(verts, pin)
-        x = self._fact.solve(b, rows)
-        fem._check_residual(self._K, x, b, rows)
-        return x[verts]
+
+# which sides of the region bracket a peel tests: both, or only the one
+# that detects its crack kind (excluded for insulating, frozen for conducting)
+MODES = ("both", "insulating", "conducting")
+
+
+def _region_label(kind, region):
+    # the config label NdSolver gives a region configuration
+    return "%s:%dpx" % (kind, len(region)) if len(region) else "none"
+
+
+class RegionMaps:
+    """ND matrices of the excluded and frozen configurations of regions R in R0.
+
+    Upper peeling tests regions that shrink from ``R0`` one pixel at a time.
+    A region changes the crack-free forward problem only on its own
+    triangles and on how its boundary vertices C (vertices with triangles
+    both inside and outside R) are closed, so both responses are exact
+    low-rank updates. Every such C lies in the skeleton of R0: the vertices
+    of R0 whose triangles lie in more than one pixel.
+
+    * frozen, stateless: one factorization of the crack-free background
+      gives ``N0``, its pinned potentials ``Z`` and its pinned Green's block
+      ``G`` on the skeleton, solved M columns at a time like the basis
+      currents, so no solve of the run is wider than the current solves.
+      Tying every vertex of a 4-connected component of R to one value is
+      the same as tying its boundary vertices alone, because the stiffness
+      annihilates constants and an enclosed vertex then takes the tied
+      value. So ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C`` with
+      ``H = G_CC^-1`` and one indicator column of ``T`` per component, the
+      ``ChainMaps`` conducting formula with several ties.
+    * excluded, one folded block: in vertex space, with a placeholder
+      identity row on every enclosed vertex, taking pixel p out of R adds
+      p's element stiffness back and drops the placeholder of the vertices
+      p releases. That update ``E`` lives on p's vertices S, and
+      ``N(R - p) = N(R) - Z_S^T (I + E G_SS)^-1 E Z_S``, the ``ChainMaps``
+      insulating formula, where G and Z now belong to the excluded R. They
+      are kept on C(R) only, since an enclosed vertex has the Green's row
+      ``e_v`` and potential zero. The block starts from one factorization
+      of the excluded R0 and its Green's columns on C(R0); ``peel`` folds an
+      accepted removal into it.
+
+    ``mode`` (one of ``MODES``) names the sides to build: "insulating"
+    needs only the excluded response, "conducting" only the frozen one.
+    The caller keeps every region admissible. Every small dense solve is
+    checked against ``fem.RESIDUAL_RTOL``; ``NdSolver`` on the region's
+    configuration is the reference this path must match.
+    """
+
+    def __init__(self, mesh, gamma0, basis, R0, mode="both"):
+        if mode not in MODES:
+            raise ValueError("mode must be one of %s" % (MODES,))
+        self.mesh = mesh
+        self.basis = basis
+        self.region = R0
+        self._start = R0.members
+        self._grid = grid = R0.grid
+        self._local = fem.element_stiffness(mesh, gamma0)
+        # (vertex, pixel) for every pixel a vertex has a triangle in
+        pairs = np.unique(
+            np.column_stack([mesh.triangles.ravel(), np.repeat(grid.tri_pixel, 3)]), axis=0
+        )
+        in_R0 = np.zeros(len(mesh.vertices), dtype=bool)
+        in_R0[mesh.triangles[R0.triangles()]] = True
+        if in_R0[mesh.gamma_vertices()[0]]:
+            raise ValueError("the start region holds the pinned arc vertex")
+        multi = np.bincount(pairs[:, 0], minlength=len(mesh.vertices)) > 1
+        self._skeleton = np.flatnonzero(multi & in_R0)
+        on = np.isin(pairs[:, 0], self._skeleton)
+        self._pair_vertex = np.searchsorted(self._skeleton, pairs[on, 0])
+        self._pair_pixel = pairs[on, 1]
+        self._frozen = self._excluded = self._last = None
+        # each side is (NdMatrix, vertices, their pinned potentials, their
+        # pinned Green's block); one factorization is alive at a time
+        if mode != "insulating":
+            self._frozen = self._block(NdSolver(mesh, gamma0), self._skeleton)
+        if mode != "conducting":
+            self._excluded = self._block(
+                NdSolver(mesh, gamma0, {"excluded": R0}), self._boundary(R0)
+            )
+
+    def _block(self, solver, verts):
+        potentials = solver.solve_current(self.basis.vectors)
+        N = solver._nd_matrix(potentials, self.basis)
+        dofs = solver.dm.vertex_dof[verts]
+        Z = potentials.values[dofs] - potentials.values[solver.fact.pin]
+        return N, verts, Z, _green_block(solver.fact, solver.K, dofs, self.basis.M)
+
+    def _boundary(self, region):
+        # the region's boundary vertices C, ascending
+        member = np.zeros(self._grid.n_pixels, dtype=bool)
+        member[list(region.members)] = True
+        inside = member[self._pair_pixel]
+        n = len(self._skeleton)
+        has_in = np.bincount(self._pair_vertex[inside], minlength=n) > 0
+        has_out = np.bincount(self._pair_vertex[~inside], minlength=n) > 0
+        return self._skeleton[has_in & has_out]
+
+    def matrices(self, pixel=None):
+        """(excluded, frozen) NdMatrix of the region, or of it without ``pixel``.
+
+        A side that ``mode`` leaves out is None.
+        """
+        region = self.region if pixel is None else self._without(pixel)
+        excluded = frozen = None
+        if self._excluded is not None:
+            excluded = self._excluded[0] if pixel is None else self._opened(pixel)[0]
+        if self._frozen is not None:
+            frozen = self.frozen(region)
+        return excluded, frozen
+
+    def frozen(self, region):
+        """NdMatrix of ``region`` (any admissible subset of R0) frozen."""
+        if not region.members <= self._start:
+            raise ValueError("the region is not inside the start region")
+        N0, skeleton, Z, G = self._frozen
+        at = np.searchsorted(skeleton, self._boundary(region))
+        N = N0.entries
+        if len(at):
+            # each boundary vertex's component; a vertex in two would need
+            # the two components tied together, which a region never asks for
+            label = region.components()
+            roots = sorted(set(label.values()))
+            comp = np.full(self._grid.n_pixels, -1)
+            comp[list(label)] = np.searchsorted(roots, list(label.values()))
+            inside = comp[self._pair_pixel] >= 0
+            lo = np.full(len(self._skeleton), len(roots))
+            hi = np.full(len(self._skeleton), -1)
+            np.minimum.at(lo, self._pair_vertex[inside], comp[self._pair_pixel[inside]])
+            np.maximum.at(hi, self._pair_vertex[inside], comp[self._pair_pixel[inside]])
+            if np.any(lo[at] != hi[at]):
+                raise ValueError("frozen components share a vertex")
+            T = np.zeros((len(at), len(roots)))
+            T[np.arange(len(at)), lo[at]] = 1.0
+            N = N - _tied_correction(G[np.ix_(at, at)], Z[at], T)
+        return NdMatrix(0.5 * (N + N.T), self.basis, _region_label("frozen", region), ())
+
+    def _without(self, pixel):
+        if pixel not in self.region.members:
+            raise ValueError("pixel %d is not in the region" % pixel)
+        return self.region.minus(pixel)
+
+    def _opened(self, pixel):
+        # the excluded matrix of the region without ``pixel`` and the pieces
+        # of its update: S (p's vertices), their positions in the kept block
+        # (-1 if enclosed), I + E G_SS, E and Z_S; kept until the region
+        # changes, since an accepted test is folded next
+        region = self._without(pixel)
+        if self._last is not None and self._last[0] == pixel:
+            return self._last[1]
+        N, kept, Z, G = self._excluded
+        tris = self._grid.pixel_tris(pixel)
+        S, local = np.unique(self.mesh.triangles[tris], return_inverse=True)
+        local = local.reshape(-1, 3)
+        E = np.zeros((len(S), len(S)))
+        np.add.at(E, (local[:, :, None], local[:, None, :]), self._local[tris])
+        is_kept = np.isin(S, kept)
+        boundary, enclosed = np.flatnonzero(is_kept), np.flatnonzero(~is_kept)
+        at = np.full(len(S), -1)
+        at[boundary] = np.searchsorted(kept, S[boundary])
+        # the released vertices lose their placeholder rows
+        E[enclosed, enclosed] -= 1.0
+        G_SS = np.zeros((len(S), len(S)))
+        G_SS[np.ix_(boundary, boundary)] = G[np.ix_(at[boundary], at[boundary])]
+        G_SS[enclosed, enclosed] = 1.0
+        Z_S = np.zeros((len(S), Z.shape[1]))
+        Z_S[boundary] = Z[at[boundary]]
+        A = np.eye(len(S)) + E @ G_SS
+        N = N.entries - Z_S.T @ _dense_solve(A, E @ Z_S)
+        N = NdMatrix(0.5 * (N + N.T), self.basis, _region_label("excluded", region), ())
+        self._last = (pixel, (N, S, at, A, E, Z_S))
+        return self._last[1]
+
+    def peel(self, pixel):
+        """Take ``pixel`` out of the region and fold it into the excluded block."""
+        region = self._without(pixel)
+        if self._excluded is not None:
+            N, S, at, A, E, Z_S = self._opened(pixel)
+            _, kept, Z, G = self._excluded
+            # the kept block grows by the vertices p releases, whose Green's
+            # rows are e_v and potentials zero, then is updated and cut back
+            # to the new region's boundary
+            released = S[at < 0]
+            n = len(kept)
+            U = np.concatenate([kept, released])
+            G_U = np.zeros((len(U), len(U)))
+            G_U[:n, :n] = G
+            G_U[n:, n:] = np.eye(len(released))
+            Z_U = np.vstack([Z, np.zeros((len(released), Z.shape[1]))])
+            pos = at.copy()
+            pos[at < 0] = n + np.arange(len(released))
+            Y = G_U[:, pos]
+            G_U -= Y @ _dense_solve(A, E @ Y.T)
+            Z_U -= Y @ _dense_solve(A, E @ Z_S)
+            new = self._boundary(region)
+            order = np.argsort(U)
+            keep = order[np.searchsorted(U[order], new)]
+            G = G_U[np.ix_(keep, keep)]
+            self._excluded = (N, new, Z_U[keep], 0.5 * (G + G.T))
+        self.region = region
+        self._last = None
 
 
 def psd_test(A, tau):
@@ -405,46 +624,6 @@ def certificate(name, diff, minuend, tau):
         "tau": float(t),
         "close_call": bool(abs(min_eig) < MARGIN_SCALE * t),
     }
-
-
-def projection_identity_check(mesh, gamma0, cracks, basis, f_index, which="P"):
-    """Cross-check a quadratic-form difference against a projection energy.
-
-    ``which="P"``: the form difference between the full crack map and the
-    conducting-only map at basis vector ``f_index`` against the energy of
-    (full solution - conducting-only solution), measured in the full crack
-    space.
-
-    ``which="Q"``: the mirror check, insulating-only map minus full crack
-    map against the energy of (insulating-only solution - full solution)
-    in the insulating-only space.
-
-    Returns (lhs, rhs); agreement is the caller's assertion.
-    """
-    if which not in ("P", "Q"):
-        raise ValueError("which must be 'P' or 'Q'")
-    f = basis.vectors[:, f_index]
-    mixed = NdSolver(mesh, gamma0, cracks)
-    if which == "P":
-        other = NdSolver(mesh, gamma0, cracks.of_kind(geometry.CONDUCTING))
-        big, small = mixed, other
-        lhs = (
-            mixed.nd_matrix(basis).entries[f_index, f_index]
-            - other.nd_matrix(basis).entries[f_index, f_index]
-        )
-    else:
-        other = NdSolver(mesh, gamma0, cracks.of_kind(geometry.INSULATING))
-        big, small = other, mixed
-        lhs = (
-            other.nd_matrix(basis).entries[f_index, f_index]
-            - mixed.nd_matrix(basis).entries[f_index, f_index]
-        )
-    u_big = big.solve_current(f)
-    u_small = small.solve_current(f)
-    emb = fem.embed_field(u_small, big.dm)
-    diff = fem.Field(u_big.values - emb.values, big.dm)
-    rhs = fem.energy(big.K, diff, diff)
-    return float(lhs), float(rhs)
 
 
 def symmetric_noise(N, level, rng):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry, ndmap
 
-MODES = ("both", "insulating", "conducting")
+MODES = ndmap.MODES
 
 
 def _entries(m):
@@ -96,29 +96,28 @@ class InnerResult:
         }
 
 
-def upper_bound_tests(data, mesh, gamma0, basis, region, mode="both", tau=None):
-    """Run the bracket tests for one candidate region.
+def upper_bound_tests(data, excluded, frozen, tau=None, data_tau=None):
+    """Run the bracket tests of one region from its ND matrices.
 
-    Returns (all_passed, certificates). In mode "both" the data must sit
-    between the region's frozen response and its excluded response; the
-    single-kind modes run only the side that detects their crack kind.
+    Returns (all_passed, certificates). The data must sit below the
+    region's ``excluded`` response and above its ``frozen`` one; a side
+    given as None is not tested, which is how the single-kind modes run only
+    the side that detects their crack kind. The frozen side's default
+    threshold depends only on the data, so a caller that tests many regions
+    computes it once and passes it as ``data_tau``.
     """
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s" % (MODES,))
+    if excluded is None and frozen is None:
+        raise ValueError("need the excluded or the frozen response")
     d = _entries(data)
     certs = []
-    ok = True
-    if mode in ("both", "insulating"):
-        upper = ndmap.nd_matrix(mesh, gamma0, {"excluded": region}, basis)
-        cert = ndmap.certificate("excluded_minus_data", upper.entries - d, upper, tau)
-        certs.append(cert)
-        ok = ok and cert["passed"]
-    if mode in ("both", "conducting"):
-        lower = ndmap.nd_matrix(mesh, gamma0, {"frozen": region}, basis)
-        cert = ndmap.certificate("data_minus_frozen", d - lower.entries, data, tau)
-        certs.append(cert)
-        ok = ok and cert["passed"]
-    return ok, certs
+    if excluded is not None:
+        certs.append(
+            ndmap.certificate("excluded_minus_data", excluded.entries - d, excluded, tau)
+        )
+    if frozen is not None:
+        t = tau if data_tau is None else data_tau
+        certs.append(ndmap.certificate("data_minus_frozen", d - frozen.entries, data, t))
+    return all(c["passed"] for c in certs), certs
 
 
 def reconstruct_upper(data, mesh, gamma0, basis, grid, mode="both", tau=None):
@@ -134,38 +133,50 @@ def reconstruct_upper(data, mesh, gamma0, basis, grid, mode="both", tau=None):
     response dominates it, so both test differences only move further
     negative as peeling proceeds (the thresholds move the same way). The
     trace records each removal's certificates from its first attempt.
+
+    Every region's matrices come from ``ndmap.RegionMaps``: one
+    factorization of the crack-free background and one of the excluded
+    start region for the whole call, then per tested region
+
+    * frozen: ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C``, with C the
+      region's boundary vertices, ``H = G_CC^-1`` and T tying each
+      4-connected component;
+    * excluded: ``N(R - p) = N(R) - Z_S^T (I + E G_SS)^-1 E Z_S``, with E the
+      stiffness pixel p gives back on its vertices S, G and Z those of the
+      excluded R; an accepted peel folds the update into G and Z.
     """
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s" % (MODES,))
-    region = geometry.interior_pixel_set(grid)
+    maps = ndmap.RegionMaps(mesh, gamma0, basis, geometry.interior_pixel_set(grid), mode)
+    data_tau = None if mode == "insulating" else ndmap.tau_for(data, tau)
     trace = []
-    ok0, certs0 = upper_bound_tests(data, mesh, gamma0, basis, region, mode, tau)
+    ok0, certs0 = upper_bound_tests(data, *maps.matrices(), tau=tau, data_tau=data_tau)
     trace.append(
-        {"action": "initial", "pixels": len(region), "passed": ok0, "certificates": certs0}
+        {"action": "initial", "pixels": len(maps.region), "passed": ok0, "certificates": certs0}
     )
     if not ok0:
         # data inconsistent with every crack set inside the start region
-        return UpperBoundResult(region, trace, mode, initial_ok=False)
+        return UpperBoundResult(maps.region, trace, mode, initial_ok=False)
 
     dead = set()
     while True:
         advanced = False
-        for cand in geometry.peel_candidates(region):
-            (pixel,) = region.members - cand.members
+        for cand in geometry.peel_candidates(maps.region):
+            (pixel,) = maps.region.members - cand.members
             if pixel in dead:
                 continue
-            ok, certs = upper_bound_tests(data, mesh, gamma0, basis, cand, mode, tau)
+            ok, certs = upper_bound_tests(
+                data, *maps.matrices(pixel), tau=tau, data_tau=data_tau
+            )
             trace.append(
                 {"action": "peel", "pixel": int(pixel), "passed": ok, "certificates": certs}
             )
             if ok:
-                region = cand
+                maps.peel(pixel)
                 advanced = True
                 break
             dead.add(pixel)
         if not advanced:
             break
-    return UpperBoundResult(region, trace, mode, initial_ok=True)
+    return UpperBoundResult(maps.region, trace, mode, initial_ok=True)
 
 
 def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):

@@ -23,6 +23,7 @@ from crackfind.geometry import (
     embed_crack,
     point_segment_distance,
 )
+from oracles import projection_identity_check
 
 
 def _line(n, text):
@@ -121,7 +122,7 @@ def test_criterion_3_projection_identities(chain_setup):
     for m, c, g0, b in ((mesh, cracks, gamma0, basis), (mesh2, cracks2, gamma02, basis2)):
         for f_index in range(10):
             for which in ("P", "Q"):
-                lhs, rhs = ndmap.projection_identity_check(m, g0, c, b, f_index, which)
+                lhs, rhs = projection_identity_check(m, g0, c, b, f_index, which)
                 rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
                 worst = max(worst, rel)
                 assert rel <= 1e-8, (which, f_index, lhs, rhs)
@@ -263,7 +264,7 @@ def test_criterion_8_missing_tip_detected(pinned_mixed):
     # this region stops two pixel columns short of the right tip
     C = PixelSet.from_rect(grid, 1, 1, 2, 6)
     ok, certs = reconstruct.upper_bound_tests(
-        data_ins, mesh, gamma0, basis, C, mode="insulating"
+        data_ins, ndmap.nd_matrix(mesh, gamma0, {"excluded": C}, basis), None
     )
     assert not ok
     cert = certs[0]

@@ -295,6 +295,14 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
         {"grid": [8.5, 8]},
         {"seed": 1.9},
         {"seed": -1},
+        # real-valued fields that used to pass through float(): a flag and
+        # strings became numbers
+        {"noise": True},
+        {"noise": "1e-3"},
+        {"tau": True},
+        {"h": "0.0625"},
+        {"size": ["1", True]},
+        {"cracks": [{"kind": "insulating", "polyline": [["0.125", 0.8125], [0.375, 0.8125]]}]},
     ],
 )
 def test_malformed_nested_values_are_itemized(update, tmp_path, capsys):

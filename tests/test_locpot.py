@@ -15,6 +15,7 @@ from crackfind.geometry import (
     embed_crack,
     interior_pixel_set,
 )
+from oracles import numerical_range
 
 
 def source_op(chain_setup, config, region):
@@ -143,8 +144,8 @@ def test_range_equality_with_crack_inside_region(chain_setup, ops):
     op_empty, _ = ops
     ins = cracks.of_kind(geometry.INSULATING)
     op_slit = source_op(chain_setup, ins, V)
-    U0 = locpot.numerical_range(op_empty)
-    US = locpot.numerical_range(op_slit)
+    U0 = numerical_range(op_empty)
+    US = numerical_range(op_slit)
     r = min(U0.shape[1], US.shape[1])
     assert r >= 10
     angles = scipy.linalg.subspace_angles(U0[:, :r], US[:, :r])
@@ -158,7 +159,7 @@ def test_range_containment_for_nested_regions(chain_setup, ops):
     op_V, _ = ops
     Ybig = PixelSet(grid, V.dilate(1).members & interior_pixel_set(grid).members)
     op_Y = source_op(chain_setup, None, Ybig)
-    P = locpot.numerical_range(op_Y)
+    P = numerical_range(op_Y)
     resid = np.linalg.norm(
         op_V.matrix - P @ (P.T @ op_V.matrix), 2
     ) / np.linalg.norm(op_V.matrix, 2)
@@ -172,7 +173,7 @@ def test_range_containment_for_nested_regions(chain_setup, ops):
         )
     assert max(ratios) < 10.0
     op_far = source_op(chain_setup, None, W)
-    Pf = locpot.numerical_range(op_far)
+    Pf = numerical_range(op_far)
     resid_far = np.linalg.norm(
         op_V.matrix - Pf @ (Pf.T @ op_V.matrix), 2
     ) / np.linalg.norm(op_V.matrix, 2)

@@ -13,6 +13,7 @@ from crackfind.geometry import (
     embed_crack,
     mark_gamma,
 )
+from oracles import projection_identity_check
 
 
 def test_build_basis_orthonormal_mean_free():
@@ -203,14 +204,14 @@ def test_bracketing_fails_when_region_misses_crack(chain_setup):
 def test_projection_identity_full_vs_conducting(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     for idx in (0, 3, 7):
-        lhs, rhs = ndmap.projection_identity_check(mesh, gamma0, cracks, basis, idx, "P")
+        lhs, rhs = projection_identity_check(mesh, gamma0, cracks, basis, idx, "P")
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-14)
 
 
 def test_projection_identity_insulating_vs_full(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     for idx in (0, 3, 7):
-        lhs, rhs = ndmap.projection_identity_check(mesh, gamma0, cracks, basis, idx, "Q")
+        lhs, rhs = projection_identity_check(mesh, gamma0, cracks, basis, idx, "Q")
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-14)
 
 
@@ -218,7 +219,7 @@ def test_projection_identity_no_cracks_is_zero():
     mesh = build_rect_mesh(1.0, 1.0, 1.0 / 8)
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 6)
-    lhs, rhs = ndmap.projection_identity_check(
+    lhs, rhs = projection_identity_check(
         mesh, gamma0, CrackSet([]), basis, 2, "P"
     )
     assert abs(lhs) < 1e-12
@@ -394,3 +395,106 @@ def test_chain_maps_refuse_invalid_chains():
     for kind in geometry.KINDS:
         with pytest.raises(ValueError, match="boundary"):
             list(maps.nd_matrices([geometry.CrackComponent((a, b), kind)]))
+
+
+# ------------------------------------------------------------------ #
+# excluded and frozen regions as low-rank updates (upper peeling)
+# ------------------------------------------------------------------ #
+
+REGION_MESHES = {
+    ("rect", False): build_rect_mesh(1.0, 1.0, 1.0 / 16),
+    ("rect", True): mark_gamma(build_rect_mesh(1.0, 1.0, 1.0 / 16), {"box": [-0.1, 0.9, 0.5, 1.1]}),
+    ("disk", False): build_disk_mesh(1.0, 0.1),
+    ("disk", True): mark_gamma(build_disk_mesh(1.0, 0.1), {"angle": [0.5, 2.5]}),
+}
+
+
+def assert_region_matches_nd_solver(mesh, gamma0, basis, region, got, mode):
+    # got is RegionMaps.matrices() of ``region``: each built side against
+    # its own factorization, the other side None
+    for N, key, built in (
+        (got[0], "excluded", mode != "conducting"),
+        (got[1], "frozen", mode != "insulating"),
+    ):
+        if not built:
+            assert N is None
+            continue
+        ref = ndmap.NdSolver(mesh, gamma0, {key: region}).nd_matrix(basis)
+        assert N.config_label == ref.config_label
+        assert N.kinds == ref.kinds == frozenset()
+        assert np.max(np.abs(N.entries - ref.entries)) <= 1e-10 * np.max(np.abs(ref.entries))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.sampled_from(["rect", "disk"]),
+    arc=st.booleans(),
+    box=st.booleans(),
+    mode=st.sampled_from(ndmap.MODES),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_region_maps_match_nd_solver(shape, arc, box, mode, seed):
+    # differential oracle along a random peel sequence: every tested region
+    # (the start region, candidates, regions after folds) against its own
+    # factorization, under a gamma0 box and on partial arcs; the Green's
+    # blocks are solved in several chunks of M = 6 columns
+    mesh = REGION_MESHES[shape, arc]
+    rng = np.random.default_rng(seed)
+    spec = 1.0
+    if box:
+        x0, y0 = rng.uniform(-1.0, 0.5, 2)
+        spec = {"boxes": [{"box": [x0, y0, x0 + 0.6, y0 + 0.6], "value": rng.uniform(0.1, 10.0)}]}
+    gamma0 = fem.Conductivity.from_spec(mesh, spec)
+    basis = ndmap.build_basis(mesh, 6)
+    grid = geometry.PixelGrid(mesh, 8, 8)
+    maps = ndmap.RegionMaps(mesh, gamma0, basis, geometry.interior_pixel_set(grid), mode)
+    assert_region_matches_nd_solver(mesh, gamma0, basis, maps.region, maps.matrices(), mode)
+    for _ in range(3):
+        cands = geometry.peel_candidates(maps.region)
+        cand = cands[rng.integers(len(cands))]
+        (pixel,) = maps.region.members - cand.members
+        assert_region_matches_nd_solver(mesh, gamma0, basis, cand, maps.matrices(pixel), mode)
+        # fold a few removals between the checked ones
+        for _ in range(int(rng.integers(1, 6))):
+            cands = geometry.peel_candidates(maps.region)
+            (pixel,) = maps.region.members - cands[rng.integers(len(cands))].members
+            maps.peel(pixel)
+    assert_region_matches_nd_solver(mesh, gamma0, basis, maps.region, maps.matrices(), mode)
+
+
+def test_region_maps_split_and_empty_regions():
+    # a strip that splits into two frozen components, then peels down to the
+    # empty region, whose excluded and frozen matrices are the background's
+    mesh = REGION_MESHES["rect", True]
+    gamma0 = fem.Conductivity.from_spec(mesh, {"boxes": [{"box": [0, 0, 0.5, 1], "value": 4.0}]})
+    basis = ndmap.build_basis(mesh, 6)
+    grid = geometry.PixelGrid(mesh, 8, 8)
+    strip = geometry.PixelSet.from_rect(grid, 2, 4, 4, 4)
+    maps = ndmap.RegionMaps(mesh, gamma0, basis, strip)
+    for pixel in (grid.index(3, 4), grid.index(2, 4), grid.index(4, 4)):
+        got = maps.matrices(pixel)
+        maps.peel(pixel)
+        assert_region_matches_nd_solver(mesh, gamma0, basis, maps.region, got, "both")
+        if len(maps.region) == 2:
+            assert len(set(maps.region.components().values())) == 2
+    assert len(maps.region) == 0
+    background = ndmap.nd_matrix(mesh, gamma0, None, basis)
+    for N in maps.matrices():
+        assert N.config_label == "none"
+        assert np.max(np.abs(N.entries - background.entries)) <= 1e-10 * np.max(
+            np.abs(background.entries)
+        )
+    # the frozen side takes any region inside the start region, and no other
+    two = geometry.PixelSet(grid, {grid.index(2, 4), grid.index(4, 4)})
+    assert_region_matches_nd_solver(mesh, gamma0, basis, two, (None, maps.frozen(two)), "conducting")
+    with pytest.raises(ValueError, match="start region"):
+        maps.frozen(geometry.PixelSet(grid, {grid.index(3, 3)}))
+    for mode in ndmap.MODES:
+        emptied = ndmap.RegionMaps(mesh, gamma0, basis, geometry.PixelSet(grid, [grid.index(3, 4)]), mode)
+        emptied.peel(grid.index(3, 4))
+        with pytest.raises(ValueError, match="not in the region"):
+            emptied.matrices(grid.index(3, 4))
+        with pytest.raises(ValueError, match="not in the region"):
+            emptied.peel(grid.index(3, 4))
+    with pytest.raises(ValueError, match="mode"):
+        ndmap.RegionMaps(mesh, gamma0, basis, strip, "all")

@@ -1,5 +1,6 @@
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -120,7 +121,9 @@ def test_upper_rejection_certificates_reverifiable(setup):
         if not e["passed"]:
             cand = PixelSet(grid, state - {e["pixel"]})
             ok, certs = reconstruct.upper_bound_tests(
-                data["mixed"], mesh, gamma0, basis, cand
+                data["mixed"],
+                ndmap.nd_matrix(mesh, gamma0, {"excluded": cand}, basis),
+                ndmap.nd_matrix(mesh, gamma0, {"frozen": cand}, basis),
             )
             assert not ok
             for fresh, old in zip(certs, e["certificates"]):
@@ -312,6 +315,47 @@ def test_inner_factorizes_the_background_once(setup, monkeypatch):
             assert len(res.accepted) + len(res.rejected) == len(subset)
             assert len(made) == 1
             assert len(taus) == (1 if kind == geometry.INSULATING else len(subset))
+
+
+def test_upper_factorizes_twice_and_thresholds_the_data_once(setup, monkeypatch):
+    # the crack-free background and the excluded start region, never both
+    # alive; one data threshold per call plus one per excluded side
+    mesh, cracks, grid, gamma0, basis, data = setup
+    made, alive, most, taus, admissible = [0], [0], [0], [0], [0]
+    real_fact, real_tau = fem.Factorization, ndmap.default_tau
+    real_admissible = geometry.pixelset_is_admissible
+
+    def counting_fact(*args):
+        fact = real_fact(*args)
+        made[0] += 1
+        alive[0] += 1
+        most[0] = max(most[0], alive[0])
+        weakref.finalize(fact, lambda: alive.__setitem__(0, alive[0] - 1))
+        return fact
+
+    def counting_tau(*args, **kwargs):
+        taus[0] += 1
+        return real_tau(*args, **kwargs)
+
+    def counting_admissible(*args):
+        admissible[0] += 1
+        return real_admissible(*args)
+
+    monkeypatch.setattr(fem, "Factorization", counting_fact)
+    monkeypatch.setattr(ndmap, "default_tau", counting_tau)
+    monkeypatch.setattr(geometry, "pixelset_is_admissible", counting_admissible)
+    for mode, key, factorizations in (
+        ("both", "mixed", 2), ("insulating", "ins", 1), ("conducting", "con", 1),
+    ):
+        made[0] = most[0] = taus[0] = admissible[0] = 0
+        res = reconstruct.reconstruct_upper(data[key], mesh, gamma0, basis, grid, mode=mode)
+        assert len(res.peel_trace) > 10
+        assert made[0] == factorizations
+        assert most[0] == 1
+        excluded_sides = len(res.peel_trace) if mode != "conducting" else 0
+        assert taus[0] == excluded_sides + (mode != "insulating")
+        # only the excluded start region's dof map checks admissibility
+        assert admissible[0] == (mode != "conducting")
 
 
 def test_inner_refuses_invalid_candidates(setup):
