@@ -1045,7 +1045,7 @@ def interior_pixel_set(grid):
 
 
 def peel_candidates(p):
-    """All admissible sets reachable by removing one boundary pixel of ``p``.
+    """The boundary pixels of ``p`` whose removal leaves an admissible set.
 
     ``p`` must be admissible. Then a removal keeps the complement connected
     to the outside (the freed pixel joins it across an edge) and keeps the
@@ -1053,9 +1053,8 @@ def peel_candidates(p):
     and only in the four 2x2 blocks around the freed pixel: one whose two
     neighbours of it are members and whose diagonal pixel is not.
 
-    Candidates are generated in row-major pixel order, so the result is
-    deterministic. The list is empty when no single removal stays
-    admissible.
+    Pixels come in row-major order, so the result is deterministic. The
+    list is empty when no single removal stays admissible.
     """
     grid, members = p.grid, p.members
 
@@ -1070,5 +1069,5 @@ def peel_candidates(p):
             for dx in (-1, 1)
             for dy in (-1, 1)
         ):
-            out.append(p.minus(m))
+            out.append(m)
     return out

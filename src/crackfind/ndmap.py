@@ -219,11 +219,6 @@ class Configurations:
         return solver
 
 
-# background Green's columns solved per block in ChainMaps; bounds the
-# dense n x k block that one batch of neighbouring chains needs
-GREEN_COLUMNS = 128
-
-
 def _dense_solve(A, B):
     # small dense system with the relative-residual guard of the sparse solves
     X = np.linalg.solve(A, B)
@@ -231,26 +226,32 @@ def _dense_solve(A, B):
     return X
 
 
-def _green(fact, K, rows, cols):
-    # rows ``rows`` of the pinned Green's columns of the dofs ``cols`` (none
-    # of them the pin), in one block solve: the load e_c - e_pin is
-    # balanced, so the residual holds on every row
-    if not len(cols):
-        return np.zeros((len(rows), 0))
-    b = np.vstack([np.eye(len(cols)), -np.ones((1, len(cols)))])
-    at = np.append(cols, fact.pin)
-    x = fact.solve(b, at)
-    fem._check_residual(K, x, b, at)
-    return x[rows]
-
-
 def _green_block(fact, K, dofs, width):
-    # the pinned Green's block on ``dofs``, solved ``width`` columns at a time
-    # so that no n x |dofs| array is formed
+    # the pinned Green's block on ``dofs`` (distinct, none of them the pin),
+    # solved ``width`` columns at a time so that no n x |dofs| array is
+    # formed; the load e_c - e_pin is balanced, so the residual holds on
+    # every row
     G = np.empty((len(dofs), len(dofs)))
     for lo in range(0, len(dofs), width):
-        G[:, lo:lo + width] = _green(fact, K, dofs, dofs[lo:lo + width])
+        cols = dofs[lo:lo + width]
+        b = np.vstack([np.eye(len(cols)), -np.ones((1, len(cols)))])
+        at = np.append(cols, fact.pin)
+        x = fact.solve(b, at)
+        fem._check_residual(K, x, b, at)
+        G[:, lo:lo + width] = x[dofs]
     return G
+
+
+def _background(solver, basis, verts):
+    # (N0, Z, G) of a factorized background on the vertices ``verts``
+    # (distinct, none of them pinned): its NdMatrix, the pinned potentials of
+    # the basis currents on them and their pinned Green's block, solved
+    # basis.M columns at a time like the currents
+    potentials = solver.solve_current(basis.vectors)
+    N0 = solver._nd_matrix(potentials, basis)
+    dofs = solver.dm.vertex_dof[verts]
+    Z = potentials.values[dofs] - potentials.values[solver.fact.pin]
+    return N0, Z, _green_block(solver.fact, solver.K, dofs, basis.M)
 
 
 def _tied_correction(G, Z, T):
@@ -263,17 +264,17 @@ def _tied_correction(G, Z, T):
     return Z.T @ HZ - ZHT @ _dense_solve(T.T @ HT, ZHT.T)
 
 
-class ChainMaps:
+def chain_matrices(mesh, gamma0, basis, components):
     """ND matrices of single test chains as low-rank updates of one background.
 
-    A chain changes the crack-free forward problem only on its star, the
-    triangles at its slit or tied vertices, so its matrix is the background
-    matrix ``N0`` minus a small dense correction (static condensation plus
-    Woodbury). The background gets one ``NdSolver``: one factorization and
-    one block solve, which give ``N0`` and the pinned potentials ``Z`` (one
-    column per basis current). ``G`` is the background Green's function of
-    the pinned stiffness; only its blocks on stars are formed, from columns
-    solved in batches of neighbouring chains.
+    Yields one NdMatrix per component, in the given order. A chain changes
+    the crack-free forward problem only on its star, the triangles at its
+    slit or tied vertices, so its matrix is the background matrix ``N0``
+    minus a small dense correction (static condensation plus Woodbury).
+    Every star is found first; then the background is factorized once and
+    ``_background`` gives ``N0``, the pinned potentials ``Z`` and the pinned
+    Green's block ``G`` on the sorted union of the stars, so each Green's
+    column is solved once.
 
     * insulating chain: the slit gives each interior vertex a new dof for
       its far fan (``fem.split_fans``). ``dS``, the stiffness of the far
@@ -291,82 +292,61 @@ class ChainMaps:
     ``fem.RESIDUAL_RTOL``. ``NdSolver`` on the chain's configuration is the
     reference this path must match.
     """
+    local = fem.element_stiffness(mesh, gamma0)
+    # the background pins its first arc vertex (fem.Factorization); the
+    # stars are found before it is factorized
+    pin = mesh.gamma_vertices()[0]
+    components = list(components)
+    stars = [_star(mesh, local, pin, comp) for comp in components]
+    union = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + [S for S, _ in stars]))
+    N0, Z, G = _background(NdSolver(mesh, gamma0), basis, union)
+    for comp, (S, E) in zip(components, stars):
+        at = np.searchsorted(union, S)
+        G_S, Z_S = G[np.ix_(at, at)], Z[at]
+        if not len(S):
+            corr = 0.0
+        elif E is None:
+            corr = _tied_correction(G_S, Z_S, np.ones((len(S), 1)))
+        else:
+            corr = Z_S.T @ _dense_solve(np.eye(len(S)) + E @ G_S, E @ Z_S)
+        N = N0.entries - corr
+        label = "ins:1" if comp.kind == geometry.INSULATING else "con:1"
+        yield NdMatrix(0.5 * (N + N.T), basis, label, {comp.kind})
 
-    def __init__(self, mesh, gamma0, basis):
-        self.mesh = mesh
-        self.basis = basis
-        background = NdSolver(mesh, gamma0)
-        potentials = background.solve_current(basis.vectors)
-        self.background = background._nd_matrix(potentials, basis)
-        self._fact = background.fact
-        self._K = background.K
-        pin = self._fact.pin
-        self._Z = potentials.values - potentials.values[pin]
-        self._local = fem.element_stiffness(mesh, gamma0)
 
-    def nd_matrices(self, components):
-        """One NdMatrix per single-chain configuration, in the given order."""
-        batch, columns = [], set()
-        for comp in components:
-            star = self._star(comp)
-            batch.append((comp, star))
-            columns.update(star[0].tolist())
-            if len(columns) >= GREEN_COLUMNS:
-                yield from self._updated(batch, columns)
-                batch, columns = [], set()
-        yield from self._updated(batch, columns)
-
-    def _star(self, comp):
-        # (star dofs S without the pin, the update E on them; None for a tie)
-        cracks = geometry.CrackSet([comp])
-        cracks.validate(self.mesh)
-        if comp.kind == geometry.CONDUCTING:
-            return np.asarray(comp.chain, dtype=np.int64), None
-        n_slit = len(comp.chain) - 2
-        if not n_slit:
-            # no interior vertex: nothing opens, the background's matrix
-            return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
-        far, owner = fem.split_fans(self.mesh, cracks)
-        # far is ascending: number its triangles and their vertices locally,
-        # the new dofs after the old ones
-        t = far // 3
-        first = np.concatenate([[True], t[1:] != t[:-1]])
-        tris, at = t[first], np.cumsum(first) - 1
-        index = {}
-        old = [index.setdefault(v, len(index)) for v in self.mesh.triangles[tris].ravel().tolist()]
-        old = np.array(old).reshape(-1, 3)
-        verts, m = np.array(list(index), dtype=np.int64), len(index)
-        new = old.copy()
-        new[at, far % 3] = m + owner
-        # entry (i, j) of a far triangle moves when corner i or j does
-        moved = new != old
-        changed = (moved[:, :, None] | moved[:, None, :]).reshape(-1, 9)
-        entries = self._local[tris].reshape(-1, 9)[changed]
-        rows = [np.repeat(dofs, 3, axis=1)[changed] for dofs in (new, old)]
-        cols = [np.tile(dofs, (1, 3))[changed] for dofs in (new, old)]
-        dS = np.zeros((m + n_slit, m + n_slit))
-        np.add.at(dS, (np.concatenate(rows), np.concatenate(cols)), np.concatenate([entries, -entries]))
-        E = dS[:m, :m] - dS[:m, m:] @ _dense_solve(dS[m:, m:], dS[m:, :m])
-        keep = verts != self._fact.pin
-        return verts[keep], E[keep][:, keep]
-
-    def _updated(self, batch, columns):
-        if not batch:
-            return
-        columns = np.array(sorted(columns), dtype=np.int64)
-        green = _green(self._fact, self._K, columns, columns)
-        for comp, (verts, E) in batch:
-            at = np.searchsorted(columns, verts)
-            G, Z = green[at][:, at], self._Z[verts]
-            if not len(verts):
-                corr = 0.0
-            elif E is None:
-                corr = _tied_correction(G, Z, np.ones((len(verts), 1)))
-            else:
-                corr = Z.T @ _dense_solve(np.eye(len(verts)) + E @ G, E @ Z)
-            N = self.background.entries - corr
-            label = "ins:1" if comp.kind == geometry.INSULATING else "con:1"
-            yield NdMatrix(0.5 * (N + N.T), self.basis, label, {comp.kind})
+def _star(mesh, local, pin, comp):
+    # (star vertices S without the pin, the update E on them; None for a tie)
+    cracks = geometry.CrackSet([comp])
+    cracks.validate(mesh)
+    if comp.kind == geometry.CONDUCTING:
+        return np.asarray(comp.chain, dtype=np.int64), None
+    n_slit = len(comp.chain) - 2
+    if not n_slit:
+        # no interior vertex: nothing opens, the background's matrix
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
+    far, owner = fem.split_fans(mesh, cracks)
+    # far is ascending: number its triangles and their vertices locally,
+    # the new dofs after the old ones
+    t = far // 3
+    first = np.concatenate([[True], t[1:] != t[:-1]])
+    tris, at = t[first], np.cumsum(first) - 1
+    index = {}
+    old = [index.setdefault(v, len(index)) for v in mesh.triangles[tris].ravel().tolist()]
+    old = np.array(old).reshape(-1, 3)
+    verts, m = np.array(list(index), dtype=np.int64), len(index)
+    new = old.copy()
+    new[at, far % 3] = m + owner
+    # entry (i, j) of a far triangle moves when corner i or j does
+    moved = new != old
+    changed = (moved[:, :, None] | moved[:, None, :]).reshape(-1, 9)
+    entries = local[tris].reshape(-1, 9)[changed]
+    rows = [np.repeat(dofs, 3, axis=1)[changed] for dofs in (new, old)]
+    cols = [np.tile(dofs, (1, 3))[changed] for dofs in (new, old)]
+    dS = np.zeros((m + n_slit, m + n_slit))
+    np.add.at(dS, (np.concatenate(rows), np.concatenate(cols)), np.concatenate([entries, -entries]))
+    E = dS[:m, :m] - dS[:m, m:] @ _dense_solve(dS[m:, m:], dS[m:, :m])
+    keep = verts != pin
+    return verts[keep], E[keep][:, keep]
 
 
 # which sides of the region bracket a peel tests: both, or only the one
@@ -398,13 +378,13 @@ class RegionMaps:
       annihilates constants and an enclosed vertex then takes the tied
       value. So ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C`` with
       ``H = G_CC^-1`` and one indicator column of ``T`` per component, the
-      ``ChainMaps`` conducting formula with several ties.
+      ``chain_matrices`` conducting formula with several ties.
     * excluded, one folded block: in vertex space, with a placeholder
       identity row on every enclosed vertex, taking pixel p out of R adds
       p's element stiffness back and drops the placeholder of the vertices
       p releases. That update ``E`` lives on p's vertices S, and
-      ``N(R - p) = N(R) - Z_S^T (I + E G_SS)^-1 E Z_S``, the ``ChainMaps``
-      insulating formula, where G and Z now belong to the excluded R. They
+      ``N(R - p) = N(R) - Z_S^T (I + E G_SS)^-1 E Z_S``, the
+      ``chain_matrices`` insulating formula, where G and Z now belong to the excluded R. They
       are kept on C(R) only, since an enclosed vertex has the Green's row
       ``e_v`` and potential zero. The block starts from one factorization
       of the excluded R0 and its Green's columns on C(R0); ``peel`` folds an
@@ -443,18 +423,12 @@ class RegionMaps:
         # each side is (NdMatrix, vertices, their pinned potentials, their
         # pinned Green's block); one factorization is alive at a time
         if mode != "insulating":
-            self._frozen = self._block(NdSolver(mesh, gamma0), self._skeleton)
+            N, Z, G = _background(NdSolver(mesh, gamma0), basis, self._skeleton)
+            self._frozen = (N, self._skeleton, Z, G)
         if mode != "conducting":
-            self._excluded = self._block(
-                NdSolver(mesh, gamma0, {"excluded": R0}), self._boundary(R0)
-            )
-
-    def _block(self, solver, verts):
-        potentials = solver.solve_current(self.basis.vectors)
-        N = solver._nd_matrix(potentials, self.basis)
-        dofs = solver.dm.vertex_dof[verts]
-        Z = potentials.values[dofs] - potentials.values[solver.fact.pin]
-        return N, verts, Z, _green_block(solver.fact, solver.K, dofs, self.basis.M)
+            C = self._boundary(R0)
+            N, Z, G = _background(NdSolver(mesh, gamma0, {"excluded": R0}), basis, C)
+            self._excluded = (N, C, Z, G)
 
     def _boundary(self, region):
         # the region's boundary vertices C, ascending
@@ -591,12 +565,12 @@ def psd_test(A, tau):
     return (min_eig >= -tau, min_eig)
 
 
-def default_tau(minuend, factor=PSD_TAU_FACTOR):
+def default_tau(minuend):
     """Tolerance scaled to the spectral norm of the inequality's minuend."""
     if isinstance(minuend, NdMatrix):
         minuend = minuend.entries
     w = np.linalg.eigvalsh(0.5 * (minuend + minuend.T))
-    return factor * float(np.max(np.abs(w)))
+    return PSD_TAU_FACTOR * float(np.max(np.abs(w)))
 
 
 def tau_for(minuend, tau):

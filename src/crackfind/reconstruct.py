@@ -159,8 +159,7 @@ def reconstruct_upper(data, mesh, gamma0, basis, grid, mode="both", tau=None):
     dead = set()
     while True:
         advanced = False
-        for cand in geometry.peel_candidates(maps.region):
-            (pixel,) = maps.region.members - cand.members
+        for pixel in geometry.peel_candidates(maps.region):
             if pixel in dead:
                 continue
             ok, certs = upper_bound_tests(
@@ -187,18 +186,11 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     must come from cracks of the single matching kind: an NdMatrix whose
     crack kinds are both, or the other one, is refused.
 
-    Every N_chain comes from ``ndmap.ChainMaps``: one factorization of the
-    crack-free background for the whole call, then one low-rank update on
-    the chain's star per candidate,
-
-    * insulating: ``N_chain = N0 - Z_S^T (I + E G_SS)^-1 E Z_S``, with E the
-      slit's stiffness change condensed onto the star's old dofs S;
-    * conducting: ``N_chain = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C``,
-      with ``H = G_CC^-1`` and T tying the chain C to one dof;
-
-    where N0 is the background matrix, Z its potentials and G its Green's
-    function. A candidate that fails ``CrackSet.validate`` raises. The
-    insulating threshold depends only on the data, so it is computed once.
+    Every N_chain comes from ``ndmap.chain_matrices``, a low-rank update of
+    one factorized crack-free background on the chain's star (the formulas
+    are in its docstring). A candidate that fails ``CrackSet.validate``
+    raises. The insulating threshold depends only on the data, so it is
+    computed once.
     """
     if kind not in geometry.KINDS:
         raise ValueError("kind must be one of %s" % (geometry.KINDS,))
@@ -217,8 +209,7 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     if kind == geometry.INSULATING:
         tau = ndmap.tau_for(data, tau)
     accepted, rejected = [], []
-    maps = ndmap.ChainMaps(mesh, gamma0, basis)
-    for comp, n_chain in zip(comps, maps.nd_matrices(comps)):
+    for comp, n_chain in zip(comps, ndmap.chain_matrices(mesh, gamma0, basis, comps)):
         if kind == geometry.INSULATING:
             diff, minuend = d - n_chain.entries, data
         else:

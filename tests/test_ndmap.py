@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from crackfind import fem, geometry, ndmap
+from crackfind import fem, geometry, ndmap, reconstruct
 from crackfind.geometry import (
     CrackSet,
     build_disk_mesh,
@@ -341,13 +341,11 @@ def assert_matches_nd_solver(mesh, gamma0, basis, comps, got):
     shape=st.sampled_from(["rect", "disk"]),
     arc=st.booleans(),
     box=st.booleans(),
-    green=st.sampled_from([3, ndmap.GREEN_COLUMNS]),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_chain_maps_match_nd_solver(shape, arc, box, green, seed):
+def test_chain_maps_match_nd_solver(shape, arc, box, seed):
     # differential oracle: the low-rank update of every chain against its own
-    # factorization, both kinds, under a gamma0 box and on partial arcs; a
-    # small Green's batch makes batches end between chains
+    # factorization, both kinds, under a gamma0 box and on partial arcs
     mesh = CHAIN_MESHES[shape, arc]
     rng = np.random.default_rng(seed)
     spec = 1.0
@@ -360,8 +358,7 @@ def test_chain_maps_match_nd_solver(shape, arc, box, green, seed):
         geometry.CrackComponent(random_chain(mesh, rng, int(rng.integers(1, 6))), kind)
         for kind in rng.choice(geometry.KINDS, size=5)
     ]
-    with mock.patch.object(ndmap, "GREEN_COLUMNS", green):
-        got = list(ndmap.ChainMaps(mesh, gamma0, basis).nd_matrices(comps))
+    got = list(ndmap.chain_matrices(mesh, gamma0, basis, comps))
     assert_matches_nd_solver(mesh, gamma0, basis, comps, got)
 
 
@@ -380,21 +377,68 @@ def test_chain_maps_star_holding_the_pinned_dof():
     assert pin in mesh.triangles[far // 3]
     gamma0 = fem.Conductivity.from_spec(mesh, {"boxes": [{"box": [0, 0.7, 1, 1], "value": 3.0}]})
     basis = ndmap.build_basis(mesh, 4)
-    got = list(ndmap.ChainMaps(mesh, gamma0, basis).nd_matrices([comp]))
+    got = list(ndmap.chain_matrices(mesh, gamma0, basis, [comp]))
     assert_matches_nd_solver(mesh, gamma0, basis, [comp], got)
 
 
 def test_chain_maps_refuse_invalid_chains():
     mesh = CHAIN_MESHES["rect", False]
     gamma0 = fem.Conductivity(mesh, 1.0)
-    maps = ndmap.ChainMaps(mesh, gamma0, ndmap.build_basis(mesh, 6))
+    basis = ndmap.build_basis(mesh, 6)
     bvs = sorted(mesh.boundary_vertex_set())
     edges = mesh.edges()
     # an edge from a boundary vertex into the interior
     a, b = next(e for e in edges.tolist() if (e[0] in bvs) != (e[1] in bvs))
     for kind in geometry.KINDS:
         with pytest.raises(ValueError, match="boundary"):
-            list(maps.nd_matrices([geometry.CrackComponent((a, b), kind)]))
+            list(ndmap.chain_matrices(mesh, gamma0, basis, [geometry.CrackComponent((a, b), kind)]))
+
+
+def record_green_solves(monkeypatch):
+    """The dofs of every Green's solve of ``fem.Factorization``, one array per call.
+
+    A Green's solve is recognised by its load: e_c - e_pin for each column c.
+    """
+    calls = []
+    real = fem.Factorization.solve
+
+    def solve(self, b, rows=None):
+        k = b.shape[-1] if b.ndim == 2 else 0
+        if rows is not None and np.array_equal(b, np.vstack([np.eye(k), -np.ones((1, k))])):
+            assert rows[-1] == self.pin
+            calls.append(np.asarray(rows[:-1]))
+        return real(self, b, rows)
+
+    monkeypatch.setattr(fem.Factorization, "solve", solve)
+    return calls
+
+
+def test_chain_green_columns_solved_once(monkeypatch):
+    # the inner-chains benchmark scenario at seed 0: 520 insulating
+    # candidates whose stars hold 193 distinct vertices; each star vertex is
+    # one Green's column, solved once, and no solve is wider than the basis
+    mesh = build_rect_mesh(1.0, 1.0, 1.0 / 16)
+    mesh, _ = embed_crack(mesh, [(0.25, 0.75), (0.5, 0.75)], geometry.INSULATING)
+    grid = geometry.PixelGrid(mesh, 8, 8)
+    basis = ndmap.build_basis(mesh, 16)
+    region = geometry.interior_pixel_set(grid)
+    comps = [
+        geometry.CrackComponent(c, geometry.INSULATING)
+        for c in reconstruct.axis_chain_candidates(mesh, region, (2, 4))
+    ]
+    assert len(comps) == 520
+    stars = set()
+    for comp in comps:
+        far, _ = fem.split_fans(mesh, CrackSet([comp]))
+        stars.update(mesh.triangles[far // 3].ravel().tolist())
+    stars.discard(int(mesh.gamma_vertices()[0]))
+    calls = record_green_solves(monkeypatch)
+    got = list(ndmap.chain_matrices(mesh, fem.Conductivity(mesh, 1.0), basis, comps))
+    assert len(got) == 520
+    columns = np.concatenate(calls).tolist()
+    assert len(columns) == len(set(columns)) == len(stars) == 193
+    assert set(columns) == stars
+    assert max(len(c) for c in calls) <= basis.M
 
 
 # ------------------------------------------------------------------ #
@@ -451,15 +495,36 @@ def test_region_maps_match_nd_solver(shape, arc, box, mode, seed):
     assert_region_matches_nd_solver(mesh, gamma0, basis, maps.region, maps.matrices(), mode)
     for _ in range(3):
         cands = geometry.peel_candidates(maps.region)
-        cand = cands[rng.integers(len(cands))]
-        (pixel,) = maps.region.members - cand.members
+        pixel = cands[rng.integers(len(cands))]
+        cand = maps.region.minus(pixel)
         assert_region_matches_nd_solver(mesh, gamma0, basis, cand, maps.matrices(pixel), mode)
         # fold a few removals between the checked ones
         for _ in range(int(rng.integers(1, 6))):
             cands = geometry.peel_candidates(maps.region)
-            (pixel,) = maps.region.members - cands[rng.integers(len(cands))].members
-            maps.peel(pixel)
+            maps.peel(cands[rng.integers(len(cands))])
     assert_region_matches_nd_solver(mesh, gamma0, basis, maps.region, maps.matrices(), mode)
+
+
+def test_region_maps_green_columns(monkeypatch):
+    # a start solves one Green's column per skeleton vertex (frozen side) and
+    # per boundary vertex of R0 (excluded side), in blocks of at most M
+    mesh = REGION_MESHES["rect", False]
+    basis = ndmap.build_basis(mesh, 6)
+    grid = geometry.PixelGrid(mesh, 8, 8)
+    R0 = geometry.interior_pixel_set(grid)
+    pixels = [set() for _ in mesh.vertices]
+    inside = np.zeros(len(mesh.vertices), dtype=bool)
+    outside = np.zeros(len(mesh.vertices), dtype=bool)
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        for v in tri:
+            pixels[v].add(int(grid.tri_pixel[t]))
+        (inside if grid.tri_pixel[t] in R0.members else outside)[tri] = True
+    skeleton = [v for v in range(len(mesh.vertices)) if inside[v] and len(pixels[v]) > 1]
+    boundary = np.flatnonzero(inside & outside)
+    calls = record_green_solves(monkeypatch)
+    ndmap.RegionMaps(mesh, fem.Conductivity(mesh, 1.0), basis, R0)
+    assert sum(len(c) for c in calls) == len(skeleton) + len(boundary)
+    assert max(len(c) for c in calls) <= basis.M
 
 
 def test_region_maps_split_and_empty_regions():
