@@ -78,27 +78,6 @@ class Field:
         return "Field(%d dofs)" % len(self.values)
 
 
-class ElementVectorField:
-    """Per-triangle constant 2-vector supported on a set of triangles."""
-
-    def __init__(self, mesh, values, support):
-        self.mesh = mesh
-        self.support = np.asarray(sorted(set(int(t) for t in support)), dtype=np.int64)
-        v = np.zeros((len(mesh.triangles), 2))
-        values = np.asarray(values, dtype=float)
-        if values.shape == (len(self.support), 2):
-            v[self.support] = values
-        elif values.shape == v.shape:
-            v[self.support] = values[self.support]
-        else:
-            raise ValueError("values must cover the support or the whole mesh")
-        self.values = v
-        self.values.setflags(write=False)
-
-    def __repr__(self):
-        return "ElementVectorField(%d support triangles)" % len(self.support)
-
-
 def gamma_mass(mesh):
     """Mass matrix of piecewise-linear functions on the measurement arc.
 
@@ -459,28 +438,20 @@ def solve_neumann(K, dm, f, fact=None):
 def solve_source(K, dm, F, fact=None):
     """Solve for the potentials generated by interior element sources.
 
-    ``F`` is either one ElementVectorField, which gives a Field with one
-    column, or a pair ``(tris, vectors)`` of shapes ``(k,)`` and ``(k, 2)``
+    ``F`` is a pair ``(tris, vectors)`` of shapes ``(k,)`` and ``(k, 2)``
     standing for k sources: source j is the constant vector ``vectors[j]``
     on triangle ``tris[j]`` and zero elsewhere. The k sources are solved
     together and give a Field with k columns. No source may meet an
     excluded region.
     """
     mesh = dm.mesh
-    if isinstance(F, ElementVectorField):
-        if F.mesh is not mesh:
-            raise ValueError("source field lives on a different mesh")
-        tris, vectors = F.support, F.values[F.support]
-        cols, tail = np.zeros(len(tris), dtype=np.int64), ()
-    else:
-        tris, vectors = F
-        tris = np.asarray(tris, dtype=np.int64)
-        vectors = np.asarray(vectors, dtype=float)
-        if tris.ndim != 1 or vectors.shape != (len(tris), 2):
-            raise ValueError("sources need one triangle and one 2-vector each")
-        if tris.size and (tris.min() < 0 or tris.max() >= len(mesh.triangles)):
-            raise ValueError("source triangle index out of range")
-        cols, tail = np.arange(len(tris)), (len(tris),)
+    tris, vectors = F
+    tris = np.asarray(tris, dtype=np.int64)
+    vectors = np.asarray(vectors, dtype=float)
+    if tris.ndim != 1 or vectors.shape != (len(tris), 2):
+        raise ValueError("sources need one triangle and one 2-vector each")
+    if tris.size and (tris.min() < 0 or tris.max() >= len(mesh.triangles)):
+        raise ValueError("source triangle index out of range")
     if not np.all(dm.active_tri[tris]):
         raise ValueError("source support meets the excluded region")
     g = _hat_gradients(mesh)[tris]
@@ -489,7 +460,7 @@ def solve_source(K, dm, F, fact=None):
     # with exactly zero; rounding would leave a residue the solve fails on
     dofs = dm.corner_dof[tris]
     contrib[(dofs[:, 0] == dofs[:, 1]) & (dofs[:, 1] == dofs[:, 2])] = 0.0
-    rows, b = _load(dofs, cols[:, None], contrib, tail)
+    rows, b = _load(dofs, np.arange(len(tris))[:, None], contrib, (len(tris),))
     return _solve(K, dm, rows, b, fact)
 
 
@@ -500,25 +471,18 @@ def energy(K, a, b):
     return float(a.values @ (K @ b.values))
 
 
-def gradient_on(field, region):
-    """Per-triangle gradient of a field, restricted to a region.
+def gradient_on(field, tris):
+    """Gradients ``(k, 2)`` of a one-column field on the triangles ``tris``.
 
-    ``region`` is a PixelSet or an iterable of triangle indices. Triangles
-    outside the region (or excluded from the dof map) carry a zero vector.
+    Row j is the constant gradient on triangle ``tris[j]``. No triangle may
+    be excluded from the field's dof map.
     """
     dm = field.dofmap
-    mesh = dm.mesh
-    if isinstance(region, geometry.PixelSet):
-        tris = region.triangles()
-    else:
-        tris = np.asarray(sorted(set(int(t) for t in region)), dtype=np.int64)
-    tris = tris[dm.active_tri[tris]] if tris.size else tris
-    g = _hat_gradients(mesh)
-    vals = np.zeros((len(tris), 2))
-    for k, t in enumerate(tris):
-        u = field.values[dm.corner_dof[t]]
-        vals[k] = u @ g[t]
-    return ElementVectorField(mesh, vals, tris)
+    tris = np.asarray(tris, dtype=np.int64)
+    if not np.all(dm.active_tri[tris]):
+        raise ValueError("gradient triangles meet the excluded region")
+    u = field.values[dm.corner_dof[tris]]
+    return np.einsum("ti,tic->tc", u, _hat_gradients(dm.mesh)[tris])
 
 
 def trace_on_gamma(field):

@@ -221,6 +221,9 @@ def validate_scenario(s):
         problems.append("locpot_n values must be positive numbers")
     elif any(a >= b for a, b in zip(s.locpot_n, s.locpot_n[1:])):
         problems.append("locpot_n must be strictly increasing")
+    elif 0 < len(s.locpot_n) < 3:
+        # the monotone flags compare the steps after the first value
+        problems.append("locpot_n needs at least three values when given")
     if not (_real(s.noise) and np.isfinite(s.noise) and s.noise >= 0):
         problems.append("noise must be a nonnegative finite number")
     if not (_integer(s.seed) and s.seed >= 0):
@@ -474,7 +477,8 @@ def run_scenario(s, out_dir=None):
     timings["data"] = time.perf_counter() - t0
 
     results = {}
-    artifacts = {"data_matrix.json": data.to_json()}
+    # every artifact as text, keyed by file name
+    artifacts = {"data_matrix.json": _dump_json(data.to_json())}
     if s.noise > 0:
         scale = ndmap.tau_for(data, s.tau)
         results["noise_check"] = {
@@ -494,8 +498,8 @@ def run_scenario(s, out_dir=None):
             # which is no reconstruction and gets no score
             score = reconstruct.score(res, built.cracks, built.grid) if res.initial_ok else None
             results["upper"] = {"report": res.to_json(), "score": score}
-            artifacts["upper_result.json"] = res.to_json()
-            artifacts["upper_raster.csv"] = res.final_set
+            artifacts["upper_result.json"] = _dump_json(res.to_json())
+            artifacts["upper_raster.csv"] = reconstruct.raster_csv(res.final_set)
         elif method == "inner":
             kind = KIND_NAMES[next(iter(s.crack_set_kinds()))]
             lengths = tuple(
@@ -503,6 +507,12 @@ def run_scenario(s, out_dir=None):
             )
             region = geometry.interior_pixel_set(built.grid)
             cands = reconstruct.axis_chain_candidates(built.mesh, region, lengths)
+            if not cands:
+                # nothing tested is no reconstruction and gets no score
+                raise ScenarioError(
+                    ["inner_lengths %s give no candidate chain in the interior pixels"
+                     % list(lengths)]
+                )
             res = reconstruct.reconstruct_inner(
                 data, built.mesh, built.gamma0, built.basis, cands, kind, tau=s.tau
             )
@@ -510,15 +520,15 @@ def run_scenario(s, out_dir=None):
                 "report": res.to_json(),
                 "score": reconstruct.score(res, built.cracks, built.grid),
             }
-            artifacts["inner_result.json"] = res.to_json()
+            artifacts["inner_result.json"] = _dump_json(res.to_json())
         elif method == "chain":
             results["chain"] = _chain_report(built, data, s.tau)
-            artifacts["chain_result.json"] = results["chain"]
+            artifacts["chain_result.json"] = _dump_json(results["chain"])
         elif method == "locpot":
             runs = locpot.run_localized_demo(built.table, n_values=list(s.locpot_n) or None)
             results["locpot"] = {variant: rep for variant, (_, rep) in runs.items()}
-            for variant, run in runs.items():
-                artifacts["locpot_%s.csv" % variant] = run
+            for variant, (seq, rep) in runs.items():
+                artifacts["locpot_%s.csv" % variant] = locpot.sequence_to_csv(seq, rep)
         timings[method] = time.perf_counter() - t0
 
     report = RunReport(
@@ -562,19 +572,8 @@ def _sha256_bytes(blob):
 
 def _write_artifacts(report, artifacts, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    blobs = {"scenario.json": _dump_json(report.scenario).encode()}
-    for name, payload in artifacts.items():
-        if name.endswith(".json"):
-            blobs[name] = _dump_json(payload).encode()
-            continue
-        # CSV artifacts are produced by their own writers, then hashed back
-        path = os.path.join(out_dir, name)
-        if name.startswith("locpot"):
-            locpot.sequence_to_csv(payload[0], payload[1], path)
-        else:
-            reconstruct.raster_csv(payload, path)
-        with open(path, "rb") as fh:
-            blobs[name] = fh.read()
+    texts = {"scenario.json": _dump_json(report.scenario), **artifacts}
+    blobs = {name: text.encode() for name, text in texts.items()}
     for name, blob in blobs.items():
         with open(os.path.join(out_dir, name), "wb") as fh:
             fh.write(blob)

@@ -12,10 +12,12 @@ singular vector lives and starve it everywhere the far operator can reach.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import scipy.linalg
 
-from . import fem, geometry, ndmap
+from . import fem, geometry
 
 INVISIBLE_ATOL = 1e-12
 DEFAULT_N_VALUES = tuple(10 ** k for k in range(7))
@@ -27,45 +29,18 @@ class SourceOperator:
     Columns correspond to unit-norm element fields (one triangle, one
     coordinate direction, scaled by 1/sqrt(area)); rows correspond to the
     current-basis vectors. With orthonormal bases on both sides, the matrix
-    transpose acts as the adjoint.
+    transpose is the adjoint: it sends a current's coefficients to the
+    sqrt(area)-scaled gradients of its potential on the region.
     """
 
-    def __init__(self, mesh, basis, tris, matrix, config_label):
-        self.mesh = mesh
-        self.basis = basis
+    def __init__(self, tris, matrix):
         self.tris = np.asarray(tris, dtype=np.int64)
         self.matrix = np.asarray(matrix, dtype=float)
-        if self.matrix.shape != (basis.M, 2 * len(self.tris)):
-            raise ValueError("matrix shape does not match basis and region")
-        self.config_label = config_label
-        self._root_areas = np.sqrt(mesh.tri_areas()[self.tris]) if len(self.tris) else np.zeros(0)
+        if self.matrix.ndim != 2 or self.matrix.shape[1] != 2 * len(self.tris):
+            raise ValueError("matrix shape does not match the region")
 
     def __repr__(self):
-        return "SourceOperator(%s, %d triangles)" % (self.config_label, len(self.tris))
-
-    def pack(self, values):
-        """Field values on the region triangles -> orthonormal coefficients."""
-        v = np.asarray(values, dtype=float)
-        if v.shape != (len(self.tris), 2):
-            raise ValueError("values must be one 2-vector per region triangle")
-        return (v * self._root_areas[:, None]).reshape(-1)
-
-    def unpack(self, coeffs):
-        c = np.asarray(coeffs, dtype=float).reshape(len(self.tris), 2)
-        return c / self._root_areas[:, None]
-
-    def apply(self, F):
-        """Current-basis coefficients of the voltage generated by ``F``."""
-        if isinstance(F, fem.ElementVectorField):
-            F = F.values[self.tris]
-        return self.matrix @ self.pack(F)
-
-    def adjoint(self, f_coeffs):
-        """Gradient field on the region generated by the current ``f_coeffs``."""
-        c = self.matrix.T @ np.asarray(f_coeffs, dtype=float)
-        if not len(self.tris):
-            return fem.ElementVectorField(self.mesh, np.zeros((0, 2)), [])
-        return fem.ElementVectorField(self.mesh, self.unpack(c), self.tris)
+        return "SourceOperator(%d triangles)" % len(self.tris)
 
 
 def build_source_operator(solver, V, basis):
@@ -94,7 +69,7 @@ def build_source_operator(solver, V, basis):
         # next block is solved
         traces = fem.trace_on_gamma(solver.solve_source((src_tris[cols], unit[cols])))
         matrix[:, cols] = weighted.T @ traces
-    return SourceOperator(mesh, basis, tris, matrix, solver.dm.config_label())
+    return SourceOperator(tris, matrix)
 
 
 class Y0Pick:
@@ -150,7 +125,7 @@ class LocSequence:
 def localized_sequence(A1, A2, y0, n_values=None):
     """Currents whose energy drains off A2's region while A1's response grows.
 
-    ``A1`` and ``A2`` are source operators or their matrices. For each
+    ``A1`` and ``A2`` are source-operator matrices. For each
     regularization index n, solves (A2 A2* + I/n) xi = y0 in the current
     basis and normalizes f = xi / |A2* xi|^(3/2). Records |A1* f| and
     |A2* f|, whose squares are the energies f drives into the two regions.
@@ -165,24 +140,22 @@ def localized_sequence(A1, A2, y0, n_values=None):
         b <= a for a, b in zip(n_values, n_values[1:])
     ):
         raise ValueError("n_values must be positive and increasing")
-    B1 = getattr(A1, "matrix", A1)
-    B2 = getattr(A2, "matrix", A2)
-    G2 = B2 @ B2.T
+    G2 = A2 @ A2.T
     eye = np.eye(len(G2))
     f_n, a1_norms, a2_norms = [], [], []
     degenerate = False
     used = []
     for n in n_values:
         xi = scipy.linalg.solve(G2 + eye / n, y0, assume_a="pos")
-        a2_xi = float(np.linalg.norm(B2.T @ xi))
+        a2_xi = float(np.linalg.norm(A2.T @ xi))
         if a2_xi == 0.0:
             degenerate = True
             break
         f = xi / a2_xi ** 1.5
         used.append(n)
         f_n.append(f)
-        a1_norms.append(float(np.linalg.norm(B1.T @ f)))
-        a2_norms.append(float(np.linalg.norm(B2.T @ f)))
+        a1_norms.append(float(np.linalg.norm(A1.T @ f)))
+        a2_norms.append(float(np.linalg.norm(A2.T @ f)))
     return LocSequence(y0, used, f_n, a1_norms, a2_norms, degenerate)
 
 
@@ -199,15 +172,13 @@ def monotone_flags(seq):
 def blowup_metrics(seq, configs):
     """Evaluate quadratic forms of the sequence currents and report trends.
 
-    ``configs`` maps a label to a (high, low) matrix pair; the form is
+    ``configs`` maps a label to a (high, low) NdMatrix pair; the form is
     f^T (high - low) f per step. The trend ratio divides the last value by
     the first (clamped away from zero).
     """
     report = {"n_values": list(seq.n_values), "forms": {}, "trend": {}}
     for label, (hi, lo) in configs.items():
-        hi = hi.entries if isinstance(hi, ndmap.NdMatrix) else np.asarray(hi)
-        lo = lo.entries if isinstance(lo, ndmap.NdMatrix) else np.asarray(lo)
-        diff = hi - lo
+        diff = hi.entries - lo.entries
         vals = [float(f @ (diff @ f)) for f in seq.f_n]
         report["forms"][label] = vals
         first = vals[0] if vals else 0.0
@@ -265,7 +236,9 @@ def run_localized_demo(table, n_values=None):
             raise ValueError(
                 "%s cracks invisible at this resolution (sigma=%.3e)" % (variant, pick.sigma)
             )
-        seq = localized_sequence(pick.difference, ops[bg, "grown " + far], pick.y0, n_values)
+        seq = localized_sequence(
+            pick.difference, ops[bg, "grown " + far].matrix, pick.y0, n_values
+        )
         report = blowup_metrics(seq, {
             "upper_far": (table.nd("excluded " + far), table.nd("none")),
             "lower_far": (table.nd("none"), table.nd("frozen " + far)),
@@ -278,11 +251,13 @@ def run_localized_demo(table, n_values=None):
     return out
 
 
-def sequence_to_csv(seq, report, path):
-    """Write (n, |A1* f|, |A2* f|, the report's quadratic forms) rows."""
+def sequence_to_csv(seq, report):
+    """CSV text of (n, |A1* f|, |A2* f|, the report's quadratic forms) rows."""
     labels = sorted(report["forms"]) if report else []
     cols = [seq.n_values, seq.a1_norms, seq.a2_norms]
     cols += [report["forms"][k] for k in labels]
     header = ",".join(["n", "a1_norm", "a2_norm"] + labels)
     arr = np.column_stack(cols) if cols[0] else np.zeros((0, 3 + len(labels)))
-    np.savetxt(path, arr, fmt="%.17g", delimiter=",", header=header, comments="")
+    out = io.StringIO()
+    np.savetxt(out, arr, fmt="%.17g", delimiter=",", header=header, comments="")
+    return out.getvalue()

@@ -149,7 +149,7 @@ class NdSolver:
         return fem.solve_neumann(self.K, self.dm, f, self.fact)
 
     def solve_source(self, F):
-        """Potential of one ElementVectorField or a ``(tris, vectors)`` block."""
+        """Potentials of a ``(tris, vectors)`` block of element sources."""
         return fem.solve_source(self.K, self.dm, F, self.fact)
 
     def nd_matrix(self, basis):
@@ -548,12 +548,10 @@ class RegionMaps:
 def psd_test(A, tau):
     """Positive-semidefiniteness certificate: (verdict, smallest eigenvalue).
 
-    ``A`` may be an NdMatrix or a square array; it must be symmetric up to
-    a strict relative tolerance. The verdict is true iff the smallest
-    eigenvalue is at least ``-tau``.
+    ``A`` is a square array; it must be symmetric up to a strict relative
+    tolerance. The verdict is true iff the smallest eigenvalue is at least
+    ``-tau``.
     """
-    if isinstance(A, NdMatrix):
-        A = A.entries
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
@@ -566,10 +564,8 @@ def psd_test(A, tau):
 
 
 def default_tau(minuend):
-    """Tolerance scaled to the spectral norm of the inequality's minuend."""
-    if isinstance(minuend, NdMatrix):
-        minuend = minuend.entries
-    w = np.linalg.eigvalsh(0.5 * (minuend + minuend.T))
+    """Tolerance scaled to the spectral norm of the minuend, an NdMatrix."""
+    w = np.linalg.eigvalsh(0.5 * (minuend.entries + minuend.entries.T))
     return PSD_TAU_FACTOR * float(np.max(np.abs(w)))
 
 

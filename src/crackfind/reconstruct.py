@@ -11,15 +11,13 @@ from inside.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 from . import geometry, ndmap
 
 MODES = ndmap.MODES
-
-
-def _entries(m):
-    return m.entries if isinstance(m, ndmap.NdMatrix) else np.asarray(m, dtype=float)
 
 
 class UpperBoundResult:
@@ -108,7 +106,7 @@ def upper_bound_tests(data, excluded, frozen, tau=None, data_tau=None):
     """
     if excluded is None and frozen is None:
         raise ValueError("need the excluded or the frozen response")
-    d = _entries(data)
+    d = data.entries
     certs = []
     if excluded is not None:
         certs.append(
@@ -194,12 +192,11 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     """
     if kind not in geometry.KINDS:
         raise ValueError("kind must be one of %s" % (geometry.KINDS,))
-    kinds = data.kinds if isinstance(data, ndmap.NdMatrix) else frozenset()
-    if len(kinds) > 1:
+    if len(data.kinds) > 1:
         raise ValueError("data mixes crack kinds; inner tests need single-kind data")
-    if kinds and kind not in kinds:
+    if data.kinds and kind not in data.kinds:
         raise ValueError("data kind does not match the requested test kind")
-    d = _entries(data)
+    d = data.entries
     comps = []
     for raw in candidates:
         comp = raw if isinstance(raw, geometry.CrackComponent) else geometry.CrackComponent(raw, kind)
@@ -366,6 +363,8 @@ def score(result, ground_truth, grid):
     }
 
 
-def raster_csv(pixelset, path):
-    """Write the pixel mask as a CSV grid of 0/1, row iy ascending."""
-    np.savetxt(path, pixelset.mask().astype(int), fmt="%d", delimiter=",")
+def raster_csv(pixelset):
+    """CSV text of the pixel mask as a grid of 0/1, row iy ascending."""
+    out = io.StringIO()
+    np.savetxt(out, pixelset.mask().astype(int), fmt="%d", delimiter=",")
+    return out.getvalue()

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from crackfind import fem, geometry, ndmap
 from crackfind.fem import (
     Conductivity,
-    ElementVectorField,
     Factorization,
     assemble_stiffness,
     build_dofmap,
@@ -471,8 +470,7 @@ def test_source_zero():
     mesh = square(8)
     dm = build_dofmap(mesh)
     K = assemble_stiffness(mesh, one(mesh), dm)
-    F = ElementVectorField(mesh, np.zeros((3, 2)), [0, 1, 2])
-    w = solve_source(K, dm, F)
+    w = solve_source(K, dm, ([0, 1, 2], np.zeros((3, 2))))
     assert np.max(np.abs(w.values)) < 1e-14
 
 
@@ -483,12 +481,11 @@ def test_source_linearity():
     fact = Factorization(K, dm)
     rng = np.random.default_rng(11)
     tris = [10, 11, 12, 20]
-    F1 = ElementVectorField(mesh, rng.standard_normal((4, 2)), tris)
-    F2 = ElementVectorField(mesh, rng.standard_normal((4, 2)), tris)
-    Fsum = ElementVectorField(mesh, F1.values + F2.values, tris)
-    w1 = solve_source(K, dm, F1, fact)
-    w2 = solve_source(K, dm, F2, fact)
-    ws = solve_source(K, dm, Fsum, fact)
+    v1 = rng.standard_normal((4, 2))
+    v2 = rng.standard_normal((4, 2))
+    w1 = solve_source(K, dm, (tris, v1), fact)
+    w2 = solve_source(K, dm, (tris, v2), fact)
+    ws = solve_source(K, dm, (tris, v1 + v2), fact)
     assert np.allclose(ws.values, w1.values + w2.values, atol=1e-11)
 
 
@@ -500,7 +497,7 @@ def test_source_linearity():
 )
 def test_block_sources_match_single_fields(dofmaps, kind, k, seed):
     # differential oracle: one block solve of k single-triangle sources
-    # against one ElementVectorField solve per source
+    # against one single-column solve per source
     dm = dofmaps[kind]
     mesh = dm.mesh
     K = assemble_stiffness(mesh, one(mesh), dm)
@@ -511,14 +508,13 @@ def test_block_sources_match_single_fields(dofmaps, kind, k, seed):
     U = solve_source(K, dm, (tris, vectors), fact).values
     assert U.shape == (dm.n_dofs, k)
     for j in range(k):
-        F = ElementVectorField(mesh, vectors[j : j + 1], [tris[j]])
-        u = solve_source(K, dm, F, fact).values
+        u = solve_source(K, dm, (tris[j : j + 1], vectors[j : j + 1]), fact).values[:, 0]
         assert np.linalg.norm(U[:, j] - u) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_sources_inside_frozen_block_give_zero_potential(dofmaps):
     # a triangle whose three corners share one dof carries no load: every
-    # single-triangle source in the frozen block solves to zero in both forms
+    # single-triangle source in the frozen block solves to zero, alone or in a block
     dm = dofmaps["frozen"]
     mesh = dm.mesh
     K = assemble_stiffness(mesh, one(mesh), dm)
@@ -529,8 +525,7 @@ def test_sources_inside_frozen_block_give_zero_potential(dofmaps):
     vectors = np.random.default_rng(0).standard_normal((len(tris), 2))
     assert not np.any(solve_source(K, dm, (tris, vectors), fact).values)
     for t, v in zip(tris, vectors):
-        F = ElementVectorField(mesh, v[None, :], [t])
-        assert not np.any(solve_source(K, dm, F, fact).values)
+        assert not np.any(solve_source(K, dm, ([t], v[None, :]), fact).values)
 
 
 @pytest.mark.parametrize("kind", ["plain", "slit", "tied", "excluded", "frozen"])
@@ -565,14 +560,15 @@ def test_source_variational_identity():
     V = PixelSet.from_rect(grid, 1, 1, 2, 2)
     tris = V.triangles()
     rng = np.random.default_rng(5)
-    F = ElementVectorField(m2, rng.standard_normal((len(tris), 2)), tris)
-    w = solve_source(K, dm, F)
+    vectors = rng.standard_normal((len(tris), 2))
+    # one column per triangle; their sum is the potential of the whole field
+    w = fem.Field(solve_source(K, dm, (tris, vectors)).values.sum(axis=1), dm)
     areas = m2.tri_areas()
     for _ in range(20):
         v = fem.Field(rng.standard_normal(dm.n_dofs), dm)
         lhs = energy(K, w, v)
         gv = gradient_on(v, tris)
-        rhs = float(np.sum(areas[tris, None] * F.values[tris] * gv.values[tris]))
+        rhs = float(np.sum(areas[tris, None] * vectors * gv))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -586,8 +582,8 @@ def test_gradient_of_linear_field():
     dm = build_dofmap(mesh)
     u = fem.Field(mesh.vertices[:, 0], dm)
     g = gradient_on(u, range(len(mesh.triangles)))
-    assert np.allclose(g.values[:, 0], 1.0)
-    assert np.allclose(g.values[:, 1], 0.0)
+    assert np.allclose(g[:, 0], 1.0)
+    assert np.allclose(g[:, 1], 0.0)
 
 
 def test_gradient_region_restriction():
@@ -595,10 +591,9 @@ def test_gradient_region_restriction():
     dm = build_dofmap(mesh)
     u = fem.Field(mesh.vertices[:, 1], dm)
     g = gradient_on(u, [4, 5])
-    outside = np.ones(len(mesh.triangles), dtype=bool)
-    outside[[4, 5]] = False
-    assert np.all(g.values[outside] == 0.0)
-    assert np.allclose(g.values[[4, 5], 1], 1.0)
+    assert g.shape == (2, 2)
+    assert np.allclose(g[:, 0], 0.0)
+    assert np.allclose(g[:, 1], 1.0)
 
 
 def test_gradient_of_constant_zero():
@@ -606,7 +601,31 @@ def test_gradient_of_constant_zero():
     dm = build_dofmap(mesh)
     u = fem.Field(np.full(dm.n_dofs, 3.7), dm)
     g = gradient_on(u, range(len(mesh.triangles)))
-    assert np.max(np.abs(g.values)) < 1e-12
+    assert np.max(np.abs(g)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["plain", "slit", "tied", "frozen"])
+def test_gradient_matches_per_triangle_loop(dofmaps, kind):
+    # differential oracle: the one-einsum gradients against the corner
+    # values of each triangle times its hat gradients, one triangle at a time
+    dm = dofmaps[kind]
+    u = fem.Field(np.random.default_rng(8).standard_normal(dm.n_dofs), dm)
+    tris = np.random.default_rng(9).permutation(len(dm.mesh.triangles))[:200]
+    hats = fem._hat_gradients(dm.mesh)
+    ref = np.array([u.values[dm.corner_dof[t]] @ hats[t] for t in tris])
+    g = gradient_on(u, tris)
+    assert g.shape == (len(tris), 2)
+    assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_gradient_refuses_excluded_triangle(dofmaps):
+    dm = dofmaps["excluded"]
+    u = fem.Field(np.ones(dm.n_dofs), dm)
+    inside = np.flatnonzero(~dm.active_tri)[0]
+    outside = np.flatnonzero(dm.active_tri)[:2]
+    assert gradient_on(u, outside).shape == (2, 2)
+    with pytest.raises(ValueError, match="excluded region"):
+        gradient_on(u, np.append(outside, inside))
 
 
 def test_trace_of_linear_on_left_arc():

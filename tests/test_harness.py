@@ -220,6 +220,21 @@ def test_cli_failed_initial_bracket_is_not_scored(tmp_path, capsys):
     assert upper["score"] is None
 
 
+def test_cli_inner_without_candidates_is_not_scored(tmp_path, capsys):
+    # no chain of 40 edges fits in the interior pixels; an empty candidate
+    # list is no reconstruction and must not get an edge coverage of 0
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "inner_insulating_16.json")
+    with open(path) as fh:
+        scn = dict(json.load(fh), inner_lengths=[40])
+    cfg = _write_config(tmp_path, scn, "long.json")
+    out = tmp_path / "i"
+    assert cli.main(["reconstruct-inner", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "invalid config"
+    assert any("no candidate" in p for p in err["problems"])
+    assert not (out / "report.json").exists()
+
+
 def test_cli_verify_monotonicity_exit_codes(tmp_path, capsys):
     cfg = _write_config(tmp_path, MIXED)
     assert cli.main(["verify-monotonicity", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
@@ -303,6 +318,9 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
         {"h": "0.0625"},
         {"size": ["1", True]},
         {"cracks": [{"kind": "insulating", "polyline": [["0.125", 0.8125], [0.375, 0.8125]]}]},
+        # too few values for the monotone flags to compare anything
+        {"locpot_n": [1]},
+        {"locpot_n": [1, 10]},
     ],
 )
 def test_malformed_nested_values_are_itemized(update, tmp_path, capsys):

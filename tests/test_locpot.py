@@ -42,12 +42,11 @@ def test_adjoint_identity_on_random_pairs(chain_setup, ops):
         for _ in range(20):
             Fv = rng.standard_normal((len(op.tris), 2))
             d = rng.standard_normal(basis.M)
-            lhs = float(op.apply(Fv) @ d)
+            # the columns take the field's values scaled by sqrt(area)
+            lhs = float(op.matrix @ (Fv * np.sqrt(areas[op.tris])[:, None]).ravel() @ d)
             u = solver.solve_current(basis.vectors @ d)
             gu = fem.gradient_on(u, op.tris)
-            rhs = float(
-                np.sum(areas[op.tris, None] * Fv * gu.values[op.tris])
-            )
+            rhs = float(np.sum(areas[op.tris, None] * Fv * gu))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -56,17 +55,17 @@ def test_adjoint_matches_direct_gradient(chain_setup, ops):
     op_empty, _ = ops
     rng = np.random.default_rng(4)
     d = rng.standard_normal(basis.M)
-    grad = op_empty.adjoint(d)
+    # the transpose gives the gradients scaled by sqrt(area)
+    root_areas = np.sqrt(mesh.tri_areas()[op_empty.tris])
+    grad = (op_empty.matrix.T @ d).reshape(-1, 2) / root_areas[:, None]
     solver = ndmap.NdSolver(mesh, gamma0)
     u = solver.solve_current(basis.vectors @ d)
     direct = fem.gradient_on(u, op_empty.tris)
-    assert np.max(np.abs(grad.values - direct.values)) < 1e-10 * max(
-        1.0, np.max(np.abs(direct.values))
-    )
+    assert np.max(np.abs(grad - direct)) < 1e-10 * max(1.0, np.max(np.abs(direct)))
 
 
 def test_source_operator_matches_per_column_reference(chain_setup, ops, monkeypatch):
-    # reference: one ElementVectorField solve per canonical source
+    # reference: one single-column solve per canonical source
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     areas = mesh.tri_areas()
     weighted = fem.gamma_mass(mesh) @ basis.vectors
@@ -75,8 +74,8 @@ def test_source_operator_matches_per_column_reference(chain_setup, ops, monkeypa
         ref = np.zeros_like(op.matrix)
         for k, t in enumerate(op.tris):
             for d in (0, 1):
-                F = fem.ElementVectorField(mesh, np.eye(2)[d : d + 1] / np.sqrt(areas[t]), [t])
-                ref[:, 2 * k + d] = weighted.T @ fem.trace_on_gamma(solver.solve_source(F))
+                F = ([t], np.eye(2)[d : d + 1] / np.sqrt(areas[t]))
+                ref[:, 2 * k + d] = weighted.T @ fem.trace_on_gamma(solver.solve_source(F))[:, 0]
         assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # the sources go through in blocks of basis.M columns
@@ -112,22 +111,11 @@ def test_source_operator_memory_stays_near_nd_matrix():
     assert sources <= 1.5 * currents
 
 
-def test_pack_unpack_round_trip(ops):
-    op_empty, _ = ops
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal((len(op_empty.tris), 2))
-    assert np.allclose(op_empty.unpack(op_empty.pack(v)), v, atol=1e-14)
-    # packing is an isometry onto L2 coefficients
-    areas = op_empty.mesh.tri_areas()[op_empty.tris]
-    l2 = np.sum(areas[:, None] * v * v)
-    assert np.linalg.norm(op_empty.pack(v)) ** 2 == pytest.approx(l2, rel=1e-12)
-
-
 def test_empty_region_gives_zero_columns(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     op = source_op(chain_setup, None, PixelSet(grid, ()))
     assert op.matrix.shape == (basis.M, 0)
-    assert np.array_equal(op.apply(np.zeros((0, 2))), np.zeros(basis.M))
+    assert np.array_equal(op.matrix @ np.zeros(0), np.zeros(basis.M))
 
 
 def test_boundary_region_rejected(chain_setup):
@@ -230,13 +218,14 @@ def test_pick_y0_symmetry_needs_enough_modes():
 def test_localized_sequence_input_validation(ops):
     op_empty, op_mixed = ops
     diff = op_mixed.matrix - op_empty.matrix
+    M = len(diff)
     with pytest.raises(ValueError):
-        locpot.localized_sequence(diff, op_empty, np.zeros(op_empty.basis.M))
-    y = np.ones(op_empty.basis.M)
+        locpot.localized_sequence(diff, op_empty.matrix, np.zeros(M))
+    y = np.ones(M)
     with pytest.raises(ValueError):
-        locpot.localized_sequence(diff, op_empty, y, n_values=[1.0, 1.0])
+        locpot.localized_sequence(diff, op_empty.matrix, y, n_values=[1.0, 1.0])
     with pytest.raises(ValueError):
-        locpot.localized_sequence(diff, op_empty, y, n_values=[-1.0, 10.0])
+        locpot.localized_sequence(diff, op_empty.matrix, y, n_values=[-1.0, 10.0])
 
 
 def test_localized_sequence_degenerate_far_operator(chain_setup, ops):
@@ -245,7 +234,7 @@ def test_localized_sequence_degenerate_far_operator(chain_setup, ops):
     empty_far = source_op(chain_setup, None, PixelSet(grid, ()))
     y = np.zeros(basis.M)
     y[0] = 1.0
-    seq = locpot.localized_sequence(op_mixed, empty_far, y)
+    seq = locpot.localized_sequence(op_mixed.matrix, empty_far.matrix, y)
     assert seq.degenerate
     assert len(seq) == 0
 
@@ -260,7 +249,7 @@ def test_localized_sequence_y0_in_far_range_stays_bounded(chain_setup, ops):
     rng = np.random.default_rng(7)
     y = op_far.matrix @ rng.standard_normal(op_far.matrix.shape[1])
     y /= np.linalg.norm(y)
-    seq = locpot.localized_sequence(diff, op_far, y)
+    seq = locpot.localized_sequence(diff, op_far.matrix, y)
     assert max(seq.a1_norms) < 10.0
     assert min(seq.a2_norms) > 0.05
 
@@ -301,7 +290,7 @@ def reference_variant(mesh, gamma0, cracks, grid, V, W, basis, variant):
     diff = op(hi, near).matrix - op(lo, near).matrix
     U, s, _ = np.linalg.svd(diff, full_matrices=False)
     Y = PixelSet(grid, far.dilate(1).members & interior_pixel_set(grid).members)
-    seq = locpot.localized_sequence(diff, op(bg, Y), U[:, 0])
+    seq = locpot.localized_sequence(diff, op(bg, Y).matrix, U[:, 0])
     forms = {
         "upper_far": (nd({"excluded": far}), nd(None)),
         "lower_far": (nd(None), nd({"frozen": far})),
@@ -370,7 +359,7 @@ def test_no_crack_control_form_is_zero(chain_setup, ops):
     op_far = source_op(chain_setup, None, W)
     y = np.zeros(basis.M)
     y[1] = 1.0
-    seq = locpot.localized_sequence(diff, op_far, y)
+    seq = locpot.localized_sequence(diff, op_far.matrix, y)
     N = ndmap.nd_matrix(mesh, gamma0, None, basis)
     report = locpot.blowup_metrics(seq, {"control": (N, N)})
     assert all(v == 0.0 for v in report["forms"]["control"])
@@ -381,7 +370,7 @@ def test_sequence_csv_round_trip(tmp_path, chain_setup):
     table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
     seq, report = locpot.run_localized_demo(table)["insulating"]
     path = tmp_path / "seq.csv"
-    locpot.sequence_to_csv(seq, report, str(path))
+    path.write_text(locpot.sequence_to_csv(seq, report))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,a1_norm,a2_norm,crack_near,lower_far,upper_far"
     data = np.loadtxt(str(path), delimiter=",", skiprows=1)

@@ -157,7 +157,7 @@ def test_psd_test_detects_planted_eigenvalue(seed, t, m):
 
 
 def test_default_tau_uses_spectral_norm():
-    A = np.diag([3.0, -5.0, 1.0])
+    A = ndmap.NdMatrix(np.diag([3.0, -5.0, 1.0]), None, "diag", ())
     assert ndmap.default_tau(A) == pytest.approx(5e-8)
 
 

@@ -485,7 +485,7 @@ def test_result_serialization_roundtrip(setup, tmp_path):
     assert loaded["decision_margins"]["closest_fail"] < 0
 
     raster = tmp_path / "upper.csv"
-    reconstruct.raster_csv(res.final_set, raster)
+    raster.write_text(reconstruct.raster_csv(res.final_set))
     m = np.loadtxt(raster, delimiter=",", dtype=int)
     assert m.shape == (grid.ny, grid.nx)
     assert np.array_equal(m.astype(bool), res.final_set.mask())
