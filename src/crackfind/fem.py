@@ -138,6 +138,26 @@ def _hat_gradients(mesh):
     return mesh._cache["hat_grads"]
 
 
+def config_label(cracks, excluded=None, frozen=None):
+    """Display label of a configuration: crack counts by kind, region sizes.
+
+    ``cracks`` is a ``CrackSet``; ``excluded`` and ``frozen`` are pixel
+    regions or None. A configuration with none of them is ``"none"``.
+    """
+    parts = []
+    ins = sum(1 for c in cracks.components if c.kind == INSULATING)
+    con = sum(1 for c in cracks.components if c.kind == CONDUCTING)
+    if ins:
+        parts.append("ins:%d" % ins)
+    if con:
+        parts.append("con:%d" % con)
+    if excluded is not None and len(excluded):
+        parts.append("excluded:%dpx" % len(excluded))
+    if frozen is not None and len(frozen):
+        parts.append("frozen:%dpx" % len(frozen))
+    return "+".join(parts) if parts else "none"
+
+
 class DofMap:
     """Vertex-to-dof assignment realizing one constrained space.
 
@@ -173,18 +193,7 @@ class DofMap:
         self.gamma_dofs.setflags(write=False)
 
     def config_label(self):
-        parts = []
-        ins = sum(1 for c in self.cracks.components if c.kind == INSULATING)
-        con = sum(1 for c in self.cracks.components if c.kind == CONDUCTING)
-        if ins:
-            parts.append("ins:%d" % ins)
-        if con:
-            parts.append("con:%d" % con)
-        if self.excluded is not None and len(self.excluded):
-            parts.append("excluded:%dpx" % len(self.excluded))
-        if self.frozen is not None and len(self.frozen):
-            parts.append("frozen:%dpx" % len(self.frozen))
-        return "+".join(parts) if parts else "none"
+        return config_label(self.cracks, self.excluded, self.frozen)
 
     def __repr__(self):
         return "DofMap(%s, %d dofs)" % (self.config_label(), self.n_dofs)

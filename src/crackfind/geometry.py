@@ -63,11 +63,11 @@ def components(nodes, pairs):
 
 
 def point_segment_distance(pt, a, b):
-    """Distance from point ``pt`` to the closed segment ``a``-``b``.
+    """Distances from points to closed segments.
 
-    ``a`` and ``b`` may be arrays of segments (shape (m, 2)); returns the
-    per-segment distances in that case. ``pt`` may also be an array of
-    points (shape (k, 2)), which gives a (k, m) array of distances.
+    ``a`` and ``b`` hold the m segments' ends (shape (m, 2)). ``pt`` is an
+    array of k points (shape (k, 2)), which gives a (k, m) array of
+    distances; one point of shape (2,) gives the m distances.
     """
     pt = np.asarray(pt, dtype=float)
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -78,8 +78,7 @@ def point_segment_distance(pt, a, b):
     rel = pt[..., None, :] - a
     t = np.clip(np.einsum("...ij,ij->...i", rel, d) / safe, 0.0, 1.0)
     proj = a + t[..., None] * d
-    out = np.linalg.norm(pt[..., None, :] - proj, axis=-1)
-    return out if pt.ndim > 1 or out.size > 1 else float(out[0])
+    return np.linalg.norm(pt[..., None, :] - proj, axis=-1)
 
 
 def _segments_intersect(p0, p1, q0, q1):
@@ -335,15 +334,10 @@ class Mesh:
     def boundary_segments(self):
         return self.vertices[self.boundary_edges[:, 0]], self.vertices[self.boundary_edges[:, 1]]
 
-    def distance_to_boundary(self, pt):
-        """Distance from a point to the boundary polygon.
-
-        ``pt`` is one point, which gives a float, or an array of shape
-        (k, 2), which gives the k distances from one vectorized pass.
-        """
+    def distance_to_boundary(self, pts):
+        """Distances from the k points ``pts`` (shape (k, 2)) to the boundary polygon."""
         a, b = self.boundary_segments()
-        d = point_segment_distance(pt, a, b)
-        return d.min(axis=-1) if np.ndim(pt) > 1 else float(np.min(d))
+        return point_segment_distance(pts, a, b).min(axis=-1)
 
     def containing_triangle(self, pt):
         """Index of a triangle whose closure contains ``pt``, or -1."""
@@ -455,13 +449,13 @@ def build_disk_mesh(radius, target_h):
     return Mesh(verts, np.array(tris, dtype=np.int64), bedges, bedges)
 
 
-def refine_mesh(mesh, cracks=None):
+def refine_mesh(mesh, cracks):
     """Regular midpoint refinement; every triangle splits into four.
 
     Original vertices keep their indices, so the coarse trace nodes are a
     subset of the fine ones and coarse piecewise-linear data interpolates
     exactly. Crack chains are carried over with edge midpoints inserted.
-    Returns the refined mesh, or (mesh, cracks) when ``cracks`` is given.
+    Returns (refined mesh, refined cracks).
     """
     nv = len(mesh.vertices)
     te = mesh.tri_edges()
@@ -494,8 +488,6 @@ def refine_mesh(mesh, cracks=None):
         split_edges(mesh.gamma_edges),
         check=False,
     )
-    if cracks is None:
-        return fine
     comps = []
     for comp in cracks.components:
         chain = [comp.chain[0]]
@@ -520,7 +512,6 @@ def mark_gamma(mesh, selector):
       the closed box.
     * ``{"angle": [a0, a1]}``: edges whose midpoint polar angle (radians,
       measured from the domain centroid) lies in [a0, a1].
-    * a callable taking the edge midpoint ``(x, y)`` and returning bool.
 
     The selection must be nonempty and connected along the boundary.
     """
@@ -528,8 +519,6 @@ def mark_gamma(mesh, selector):
     mids = 0.5 * (mesh.vertices[be[:, 0]] + mesh.vertices[be[:, 1]])
     if selector == "all":
         keep = np.ones(len(be), dtype=bool)
-    elif callable(selector):
-        keep = np.array([bool(selector(m[0], m[1])) for m in mids])
     elif isinstance(selector, dict) and "side" in selector:
         lo = mesh.vertices.min(axis=0)
         hi = mesh.vertices.max(axis=0)
@@ -683,10 +672,10 @@ def embed_crack(mesh, polyline, kind, cracks=None):
         for j in range(i + 2, len(pts) - 1):
             if _segments_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1]):
                 raise ValueError("polyline must not self-intersect")
-    for p in pts:
+    for p, dist in zip(pts, mesh.distance_to_boundary(pts)):
         if mesh.containing_triangle(p) < 0:
             raise ValueError("polyline leaves the domain")
-        if mesh.distance_to_boundary(p) <= 1e-12:
+        if dist <= 1e-12:
             raise ValueError("polyline touches the boundary")
 
     existing = cracks.components if cracks is not None else ()
@@ -694,21 +683,21 @@ def embed_crack(mesh, polyline, kind, cracks=None):
         *(set(c.chain) for c in existing), set()
     )
 
+    free = np.ones(len(mesh.vertices), dtype=bool)
+    free[list(blocked)] = False
+
     # nearest free vertex for each polyline anchor
     anchors = []
     for p in pts:
-        d = np.linalg.norm(mesh.vertices - p, axis=1)
-        order = np.argsort(d)
-        pick = next((int(v) for v in order if int(v) not in blocked), None)
-        if pick is None:
+        d = np.where(free, np.linalg.norm(mesh.vertices - p, axis=1), np.inf)
+        pick = int(np.argmin(d))
+        if not free[pick]:
             raise ValueError("no interior vertex available near polyline point")
         anchors.append(pick)
     if len(set(anchors)) != len(anchors):
         raise ValueError("polyline is too short for the mesh resolution")
 
     # adjacency over interior, unblocked vertices
-    free = np.ones(len(mesh.vertices), dtype=bool)
-    free[list(blocked)] = False
     e = mesh.edges()
     adj = {}
     for a, b in e[free[e].all(axis=1)].tolist():
@@ -716,7 +705,8 @@ def embed_crack(mesh, polyline, kind, cracks=None):
         adj.setdefault(b, []).append(a)
 
     def dijkstra(src, dst, seg_a, seg_b):
-        seg_len = float(np.linalg.norm(seg_b - seg_a))
+        # an edge costs its length plus 20 times its head's distance to the segment
+        dev = 20.0 * point_segment_distance(mesh.vertices, seg_a, seg_b)[:, 0]
         dist = {src: 0.0}
         prev = {}
         heap = [(0.0, src)]
@@ -728,9 +718,7 @@ def embed_crack(mesh, polyline, kind, cracks=None):
                 continue
             pu = mesh.vertices[u]
             for w in adj.get(u, ()):
-                pw = mesh.vertices[w]
-                dev = point_segment_distance(pw, seg_a[None, :], seg_b[None, :])
-                cost = float(np.linalg.norm(pw - pu)) + 20.0 * float(dev)
+                cost = float(np.linalg.norm(mesh.vertices[w] - pu)) + float(dev[w])
                 nd = du + cost
                 if nd < dist.get(w, np.inf) - 1e-15:
                     dist[w] = nd
@@ -950,9 +938,6 @@ class PixelSet:
     def minus(self, pixel):
         return PixelSet(self.grid, self.members - {int(pixel)})
 
-    def union(self, other):
-        return PixelSet(self.grid, self.members | other.members)
-
     def boundary_members(self):
         """Member pixels edge-adjacent to the complement, in index order."""
         out = []
@@ -967,20 +952,17 @@ class PixelSet:
         pairs = [(p, q) for p in self.members for q in self.grid.neighbors4(p) if q in self.members]
         return components(self.members, pairs)
 
-    def dilate(self, rings=1):
-        """Grow by ``rings`` layers of 8-neighbors (clipped to the grid)."""
-        cur = set(self.members)
-        for _ in range(rings):
-            grown = set(cur)
-            for p in cur:
-                ix, iy = self.grid.coords(p)
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        jx, jy = ix + dx, iy + dy
-                        if 0 <= jx < self.grid.nx and 0 <= jy < self.grid.ny:
-                            grown.add(self.grid.index(jx, jy))
-            cur = grown
-        return PixelSet(self.grid, cur)
+    def dilate(self):
+        """Grow by one layer of 8-neighbors (clipped to the grid)."""
+        grown = set(self.members)
+        for p in self.members:
+            ix, iy = self.grid.coords(p)
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    jx, jy = ix + dx, iy + dy
+                    if 0 <= jx < self.grid.nx and 0 <= jy < self.grid.ny:
+                        grown.add(self.grid.index(jx, jy))
+        return PixelSet(self.grid, grown)
 
     def triangles(self):
         """Sorted indices of the triangles inside the member pixels."""

@@ -213,8 +213,8 @@ def validate_scenario(s):
         problems.append("methods must be a subset of %s" % (METHODS,))
     elif len(set(s.methods)) != len(s.methods):
         problems.append("methods must not repeat")
-    if s.mode not in reconstruct.MODES:
-        problems.append("mode must be one of %s" % (reconstruct.MODES,))
+    if s.mode not in ndmap.MODES:
+        problems.append("mode must be one of %s" % (ndmap.MODES,))
     if not all(_integer(k) and k >= 1 for k in s.inner_lengths):
         problems.append("inner_lengths must be positive integers")
     if not all(_positive(n) and n >= 1 for n in s.locpot_n):
@@ -466,11 +466,32 @@ def _chain_report(built, data, tau):
 
 
 def run_scenario(s, out_dir=None):
-    """Execute a scenario end to end; optionally write the artifact set."""
+    """Execute a scenario end to end; optionally write the artifact set.
+
+    The inner candidates need only the mesh, the grid and the lengths, so a
+    run whose lengths give no candidate chain raises ``ScenarioError``
+    before the data is computed.
+    """
     timings = {}
     t0 = time.perf_counter()
     built = build_scenario(s)
     timings["build"] = time.perf_counter() - t0
+
+    if "inner" in s.methods:
+        t0 = time.perf_counter()
+        kind = KIND_NAMES[next(iter(s.crack_set_kinds()))]
+        lengths = tuple(
+            k for k in s.inner_lengths if kind != geometry.INSULATING or k >= 2
+        )
+        region = geometry.interior_pixel_set(built.grid)
+        cands = reconstruct.axis_chain_candidates(built.mesh, region, lengths)
+        if not cands:
+            # nothing tested is no reconstruction and gets no score
+            raise ScenarioError(
+                ["inner_lengths %s give no candidate chain in the interior pixels"
+                 % list(lengths)]
+            )
+        timings["inner"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     data, provenance = generate_data(s, built)
@@ -498,21 +519,9 @@ def run_scenario(s, out_dir=None):
             # which is no reconstruction and gets no score
             score = reconstruct.score(res, built.cracks, built.grid) if res.initial_ok else None
             results["upper"] = {"report": res.to_json(), "score": score}
-            artifacts["upper_result.json"] = _dump_json(res.to_json())
+            artifacts["upper_result.json"] = _dump_json(results["upper"]["report"])
             artifacts["upper_raster.csv"] = reconstruct.raster_csv(res.final_set)
         elif method == "inner":
-            kind = KIND_NAMES[next(iter(s.crack_set_kinds()))]
-            lengths = tuple(
-                k for k in s.inner_lengths if kind != geometry.INSULATING or k >= 2
-            )
-            region = geometry.interior_pixel_set(built.grid)
-            cands = reconstruct.axis_chain_candidates(built.mesh, region, lengths)
-            if not cands:
-                # nothing tested is no reconstruction and gets no score
-                raise ScenarioError(
-                    ["inner_lengths %s give no candidate chain in the interior pixels"
-                     % list(lengths)]
-                )
             res = reconstruct.reconstruct_inner(
                 data, built.mesh, built.gamma0, built.basis, cands, kind, tau=s.tau
             )
@@ -520,7 +529,7 @@ def run_scenario(s, out_dir=None):
                 "report": res.to_json(),
                 "score": reconstruct.score(res, built.cracks, built.grid),
             }
-            artifacts["inner_result.json"] = _dump_json(res.to_json())
+            artifacts["inner_result.json"] = _dump_json(results["inner"]["report"])
         elif method == "chain":
             results["chain"] = _chain_report(built, data, s.tau)
             artifacts["chain_result.json"] = _dump_json(results["chain"])
@@ -529,7 +538,8 @@ def run_scenario(s, out_dir=None):
             results["locpot"] = {variant: rep for variant, (_, rep) in runs.items()}
             for variant, (seq, rep) in runs.items():
                 artifacts["locpot_%s.csv" % variant] = locpot.sequence_to_csv(seq, rep)
-        timings[method] = time.perf_counter() - t0
+        # the inner time also holds its candidate step
+        timings[method] = timings.get(method, 0.0) + time.perf_counter() - t0
 
     report = RunReport(
         scenario=s.to_json(),

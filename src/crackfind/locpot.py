@@ -215,7 +215,7 @@ def run_localized_demo(table, n_values=None):
     interior = geometry.interior_pixel_set(grid).members
     pixels = {"V": table.V, "W": table.W}
     for key in ("V", "W"):
-        pixels["grown " + key] = geometry.PixelSet(grid, pixels[key].dilate(1).members & interior)
+        pixels["grown " + key] = geometry.PixelSet(grid, pixels[key].dilate().members & interior)
     # the source regions each crack configuration feeds
     feeds = {}
     for near, far, hi, lo, bg in VARIANTS.values():

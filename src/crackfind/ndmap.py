@@ -310,7 +310,7 @@ def chain_matrices(mesh, gamma0, basis, components):
         else:
             corr = Z_S.T @ _dense_solve(np.eye(len(S)) + E @ G_S, E @ Z_S)
         N = N0.entries - corr
-        label = "ins:1" if comp.kind == geometry.INSULATING else "con:1"
+        label = fem.config_label(geometry.CrackSet([comp]))
         yield NdMatrix(0.5 * (N + N.T), basis, label, {comp.kind})
 
 
@@ -352,11 +352,6 @@ def _star(mesh, local, pin, comp):
 # which sides of the region bracket a peel tests: both, or only the one
 # that detects its crack kind (excluded for insulating, frozen for conducting)
 MODES = ("both", "insulating", "conducting")
-
-
-def _region_label(kind, region):
-    # the config label NdSolver gives a region configuration
-    return "%s:%dpx" % (kind, len(region)) if len(region) else "none"
 
 
 class RegionMaps:
@@ -477,7 +472,8 @@ class RegionMaps:
             T = np.zeros((len(at), len(roots)))
             T[np.arange(len(at)), lo[at]] = 1.0
             N = N - _tied_correction(G[np.ix_(at, at)], Z[at], T)
-        return NdMatrix(0.5 * (N + N.T), self.basis, _region_label("frozen", region), ())
+        label = fem.config_label(geometry.CrackSet(), frozen=region)
+        return NdMatrix(0.5 * (N + N.T), self.basis, label, ())
 
     def _without(self, pixel):
         if pixel not in self.region.members:
@@ -511,7 +507,8 @@ class RegionMaps:
         Z_S[boundary] = Z[at[boundary]]
         A = np.eye(len(S)) + E @ G_SS
         N = N.entries - Z_S.T @ _dense_solve(A, E @ Z_S)
-        N = NdMatrix(0.5 * (N + N.T), self.basis, _region_label("excluded", region), ())
+        label = fem.config_label(geometry.CrackSet(), excluded=region)
+        N = NdMatrix(0.5 * (N + N.T), self.basis, label, ())
         self._last = (pixel, (N, S, at, A, E, Z_S))
         return self._last[1]
 

@@ -17,8 +17,6 @@ import numpy as np
 
 from . import geometry, ndmap
 
-MODES = ndmap.MODES
-
 
 class UpperBoundResult:
     """Outcome of the peeling method.
@@ -179,6 +177,7 @@ def reconstruct_upper(data, mesh, gamma0, basis, grid, mode="both", tau=None):
 def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     """Classify candidate chains by whether the data dominates their response.
 
+    ``candidates`` are vertex chains, each tested as a crack of ``kind``.
     For insulating data a chain is kept when data - N_chain stays positive
     semidefinite; for conducting data when N_chain - data does. The data
     must come from cracks of the single matching kind: an NdMatrix whose
@@ -197,12 +196,7 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     if data.kinds and kind not in data.kinds:
         raise ValueError("data kind does not match the requested test kind")
     d = data.entries
-    comps = []
-    for raw in candidates:
-        comp = raw if isinstance(raw, geometry.CrackComponent) else geometry.CrackComponent(raw, kind)
-        if comp.kind != kind:
-            raise ValueError("candidate kind does not match the requested test kind")
-        comps.append(comp)
+    comps = [geometry.CrackComponent(chain, kind) for chain in candidates]
     if kind == geometry.INSULATING:
         tau = ndmap.tau_for(data, tau)
     accepted, rejected = [], []
@@ -222,13 +216,14 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     return InnerResult(kind, accepted, rejected)
 
 
-def axis_chain_candidates(mesh, region, lengths=(1, 2, 4)):
+def axis_chain_candidates(mesh, region, lengths):
     """Horizontal and vertical interior-edge chains inside a pixel region.
 
-    Chains follow consecutive collinear mesh edges; every chain vertex must
-    be an interior vertex lying in the closed union of the region's pixel
-    squares. Returned as vertex-id tuples, deterministically ordered by
-    orientation, line, offset, and length.
+    A chain has one of the given ``lengths`` (counted in edges) and follows
+    consecutive collinear mesh edges; every chain vertex must be an interior
+    vertex lying in the closed union of the region's pixel squares. Returned
+    as vertex-id tuples, deterministically ordered by orientation, line,
+    offset, and length.
     """
     verts = mesh.vertices
     bvs = mesh.boundary_vertex_set()
@@ -331,8 +326,8 @@ def score(result, ground_truth, grid):
 
     final = result.final_set
     members = final.members
-    dil_truth = geometry.PixelSet(grid, truth).dilate(1).members if truth else frozenset()
-    dil_final = final.dilate(1).members if members else frozenset()
+    dil_truth = geometry.PixelSet(grid, truth).dilate().members if truth else frozenset()
+    dil_final = final.dilate().members if members else frozenset()
 
     recall_strict = (len(members & truth) / len(truth)) if truth else 1.0
     recall = (len(truth & dil_final) / len(truth)) if truth else 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -112,14 +113,19 @@ def test_mark_gamma_left_side():
 
 def test_mark_gamma_empty_selection():
     mesh = build_rect_mesh(1.0, 1.0, 0.25)
-    with pytest.raises(ValueError):
-        mark_gamma(mesh, lambda x, y: False)
+    with pytest.raises(ValueError, match="matched no boundary edge"):
+        mark_gamma(mesh, {"box": [0.3, 0.3, 0.7, 0.7]})
 
 
 def test_mark_gamma_disconnected_selection():
+    # two boundary edges on opposite sides share no vertex
     mesh = build_rect_mesh(1.0, 1.0, 0.25)
-    with pytest.raises(ValueError):
-        mark_gamma(mesh, lambda x, y: x < 0.01 or x > 0.99)
+    be = mesh.boundary_edges
+    mids = 0.5 * (mesh.vertices[be[:, 0]] + mesh.vertices[be[:, 1]])
+    left = np.flatnonzero(mids[:, 0] < 0.01)[0]
+    right = np.flatnonzero(mids[:, 0] > 0.99)[0]
+    with pytest.raises(ValueError, match="connected along the boundary"):
+        Mesh(mesh.vertices, mesh.triangles, be, be[[left, right]])
 
 
 def test_gamma_vertices_cached_read_only():
@@ -135,7 +141,11 @@ def test_distance_to_boundary_of_many_points():
     pts[0] = mesh.vertices[mesh.boundary_edges[0, 0]]
     many = mesh.distance_to_boundary(pts)
     assert many.shape == (40,) and many[0] == 0.0
-    assert np.array_equal(many, [mesh.distance_to_boundary(p) for p in pts])
+    # the unit square's boundary: the nearest side inside, the box outside
+    x, y = pts.T
+    inside = np.minimum.reduce([x, 1 - x, y, 1 - y])
+    outside = np.hypot(np.maximum.reduce([0 * x, -x, x - 1]), np.maximum.reduce([0 * y, -y, y - 1]))
+    assert np.allclose(many, np.where(inside >= 0, inside, outside), rtol=0, atol=1e-15)
 
 
 def test_gamma_vertices_ordered():
@@ -328,6 +338,17 @@ def test_embed_diagonal_crack():
     pts = m2.vertices[list(cracks.components[0].chain)]
     assert np.allclose(pts[:, 0], pts[:, 1])
     assert np.all(m2.tri_areas() > 0)
+
+
+def test_embed_off_grid_polyline_pinned():
+    # a recorded chain and sha256 of the relocated vertex coordinates, which
+    # any rewrite of embed_crack must reproduce
+    mesh = build_rect_mesh(1.0, 1.0, 1 / 16)
+    m2, cracks = embed_crack(mesh, [(0.31, 0.27), (0.52, 0.49), (0.70, 0.45)], INSULATING)
+    assert cracks.components[0].chain == (73, 90, 91, 108, 109, 126, 127, 144, 145, 129, 130)
+    assert hashlib.sha256(m2.vertices.tobytes()).hexdigest() == (
+        "bc3ddb4bf0b19ae38b48c60b7bacc3245eef2e121023367f98d2b31a46cd6d09"
+    )
 
 
 @settings(max_examples=40, deadline=None)

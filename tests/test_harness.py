@@ -235,6 +235,21 @@ def test_cli_inner_without_candidates_is_not_scored(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_inner_without_candidates_is_refused_before_the_data(monkeypatch):
+    # the candidate list needs only the mesh, the grid and the lengths, so
+    # neither the data nor the upper peel before the inner method runs
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "inner_insulating_16.json")
+    with open(path) as fh:
+        scn = dict(json.load(fh), methods=["upper", "inner"], inner_lengths=[40])
+
+    def no_data(*args):
+        raise AssertionError("data generated for a run without candidates")
+
+    monkeypatch.setattr(harness, "generate_data", no_data)
+    with pytest.raises(harness.ScenarioError, match="no candidate"):
+        harness.run_scenario(harness.scenario_from_dict(scn))
+
+
 def test_cli_verify_monotonicity_exit_codes(tmp_path, capsys):
     cfg = _write_config(tmp_path, MIXED)
     assert cli.main(["verify-monotonicity", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
@@ -354,6 +369,17 @@ def test_negative_seed_override_rejected(tmp_path, capsys):
 
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
+# each shipped config's recorded embedding: the crack chains (vertex ids)
+# and the sha256 of the embedded mesh's vertex coordinates, which any
+# rewrite of embed_crack must reproduce
+H16 = "1113a0479d0dc48b94abab5a343303a8afec0f0ad1102bc4bd69c70b35d433bc"
+H32 = "313df5f4e051e980b8c4caccbe5731a7df1e8be4fed5acd4f3e272b05272d1de"
+EMBEDDINGS = {
+    "inner_insulating_16.json": ([range(158, 164)], H16),
+    "locpot_contrast_16.json": ([range(38, 43), range(246, 251)], H16),
+    "mixed_32.json": ([range(866, 875), range(878, 887)], H32),
+    "mixed_chain_32.json": ([range(866, 875), range(746, 755)], H32),
+}
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[os.path.basename(p) for p in CONFIGS])
@@ -361,6 +387,9 @@ def test_shipped_config_loads_and_builds(path):
     s = harness.load_scenario(path)
     built = harness.build_scenario(s)
     assert len(built.cracks) == len(s.cracks)
+    chains, digest = EMBEDDINGS[os.path.basename(path)]
+    assert [c.chain for c in built.cracks.components] == [tuple(c) for c in chains]
+    assert hashlib.sha256(built.mesh.vertices.tobytes()).hexdigest() == digest
 
 
 def test_cli_inner_single_kind(tmp_path, capsys):

@@ -145,7 +145,7 @@ def test_range_containment_for_nested_regions(chain_setup, ops):
     # adjoint norms stay comparable; the far region fails the subspace test
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     op_V, _ = ops
-    Ybig = PixelSet(grid, V.dilate(1).members & interior_pixel_set(grid).members)
+    Ybig = PixelSet(grid, V.dilate().members & interior_pixel_set(grid).members)
     op_Y = source_op(chain_setup, None, Ybig)
     P = numerical_range(op_Y)
     resid = np.linalg.norm(
@@ -289,7 +289,7 @@ def reference_variant(mesh, gamma0, cracks, grid, V, W, basis, variant):
 
     diff = op(hi, near).matrix - op(lo, near).matrix
     U, s, _ = np.linalg.svd(diff, full_matrices=False)
-    Y = PixelSet(grid, far.dilate(1).members & interior_pixel_set(grid).members)
+    Y = PixelSet(grid, far.dilate().members & interior_pixel_set(grid).members)
     seq = locpot.localized_sequence(diff, op(bg, Y).matrix, U[:, 0])
     forms = {
         "upper_far": (nd({"excluded": far}), nd(None)),

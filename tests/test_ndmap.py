@@ -181,7 +181,7 @@ def test_monotonicity_chain(chain_setup):
 
 def test_bracketing_of_mixed_cracks(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    C = V.union(W)
+    C = geometry.PixelSet(grid, V.members | W.members)
     data = ndmap.nd_matrix(mesh, gamma0, cracks, basis)
     upper = ndmap.nd_matrix(mesh, gamma0, {"excluded": C}, basis)
     lower = ndmap.nd_matrix(mesh, gamma0, {"frozen": C}, basis)

@@ -1,9 +1,12 @@
 """Guard: every function, class and method in src has a caller in src.
 
 Code that only tests call is a second path the program never takes. The
-check is by name: a definition passes when its name is read anywhere in
-``src/crackfind`` (as a name, an attribute or an import), other than by
-its own definition.
+check is by name. A module-level function or class passes when its name
+is read anywhere in ``src/crackfind`` (as a name, an attribute or an
+import), other than by its own definition. A method passes only when it is
+read as an attribute, and not on a literal or on a fresh builtin container:
+``set().union`` or a local variable named ``union`` does not call
+``PixelSet.union``.
 """
 
 import ast
@@ -19,6 +22,8 @@ ALLOWED = {
 }
 # entry points, called from outside the package
 ENTRY_POINTS = {"cli.main"}
+# calls whose attributes are the builtin type's methods, never a src method
+BUILTIN_CALLS = {"set", "frozenset", "dict", "list", "tuple", "str"}
 
 
 def _modules():
@@ -26,38 +31,51 @@ def _modules():
 
 
 def _definitions(modules):
-    # (key, name) of every module-level function and class and every method;
-    # module-level keys are "module.name", methods "Class.method"
+    # (key, name, is_method) of every module-level function and class and
+    # every method; module-level keys are "module.name", methods
+    # "Class.method"
     for module, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield "%s.%s" % (module, node.name), node.name
+                yield "%s.%s" % (module, node.name), node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
-                        yield "%s.%s" % (node.name, item.name), item.name
+                        yield "%s.%s" % (node.name, item.name), item.name, True
 
 
-def _referenced(modules):
-    names = set()
-    for tree in modules.values():
+def _on_builtin(value):
+    # a literal, or a call to a builtin container type
+    if isinstance(value, (ast.Constant, ast.JoinedStr, ast.List, ast.Tuple, ast.Set, ast.Dict)):
+        return True
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id in BUILTIN_CALLS
+    )
+
+
+def _referenced(trees):
+    # (bare names read or imported, attribute names read on a src object)
+    names, attrs = set(), set()
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+            elif isinstance(node, ast.Attribute) and not _on_builtin(node.value):
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
-    return names
+    return names, attrs
 
 
 def _unreferenced():
     modules = _modules()
-    used = _referenced(modules)
+    names, attrs = _referenced(modules.values())
     return sorted(
         key
-        for key, name in _definitions(modules)
-        if name not in used
+        for key, name, is_method in _definitions(modules)
+        if name not in (attrs if is_method else names | attrs)
         and not (name.startswith("__") and name.endswith("__"))
         and key not in ENTRY_POINTS
         and key not in ALLOWED
@@ -70,5 +88,15 @@ def test_no_definition_only_tests_call():
 
 def test_allowlist_names_existing_definitions():
     # a stale entry would let a new test-only definition of that name through
-    keys = {key for key, _ in _definitions(_modules())}
+    keys = {key for key, _, _ in _definitions(_modules())}
     assert set(ALLOWED) | ENTRY_POINTS <= keys
+
+
+def test_method_reads_on_builtins_and_bare_names_do_not_count():
+    names, attrs = _referenced([ast.parse(
+        "union = set().union(a)\n"
+        "b = frozenset(a).minus, dict(a).dilate, 'x'.mask, [a].triangles\n"
+        "c = region.components(), self.grid.coords(p)\n"
+    )])
+    assert {"union", "region", "self"} <= names
+    assert attrs == {"components", "grid", "coords"}
