@@ -207,36 +207,52 @@ def split_fans(mesh, insulating):
     (flat index 3 t + c), joined across the uncut edges at the vertex; the
     side holding the vertex's lowest triangle keeps the vertex's own dof and
     the other side gets a new one. Returns ``(corners, owner)``: the flat
-    corner indices of every far side, ascending, and for each the position
-    of its vertex in the slit order (chain by chain, interior vertices in
-    chain order). Raises if a fan does not split into exactly two sides.
+    corner indices of every far side and for each the position of its
+    vertex in the slit order (chain by chain, interior vertices in chain
+    order), ordered by corner, then by position. Raises if a fan does not
+    split into exactly two sides.
+
+    Each chain is split on its own, through the fans that
+    ``Mesh.vertex_corners`` lists, so the cost follows the slit vertices,
+    not the mesh. For a valid crack set that is the same as cutting all
+    its edges at once, since only a vertex's own chain has edges at it;
+    the chains may also overlap, as a batch of test chains does.
     """
-    slit = [v for comp in insulating.components for v in comp.chain[1:-1]]
-    if not slit:
+    chains = [comp.chain for comp in insulating.components]
+    slit = np.array([v for chain in chains for v in chain[1:-1]], dtype=np.int64)
+    if not len(slit):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    flat = mesh.triangles.reshape(-1)
-    pos = np.full(len(mesh.vertices), -1, dtype=np.int64)
-    pos[slit] = np.arange(len(slit))
-    fan = np.flatnonzero(pos[flat] >= 0)
-    owner = pos[flat[fan]]
+    prev = np.array([v for chain in chains for v in chain[:-2]], dtype=np.int64)
+    nxt = np.array([v for chain in chains for v in chain[2:]], dtype=np.int64)
+    corners, start = mesh.vertex_corners()
+    deg = start[slit + 1] - start[slit]
+    first = np.cumsum(deg) - deg
+    owner = np.repeat(np.arange(len(slit)), deg)
+    fan = corners[np.repeat(start[slit] - first, deg) + np.arange(int(deg.sum()))]
     # the two sides of each corner that meet at its vertex; an uncut one is
-    # shared by exactly two corners of the same (interior) vertex
+    # shared by exactly two corners of the same fan
     t, c = np.divmod(fan, 3)
     sides = mesh.tri_edges()[t[:, None], np.column_stack([c, (c + 2) % 3])].reshape(-1)
-    cut = np.zeros(len(mesh.edges()), dtype=bool)
-    cut[insulating.edge_ids(mesh)] = True
-    uncut = np.flatnonzero(~cut[sides])
-    at = uncut[np.argsort(sides[uncut] * len(slit) + owner[uncut // 2], kind="stable")]
-    pairs = np.column_stack([fan[at[0::2] // 2], fan[at[1::2] // 2]])
-    label = geometry.components(fan.tolist(), pairs.tolist())
-    # fan is ascending, so a vertex's first corner is its lowest
-    lowest, sides = {}, set()
-    for k, v in zip(fan.tolist(), owner.tolist()):
-        lowest.setdefault(v, k)
-        sides.add((v, label[k]))
-    if np.any(np.bincount([v for v, _ in sides], minlength=len(slit)) != 2):
+    at = np.repeat(owner, 2)
+    cut = (sides == mesh.edge_index(prev, slit)[at]) | (sides == mesh.edge_index(slit, nxt)[at])
+    uncut = np.flatnonzero(~cut)
+    pair = uncut[np.argsort(at[uncut] * len(mesh.edges()) + sides[uncut], kind="stable")] // 2
+    a, b = pair[0::2], pair[1::2]
+    # each corner's side is labelled by its first corner in the fan: labels
+    # spread across the uncut pairs until every pair agrees
+    label = np.arange(len(fan))
+    while True:
+        low = np.minimum(label[a], label[b])
+        if np.array_equal(low, label[a]) and np.array_equal(low, label[b]):
+            break
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+    # a fan's corners are ascending, so its first corner is its lowest
+    sides_per_vertex = np.bincount(owner[np.unique(label)], minlength=len(slit))
+    if np.any(sides_per_vertex != 2):
         raise ValueError("slit vertex fan does not split into two sides")
-    far = np.array([label[k] != lowest[v] for k, v in zip(fan.tolist(), owner.tolist())])
+    far = np.flatnonzero(label != first[owner])
+    far = far[np.lexsort((owner[far], fan[far]))]
     return fan[far], owner[far]
 
 
@@ -386,15 +402,19 @@ def _check_residual(K, x, b, rows=None):
     Each column is judged against its own right-hand side, so one bad
     column cannot hide behind the norm of a large block. With ``rows``
     (distinct), ``b`` holds only those rows of the right-hand side, as in
-    ``Factorization.solve``. ``K`` may be sparse or a dense array.
+    ``Factorization.solve``. ``K`` may be sparse, a dense array, or a
+    ``(k, n, n)`` stack of dense systems with ``x`` and ``b`` of shape
+    ``(k, n, c)``; each column of each system is judged on its own.
     """
     r = K @ x
     if rows is None:
         r -= b
     else:
         r[rows] -= b
-    bn = np.linalg.norm(b.reshape(len(b), -1), axis=0)
-    rn = np.linalg.norm(r.reshape(len(r), -1), axis=0)
+    if b.ndim == 1:
+        b, r = b[:, None], r[:, None]
+    bn = np.linalg.norm(b, axis=-2)
+    rn = np.linalg.norm(r, axis=-2)
     rel = np.divide(rn, bn, out=np.zeros_like(rn), where=bn > 0)
     worst = float(np.max(rel, initial=0.0))
     if worst > RESIDUAL_RTOL:

@@ -21,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,9 @@ import numpy as np
 INSULATING = "insulating"
 CONDUCTING = "conducting"
 KINDS = (INSULATING, CONDUCTING)
+
+# point-segment pairs per chunk of Mesh.distance_to_boundary
+DISTANCE_CHUNK = 1 << 12
 
 
 def _signed_areas(vertices, triangles):
@@ -335,9 +339,57 @@ class Mesh:
         return self.vertices[self.boundary_edges[:, 0]], self.vertices[self.boundary_edges[:, 1]]
 
     def distance_to_boundary(self, pts):
-        """Distances from the k points ``pts`` (shape (k, 2)) to the boundary polygon."""
+        """Distances from the k points ``pts`` (shape (k, 2)) to the boundary polygon.
+
+        The points go in chunks of about ``DISTANCE_CHUNK`` point-segment
+        pairs, so no k x b array over the b boundary edges is formed.
+        """
         a, b = self.boundary_segments()
-        return point_segment_distance(pts, a, b).min(axis=-1)
+        pts = np.asarray(pts, dtype=float)
+        out = np.empty(len(pts))
+        step = max(1, DISTANCE_CHUNK // len(a))
+        for lo in range(0, len(pts), step):
+            out[lo:lo + step] = point_segment_distance(pts[lo:lo + step], a, b).min(axis=-1)
+        return out
+
+    def clearance(self, verts):
+        """Distances of the vertices ``verts`` to the boundary polygon.
+
+        Each vertex's distance is computed once per mesh, when it is first
+        asked for, and kept in a read-only array. Filling it for every vertex
+        at once would cost a pass over all vertex-segment pairs on each
+        fresh mesh, where crack embedding checks only a chain's vertices.
+        """
+        if "clearance" not in self._cache:
+            c = np.full(len(self.vertices), np.nan)
+            c.setflags(write=False)
+            self._cache["clearance"] = c
+        c = self._cache["clearance"]
+        verts = np.asarray(verts, dtype=np.int64)
+        todo = np.unique(verts[np.isnan(c[verts])])
+        if todo.size:
+            c.setflags(write=True)
+            c[todo] = self.distance_to_boundary(self.vertices[todo])
+            c.setflags(write=False)
+        return c[verts]
+
+    def vertex_corners(self):
+        """The triangle corners at each vertex: ``(corners, start)``.
+
+        A corner is the flat index 3 t + c of corner c of triangle t. The
+        corners of vertex v are ``corners[start[v]:start[v + 1]]``,
+        ascending. One stable argsort of the 3T corners, done once per mesh;
+        both arrays are read-only.
+        """
+        if "corners" not in self._cache:
+            flat = self.triangles.reshape(-1)
+            corners = np.argsort(flat, kind="stable")
+            start = np.zeros(len(self.vertices) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(flat, minlength=len(self.vertices)), out=start[1:])
+            for arr in (corners, start):
+                arr.setflags(write=False)
+            self._cache["corners"] = (corners, start)
+        return self._cache["corners"]
 
     def containing_triangle(self, pt):
         """Index of a triangle whose closure contains ``pt``, or -1."""
@@ -622,22 +674,21 @@ class CrackSet:
         triangles at any crack edge are therefore joined by walking along
         one side of the chain, through the fans of its vertices, and around
         a tip. ``Mesh`` checks once that the uncut mesh is connected.
+
+        The single-chain checks are ``check_chains``'s; the first component
+        that breaks any check raises, its checks taken in the order
+        boundary, shared vertex, edges, boundary distance.
         """
-        bvs = mesh.boundary_vertex_set()
-        et = mesh.edge_tris()
-        seen_vertices = set()
-        for comp in self.components:
-            cv = set(comp.chain)
-            if cv & bvs:
-                raise ValueError("crack touches the boundary")
-            if cv & seen_vertices:
-                raise ValueError("crack components share a vertex")
-            seen_vertices |= cv
-            ids = mesh.edge_index(comp.chain[:-1], comp.chain[1:])
-            if np.any(ids < 0) or np.any(et[ids, 1] < 0):
-                raise ValueError("crack chain must follow interior mesh edges")
-            if np.any(mesh.distance_to_boundary(mesh.vertices[list(comp.chain)]) <= 0):
-                raise ValueError("crack vertex on the boundary")
+        chains = [comp.chain for comp in self.components]
+        faults = _chain_faults(mesh, chains)
+        # a component that shares a vertex with an earlier one
+        shared, seen = np.zeros(len(chains), dtype=bool), set()
+        for i, chain in enumerate(chains):
+            shared[i] = not seen.isdisjoint(chain)
+            seen.update(chain)
+        faults = np.column_stack([faults[:, :1], shared, faults[:, 1:]])
+        messages = (CHAIN_FAULTS[0], "crack components share a vertex") + CHAIN_FAULTS[1:]
+        _raise_first(faults, messages)
         if len(self.components) > 1:
             for i in range(len(self.components)):
                 for j in range(i + 1, len(self.components)):
@@ -648,6 +699,55 @@ class CrackSet:
                     )
                     if d <= 0:
                         raise ValueError("crack components must stay separated")
+
+
+# the invariants a single crack chain must keep, in the order they are checked
+CHAIN_FAULTS = (
+    "crack touches the boundary",
+    "crack chain must follow interior mesh edges",
+    "crack vertex on the boundary",
+)
+
+
+def _chain_faults(mesh, chains):
+    # which of CHAIN_FAULTS each vertex chain breaks, shape (k, 3): one pass
+    # over every chain vertex and edge; vertex ids out of range break the
+    # edge check only, as edge_index gives them no edge
+    lens = np.fromiter(map(len, chains), dtype=np.int64, count=len(chains))
+    verts = np.fromiter(
+        itertools.chain.from_iterable(chains), dtype=np.int64, count=int(lens.sum())
+    )
+    owner = np.repeat(np.arange(len(chains)), lens)
+    valid = (verts >= 0) & (verts < len(mesh.vertices))
+    on_boundary = np.zeros(len(mesh.vertices), dtype=bool)
+    on_boundary[mesh.boundary_edges] = True
+    step = owner[1:] == owner[:-1]
+    ids = mesh.edge_index(verts[:-1][step], verts[1:][step])
+    not_interior = (ids < 0) | (mesh.edge_tris()[ids, 1] < 0)
+    faults = np.zeros((len(chains), 3), dtype=bool)
+    faults[owner[valid][on_boundary[verts[valid]]], 0] = True
+    faults[owner[:-1][step][not_interior], 1] = True
+    faults[owner[valid][mesh.clearance(verts[valid]) <= 0], 2] = True
+    return faults
+
+
+def _raise_first(faults, messages):
+    # the message of the first fault of the first chain that has one
+    bad = np.flatnonzero(faults.any(axis=1))
+    if bad.size:
+        raise ValueError(messages[int(np.argmax(faults[bad[0]]))])
+
+
+def check_chains(mesh, chains):
+    """Check vertex chains one by one against the mesh, all in one pass.
+
+    A chain must have none of ``CHAIN_FAULTS``: a boundary vertex, a step
+    that is not an interior mesh edge, a vertex at distance zero from the
+    boundary. The first chain with one raises ``ValueError`` with the
+    message ``CrackSet.validate`` gives for it alone. Chains may share
+    vertices.
+    """
+    _raise_first(_chain_faults(mesh, chains), CHAIN_FAULTS)
 
 
 def embed_crack(mesh, polyline, kind, cracks=None):

@@ -220,48 +220,86 @@ class Configurations:
 
 
 def _dense_solve(A, B):
-    # small dense system with the relative-residual guard of the sparse solves
+    # small dense systems, one or a (k, n, n) stack, with the relative-residual
+    # guard of the sparse solves on every column of every system
     X = np.linalg.solve(A, B)
     fem._check_residual(A, X, B)
     return X
 
 
-def _green_block(fact, K, dofs, width):
-    # the pinned Green's block on ``dofs`` (distinct, none of them the pin),
-    # solved ``width`` columns at a time so that no n x |dofs| array is
-    # formed; the load e_c - e_pin is balanced, so the residual holds on
-    # every row
-    G = np.empty((len(dofs), len(dofs)))
+def _green_block(fact, K, dofs, width, stars):
+    # the pinned Green's entries that stars pair. ``dofs`` are distinct and
+    # none of them the pin; each (k, m) array in ``stars`` lists k stars as
+    # positions in ``dofs`` and gets the (k, m, m) stack of G on them. Each
+    # column is solved once, ``width`` columns at a time, so no n x |dofs|
+    # array is formed, and of each solved block only the rows a star pairs
+    # with its columns are kept. The load e_c - e_pin is balanced, so the
+    # residual holds on every row
+    out = [np.empty(P.shape + P.shape[1:]) for P in stars]
+    # every place of every star, numbered group by group, in the order of
+    # the columns they read
+    sizes = np.array([P.size for P in stars], dtype=np.int64)
+    offset = np.cumsum(sizes) - sizes
+    col = np.concatenate([np.zeros(0, dtype=np.int64)] + [P.ravel() for P in stars])
+    order = np.argsort(col, kind="stable")
+    col = col[order]
     for lo in range(0, len(dofs), width):
         cols = dofs[lo:lo + width]
         b = np.vstack([np.eye(len(cols)), -np.ones((1, len(cols)))])
         at = np.append(cols, fact.pin)
         x = fact.solve(b, at)
         fem._check_residual(K, x, b, at)
-        G[:, lo:lo + width] = x[dofs]
-    return G
+        first, last = np.searchsorted(col, [lo, lo + width])
+        place, c = order[first:last], col[first:last] - lo
+        group = np.searchsorted(offset, place, side="right") - 1
+        for g in np.unique(group):
+            P, sel = stars[g], group == g
+            j, i = np.divmod(place[sel] - offset[g], P.shape[1])
+            out[g][j, :, i] = x[dofs[P[j]], c[sel, None]]
+    return out
 
 
-def _background(solver, basis, verts):
+def _background(solver, basis, verts, stars):
     # (N0, Z, G) of a factorized background on the vertices ``verts``
     # (distinct, none of them pinned): its NdMatrix, the pinned potentials of
-    # the basis currents on them and their pinned Green's block, solved
-    # basis.M columns at a time like the currents
+    # the basis currents on them, and ``_green_block``'s stacks of the pinned
+    # Green's entries on ``stars`` (positions in ``verts``), solved basis.M
+    # columns at a time like the currents
     potentials = solver.solve_current(basis.vectors)
     N0 = solver._nd_matrix(potentials, basis)
     dofs = solver.dm.vertex_dof[verts]
     Z = potentials.values[dofs] - potentials.values[solver.fact.pin]
-    return N0, Z, _green_block(solver.fact, solver.K, dofs, basis.M)
+    return N0, Z, _green_block(solver.fact, solver.K, dofs, basis.M, stars)
 
 
 def _tied_correction(G, Z, T):
     # how much tying the rows of the Green's block G by the indicator columns
     # T lowers the ND matrix of the potentials Z on them:
-    # Z^T (H - H T (T^T H T)^-1 T^T H) Z with H = G^-1
-    HZ = _dense_solve(G, np.column_stack([Z, T]))
-    HZ, HT = HZ[:, :Z.shape[1]], HZ[:, Z.shape[1]:]
-    ZHT = Z.T @ HT
-    return Z.T @ HZ - ZHT @ _dense_solve(T.T @ HT, ZHT.T)
+    # Z^T (H - H T (T^T H T)^-1 T^T H) Z with H = G^-1; G, Z and T may be
+    # stacks (k, m, .) of such blocks
+    HZ = _dense_solve(G, np.concatenate([Z, T], axis=-1))
+    HZ, HT = HZ[..., :Z.shape[-1]], HZ[..., Z.shape[-1]:]
+    ZT = np.swapaxes(Z, -1, -2)
+    ZHT = ZT @ HT
+    return ZT @ HZ - ZHT @ _dense_solve(np.swapaxes(T, -1, -2) @ HT, np.swapaxes(ZHT, -1, -2))
+
+
+def _chain_correction(G, Z, E):
+    # N0 - N for a stack of chains with the Green's blocks G (k, m, m) and the
+    # potentials Z (k, m, M) on their stars: a tie when E is None, else the
+    # condensed update E (k, m, m) of a slit
+    if not G.shape[-1]:
+        return 0.0
+    if E is None:
+        return _tied_correction(G, Z, np.ones(G.shape[:-1] + (1,)))
+    return np.swapaxes(Z, -1, -2) @ _dense_solve(np.eye(G.shape[-1]) + E @ G, E @ Z)
+
+
+# chains per stacked pass of chain_matrices' corrections and of the inner
+# eigen tests, and slit chains per pass of its star builder, whose arrays
+# are smaller
+CHAIN_BATCH = 64
+STAR_BATCH = 256
 
 
 def chain_matrices(mesh, gamma0, basis, components):
@@ -271,10 +309,13 @@ def chain_matrices(mesh, gamma0, basis, components):
     the crack-free forward problem only on its star, the triangles at its
     slit or tied vertices, so its matrix is the background matrix ``N0``
     minus a small dense correction (static condensation plus Woodbury).
-    Every star is found first; then the background is factorized once and
-    ``_background`` gives ``N0``, the pinned potentials ``Z`` and the pinned
-    Green's block ``G`` on the sorted union of the stars, so each Green's
-    column is solved once.
+    Every chain is checked first (``geometry.check_chains``, one pass; the
+    first bad chain raises) and every star is found, ``STAR_BATCH`` slit
+    chains at a time with one stacked condensation per star shape. Then
+    the background is factorized once and ``_background`` gives ``N0``,
+    the pinned potentials ``Z`` on the union of the stars and the pinned
+    Green's entries ``G_SS`` of every star S; each Green's column is
+    solved once, and only the entries that stars pair are kept.
 
     * insulating chain: the slit gives each interior vertex a new dof for
       its far fan (``fem.split_fans``). ``dS``, the stiffness of the far
@@ -286,67 +327,133 @@ def chain_matrices(mesh, gamma0, basis, components):
       ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C`` with
       ``H = G_CC^-1``.
 
-    The pinned dof is zero in every potential, so a star that holds it
-    drops its row and column, which is exact. Every chain goes through
-    ``CrackSet.validate``; every small dense solve is checked against
-    ``fem.RESIDUAL_RTOL``. ``NdSolver`` on the chain's configuration is the
-    reference this path must match.
+    The corrections and the matrices are formed ``CHAIN_BATCH`` chains at a
+    time, as ``(k, m, m)`` stacks of one star size. The pinned dof is zero
+    in every potential, so a star that holds it drops its row and column,
+    which is exact. Every small dense solve is checked against
+    ``fem.RESIDUAL_RTOL``, per chain and per column. ``NdSolver`` on the
+    chain's configuration is the reference this path must match.
     """
+    components = list(components)
+    geometry.check_chains(mesh, [comp.chain for comp in components])
     local = fem.element_stiffness(mesh, gamma0)
     # the background pins its first arc vertex (fem.Factorization); the
     # stars are found before it is factorized
     pin = mesh.gamma_vertices()[0]
-    components = list(components)
-    stars = [_star(mesh, local, pin, comp) for comp in components]
-    union = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + [S for S, _ in stars]))
-    N0, Z, G = _background(NdSolver(mesh, gamma0), basis, union)
-    for comp, (S, E) in zip(components, stars):
-        at = np.searchsorted(union, S)
-        G_S, Z_S = G[np.ix_(at, at)], Z[at]
-        if not len(S):
-            corr = 0.0
-        elif E is None:
-            corr = _tied_correction(G_S, Z_S, np.ones((len(S), 1)))
-        else:
-            corr = Z_S.T @ _dense_solve(np.eye(len(S)) + E @ G_S, E @ Z_S)
-        N = N0.entries - corr
-        label = fem.config_label(geometry.CrackSet([comp]))
-        yield NdMatrix(0.5 * (N + N.T), basis, label, {comp.kind})
+    groups = _stars(mesh, local, pin, components)
+    union = np.unique(np.concatenate([S.ravel() for _, S, _ in groups]))
+    at = [np.searchsorted(union, S) for _, S, _ in groups]
+    N0, Z, G = _background(NdSolver(mesh, gamma0), basis, union, at)
+    # one label per kind: a single chain of it
+    label = {comp.kind: comp for comp in components}
+    label = {kind: fem.config_label(geometry.CrackSet([comp])) for kind, comp in label.items()}
+    for lo in range(0, len(components), CHAIN_BATCH):
+        hi = min(lo + CHAIN_BATCH, len(components))
+        N = np.empty((hi - lo,) + N0.entries.shape)
+        for (idx, _, E), P, G_S in zip(groups, at, G):
+            first, last = np.searchsorted(idx, [lo, hi])
+            if first < last:
+                part = slice(first, last)
+                corr = _chain_correction(G_S[part], Z[P[part]], None if E is None else E[part])
+                N[idx[part] - lo] = N0.entries - corr
+        N = 0.5 * (N + np.swapaxes(N, -1, -2))
+        for comp, entries in zip(components[lo:hi], N):
+            yield NdMatrix(entries, basis, label[comp.kind], {comp.kind})
 
 
-def _star(mesh, local, pin, comp):
-    # (star vertices S without the pin, the update E on them; None for a tie)
-    cracks = geometry.CrackSet([comp])
-    cracks.validate(mesh)
-    if comp.kind == geometry.CONDUCTING:
-        return np.asarray(comp.chain, dtype=np.int64), None
-    n_slit = len(comp.chain) - 2
-    if not n_slit:
-        # no interior vertex: nothing opens, the background's matrix
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
-    far, owner = fem.split_fans(mesh, cracks)
-    # far is ascending: number its triangles and their vertices locally,
-    # the new dofs after the old ones
+def _stars(mesh, local, pin, components):
+    # the chains' stars in groups of one kind and size, each (idx, S, E): the
+    # positions of its k chains, ascending, their star vertices S (k, m)
+    # without the pin, and the updates E (k, m, m) on them (None for ties)
+    conducting = np.array([comp.kind == geometry.CONDUCTING for comp in components], dtype=bool)
+    length = np.array([len(comp.chain) for comp in components], dtype=np.int64)
+    groups = []
+    for n in np.unique(length[conducting]):
+        idx = np.flatnonzero(conducting & (length == n))
+        S = np.array([components[i].chain for i in idx], dtype=np.int64)
+        groups.append((idx, S, None))
+    # an insulating chain without an interior vertex opens nothing
+    idx = np.flatnonzero(~conducting & (length == 2))
+    groups.append((idx, np.zeros((len(idx), 0), dtype=np.int64), np.zeros((len(idx), 0, 0))))
+    # the slit stars batch by batch, so that their temporaries follow one
+    # batch, then merged by star size
+    slit = np.flatnonzero(~conducting & (length > 2))
+    parts = {}
+    for lo in range(0, len(slit), STAR_BATCH):
+        idx = slit[lo:lo + STAR_BATCH]
+        for part in _slit_stars(mesh, local, pin, [components[i] for i in idx], idx):
+            parts.setdefault(part[1].shape[1], []).append(part)
+    for part in parts.values():
+        idx = np.concatenate([p[0] for p in part])
+        order = np.argsort(idx, kind="stable")
+        groups.append((idx[order], np.concatenate([p[1] for p in part])[order],
+                       np.concatenate([p[2] for p in part])[order]))
+    return groups
+
+
+def _slit_stars(mesh, local, pin, comps, idx):
+    # ``_stars`` of insulating chains with interior vertices, at positions
+    # idx, in groups of one shape
+    far, owner = fem.split_fans(mesh, geometry.CrackSet(comps))
+    n = np.array([len(comp.chain) - 2 for comp in comps], dtype=np.int64)
+    chain = np.repeat(np.arange(len(comps)), n)[owner]
+    slit = owner - (np.cumsum(n) - n)[chain]
+    order = np.lexsort((far, chain))
+    far, chain, slit = far[order], chain[order], slit[order]
+    # each chain's far triangles, ascending, as rows of one list
     t = far // 3
-    first = np.concatenate([[True], t[1:] != t[:-1]])
-    tris, at = t[first], np.cumsum(first) - 1
-    index = {}
-    old = [index.setdefault(v, len(index)) for v in mesh.triangles[tris].ravel().tolist()]
-    old = np.array(old).reshape(-1, 3)
-    verts, m = np.array(list(index), dtype=np.int64), len(index)
+    first = np.ones(len(t), dtype=bool)
+    first[1:] = (t[1:] != t[:-1]) | (chain[1:] != chain[:-1])
+    row = np.cumsum(first) - 1
+    tris, tri_chain = t[first], chain[first]
+    # a chain's vertices numbered locally in the order its triangles' corners
+    # meet them, its new dofs after them in slit order
+    nv = len(mesh.vertices)
+    key = (tri_chain[:, None] * nv + mesh.triangles[tris]).ravel()
+    uniq, seen, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[np.argsort(seen)] = np.arange(len(uniq))
+    m = np.bincount(uniq // nv, minlength=len(comps))
+    start = np.cumsum(m) - m
+    verts = np.empty(len(uniq), dtype=np.int64)
+    verts[rank] = uniq % nv
+    old = rank[inverse].reshape(-1, 3) - start[tri_chain][:, None]
     new = old.copy()
-    new[at, far % 3] = m + owner
+    new[row, far % 3] = m[chain] + slit
     # entry (i, j) of a far triangle moves when corner i or j does
     moved = new != old
-    changed = (moved[:, :, None] | moved[:, None, :]).reshape(-1, 9)
-    entries = local[tris].reshape(-1, 9)[changed]
-    rows = [np.repeat(dofs, 3, axis=1)[changed] for dofs in (new, old)]
-    cols = [np.tile(dofs, (1, 3))[changed] for dofs in (new, old)]
-    dS = np.zeros((m + n_slit, m + n_slit))
-    np.add.at(dS, (np.concatenate(rows), np.concatenate(cols)), np.concatenate([entries, -entries]))
-    E = dS[:m, :m] - dS[:m, m:] @ _dense_solve(dS[m:, m:], dS[m:, :m])
-    keep = verts != pin
-    return verts[keep], E[keep][:, keep]
+    changed = moved[:, :, None] | moved[:, None, :]
+    groups = []
+    for mk, nk in np.unique(np.column_stack([m, n]), axis=0).tolist():
+        cs = np.flatnonzero((m == mk) & (n == nk))
+        pos = np.full(len(comps), -1)
+        pos[cs] = np.arange(len(cs))
+        # the moved entries of the group's triangles, triangle by triangle:
+        # added with the new dofs, then taken away with the old ones, summed
+        # in that order into each chain's flat (D, D) block
+        D = mk + nk
+        tri, i, j = np.nonzero(changed & (pos[tri_chain] >= 0)[:, None, None])
+        block = pos[tri_chain[tri]] * D
+        at = np.concatenate([(block + new[tri, i]) * D + new[tri, j],
+                             (block + old[tri, i]) * D + old[tri, j]])
+        entries = local[tris[tri], i, j]
+        dS = np.bincount(at, np.concatenate([entries, -entries]), minlength=len(cs) * D * D)
+        dS = dS.reshape(len(cs), D, D)
+        E = dS[:, :mk, :mk] - dS[:, :mk, mk:] @ _dense_solve(dS[:, mk:, mk:], dS[:, mk:, :mk])
+        S = verts[start[cs][:, None] + np.arange(mk)]
+        # the pinned dof is zero in every potential: a star that holds it
+        # drops its row and column
+        held = S == pin
+        has = held.any(axis=1)
+        groups.append((idx[cs[~has]], S[~has], E[~has]))
+        if np.any(has):
+            keep, k = ~held[has], int(np.sum(has))
+            groups.append((
+                idx[cs[has]],
+                S[has][keep].reshape(k, mk - 1),
+                E[has][keep[:, :, None] & keep[:, None, :]].reshape(k, mk - 1, mk - 1),
+            ))
+    return groups
 
 
 # which sides of the region bracket a peel tests: both, or only the one
@@ -418,12 +525,14 @@ class RegionMaps:
         # each side is (NdMatrix, vertices, their pinned potentials, their
         # pinned Green's block); one factorization is alive at a time
         if mode != "insulating":
-            N, Z, G = _background(NdSolver(mesh, gamma0), basis, self._skeleton)
-            self._frozen = (N, self._skeleton, Z, G)
+            N, Z, (G,) = _background(NdSolver(mesh, gamma0), basis, self._skeleton,
+                                     [np.arange(len(self._skeleton))[None]])
+            self._frozen = (N, self._skeleton, Z, G[0])
         if mode != "conducting":
             C = self._boundary(R0)
-            N, Z, G = _background(NdSolver(mesh, gamma0, {"excluded": R0}), basis, C)
-            self._excluded = (N, C, Z, G)
+            N, Z, (G,) = _background(NdSolver(mesh, gamma0, {"excluded": R0}), basis, C,
+                                     [np.arange(len(C))[None]])
+            self._excluded = (N, C, Z, G[0])
 
     def _boundary(self, region):
         # the region's boundary vertices C, ascending
@@ -542,6 +651,26 @@ class RegionMaps:
         self._last = None
 
 
+def psd_tests(A, tau):
+    """``psd_test`` on a ``(k, n, n)`` stack: (verdicts, smallest eigenvalues).
+
+    Each matrix must be symmetric up to the same relative tolerance; ``tau``
+    is one threshold for all or one per matrix. One stacked ``eigvalsh``.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError("need a stack of square matrices")
+    AT = np.swapaxes(A, 1, 2)
+    scale = np.maximum(1e-300, np.max(np.abs(A), axis=(1, 2)))
+    work = np.subtract(A, AT)
+    if np.any(np.max(np.abs(work, out=work), axis=(1, 2)) > SYM_RTOL * scale):
+        raise ValueError("matrix is not symmetric")
+    np.add(A, AT, out=work)
+    work *= 0.5
+    min_eig = np.linalg.eigvalsh(work)[:, 0]
+    return min_eig >= -np.asarray(tau, dtype=float), min_eig
+
+
 def psd_test(A, tau):
     """Positive-semidefiniteness certificate: (verdict, smallest eigenvalue).
 
@@ -552,18 +681,23 @@ def psd_test(A, tau):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
-    scale = max(1e-300, float(np.max(np.abs(A))))
-    if np.max(np.abs(A - A.T)) > SYM_RTOL * scale:
-        raise ValueError("matrix is not symmetric")
-    w = np.linalg.eigvalsh(0.5 * (A + A.T))
-    min_eig = float(w[0])
-    return (min_eig >= -tau, min_eig)
+    passed, min_eig = psd_tests(A[None], tau)
+    return bool(passed[0]), float(min_eig[0])
+
+
+def default_taus(entries):
+    """``default_tau`` of every minuend in a ``(k, M, M)`` stack of entries.
+
+    One stacked ``eigvalsh``; each value equals ``default_tau`` of that
+    matrix alone.
+    """
+    w = np.linalg.eigvalsh(0.5 * (entries + np.swapaxes(entries, -1, -2)))
+    return PSD_TAU_FACTOR * np.max(np.abs(w), axis=-1)
 
 
 def default_tau(minuend):
     """Tolerance scaled to the spectral norm of the minuend, an NdMatrix."""
-    w = np.linalg.eigvalsh(0.5 * (minuend.entries + minuend.entries.T))
-    return PSD_TAU_FACTOR * float(np.max(np.abs(w)))
+    return float(default_taus(minuend.entries[None])[0])
 
 
 def tau_for(minuend, tau):
@@ -571,6 +705,16 @@ def tau_for(minuend, tau):
     if tau is not None:
         return float(tau)
     return default_tau(minuend)
+
+
+def _record(name, passed, min_eig, tau):
+    return {
+        "test": name,
+        "passed": bool(passed),
+        "min_eig": float(min_eig),
+        "tau": float(tau),
+        "close_call": bool(abs(min_eig) < MARGIN_SCALE * tau),
+    }
 
 
 def certificate(name, diff, minuend, tau):
@@ -584,13 +728,18 @@ def certificate(name, diff, minuend, tau):
     """
     t = tau_for(minuend, tau)
     passed, min_eig = psd_test(diff, t)
-    return {
-        "test": name,
-        "passed": bool(passed),
-        "min_eig": float(min_eig),
-        "tau": float(t),
-        "close_call": bool(abs(min_eig) < MARGIN_SCALE * t),
-    }
+    return _record(name, passed, min_eig, t)
+
+
+def certificates(name, diffs, taus):
+    """``certificate`` for a ``(k, M, M)`` stack of differences, one record each.
+
+    ``taus`` is the threshold of every test, one for all or one per
+    difference; ``default_taus`` gives the defaults of a stack of minuends.
+    """
+    taus = np.broadcast_to(np.asarray(taus, dtype=float), (len(diffs),))
+    passed, min_eig = psd_tests(diffs, taus)
+    return [_record(name, *test) for test in zip(passed, min_eig, taus)]
 
 
 def symmetric_noise(N, level, rng):

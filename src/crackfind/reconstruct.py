@@ -12,6 +12,7 @@ from inside.
 from __future__ import annotations
 
 import io
+import itertools
 
 import numpy as np
 
@@ -185,9 +186,12 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
 
     Every N_chain comes from ``ndmap.chain_matrices``, a low-rank update of
     one factorized crack-free background on the chain's star (the formulas
-    are in its docstring). A candidate that fails ``CrackSet.validate``
-    raises. The insulating threshold depends only on the data, so it is
-    computed once.
+    are in its docstring). A candidate that fails ``geometry.check_chains``
+    raises before anything is factorized. The tests run
+    ``ndmap.CHAIN_BATCH`` chains at a time, one stacked ``eigvalsh`` per
+    batch. The insulating threshold depends only on the data, so it is
+    computed once; a conducting chain's default threshold comes from one
+    stacked ``eigvalsh`` of its batch's chain matrices.
     """
     if kind not in geometry.KINDS:
         raise ValueError("kind must be one of %s" % (geometry.KINDS,))
@@ -199,20 +203,24 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     comps = [geometry.CrackComponent(chain, kind) for chain in candidates]
     if kind == geometry.INSULATING:
         tau = ndmap.tau_for(data, tau)
+    matrices = ndmap.chain_matrices(mesh, gamma0, basis, comps)
     accepted, rejected = [], []
-    for comp, n_chain in zip(comps, ndmap.chain_matrices(mesh, gamma0, basis, comps)):
+    for lo in range(0, len(comps), ndmap.CHAIN_BATCH):
+        batch = comps[lo:lo + ndmap.CHAIN_BATCH]
+        N = np.stack([n.entries for n in itertools.islice(matrices, len(batch))])
         if kind == geometry.INSULATING:
-            diff, minuend = d - n_chain.entries, data
+            certs = ndmap.certificates("chain", d - N, tau)
         else:
-            diff, minuend = n_chain.entries - d, n_chain
-        cert = ndmap.certificate("chain", diff, minuend, tau)
-        entry = {
-            "chain": [int(v) for v in comp.chain],
-            "min_eig": cert["min_eig"],
-            "tau": cert["tau"],
-            "close_call": cert["close_call"],
-        }
-        (accepted if cert["passed"] else rejected).append(entry)
+            taus = ndmap.default_taus(N) if tau is None else tau
+            certs = ndmap.certificates("chain", N - d, taus)
+        for comp, cert in zip(batch, certs):
+            entry = {
+                "chain": [int(v) for v in comp.chain],
+                "min_eig": cert["min_eig"],
+                "tau": cert["tau"],
+                "close_call": cert["close_call"],
+            }
+            (accepted if cert["passed"] else rejected).append(entry)
     return InnerResult(kind, accepted, rejected)
 
 

@@ -1,8 +1,9 @@
 """Oracles of the acceptance criteria that only the tests use.
 
 They recompute a quantity the program gets another way: a quadratic-form
-difference as a projection energy, a field in a larger space, and the
-column space of a source operator.
+difference as a projection energy, a field in a larger space, the
+column space of a source operator, and the slit fans by a scan of the
+whole mesh.
 """
 
 import numpy as np
@@ -85,3 +86,47 @@ def numerical_range(op, rtol=1e-10):
     U, s, _ = np.linalg.svd(matrix, full_matrices=False)
     rank = int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
     return U[:, :rank]
+
+
+def split_fans_scan(mesh, insulating):
+    """``fem.split_fans`` by two scans of every triangle corner.
+
+    The reference the fan walk of ``fem.split_fans`` must match: it finds
+    the slit fans among all 3T corners and cuts every crack edge at once.
+
+    An interior chain vertex has a closed fan of triangles, which its two
+    crack edges cut in two. The fan is a graph on the vertex's corners
+    (flat index 3 t + c), joined across the uncut edges at the vertex; the
+    side holding the vertex's lowest triangle keeps the vertex's own dof and
+    the other side gets a new one. Returns ``(corners, owner)``: the flat
+    corner indices of every far side, ascending, and for each the position
+    of its vertex in the slit order (chain by chain, interior vertices in
+    chain order). Raises if a fan does not split into exactly two sides.
+    """
+    slit = [v for comp in insulating.components for v in comp.chain[1:-1]]
+    if not slit:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    flat = mesh.triangles.reshape(-1)
+    pos = np.full(len(mesh.vertices), -1, dtype=np.int64)
+    pos[slit] = np.arange(len(slit))
+    fan = np.flatnonzero(pos[flat] >= 0)
+    owner = pos[flat[fan]]
+    # the two sides of each corner that meet at its vertex; an uncut one is
+    # shared by exactly two corners of the same (interior) vertex
+    t, c = np.divmod(fan, 3)
+    sides = mesh.tri_edges()[t[:, None], np.column_stack([c, (c + 2) % 3])].reshape(-1)
+    cut = np.zeros(len(mesh.edges()), dtype=bool)
+    cut[insulating.edge_ids(mesh)] = True
+    uncut = np.flatnonzero(~cut[sides])
+    at = uncut[np.argsort(sides[uncut] * len(slit) + owner[uncut // 2], kind="stable")]
+    pairs = np.column_stack([fan[at[0::2] // 2], fan[at[1::2] // 2]])
+    label = geometry.components(fan.tolist(), pairs.tolist())
+    # fan is ascending, so a vertex's first corner is its lowest
+    lowest, sides = {}, set()
+    for k, v in zip(fan.tolist(), owner.tolist()):
+        lowest.setdefault(v, k)
+        sides.add((v, label[k]))
+    if np.any(np.bincount([v for v, _ in sides], minlength=len(slit)) != 2):
+        raise ValueError("slit vertex fan does not split into two sides")
+    far = np.array([label[k] != lowest[v] for k, v in zip(fan.tolist(), owner.tolist())])
+    return fan[far], owner[far]

@@ -26,7 +26,7 @@ from crackfind.geometry import (
     build_rect_mesh,
     embed_crack,
 )
-from oracles import embed_field
+from oracles import embed_field, split_fans_scan
 
 
 def square(n=8):
@@ -110,6 +110,98 @@ def test_dofmap_inadmissible_region_rejected():
     grid = PixelGrid(mesh, 8, 8)
     with pytest.raises(ValueError):
         build_dofmap(mesh, excluded=PixelSet(grid, {grid.index(0, 0)}))
+
+
+# ------------------------------------------------------------------ #
+# slit fans
+# ------------------------------------------------------------------ #
+
+FAN_MESHES = {
+    "rect": square(8),
+    "disk": build_disk_mesh(1.0, 0.2),
+    "embedded": embed_crack(square(16), [(0.25, 0.5), (0.6, 0.75)], INSULATING)[0],
+}
+
+
+def random_walk(mesh, rng, n_edges, blocked):
+    """A simple chain of at most n_edges interior edges off ``blocked``; None if stuck."""
+    bvs = mesh.boundary_vertex_set()
+    edges = mesh.edges()
+    free = [v for v in range(len(mesh.vertices)) if v not in bvs and v not in blocked]
+    if not free:
+        return None
+    chain = [int(rng.choice(free))]
+    while len(chain) <= n_edges:
+        a = chain[-1]
+        nbrs = np.concatenate([edges[edges[:, 0] == a, 1], edges[edges[:, 1] == a, 0]])
+        nbrs = [w for w in nbrs.tolist() if w not in bvs and w not in blocked and w not in chain]
+        if not nbrs:
+            break
+        chain.append(int(rng.choice(nbrs)))
+    return tuple(chain) if len(chain) >= 2 else None
+
+
+def random_insulating_set(mesh, rng):
+    """One to three vertex-disjoint insulating chains of one to six edges."""
+    comps, used = [], set()
+    for _ in range(int(rng.integers(1, 4))):
+        chain = random_walk(mesh, rng, int(rng.integers(1, 7)), used)
+        if chain is not None:
+            comps.append(geometry.CrackComponent(chain, INSULATING))
+            used.update(chain)
+    cracks = geometry.CrackSet(comps)
+    cracks.validate(mesh)
+    return cracks
+
+
+def test_fan_walk_matches_the_corner_scan():
+    # differential oracle: the walk through the vertex-corner table against
+    # the scan of every triangle corner, on 300 random crack sets
+    rng = np.random.default_rng(20)
+    multi = 0
+    for mesh in FAN_MESHES.values():
+        for _ in range(100):
+            cracks = random_insulating_set(mesh, rng)
+            multi += len(cracks) > 1
+            got, ref = fem.split_fans(mesh, cracks), split_fans_scan(mesh, cracks)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert multi >= 100
+
+
+def test_fan_walk_splits_overlapping_chains_each_on_its_own():
+    # a batch of test chains may share vertices and edges; each chain's far
+    # sides come out as if it were split alone, its positions shifted by the
+    # slit vertices of the chains before it
+    rng = np.random.default_rng(21)
+    for mesh in FAN_MESHES.values():
+        chains = [random_walk(mesh, rng, int(rng.integers(1, 7)), ()) for _ in range(40)]
+        comps = [geometry.CrackComponent(c, INSULATING) for c in chains if c is not None]
+        corners, owner = fem.split_fans(mesh, geometry.CrackSet(comps))
+        assert np.all(np.diff(corners) >= 0)
+        first = 0
+        for comp in comps:
+            n = len(comp.chain) - 2
+            mine = (owner >= first) & (owner < first + n)
+            alone = split_fans_scan(mesh, geometry.CrackSet([comp]))
+            assert np.array_equal(corners[mine], alone[0])
+            assert np.array_equal(owner[mine] - first, alone[1])
+            first += n
+        assert len(corners) == sum(
+            len(split_fans_scan(mesh, geometry.CrackSet([c]))[0]) for c in comps
+        )
+
+
+def test_vertex_corners_list_every_corner_once_by_vertex():
+    mesh = FAN_MESHES["disk"]
+    corners, start = mesh.vertex_corners()
+    flat = mesh.triangles.reshape(-1)
+    assert np.array_equal(np.sort(corners), np.arange(len(flat)))
+    for v in range(len(mesh.vertices)):
+        mine = corners[start[v]:start[v + 1]]
+        assert np.array_equal(mine, np.flatnonzero(flat == v))
+    assert not corners.flags.writeable and not start.flags.writeable
+    assert mesh.vertex_corners()[0] is corners
 
 
 # ------------------------------------------------------------------ #

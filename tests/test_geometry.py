@@ -148,6 +148,51 @@ def test_distance_to_boundary_of_many_points():
     assert np.allclose(many, np.where(inside >= 0, inside, outside), rtol=0, atol=1e-15)
 
 
+def test_distance_to_boundary_goes_in_chunks(monkeypatch):
+    # chunked by points: the same bits as one unchunked call, and no call
+    # pairs more than DISTANCE_CHUNK points with boundary segments
+    mesh = build_disk_mesh(1.0, 0.05)
+    pts = np.random.default_rng(1).uniform(-1.2, 1.2, size=(2000, 2))
+    a, b = mesh.boundary_segments()
+    whole = geometry.point_segment_distance(pts, a, b).min(axis=-1)
+    sizes = []
+    real = geometry.point_segment_distance
+
+    def recording(p, *args):
+        sizes.append(len(p) * len(args[0]))
+        return real(p, *args)
+
+    monkeypatch.setattr(geometry, "point_segment_distance", recording)
+    got = mesh.distance_to_boundary(pts)
+    assert np.array_equal(got, whole)
+    assert len(sizes) > 1 and max(sizes) <= geometry.DISTANCE_CHUNK
+    assert mesh.distance_to_boundary(np.zeros((0, 2))).shape == (0,)
+
+
+def test_clearance_is_each_vertex_distance_computed_once(monkeypatch):
+    mesh = build_rect_mesh(1.0, 1.0, 1.0 / 8)
+    asked = []
+    real = Mesh.distance_to_boundary
+
+    def recording(self, pts):
+        asked.append(len(pts))
+        return real(self, pts)
+
+    monkeypatch.setattr(Mesh, "distance_to_boundary", recording)
+    first = mesh.clearance([10, 3, 10, 40])
+    assert asked == [3]
+    assert np.array_equal(first, real(mesh, mesh.vertices[[10, 3, 10, 40]]))
+    every = mesh.clearance(np.arange(len(mesh.vertices)))
+    assert asked == [3, len(mesh.vertices) - 3]
+    assert np.array_equal(every, real(mesh, mesh.vertices))
+    mesh.clearance([0, 10])
+    assert len(asked) == 2
+    cached = mesh._cache["clearance"]
+    assert not cached.flags.writeable
+    every[:] = -1.0
+    assert np.array_equal(mesh.clearance([10]), first[:1])
+
+
 def test_gamma_vertices_ordered():
     mesh = build_rect_mesh(1.0, 1.0, 0.25)
     order = mesh.gamma_vertices()
@@ -279,6 +324,95 @@ def test_random_interior_chains_keep_interior_connected(name, data):
     cracks = CrackSet(comps)
     cracks.validate(mesh)
     assert _interior_connected(mesh, cracks)
+
+
+def validate_one_by_one(mesh, cracks):
+    """The component loop ``CrackSet.validate`` replaced: every check chain by chain."""
+    bvs = mesh.boundary_vertex_set()
+    et = mesh.edge_tris()
+    seen_vertices = set()
+    for comp in cracks.components:
+        cv = set(comp.chain)
+        if cv & bvs:
+            raise ValueError("crack touches the boundary")
+        if cv & seen_vertices:
+            raise ValueError("crack components share a vertex")
+        seen_vertices |= cv
+        ids = mesh.edge_index(comp.chain[:-1], comp.chain[1:])
+        if np.any(ids < 0) or np.any(et[ids, 1] < 0):
+            raise ValueError("crack chain must follow interior mesh edges")
+        if np.any(mesh.distance_to_boundary(mesh.vertices[list(comp.chain)]) <= 0):
+            raise ValueError("crack vertex on the boundary")
+    for i, ci in enumerate(cracks.components):
+        for cj in cracks.components[i + 1:]:
+            vi, vj = mesh.vertices[list(ci.chain)], mesh.vertices[list(cj.chain)]
+            if np.min(np.linalg.norm(vi[:, None, :] - vj[None, :, :], axis=2)) <= 0:
+                raise ValueError("crack components must stay separated")
+
+
+def random_test_chain(mesh, rng):
+    """A chain that is valid or breaks one single-chain check, at random."""
+    bvs = sorted(mesh.boundary_vertex_set())
+    inner = [v for v in range(len(mesh.vertices)) if v not in mesh.boundary_vertex_set()]
+    edges = mesh.edges()
+    pick = rng.integers(0, 6)
+    if pick == 0:
+        # from a boundary vertex along an edge
+        a = int(rng.choice(bvs))
+        nbrs = np.concatenate([edges[edges[:, 0] == a, 1], edges[edges[:, 1] == a, 0]])
+        return (a, int(rng.choice(nbrs)))
+    if pick == 1:
+        # a hull edge
+        hull = edges[mesh.edge_tris()[:, 1] < 0]
+        return tuple(int(v) for v in hull[rng.integers(0, len(hull))])
+    if pick == 2:
+        # two interior vertices that share no edge
+        while True:
+            a, b = (int(v) for v in rng.choice(inner, size=2, replace=False))
+            if mesh.edge_index(a, b) < 0:
+                return (a, b)
+    if pick == 3:
+        # out of range
+        return (int(rng.choice(inner)), len(mesh.vertices) + 3)
+    chain = [int(rng.choice(inner))]
+    for _ in range(int(rng.integers(1, 5))):
+        a = chain[-1]
+        nbrs = np.concatenate([edges[edges[:, 0] == a, 1], edges[edges[:, 1] == a, 0]])
+        nbrs = [w for w in nbrs.tolist() if w not in chain]
+        if not nbrs:
+            break
+        chain.append(int(rng.choice(nbrs)))
+    return tuple(chain) if len(chain) > 1 else (chain[0], int(nbrs[0]))
+
+
+def first_message(check):
+    try:
+        check()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("shape", ["rect", "disk"])
+def test_batched_checks_raise_like_the_chain_loop(shape):
+    # check_chains over independent chains raises what the first bad chain
+    # alone raises, and CrackSet.validate what the component loop raised,
+    # checks in the same order
+    mesh = build_rect_mesh(1.0, 1.0, 1.0 / 8) if shape == "rect" else build_disk_mesh(1.0, 0.2)
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(150):
+        chains = [random_test_chain(mesh, rng) for _ in range(int(rng.integers(1, 5)))]
+        alone = [first_message(lambda c=c: validate_one_by_one(
+            mesh, CrackSet([CrackComponent(c, INSULATING)]))) for c in chains]
+        expected = next((m for m in alone if m is not None), None)
+        assert first_message(lambda: geometry.check_chains(mesh, chains)) == expected
+        cracks = CrackSet([CrackComponent(c, INSULATING) for c in chains])
+        message = first_message(lambda: validate_one_by_one(mesh, cracks))
+        assert first_message(lambda: cracks.validate(mesh)) == message
+        outcomes.add(message)
+    assert {None, "crack touches the boundary", "crack components share a vertex",
+            "crack chain must follow interior mesh edges"} <= outcomes
 
 
 # ------------------------------------------------------------------ #

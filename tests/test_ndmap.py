@@ -161,6 +161,38 @@ def test_default_tau_uses_spectral_norm():
     assert ndmap.default_tau(A) == pytest.approx(5e-8)
 
 
+def test_stacked_tests_are_the_single_tests_bit_for_bit():
+    # one stacked eigvalsh per stack: each record and default threshold is
+    # the one an eigvalsh of that matrix alone gives, and an asymmetric
+    # member is refused wherever it sits
+    rng = np.random.default_rng(11)
+    B = rng.standard_normal((37, 9, 9))
+    A = B @ np.swapaxes(B, 1, 2) + 0.1 * np.eye(9)
+    A[::3] -= 2.0 * np.eye(9)
+    A[5] *= 1e-6
+    A[7] *= -1.0
+    spectra = [np.linalg.eigvalsh(0.5 * (a + a.T)) for a in A]
+    taus = ndmap.default_taus(A)
+    expected = [ndmap.PSD_TAU_FACTOR * float(np.max(np.abs(w))) for w in spectra]
+    assert [float(t) for t in taus] == expected
+    assert ndmap.default_tau(ndmap.NdMatrix(A[5], None, "one", ())) == expected[5]
+    for tau in (0.5, taus):
+        got = ndmap.certificates("stack", A, tau)
+        for c, w, t in zip(got, spectra, np.broadcast_to(tau, len(A))):
+            assert c == {
+                "test": "stack", "passed": bool(w[0] >= -t), "min_eig": float(w[0]),
+                "tau": float(t), "close_call": bool(abs(w[0]) < ndmap.MARGIN_SCALE * t),
+            }
+        assert {c["passed"] for c in got} == {True, False}
+        assert ndmap.certificate("stack", A[3], None, float(got[3]["tau"])) == got[3]
+    bad = A.copy()
+    bad[20, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        ndmap.psd_tests(bad, 0.0)
+    with pytest.raises(ValueError, match="square"):
+        ndmap.psd_tests(A[:, :, :4], 0.0)
+
+
 def test_monotonicity_chain(chain_setup):
     # excluded V >= insulating crack >= empty >= conducting crack >= frozen W
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup

@@ -15,8 +15,10 @@ from crackfind.geometry import (
     build_rect_mesh,
     embed_crack,
     interior_pixel_set,
+    mark_gamma,
     pixelset_is_admissible,
 )
+from oracles import split_fans_scan
 
 
 def vid(mesh, x, y):
@@ -281,10 +283,11 @@ def test_inner_mixed_data_refused(setup):
 
 def test_inner_factorizes_the_background_once(setup, monkeypatch):
     # one factorization per call whatever the candidate count, and one
-    # default threshold per insulating call (conducting ones are per chain)
+    # default threshold per insulating call; conducting ones come from one
+    # stacked spectrum per batch of chains
     mesh, cracks, grid, gamma0, basis, data = setup
-    made, taus = [], []
-    real_fact, real_tau = fem.Factorization, ndmap.default_tau
+    made, taus, stacked = [], [], []
+    real_fact, real_tau, real_taus = fem.Factorization, ndmap.default_tau, ndmap.default_taus
 
     def counting_fact(*args):
         made.append(1)
@@ -294,8 +297,13 @@ def test_inner_factorizes_the_background_once(setup, monkeypatch):
         taus.append(1)
         return real_tau(*args, **kwargs)
 
+    def counting_taus(*args, **kwargs):
+        stacked.append(1)
+        return real_taus(*args, **kwargs)
+
     monkeypatch.setattr(fem, "Factorization", counting_fact)
     monkeypatch.setattr(ndmap, "default_tau", counting_tau)
+    monkeypatch.setattr(ndmap, "default_taus", counting_taus)
     region = interior_pixel_set(grid)
     for kind, lengths, key in (
         (geometry.INSULATING, (2, 4), "ins"),
@@ -306,10 +314,15 @@ def test_inner_factorizes_the_background_once(setup, monkeypatch):
         for subset in (cands[:3], cands):
             made.clear()
             taus.clear()
+            stacked.clear()
             res = reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, subset, kind)
             assert len(res.accepted) + len(res.rejected) == len(subset)
             assert len(made) == 1
-            assert len(taus) == (1 if kind == geometry.INSULATING else len(subset))
+            batches = -(-len(subset) // ndmap.CHAIN_BATCH)
+            if kind == geometry.INSULATING:
+                assert (len(taus), len(stacked)) == (1, 1)
+            else:
+                assert (len(taus), len(stacked)) == (0, batches)
 
 
 def test_upper_factorizes_twice_and_thresholds_the_data_once(setup, monkeypatch):
@@ -368,6 +381,86 @@ def test_inner_refuses_invalid_candidates(setup):
                 cands = valid[:at] + [bad] + valid[at:]
                 with pytest.raises(ValueError, match=message):
                     reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, cands, kind)
+
+
+def test_inner_refuses_a_bad_candidate_before_factorizing(setup, monkeypatch):
+    # one bad chain at a random place among valid candidates raises the
+    # message of its first broken check, before any factorization
+    mesh, cracks, grid, gamma0, basis, data = setup
+    made = []
+    real_fact = fem.Factorization
+
+    def counting_fact(*args):
+        made.append(1)
+        return real_fact(*args)
+
+    monkeypatch.setattr(fem, "Factorization", counting_fact)
+    valid = reconstruct.axis_chain_candidates(mesh, interior_pixel_set(grid), (2, 4))
+    edges = mesh.edges()
+    hull = edges[mesh.edge_tris()[:, 1] < 0][5]
+    corner = vid(mesh, 0.0, 8 / 16)
+    inward = vid(mesh, 1 / 16, 8 / 16)
+    bad_chains = [
+        ((corner, inward, vid(mesh, 2 / 16, 8 / 16)), "crack touches the boundary"),
+        ((vid(mesh, 4 / 16, 4 / 16), vid(mesh, 6 / 16, 4 / 16)),
+         "crack chain must follow interior mesh edges"),
+        (tuple(int(v) for v in hull), "crack touches the boundary"),
+    ]
+    rng = np.random.default_rng(7)
+    for kind, key in ((geometry.INSULATING, "ins"), (geometry.CONDUCTING, "con")):
+        for bad, message in bad_chains:
+            at = int(rng.integers(0, len(valid) + 1))
+            cands = valid[:at] + [bad] + valid[at:]
+            with pytest.raises(ValueError) as got:
+                reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, cands, kind)
+            assert str(got.value) == message
+    assert made == []
+
+
+@pytest.mark.parametrize("kind", geometry.KINDS)
+def test_stacked_certificates_match_per_candidate_tests(kind):
+    # mixed star sizes, one-edge chains (an empty insulating star) and stars
+    # that hold the pinned arc vertex, against one NdSolver and one
+    # certificate per chain: identical verdicts and close calls, min_eig
+    # within 1e-12 of the minuend's size, the insulating tau bit for bit
+    mesh = mark_gamma(build_rect_mesh(1.0, 1.0, 1.0 / 8), {"box": [-0.1, 0.4, 0.5, 1.1]})
+    gamma0 = fem.Conductivity.from_spec(mesh, {"boxes": [{"box": [0, 0.6, 1, 1], "value": 2.0}]})
+    basis = ndmap.build_basis(mesh, 6)
+    pin = int(mesh.gamma_vertices()[0])
+    assert pin == vid(mesh, 0.5, 1.0)
+    crack = CrackComponent([vid(mesh, x / 8, 4 / 8) for x in range(2, 6)], kind)
+    data = ndmap.nd_matrix(mesh, gamma0, CrackSet([crack]), basis)
+    grid = PixelGrid(mesh, 4, 4)
+    cands = reconstruct.axis_chain_candidates(mesh, PixelSet(grid, range(16)), (1, 2, 3, 5))
+    assert len(cands) > ndmap.CHAIN_BATCH
+    if kind == geometry.INSULATING:
+        far = [split_fans_scan(mesh, CrackSet([CrackComponent(c, kind)]))[0] for c in cands]
+        assert any(pin in mesh.triangles[f // 3] for f in far)
+    res = reconstruct.reconstruct_inner(data, mesh, gamma0, basis, cands, kind).to_json()
+    entries = {
+        tuple(e["chain"]): (passed, e)
+        for passed, key in ((True, "accepted"), (False, "rejected"))
+        for e in res[key]
+    }
+    assert len(entries) == len(cands)
+    verdicts = set()
+    for chain in cands:
+        config = CrackSet([CrackComponent(chain, kind)])
+        n_chain = ndmap.NdSolver(mesh, gamma0, config).nd_matrix(basis)
+        if kind == geometry.INSULATING:
+            diff, minuend = data.entries - n_chain.entries, data
+        else:
+            diff, minuend = n_chain.entries - data.entries, n_chain
+        cert = ndmap.certificate("chain", diff, minuend, None)
+        passed, e = entries[chain]
+        assert passed == cert["passed"] and e["close_call"] == cert["close_call"]
+        assert abs(e["min_eig"] - cert["min_eig"]) <= 1e-12 * np.linalg.norm(minuend.entries, 2)
+        if kind == geometry.INSULATING:
+            assert e["tau"] == cert["tau"]
+        else:
+            assert e["tau"] == pytest.approx(cert["tau"], rel=1e-12, abs=0)
+        verdicts.add(passed)
+    assert verdicts == {True, False}
 
 
 def inner_reference(data, built, cands, kind):
