@@ -235,28 +235,26 @@ def _green_block(fact, K, dofs, width, stars):
     # array is formed, and of each solved block only the rows a star pairs
     # with its columns are kept. The load e_c - e_pin is balanced, so the
     # residual holds on every row
+    # each stack is filled a column per row, then handed out transposed
     out = [np.empty(P.shape + P.shape[1:]) for P in stars]
-    # every place of every star, numbered group by group, in the order of
-    # the columns they read
-    sizes = np.array([P.size for P in stars], dtype=np.int64)
-    offset = np.cumsum(sizes) - sizes
-    col = np.concatenate([np.zeros(0, dtype=np.int64)] + [P.ravel() for P in stars])
-    order = np.argsort(col, kind="stable")
-    col = col[order]
+    # per stack: the stars' dofs, and their places in the order of the
+    # columns they read
+    plan = []
+    for P in stars:
+        order = np.argsort(P.ravel(), kind="stable")
+        plan.append((dofs[P], P.ravel()[order], order))
     for lo in range(0, len(dofs), width):
         cols = dofs[lo:lo + width]
         b = np.vstack([np.eye(len(cols)), -np.ones((1, len(cols)))])
         at = np.append(cols, fact.pin)
         x = fact.solve(b, at)
         fem._check_residual(K, x, b, at)
-        first, last = np.searchsorted(col, [lo, lo + width])
-        place, c = order[first:last], col[first:last] - lo
-        group = np.searchsorted(offset, place, side="right") - 1
-        for g in np.unique(group):
-            P, sel = stars[g], group == g
-            j, i = np.divmod(place[sel] - offset[g], P.shape[1])
-            out[g][j, :, i] = x[dofs[P[j]], c[sel, None]]
-    return out
+        for GT, (D, col, order) in zip(out, plan):
+            first, last = np.searchsorted(col, [lo, lo + width])
+            if first < last:
+                j, i = np.divmod(order[first:last], D.shape[1])
+                GT[j, i] = x.take(D[j] * len(cols) + (col[first:last, None] - lo))
+    return [np.swapaxes(GT, 1, 2) for GT in out]
 
 
 def _background(solver, basis, verts, stars):
@@ -296,8 +294,9 @@ def _chain_correction(G, Z, E):
 
 
 # chains per stacked pass of chain_matrices' corrections and of the inner
-# eigen tests, and slit chains per pass of its star builder, whose arrays
-# are smaller
+# eigen tests, whose (k, M, M) stacks set the peak memory of an inner run;
+# slit chains per pass of its star builder, whose arrays per chain are
+# smaller and whose cost per pass is larger
 CHAIN_BATCH = 64
 STAR_BATCH = 256
 
