@@ -526,7 +526,8 @@ class RegionMaps:
         if mode != "insulating":
             N, Z, (G,) = _background(NdSolver(mesh, gamma0), basis, self._skeleton,
                                      [np.arange(len(self._skeleton))[None]])
-            self._frozen = (N, self._skeleton, Z, G[0])
+            # a C-ordered copy, which every frozen region reads from
+            self._frozen = (N, self._skeleton, Z, G[0].copy())
         if mode != "conducting":
             C = self._boundary(R0)
             N, Z, (G,) = _background(NdSolver(mesh, gamma0, {"excluded": R0}), basis, C,
@@ -660,14 +661,15 @@ def psd_tests(A, tau):
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("need a stack of square matrices")
     AT = np.swapaxes(A, 1, 2)
-    scale = np.maximum(1e-300, np.max(np.abs(A), axis=(1, 2)))
-    work = np.subtract(A, AT)
-    if np.any(np.max(np.abs(work, out=work), axis=(1, 2)) > SYM_RTOL * scale):
+    scale = np.maximum(np.abs(A).reshape(len(A), -1).max(axis=1), 1e-300)
+    work = A - AT
+    np.abs(work, out=work)
+    if np.any(work.reshape(len(A), -1).max(axis=1) > SYM_RTOL * scale):
         raise ValueError("matrix is not symmetric")
     np.add(A, AT, out=work)
     work *= 0.5
     min_eig = np.linalg.eigvalsh(work)[:, 0]
-    return min_eig >= -np.asarray(tau, dtype=float), min_eig
+    return min_eig >= -tau, min_eig
 
 
 def psd_test(A, tau):
