@@ -234,8 +234,8 @@ def _green_block(fact, K, dofs, width, stars):
     # column is solved once, ``width`` columns at a time, so no n x |dofs|
     # array is formed, and of each solved block only the rows a star pairs
     # with its columns are kept. The load e_c - e_pin is balanced, so the
-    # residual holds on every row
-    # each stack is filled a column per row, then handed out transposed
+    # residual holds on every row. Each stack is filled a column per row,
+    # with one flat take per block, and handed out transposed
     out = [np.empty(P.shape + P.shape[1:]) for P in stars]
     # per stack: the stars' dofs, and their places in the order of the
     # columns they read
