@@ -295,8 +295,8 @@ def _chain_correction(G, Z, E):
 
 # chains per stacked pass of chain_matrices' corrections and of the inner
 # eigen tests, whose (k, M, M) stacks set the peak memory of an inner run;
-# slit chains per pass of its star builder, whose arrays per chain are
-# smaller and whose cost per pass is larger
+# slit chains per pass of ``_stars``, whose arrays per chain are smaller and
+# whose cost per pass is larger
 CHAIN_BATCH = 64
 STAR_BATCH = 256
 
