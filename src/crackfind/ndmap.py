@@ -304,10 +304,12 @@ STAR_BATCH = 256
 def chain_matrices(mesh, gamma0, basis, components):
     """ND matrices of single test chains as low-rank updates of one background.
 
-    Yields one NdMatrix per component, in the given order. A chain changes
-    the crack-free forward problem only on its star, the triangles at its
-    slit or tied vertices, so its matrix is the background matrix ``N0``
-    minus a small dense correction (static condensation plus Woodbury).
+    Yields the entries of the components' matrices in the given order, as
+    exactly symmetric ``(k, M, M)`` stacks of ``CHAIN_BATCH`` components
+    (the last stack holds the rest). A chain changes the crack-free forward
+    problem only on its star, the triangles at its slit or tied vertices,
+    so its matrix is the background matrix ``N0`` minus a small dense
+    correction (static condensation plus Woodbury).
     Every chain is checked first (``geometry.check_chains``, one pass; the
     first bad chain raises) and every star is found, ``STAR_BATCH`` slit
     chains at a time with one stacked condensation per star shape. Then
@@ -326,12 +328,12 @@ def chain_matrices(mesh, gamma0, basis, components):
       ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C`` with
       ``H = G_CC^-1``.
 
-    The corrections and the matrices are formed ``CHAIN_BATCH`` chains at a
-    time, as ``(k, m, m)`` stacks of one star size. The pinned dof is zero
-    in every potential, so a star that holds it drops its row and column,
-    which is exact. Every small dense solve is checked against
-    ``fem.RESIDUAL_RTOL``, per chain and per column. ``NdSolver`` on the
-    chain's configuration is the reference this path must match.
+    Within a stack the corrections are formed as ``(k, m, m)`` stacks of
+    one star size. The pinned dof is zero in every potential, so a star
+    that holds it drops its row and column, which is exact. Every small
+    dense solve is checked against ``fem.RESIDUAL_RTOL``, per chain and
+    per column. ``NdSolver`` on the chain's configuration is the reference
+    this path must match.
     """
     components = list(components)
     geometry.check_chains(mesh, [comp.chain for comp in components])
@@ -343,9 +345,6 @@ def chain_matrices(mesh, gamma0, basis, components):
     union = np.unique(np.concatenate([S.ravel() for _, S, _ in groups]))
     at = [np.searchsorted(union, S) for _, S, _ in groups]
     N0, Z, G = _background(NdSolver(mesh, gamma0), basis, union, at)
-    # one label per kind: a single chain of it
-    label = {comp.kind: comp for comp in components}
-    label = {kind: fem.config_label(geometry.CrackSet([comp])) for kind, comp in label.items()}
     for lo in range(0, len(components), CHAIN_BATCH):
         hi = min(lo + CHAIN_BATCH, len(components))
         N = np.empty((hi - lo,) + N0.entries.shape)
@@ -355,9 +354,7 @@ def chain_matrices(mesh, gamma0, basis, components):
                 part = slice(first, last)
                 corr = _chain_correction(G_S[part], Z[P[part]], None if E is None else E[part])
                 N[idx[part] - lo] = N0.entries - corr
-        N = 0.5 * (N + np.swapaxes(N, -1, -2))
-        for comp, entries in zip(components[lo:hi], N):
-            yield NdMatrix(entries, basis, label[comp.kind], {comp.kind})
+        yield 0.5 * (N + np.swapaxes(N, -1, -2))
 
 
 def _stars(mesh, local, pin, components):

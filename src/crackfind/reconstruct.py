@@ -12,7 +12,6 @@ from inside.
 from __future__ import annotations
 
 import io
-import itertools
 
 import numpy as np
 
@@ -187,9 +186,10 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     Every N_chain comes from ``ndmap.chain_matrices``, a low-rank update of
     one factorized crack-free background on the chain's star (the formulas
     are in its docstring). A candidate that fails ``geometry.check_chains``
-    raises before anything is factorized. The tests run
-    ``ndmap.CHAIN_BATCH`` chains at a time, one stacked ``eigvalsh`` per
-    batch. The insulating threshold depends only on the data, so it is
+    raises before anything is factorized. ``chain_matrices`` yields the
+    entries of ``ndmap.CHAIN_BATCH`` chains at a time as one ``(k, M, M)``
+    stack, and each stack is tested as it comes, one stacked ``eigvalsh``
+    per batch. The insulating threshold depends only on the data, so it is
     computed once; a conducting chain's default threshold comes from one
     stacked ``eigvalsh`` of its batch's chain matrices.
     """
@@ -203,11 +203,10 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     comps = [geometry.CrackComponent(chain, kind) for chain in candidates]
     if kind == geometry.INSULATING:
         tau = ndmap.tau_for(data, tau)
-    matrices = ndmap.chain_matrices(mesh, gamma0, basis, comps)
+    step = ndmap.CHAIN_BATCH
+    batches = [comps[lo:lo + step] for lo in range(0, len(comps), step)]
     accepted, rejected = [], []
-    for lo in range(0, len(comps), ndmap.CHAIN_BATCH):
-        batch = comps[lo:lo + ndmap.CHAIN_BATCH]
-        N = np.stack([n.entries for n in itertools.islice(matrices, len(batch))])
+    for batch, N in zip(batches, ndmap.chain_matrices(mesh, gamma0, basis, comps)):
         if kind == geometry.INSULATING:
             certs = ndmap.certificates("chain", d - N, tau)
         else:
@@ -215,7 +214,7 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
             certs = ndmap.certificates("chain", N - d, taus)
         for comp, cert in zip(batch, certs):
             entry = {
-                "chain": [int(v) for v in comp.chain],
+                "chain": list(comp.chain),
                 "min_eig": cert["min_eig"],
                 "tau": cert["tau"],
                 "close_call": cert["close_call"],
@@ -256,19 +255,15 @@ def axis_chain_candidates(mesh, region, lengths):
             continue
         lines[axis].setdefault(round(float(level), 9), []).append((sort_key, lo, hi))
 
+    # closed squares: a vertex on a pixel edge belongs to both pixels
     grid = region.grid
-    members = region.members
-
-    def in_region(v):
-        # closed squares: a vertex on a pixel edge belongs to both pixels
-        fx = (verts[v, 0] - grid.origin[0]) / grid.h
-        fy = (verts[v, 1] - grid.origin[1]) / grid.h
-        eps = 1e-9
-        for ix in {int(np.floor(fx - eps)), int(np.floor(fx + eps))}:
-            for iy in {int(np.floor(fy - eps)), int(np.floor(fy + eps))}:
-                if 0 <= ix < grid.nx and 0 <= iy < grid.ny and grid.index(ix, iy) in members:
-                    return True
-        return False
+    mask = region.mask()
+    f = (verts - grid.origin) / grid.h
+    in_region = np.zeros(len(verts), dtype=bool)
+    for ix in (np.floor(f[:, 0] - 1e-9), np.floor(f[:, 0] + 1e-9)):
+        for iy in (np.floor(f[:, 1] - 1e-9), np.floor(f[:, 1] + 1e-9)):
+            on = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
+            in_region[on] |= mask[iy[on].astype(int), ix[on].astype(int)]
 
     out = []
     for axis in ("h", "v"):
@@ -285,7 +280,7 @@ def axis_chain_candidates(mesh, region, lengths):
             runs.append(cur)
             for run in runs:
                 chain_all = [run[0][1]] + [e[2] for e in run]
-                keep = [in_region(v) for v in chain_all]
+                keep = in_region[chain_all].tolist()
                 for k in lengths:
                     for s in range(len(chain_all) - k):
                         if all(keep[s : s + k + 1]):

@@ -2,8 +2,9 @@
 
 They recompute a quantity the program gets another way: a quadratic-form
 difference as a projection energy, a field in a larger space, the
-column space of a source operator, and the slit fans by a scan of the
-whole mesh.
+column space of a source operator, the slit fans by a scan of the
+whole mesh, and a pixel region's closed-square membership one point at a
+time.
 """
 
 import numpy as np
@@ -130,3 +131,22 @@ def split_fans_scan(mesh, insulating):
         raise ValueError("slit vertex fan does not split into two sides")
     far = np.array([label[k] != lowest[v] for k, v in zip(fan.tolist(), owner.tolist())])
     return fan[far], owner[far]
+
+
+def in_closed_region(region, point):
+    """Whether a point lies in the closed union of a pixel region's squares.
+
+    The rule ``reconstruct.axis_chain_candidates`` applies to all vertices
+    at once: on each axis the pixel at ``floor(f - 1e-9)`` and the one at
+    ``floor(f + 1e-9)`` are tried, so a point on a pixel edge belongs to
+    both pixels.
+    """
+    grid = region.grid
+    fx = (point[0] - grid.origin[0]) / grid.h
+    fy = (point[1] - grid.origin[1]) / grid.h
+    eps = 1e-9
+    for ix in {int(np.floor(fx - eps)), int(np.floor(fx + eps))}:
+        for iy in {int(np.floor(fy - eps)), int(np.floor(fy + eps))}:
+            if 0 <= ix < grid.nx and 0 <= iy < grid.ny and grid.index(ix, iy) in region.members:
+                return True
+    return False

@@ -360,13 +360,13 @@ def random_chain(mesh, rng, n_edges):
     raise AssertionError("no chain of %d interior edges found" % n_edges)
 
 
-def assert_matches_nd_solver(mesh, gamma0, basis, comps, got):
-    assert len(got) == len(comps)
+def assert_matches_nd_solver(mesh, gamma0, basis, comps, stacks):
+    # stacks are what chain_matrices yields: one row per component, in order
+    got = np.concatenate(stacks)
+    assert got.shape == (len(comps), basis.M, basis.M)
     for comp, N in zip(comps, got):
         ref = ndmap.NdSolver(mesh, gamma0, CrackSet([comp])).nd_matrix(basis)
-        assert N.kinds == ref.kinds
-        assert N.config_label == ref.config_label
-        assert np.max(np.abs(N.entries - ref.entries)) <= 1e-10 * np.max(np.abs(ref.entries))
+        assert np.max(np.abs(N - ref.entries)) <= 1e-10 * np.max(np.abs(ref.entries))
 
 
 @settings(max_examples=30, deadline=None)
@@ -392,6 +392,27 @@ def test_chain_maps_match_nd_solver(shape, arc, box, seed):
         for kind in rng.choice(geometry.KINDS, size=5)
     ]
     got = list(ndmap.chain_matrices(mesh, gamma0, basis, comps))
+    assert_matches_nd_solver(mesh, gamma0, basis, comps, got)
+
+
+def test_chain_maps_yield_symmetric_stacks_in_candidate_order():
+    # more than one batch of chains of both kinds, interleaved: full stacks of
+    # CHAIN_BATCH rows, then the rest, each row the matrix of its candidate
+    mesh = CHAIN_MESHES["rect", False]
+    gamma0 = fem.Conductivity(mesh, 1.0)
+    basis = ndmap.build_basis(mesh, 6)
+    grid = geometry.PixelGrid(mesh, 4, 4)
+    cands = reconstruct.axis_chain_candidates(mesh, geometry.PixelSet(grid, range(16)), (1, 2, 3))
+    n = ndmap.CHAIN_BATCH + 13
+    assert len(cands) >= n
+    comps = [
+        geometry.CrackComponent(chain, geometry.KINDS[i % 2]) for i, chain in enumerate(cands[:n])
+    ]
+    got = list(ndmap.chain_matrices(mesh, gamma0, basis, comps))
+    assert [N.shape for N in got] == [(ndmap.CHAIN_BATCH, 6, 6), (13, 6, 6)]
+    for N in got:
+        assert N.dtype == float
+        assert np.array_equal(N, np.swapaxes(N, 1, 2))
     assert_matches_nd_solver(mesh, gamma0, basis, comps, got)
 
 
@@ -467,7 +488,7 @@ def test_chain_green_columns_solved_once(monkeypatch):
     stars.discard(int(mesh.gamma_vertices()[0]))
     calls = record_green_solves(monkeypatch)
     got = list(ndmap.chain_matrices(mesh, fem.Conductivity(mesh, 1.0), basis, comps))
-    assert len(got) == 520
+    assert sum(len(N) for N in got) == 520
     columns = np.concatenate(calls).tolist()
     assert len(columns) == len(set(columns)) == len(stars) == 193
     assert set(columns) == stars

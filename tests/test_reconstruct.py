@@ -12,13 +12,14 @@ from crackfind.geometry import (
     CrackSet,
     PixelGrid,
     PixelSet,
+    build_disk_mesh,
     build_rect_mesh,
     embed_crack,
     interior_pixel_set,
     mark_gamma,
     pixelset_is_admissible,
 )
-from oracles import split_fans_scan
+from oracles import in_closed_region, split_fans_scan
 
 
 def vid(mesh, x, y):
@@ -282,16 +283,21 @@ def test_inner_mixed_data_refused(setup):
 
 
 def test_inner_factorizes_the_background_once(setup, monkeypatch):
-    # one factorization per call whatever the candidate count, and one
-    # default threshold per insulating call; conducting ones come from one
-    # stacked spectrum per batch of chains
+    # one factorization and one NdMatrix (the background's) per call
+    # whatever the candidate count, and one default threshold per insulating
+    # call; conducting ones come from one stacked spectrum per batch of chains
     mesh, cracks, grid, gamma0, basis, data = setup
-    made, taus, stacked = [], [], []
+    made, matrices, taus, stacked = [], [], [], []
     real_fact, real_tau, real_taus = fem.Factorization, ndmap.default_tau, ndmap.default_taus
+    real_matrix = ndmap.NdMatrix.__init__
 
     def counting_fact(*args):
         made.append(1)
         return real_fact(*args)
+
+    def counting_matrix(self, *args):
+        matrices.append(1)
+        real_matrix(self, *args)
 
     def counting_tau(*args, **kwargs):
         taus.append(1)
@@ -302,6 +308,7 @@ def test_inner_factorizes_the_background_once(setup, monkeypatch):
         return real_taus(*args, **kwargs)
 
     monkeypatch.setattr(fem, "Factorization", counting_fact)
+    monkeypatch.setattr(ndmap.NdMatrix, "__init__", counting_matrix)
     monkeypatch.setattr(ndmap, "default_tau", counting_tau)
     monkeypatch.setattr(ndmap, "default_taus", counting_taus)
     region = interior_pixel_set(grid)
@@ -313,11 +320,12 @@ def test_inner_factorizes_the_background_once(setup, monkeypatch):
         assert len(cands) > 400
         for subset in (cands[:3], cands):
             made.clear()
+            matrices.clear()
             taus.clear()
             stacked.clear()
             res = reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, subset, kind)
             assert len(res.accepted) + len(res.rejected) == len(subset)
-            assert len(made) == 1
+            assert (len(made), len(matrices)) == (1, 1)
             batches = -(-len(subset) // ndmap.CHAIN_BATCH)
             if kind == geometry.INSULATING:
                 assert (len(taus), len(stacked)) == (1, 1)
@@ -528,6 +536,30 @@ def test_axis_chain_candidates_structure(setup):
         for a, b in zip(chain[:-1], chain[1:]):
             e = mesh.edge_index(a, b)
             assert e >= 0 and et[e, 1] >= 0
+
+
+@pytest.mark.parametrize("case", ["inner-chains", "partial", "disk"])
+def test_axis_chain_candidates_match_the_per_vertex_rule(case):
+    # the candidates of a region are the chains of the whole grid whose
+    # every vertex passes the per-vertex closed-square rule, in order
+    if case == "disk":
+        mesh = build_disk_mesh(1.0, 0.1)
+    else:
+        mesh = build_rect_mesh(1.0, 1.0, 1.0 / 16)
+        mesh, _ = embed_crack(mesh, [(0.25, 0.75), (0.5, 0.75)], geometry.INSULATING)
+    grid = PixelGrid(mesh, 8, 8)
+    region = {
+        "inner-chains": interior_pixel_set(grid),
+        "partial": PixelSet.from_rect(grid, 2, 1, 5, 4),
+        "disk": PixelSet.from_rect(grid, 1, 2, 6, 5),
+    }[case]
+    lengths = (1, 2, 4)
+    every = reconstruct.axis_chain_candidates(mesh, PixelSet(grid, range(64)), lengths)
+    want = [
+        c for c in every if all(in_closed_region(region, mesh.vertices[v]) for v in c)
+    ]
+    assert 0 < len(want) < len(every)
+    assert reconstruct.axis_chain_candidates(mesh, region, lengths) == want
 
 
 def test_axis_chain_candidates_counts():

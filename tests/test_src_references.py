@@ -7,6 +7,9 @@ import), other than by its own definition. A method passes only when it is
 read as an attribute, and not on a literal or on a fresh builtin container:
 ``set().union`` or a local variable named ``union`` does not call
 ``PixelSet.union``.
+
+A module-level import must be read in its own module, by the name it
+binds; ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -82,6 +85,27 @@ def _unreferenced():
     )
 
 
+def _unused_imports(modules):
+    # "module.name" of every module-level import whose bound name its
+    # module never reads
+    out = []
+    for module, tree in modules.items():
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        out.append("%s.%s" % (module, bound))
+    return sorted(out)
+
+
 def test_no_definition_only_tests_call():
     assert _unreferenced() == []
 
@@ -100,3 +124,22 @@ def test_method_reads_on_builtins_and_bare_names_do_not_count():
     )])
     assert {"union", "region", "self"} <= names
     assert attrs == {"components", "grid", "coords"}
+
+
+def test_no_unused_module_import():
+    assert _unused_imports(_modules()) == []
+
+
+def test_unused_import_check_reads_bound_names():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import io\n"
+        "import itertools\n"
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from . import fem, geometry\n"
+        "def f(x):\n"
+        "    itertools = x\n"
+        "    return np.sum(scipy.linalg.norm(x)) + fem.energy\n"
+    )
+    assert _unused_imports({"m": tree}) == ["m.geometry", "m.io", "m.itertools"]
