@@ -301,12 +301,11 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
             remap[list(comp.chain)] = min(comp.chain)
 
     if frozen is not None:
-        members = sorted(frozen.members)
-        label = frozen.components()
-        for root in sorted(set(label.values())):
-            block = [p for p in members if label[p] == root]
-            verts = list(geometry.PixelSet(frozen.grid, block).vertex_set(mesh))
-            remap[verts] = min(verts)
+        tris = frozen.triangles()
+        comp = frozen.components()[frozen.grid.tri_pixel[tris]]
+        low = np.full(comp.max() + 1, nv)
+        np.minimum.at(low, comp, tri[tris].min(axis=1))
+        remap[tri[tris]] = low[comp, None]
 
     corner = remap[corner]
 

@@ -911,7 +911,6 @@ class PixelGrid:
                 touched.add(pix)
         self.boundary_pixels = frozenset(touched)
         self.nonempty_pixels = frozenset(np.unique(self.tri_pixel).tolist())
-        self._pixel_tris = None
 
     def _pixels_near_segment(self, p0, p1, tol=1e-12):
         x0, y0 = self.origin
@@ -956,33 +955,6 @@ class PixelGrid:
         x0 = self.origin[0] + ix * self.h
         y0 = self.origin[1] + iy * self.h
         return x0, y0, x0 + self.h, y0 + self.h
-
-    def center(self, p):
-        x0, y0, x1, y1 = self.square(p)
-        return 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-
-    def neighbors4(self, p):
-        ix, iy = self.coords(p)
-        out = []
-        if ix > 0:
-            out.append(p - 1)
-        if ix < self.nx - 1:
-            out.append(p + 1)
-        if iy > 0:
-            out.append(p - self.nx)
-        if iy < self.ny - 1:
-            out.append(p + self.nx)
-        return out
-
-    def pixel_tris(self, p):
-        """Triangle indices assigned to pixel ``p``."""
-        if self._pixel_tris is None:
-            order = np.argsort(self.tri_pixel, kind="stable")
-            split = np.searchsorted(self.tri_pixel[order], np.arange(self.n_pixels + 1))
-            self._pixel_tris = [
-                order[split[i]:split[i + 1]] for i in range(self.n_pixels)
-            ]
-        return self._pixel_tris[p]
 
     def to_json(self):
         return {
@@ -1029,47 +1001,40 @@ class PixelSet:
         return cls(grid, members)
 
     def mask(self):
-        m = np.zeros((self.grid.ny, self.grid.nx), dtype=bool)
-        for p in self.members:
-            ix, iy = self.grid.coords(p)
-            m[iy, ix] = True
-        return m
+        """Membership as a boolean ``(ny, nx)`` array, row iy, column ix."""
+        m = np.zeros(self.grid.n_pixels, dtype=bool)
+        m[list(self.members)] = True
+        return m.reshape(self.grid.ny, self.grid.nx)
 
     def minus(self, pixel):
         return PixelSet(self.grid, self.members - {int(pixel)})
 
-    def boundary_members(self):
-        """Member pixels edge-adjacent to the complement, in index order."""
-        out = []
-        for p in sorted(self.members):
-            nbrs = self.grid.neighbors4(p)
-            if len(nbrs) < 4 or any(q not in self.members for q in nbrs):
-                out.append(p)
-        return out
-
     def components(self):
-        """``{member: smallest member of its 4-connected component}``."""
-        pairs = [(p, q) for p in self.members for q in self.grid.neighbors4(p) if q in self.members]
-        return components(self.members, pairs)
+        """4-connected component of every pixel, as an ``(n_pixels,)`` array.
+
+        Pixels off the set hold -1. Components are numbered from 0 in the
+        order of their smallest members.
+        """
+        grid = self.grid
+        ids = np.arange(grid.n_pixels).reshape(grid.ny, grid.nx)
+        m = self.mask()
+        members = ids[m].tolist()
+        label = components(members, _pairs4(ids, m).tolist())
+        out = np.full(grid.n_pixels, -1)
+        # each label is its component's smallest member, so the labels' ranks
+        # number the components
+        out[members] = np.unique([label[q] for q in members], return_inverse=True)[1]
+        return out
 
     def dilate(self):
         """Grow by one layer of 8-neighbors (clipped to the grid)."""
-        grown = set(self.members)
-        for p in self.members:
-            ix, iy = self.grid.coords(p)
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    jx, jy = ix + dx, iy + dy
-                    if 0 <= jx < self.grid.nx and 0 <= jy < self.grid.ny:
-                        grown.add(self.grid.index(jx, jy))
-        return PixelSet(self.grid, grown)
+        pad = _pad(self.mask())
+        shifts = [_shifted(pad, dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+        return PixelSet(self.grid, np.flatnonzero(np.logical_or.reduce(shifts)))
 
     def triangles(self):
         """Sorted indices of the triangles inside the member pixels."""
-        if not self.members:
-            return np.zeros(0, dtype=np.int64)
-        parts = [self.grid.pixel_tris(p) for p in sorted(self.members)]
-        return np.sort(np.concatenate(parts))
+        return np.flatnonzero(self.mask().ravel()[self.grid.tri_pixel])
 
     def vertex_set(self, mesh):
         """Vertices incident to any member-pixel triangle."""
@@ -1093,12 +1058,10 @@ def pixelset_is_admissible(p):
     if p.members - p.grid.nonempty_pixels:
         return False
     nx, ny = p.grid.nx, p.grid.ny
-    m = p.mask()
 
     # corner contacts: either diagonal pattern in a 2x2 block (pad with
     # complement so blocks straddling the grid edge are covered)
-    pad = np.zeros((ny + 2, nx + 2), dtype=bool)
-    pad[1:-1, 1:-1] = m
+    pad = _pad(p.mask())
     a = pad[:-1, :-1]
     b = pad[:-1, 1:]
     c = pad[1:, :-1]
@@ -1111,13 +1074,7 @@ def pixelset_is_admissible(p):
     ids = np.full((ny + 2, nx + 2), -1)
     ids[1:-1, 1:-1] = np.arange(nx * ny).reshape(ny, nx)
     free = ~pad
-    across = free[:, :-1] & free[:, 1:]
-    down = free[:-1] & free[1:]
-    pairs = np.concatenate([
-        np.column_stack([ids[:, :-1][across], ids[:, 1:][across]]),
-        np.column_stack([ids[:-1][down], ids[1:][down]]),
-    ])
-    label = components(ids[free].tolist(), pairs.tolist())
+    label = components(ids[free].tolist(), _pairs4(ids, free).tolist())
     return all(root == -1 for root in label.values())
 
 
@@ -1138,18 +1095,38 @@ def peel_candidates(p):
     Pixels come in row-major order, so the result is deterministic. The
     list is empty when no single removal stays admissible.
     """
-    grid, members = p.grid, p.members
+    pad = _pad(p.mask())
 
-    def member(ix, iy):
-        return 0 <= ix < grid.nx and 0 <= iy < grid.ny and grid.index(ix, iy) in members
+    def at(dx, dy):
+        return _shifted(pad, dx, dy)
 
-    out = []
-    for m in p.boundary_members():
-        ix, iy = grid.coords(m)
-        if not any(
-            member(ix + dx, iy) and member(ix, iy + dy) and not member(ix + dx, iy + dy)
-            for dx in (-1, 1)
-            for dy in (-1, 1)
-        ):
-            out.append(m)
+    # a member that lacks one of its four neighbours is on the boundary
+    out = at(0, 0) & ~(at(-1, 0) & at(1, 0) & at(0, -1) & at(0, 1))
+    for dx in (-1, 1):
+        for dy in (-1, 1):
+            out &= ~(at(dx, 0) & at(0, dy) & ~at(dx, dy))
+    return np.flatnonzero(out).tolist()
+
+
+def _pad(mask):
+    # the mask inside a ring of False (np.pad takes twenty times as long)
+    out = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    out[1:-1, 1:-1] = mask
     return out
+
+
+def _shifted(pad, dx, dy):
+    # a grid-shaped view of a mask padded by one ring of False: its [iy, ix]
+    # is the mask's pixel (ix + dx, iy + dy), or False off the grid
+    ny, nx = pad.shape[0] - 2, pad.shape[1] - 2
+    return pad[1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
+
+
+def _pairs4(ids, keep):
+    # the pairs of 4-neighbours of a 2-D array of node ids that are both kept
+    across = keep[:, :-1] & keep[:, 1:]
+    down = keep[:-1] & keep[1:]
+    return np.concatenate([
+        np.column_stack([ids[:, :-1][across], ids[:, 1:][across]]),
+        np.column_stack([ids[:-1][down], ids[1:][down]]),
+    ])

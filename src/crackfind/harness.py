@@ -425,9 +425,7 @@ def generate_data(s, built):
         Nf_empty = ndmap.nd_matrix(fine, fine_gamma0, None, fine_basis)
         entries = N_empty.entries + (Nf_crack.entries - Nf_empty.entries)
         entries = 0.5 * (entries + entries.T)
-        data = ndmap.NdMatrix(
-            entries, built.basis, "anti-crime:" + Nf_crack.config_label, Nf_crack.kinds
-        )
+        data = ndmap.NdMatrix(entries, "anti-crime:" + Nf_crack.config_label, Nf_crack.kinds)
         provenance["fine_triangles"] = int(len(fine.triangles))
         provenance["signature_norm"] = float(
             np.linalg.norm(Nf_crack.entries - Nf_empty.entries, 2)

@@ -94,14 +94,13 @@ class NdMatrix:
     from (empty when it has no cracks); ``config_label`` is for display.
     """
 
-    def __init__(self, entries, basis, config_label, kinds):
+    def __init__(self, entries, config_label, kinds):
         e = np.asarray(entries, dtype=float)
         scale = max(1.0e-300, float(np.max(np.abs(e))))
         if np.max(np.abs(e - e.T)) > 1e-12 * scale:
             raise ValueError("entries must be symmetric")
         self.entries = e
         self.entries.setflags(write=False)
-        self.basis = basis
         self.config_label = config_label
         self.kinds = frozenset(kinds)
 
@@ -160,7 +159,7 @@ class NdSolver:
         # the matrix from the potentials of the basis currents
         weighted = fem.gamma_mass(self.mesh) @ basis.vectors
         N = fem.trace_on_gamma(potentials).T @ weighted
-        return NdMatrix(0.5 * (N + N.T), basis, self.dm.config_label(), self.dm.cracks.kinds())
+        return NdMatrix(0.5 * (N + N.T), self.dm.config_label(), self.dm.cracks.kinds())
 
 
 def nd_matrix(mesh, gamma0, config, basis):
@@ -499,7 +498,6 @@ class RegionMaps:
         if mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))
         self.mesh = mesh
-        self.basis = basis
         self.region = R0
         self._start = R0.members
         self._grid = grid = R0.grid
@@ -533,9 +531,7 @@ class RegionMaps:
 
     def _boundary(self, region):
         # the region's boundary vertices C, ascending
-        member = np.zeros(self._grid.n_pixels, dtype=bool)
-        member[list(region.members)] = True
-        inside = member[self._pair_pixel]
+        inside = region.mask().ravel()[self._pair_pixel]
         n = len(self._skeleton)
         has_in = np.bincount(self._pair_vertex[inside], minlength=n) > 0
         has_out = np.bincount(self._pair_vertex[~inside], minlength=n) > 0
@@ -564,22 +560,20 @@ class RegionMaps:
         if len(at):
             # each boundary vertex's component; a vertex in two would need
             # the two components tied together, which a region never asks for
-            label = region.components()
-            roots = sorted(set(label.values()))
-            comp = np.full(self._grid.n_pixels, -1)
-            comp[list(label)] = np.searchsorted(roots, list(label.values()))
+            comp = region.components()
+            n = comp.max() + 1
             inside = comp[self._pair_pixel] >= 0
-            lo = np.full(len(self._skeleton), len(roots))
+            lo = np.full(len(self._skeleton), n)
             hi = np.full(len(self._skeleton), -1)
             np.minimum.at(lo, self._pair_vertex[inside], comp[self._pair_pixel[inside]])
             np.maximum.at(hi, self._pair_vertex[inside], comp[self._pair_pixel[inside]])
             if np.any(lo[at] != hi[at]):
                 raise ValueError("frozen components share a vertex")
-            T = np.zeros((len(at), len(roots)))
+            T = np.zeros((len(at), n))
             T[np.arange(len(at)), lo[at]] = 1.0
             N = N - _tied_correction(G[np.ix_(at, at)], Z[at], T)
         label = fem.config_label(geometry.CrackSet(), frozen=region)
-        return NdMatrix(0.5 * (N + N.T), self.basis, label, ())
+        return NdMatrix(0.5 * (N + N.T), label, ())
 
     def _without(self, pixel):
         if pixel not in self.region.members:
@@ -595,7 +589,7 @@ class RegionMaps:
         if self._last is not None and self._last[0] == pixel:
             return self._last[1]
         N, kept, Z, G = self._excluded
-        tris = self._grid.pixel_tris(pixel)
+        tris = np.flatnonzero(self._grid.tri_pixel == pixel)
         S, local = np.unique(self.mesh.triangles[tris], return_inverse=True)
         local = local.reshape(-1, 3)
         E = np.zeros((len(S), len(S)))
@@ -614,7 +608,7 @@ class RegionMaps:
         A = np.eye(len(S)) + E @ G_SS
         N = N.entries - Z_S.T @ _dense_solve(A, E @ Z_S)
         label = fem.config_label(geometry.CrackSet(), excluded=region)
-        N = NdMatrix(0.5 * (N + N.T), self.basis, label, ())
+        N = NdMatrix(0.5 * (N + N.T), label, ())
         self._last = (pixel, (N, S, at, A, E, Z_S))
         return self._last[1]
 
@@ -752,4 +746,4 @@ def symmetric_noise(N, level, rng):
     norm_N = float(np.linalg.norm(N.entries, 2))
     norm_E = float(np.linalg.norm(E, 2))
     E *= level * norm_N / norm_E
-    return NdMatrix(N.entries + E, N.basis, N.config_label + "+noise", N.kinds)
+    return NdMatrix(N.entries + E, N.config_label + "+noise", N.kinds)

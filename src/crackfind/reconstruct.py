@@ -230,30 +230,31 @@ def axis_chain_candidates(mesh, region, lengths):
     consecutive collinear mesh edges; every chain vertex must be an interior
     vertex lying in the closed union of the region's pixel squares. Returned
     as vertex-id tuples, deterministically ordered by orientation, line,
-    offset, and length.
+    run of consecutive edges, length and offset.
     """
     verts = mesh.vertices
-    bvs = mesh.boundary_vertex_set()
     tol = 1e-9 * mesh.h_max()
+    on_boundary = np.zeros(len(verts), dtype=bool)
+    on_boundary[list(mesh.boundary_vertex_set())] = True
 
-    lines = {"h": {}, "v": {}}
-    for a, b in mesh.edges().tolist():
-        # an edge with no boundary vertex is an interior edge
-        if a in bvs or b in bvs:
-            continue
-        dx = verts[b, 0] - verts[a, 0]
-        dy = verts[b, 1] - verts[a, 1]
-        if abs(dy) <= tol:
-            axis, level, lo = "h", verts[a, 1], (a if dx > 0 else b)
-            hi = b if lo == a else a
-            sort_key = verts[lo, 0]
-        elif abs(dx) <= tol:
-            axis, level, lo = "v", verts[a, 0], (a if dy > 0 else b)
-            hi = b if lo == a else a
-            sort_key = verts[lo, 1]
-        else:
-            continue
-        lines[axis].setdefault(round(float(level), 9), []).append((sort_key, lo, hi))
+    # interior axis edges: axis 0 runs along x (horizontal), 1 along y; an
+    # edge points from its lower end ``lo`` to ``hi`` and lies on the line
+    # through its first vertex, at a level rounded to 9 digits
+    e = mesh.edges()
+    d = verts[e[:, 1]] - verts[e[:, 0]]
+    flat = np.abs(d) <= tol
+    axis = np.where(flat[:, 1], 0, 1)
+    keep = (flat[:, 0] | flat[:, 1]) & ~on_boundary[e].any(axis=1)
+    e, d, axis = e[keep], d[keep], axis[keep]
+    level = np.round(verts[e[:, 0], 1 - axis], 9)
+    forward = d[np.arange(len(e)), axis] > 0
+    lo = np.where(forward, e[:, 0], e[:, 1])
+    hi = np.where(forward, e[:, 1], e[:, 0])
+    order = np.lexsort((hi, lo, verts[lo, axis], level, axis))
+    axis, level, lo, hi = axis[order], level[order], lo[order], hi[order]
+    # maximal runs of consecutive edges along one line
+    new_run = np.ones(len(order), dtype=bool)
+    new_run[1:] = (axis[1:] != axis[:-1]) | (level[1:] != level[:-1]) | (lo[1:] != hi[:-1])
 
     # closed squares: a vertex on a pixel edge belongs to both pixels
     grid = region.grid
@@ -265,27 +266,19 @@ def axis_chain_candidates(mesh, region, lengths):
             on = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
             in_region[on] |= mask[iy[on].astype(int), ix[on].astype(int)]
 
-    out = []
-    for axis in ("h", "v"):
-        for level in sorted(lines[axis]):
-            edges = sorted(lines[axis][level])
-            # split into maximal runs of consecutive edges
-            runs, cur = [], [edges[0]]
-            for e in edges[1:]:
-                if e[1] == cur[-1][2]:
-                    cur.append(e)
-                else:
-                    runs.append(cur)
-                    cur = [e]
-            runs.append(cur)
-            for run in runs:
-                chain_all = [run[0][1]] + [e[2] for e in run]
-                keep = in_region[chain_all].tolist()
-                for k in lengths:
-                    for s in range(len(chain_all) - k):
-                        if all(keep[s : s + k + 1]):
-                            out.append(tuple(chain_all[s : s + k + 1]))
-    return out
+    # windows of k consecutive edges inside one run, from edge s on, whose
+    # vertices all lie in the region, ordered by run, length and s
+    run = np.cumsum(new_run)
+    chains, keys = [], [np.zeros((0, 3), dtype=int)]
+    for j, k in enumerate(lengths):
+        s = np.arange(len(order) - k + 1)
+        window = s[:, None] + np.arange(k)
+        ok = (run[s] == run[s + k - 1]) & in_region[lo[s]] & in_region[hi[window]].all(axis=1)
+        s, window = s[ok], window[ok]
+        chains += np.column_stack([lo[s], hi[window]]).tolist()
+        keys.append(np.column_stack([run[s], np.full(len(s), j), s]))
+    keys = np.concatenate(keys).T
+    return [tuple(chains[i]) for i in np.lexsort(keys[::-1])]
 
 
 def _crack_segments(cracks, mesh):
@@ -338,7 +331,9 @@ def score(result, ground_truth, grid):
 
     h_res = h_truth = None
     if len(seg_a) and members:
-        centers = np.asarray([grid.center(p) for p in sorted(members)])
+        ix, iy = grid.coords(np.array(sorted(members)))
+        corner = grid.origin + np.column_stack([ix, iy]) * grid.h
+        centers = 0.5 * (corner + (corner + grid.h))
         dists = geometry.point_segment_distance(centers, seg_a, seg_b)
         h_res = float(np.max(np.min(dists, axis=1)))
         samples = []

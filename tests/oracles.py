@@ -3,8 +3,8 @@
 They recompute a quantity the program gets another way: a quadratic-form
 difference as a projection energy, a field in a larger space, the
 column space of a source operator, the slit fans by a scan of the
-whole mesh, and a pixel region's closed-square membership one point at a
-time.
+whole mesh, a pixel region's closed-square membership one point at a
+time, and the candidate test chains one mesh edge at a time.
 """
 
 import numpy as np
@@ -150,3 +150,54 @@ def in_closed_region(region, point):
             if 0 <= ix < grid.nx and 0 <= iy < grid.ny and grid.index(ix, iy) in region.members:
                 return True
     return False
+
+
+def axis_chain_candidates_loop(mesh, region, lengths):
+    """``reconstruct.axis_chain_candidates`` by a loop over the mesh edges.
+
+    Each interior axis edge joins the list of its line, keyed by orientation
+    and level (rounded to 9 digits); each line is sorted, split into maximal
+    runs of consecutive edges, and every window of a run whose vertices all
+    pass ``in_closed_region`` is a candidate. Candidates come by
+    orientation, line, run, length and offset.
+    """
+    verts = mesh.vertices
+    bvs = mesh.boundary_vertex_set()
+    tol = 1e-9 * mesh.h_max()
+    lines = {"h": {}, "v": {}}
+    for a, b in mesh.edges().tolist():
+        if a in bvs or b in bvs:
+            continue
+        dx = verts[b, 0] - verts[a, 0]
+        dy = verts[b, 1] - verts[a, 1]
+        if abs(dy) <= tol:
+            axis, level, lo = "h", verts[a, 1], (a if dx > 0 else b)
+            sort_key = verts[lo, 0]
+        elif abs(dx) <= tol:
+            axis, level, lo = "v", verts[a, 0], (a if dy > 0 else b)
+            sort_key = verts[lo, 1]
+        else:
+            continue
+        hi = b if lo == a else a
+        lines[axis].setdefault(round(float(level), 9), []).append((sort_key, lo, hi))
+
+    out = []
+    for axis in ("h", "v"):
+        for level in sorted(lines[axis]):
+            edges = sorted(lines[axis][level])
+            runs, cur = [], [edges[0]]
+            for e in edges[1:]:
+                if e[1] == cur[-1][2]:
+                    cur.append(e)
+                else:
+                    runs.append(cur)
+                    cur = [e]
+            runs.append(cur)
+            for run in runs:
+                chain = [run[0][1]] + [e[2] for e in run]
+                keep = [in_closed_region(region, verts[v]) for v in chain]
+                for k in lengths:
+                    for s in range(len(chain) - k):
+                        if all(keep[s:s + k + 1]):
+                            out.append(tuple(chain[s:s + k + 1]))
+    return out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy import ndimage
 
 from crackfind import fem, geometry, ndmap
 from crackfind.fem import (
@@ -84,6 +85,35 @@ def test_dofmap_excluded_and_frozen_counts():
     dm_fr = build_dofmap(mesh, frozen=block)
     # 5x5 vertices collapse to one dof
     assert dm_fr.n_dofs == len(mesh.vertices) - 24
+
+
+FROZEN_MESHES = {"rect": square(16), "disk": build_disk_mesh(1.0, 0.1)}
+
+
+@pytest.mark.parametrize("shape", sorted(FROZEN_MESHES))
+@settings(max_examples=30, deadline=None)
+@given(rects=st.lists(st.tuples(*[st.integers(0, 7)] * 4), min_size=1, max_size=3))
+def test_frozen_dofmap_ties_each_component_to_its_smallest_vertex(shape, rects):
+    # the per-component rule: the vertices of each 4-connected component's
+    # triangles (labelled by ndimage) share the dof of their smallest vertex
+    mesh = FROZEN_MESHES[shape]
+    grid = PixelGrid(mesh, 8, 8)
+    members = set()
+    for x0, x1, y0, y1 in rects:
+        x0, x1, y0, y1 = min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)
+        members |= PixelSet.from_rect(grid, x0, y0, x1, y1).members
+    frozen = PixelSet(grid, members & geometry.interior_pixel_set(grid).members)
+    assume(len(frozen) and geometry.pixelset_is_admissible(frozen))
+    labels, n = ndimage.label(frozen.mask())
+    root = np.arange(len(mesh.vertices))
+    for k in range(1, n + 1):
+        block = PixelSet(grid, np.flatnonzero(labels.ravel() == k))
+        verts = sorted(block.vertex_set(mesh))
+        root[verts] = verts[0]
+    used = np.unique(root[mesh.triangles])
+    dm = build_dofmap(mesh, frozen=frozen)
+    assert dm.n_dofs == len(used)
+    assert np.array_equal(dm.corner_dof, np.searchsorted(used, root[mesh.triangles]))
 
 
 def test_dofmap_region_options_exclusive():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -19,6 +20,7 @@ from crackfind.geometry import (
     build_disk_mesh,
     build_rect_mesh,
     embed_crack,
+    interior_pixel_set,
     mark_gamma,
     refine_mesh,
     peel_candidates,
@@ -520,8 +522,8 @@ def test_grid_assignment_total():
     mesh = build_rect_mesh(1.0, 1.0, 1 / 16)
     grid = PixelGrid(mesh, 8, 8)
     assert len(grid.tri_pixel) == len(mesh.triangles)
-    sizes = [len(grid.pixel_tris(p)) for p in range(grid.n_pixels)]
-    assert sum(sizes) == len(mesh.triangles)
+    sizes = np.bincount(grid.tri_pixel, minlength=grid.n_pixels)
+    assert len(sizes) == grid.n_pixels
     assert min(sizes) > 0
 
 
@@ -588,16 +590,30 @@ def oracle_admissible(ps):
 
 
 def brute_force_peels(ps):
-    out = []
-    for m in sorted(ps.members):
-        if all(
-            q in ps.members for q in ps.grid.neighbors4(m)
-        ) and len(ps.grid.neighbors4(m)) == 4:
-            continue  # interior pixel, not peelable
-        q = ps.minus(m)
-        if oracle_admissible(q):
-            out.append(q)
-    return out
+    # every single removal the oracle admits; taking out a pixel whose four
+    # neighbours are members encloses it, which the oracle rejects
+    return [ps.minus(m) for m in sorted(ps.members) if oracle_admissible(ps.minus(m))]
+
+
+@functools.cache
+def region_grid(name):
+    if name == "disk":
+        return PixelGrid(build_disk_mesh(1.0, 0.1), 8, 8)
+    return unit_grid(int(name))
+
+
+@st.composite
+def regions(draw, grid, within=None):
+    # up to three rectangles, a few pixels toggled, cut down to ``within``
+    members = set()
+    for _ in range(draw(st.integers(0, 3))):
+        ix = sorted(draw(st.integers(0, grid.nx - 1)) for _ in range(2))
+        iy = sorted(draw(st.integers(0, grid.ny - 1)) for _ in range(2))
+        members |= PixelSet.from_rect(grid, ix[0], iy[0], ix[1], iy[1]).members
+    members ^= draw(st.sets(st.integers(0, grid.n_pixels - 1), max_size=6))
+    if within is not None:
+        members &= within
+    return PixelSet(grid, members)
 
 
 def test_peel_single_pixel():
@@ -637,15 +653,11 @@ def test_peel_l_tromino_corner_contact():
     assert cands == brute_force_peels(l_shape)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    members=st.sets(
-        st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=0, max_size=14
-    )
-)
-def test_peel_matches_oracle(members):
-    grid = unit_grid(8)
-    ps = PixelSet(grid, {grid.index(ix, iy) for ix, iy in members})
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["8", "16", "disk"]), data=st.data())
+def test_peel_matches_oracle(name, data):
+    grid = region_grid(name)
+    ps = data.draw(regions(grid, interior_pixel_set(grid).members))
     assert pixelset_is_admissible(ps) == oracle_admissible(ps)
     if pixelset_is_admissible(ps):
         cands = [ps.minus(m) for m in peel_candidates(ps)]
@@ -654,6 +666,28 @@ def test_peel_matches_oracle(members):
             assert pixelset_is_admissible(c)
             assert len(ps.members - c.members) == 1
             assert c.members <= ps.members
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(["8", "16", "disk"]), data=st.data())
+def test_mask_operations_match_ndimage(name, data):
+    # any region, grid edge included: components against ndimage's labels
+    # renumbered by smallest member, the dilation against ndimage's with a
+    # 3x3 structure, the triangles against the centroid assignment
+    grid = region_grid(name)
+    ps = data.draw(regions(grid))
+    mask = ps.mask()
+    assert np.array_equal(np.flatnonzero(mask), sorted(ps.members))
+    labels, _ = ndimage.label(mask)
+    flat = labels.ravel()
+    found, first = np.unique(flat[flat > 0], return_index=True)
+    number = np.full(len(found) + 1, -1)
+    number[found] = np.argsort(np.argsort(first))
+    assert np.array_equal(ps.components(), number[flat])
+    grown = ndimage.binary_dilation(mask, structure=np.ones((3, 3), dtype=bool))
+    assert ps.dilate() == PixelSet(grid, np.flatnonzero(grown))
+    want = [t for t, p in enumerate(grid.tri_pixel.tolist()) if p in ps.members]
+    assert ps.triangles().tolist() == want
 
 
 def test_pixels_touching_segment_on_gridline():

@@ -19,7 +19,7 @@ from crackfind.geometry import (
     mark_gamma,
     pixelset_is_admissible,
 )
-from oracles import in_closed_region, split_fans_scan
+from oracles import axis_chain_candidates_loop, split_fans_scan
 
 
 def vid(mesh, x, y):
@@ -538,28 +538,29 @@ def test_axis_chain_candidates_structure(setup):
             assert e >= 0 and et[e, 1] >= 0
 
 
-@pytest.mark.parametrize("case", ["inner-chains", "partial", "disk"])
+@pytest.mark.parametrize("case", ["inner-chains", "partial", "disk", "slanted"])
 def test_axis_chain_candidates_match_the_per_vertex_rule(case):
-    # the candidates of a region are the chains of the whole grid whose
-    # every vertex passes the per-vertex closed-square rule, in order
+    # the candidates are those of the loop over every edge that tests each
+    # vertex by the closed-square rule, in the same order; a slanted crack
+    # moves vertices off their lattice lines, which breaks lines into runs
     if case == "disk":
         mesh = build_disk_mesh(1.0, 0.1)
     else:
+        crack = [(0.3, 0.3), (0.62, 0.55)] if case == "slanted" else [(0.25, 0.75), (0.5, 0.75)]
         mesh = build_rect_mesh(1.0, 1.0, 1.0 / 16)
-        mesh, _ = embed_crack(mesh, [(0.25, 0.75), (0.5, 0.75)], geometry.INSULATING)
+        mesh, _ = embed_crack(mesh, crack, geometry.INSULATING)
     grid = PixelGrid(mesh, 8, 8)
     region = {
         "inner-chains": interior_pixel_set(grid),
         "partial": PixelSet.from_rect(grid, 2, 1, 5, 4),
         "disk": PixelSet.from_rect(grid, 1, 2, 6, 5),
+        "slanted": interior_pixel_set(grid),
     }[case]
-    lengths = (1, 2, 4)
-    every = reconstruct.axis_chain_candidates(mesh, PixelSet(grid, range(64)), lengths)
-    want = [
-        c for c in every if all(in_closed_region(region, mesh.vertices[v]) for v in c)
-    ]
-    assert 0 < len(want) < len(every)
-    assert reconstruct.axis_chain_candidates(mesh, region, lengths) == want
+    for lengths in ((1, 2, 4), (2, 4)):
+        want = axis_chain_candidates_loop(mesh, region, lengths)
+        every = axis_chain_candidates_loop(mesh, PixelSet(grid, range(64)), lengths)
+        assert 0 < len(want) < len(every)
+        assert reconstruct.axis_chain_candidates(mesh, region, lengths) == want
 
 
 def test_axis_chain_candidates_counts():
