@@ -301,6 +301,8 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
             remap[list(comp.chain)] = min(comp.chain)
 
     if frozen is not None:
+        # one tie per vertex: the pixels of two components of an admissible
+        # region share no edge and no corner
         tris = frozen.triangles()
         comp = frozen.components()[frozen.grid.tri_pixel[tris]]
         low = np.full(comp.max() + 1, nv)
