@@ -237,16 +237,8 @@ def split_fans(mesh, insulating):
     cut = (sides == mesh.edge_index(prev, slit)[at]) | (sides == mesh.edge_index(slit, nxt)[at])
     uncut = np.flatnonzero(~cut)
     pair = uncut[np.argsort(at[uncut] * len(mesh.edges()) + sides[uncut], kind="stable")] // 2
-    a, b = pair[0::2], pair[1::2]
-    # each corner's side is labelled by its first corner in the fan: labels
-    # spread across the uncut pairs until every pair agrees
-    label = np.arange(len(fan))
-    while True:
-        low = np.minimum(label[a], label[b])
-        if np.array_equal(low, label[a]) and np.array_equal(low, label[b]):
-            break
-        np.minimum.at(label, a, low)
-        np.minimum.at(label, b, low)
+    # each corner's side is labelled by its first corner in the fan
+    label = geometry.components(len(fan), pair.reshape(-1, 2))
     # a fan's corners are ascending, so its first corner is its lowest
     sides_per_vertex = np.bincount(owner[np.unique(label)], minlength=len(slit))
     if np.any(sides_per_vertex != 2):

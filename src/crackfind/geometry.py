@@ -41,29 +41,32 @@ def _signed_areas(vertices, triangles):
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def components(nodes, pairs):
-    """Connected components of the undirected graph on ``nodes``.
+def components(n, pairs):
+    """Connected components of the undirected graph on the nodes 0..n-1.
 
-    ``pairs`` lists the graph's edges as node pairs; both ends must be in
-    ``nodes``. Returns ``{node: smallest node of its component}``, so two
-    nodes are connected exactly when their labels agree.
+    ``pairs`` lists the graph's edges as node pairs, shape (m, 2); self
+    loops and repeated pairs are allowed. Returns an ``(n,)`` array that
+    gives each node the smallest node of its component, so two nodes are
+    connected exactly when their labels agree.
+
+    Each round hooks the larger label of every pair whose labels differ
+    onto the smaller one, then follows ``label[label]`` until every label
+    is its own; a label never exceeds its node, so the last labels are the
+    components' smallest nodes.
     """
-    adj = {v: [] for v in nodes}
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    label = {}
-    for root in sorted(adj):
-        if root in label:
-            continue
-        label[root] = root
-        stack = [root]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in label:
-                    label[w] = root
-                    stack.append(w)
-    return label
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    label = np.arange(n)
+    while True:
+        a, b = label[pairs[:, 0]], label[pairs[:, 1]]
+        apart = a != b
+        if not apart.any():
+            return label
+        np.minimum.at(label, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def point_segment_distance(pt, a, b):
@@ -116,29 +119,6 @@ def _segments_intersect(p0, p1, q0, q1):
     return False
 
 
-def _segment_intersects_rect(p0, p1, x0, y0, x1, y1, tol=1e-12):
-    # Liang-Barsky clip of the closed segment against the closed rectangle
-    dx = p1[0] - p0[0]
-    dy = p1[1] - p0[1]
-    t0, t1 = 0.0, 1.0
-    for p, q in (
-        (-dx, p0[0] - x0),
-        (dx, x1 - p0[0]),
-        (-dy, p0[1] - y0),
-        (dy, y1 - p0[1]),
-    ):
-        if p == 0.0:
-            if q < -tol:
-                return False
-        else:
-            r = q / p
-            if p < 0:
-                t0 = max(t0, r)
-            else:
-                t1 = min(t1, r)
-    return t0 <= t1 + tol
-
-
 class Mesh:
     """Conforming triangle mesh with an oriented boundary and a marked arc.
 
@@ -188,7 +168,7 @@ class Mesh:
             raise ValueError("non-conforming mesh: an edge is shared by > 2 triangles")
         et = self.edge_tris()
         inner = et[et[:, 1] >= 0]
-        if len(set(components(range(len(t)), inner.tolist()).values())) > 1:
+        if np.any(components(len(t), inner) > 0):
             raise ValueError("mesh triangles must form one connected piece")
 
         be = self.boundary_edges
@@ -218,7 +198,8 @@ class Mesh:
         if len(np.unique(ge_ids)) != len(ge):
             raise ValueError("duplicate gamma edge")
         # connectivity along the boundary via shared vertices
-        if len(set(components(ge.ravel().tolist(), ge.tolist()).values())) > 1:
+        arc = components(len(v), ge)[ge]
+        if np.any(arc != arc[0, 0]):
             raise ValueError("gamma must be connected along the boundary")
 
     # ------------------------------------------------------------------ #
@@ -428,30 +409,17 @@ def build_rect_mesh(width, height, target_h):
     ys = np.linspace(0.0, height, ny + 1)
     xx, yy = np.meshgrid(xs, ys)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            tris.append((v00, v10, v01))
-            tris.append((v10, v11, v01))
-    bedges = []
-    for ix in range(nx):
-        bedges.append((vid(ix, 0), vid(ix + 1, 0)))
-    for iy in range(ny):
-        bedges.append((vid(nx, iy), vid(nx, iy + 1)))
-    for ix in range(nx, 0, -1):
-        bedges.append((vid(ix, ny), vid(ix - 1, ny)))
-    for iy in range(ny, 0, -1):
-        bedges.append((vid(0, iy), vid(0, iy - 1)))
-    bedges = np.array(bedges, dtype=np.int64)
-    return Mesh(vertices, np.array(tris, dtype=np.int64), bedges, bedges)
+    # vid[iy, ix] is the vertex at (xs[ix], ys[iy]); each cell splits into
+    # (v00, v10, v01) and (v10, v11, v01)
+    vid = np.arange((ny + 1) * (nx + 1)).reshape(ny + 1, nx + 1)
+    v00 = vid[:-1, :-1].ravel()
+    v10, v01 = v00 + 1, v00 + nx + 1
+    tris = np.column_stack([v00, v10, v01, v10, v01 + 1, v01]).reshape(-1, 3)
+    # the boundary ring counter-clockwise from the origin: bottom, right,
+    # top, left
+    ring = np.concatenate([vid[0, :-1], vid[:-1, -1], vid[-1, :0:-1], vid[:0:-1, 0]])
+    bedges = np.column_stack([ring, np.roll(ring, -1)])
+    return Mesh(vertices, tris, bedges, bedges)
 
 
 def build_disk_mesh(radius, target_h):
@@ -650,11 +618,20 @@ class CrackSet:
     def of_kind(self, kind):
         return CrackSet([c for c in self.components if c.kind == kind])
 
-    def edge_ids(self, mesh):
-        """Mesh edge ids of the crack edges, chain by chain (-1: not an edge)."""
+    def _edge_ends(self):
+        # the start and end vertices of every crack edge, chain by chain
         a = [v for c in self.components for v in c.chain[:-1]]
         b = [v for c in self.components for v in c.chain[1:]]
-        return mesh.edge_index(a, b)
+        return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+
+    def edge_ids(self, mesh):
+        """Mesh edge ids of the crack edges, chain by chain (-1: not an edge)."""
+        return mesh.edge_index(*self._edge_ends())
+
+    def segments(self, mesh):
+        """Start and end points of the crack edges, chain by chain, each (k, 2)."""
+        a, b = self._edge_ends()
+        return mesh.vertices[a], mesh.vertices[b]
 
     def vertex_set(self):
         out = set()
@@ -904,41 +881,47 @@ class PixelGrid:
         self.tri_pixel = iy * nx + ix
         self.tri_pixel.setflags(write=False)
 
-        a, b = mesh.boundary_segments()
-        touched = set()
-        for p0, p1 in zip(a, b):
-            for pix in self._pixels_near_segment(p0, p1):
-                touched.add(pix)
-        self.boundary_pixels = frozenset(touched)
+        self.boundary_pixels = frozenset(self.pixels_touching(*mesh.boundary_segments()).tolist())
         self.nonempty_pixels = frozenset(np.unique(self.tri_pixel).tolist())
 
-    def _pixels_near_segment(self, p0, p1, tol=1e-12):
-        x0, y0 = self.origin
-        h = self.h
-        ix_lo = max(0, int(math.floor((min(p0[0], p1[0]) - x0) / h - tol)))
-        ix_hi = min(self.nx - 1, int(math.floor((max(p0[0], p1[0]) - x0) / h + tol)))
-        iy_lo = max(0, int(math.floor((min(p0[1], p1[1]) - y0) / h - tol)))
-        iy_hi = min(self.ny - 1, int(math.floor((max(p0[1], p1[1]) - y0) / h + tol)))
-        out = []
-        for iy in range(iy_lo, iy_hi + 1):
-            for ix in range(ix_lo, ix_hi + 1):
-                sq = self.square(iy * self.nx + ix)
-                if _segment_intersects_rect(p0, p1, *sq):
-                    out.append(iy * self.nx + ix)
-        return out
+    def pixels_touching(self, a, b):
+        """Sorted distinct pixels whose closed square meets a closed segment.
 
-    def pixels_touching_segment(self, p0, p1):
-        """Pixels whose closed square meets the closed segment p0-p1."""
-        return set(self._pixels_near_segment(np.asarray(p0, float), np.asarray(p1, float)))
+        ``a`` and ``b`` hold the k segments' ends, shape (k, 2). Each segment
+        is clipped (Liang-Barsky) against every pixel of its bounding box,
+        all in one array pass. Both the box and the clip allow ``1e-12``, so
+        a segment that ends on a pixel edge touches the pixels on both sides.
+        """
+        tol = 1e-12
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        f_lo = (np.minimum(a, b) - self.origin) / self.h
+        f_hi = (np.maximum(a, b) - self.origin) / self.h
+        lo = np.maximum(np.floor(f_lo - tol).astype(np.int64), 0)
+        hi = np.minimum(np.floor(f_hi + tol).astype(np.int64), [self.nx - 1, self.ny - 1])
+        # every (segment, pixel) pair of the boxes, ix fastest
+        size = np.maximum(hi - lo + 1, 0)
+        count = size[:, 0] * size[:, 1]
+        seg = np.repeat(np.arange(len(a)), count)
+        j = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+        ix = lo[seg, 0] + j % size[seg, 0]
+        iy = lo[seg, 1] + j // size[seg, 0]
+        x0 = self.origin[0] + ix * self.h
+        y0 = self.origin[1] + iy * self.h
+        p0, d = a[seg], b[seg] - a[seg]
+        p = np.column_stack([-d[:, 0], d[:, 0], -d[:, 1], d[:, 1]])
+        q = np.column_stack([
+            p0[:, 0] - x0, x0 + self.h - p0[:, 0], p0[:, 1] - y0, y0 + self.h - p0[:, 1]
+        ])
+        r = np.divide(q, p, out=np.zeros_like(q), where=p != 0)
+        t0 = np.where(p < 0, r, 0.0).max(axis=1)
+        t1 = np.where(p > 0, r, 1.0).min(axis=1)
+        meets = (t0 <= t1 + tol) & ~((p == 0) & (q < -tol)).any(axis=1)
+        return np.unique(iy[meets] * self.nx + ix[meets])
 
     def crack_pixels(self, cracks):
         """Pixels whose closed square meets some edge of a crack set."""
-        out = set()
-        for comp in cracks.components:
-            pts = self.mesh.vertices[list(comp.chain)]
-            for a, b in zip(pts[:-1], pts[1:]):
-                out |= self.pixels_touching_segment(a, b)
-        return out
+        return set(self.pixels_touching(*cracks.segments(self.mesh)).tolist())
 
     @property
     def n_pixels(self):
@@ -949,12 +932,6 @@ class PixelGrid:
 
     def index(self, ix, iy):
         return iy * self.nx + ix
-
-    def square(self, p):
-        ix, iy = self.coords(p)
-        x0 = self.origin[0] + ix * self.h
-        y0 = self.origin[1] + iy * self.h
-        return x0, y0, x0 + self.h, y0 + self.h
 
     def to_json(self):
         return {
@@ -1018,12 +995,12 @@ class PixelSet:
         grid = self.grid
         ids = np.arange(grid.n_pixels).reshape(grid.ny, grid.nx)
         m = self.mask()
-        members = ids[m].tolist()
-        label = components(members, _pairs4(ids, m).tolist())
+        members = ids[m]
+        label = components(grid.n_pixels, _pairs4(ids, m))[members]
         out = np.full(grid.n_pixels, -1)
         # each label is its component's smallest member, so the labels' ranks
         # number the components
-        out[members] = np.unique([label[q] for q in members], return_inverse=True)[1]
+        out[members] = np.unique(label, return_inverse=True)[1]
         return out
 
     def dilate(self):
@@ -1057,8 +1034,6 @@ def pixelset_is_admissible(p):
     # a pixel with no triangles lies outside the meshed domain
     if p.members - p.grid.nonempty_pixels:
         return False
-    nx, ny = p.grid.nx, p.grid.ny
-
     # corner contacts: either diagonal pattern in a 2x2 block (pad with
     # complement so blocks straddling the grid edge are covered)
     pad = _pad(p.mask())
@@ -1070,12 +1045,11 @@ def pixelset_is_admissible(p):
         return False
 
     # complement connectivity to the grid exterior: the padding ring is
-    # complement too and stands for the outside, node -1
-    ids = np.full((ny + 2, nx + 2), -1)
-    ids[1:-1, 1:-1] = np.arange(nx * ny).reshape(ny, nx)
+    # complement too and stands for the outside; its corner is node 0 of the
+    # padded grid, so every free pixel must have label 0
     free = ~pad
-    label = components(ids[free].tolist(), _pairs4(ids, free).tolist())
-    return all(root == -1 for root in label.values())
+    ids = np.arange(free.size).reshape(free.shape)
+    return not components(free.size, _pairs4(ids, free))[free.ravel()].any()
 
 
 def interior_pixel_set(grid):

@@ -381,28 +381,26 @@ def carry_basis(basis, fine_mesh):
     are unchanged.
     """
     cm = basis.mesh
-    order_c = cm.gamma_vertices()
+    pos = np.full(len(fine_mesh.vertices), -1)
+    pos[cm.gamma_vertices()] = np.arange(len(cm.gamma_vertices()))
     order_f = fine_mesh.gamma_vertices()
-    pos_c = {int(v): i for i, v in enumerate(order_c)}
+    pts = fine_mesh.vertices[order_f]
     A = cm.vertices[cm.gamma_edges[:, 0]]
     B = cm.vertices[cm.gamma_edges[:, 1]]
-    AB = B - A
+    # the nearest coarse arc edge of every fine arc node, and the node's
+    # position along it
+    d = geometry.point_segment_distance(pts, A, B)
+    e = np.argmin(d, axis=1)
+    AB = B[e] - A[e]
     L2 = np.einsum("ij,ij->i", AB, AB)
-    vals = np.zeros((len(order_f), basis.M))
-    for row, v in enumerate(order_f):
-        v = int(v)
-        if v in pos_c:
-            vals[row] = basis.vectors[pos_c[v]]
-            continue
-        p = fine_mesh.vertices[v]
-        t = np.einsum("ij,ij->i", p[None, :] - A, AB) / L2
-        t = np.clip(t, 0.0, 1.0)
-        d = np.linalg.norm(A + t[:, None] * AB - p[None, :], axis=1)
-        e = int(np.argmin(d))
-        if d[e] > 1e-9 * np.sqrt(L2[e]):
-            raise ValueError("arc node %d is not on a coarse arc edge" % v)
-        a, b = int(cm.gamma_edges[e, 0]), int(cm.gamma_edges[e, 1])
-        vals[row] = (1 - t[e]) * basis.vectors[pos_c[a]] + t[e] * basis.vectors[pos_c[b]]
+    t = np.clip(np.einsum("ij,ij->i", pts - A[e], AB) / L2, 0.0, 1.0)
+    coarse = pos[order_f] >= 0
+    off = ~coarse & (d.min(axis=1) > 1e-9 * np.sqrt(L2))
+    if off.any():
+        raise ValueError("arc node %d is not on a coarse arc edge" % order_f[np.argmax(off)])
+    ends = pos[cm.gamma_edges[e]]
+    vals = (1 - t)[:, None] * basis.vectors[ends[:, 0]] + t[:, None] * basis.vectors[ends[:, 1]]
+    vals[coarse] = basis.vectors[pos[order_f[coarse]]]
     return ndmap.CurrentBasis(fine_mesh, vals)
 
 

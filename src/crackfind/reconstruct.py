@@ -281,18 +281,6 @@ def axis_chain_candidates(mesh, region, lengths):
     return [tuple(chains[i]) for i in np.lexsort(keys[::-1])]
 
 
-def _crack_segments(cracks, mesh):
-    # (start points, end points) of every crack edge
-    seg_a, seg_b = [], []
-    for comp in cracks.components:
-        pts = mesh.vertices[np.asarray(comp.chain, dtype=np.int64)]
-        seg_a.extend(pts[:-1])
-        seg_b.extend(pts[1:])
-    if seg_a:
-        return np.asarray(seg_a), np.asarray(seg_b)
-    return np.zeros((0, 2)), np.zeros((0, 2))
-
-
 def score(result, ground_truth, grid):
     """Quality metrics of a reconstruction against the true crack set.
 
@@ -304,7 +292,7 @@ def score(result, ground_truth, grid):
     the 1-dilated result ("recall_strict" counts exact membership).
     """
     truth = grid.crack_pixels(ground_truth)
-    seg_a, seg_b = _crack_segments(ground_truth, grid.mesh)
+    seg_a, seg_b = ground_truth.segments(grid.mesh)
 
     if isinstance(result, InnerResult):
         truth_edges = set(ground_truth.edge_ids(grid.mesh).tolist())

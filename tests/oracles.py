@@ -3,9 +3,13 @@
 They recompute a quantity the program gets another way: a quadratic-form
 difference as a projection energy, a field in a larger space, the
 column space of a source operator, the slit fans by a scan of the
-whole mesh, a pixel region's closed-square membership one point at a
-time, and the candidate test chains one mesh edge at a time.
+whole mesh, a rectangle's triangulation one cell at a time, connected
+components by a search over an adjacency dict, the pixels a segment
+meets one pixel at a time, a pixel region's closed-square membership one
+point at a time, and the candidate test chains one mesh edge at a time.
 """
+
+import math
 
 import numpy as np
 
@@ -121,7 +125,7 @@ def split_fans_scan(mesh, insulating):
     uncut = np.flatnonzero(~cut[sides])
     at = uncut[np.argsort(sides[uncut] * len(slit) + owner[uncut // 2], kind="stable")]
     pairs = np.column_stack([fan[at[0::2] // 2], fan[at[1::2] // 2]])
-    label = geometry.components(fan.tolist(), pairs.tolist())
+    label = components_search(fan.tolist(), pairs.tolist())
     # fan is ascending, so a vertex's first corner is its lowest
     lowest, sides = {}, set()
     for k, v in zip(fan.tolist(), owner.tolist()):
@@ -131,6 +135,107 @@ def split_fans_scan(mesh, insulating):
         raise ValueError("slit vertex fan does not split into two sides")
     far = np.array([label[k] != lowest[v] for k, v in zip(fan.tolist(), owner.tolist())])
     return fan[far], owner[far]
+
+
+def rect_mesh_loop(width, height, target_h):
+    """``geometry.build_rect_mesh``'s arrays, one cell and one boundary edge at a time.
+
+    Returns ``(vertices, triangles, boundary_edges)``.
+    """
+    nx = max(2, int(math.ceil(width / target_h)))
+    ny = max(2, int(math.ceil(height / target_h)))
+    xx, yy = np.meshgrid(np.linspace(0.0, width, nx + 1), np.linspace(0.0, height, ny + 1))
+
+    def vid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    tris = []
+    for iy in range(ny):
+        for ix in range(nx):
+            v00, v10 = vid(ix, iy), vid(ix + 1, iy)
+            v01, v11 = vid(ix, iy + 1), vid(ix + 1, iy + 1)
+            tris += [(v00, v10, v01), (v10, v11, v01)]
+    bedges = [(vid(ix, 0), vid(ix + 1, 0)) for ix in range(nx)]
+    bedges += [(vid(nx, iy), vid(nx, iy + 1)) for iy in range(ny)]
+    bedges += [(vid(ix, ny), vid(ix - 1, ny)) for ix in range(nx, 0, -1)]
+    bedges += [(vid(0, iy), vid(0, iy - 1)) for iy in range(ny, 0, -1)]
+    return (
+        np.column_stack([xx.ravel(), yy.ravel()]),
+        np.array(tris, dtype=np.int64),
+        np.array(bedges, dtype=np.int64),
+    )
+
+
+def components_search(nodes, pairs):
+    """``geometry.components`` by a depth-first search over an adjacency dict.
+
+    ``pairs`` lists the graph's edges as node pairs; both ends must be in
+    ``nodes``, which may be any integers. Returns ``{node: smallest node of
+    its component}``.
+    """
+    adj = {v: [] for v in nodes}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = {}
+    for root in sorted(adj):
+        if root in label:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in label:
+                    label[w] = root
+                    stack.append(w)
+    return label
+
+
+def segment_meets_rect(p0, p1, x0, y0, x1, y1, tol=1e-12):
+    """Whether the closed segment p0-p1 meets the closed rectangle.
+
+    A Liang-Barsky clip, one boundary line at a time.
+    """
+    dx = p1[0] - p0[0]
+    dy = p1[1] - p0[1]
+    t0, t1 = 0.0, 1.0
+    for p, q in (
+        (-dx, p0[0] - x0),
+        (dx, x1 - p0[0]),
+        (-dy, p0[1] - y0),
+        (dy, y1 - p0[1]),
+    ):
+        if p == 0.0:
+            if q < -tol:
+                return False
+        else:
+            r = q / p
+            if p < 0:
+                t0 = max(t0, r)
+            else:
+                t1 = min(t1, r)
+    return t0 <= t1 + tol
+
+
+def pixels_touching_scan(grid, p0, p1, tol=1e-12):
+    """``PixelGrid.pixels_touching`` for one segment, one pixel at a time.
+
+    Every pixel of the segment's bounding box, widened by ``tol`` in pixel
+    units, is clipped with ``segment_meets_rect``. Returns a set.
+    """
+    x0, y0 = grid.origin
+    h = grid.h
+    ix_lo = max(0, int(math.floor((min(p0[0], p1[0]) - x0) / h - tol)))
+    ix_hi = min(grid.nx - 1, int(math.floor((max(p0[0], p1[0]) - x0) / h + tol)))
+    iy_lo = max(0, int(math.floor((min(p0[1], p1[1]) - y0) / h - tol)))
+    iy_hi = min(grid.ny - 1, int(math.floor((max(p0[1], p1[1]) - y0) / h + tol)))
+    out = set()
+    for iy in range(iy_lo, iy_hi + 1):
+        for ix in range(ix_lo, ix_hi + 1):
+            sx, sy = x0 + ix * h, y0 + iy * h
+            if segment_meets_rect(p0, p1, sx, sy, sx + h, sy + h):
+                out.add(grid.index(ix, iy))
+    return out
 
 
 def in_closed_region(region, point):

@@ -26,6 +26,7 @@ from crackfind.geometry import (
     peel_candidates,
     pixelset_is_admissible,
 )
+from oracles import components_search, pixels_touching_scan, rect_mesh_loop
 
 
 # ------------------------------------------------------------------ #
@@ -50,6 +51,16 @@ def test_rect_mesh_area_bound():
     assert np.all(areas > 0)
     assert np.all(areas <= 1.5 * 0.05**2)
     assert mesh.h_max() <= 1.5 * 0.05
+
+
+@pytest.mark.parametrize("size", [(1.0, 1.0, 0.5), (2.0, 1.0, 0.2), (1.0, 3.0, 1 / 7)])
+def test_rect_mesh_matches_cell_loop(size):
+    mesh = build_rect_mesh(*size)
+    vertices, triangles, boundary = rect_mesh_loop(*size)
+    assert np.array_equal(mesh.vertices, vertices)
+    for got, want in ((mesh.triangles, triangles), (mesh.boundary_edges, boundary),
+                      (mesh.gamma_edges, boundary)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_rect_mesh_degenerate():
@@ -256,15 +267,48 @@ def test_edge_table_matches_reference(mesh):
 
 
 def test_components_small_graphs():
-    assert geometry.components([], []) == {}
-    assert geometry.components([3], []) == {3: 3}
-    label = geometry.components([5, 2, 7, 4, 9, 1], [(5, 2), (2, 7), (9, 1)])
-    assert label == {5: 2, 2: 2, 7: 2, 4: 4, 9: 1, 1: 1}
-    # repeated pairs, a self loop, and the node -1 that stands for outside
-    label = geometry.components([-1, 0, 1, 2], [(0, 1), (1, 0), (2, 2), (1, -1)])
-    assert label == {-1: -1, 0: -1, 1: -1, 2: 2}
-    cycle = geometry.components(range(6), [(i, (i + 1) % 6) for i in range(6)])
-    assert set(cycle.values()) == {0}
+    assert geometry.components(0, []).tolist() == []
+    assert geometry.components(1, []).tolist() == [0]
+    label = geometry.components(10, [(5, 2), (2, 7), (9, 1)])
+    assert label.tolist() == [0, 1, 2, 3, 4, 2, 6, 2, 8, 1]
+    # repeated pairs and a self loop
+    label = geometry.components(4, [(1, 2), (2, 1), (3, 3), (2, 0)])
+    assert label.tolist() == [0, 0, 0, 3]
+    cycle = geometry.components(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert cycle.tolist() == [0] * 6
+
+
+@st.composite
+def graphs(draw):
+    # up to 60 nodes: random pairs, some repeated (either way round), some
+    # self loops; the nodes no pair names stay isolated
+    n = draw(st.integers(0, 60))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=n))
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=5))
+        pairs += [(b, a) for a, b in again]
+    pairs += [(v, v) for v in draw(st.lists(node, max_size=3))]
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=graphs())
+def test_components_match_search(graph):
+    n, pairs = graph
+    ref = components_search(range(n), pairs)
+    assert geometry.components(n, pairs).tolist() == [ref[v] for v in range(n)]
+
+
+def test_components_of_a_shuffled_path():
+    # a path visiting the nodes in random order takes several hooking rounds
+    order = np.random.default_rng(0).permutation(500)
+    pairs = np.column_stack([order[:-1], order[1:]])
+    assert not geometry.components(500, pairs).any()
+    ref = components_search(range(500), pairs[:250].tolist())
+    assert geometry.components(500, pairs[:250]).tolist() == [ref[v] for v in range(500)]
 
 
 def test_disconnected_mesh_rejected():
@@ -693,6 +737,57 @@ def test_mask_operations_match_ndimage(name, data):
 def test_pixels_touching_segment_on_gridline():
     # a segment running along a pixel boundary touches both rows
     grid = unit_grid(8)
-    pix = grid.pixels_touching_segment((0.3, 0.5), (0.7, 0.5))
-    rows = {grid.coords(p)[1] for p in pix}
+    pix = grid.pixels_touching([(0.3, 0.5)], [(0.7, 0.5)])
+    rows = {grid.coords(p)[1] for p in pix.tolist()}
     assert rows == {3, 4}
+
+
+TOUCH_GRIDS = {
+    "rect": PixelGrid(build_rect_mesh(2.0, 1.0, 0.25), 8, 4),
+    "disk": PixelGrid(build_disk_mesh(1.0, 0.25), 8, 8),
+}
+
+
+@st.composite
+def segment_ends(draw, grid):
+    # a point of the grid's box widened by two pixels: anywhere, or on the
+    # lattice of quarter pixels (grid lines and pixel centres included)
+    if draw(st.booleans()):
+        f = [draw(st.floats(-2.0, n + 2.0)) for n in (grid.nx, grid.ny)]
+    else:
+        f = [draw(st.integers(-8, 4 * n + 8)) / 4 for n in (grid.nx, grid.ny)]
+    return tuple(grid.origin + np.array(f) * grid.h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(TOUCH_GRIDS)), data=st.data())
+def test_pixels_touching_matches_scalar_clip(name, data):
+    # random, lattice, degenerate (a = b) and off-grid segments, one batch
+    grid = TOUCH_GRIDS[name]
+    a = data.draw(st.lists(segment_ends(grid), min_size=1, max_size=6))
+    b = [data.draw(st.one_of(st.just(p), segment_ends(grid))) for p in a]
+    want = [pixels_touching_scan(grid, np.array(p), np.array(q)) for p, q in zip(a, b)]
+    got = grid.pixels_touching(a, b)
+    assert got.tolist() == sorted(set().union(*want))
+    for p, q, pix in zip(a, b, want):
+        assert grid.pixels_touching([p], [q]).tolist() == sorted(pix)
+
+
+def test_pixels_touching_no_segment():
+    # a crack set without edges meets no pixel
+    grid = unit_grid(4)
+    assert grid.pixels_touching(np.zeros((0, 2)), np.zeros((0, 2))).tolist() == []
+    assert grid.crack_pixels(CrackSet()) == set()
+
+
+@pytest.mark.parametrize("shape", ["rect", "disk"])
+def test_boundary_pixels_match_scalar_clip(shape):
+    if shape == "rect":
+        mesh = build_rect_mesh(2.0, 1.0, 1 / 12)
+    else:
+        mesh = build_disk_mesh(1.0, 0.1)
+    a, b = mesh.boundary_segments()
+    for n in range(3, 17):
+        grid = PixelGrid(mesh, 2 * n if shape == "rect" else n, n)
+        want = set().union(*(pixels_touching_scan(grid, p, q) for p, q in zip(a, b)))
+        assert grid.boundary_pixels == want

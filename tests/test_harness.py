@@ -95,6 +95,16 @@ def test_carry_basis_is_exact_interpolation(mixed_scenario):
         assert np.allclose(fb.vectors[pos_f[int(v)]], built.basis.vectors[i])
 
 
+def test_carry_basis_refuses_nodes_off_the_coarse_arc():
+    # a basis on the left side cannot be carried onto the whole boundary
+    mesh = geometry.mark_gamma(geometry.build_rect_mesh(1.0, 1.0, 1 / 8), {"side": "left"})
+    basis = ndmap.build_basis(mesh, 4)
+    fine, _ = refine_mesh(mesh, geometry.CrackSet())
+    harness.carry_basis(basis, geometry.mark_gamma(fine, {"side": "left"}))
+    with pytest.raises(ValueError, match="arc node .* is not on a coarse arc edge"):
+        harness.carry_basis(basis, geometry.mark_gamma(fine, "all"))
+
+
 def test_anti_crime_changes_data_not_verdicts():
     # needs the scale where pixel gates are resolved by the basis; coarser
     # meshes leave borderline probes that the transplant legitimately flips

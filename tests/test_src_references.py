@@ -6,7 +6,8 @@ is read anywhere in ``src/crackfind`` (as a name, an attribute or an
 import), other than by its own definition. A method passes only when it is
 read as an attribute, and not on a literal or on a fresh builtin container:
 ``set().union`` or a local variable named ``union`` does not call
-``PixelSet.union``.
+``PixelSet.union``. An entry of the allowlist of test-only definitions
+must name one that src does not read, or it is stale.
 
 A module-level import must be read in its own module, by the name it
 binds; ``from __future__`` imports are exempt.
@@ -72,14 +73,21 @@ def _referenced(trees):
     return names, attrs
 
 
-def _unreferenced():
-    modules = _modules()
+def _unread(modules):
+    # {key: name} of every definition whose name src never reads
     names, attrs = _referenced(modules.values())
-    return sorted(
-        key
+    return {
+        key: name
         for key, name, is_method in _definitions(modules)
         if name not in (attrs if is_method else names | attrs)
-        and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
+def _unreferenced():
+    return sorted(
+        key
+        for key, name in _unread(_modules()).items()
+        if not (name.startswith("__") and name.endswith("__"))
         and key not in ENTRY_POINTS
         and key not in ALLOWED
     )
@@ -114,6 +122,12 @@ def test_allowlist_names_existing_definitions():
     # a stale entry would let a new test-only definition of that name through
     keys = {key for key, _, _ in _definitions(_modules())}
     assert set(ALLOWED) | ENTRY_POINTS <= keys
+
+
+def test_allowlist_names_only_definitions_src_does_not_read():
+    # once src reads an allowed name the entry is stale: it no longer keeps
+    # a test-only definition and would hide the next one of that name
+    assert set(ALLOWED) <= _unread(_modules()).keys()
 
 
 def test_method_reads_on_builtins_and_bare_names_do_not_count():
