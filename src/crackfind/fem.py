@@ -66,8 +66,9 @@ class Conductivity:
 class Field:
     """A dof vector tied to the DofMap it was solved on.
 
-    ``values`` has shape ``(n_dofs,)`` for one solve, or ``(n_dofs, k)``
-    when a block of k currents was solved at once (one column per current).
+    A solve gives ``values`` of shape ``(n_dofs, k)``, one column per current
+    or source of its block; ``gradient_on`` reads a single column
+    ``(n_dofs,)``.
     """
 
     def __init__(self, values, dofmap):
@@ -113,14 +114,13 @@ def arc_weights(mesh):
 
 
 def require_mean_free(mesh, f, what):
-    """Raise unless every column of ``f`` (values on the arc nodes) is mean-free.
+    """Raise unless every column of ``f`` ``(G, k)`` on the arc nodes is mean-free.
 
     A column passes when ``|w . f| <= MEAN_FREE_RTOL * sum(w) * max|f|``
     with ``w`` the arc weights: relative to the column's own size, so a
     rescaled current passes or fails alike, and a zero column passes.
     """
     w = arc_weights(mesh)
-    f = f.reshape(len(w), -1)
     scale = MEAN_FREE_RTOL * w.sum() * np.max(np.abs(f), axis=0, initial=0.0)
     if np.any(np.abs(w @ f) > scale):
         raise ValueError("%s must be mean-free on the arc" % what)
@@ -341,6 +341,8 @@ def assemble_stiffness(mesh, gamma0, dm):
 class Factorization:
     """Direct factorization of the grounded stiffness, reusable across solves.
 
+    The one forward handle of a configuration: it holds the dof map ``dm``
+    and the stiffness ``K`` it factorizes, and every solve takes it alone.
     One dof (the first measurement-arc vertex) is pinned to zero, which
     makes the reduced matrix positive definite; callers re-ground the
     solution by subtracting the trace mean.
@@ -367,16 +369,16 @@ class Factorization:
             options={"SymmetricMode": True},
         )
 
-    def solve(self, b, rows=None):
-        """Solve for a right-hand side ``(n_dofs,)`` or a block ``(n_dofs, k)``.
+    def solve(self, b, rows):
+        """Solve for a block ``(len(rows), k)`` of right-hand side rows.
 
-        With ``rows`` (distinct dofs), ``b`` holds only those rows of the
+        ``rows`` are distinct dofs; ``b`` holds only those rows of the
         right-hand side and every other row is zero. The dense block the
-        factorization solves is built once, already without the pinned row.
-        A block goes through the factorization in one call; the pinned dof
-        is zero in every column.
+        factorization solves is built once, already without the pinned row,
+        and goes through the factorization in one call; the pinned dof is
+        zero in every column.
         """
-        rows = np.arange(self.dm.n_dofs) if rows is None else np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
         free = rows != self.pin
         dense = np.zeros((self.dm.n_dofs - 1,) + b.shape[1:])
         dense[rows[free] - (rows[free] > self.pin)] = b[free]
@@ -387,6 +389,17 @@ class Factorization:
         x = np.zeros((self.dm.n_dofs,) + y.shape[1:])
         x[self.keep] = y
         return x
+
+
+def factorize(mesh, gamma0, cracks=None, excluded=None, frozen=None):
+    """The ``Factorization`` of one configuration on ``mesh``.
+
+    The configuration is a crack set and an excluded or a frozen pixel
+    region, as ``build_dofmap`` takes them; its stiffness is assembled with
+    the background conductivity ``gamma0``.
+    """
+    dm = build_dofmap(mesh, cracks, excluded=excluded, frozen=frozen)
+    return Factorization(assemble_stiffness(mesh, gamma0, dm), dm)
 
 
 def _check_residual(K, x, b, rows=None):
@@ -404,8 +417,6 @@ def _check_residual(K, x, b, rows=None):
         r -= b
     else:
         r[rows] -= b
-    if b.ndim == 1:
-        b, r = b[:, None], r[:, None]
     bn = np.linalg.norm(b, axis=-2)
     rn = np.linalg.norm(r, axis=-2)
     rel = np.divide(rn, bn, out=np.zeros_like(rn), where=bn > 0)
@@ -415,50 +426,47 @@ def _check_residual(K, x, b, rows=None):
     return worst
 
 
-def _load(dofs, cols, values, tail):
-    # right-hand side as (distinct rows, their values) for one column
-    # (tail ()) or k columns (tail (k,)); np.add.at sums each entry's
-    # contributions in the order given, as it would on the dense block
+def _load(dofs, cols, values, k):
+    # right-hand side of k columns as (distinct rows, their values);
+    # np.add.at sums each entry's contributions in the order given, as it
+    # would on the dense block
     rows, at = np.unique(dofs, return_inverse=True)
-    b = np.zeros((len(rows),) + tail)
-    np.add.at(b.reshape(len(rows), -1), (at.reshape(dofs.shape), cols), values)
+    b = np.zeros((len(rows), k))
+    np.add.at(b, (at.reshape(dofs.shape), cols), values)
     return rows, b
 
 
-def _solve(K, dm, rows, b, fact):
-    # shared tail of every solve: factorize if needed, one solve for the
-    # whole block from the load on its rows, per-column residual check,
-    # then grounding in place
-    if fact is None:
-        fact = Factorization(K, dm)
+def _solve(fact, rows, b):
+    # shared tail of every solve: one solve for the whole block from the
+    # load on its rows, per-column residual check, then grounding in place
     x = fact.solve(b, rows)
-    _check_residual(K, x, b, rows)
+    _check_residual(fact.K, x, b, rows)
+    dm = fact.dm
     w = arc_weights(dm.mesh)
     x -= (w @ x[dm.gamma_dofs]) / w.sum()
     return Field(x, dm)
 
 
-def solve_neumann(K, dm, f, fact=None):
-    """Solve the weak problem for mean-free currents on the arc.
+def solve_neumann(fact, F):
+    """Solve the weak problem of a configuration for mean-free arc currents.
 
-    ``f`` holds nodal current-density values on the ordered arc vertices:
-    one current of shape ``(G,)``, or a block ``(G, k)`` of k currents,
-    which are solved together and give a Field with k columns. Every
-    current must be mean-free. The result is grounded: each trace has zero
-    mean.
+    ``F`` is a block ``(G, k)`` of k currents, nodal current-density values
+    on the ordered arc vertices, which are solved together and give a Field
+    with k columns. Every current must be mean-free. The result is
+    grounded: each trace has zero mean.
     """
-    f = np.asarray(f, dtype=float)
+    dm = fact.dm
+    F = np.asarray(F, dtype=float)
     M = gamma_mass(dm.mesh)
-    if f.ndim not in (1, 2) or f.shape[0] != len(M):
-        raise ValueError("current vector does not match the arc nodes")
-    require_mean_free(dm.mesh, f, "boundary current")
-    cols = np.arange(f.size // len(M))[None, :]
-    rows, b = _load(dm.gamma_dofs[:, None], cols, (M @ f).reshape(len(M), -1), f.shape[1:])
-    return _solve(K, dm, rows, b, fact)
+    if F.ndim != 2 or F.shape[0] != len(M):
+        raise ValueError("currents must be a (G, k) block on the arc nodes")
+    require_mean_free(dm.mesh, F, "boundary current")
+    rows, b = _load(dm.gamma_dofs[:, None], np.arange(F.shape[1])[None, :], M @ F, F.shape[1])
+    return _solve(fact, rows, b)
 
 
-def solve_source(K, dm, F, fact=None):
-    """Solve for the potentials generated by interior element sources.
+def solve_source(fact, F):
+    """Solve a configuration for the potentials of interior element sources.
 
     ``F`` is a pair ``(tris, vectors)`` of shapes ``(k,)`` and ``(k, 2)``
     standing for k sources: source j is the constant vector ``vectors[j]``
@@ -466,6 +474,7 @@ def solve_source(K, dm, F, fact=None):
     together and give a Field with k columns. No source may meet an
     excluded region.
     """
+    dm = fact.dm
     mesh = dm.mesh
     tris, vectors = F
     tris = np.asarray(tris, dtype=np.int64)
@@ -482,15 +491,8 @@ def solve_source(K, dm, F, fact=None):
     # with exactly zero; rounding would leave a residue the solve fails on
     dofs = dm.corner_dof[tris]
     contrib[(dofs[:, 0] == dofs[:, 1]) & (dofs[:, 1] == dofs[:, 2])] = 0.0
-    rows, b = _load(dofs, np.arange(len(tris))[:, None], contrib, (len(tris),))
-    return _solve(K, dm, rows, b, fact)
-
-
-def energy(K, a, b):
-    """Bilinear energy form of two fields on the same dof map."""
-    if a.dofmap is not b.dofmap:
-        raise ValueError("fields live on different dof maps")
-    return float(a.values @ (K @ b.values))
+    rows, b = _load(dofs, np.arange(len(tris))[:, None], contrib, len(tris))
+    return _solve(fact, rows, b)
 
 
 def gradient_on(field, tris):

@@ -217,6 +217,8 @@ def validate_scenario(s):
         problems.append("mode must be one of %s" % (ndmap.MODES,))
     if not all(_integer(k) and k >= 1 for k in s.inner_lengths):
         problems.append("inner_lengths must be positive integers")
+    elif len(set(s.inner_lengths)) != len(s.inner_lengths):
+        problems.append("inner_lengths must not repeat")
     if not all(_positive(n) and n >= 1 for n in s.locpot_n):
         problems.append("locpot_n values must be positive numbers")
     elif any(a >= b for a, b in zip(s.locpot_n, s.locpot_n[1:])):
@@ -375,7 +377,10 @@ def build_scenario(s):
 def carry_basis(basis, fine_mesh):
     """Re-express a current basis on a refinement of its mesh.
 
-    Every fine arc node lies on a coarse arc edge, so the piecewise-linear
+    A refinement splits each coarse arc edge a -> b into a -> m -> b at its
+    midpoint m. So along the fine arc every node that is not a coarse arc
+    node sits between the two ends of its coarse edge, wrapping around on a
+    closed arc, and takes the mean of their values. The piecewise-linear
     basis functions interpolate exactly and the result spans the same
     currents; orthonormality carries over because the arc and its measure
     are unchanged.
@@ -383,24 +388,26 @@ def carry_basis(basis, fine_mesh):
     cm = basis.mesh
     pos = np.full(len(fine_mesh.vertices), -1)
     pos[cm.gamma_vertices()] = np.arange(len(cm.gamma_vertices()))
-    order_f = fine_mesh.gamma_vertices()
-    pts = fine_mesh.vertices[order_f]
-    A = cm.vertices[cm.gamma_edges[:, 0]]
-    B = cm.vertices[cm.gamma_edges[:, 1]]
-    # the nearest coarse arc edge of every fine arc node, and the node's
-    # position along it
-    d = geometry.point_segment_distance(pts, A, B)
-    e = np.argmin(d, axis=1)
-    AB = B[e] - A[e]
-    L2 = np.einsum("ij,ij->i", AB, AB)
-    t = np.clip(np.einsum("ij,ij->i", pts - A[e], AB) / L2, 0.0, 1.0)
-    coarse = pos[order_f] >= 0
-    off = ~coarse & (d.min(axis=1) > 1e-9 * np.sqrt(L2))
+    # the coarse arc position each coarse arc edge leads to
+    succ = np.full(len(cm.gamma_vertices()), -1)
+    succ[pos[cm.gamma_edges[:, 0]]] = pos[cm.gamma_edges[:, 1]]
+    order = fine_mesh.gamma_vertices()
+    at = pos[order]
+    new = np.flatnonzero(at < 0)
+    # a new node's neighbours along the fine arc must be the ends a -> b of
+    # one coarse arc edge, with the node at its midpoint
+    a, b = pos[np.roll(order, 1)[new]], pos[np.roll(order, -1)[new]]
+    ends = cm.vertices[cm.gamma_vertices()]
+    A, B = ends[a], ends[b]
+    off = (a < 0) | (b < 0) | (succ[a] != b) | (
+        np.linalg.norm(fine_mesh.vertices[order[new]] - 0.5 * (A + B), axis=1)
+        > 1e-9 * np.linalg.norm(B - A, axis=1)
+    )
     if off.any():
-        raise ValueError("arc node %d is not on a coarse arc edge" % order_f[np.argmax(off)])
-    ends = pos[cm.gamma_edges[e]]
-    vals = (1 - t)[:, None] * basis.vectors[ends[:, 0]] + t[:, None] * basis.vectors[ends[:, 1]]
-    vals[coarse] = basis.vectors[pos[order_f[coarse]]]
+        raise ValueError("arc node %d is not on a coarse arc edge" % order[new[np.argmax(off)]])
+    vals = np.empty((len(order), basis.M))
+    vals[at >= 0] = basis.vectors[at[at >= 0]]
+    vals[new] = 0.5 * (basis.vectors[a] + basis.vectors[b])
     return ndmap.CurrentBasis(fine_mesh, vals)
 
 
@@ -419,8 +426,8 @@ def generate_data(s, built):
         fine_basis = carry_basis(built.basis, fine)
         fine_gamma0 = fem.Conductivity.from_spec(fine, s.gamma0)
         N_empty = built.table.nd("none")
-        Nf_crack = ndmap.nd_matrix(fine, fine_gamma0, fine_cracks, fine_basis)
-        Nf_empty = ndmap.nd_matrix(fine, fine_gamma0, None, fine_basis)
+        Nf_crack = ndmap.nd_matrix(fem.factorize(fine, fine_gamma0, fine_cracks), fine_basis)
+        Nf_empty = ndmap.nd_matrix(fem.factorize(fine, fine_gamma0), fine_basis)
         entries = N_empty.entries + (Nf_crack.entries - Nf_empty.entries)
         entries = 0.5 * (entries + entries.T)
         data = ndmap.NdMatrix(entries, "anti-crime:" + Nf_crack.config_label, Nf_crack.kinds)

@@ -43,21 +43,21 @@ class SourceOperator:
         return "SourceOperator(%d triangles)" % len(self.tris)
 
 
-def build_source_operator(solver, V, basis):
+def build_source_operator(fact, V, basis):
     """Assemble the source-to-voltage matrix for sources on region ``V``.
 
-    ``solver`` is the configuration's ``ndmap.NdSolver``. Column 2k + d is
+    ``fact`` is the configuration's ``fem.Factorization``. Column 2k + d is
     the current-basis representation of the voltage of the canonical
     element source on triangle k of the region: direction d, scaled to unit
-    L2 norm. All columns share the solver's factorization, and the sources
-    go through ``fem.solve_source`` in blocks of ``basis.M`` columns, so a
+    L2 norm. All columns share the factorization, and the sources go
+    through ``fem.solve_source`` in blocks of ``basis.M`` columns, so a
     block is never wider than the current block of the configuration's ND
     matrix. An empty region gives a zero-column operator.
     """
     interior = geometry.interior_pixel_set(V.grid).members
     if V.members - interior:
         raise ValueError("source region must lie in the meshed interior")
-    mesh = solver.mesh
+    mesh = fact.dm.mesh
     tris = V.triangles()
     weighted = fem.gamma_mass(mesh) @ basis.vectors
     src_tris = np.repeat(tris, 2)
@@ -67,7 +67,7 @@ def build_source_operator(solver, V, basis):
         cols = slice(lo, lo + basis.M)
         # keep only the traces: the block's potentials are freed before the
         # next block is solved
-        traces = fem.trace_on_gamma(solver.solve_source((src_tris[cols], unit[cols])))
+        traces = fem.trace_on_gamma(fem.solve_source(fact, (src_tris[cols], unit[cols])))
         matrix[:, cols] = weighted.T @ traces
     return SourceOperator(tris, matrix)
 
@@ -205,9 +205,9 @@ def run_localized_demo(table, n_values=None):
     high and low configurations on the near region, and regularizes against
     the background's operator on the far region grown by one pixel ring
     (clipped to the meshed interior). The source operators come from the
-    table's solvers, one alive at a time; every ND matrix comes from the
-    table, so configurations another method of the run has solved are not
-    solved again. Returns ``{variant: (sequence, report)}``; a report's
+    table's factorizations, one alive at a time; every ND matrix comes from
+    the table, so configurations another method of the run has solved are
+    not solved again. Returns ``{variant: (sequence, report)}``; a report's
     form localized at the near cracks should grow while its far-region
     forms shrink.
     """
@@ -224,10 +224,10 @@ def run_localized_demo(table, n_values=None):
 
     ops = {}
     for name, regions in feeds.items():
-        solver = table.solver(name)
+        fact = table.factorization(name)
         for region in regions:
-            ops[name, region] = build_source_operator(solver, pixels[region], table.basis)
-        del solver  # one factorization alive at a time
+            ops[name, region] = build_source_operator(fact, pixels[region], table.basis)
+        del fact  # one factorization alive at a time
 
     out = {}
     for variant, (near, far, hi, lo, bg) in VARIANTS.items():

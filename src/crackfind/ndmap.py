@@ -115,60 +115,21 @@ class NdMatrix:
         }
 
 
-class NdSolver:
-    """One configuration's forward machinery: dof map, stiffness, factorization.
+def nd_matrix(fact, basis):
+    """The ND matrix in ``basis`` of the configuration factorized in ``fact``.
 
-    ``config`` is None (no cracks, no region), a CrackSet, or a dict with
-    any of the keys ``cracks``, ``excluded``, ``frozen``; other keys are
-    rejected. Reusable for many currents; building it once per
-    configuration is what makes reconstruction loops affordable.
+    ``fact`` is the configuration's ``fem.Factorization``; the basis
+    currents go through it in one block solve.
     """
-
-    def __init__(self, mesh, gamma0, config=None):
-        if config is None:
-            config = {}
-        if isinstance(config, geometry.CrackSet):
-            config = {"cracks": config}
-        unknown = set(config) - {"cracks", "excluded", "frozen"}
-        if unknown:
-            raise ValueError("unknown configuration keys: %s" % sorted(unknown))
-        self.mesh = mesh
-        self.gamma0 = gamma0
-        self.dm = fem.build_dofmap(
-            mesh,
-            config.get("cracks"),
-            excluded=config.get("excluded"),
-            frozen=config.get("frozen"),
-        )
-        self.K = fem.assemble_stiffness(mesh, gamma0, self.dm)
-        self.fact = fem.Factorization(self.K, self.dm)
-
-    def solve_current(self, f):
-        """Potential for one arc current ``(G,)`` or a block ``(G, k)``."""
-        return fem.solve_neumann(self.K, self.dm, f, self.fact)
-
-    def solve_source(self, F):
-        """Potentials of a ``(tris, vectors)`` block of element sources."""
-        return fem.solve_source(self.K, self.dm, F, self.fact)
-
-    def nd_matrix(self, basis):
-        """The configuration's matrix in ``basis``, from one block solve."""
-        return self._nd_matrix(self.solve_current(basis.vectors), basis)
-
-    def _nd_matrix(self, potentials, basis):
-        # the matrix from the potentials of the basis currents
-        weighted = fem.gamma_mass(self.mesh) @ basis.vectors
-        N = fem.trace_on_gamma(potentials).T @ weighted
-        return NdMatrix(0.5 * (N + N.T), self.dm.config_label(), self.dm.cracks.kinds())
+    return _matrix(fem.solve_neumann(fact, basis.vectors), basis)
 
 
-def nd_matrix(mesh, gamma0, config, basis):
-    """Assemble the boundary-map matrix for one configuration.
-
-    ``config`` is None, a CrackSet, or a dict with any of the keys
-    ``cracks``, ``excluded``, ``frozen``.
-    """
-    return NdSolver(mesh, gamma0, config).nd_matrix(basis)
+def _matrix(potentials, basis):
+    # the NdMatrix of the potentials of the basis currents
+    dm = potentials.dofmap
+    weighted = fem.gamma_mass(dm.mesh) @ basis.vectors
+    N = fem.trace_on_gamma(potentials).T @ weighted
+    return NdMatrix(0.5 * (N + N.T), dm.config_label(), dm.cracks.kinds())
 
 
 class Configurations:
@@ -178,13 +139,14 @@ class Configurations:
     The eight names: ``none`` (no cracks), ``all`` (every crack),
     ``insulating`` and ``conducting`` (one kind alone), and ``excluded V``,
     ``frozen V``, ``excluded W``, ``frozen W`` (a region excluded or frozen,
-    no cracks). The data, the monotonicity chain and the localized
+    no cracks); ``configs`` maps each name to the keyword arguments of
+    ``fem.factorize``. The data, the monotonicity chain and the localized
     potentials all compare matrices of these configurations, so a run keeps
     one table: ``nd(name)`` solves a configuration the first time it is
-    asked for, and ``solver(name)`` gives a fresh ``NdSolver`` to callers
-    that need more than the matrix, recording its matrix if the table lacks
-    it. The table keeps matrices only, never a solver, so at most one
-    factorization is alive at a time.
+    asked for, and ``factorization(name)`` gives a fresh
+    ``fem.Factorization`` to callers that need more than the matrix,
+    recording its matrix if the table lacks it. The table keeps matrices
+    only, never a factorization, so at most one is alive at a time.
     """
 
     def __init__(self, mesh, gamma0, basis, cracks, V, W):
@@ -194,10 +156,10 @@ class Configurations:
         self.V = V
         self.W = W
         self.configs = {
-            "none": None,
-            "all": cracks,
-            "insulating": cracks.of_kind(geometry.INSULATING),
-            "conducting": cracks.of_kind(geometry.CONDUCTING),
+            "none": {},
+            "all": {"cracks": cracks},
+            "insulating": {"cracks": cracks.of_kind(geometry.INSULATING)},
+            "conducting": {"cracks": cracks.of_kind(geometry.CONDUCTING)},
         }
         for key, region in (("V", V), ("W", W)):
             self.configs["excluded " + key] = {"excluded": region}
@@ -207,15 +169,15 @@ class Configurations:
     def nd(self, name):
         """The named configuration's NdMatrix, solved on first request."""
         if name not in self._nd:
-            self._nd[name] = nd_matrix(self.mesh, self.gamma0, self.configs[name], self.basis)
+            self.factorization(name)
         return self._nd[name]
 
-    def solver(self, name):
-        """A fresh NdSolver for the named configuration; the caller owns it."""
-        solver = NdSolver(self.mesh, self.gamma0, self.configs[name])
+    def factorization(self, name):
+        """A fresh factorization of the named configuration; the caller owns it."""
+        fact = fem.factorize(self.mesh, self.gamma0, **self.configs[name])
         if name not in self._nd:
-            self._nd[name] = solver.nd_matrix(self.basis)
-        return solver
+            self._nd[name] = nd_matrix(fact, self.basis)
+        return fact
 
 
 def _dense_solve(A, B):
@@ -226,7 +188,7 @@ def _dense_solve(A, B):
     return X
 
 
-def _green_block(fact, K, dofs, width, stars):
+def _green_block(fact, dofs, width, stars):
     # the pinned Green's entries that stars pair. ``dofs`` are distinct and
     # none of them the pin; each (k, m) array in ``stars`` lists k stars as
     # positions in ``dofs`` and gets the (k, m, m) stack of G on them. Each
@@ -247,7 +209,7 @@ def _green_block(fact, K, dofs, width, stars):
         b = np.vstack([np.eye(len(cols)), -np.ones((1, len(cols)))])
         at = np.append(cols, fact.pin)
         x = fact.solve(b, at)
-        fem._check_residual(K, x, b, at)
+        fem._check_residual(fact.K, x, b, at)
         for GT, (D, col, order) in zip(out, plan):
             first, last = np.searchsorted(col, [lo, lo + width])
             if first < last:
@@ -256,17 +218,17 @@ def _green_block(fact, K, dofs, width, stars):
     return [np.swapaxes(GT, 1, 2) for GT in out]
 
 
-def _background(solver, basis, verts, stars):
+def _background(fact, basis, verts, stars):
     # (N0, Z, G) of a factorized background on the vertices ``verts``
     # (distinct, none of them pinned): its NdMatrix, the pinned potentials of
     # the basis currents on them, and ``_green_block``'s stacks of the pinned
     # Green's entries on ``stars`` (positions in ``verts``), solved basis.M
     # columns at a time like the currents
-    potentials = solver.solve_current(basis.vectors)
-    N0 = solver._nd_matrix(potentials, basis)
-    dofs = solver.dm.vertex_dof[verts]
-    Z = potentials.values[dofs] - potentials.values[solver.fact.pin]
-    return N0, Z, _green_block(solver.fact, solver.K, dofs, basis.M, stars)
+    potentials = fem.solve_neumann(fact, basis.vectors)
+    N0 = _matrix(potentials, basis)
+    dofs = fact.dm.vertex_dof[verts]
+    Z = potentials.values[dofs] - potentials.values[fact.pin]
+    return N0, Z, _green_block(fact, dofs, basis.M, stars)
 
 
 def _tied_correction(G, Z, T):
@@ -331,7 +293,7 @@ def chain_matrices(mesh, gamma0, basis, components):
     one star size. The pinned dof is zero in every potential, so a star
     that holds it drops its row and column, which is exact. Every small
     dense solve is checked against ``fem.RESIDUAL_RTOL``, per chain and
-    per column. ``NdSolver`` on the chain's configuration is the reference
+    per column. ``nd_matrix`` of the chain's factorization is the reference
     this path must match.
     """
     components = list(components)
@@ -343,7 +305,7 @@ def chain_matrices(mesh, gamma0, basis, components):
     groups = _stars(mesh, local, pin, components)
     union = np.unique(np.concatenate([S.ravel() for _, S, _ in groups]))
     at = [np.searchsorted(union, S) for _, S, _ in groups]
-    N0, Z, G = _background(NdSolver(mesh, gamma0), basis, union, at)
+    N0, Z, G = _background(fem.factorize(mesh, gamma0), basis, union, at)
     for lo in range(0, len(components), CHAIN_BATCH):
         hi = min(lo + CHAIN_BATCH, len(components))
         N = np.empty((hi - lo,) + N0.entries.shape)
@@ -490,8 +452,8 @@ class RegionMaps:
     ``mode`` (one of ``MODES``) names the sides to build: "insulating"
     needs only the excluded response, "conducting" only the frozen one.
     The caller keeps every region admissible. Every small dense solve is
-    checked against ``fem.RESIDUAL_RTOL``; ``NdSolver`` on the region's
-    configuration is the reference this path must match.
+    checked against ``fem.RESIDUAL_RTOL``; ``nd_matrix`` of the region's
+    factorization is the reference this path must match.
     """
 
     def __init__(self, mesh, gamma0, basis, R0, mode="both"):
@@ -519,13 +481,13 @@ class RegionMaps:
         # each side is (NdMatrix, vertices, their pinned potentials, their
         # pinned Green's block); one factorization is alive at a time
         if mode != "insulating":
-            N, Z, (G,) = _background(NdSolver(mesh, gamma0), basis, self._skeleton,
+            N, Z, (G,) = _background(fem.factorize(mesh, gamma0), basis, self._skeleton,
                                      [np.arange(len(self._skeleton))[None]])
             # a C-ordered copy, which every frozen region reads from
             self._frozen = (N, self._skeleton, Z, G[0].copy())
         if mode != "conducting":
             C = self._boundary(R0)
-            N, Z, (G,) = _background(NdSolver(mesh, gamma0, {"excluded": R0}), basis, C,
+            N, Z, (G,) = _background(fem.factorize(mesh, gamma0, excluded=R0), basis, C,
                                      [np.arange(len(C))[None]])
             self._excluded = (N, C, Z, G[0])
 

@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 from crackfind import fem, geometry, ndmap
@@ -21,3 +23,45 @@ def chain_setup():
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 24)
     return mesh, cracks, grid, V, W, gamma0, basis
+
+
+class Factorizations:
+    """Counts the ``fem.Factorization`` objects a run makes.
+
+    ``made`` is how many were made and ``most`` the most alive at once,
+    both since the last ``reset``. A factorization's end is seen through
+    ``weakref.finalize``, so a caller that holds one while it makes the
+    next shows up in ``most``.
+    """
+
+    def __init__(self, monkeypatch):
+        self.made = self.most = self.alive = 0
+        real = fem.Factorization
+
+        def counting(*args):
+            fact = real(*args)
+            self.made += 1
+            self.alive += 1
+            self.most = max(self.most, self.alive)
+            weakref.finalize(fact, self._end)
+            return fact
+
+        monkeypatch.setattr(fem, "Factorization", counting)
+
+    def _end(self):
+        self.alive -= 1
+
+    def reset(self):
+        self.made, self.most = 0, self.alive
+
+
+@pytest.fixture(scope="session")
+def count_factorizations():
+    """``count_factorizations(monkeypatch)`` installs a ``Factorizations`` counter."""
+    return Factorizations
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """A ``Factorizations`` counter installed for one test."""
+    return Factorizations(monkeypatch)

@@ -1,7 +1,9 @@
 """Oracles of the acceptance criteria that only the tests use.
 
-They recompute a quantity the program gets another way: a quadratic-form
-difference as a projection energy, a field in a larger space, the
+They recompute a quantity the program gets another way: the energy form
+of two fields, a quadratic-form difference as a projection energy, a
+field in a larger space, a carried current basis by a search for each
+fine arc node's coarse edge, the
 column space of a source operator, the slit fans by a scan of the
 whole mesh, a rectangle's triangulation one cell at a time, connected
 components by a search over an adjacency dict, the pixels a segment
@@ -32,28 +34,34 @@ def projection_identity_check(mesh, gamma0, cracks, basis, f_index, which="P"):
     """
     if which not in ("P", "Q"):
         raise ValueError("which must be 'P' or 'Q'")
-    f = basis.vectors[:, f_index]
-    mixed = ndmap.NdSolver(mesh, gamma0, cracks)
+    f = basis.vectors[:, f_index : f_index + 1]
+    mixed = fem.factorize(mesh, gamma0, cracks)
     if which == "P":
-        other = ndmap.NdSolver(mesh, gamma0, cracks.of_kind(geometry.CONDUCTING))
+        other = fem.factorize(mesh, gamma0, cracks.of_kind(geometry.CONDUCTING))
         big, small = mixed, other
-        lhs = (
-            mixed.nd_matrix(basis).entries[f_index, f_index]
-            - other.nd_matrix(basis).entries[f_index, f_index]
-        )
     else:
-        other = ndmap.NdSolver(mesh, gamma0, cracks.of_kind(geometry.INSULATING))
+        other = fem.factorize(mesh, gamma0, cracks.of_kind(geometry.INSULATING))
         big, small = other, mixed
-        lhs = (
-            other.nd_matrix(basis).entries[f_index, f_index]
-            - mixed.nd_matrix(basis).entries[f_index, f_index]
-        )
-    u_big = big.solve_current(f)
-    u_small = small.solve_current(f)
+    lhs = (
+        ndmap.nd_matrix(big, basis).entries[f_index, f_index]
+        - ndmap.nd_matrix(small, basis).entries[f_index, f_index]
+    )
+    u_big = fem.solve_neumann(big, f).values[:, 0]
+    u_small = fem.Field(fem.solve_neumann(small, f).values[:, 0], small.dm)
     emb = embed_field(u_small, big.dm)
-    diff = fem.Field(u_big.values - emb.values, big.dm)
-    rhs = fem.energy(big.K, diff, diff)
+    diff = fem.Field(u_big - emb.values, big.dm)
+    rhs = energy(big.K, diff, diff)
     return float(lhs), float(rhs)
+
+
+def energy(K, a, b):
+    """Bilinear energy form of two fields on the same dof map.
+
+    Each field holds one vector, of shape ``(n_dofs,)`` or ``(n_dofs, 1)``.
+    """
+    if a.dofmap is not b.dofmap:
+        raise ValueError("fields live on different dof maps")
+    return float(np.vdot(a.values, K @ b.values))
 
 
 def embed_field(field, target_dm):
@@ -306,3 +314,31 @@ def axis_chain_candidates_loop(mesh, region, lengths):
                         if all(keep[s:s + k + 1]):
                             out.append(tuple(chain[s:s + k + 1]))
     return out
+
+
+def carry_basis_search(basis, fine_mesh):
+    """``harness.carry_basis``'s vectors by a search for each fine node's coarse edge.
+
+    Every fine arc node is projected onto its nearest coarse arc edge and
+    interpolates the basis there; a coarse arc node keeps its values.
+    """
+    cm = basis.mesh
+    pos = np.full(len(fine_mesh.vertices), -1)
+    pos[cm.gamma_vertices()] = np.arange(len(cm.gamma_vertices()))
+    order_f = fine_mesh.gamma_vertices()
+    pts = fine_mesh.vertices[order_f]
+    A = cm.vertices[cm.gamma_edges[:, 0]]
+    B = cm.vertices[cm.gamma_edges[:, 1]]
+    d = geometry.point_segment_distance(pts, A, B)
+    e = np.argmin(d, axis=1)
+    AB = B[e] - A[e]
+    L2 = np.einsum("ij,ij->i", AB, AB)
+    t = np.clip(np.einsum("ij,ij->i", pts - A[e], AB) / L2, 0.0, 1.0)
+    coarse = pos[order_f] >= 0
+    off = ~coarse & (d.min(axis=1) > 1e-9 * np.sqrt(L2))
+    if off.any():
+        raise ValueError("arc node %d is not on a coarse arc edge" % order_f[np.argmax(off)])
+    ends = pos[cm.gamma_edges[e]]
+    vals = (1 - t)[:, None] * basis.vectors[ends[:, 0]] + t[:, None] * basis.vectors[ends[:, 1]]
+    vals[coarse] = basis.vectors[pos[order_f[coarse]]]
+    return vals

@@ -44,8 +44,9 @@ def pinned_mixed():
     grid = PixelGrid(mesh, 8, 8)
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 32)
-    data = ndmap.nd_matrix(mesh, gamma0, cracks, basis)
-    data_ins = ndmap.nd_matrix(mesh, gamma0, cracks.of_kind(geometry.INSULATING), basis)
+    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
+    data_ins = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks.of_kind(geometry.INSULATING)),
+                               basis)
     return mesh, cracks, grid, gamma0, basis, data, data_ins
 
 
@@ -58,7 +59,7 @@ def test_criterion_1_forward_convergence():
         order = mesh.gamma_vertices()
         theta = np.arctan2(mesh.vertices[order, 1], mesh.vertices[order, 0])
         basis = ndmap.CurrentBasis.from_vectors(mesh, np.cos(theta), orthonormalize=False)
-        vals.append(ndmap.nd_matrix(mesh, gamma0, None, basis).entries[0, 0])
+        vals.append(ndmap.nd_matrix(fem.factorize(mesh, gamma0), basis).entries[0, 0])
         tris.append(len(mesh.triangles))
     dt = time.perf_counter() - t0
     errs = [abs(v - np.pi) / np.pi for v in vals]
@@ -140,15 +141,15 @@ def test_criterion_4_adjoint_identity(chain_setup):
     rng = np.random.default_rng(404)
     worst = 0.0
     for config in (None, cracks):
-        solver = ndmap.NdSolver(mesh, gamma0, config)
-        op = locpot.build_source_operator(solver, V, basis)
+        fact = fem.factorize(mesh, gamma0, config)
+        op = locpot.build_source_operator(fact, V, basis)
         for _ in range(100):
             Fv = rng.standard_normal((len(op.tris), 2))
             d = rng.standard_normal(basis.M)
             # the columns take the field's values scaled by sqrt(area)
             lhs = float(op.matrix @ (Fv * np.sqrt(areas[op.tris])[:, None]).ravel() @ d)
-            u = solver.solve_current(basis.vectors @ d)
-            gu = fem.gradient_on(u, op.tris)
+            u = fem.solve_neumann(fact, (basis.vectors @ d)[:, None])
+            gu = fem.gradient_on(fem.Field(u.values[:, 0], fact.dm), op.tris)
             rhs = float(np.sum(areas[op.tris, None] * Fv * gu))
             rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
             worst = max(worst, rel)
@@ -211,7 +212,7 @@ def _inner_roundtrip(kind):
     grid = PixelGrid(mesh, 8, 8)
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 24)
-    data = ndmap.nd_matrix(mesh, gamma0, cracks, basis)
+    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
     region = geometry.interior_pixel_set(grid)
     lengths = (2, 4) if kind == geometry.INSULATING else (1, 2, 4)
     cands = reconstruct.axis_chain_candidates(mesh, region, lengths)
@@ -265,7 +266,7 @@ def test_criterion_8_missing_tip_detected(pinned_mixed):
     # this region stops two pixel columns short of the right tip
     C = PixelSet.from_rect(grid, 1, 1, 2, 6)
     ok, certs = reconstruct.upper_bound_tests(
-        data_ins, ndmap.nd_matrix(mesh, gamma0, {"excluded": C}, basis), None
+        data_ins, ndmap.nd_matrix(fem.factorize(mesh, gamma0, excluded=C), basis), None
     )
     assert not ok
     cert = certs[0]

@@ -10,7 +10,7 @@ from crackfind.fem import (
     Factorization,
     assemble_stiffness,
     build_dofmap,
-    energy,
+    factorize,
     gamma_mass,
     gradient_on,
     solve_neumann,
@@ -27,7 +27,7 @@ from crackfind.geometry import (
     build_rect_mesh,
     embed_crack,
 )
-from oracles import embed_field, split_fans_scan
+from oracles import embed_field, energy, split_fans_scan
 
 
 def square(n=8):
@@ -36,6 +36,11 @@ def square(n=8):
 
 def one(mesh):
     return Conductivity(mesh, 1.0)
+
+
+def factor(dm):
+    # the factorization of a dof map's unit-conductivity stiffness
+    return Factorization(assemble_stiffness(dm.mesh, one(dm.mesh), dm), dm)
 
 
 def cos_theta_current(mesh):
@@ -290,10 +295,21 @@ def test_grounded_stiffness_positive_definite():
 
 def test_solve_requires_mean_free():
     mesh = square(8)
-    dm = build_dofmap(mesh)
-    K = assemble_stiffness(mesh, one(mesh), dm)
+    fact = factorize(mesh, one(mesh))
     with pytest.raises(ValueError):
-        solve_neumann(K, dm, np.ones(len(dm.gamma_order)))
+        solve_neumann(fact, np.ones((len(fact.dm.gamma_order), 1)))
+
+
+def test_currents_must_be_a_block():
+    # one current is a (G, 1) block; a (G,) vector or a block on other
+    # nodes is refused
+    mesh = square(8)
+    fact = factorize(mesh, one(mesh))
+    f = cos_theta_current(mesh)
+    assert solve_neumann(fact, f[:, None]).values.shape == (fact.dm.n_dofs, 1)
+    for bad in (f, f[1:, None], f[None, :, None]):
+        with pytest.raises(ValueError, match="block on the arc nodes"):
+            solve_neumann(fact, bad)
 
 
 def test_mean_free_rule_is_relative_to_each_column():
@@ -304,18 +320,17 @@ def test_mean_free_rule_is_relative_to_each_column():
     p = mesh.vertices[mesh.gamma_vertices()]
     theta = np.arctan2(p[:, 1], p[:, 0])
     raw = np.column_stack([np.cos(theta), np.sin(2 * theta) + 0.3])
-    dm = build_dofmap(mesh)
-    K = assemble_stiffness(mesh, one(mesh), dm)
+    fact = factorize(mesh, one(mesh))
     for scale in (1.0, 1e8):
         basis = ndmap.CurrentBasis.from_vectors(mesh, scale * raw, orthonormalize=False)
-        solve_neumann(K, dm, basis.vectors)
+        solve_neumann(fact, basis.vectors)
     tiny = np.full((len(p), 1), 1e-12)
     with pytest.raises(ValueError, match="mean-free"):
         ndmap.CurrentBasis(mesh, tiny)
     with pytest.raises(ValueError, match="mean-free"):
-        solve_neumann(K, dm, tiny[:, 0])
+        solve_neumann(fact, tiny)
     # a zero column has nothing to balance
-    solve_neumann(K, dm, np.zeros(len(p)))
+    solve_neumann(fact, np.zeros((len(p), 1)))
 
 
 @pytest.fixture(scope="module")
@@ -343,23 +358,21 @@ def mean_free_block(mesh, k, seed):
 @pytest.mark.parametrize("kind", ["plain", "slit", "tied", "excluded", "frozen"])
 def test_block_solve_matches_single_columns(dofmaps, kind):
     dm = dofmaps[kind]
-    K = assemble_stiffness(dm.mesh, one(dm.mesh), dm)
-    fact = Factorization(K, dm)
+    fact = factor(dm)
     F = mean_free_block(dm.mesh, 5, 1)
-    U = solve_neumann(K, dm, F, fact)
+    U = solve_neumann(fact, F)
     assert U.values.shape == (dm.n_dofs, 5)
     for j in range(5):
-        u = solve_neumann(K, dm, F[:, j], fact).values
+        u = solve_neumann(fact, F[:, j : j + 1]).values[:, 0]
         assert np.linalg.norm(U.values[:, j] - u) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_block_with_one_charged_column_rejected(dofmaps):
     dm = dofmaps["plain"]
-    K = assemble_stiffness(dm.mesh, one(dm.mesh), dm)
     F = mean_free_block(dm.mesh, 4, 2)
     F[:, 2] += 1.0
     with pytest.raises(ValueError):
-        solve_neumann(K, dm, F)
+        solve_neumann(factor(dm), F)
 
 
 def test_residual_is_checked_per_column(dofmaps):
@@ -385,8 +398,8 @@ def test_load_rows_solve_like_the_dense_load(dofmaps, kind):
     # a right-hand side given by its nonzero rows (the pinned one among
     # them) solves bit for bit like the same load as a dense block
     dm = dofmaps[kind]
-    K = assemble_stiffness(dm.mesh, one(dm.mesh), dm)
-    fact = Factorization(K, dm)
+    fact = factor(dm)
+    K = fact.K
     rng = np.random.default_rng(7)
     rows = rng.permutation(np.append(rng.choice(dm.n_dofs, 9, replace=False), fact.pin))
     rows = np.unique(rows)
@@ -395,7 +408,7 @@ def test_load_rows_solve_like_the_dense_load(dofmaps, kind):
     dense = np.zeros((dm.n_dofs, 3))
     dense[rows] = vals
     x = fact.solve(vals, rows)
-    assert np.array_equal(x, fact.solve(dense))
+    assert np.array_equal(x, fact.solve(dense, np.arange(dm.n_dofs)))
     assert fem._check_residual(K, x, vals, rows) == pytest.approx(
         fem._check_residual(K, x, dense), rel=1e-6, abs=1e-15
     )
@@ -423,14 +436,13 @@ def test_disk_cos_theta_energy():
     values = []
     for target_h in (0.08, 0.04, 0.02):
         mesh = build_disk_mesh(1.0, target_h)
-        dm = build_dofmap(mesh)
-        K = assemble_stiffness(mesh, one(mesh), dm)
+        fact = factorize(mesh, one(mesh))
         f = cos_theta_current(mesh)
-        u = solve_neumann(K, dm, f)
+        u = solve_neumann(fact, f[:, None])
         M = gamma_mass(mesh)
-        val = float(f @ (M @ trace_on_gamma(u)))
+        val = float(f @ (M @ trace_on_gamma(u)[:, 0]))
         # boundary pairing equals the interior energy
-        assert val == pytest.approx(energy(K, u, u), rel=1e-10)
+        assert val == pytest.approx(energy(fact.K, u, u), rel=1e-10)
         values.append(val)
     assert values[0] < values[1] < values[2] < np.pi
     assert abs(values[2] - np.pi) < 0.02 * np.pi
@@ -438,15 +450,13 @@ def test_disk_cos_theta_energy():
 
 def test_trace_mean_zero():
     mesh = square(16)
-    dm = build_dofmap(mesh)
-    K = assemble_stiffness(mesh, one(mesh), dm)
     order = mesh.gamma_vertices()
     f = np.where(mesh.vertices[order][:, 0] > 0.5, 1.0, -1.0)
     M = gamma_mass(mesh)
     w = M.sum(axis=1)
     f -= (w @ f) / w.sum()
-    u = solve_neumann(K, dm, f)
-    tr = trace_on_gamma(u)
+    u = solve_neumann(factorize(mesh, one(mesh)), f[:, None])
+    tr = trace_on_gamma(u)[:, 0]
     assert abs(w @ tr) / w.sum() < 1e-12
 
 
@@ -466,8 +476,7 @@ def linear_flux_rhs(mesh, dm):
 
 
 def grounded_solve(K, dm, b):
-    fact = Factorization(K, dm)
-    x = fact.solve(b)
+    x = Factorization(K, dm).solve(b[:, None], np.arange(dm.n_dofs))[:, 0]
     M = gamma_mass(dm.mesh)
     w = M.sum(axis=1)
     return x - (w @ x[dm.gamma_dofs]) / w.sum()
@@ -515,10 +524,9 @@ def test_disk_crack_on_symmetry_axis_invisible():
         f = cos_theta_current(m2)
         M = gamma_mass(m2)
         out = []
-        for dm in (build_dofmap(m2), build_dofmap(m2, cracks)):
-            Kmat = assemble_stiffness(m2, one(m2), dm)
-            u = solve_neumann(Kmat, dm, f)
-            out.append(float(f @ (M @ trace_on_gamma(u))))
+        for config in (None, cracks):
+            u = solve_neumann(factorize(m2, one(m2), config), f[:, None])
+            out.append(float(f @ (M @ trace_on_gamma(u)[:, 0])))
         assert abs(out[1] - out[0]) / abs(out[0]) < 1e-10
 
 
@@ -532,9 +540,9 @@ def test_conducting_flux_balance():
     K0 = assemble_stiffness(m2, one(m2), dm0)
     Kc = assemble_stiffness(m2, one(m2), dmc)
     f = cos_theta_current(m2)  # any mean-free current works here
-    u = solve_neumann(Kc, dmc, f)
+    u = solve_neumann(Factorization(Kc, dmc), f[:, None])
     # expand tied solution to the unconstrained dof vector
-    x = u.values[dmc.vertex_dof]
+    x = u.values[dmc.vertex_dof, 0]
     b = np.zeros(dm0.n_dofs)
     M = gamma_mass(m2)
     np.add.at(b, dm0.gamma_dofs, M @ f)
@@ -549,10 +557,10 @@ def test_conducting_flux_balance():
 def test_minimization_characterization():
     mesh = square(12)
     m2, cracks = embed_crack(mesh, [(0.25, 0.5), (0.75, 0.5)], INSULATING)
-    dm = build_dofmap(m2, cracks)
-    K = assemble_stiffness(m2, one(m2), dm)
+    fact = factorize(m2, one(m2), cracks)
+    dm, K = fact.dm, fact.K
     f = cos_theta_current(m2)
-    u = solve_neumann(K, dm, f)
+    u = fem.Field(solve_neumann(fact, f[:, None]).values[:, 0], dm)
     M = gamma_mass(m2)
 
     def J(field):
@@ -590,24 +598,20 @@ def test_space_nesting_energy():
 
 def test_source_zero():
     mesh = square(8)
-    dm = build_dofmap(mesh)
-    K = assemble_stiffness(mesh, one(mesh), dm)
-    w = solve_source(K, dm, ([0, 1, 2], np.zeros((3, 2))))
+    w = solve_source(factorize(mesh, one(mesh)), ([0, 1, 2], np.zeros((3, 2))))
     assert np.max(np.abs(w.values)) < 1e-14
 
 
 def test_source_linearity():
     mesh = square(8)
-    dm = build_dofmap(mesh)
-    K = assemble_stiffness(mesh, one(mesh), dm)
-    fact = Factorization(K, dm)
+    fact = factorize(mesh, one(mesh))
     rng = np.random.default_rng(11)
     tris = [10, 11, 12, 20]
     v1 = rng.standard_normal((4, 2))
     v2 = rng.standard_normal((4, 2))
-    w1 = solve_source(K, dm, (tris, v1), fact)
-    w2 = solve_source(K, dm, (tris, v2), fact)
-    ws = solve_source(K, dm, (tris, v1 + v2), fact)
+    w1 = solve_source(fact, (tris, v1))
+    w2 = solve_source(fact, (tris, v2))
+    ws = solve_source(fact, (tris, v1 + v2))
     assert np.allclose(ws.values, w1.values + w2.values, atol=1e-11)
 
 
@@ -621,16 +625,14 @@ def test_block_sources_match_single_fields(dofmaps, kind, k, seed):
     # differential oracle: one block solve of k single-triangle sources
     # against one single-column solve per source
     dm = dofmaps[kind]
-    mesh = dm.mesh
-    K = assemble_stiffness(mesh, one(mesh), dm)
-    fact = Factorization(K, dm)
+    fact = factor(dm)
     rng = np.random.default_rng(seed)
     tris = rng.choice(np.flatnonzero(dm.active_tri), size=k)
     vectors = rng.standard_normal((k, 2))
-    U = solve_source(K, dm, (tris, vectors), fact).values
+    U = solve_source(fact, (tris, vectors)).values
     assert U.shape == (dm.n_dofs, k)
     for j in range(k):
-        u = solve_source(K, dm, (tris[j : j + 1], vectors[j : j + 1]), fact).values[:, 0]
+        u = solve_source(fact, (tris[j : j + 1], vectors[j : j + 1])).values[:, 0]
         assert np.linalg.norm(U[:, j] - u) <= 1e-12 * np.linalg.norm(u)
 
 
@@ -638,16 +640,14 @@ def test_sources_inside_frozen_block_give_zero_potential(dofmaps):
     # a triangle whose three corners share one dof carries no load: every
     # single-triangle source in the frozen block solves to zero, alone or in a block
     dm = dofmaps["frozen"]
-    mesh = dm.mesh
-    K = assemble_stiffness(mesh, one(mesh), dm)
-    fact = Factorization(K, dm)
+    fact = factor(dm)
     cd = dm.corner_dof
     tris = np.flatnonzero((cd[:, 0] == cd[:, 1]) & (cd[:, 1] == cd[:, 2]))
     assert len(tris) == 32
     vectors = np.random.default_rng(0).standard_normal((len(tris), 2))
-    assert not np.any(solve_source(K, dm, (tris, vectors), fact).values)
+    assert not np.any(solve_source(fact, (tris, vectors)).values)
     for t, v in zip(tris, vectors):
-        assert not np.any(solve_source(K, dm, ([t], v[None, :]), fact).values)
+        assert not np.any(solve_source(fact, ([t], v[None, :])).values)
 
 
 @pytest.mark.parametrize("kind", ["plain", "slit", "tied", "excluded", "frozen"])
@@ -661,30 +661,30 @@ def test_stiffness_is_exactly_symmetric(dofmaps, kind):
 
 def test_block_sources_guard_excluded_region_and_shapes(dofmaps):
     dm = dofmaps["excluded"]
-    K = assemble_stiffness(dm.mesh, one(dm.mesh), dm)
+    fact = factor(dm)
     inside = np.flatnonzero(~dm.active_tri)[0]
     outside = np.flatnonzero(dm.active_tri)[:2]
     with pytest.raises(ValueError, match="excluded region"):
-        solve_source(K, dm, (np.append(outside, inside), np.ones((3, 2))))
+        solve_source(fact, (np.append(outside, inside), np.ones((3, 2))))
     with pytest.raises(ValueError):
-        solve_source(K, dm, (outside, np.ones((2, 3))))
+        solve_source(fact, (outside, np.ones((2, 3))))
     with pytest.raises(ValueError):
-        solve_source(K, dm, ([len(dm.mesh.triangles)], np.ones((1, 2))))
+        solve_source(fact, ([len(dm.mesh.triangles)], np.ones((1, 2))))
 
 
 def test_source_variational_identity():
     # the computed w satisfies <w, v> = integral of F . grad v for every v
     mesh = square(12)
     m2, cracks = embed_crack(mesh, [(0.25, 0.5), (0.75, 0.5)], INSULATING)
-    dm = build_dofmap(m2, cracks)
-    K = assemble_stiffness(m2, one(m2), dm)
+    fact = factorize(m2, one(m2), cracks)
+    dm, K = fact.dm, fact.K
     grid = PixelGrid(m2, 6, 6)
     V = PixelSet.from_rect(grid, 1, 1, 2, 2)
     tris = V.triangles()
     rng = np.random.default_rng(5)
     vectors = rng.standard_normal((len(tris), 2))
     # one column per triangle; their sum is the potential of the whole field
-    w = fem.Field(solve_source(K, dm, (tris, vectors)).values.sum(axis=1), dm)
+    w = fem.Field(solve_source(fact, (tris, vectors)).values.sum(axis=1), dm)
     areas = m2.tri_areas()
     for _ in range(20):
         v = fem.Field(rng.standard_normal(dm.n_dofs), dm)

@@ -2,14 +2,14 @@ import glob
 import hashlib
 import json
 import os
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crackfind import cli, fem, geometry, harness, ndmap
+from crackfind import cli, geometry, harness, ndmap
 from crackfind.geometry import refine_mesh
+from oracles import carry_basis_search
 
 
 MIXED = {
@@ -95,6 +95,31 @@ def test_carry_basis_is_exact_interpolation(mixed_scenario):
         assert np.allclose(fb.vectors[pos_f[int(v)]], built.basis.vectors[i])
 
 
+@pytest.mark.parametrize("shape, gamma, M", [
+    ("rect", "all", 20),
+    ("rect", {"side": "top"}, 6),
+    ("disk", {"angle": [0.5, 2.5]}, 5),
+], ids=["rect-all", "rect-top", "disk-angle"])
+def test_carry_basis_matches_edge_search(shape, gamma, M):
+    # differential oracle: the neighbour lookup against the nearest coarse
+    # edge of every fine arc node; on the dyadic rect meshes every midpoint
+    # sits at t = 0.5 exactly, so the two agree bit for bit
+    if shape == "rect":
+        mesh = geometry.build_rect_mesh(1.0, 1.0, 1 / 16)
+    else:
+        mesh = geometry.build_disk_mesh(1.0, 0.15)
+    if gamma != "all":
+        mesh = geometry.mark_gamma(mesh, gamma)
+    basis = ndmap.build_basis(mesh, M)
+    fine, _ = refine_mesh(mesh, geometry.CrackSet())
+    got = harness.carry_basis(basis, fine).vectors
+    ref = carry_basis_search(basis, fine)
+    if shape == "rect":
+        assert np.array_equal(got, ref)
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_carry_basis_refuses_nodes_off_the_coarse_arc():
     # a basis on the left side cannot be carried onto the whole boundary
     mesh = geometry.mark_gamma(geometry.build_rect_mesh(1.0, 1.0, 1 / 8), {"side": "left"})
@@ -103,6 +128,13 @@ def test_carry_basis_refuses_nodes_off_the_coarse_arc():
     harness.carry_basis(basis, geometry.mark_gamma(fine, {"side": "left"}))
     with pytest.raises(ValueError, match="arc node .* is not on a coarse arc edge"):
         harness.carry_basis(basis, geometry.mark_gamma(fine, "all"))
+    # a node between two coarse arc nodes but off their midpoint
+    moved = fine.vertices.copy()
+    order = geometry.mark_gamma(fine, {"side": "left"}).gamma_vertices()
+    moved[order[3], 1] += 1e-3
+    off = geometry.Mesh(moved, fine.triangles, fine.boundary_edges, fine.boundary_edges)
+    with pytest.raises(ValueError, match="arc node %d is not" % order[3]):
+        harness.carry_basis(basis, geometry.mark_gamma(off, {"side": "left"}))
 
 
 def test_anti_crime_changes_data_not_verdicts():
@@ -242,6 +274,23 @@ def test_cli_inner_without_candidates_is_not_scored(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "invalid config"
     assert any("no candidate" in p for p in err["problems"])
+    assert not (out / "report.json").exists()
+
+
+def test_cli_repeated_inner_lengths_exit_2(tmp_path, capsys):
+    # a repeated length would test every chain of that length twice and
+    # count each accepted chain twice
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "inner_insulating_16.json")
+    with open(path) as fh:
+        scn = dict(json.load(fh), inner_lengths=[2, 2])
+    with pytest.raises(harness.ScenarioError, match="inner_lengths must not repeat"):
+        harness.scenario_from_dict(scn)
+    cfg = _write_config(tmp_path, scn, "twice.json")
+    out = tmp_path / "i"
+    assert cli.main(["reconstruct-inner", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "invalid config"
+    assert err["problems"] == ["inner_lengths must not repeat"]
     assert not (out / "report.json").exists()
 
 
@@ -461,28 +510,17 @@ METHOD_ORDERS = [("locpot", "chain"), ("chain", "locpot"), ("chain",), ("locpot"
 
 
 @pytest.fixture(scope="module")
-def table_runs(tmp_path_factory):
+def table_runs(tmp_path_factory, count_factorizations):
     # per method list: (factorizations built, most alive at once, output dir)
     out = {}
-    made, alive, most = [0], [0], [0]
-    real = fem.Factorization
-
-    def counting(*args):
-        fact = real(*args)
-        made[0] += 1
-        alive[0] += 1
-        most[0] = max(most[0], alive[0])
-        weakref.finalize(fact, lambda: alive.__setitem__(0, alive[0] - 1))
-        return fact
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fem, "Factorization", counting)
+        counter = count_factorizations(mp)
         for methods in METHOD_ORDERS:
-            made[0] = most[0] = 0
+            counter.reset()
             s = harness.scenario_from_dict(dict(TWO_KINDS, methods=list(methods)))
             run_dir = tmp_path_factory.mktemp("-".join(methods))
             harness.run_scenario(s, out_dir=str(run_dir))
-            out[methods] = (made[0], most[0], run_dir)
+            out[methods] = (counter.made, counter.most, run_dir)
     return out
 
 
@@ -490,7 +528,7 @@ def table_runs(tmp_path_factory):
     # data ("all"), locpot's eight with "all" refactorized for its source
     # operators, nothing new for the chain
     (("locpot", "chain"), 9),
-    # data, the chain's five, locpot's three source-operator solvers and
+    # data, the chain's five, locpot's three source-operator factorizations and
     # its two configurations the chain does not use
     (("chain", "locpot"), 11),
     (("chain",), 6),

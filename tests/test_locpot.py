@@ -1,5 +1,4 @@
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -19,9 +18,15 @@ from oracles import numerical_range
 
 
 def source_op(chain_setup, config, region):
-    # a fresh solver per operator, as every caller outside the demo does
+    # a fresh factorization of the crack set ``config`` per operator, as
+    # every caller outside the demo does
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    return locpot.build_source_operator(ndmap.NdSolver(mesh, gamma0, config), region, basis)
+    return locpot.build_source_operator(fem.factorize(mesh, gamma0, config), region, basis)
+
+
+def column_field(fact, current):
+    # the potential of one arc current as a one-column field
+    return fem.Field(fem.solve_neumann(fact, current[:, None]).values[:, 0], fact.dm)
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +43,13 @@ def test_adjoint_identity_on_random_pairs(chain_setup, ops):
     areas = mesh.tri_areas()
     rng = np.random.default_rng(3)
     for op, config in ((op_empty, None), (op_mixed, cracks)):
-        solver = ndmap.NdSolver(mesh, gamma0, config)
+        fact = fem.factorize(mesh, gamma0, config)
         for _ in range(20):
             Fv = rng.standard_normal((len(op.tris), 2))
             d = rng.standard_normal(basis.M)
             # the columns take the field's values scaled by sqrt(area)
             lhs = float(op.matrix @ (Fv * np.sqrt(areas[op.tris])[:, None]).ravel() @ d)
-            u = solver.solve_current(basis.vectors @ d)
-            gu = fem.gradient_on(u, op.tris)
+            gu = fem.gradient_on(column_field(fact, basis.vectors @ d), op.tris)
             rhs = float(np.sum(areas[op.tris, None] * Fv * gu))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -58,8 +62,7 @@ def test_adjoint_matches_direct_gradient(chain_setup, ops):
     # the transpose gives the gradients scaled by sqrt(area)
     root_areas = np.sqrt(mesh.tri_areas()[op_empty.tris])
     grad = (op_empty.matrix.T @ d).reshape(-1, 2) / root_areas[:, None]
-    solver = ndmap.NdSolver(mesh, gamma0)
-    u = solver.solve_current(basis.vectors @ d)
+    u = column_field(fem.factorize(mesh, gamma0), basis.vectors @ d)
     direct = fem.gradient_on(u, op_empty.tris)
     assert np.max(np.abs(grad - direct)) < 1e-10 * max(1.0, np.max(np.abs(direct)))
 
@@ -70,12 +73,12 @@ def test_source_operator_matches_per_column_reference(chain_setup, ops, monkeypa
     areas = mesh.tri_areas()
     weighted = fem.gamma_mass(mesh) @ basis.vectors
     for op, config in zip(ops, (None, cracks)):
-        solver = ndmap.NdSolver(mesh, gamma0, config)
+        fact = fem.factorize(mesh, gamma0, config)
         ref = np.zeros_like(op.matrix)
         for k, t in enumerate(op.tris):
             for d in (0, 1):
                 F = ([t], np.eye(2)[d : d + 1] / np.sqrt(areas[t]))
-                ref[:, 2 * k + d] = weighted.T @ fem.trace_on_gamma(solver.solve_source(F))[:, 0]
+                ref[:, 2 * k + d] = weighted.T @ fem.trace_on_gamma(fem.solve_source(fact, F))[:, 0]
         assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # the sources go through in blocks of basis.M columns
@@ -105,9 +108,9 @@ def test_source_operator_memory_stays_near_nd_matrix():
             tracemalloc.stop()
 
     sources = peak(
-        lambda: locpot.build_source_operator(ndmap.NdSolver(mesh, gamma0), V, basis)
+        lambda: locpot.build_source_operator(fem.factorize(mesh, gamma0), V, basis)
     )
-    currents = peak(lambda: ndmap.NdSolver(mesh, gamma0).nd_matrix(basis))
+    currents = peak(lambda: ndmap.nd_matrix(fem.factorize(mesh, gamma0), basis))
     assert sources <= 1.5 * currents
 
 
@@ -199,7 +202,7 @@ def test_pick_y0_symmetry_needs_enough_modes():
     V = PixelSet.from_rect(grid, 2, 3, 5, 4)
     order = mesh.gamma_vertices()
     ang = np.arctan2(mesh.vertices[order, 1], mesh.vertices[order, 0])
-    cracked, plain = ndmap.NdSolver(mesh, gamma0, cracks), ndmap.NdSolver(mesh, gamma0)
+    cracked, plain = fem.factorize(mesh, gamma0, cracks), fem.factorize(mesh, gamma0)
 
     def pick(basis):
         return locpot.pick_y0(
@@ -272,8 +275,8 @@ def test_localized_demo_trends(chain_setup):
 
 
 def reference_variant(mesh, gamma0, cracks, grid, V, W, basis, variant):
-    # the straightforward path: a fresh solver for every source operator and
-    # every ND matrix, the variant written out by hand
+    # the straightforward path: a fresh factorization for every source
+    # operator and every ND matrix, the variant written out by hand
     ins = cracks.of_kind(geometry.INSULATING)
     con = cracks.of_kind(geometry.CONDUCTING)
     if variant == "insulating":
@@ -282,19 +285,19 @@ def reference_variant(mesh, gamma0, cracks, grid, V, W, basis, variant):
         near, far, hi, lo, bg = W, V, ins, cracks, ins
 
     def op(config, region):
-        return locpot.build_source_operator(ndmap.NdSolver(mesh, gamma0, config), region, basis)
+        return locpot.build_source_operator(fem.factorize(mesh, gamma0, config), region, basis)
 
-    def nd(config):
-        return ndmap.nd_matrix(mesh, gamma0, config, basis)
+    def nd(**config):
+        return ndmap.nd_matrix(fem.factorize(mesh, gamma0, **config), basis)
 
     diff = op(hi, near).matrix - op(lo, near).matrix
     U, s, _ = np.linalg.svd(diff, full_matrices=False)
     Y = PixelSet(grid, far.dilate().members & interior_pixel_set(grid).members)
     seq = locpot.localized_sequence(diff, op(bg, Y).matrix, U[:, 0])
     forms = {
-        "upper_far": (nd({"excluded": far}), nd(None)),
-        "lower_far": (nd(None), nd({"frozen": far})),
-        "crack_near": (nd(hi), nd(lo)),
+        "upper_far": (nd(excluded=far), nd()),
+        "lower_far": (nd(), nd(frozen=far)),
+        "crack_near": (nd(cracks=hi), nd(cracks=lo)),
     }
     return seq, locpot.blowup_metrics(seq, forms), float(s[0])
 
@@ -315,7 +318,7 @@ def contrast_setup():
 @pytest.mark.parametrize("scenario", ["chain_setup", "criterion_5"])
 def test_localized_demo_matches_fresh_solver_reference(chain_setup, scenario):
     # differential oracle: the one table of configurations against a fresh
-    # solver per call gives the same numbers, bit for bit
+    # factorization per call gives the same numbers, bit for bit
     setup = chain_setup if scenario == "chain_setup" else contrast_setup()
     mesh, cracks, grid, V, W, gamma0, basis = setup
     runs = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
@@ -332,24 +335,12 @@ def test_localized_demo_matches_fresh_solver_reference(chain_setup, scenario):
         assert report["monotone"] == locpot.monotone_flags(ref_seq)
 
 
-def test_localized_demo_factorizes_each_configuration_once(chain_setup, monkeypatch):
+def test_localized_demo_factorizes_each_configuration_once(chain_setup, factorizations):
     # eight configurations, one factorization each, never two alive at once
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    made, alive, most = [], [0], [0]
-    real = fem.Factorization
-
-    def counting(*args):
-        fact = real(*args)
-        made.append(1)
-        alive[0] += 1
-        most[0] = max(most[0], alive[0])
-        weakref.finalize(fact, lambda: alive.__setitem__(0, alive[0] - 1))
-        return fact
-
-    monkeypatch.setattr(fem, "Factorization", counting)
     locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
-    assert len(made) == 8
-    assert most[0] == 1
+    assert factorizations.made == 8
+    assert factorizations.most == 1
 
 
 def test_no_crack_control_form_is_zero(chain_setup, ops):
@@ -360,7 +351,7 @@ def test_no_crack_control_form_is_zero(chain_setup, ops):
     y = np.zeros(basis.M)
     y[1] = 1.0
     seq = locpot.localized_sequence(diff, op_far.matrix, y)
-    N = ndmap.nd_matrix(mesh, gamma0, None, basis)
+    N = ndmap.nd_matrix(fem.factorize(mesh, gamma0), basis)
     report = locpot.blowup_metrics(seq, {"control": (N, N)})
     assert all(v == 0.0 for v in report["forms"]["control"])
 

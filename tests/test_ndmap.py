@@ -13,7 +13,7 @@ from crackfind.geometry import (
     embed_crack,
     mark_gamma,
 )
-from oracles import projection_identity_check
+from oracles import energy, projection_identity_check
 
 
 def test_build_basis_orthonormal_mean_free():
@@ -52,7 +52,7 @@ def test_disk_low_modes_match_separation_of_variables():
     ang = np.arctan2(mesh.vertices[order, 1], mesh.vertices[order, 0])
     raw = np.stack([np.cos(ang), np.sin(ang), np.cos(2 * ang)], axis=1)
     basis = ndmap.CurrentBasis.from_vectors(mesh, raw)
-    N = ndmap.nd_matrix(mesh, fem.Conductivity(mesh, 1.0), None, basis)
+    N = ndmap.nd_matrix(fem.factorize(mesh, fem.Conductivity(mesh, 1.0)), basis)
     expect = np.array([1.0, 1.0, 0.5])
     rel = np.abs(np.diag(N.entries) - expect) / expect
     assert np.max(rel) < 0.02
@@ -62,26 +62,26 @@ def test_disk_low_modes_match_separation_of_variables():
 
 def test_nd_matrix_diagonal_equals_dirichlet_energy(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    solver = ndmap.NdSolver(mesh, gamma0, cracks)
-    N = solver.nd_matrix(basis)
+    fact = fem.factorize(mesh, gamma0, cracks)
+    N = ndmap.nd_matrix(fact, basis)
     for i in (0, 5, 11):
-        u = solver.solve_current(basis.vectors[:, i])
-        e = fem.energy(solver.K, u, u)
+        u = fem.solve_neumann(fact, basis.vectors[:, i : i + 1])
+        e = energy(fact.K, u, u)
         assert N.entries[i, i] == pytest.approx(e, rel=1e-10)
 
 
 @pytest.mark.parametrize("which", ["none", "cracks", "excluded", "frozen"])
 def test_nd_matrix_matches_column_loop(chain_setup, which):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    config = {"none": None, "cracks": cracks, "excluded": {"excluded": V},
+    config = {"none": {}, "cracks": {"cracks": cracks}, "excluded": {"excluded": V},
               "frozen": {"frozen": W}}[which]
-    solver = ndmap.NdSolver(mesh, gamma0, config)
-    N = solver.nd_matrix(basis).entries
+    fact = fem.factorize(mesh, gamma0, **config)
+    N = ndmap.nd_matrix(fact, basis).entries
     weighted = fem.gamma_mass(mesh) @ basis.vectors
     ref = np.empty((basis.M, basis.M))
     for j in range(basis.M):
-        trace = fem.trace_on_gamma(solver.solve_current(basis.vectors[:, j]))
-        ref[j] = trace @ weighted
+        trace = fem.trace_on_gamma(fem.solve_neumann(fact, basis.vectors[:, j : j + 1]))
+        ref[j] = trace[:, 0] @ weighted
     ref = 0.5 * (ref + ref.T)
     assert np.max(np.abs(N - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -97,17 +97,17 @@ def test_nd_matrix_matches_default_ordering_lu(chain_setup, which, box):
     x0, y0, dx, dy = box
     region = geometry.PixelSet.from_rect(grid, x0, y0, min(x0 + dx, 6), min(y0 + dy, 6))
     config = {
-        "none": None,
-        "cracks": cracks,
-        "insulating": cracks.of_kind(geometry.INSULATING),
-        "conducting": cracks.of_kind(geometry.CONDUCTING),
+        "none": {},
+        "cracks": {"cracks": cracks},
+        "insulating": {"cracks": cracks.of_kind(geometry.INSULATING)},
+        "conducting": {"cracks": cracks.of_kind(geometry.CONDUCTING)},
         "excluded": {"excluded": region},
         "frozen": {"frozen": region},
     }[which]
-    solver = ndmap.NdSolver(mesh, gamma0, config)
-    N = solver.nd_matrix(basis).entries
-    dm, keep = solver.dm, solver.fact.keep
-    lu = scipy.sparse.linalg.splu(solver.K[keep][:, keep].tocsc())
+    fact = fem.factorize(mesh, gamma0, **config)
+    N = ndmap.nd_matrix(fact, basis).entries
+    dm, keep = fact.dm, fact.keep
+    lu = scipy.sparse.linalg.splu(fact.K[keep][:, keep].tocsc())
     weighted = fem.gamma_mass(mesh) @ basis.vectors
     b = np.zeros((dm.n_dofs, basis.M))
     np.add.at(b, dm.gamma_dofs, weighted)
@@ -125,8 +125,9 @@ def test_nd_matrix_basis_covariance():
     rng = np.random.default_rng(7)
     Q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
     rotated = ndmap.CurrentBasis(mesh, basis.vectors @ Q)
-    N1 = ndmap.nd_matrix(mesh, gamma0, None, basis)
-    N2 = ndmap.nd_matrix(mesh, gamma0, None, rotated)
+    fact = fem.factorize(mesh, gamma0)
+    N1 = ndmap.nd_matrix(fact, basis)
+    N2 = ndmap.nd_matrix(fact, rotated)
     assert np.max(np.abs(N2.entries - Q.T @ N1.entries @ Q)) < 1e-12
 
 
@@ -200,11 +201,8 @@ def test_monotonicity_chain(chain_setup):
     ins = cracks.of_kind(geometry.INSULATING)
     con = cracks.of_kind(geometry.CONDUCTING)
     mats = [
-        ndmap.nd_matrix(mesh, gamma0, {"excluded": V}, basis),
-        ndmap.nd_matrix(mesh, gamma0, ins, basis),
-        ndmap.nd_matrix(mesh, gamma0, None, basis),
-        ndmap.nd_matrix(mesh, gamma0, con, basis),
-        ndmap.nd_matrix(mesh, gamma0, {"frozen": W}, basis),
+        ndmap.nd_matrix(fem.factorize(mesh, gamma0, **config), basis)
+        for config in ({"excluded": V}, {"cracks": ins}, {}, {"cracks": con}, {"frozen": W})
     ]
     for hi, lo in zip(mats, mats[1:]):
         diff = hi.entries - lo.entries
@@ -215,9 +213,9 @@ def test_monotonicity_chain(chain_setup):
 def test_bracketing_of_mixed_cracks(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     C = geometry.PixelSet(grid, V.members | W.members)
-    data = ndmap.nd_matrix(mesh, gamma0, cracks, basis)
-    upper = ndmap.nd_matrix(mesh, gamma0, {"excluded": C}, basis)
-    lower = ndmap.nd_matrix(mesh, gamma0, {"frozen": C}, basis)
+    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
+    upper = ndmap.nd_matrix(fem.factorize(mesh, gamma0, excluded=C), basis)
+    lower = ndmap.nd_matrix(fem.factorize(mesh, gamma0, frozen=C), basis)
     ok, _ = ndmap.psd_test(upper.entries - data.entries, ndmap.default_tau(upper))
     assert ok
     ok, _ = ndmap.psd_test(data.entries - lower.entries, ndmap.default_tau(data))
@@ -226,8 +224,8 @@ def test_bracketing_of_mixed_cracks(chain_setup):
 
 def test_bracketing_fails_when_region_misses_crack(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    data = ndmap.nd_matrix(mesh, gamma0, cracks, basis)
-    upper = ndmap.nd_matrix(mesh, gamma0, {"excluded": W}, basis)
+    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
+    upper = ndmap.nd_matrix(fem.factorize(mesh, gamma0, excluded=W), basis)
     tau = ndmap.default_tau(upper)
     ok, eig = ndmap.psd_test(upper.entries - data.entries, tau)
     assert not ok
@@ -266,8 +264,8 @@ def test_disk_axis_crack_matrix_invisible():
     order = mesh.gamma_vertices()
     ang = np.arctan2(mesh.vertices[order, 1], mesh.vertices[order, 0])
     basis = ndmap.CurrentBasis.from_vectors(mesh, np.cos(ang)[:, None])
-    N0 = ndmap.nd_matrix(mesh, gamma0, None, basis)
-    N1 = ndmap.nd_matrix(mesh, gamma0, cracks, basis)
+    N0 = ndmap.nd_matrix(fem.factorize(mesh, gamma0), basis)
+    N1 = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
     assert abs(N1.entries[0, 0] - N0.entries[0, 0]) < 1e-10 * N0.entries[0, 0]
 
 
@@ -287,44 +285,50 @@ def test_symmetric_noise_scales_and_reproduces():
 
 
 def test_config_dict_validation(chain_setup):
+    # a configuration is the keyword arguments of fem.factorize, so an
+    # unknown key is refused by the call itself
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    with pytest.raises(ValueError):
-        ndmap.nd_matrix(mesh, gamma0, {"bogus": V}, basis)
+    with pytest.raises(TypeError, match="bogus"):
+        fem.factorize(mesh, gamma0, **{"bogus": V})
 
 
 def test_configurations_match_nd_matrix_and_solve_once(chain_setup):
     # the named table against a direct nd_matrix call per configuration
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     configs = {
-        "none": None,
-        "all": cracks,
-        "insulating": cracks.of_kind(geometry.INSULATING),
-        "conducting": cracks.of_kind(geometry.CONDUCTING),
+        "none": {},
+        "all": {"cracks": cracks},
+        "insulating": {"cracks": cracks.of_kind(geometry.INSULATING)},
+        "conducting": {"cracks": cracks.of_kind(geometry.CONDUCTING)},
         "excluded V": {"excluded": V},
         "frozen V": {"frozen": V},
         "excluded W": {"excluded": W},
         "frozen W": {"frozen": W},
     }
     table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
-    assert sorted(table.configs) == sorted(configs)
+    # keyword dicts of fem.factorize, under the same keys
+    assert {n: sorted(c) for n, c in table.configs.items()} == {
+        n: sorted(c) for n, c in configs.items()
+    }
     fresh = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
     for name, config in configs.items():
-        ref = ndmap.nd_matrix(mesh, gamma0, config, basis)
-        fresh.solver(name)  # records the matrix of the solver it hands out
+        ref = ndmap.nd_matrix(fem.factorize(mesh, gamma0, **config), basis)
+        # records the matrix of the factorization it hands out
+        assert isinstance(fresh.factorization(name), fem.Factorization)
         for got in (table.nd(name), fresh.nd(name)):
             assert np.array_equal(got.entries, ref.entries)
             assert (got.config_label, got.kinds) == (ref.config_label, ref.kinds)
 
-    # asked twice, or after a solver: one factorization, one current solve
+    # asked twice, or after a factorization: one factorization, one current solve
     with mock.patch.object(fem, "Factorization", wraps=fem.Factorization) as fact, \
             mock.patch.object(fem, "solve_neumann", wraps=fem.solve_neumann) as solve:
         table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
         first = table.nd("frozen W")
         assert table.nd("frozen W") is first
         assert (fact.call_count, solve.call_count) == (1, 1)
-        table.solver("frozen W")
+        table.factorization("frozen W")
         assert (fact.call_count, solve.call_count) == (2, 1)
-        table.solver("all")
+        table.factorization("all")
         assert table.nd("all") is table.nd("all")
         assert (fact.call_count, solve.call_count) == (3, 2)
 
@@ -360,12 +364,12 @@ def random_chain(mesh, rng, n_edges):
     raise AssertionError("no chain of %d interior edges found" % n_edges)
 
 
-def assert_matches_nd_solver(mesh, gamma0, basis, comps, stacks):
+def assert_matches_factorization(mesh, gamma0, basis, comps, stacks):
     # stacks are what chain_matrices yields: one row per component, in order
     got = np.concatenate(stacks)
     assert got.shape == (len(comps), basis.M, basis.M)
     for comp, N in zip(comps, got):
-        ref = ndmap.NdSolver(mesh, gamma0, CrackSet([comp])).nd_matrix(basis)
+        ref = ndmap.nd_matrix(fem.factorize(mesh, gamma0, CrackSet([comp])), basis)
         assert np.max(np.abs(N - ref.entries)) <= 1e-10 * np.max(np.abs(ref.entries))
 
 
@@ -392,7 +396,7 @@ def test_chain_maps_match_nd_solver(shape, arc, box, seed):
         for kind in rng.choice(geometry.KINDS, size=5)
     ]
     got = list(ndmap.chain_matrices(mesh, gamma0, basis, comps))
-    assert_matches_nd_solver(mesh, gamma0, basis, comps, got)
+    assert_matches_factorization(mesh, gamma0, basis, comps, got)
 
 
 def test_chain_maps_yield_symmetric_stacks_in_candidate_order():
@@ -413,7 +417,7 @@ def test_chain_maps_yield_symmetric_stacks_in_candidate_order():
     for N in got:
         assert N.dtype == float
         assert np.array_equal(N, np.swapaxes(N, 1, 2))
-    assert_matches_nd_solver(mesh, gamma0, basis, comps, got)
+    assert_matches_factorization(mesh, gamma0, basis, comps, got)
 
 
 def test_chain_maps_star_holding_the_pinned_dof():
@@ -432,7 +436,7 @@ def test_chain_maps_star_holding_the_pinned_dof():
     gamma0 = fem.Conductivity.from_spec(mesh, {"boxes": [{"box": [0, 0.7, 1, 1], "value": 3.0}]})
     basis = ndmap.build_basis(mesh, 4)
     got = list(ndmap.chain_matrices(mesh, gamma0, basis, [comp]))
-    assert_matches_nd_solver(mesh, gamma0, basis, [comp], got)
+    assert_matches_factorization(mesh, gamma0, basis, [comp], got)
 
 
 def test_chain_maps_refuse_invalid_chains():
@@ -456,9 +460,9 @@ def record_green_solves(monkeypatch):
     calls = []
     real = fem.Factorization.solve
 
-    def solve(self, b, rows=None):
-        k = b.shape[-1] if b.ndim == 2 else 0
-        if rows is not None and np.array_equal(b, np.vstack([np.eye(k), -np.ones((1, k))])):
+    def solve(self, b, rows):
+        k = b.shape[1]
+        if np.array_equal(b, np.vstack([np.eye(k), -np.ones((1, k))])):
             assert rows[-1] == self.pin
             calls.append(np.asarray(rows[:-1]))
         return real(self, b, rows)
@@ -507,7 +511,7 @@ REGION_MESHES = {
 }
 
 
-def assert_region_matches_nd_solver(mesh, gamma0, basis, region, got, mode):
+def assert_region_matches_factorization(mesh, gamma0, basis, region, got, mode):
     # got is RegionMaps.matrices() of ``region``: each built side against
     # its own factorization, the other side None
     for N, key, built in (
@@ -517,7 +521,7 @@ def assert_region_matches_nd_solver(mesh, gamma0, basis, region, got, mode):
         if not built:
             assert N is None
             continue
-        ref = ndmap.NdSolver(mesh, gamma0, {key: region}).nd_matrix(basis)
+        ref = ndmap.nd_matrix(fem.factorize(mesh, gamma0, **{key: region}), basis)
         assert N.config_label == ref.config_label
         assert N.kinds == ref.kinds == frozenset()
         assert np.max(np.abs(N.entries - ref.entries)) <= 1e-10 * np.max(np.abs(ref.entries))
@@ -546,17 +550,17 @@ def test_region_maps_match_nd_solver(shape, arc, box, mode, seed):
     basis = ndmap.build_basis(mesh, 6)
     grid = geometry.PixelGrid(mesh, 8, 8)
     maps = ndmap.RegionMaps(mesh, gamma0, basis, geometry.interior_pixel_set(grid), mode)
-    assert_region_matches_nd_solver(mesh, gamma0, basis, maps.region, maps.matrices(), mode)
+    assert_region_matches_factorization(mesh, gamma0, basis, maps.region, maps.matrices(), mode)
     for _ in range(3):
         cands = geometry.peel_candidates(maps.region)
         pixel = cands[rng.integers(len(cands))]
         cand = maps.region.minus(pixel)
-        assert_region_matches_nd_solver(mesh, gamma0, basis, cand, maps.matrices(pixel), mode)
+        assert_region_matches_factorization(mesh, gamma0, basis, cand, maps.matrices(pixel), mode)
         # fold a few removals between the checked ones
         for _ in range(int(rng.integers(1, 6))):
             cands = geometry.peel_candidates(maps.region)
             maps.peel(cands[rng.integers(len(cands))])
-    assert_region_matches_nd_solver(mesh, gamma0, basis, maps.region, maps.matrices(), mode)
+    assert_region_matches_factorization(mesh, gamma0, basis, maps.region, maps.matrices(), mode)
 
 
 def test_region_maps_green_columns(monkeypatch):
@@ -593,11 +597,11 @@ def test_region_maps_split_and_empty_regions():
     for pixel in (grid.index(3, 4), grid.index(2, 4), grid.index(4, 4)):
         got = maps.matrices(pixel)
         maps.peel(pixel)
-        assert_region_matches_nd_solver(mesh, gamma0, basis, maps.region, got, "both")
+        assert_region_matches_factorization(mesh, gamma0, basis, maps.region, got, "both")
         if len(maps.region) == 2:
             assert maps.region.components().max() + 1 == 2
     assert len(maps.region) == 0
-    background = ndmap.nd_matrix(mesh, gamma0, None, basis)
+    background = ndmap.nd_matrix(fem.factorize(mesh, gamma0), basis)
     for N in maps.matrices():
         assert N.config_label == "none"
         assert np.max(np.abs(N.entries - background.entries)) <= 1e-10 * np.max(
@@ -605,7 +609,7 @@ def test_region_maps_split_and_empty_regions():
         )
     # the frozen side takes any region inside the start region, and no other
     two = geometry.PixelSet(grid, {grid.index(2, 4), grid.index(4, 4)})
-    assert_region_matches_nd_solver(mesh, gamma0, basis, two, (None, maps.frozen(two)), "conducting")
+    assert_region_matches_factorization(mesh, gamma0, basis, two, (None, maps.frozen(two)), "conducting")
     with pytest.raises(ValueError, match="start region"):
         maps.frozen(geometry.PixelSet(grid, {grid.index(3, 3)}))
     for mode in ndmap.MODES:

@@ -1,6 +1,5 @@
 import json
 import os
-import weakref
 
 import numpy as np
 import pytest
@@ -46,10 +45,13 @@ def setup():
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 20)
     data = {
-        "mixed": ndmap.nd_matrix(mesh, gamma0, cracks, basis),
-        "ins": ndmap.nd_matrix(mesh, gamma0, cracks.of_kind(geometry.INSULATING), basis),
-        "con": ndmap.nd_matrix(mesh, gamma0, cracks.of_kind(geometry.CONDUCTING), basis),
-        "empty": ndmap.nd_matrix(mesh, gamma0, None, basis),
+        key: ndmap.nd_matrix(fem.factorize(mesh, gamma0, config), basis)
+        for key, config in (
+            ("mixed", cracks),
+            ("ins", cracks.of_kind(geometry.INSULATING)),
+            ("con", cracks.of_kind(geometry.CONDUCTING)),
+            ("empty", None),
+        )
     }
     return mesh, cracks, grid, gamma0, basis, data
 
@@ -125,8 +127,8 @@ def test_upper_rejection_certificates_reverifiable(setup):
             cand = PixelSet(grid, state - {e["pixel"]})
             ok, certs = reconstruct.upper_bound_tests(
                 data["mixed"],
-                ndmap.nd_matrix(mesh, gamma0, {"excluded": cand}, basis),
-                ndmap.nd_matrix(mesh, gamma0, {"frozen": cand}, basis),
+                ndmap.nd_matrix(fem.factorize(mesh, gamma0, excluded=cand), basis),
+                ndmap.nd_matrix(fem.factorize(mesh, gamma0, frozen=cand), basis),
             )
             assert not ok
             for fresh, old in zip(certs, e["certificates"]):
@@ -160,7 +162,7 @@ def test_upper_initial_failure_reported():
     grid = PixelGrid(mesh, 8, 8)
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 16)
-    data = ndmap.nd_matrix(mesh, gamma0, cracks, basis)
+    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
     res = reconstruct.reconstruct_upper(data, mesh, gamma0, basis, grid)
     assert not res.initial_ok
     assert res.final_set == interior_pixel_set(grid)
@@ -282,18 +284,14 @@ def test_inner_mixed_data_refused(setup):
             reconstruct.reconstruct_inner(*args)
 
 
-def test_inner_factorizes_the_background_once(setup, monkeypatch):
+def test_inner_factorizes_the_background_once(setup, monkeypatch, factorizations):
     # one factorization and one NdMatrix (the background's) per call
     # whatever the candidate count, and one default threshold per insulating
     # call; conducting ones come from one stacked spectrum per batch of chains
     mesh, cracks, grid, gamma0, basis, data = setup
-    made, matrices, taus, stacked = [], [], [], []
-    real_fact, real_tau, real_taus = fem.Factorization, ndmap.default_tau, ndmap.default_taus
+    matrices, taus, stacked = [], [], []
+    real_tau, real_taus = ndmap.default_tau, ndmap.default_taus
     real_matrix = ndmap.NdMatrix.__init__
-
-    def counting_fact(*args):
-        made.append(1)
-        return real_fact(*args)
 
     def counting_matrix(self, *args):
         matrices.append(1)
@@ -307,7 +305,6 @@ def test_inner_factorizes_the_background_once(setup, monkeypatch):
         stacked.append(1)
         return real_taus(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "Factorization", counting_fact)
     monkeypatch.setattr(ndmap.NdMatrix, "__init__", counting_matrix)
     monkeypatch.setattr(ndmap, "default_tau", counting_tau)
     monkeypatch.setattr(ndmap, "default_taus", counting_taus)
@@ -319,13 +316,13 @@ def test_inner_factorizes_the_background_once(setup, monkeypatch):
         cands = reconstruct.axis_chain_candidates(mesh, region, lengths)
         assert len(cands) > 400
         for subset in (cands[:3], cands):
-            made.clear()
+            factorizations.reset()
             matrices.clear()
             taus.clear()
             stacked.clear()
             res = reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, subset, kind)
             assert len(res.accepted) + len(res.rejected) == len(subset)
-            assert (len(made), len(matrices)) == (1, 1)
+            assert (factorizations.made, len(matrices)) == (1, 1)
             batches = -(-len(subset) // ndmap.CHAIN_BATCH)
             if kind == geometry.INSULATING:
                 assert (len(taus), len(stacked)) == (1, 1)
@@ -333,21 +330,13 @@ def test_inner_factorizes_the_background_once(setup, monkeypatch):
                 assert (len(taus), len(stacked)) == (0, batches)
 
 
-def test_upper_factorizes_twice_and_thresholds_the_data_once(setup, monkeypatch):
+def test_upper_factorizes_twice_and_thresholds_the_data_once(setup, monkeypatch, factorizations):
     # the crack-free background and the excluded start region, never both
     # alive; one data threshold per call plus one per excluded side
     mesh, cracks, grid, gamma0, basis, data = setup
-    made, alive, most, taus, admissible = [0], [0], [0], [0], [0]
-    real_fact, real_tau = fem.Factorization, ndmap.default_tau
+    taus, admissible = [0], [0]
+    real_tau = ndmap.default_tau
     real_admissible = geometry.pixelset_is_admissible
-
-    def counting_fact(*args):
-        fact = real_fact(*args)
-        made[0] += 1
-        alive[0] += 1
-        most[0] = max(most[0], alive[0])
-        weakref.finalize(fact, lambda: alive.__setitem__(0, alive[0] - 1))
-        return fact
 
     def counting_tau(*args, **kwargs):
         taus[0] += 1
@@ -357,17 +346,17 @@ def test_upper_factorizes_twice_and_thresholds_the_data_once(setup, monkeypatch)
         admissible[0] += 1
         return real_admissible(*args)
 
-    monkeypatch.setattr(fem, "Factorization", counting_fact)
     monkeypatch.setattr(ndmap, "default_tau", counting_tau)
     monkeypatch.setattr(geometry, "pixelset_is_admissible", counting_admissible)
-    for mode, key, factorizations in (
+    for mode, key, count in (
         ("both", "mixed", 2), ("insulating", "ins", 1), ("conducting", "con", 1),
     ):
-        made[0] = most[0] = taus[0] = admissible[0] = 0
+        factorizations.reset()
+        taus[0] = admissible[0] = 0
         res = reconstruct.reconstruct_upper(data[key], mesh, gamma0, basis, grid, mode=mode)
         assert len(res.peel_trace) > 10
-        assert made[0] == factorizations
-        assert most[0] == 1
+        assert factorizations.made == count
+        assert factorizations.most == 1
         excluded_sides = len(res.peel_trace) if mode != "conducting" else 0
         assert taus[0] == excluded_sides + (mode != "insulating")
         # only the excluded start region's dof map checks admissibility
@@ -391,18 +380,10 @@ def test_inner_refuses_invalid_candidates(setup):
                     reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, cands, kind)
 
 
-def test_inner_refuses_a_bad_candidate_before_factorizing(setup, monkeypatch):
+def test_inner_refuses_a_bad_candidate_before_factorizing(setup, factorizations):
     # one bad chain at a random place among valid candidates raises the
     # message of its first broken check, before any factorization
     mesh, cracks, grid, gamma0, basis, data = setup
-    made = []
-    real_fact = fem.Factorization
-
-    def counting_fact(*args):
-        made.append(1)
-        return real_fact(*args)
-
-    monkeypatch.setattr(fem, "Factorization", counting_fact)
     valid = reconstruct.axis_chain_candidates(mesh, interior_pixel_set(grid), (2, 4))
     edges = mesh.edges()
     hull = edges[mesh.edge_tris()[:, 1] < 0][5]
@@ -422,13 +403,13 @@ def test_inner_refuses_a_bad_candidate_before_factorizing(setup, monkeypatch):
             with pytest.raises(ValueError) as got:
                 reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, cands, kind)
             assert str(got.value) == message
-    assert made == []
+    assert factorizations.made == 0
 
 
 @pytest.mark.parametrize("kind", geometry.KINDS)
 def test_stacked_certificates_match_per_candidate_tests(kind):
     # mixed star sizes, one-edge chains (an empty insulating star) and stars
-    # that hold the pinned arc vertex, against one NdSolver and one
+    # that hold the pinned arc vertex, against one factorization and one
     # certificate per chain: identical verdicts and close calls, min_eig
     # within 1e-12 of the minuend's size, the insulating tau bit for bit
     mesh = mark_gamma(build_rect_mesh(1.0, 1.0, 1.0 / 8), {"box": [-0.1, 0.4, 0.5, 1.1]})
@@ -437,7 +418,7 @@ def test_stacked_certificates_match_per_candidate_tests(kind):
     pin = int(mesh.gamma_vertices()[0])
     assert pin == vid(mesh, 0.5, 1.0)
     crack = CrackComponent([vid(mesh, x / 8, 4 / 8) for x in range(2, 6)], kind)
-    data = ndmap.nd_matrix(mesh, gamma0, CrackSet([crack]), basis)
+    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, CrackSet([crack])), basis)
     grid = PixelGrid(mesh, 4, 4)
     cands = reconstruct.axis_chain_candidates(mesh, PixelSet(grid, range(16)), (1, 2, 3, 5))
     assert len(cands) > ndmap.CHAIN_BATCH
@@ -454,7 +435,7 @@ def test_stacked_certificates_match_per_candidate_tests(kind):
     verdicts = set()
     for chain in cands:
         config = CrackSet([CrackComponent(chain, kind)])
-        n_chain = ndmap.NdSolver(mesh, gamma0, config).nd_matrix(basis)
+        n_chain = ndmap.nd_matrix(fem.factorize(mesh, gamma0, config), basis)
         if kind == geometry.INSULATING:
             diff, minuend = data.entries - n_chain.entries, data
         else:
@@ -472,11 +453,12 @@ def test_stacked_certificates_match_per_candidate_tests(kind):
 
 
 def inner_reference(data, built, cands, kind):
-    """Per-candidate classification with one NdSolver per chain."""
+    """Per-candidate classification with one factorization per chain."""
     out = {"accepted": [], "rejected": []}
     for chain in cands:
         comp = CrackComponent(chain, kind)
-        n_chain = ndmap.NdSolver(built.mesh, built.gamma0, CrackSet([comp])).nd_matrix(built.basis)
+        n_chain = ndmap.nd_matrix(fem.factorize(built.mesh, built.gamma0, CrackSet([comp])),
+                                  built.basis)
         if kind == geometry.INSULATING:
             diff, minuend = data.entries - n_chain.entries, data
         else:

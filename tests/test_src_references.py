@@ -20,7 +20,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "crackfind"
 
 # kept in src although only tests call them, each for a stated reason
 ALLOWED = {
-    "fem.energy": "reference oracle: the energy form the solve tests check against",
     "fem.gradient_on": "reference oracle: the gradients the adjoint identity compares with",
     "PixelSet.from_rect": "the tests' constructor of rectangular pixel regions",
 }
