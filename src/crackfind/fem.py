@@ -67,8 +67,7 @@ class Field:
     """A dof vector tied to the DofMap it was solved on.
 
     A solve gives ``values`` of shape ``(n_dofs, k)``, one column per current
-    or source of its block; ``gradient_on`` reads a single column
-    ``(n_dofs,)``.
+    or source of its block, and ``gradient_on`` reads all k columns.
     """
 
     def __init__(self, values, dofmap):
@@ -465,18 +464,20 @@ def solve_neumann(fact, F):
     return _solve(fact, rows, b)
 
 
-def solve_source(fact, F):
-    """Solve a configuration for the potentials of interior element sources.
+def source_loads(dm, tris, vectors):
+    """Corner loads ``(k, 3)`` of k element sources on the dof map ``dm``.
 
-    ``F`` is a pair ``(tris, vectors)`` of shapes ``(k,)`` and ``(k, 2)``
-    standing for k sources: source j is the constant vector ``vectors[j]``
-    on triangle ``tris[j]`` and zero elsewhere. The k sources are solved
-    together and give a Field with k columns. No source may meet an
-    excluded region.
+    Source j is the constant vector ``vectors[j]`` on triangle ``tris[j]``
+    and zero elsewhere; its load on corner i of that triangle is the
+    integral of the vector against the corner's hat gradient. The loads of
+    a triangle sum to exactly zero, and rounding would leave a residue the
+    solve fails on when it is not small against the load: so a triangle
+    whose three corners share one dof (inside a frozen block) has zero
+    loads, and of two corners that share one dof (tied), the first carries
+    exactly minus the load of the third corner and the second none. No
+    source may meet an excluded region.
     """
-    dm = fact.dm
     mesh = dm.mesh
-    tris, vectors = F
     tris = np.asarray(tris, dtype=np.int64)
     vectors = np.asarray(vectors, dtype=float)
     if tris.ndim != 1 or vectors.shape != (len(tris), 2):
@@ -486,27 +487,48 @@ def solve_source(fact, F):
     if not np.all(dm.active_tri[tris]):
         raise ValueError("source support meets the excluded region")
     g = _hat_gradients(mesh)[tris]
-    contrib = mesh.tri_areas()[tris, None] * np.einsum("tic,tc->ti", g, vectors)
-    # a triangle whose corners share one dof (inside a frozen block) loads it
-    # with exactly zero; rounding would leave a residue the solve fails on
+    loads = mesh.tri_areas()[tris, None] * np.einsum("tic,tc->ti", g, vectors)
     dofs = dm.corner_dof[tris]
-    contrib[(dofs[:, 0] == dofs[:, 1]) & (dofs[:, 1] == dofs[:, 2])] = 0.0
-    rows, b = _load(dofs, np.arange(len(tris))[:, None], contrib, len(tris))
+    # same[:, i]: corner i shares its dof with the next corner
+    same = dofs == np.roll(dofs, -1, axis=1)
+    loads[same.all(axis=1)] = 0.0
+    k = np.flatnonzero(same.sum(axis=1) == 1)
+    i = np.argmax(same[k], axis=1)
+    loads[k, i] = -loads[k, (i + 2) % 3]
+    loads[k, (i + 1) % 3] = 0.0
+    return loads
+
+
+def solve_source(fact, F):
+    """Solve a configuration for the potentials of interior element sources.
+
+    ``F`` is a pair ``(tris, vectors)`` of shapes ``(k,)`` and ``(k, 2)``
+    standing for k sources: source j is the constant vector ``vectors[j]``
+    on triangle ``tris[j]`` and zero elsewhere. The k sources are solved
+    together and give a Field with k columns; their loads are those of
+    ``source_loads``.
+    """
+    dm = fact.dm
+    tris, vectors = F
+    loads = source_loads(dm, tris, vectors)
+    dofs = dm.corner_dof[np.asarray(tris, dtype=np.int64)]
+    rows, b = _load(dofs, np.arange(len(loads))[:, None], loads, len(loads))
     return _solve(fact, rows, b)
 
 
 def gradient_on(field, tris):
-    """Gradients ``(k, 2)`` of a one-column field on the triangles ``tris``.
+    """Gradients ``(k, len(tris), 2)`` of the k columns of a field on ``tris``.
 
-    Row j is the constant gradient on triangle ``tris[j]``. No triangle may
-    be excluded from the field's dof map.
+    ``field.values`` has shape ``(n_dofs, k)``, as every solve returns it;
+    entry ``[j, i]`` is the constant gradient of column j on triangle
+    ``tris[i]``. No triangle may be excluded from the field's dof map.
     """
     dm = field.dofmap
     tris = np.asarray(tris, dtype=np.int64)
     if not np.all(dm.active_tri[tris]):
         raise ValueError("gradient triangles meet the excluded region")
     u = field.values[dm.corner_dof[tris]]
-    return np.einsum("ti,tic->tc", u, _hat_gradients(dm.mesh)[tris])
+    return np.einsum("tij,tic->jtc", u, _hat_gradients(dm.mesh)[tris])
 
 
 def trace_on_gamma(field):

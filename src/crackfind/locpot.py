@@ -43,32 +43,109 @@ class SourceOperator:
         return "SourceOperator(%d triangles)" % len(self.tris)
 
 
+def _edge_forest(node, n):
+    """Breadth-first spanning forest of the graph on a region's corner dofs.
+
+    ``node`` ``(T, 3)`` numbers the corner dofs of the region's triangles
+    0..n-1. The graph's edges are the triangle sides that join two distinct
+    dofs, and each component is rooted at its smallest node. Returns
+    ``(tri, tail, head, ends)``: one forest edge per non-root node, as a
+    triangle (row of ``node``) and its corners at the parent (tail) and at
+    the child (head), in breadth-first order. ``ends`` starts at 0, and
+    the edges ``ends[j]:ends[j + 1]`` make level j + 1 of the forest, whose
+    parents all lie on earlier levels.
+    """
+    tri = np.repeat(np.arange(len(node)), 3)
+    a = np.tile([0, 1, 2], len(node))
+    b = np.tile([1, 2, 0], len(node))
+    joins = node[tri, a] != node[tri, b]
+    # each joining side in both directions
+    tri = np.tile(tri[joins], 2)
+    tail = np.concatenate([a[joins], b[joins]])
+    head = np.concatenate([b[joins], a[joins]])
+    parent, child = node[tri, tail], node[tri, head]
+    seen = geometry.components(n, np.column_stack([parent, child])) == np.arange(n)
+    frontier = seen.copy()
+    levels = [np.zeros(0, dtype=np.int64)]
+    while True:
+        step = np.flatnonzero(frontier[parent] & ~seen[child])
+        if not step.size:
+            break
+        # the first listed side into each newly reached node
+        step = step[np.unique(child[step], return_index=True)[1]]
+        seen[child[step]] = True
+        frontier[:] = False
+        frontier[child[step]] = True
+        levels.append(step)
+    order = np.concatenate(levels)
+    ends = np.cumsum([len(level) for level in levels])
+    return tri[order], tail[order], head[order], ends
+
+
 def build_source_operator(fact, V, basis):
     """Assemble the source-to-voltage matrix for sources on region ``V``.
 
     ``fact`` is the configuration's ``fem.Factorization``. Column 2k + d is
     the current-basis representation of the voltage of the canonical
     element source on triangle k of the region: direction d, scaled to unit
-    L2 norm. All columns share the factorization, and the sources go
+    L2 norm. An empty region gives a zero-column operator.
+
+    A source on one triangle loads only that triangle's corner dofs, with
+    loads that sum to zero, so every column is the voltage of a load in the
+    span of the differences e_v - e_w of corner dofs joined by a triangle
+    side. That span has dimension r = (distinct corner dofs) - (connected
+    components of the graph those sides make), and a spanning forest of the
+    graph gives a basis of it: for a forest edge from parent p to child v
+    on triangle t, the element source (x_v - x_p) / area_t on t loads
+    exactly e_v - e_p, since each hat is linear on t. These r sources go
     through ``fem.solve_source`` in blocks of ``basis.M`` columns, so a
     block is never wider than the current block of the configuration's ND
-    matrix. An empty region gives a zero-column operator.
+    matrix. Summed from each root in breadth-first order, their voltages
+    give the voltage of e_v - e_root for every dof v; a canonical column is
+    then the combination of these by the source's corner loads from
+    ``fem.source_loads``, which sum to zero. A triangle whose corners share
+    one dof (inside a frozen block) has zero loads, so its columns are
+    exactly zero; no canonical source is solved.
     """
     interior = geometry.interior_pixel_set(V.grid).members
     if V.members - interior:
         raise ValueError("source region must lie in the meshed interior")
-    mesh = fact.dm.mesh
+    dm = fact.dm
+    mesh = dm.mesh
     tris = V.triangles()
-    weighted = fem.gamma_mass(mesh) @ basis.vectors
     src_tris = np.repeat(tris, 2)
     unit = np.tile(np.eye(2), (len(tris), 1)) / np.sqrt(mesh.tri_areas()[src_tris])[:, None]
-    matrix = np.zeros((basis.M, 2 * len(tris)))
-    for lo in range(0, len(src_tris), basis.M):
+    loads = fem.source_loads(dm, src_tris, unit)
+    dofs, node = np.unique(dm.corner_dof[tris], return_inverse=True)
+    node = node.reshape(-1, 3)
+
+    tri, tail, head, ends = _edge_forest(node, len(dofs))
+    # the edge source of each forest edge: (x_head - x_tail) / area
+    edge_tris = tris[tri]
+    corners = mesh.vertices[mesh.triangles[edge_tris]]
+    at = np.arange(len(tri))
+    vectors = (corners[at, head] - corners[at, tail]) / mesh.tri_areas()[edge_tris, None]
+    weighted = fem.gamma_mass(mesh) @ basis.vectors
+    # allocated before the solves, which they outlive: allocated after, they
+    # land among the freed solve blocks and the heap grows around them
+    matrix = np.zeros((basis.M, len(src_tris)))
+    phi = np.zeros((basis.M, len(dofs)))
+    E = np.zeros((basis.M, len(tri)))
+    for lo in range(0, len(tri), basis.M):
         cols = slice(lo, lo + basis.M)
         # keep only the traces: the block's potentials are freed before the
         # next block is solved
-        traces = fem.trace_on_gamma(fem.solve_source(fact, (src_tris[cols], unit[cols])))
-        matrix[:, cols] = weighted.T @ traces
+        traces = fem.trace_on_gamma(fem.solve_source(fact, (edge_tris[cols], vectors[cols])))
+        E[:, cols] = weighted.T @ traces
+
+    # phi[:, v] is the voltage of e_v - e_root; the roots' columns stay zero
+    parent, child = node[tri, tail], node[tri, head]
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        phi[:, child[lo:hi]] = phi[:, parent[lo:hi]] + E[:, lo:hi]
+
+    src_node = np.repeat(node, 2, axis=0)
+    for i in range(3):
+        matrix += phi[:, src_node[:, i]] * loads[:, i]
     return SourceOperator(tris, matrix)
 
 

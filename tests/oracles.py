@@ -3,9 +3,10 @@
 They recompute a quantity the program gets another way: the energy form
 of two fields, a quadratic-form difference as a projection energy, a
 field in a larger space, a carried current basis by a search for each
-fine arc node's coarse edge, the
-column space of a source operator, the slit fans by a scan of the
-whole mesh, a rectangle's triangulation one cell at a time, connected
+fine arc node's coarse edge, a source operator by one solved column per
+canonical source, the dimension of the span of its sources' loads, the
+column space of a source operator, the slit fans by a scan of the whole
+mesh, a rectangle's triangulation one cell at a time, connected
 components by a search over an adjacency dict, the pixels a segment
 meets one pixel at a time, a pixel region's closed-square membership one
 point at a time, and the candidate test chains one mesh edge at a time.
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from crackfind import fem, geometry, ndmap
+from crackfind import fem, geometry, locpot, ndmap
 
 
 def projection_identity_check(mesh, gamma0, cracks, basis, f_index, which="P"):
@@ -89,6 +90,44 @@ def embed_field(field, target_dm):
     if np.any(np.isnan(out)):
         raise ValueError("target space has dofs outside the source's support")
     return fem.Field(out, target_dm)
+
+
+def source_operator_columns(fact, V, basis):
+    """``locpot.build_source_operator`` with one solved column per canonical source.
+
+    Column 2k + d is the weighted arc trace of the unit-norm source on the
+    region's triangle k in direction d, solved as that source itself
+    through ``fem.solve_source``; the 2T sources go in blocks of
+    ``basis.M`` columns.
+    """
+    interior = geometry.interior_pixel_set(V.grid).members
+    if V.members - interior:
+        raise ValueError("source region must lie in the meshed interior")
+    mesh = fact.dm.mesh
+    tris = V.triangles()
+    weighted = fem.gamma_mass(mesh) @ basis.vectors
+    src_tris = np.repeat(tris, 2)
+    unit = np.tile(np.eye(2), (len(tris), 1)) / np.sqrt(mesh.tri_areas()[src_tris])[:, None]
+    matrix = np.zeros((basis.M, 2 * len(tris)))
+    for lo in range(0, len(src_tris), basis.M):
+        cols = slice(lo, lo + basis.M)
+        traces = fem.trace_on_gamma(fem.solve_source(fact, (src_tris[cols], unit[cols])))
+        matrix[:, cols] = weighted.T @ traces
+    return locpot.SourceOperator(tris, matrix)
+
+
+def source_rank(dm, tris):
+    """Dimension of the span of the loads of element sources on ``tris``.
+
+    The loads of one triangle's sources span the zero-sum loads on its
+    corner dofs, so the span is that of the differences of two dofs joined
+    by a triangle side: the distinct corner dofs minus the components of
+    the graph those sides make, found by ``components_search``.
+    """
+    corners = dm.corner_dof[tris].tolist()
+    pairs = [(a, b) for row in corners for a, b in zip(row, row[1:] + row[:1]) if a != b]
+    label = components_search({d for row in corners for d in row}, pairs)
+    return len(label) - len(set(label.values()))
 
 
 def numerical_range(op, rtol=1e-10):

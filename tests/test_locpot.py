@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
+from scipy import ndimage
 
 from crackfind import fem, geometry, locpot, ndmap
 from crackfind.geometry import (
@@ -13,8 +15,9 @@ from crackfind.geometry import (
     build_rect_mesh,
     embed_crack,
     interior_pixel_set,
+    mark_gamma,
 )
-from oracles import numerical_range
+from oracles import numerical_range, source_operator_columns, source_rank
 
 
 def source_op(chain_setup, config, region):
@@ -22,11 +25,6 @@ def source_op(chain_setup, config, region):
     # every caller outside the demo does
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     return locpot.build_source_operator(fem.factorize(mesh, gamma0, config), region, basis)
-
-
-def column_field(fact, current):
-    # the potential of one arc current as a one-column field
-    return fem.Field(fem.solve_neumann(fact, current[:, None]).values[:, 0], fact.dm)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +47,8 @@ def test_adjoint_identity_on_random_pairs(chain_setup, ops):
             d = rng.standard_normal(basis.M)
             # the columns take the field's values scaled by sqrt(area)
             lhs = float(op.matrix @ (Fv * np.sqrt(areas[op.tris])[:, None]).ravel() @ d)
-            gu = fem.gradient_on(column_field(fact, basis.vectors @ d), op.tris)
+            u = fem.solve_neumann(fact, (basis.vectors @ d)[:, None])
+            gu = fem.gradient_on(u, op.tris)[0]
             rhs = float(np.sum(areas[op.tris, None] * Fv * gu))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -62,31 +61,149 @@ def test_adjoint_matches_direct_gradient(chain_setup, ops):
     # the transpose gives the gradients scaled by sqrt(area)
     root_areas = np.sqrt(mesh.tri_areas()[op_empty.tris])
     grad = (op_empty.matrix.T @ d).reshape(-1, 2) / root_areas[:, None]
-    u = column_field(fem.factorize(mesh, gamma0), basis.vectors @ d)
-    direct = fem.gradient_on(u, op_empty.tris)
+    u = fem.solve_neumann(fem.factorize(mesh, gamma0), (basis.vectors @ d)[:, None])
+    direct = fem.gradient_on(u, op_empty.tris)[0]
     assert np.max(np.abs(grad - direct)) < 1e-10 * max(1.0, np.max(np.abs(direct)))
 
 
 def test_source_operator_matches_per_column_reference(chain_setup, ops, monkeypatch):
-    # reference: one single-column solve per canonical source
+    # reference: one solved column per canonical source
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    areas = mesh.tri_areas()
-    weighted = fem.gamma_mass(mesh) @ basis.vectors
     for op, config in zip(ops, (None, cracks)):
-        fact = fem.factorize(mesh, gamma0, config)
-        ref = np.zeros_like(op.matrix)
-        for k, t in enumerate(op.tris):
-            for d in (0, 1):
-                F = ([t], np.eye(2)[d : d + 1] / np.sqrt(areas[t]))
-                ref[:, 2 * k + d] = weighted.T @ fem.trace_on_gamma(fem.solve_source(fact, F))[:, 0]
+        ref = source_operator_columns(fem.factorize(mesh, gamma0, config), V, basis).matrix
         assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    # the sources go through in blocks of basis.M columns
+    # one edge source per dimension of the loads' span, in blocks of
+    # basis.M columns: fewer blocks than one column per canonical source
     calls = []
     solve = fem.solve_source
     monkeypatch.setattr(fem, "solve_source", lambda *a: calls.append(a) or solve(*a))
-    op = source_op(chain_setup, None, V)
-    assert len(calls) == -(-op.matrix.shape[1] // basis.M) > 1
+    fact = fem.factorize(mesh, gamma0)
+    op = locpot.build_source_operator(fact, V, basis)
+    blocks = -(-source_rank(fact.dm, op.tris) // basis.M)
+    assert len(calls) == blocks < -(-op.matrix.shape[1] // basis.M)
+
+
+SOURCE_MESHES = {
+    ("rect", False): build_rect_mesh(1.0, 1.0, 1.0 / 16),
+    ("rect", True): mark_gamma(build_rect_mesh(1.0, 1.0, 1.0 / 16), {"side": "top"}),
+    ("disk", False): build_disk_mesh(1.0, 0.125),
+    ("disk", True): mark_gamma(build_disk_mesh(1.0, 0.125), {"angle": [0.5, 2.5]}),
+}
+
+
+def random_source_region(grid, rng):
+    """One to three pixel rectangles in the interior, the first a 3x3 ring half the time.
+
+    The ring is a region with a hole (unless another rectangle fills it).
+    Returns the region and the first rectangle, filled.
+    """
+    inside = interior_pixel_set(grid).mask()
+    ring = rng.random() < 0.5
+    rects = []
+    for k in range(int(rng.integers(1, 4))):
+        h, w = (3, 3) if ring and k == 0 else (int(v) for v in rng.integers(1, 3, size=2))
+        # the corners where the whole rectangle lies in the interior
+        fits = [
+            (y, x) for y, x in np.argwhere(inside) if inside[y : y + h, x : x + w].sum() == h * w
+        ]
+        iy, ix = fits[rng.integers(len(fits))]
+        mask = np.zeros_like(inside)
+        mask[iy : iy + h, ix : ix + w] = True
+        rects.append(mask)
+    first = PixelSet(grid, np.flatnonzero(rects[0]))
+    if ring:
+        rects[0] &= ~ndimage.binary_erosion(rects[0])
+    return PixelSet(grid, np.flatnonzero(np.logical_or.reduce(rects))), first
+
+
+def chain_in(mesh, rng, verts, kind, n_edges):
+    """A chain of 2..n_edges mesh edges through ``verts``, or None."""
+    edges = mesh.edges()
+    chain = [int(rng.choice(sorted(verts)))]
+    while len(chain) <= n_edges:
+        a = chain[-1]
+        nbrs = np.concatenate([edges[edges[:, 0] == a, 1], edges[edges[:, 1] == a, 0]])
+        nbrs = [w for w in nbrs.tolist() if w in verts and w not in chain]
+        if not nbrs:
+            break
+        chain.append(int(rng.choice(nbrs)))
+    return geometry.CrackComponent(tuple(chain), kind) if len(chain) >= 3 else None
+
+
+def random_source_config(mesh, rng, V, rect, kind):
+    """The configuration ``kind`` of the source oracle, as ``fem.factorize`` keywords."""
+    if kind == "none":
+        return {}
+    if kind == "frozen":
+        return {"frozen": rect} if len(rect) and geometry.pixelset_is_admissible(rect) else None
+    kinds = {
+        "slit": [geometry.INSULATING],
+        "tie": [geometry.CONDUCTING],
+        "both": [geometry.INSULATING, geometry.CONDUCTING],
+    }[kind]
+    free = V.vertex_set(mesh) - mesh.boundary_vertex_set()
+    outside = np.ones(len(mesh.triangles), dtype=bool)
+    outside[V.triangles()] = False
+    # a slit vertex whose whole fan lies in the region keeps both its dofs there
+    inner = free - set(mesh.triangles[outside].ravel().tolist())
+    for _ in range(20):
+        comps = [chain_in(mesh, rng, free, k, int(rng.integers(2, 6))) for k in kinds]
+        if None in comps or not inner & set(comps[0].chain[1:-1]):
+            continue
+        cracks = CrackSet(comps)
+        try:
+            cracks.validate(mesh)
+        except ValueError:
+            continue
+        return {"cracks": cracks}
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(["rect", "disk"]),
+    arc=st.booleans(),
+    box=st.booleans(),
+    kind=st.sampled_from(["none", "slit", "tie", "both", "frozen"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_source_operator_matches_columns_on_random_regions(shape, arc, box, kind, seed):
+    # differential oracle: the edge-source operator against one solved
+    # column per canonical source, on regions with holes and several
+    # components, under slits, ties and frozen blocks
+    mesh = SOURCE_MESHES[shape, arc]
+    rng = np.random.default_rng(seed)
+    spec = 1.0
+    if box:
+        x0, y0 = rng.uniform(-1.0, 0.5, 2)
+        spec = {"boxes": [{"box": [x0, y0, x0 + 0.6, y0 + 0.6], "value": rng.uniform(0.1, 10.0)}]}
+    gamma0 = fem.Conductivity.from_spec(mesh, spec)
+    basis = ndmap.build_basis(mesh, min(8, len(mesh.gamma_vertices()) - 1))
+    grid = PixelGrid(mesh, 8, 8)
+    V, rect = random_source_region(grid, rng)
+    config = random_source_config(mesh, rng, V, rect, kind)
+    assume(config is not None)
+    fact = fem.factorize(mesh, gamma0, **config)
+    dofs = fact.dm.corner_dof[V.triangles()]
+    verts = mesh.triangles[V.triangles()]
+    if kind == "slit":
+        # a vertex of the region carries two dofs
+        assert len(np.unique(dofs)) > len(np.unique(verts))
+    if kind == "tie":
+        assert len(np.unique(dofs)) < len(np.unique(verts))
+
+    op = locpot.build_source_operator(fact, V, basis)
+    ref = source_operator_columns(fact, V, basis)
+    assert np.array_equal(op.tris, ref.tris)
+    assert np.max(np.abs(op.matrix - ref.matrix), initial=0.0) <= 1e-12 * np.max(
+        np.abs(ref.matrix), initial=0.0
+    )
+    # a triangle whose corners share one dof (inside a frozen block, or
+    # three corners of one tie) gives exactly zero columns
+    flat = np.repeat((dofs[:, 0] == dofs[:, 1]) & (dofs[:, 1] == dofs[:, 2]), 2)
+    assert flat.any() or kind != "frozen"
+    assert not np.any(op.matrix[:, flat])
 
 
 def test_source_operator_memory_stays_near_nd_matrix():
@@ -333,6 +450,27 @@ def test_localized_demo_matches_fresh_solver_reference(chain_setup, scenario):
         assert report["forms"] == ref_report["forms"]
         assert report["sigma"] == sigma
         assert report["monotone"] == locpot.monotone_flags(ref_seq)
+
+
+@pytest.mark.parametrize("scenario", ["chain_setup", "criterion_5"])
+def test_localized_demo_matches_column_reference_operators(chain_setup, scenario, monkeypatch):
+    # the demo on edge-source operators against the demo on one solved
+    # column per canonical source: the same verdicts, sigma to rounding, and
+    # the forms up to the rounding they amplify at the last decades
+    setup = chain_setup if scenario == "chain_setup" else contrast_setup()
+    mesh, cracks, grid, V, W, gamma0, basis = setup
+    runs = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
+    monkeypatch.setattr(locpot, "build_source_operator", source_operator_columns)
+    ref = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
+    assert sorted(runs) == sorted(ref)
+    for variant, (seq, report) in runs.items():
+        ref_seq, ref_report = ref[variant]
+        assert seq.n_values == ref_seq.n_values and seq.degenerate == ref_seq.degenerate
+        assert report["monotone"] == ref_report["monotone"]
+        assert report["sigma"] == pytest.approx(ref_report["sigma"], rel=1e-12)
+        assert sorted(report["forms"]) == sorted(ref_report["forms"])
+        for label, values in report["forms"].items():
+            assert values == pytest.approx(ref_report["forms"][label], rel=1e-5)
 
 
 def test_localized_demo_factorizes_each_configuration_once(chain_setup, factorizations):
