@@ -93,11 +93,9 @@ def main(argv=None):
         return _fail("unreadable config", {"detail": str(exc)}, 2)
 
     scenario = _apply_overrides(scenario, args)
-    problems = harness.validate_scenario(scenario)
-    if problems:
-        return _fail("invalid config", {"problems": problems}, 2)
-
     try:
+        # the run validates the scenario, overrides included, before it
+        # writes anything
         report = harness.run_scenario(scenario, out_dir=args.out)
     except harness.ScenarioError as exc:
         return _fail("invalid config", {"problems": exc.problems}, 2)

@@ -913,7 +913,10 @@ class PixelGrid:
         q = np.column_stack([
             p0[:, 0] - x0, x0 + self.h - p0[:, 0], p0[:, 1] - y0, y0 + self.h - p0[:, 1]
         ])
-        r = np.divide(q, p, out=np.zeros_like(q), where=p != 0)
+        # a ratio that overflows is far outside [0, 1], so the clip reads
+        # its ±inf exactly as it would the true ratio
+        with np.errstate(over="ignore"):
+            r = np.divide(q, p, out=np.zeros_like(q), where=p != 0)
         t0 = np.where(p < 0, r, 0.0).max(axis=1)
         t1 = np.where(p > 0, r, 1.0).min(axis=1)
         meets = (t0 <= t1 + tol) & ~((p == 0) & (q < -tol)).any(axis=1)

@@ -522,7 +522,6 @@ def run_scenario(s, out_dir=None):
             # which is no reconstruction and gets no score
             score = reconstruct.score(res, built.cracks, built.grid) if res.initial_ok else None
             results["upper"] = {"report": res.to_json(), "score": score}
-            artifacts["upper_result.json"] = _dump_json(results["upper"]["report"])
             artifacts["upper_raster.csv"] = reconstruct.raster_csv(res.final_set)
         elif method == "inner":
             res = reconstruct.reconstruct_inner(
@@ -532,10 +531,8 @@ def run_scenario(s, out_dir=None):
                 "report": res.to_json(),
                 "score": reconstruct.score(res, built.cracks, built.grid),
             }
-            artifacts["inner_result.json"] = _dump_json(results["inner"]["report"])
         elif method == "chain":
             results["chain"] = _chain_report(built, data, s.tau)
-            artifacts["chain_result.json"] = _dump_json(results["chain"])
         elif method == "locpot":
             runs = locpot.run_localized_demo(built.table, n_values=list(s.locpot_n) or None)
             results["locpot"] = {variant: rep for variant, (_, rep) in runs.items()}
@@ -558,7 +555,11 @@ def run_scenario(s, out_dir=None):
 
 @dataclasses.dataclass
 class RunReport:
-    """Everything a scenario run produced, minus the volatile timings."""
+    """Everything a scenario run produced.
+
+    ``to_json`` is ``report.json``, the one record of a run; the volatile
+    timings and the manifest of file hashes are kept out of it.
+    """
 
     scenario: dict
     provenance: dict
@@ -571,7 +572,6 @@ class RunReport:
             "scenario": self.scenario,
             "data_provenance": self.provenance,
             "results": self.results,
-            "manifest": self.manifest,
         }
 
 
@@ -579,24 +579,17 @@ def _dump_json(obj):
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
-def _sha256_bytes(blob):
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _write_artifacts(report, artifacts, out_dir):
+    """Write ``report.json`` and the artifacts, then the hashes of them all."""
     os.makedirs(out_dir, exist_ok=True)
-    texts = {"scenario.json": _dump_json(report.scenario), **artifacts}
-    blobs = {name: text.encode() for name, text in texts.items()}
-    for name, blob in blobs.items():
+    texts = {"report.json": _dump_json(report.to_json()), **artifacts}
+    report.manifest = {}
+    for name in sorted(texts):
+        blob = texts[name].encode()
         with open(os.path.join(out_dir, name), "wb") as fh:
             fh.write(blob)
-    report.manifest = {name: _sha256_bytes(blob) for name, blob in sorted(blobs.items())}
-    report_blob = _dump_json(report.to_json()).encode()
-    with open(os.path.join(out_dir, "report.json"), "wb") as fh:
-        fh.write(report_blob)
-    manifest = dict(report.manifest)
-    manifest["report.json"] = _sha256_bytes(report_blob)
-    with open(os.path.join(out_dir, "manifest.json"), "wb") as fh:
-        fh.write(_dump_json({"files": manifest, "volatile": ["timings.json"]}).encode())
+        report.manifest[name] = hashlib.sha256(blob).hexdigest()
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        fh.write(_dump_json({"files": report.manifest, "volatile": ["timings.json"]}))
     with open(os.path.join(out_dir, "timings.json"), "w") as fh:
         fh.write(_dump_json({k: round(v, 6) for k, v in report.timings.items()}))

@@ -187,7 +187,7 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     one factorized crack-free background on the chain's star (the formulas
     are in its docstring). A candidate that fails ``geometry.check_chains``
     raises before anything is factorized. ``chain_matrices`` yields the
-    entries of ``ndmap.CHAIN_BATCH`` chains at a time as one ``(k, M, M)``
+    entries of the chains in order, a batch at a time as one ``(k, M, M)``
     stack, and each stack is tested as it comes, one stacked ``eigvalsh``
     per batch. The insulating threshold depends only on the data, so it is
     computed once; a conducting chain's default threshold comes from one
@@ -203,16 +203,15 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     comps = [geometry.CrackComponent(chain, kind) for chain in candidates]
     if kind == geometry.INSULATING:
         tau = ndmap.tau_for(data, tau)
-    step = ndmap.CHAIN_BATCH
-    batches = [comps[lo:lo + step] for lo in range(0, len(comps), step)]
     accepted, rejected = [], []
-    for batch, N in zip(batches, ndmap.chain_matrices(mesh, gamma0, basis, comps)):
+    lo = 0
+    for N in ndmap.chain_matrices(mesh, gamma0, basis, comps):
         if kind == geometry.INSULATING:
             certs = ndmap.certificates("chain", d - N, tau)
         else:
             taus = ndmap.default_taus(N) if tau is None else tau
             certs = ndmap.certificates("chain", N - d, taus)
-        for comp, cert in zip(batch, certs):
+        for comp, cert in zip(comps[lo:lo + len(N)], certs):
             entry = {
                 "chain": list(comp.chain),
                 "min_eig": cert["min_eig"],
@@ -220,6 +219,7 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
                 "close_call": cert["close_call"],
             }
             (accepted if cert["passed"] else rejected).append(entry)
+        lo += len(N)
     return InnerResult(kind, accepted, rejected)
 
 

@@ -256,7 +256,10 @@ def segment_meets_rect(p0, p1, x0, y0, x1, y1, tol=1e-12):
             if q < -tol:
                 return False
         else:
-            r = q / p
+            # an overflowing ratio is far outside [0, 1]: its ±inf clips
+            # exactly as the true ratio would
+            with np.errstate(over="ignore"):
+                r = q / p
             if p < 0:
                 t0 = max(t0, r)
             else:

@@ -773,6 +773,15 @@ def test_pixels_touching_matches_scalar_clip(name, data):
         assert grid.pixels_touching([p], [q]).tolist() == sorted(pix)
 
 
+def test_pixels_touching_subnormal_segment():
+    # the clip's ratios of a subnormal segment overflow to ±inf; the segment
+    # touches what its end point touches, the corner pixel, with no warning
+    grid = TOUCH_GRIDS["rect"]
+    a, b = np.zeros((1, 2)), np.array([[0.0, 5.56e-312]])
+    assert pixels_touching_scan(grid, a[0], b[0]) == {0}
+    assert grid.pixels_touching(a, b).tolist() == [0]
+
+
 def test_pixels_touching_no_segment():
     # a crack set without edges meets no pixel
     grid = unit_grid(4)

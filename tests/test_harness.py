@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import hashlib
 import json
@@ -200,18 +201,29 @@ def test_run_report_structure(mixed_run):
 
 
 def test_artifacts_match_manifest(mixed_run):
+    # manifest.json hashes every file of the run once, report.json included;
+    # only the manifest itself and the volatile timings are not hashed
     report, out = mixed_run
-    files = set(os.listdir(out))
-    assert {"report.json", "manifest.json", "timings.json"} <= files
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["volatile"] == ["timings.json"]
+    assert manifest["files"] == report.manifest
+    assert set(os.listdir(out)) == set(manifest["files"]) | {"manifest.json", "timings.json"}
     for name, digest in report.manifest.items():
         blob = (out / name).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["volatile"] == ["timings.json"]
-    blob = (out / "report.json").read_bytes()
-    assert manifest["files"]["report.json"] == hashlib.sha256(blob).hexdigest()
-    loaded = json.loads(blob)
+
+
+def test_report_is_the_one_record(mixed_run):
+    # report.json holds the scenario and a result for every method that ran,
+    # and no copy of either is written next to it
+    report, out = mixed_run
+    loaded = json.loads((out / "report.json").read_text())
     assert loaded["scenario"] == report.scenario
+    assert set(loaded["results"]) == set(report.scenario["methods"]) == {"upper", "chain"}
+    assert "manifest" not in loaded
+    assert sorted(n for n in os.listdir(out) if n.endswith(".json")) == [
+        "data_matrix.json", "manifest.json", "report.json", "timings.json",
+    ]
 
 
 def test_rerun_is_byte_identical(mixed_scenario, mixed_run, tmp_path):
@@ -243,10 +255,27 @@ def test_cli_upper_roundtrip(tmp_path, capsys):
     code = cli.main(["reconstruct-upper", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
-    assert "upper_result.json" in summary["artifacts"]
+    assert "report.json" in summary["artifacts"]
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert rep["results"]["upper"]["score"]["recall"] == 1.0
+    upper = rep["results"]["upper"]
+    assert upper["score"]["recall"] == 1.0
+    assert upper["report"]["initial_ok"] is True
     assert rep["scenario"]["methods"] == ["upper"]
+
+
+def test_cli_invalid_override_exits_2_before_writing(tmp_path, capsys):
+    # an override is validated with the rest of the scenario, by the run,
+    # before any output directory is made
+    cfg = _write_config(tmp_path, MIXED)
+    out = tmp_path / "o"
+    code = cli.main(["reconstruct-upper", "--config", cfg, "--modes", "0", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)
+    s = harness.scenario_from_dict(dict(MIXED, methods=["upper"]))
+    problems = harness.validate_scenario(dataclasses.replace(s, M=0))
+    assert problems
+    assert err == {"error": "invalid config", "problems": problems}
+    assert not out.exists()
 
 
 def test_cli_failed_initial_bracket_is_not_scored(tmp_path, capsys):
@@ -542,7 +571,10 @@ def test_run_solves_each_configuration_once(table_runs, methods, count):
 @pytest.mark.parametrize("methods", [("locpot", "chain"), ("chain", "locpot")])
 def test_shared_table_keeps_artifacts_of_separate_runs(table_runs, methods):
     combined = table_runs[methods][2]
-    for name, alone in (("chain_result.json", ("chain",)),
-                        ("locpot_insulating.csv", ("locpot",)),
-                        ("locpot_conducting.csv", ("locpot",))):
-        assert (combined / name).read_bytes() == (table_runs[alone][2] / name).read_bytes()
+
+    def chain(run_dir):
+        return json.loads((run_dir / "report.json").read_text())["results"]["chain"]
+
+    assert chain(combined) == chain(table_runs[("chain",)][2])
+    for name in ("locpot_insulating.csv", "locpot_conducting.csv"):
+        assert (combined / name).read_bytes() == (table_runs[("locpot",)][2] / name).read_bytes()
