@@ -83,7 +83,7 @@ def gamma_mass(mesh):
 
     Rows and columns follow ``mesh.gamma_vertices()`` order.
     """
-    if "gamma_mass" not in mesh._cache:
+    def build():
         order = mesh.gamma_vertices()
         pos = np.zeros(len(mesh.vertices), dtype=np.int64)
         pos[order] = np.arange(len(order))
@@ -98,18 +98,14 @@ def gamma_mass(mesh):
             (np.column_stack([ia, ib, ia, ib]), np.column_stack([ia, ib, ib, ia])),
             np.column_stack([ell / 3.0, ell / 3.0, ell / 6.0, ell / 6.0]),
         )
-        M.setflags(write=False)
-        mesh._cache["gamma_mass"] = M
-    return mesh._cache["gamma_mass"]
+        return M
+
+    return mesh.memo("gamma_mass", build)
 
 
 def arc_weights(mesh):
     """Integrals of the arc vertices' hat functions: the row sums of ``gamma_mass``."""
-    if "arc_weights" not in mesh._cache:
-        w = gamma_mass(mesh).sum(axis=1)
-        w.setflags(write=False)
-        mesh._cache["arc_weights"] = w
-    return mesh._cache["arc_weights"]
+    return mesh.memo("arc_weights", lambda: gamma_mass(mesh).sum(axis=1))
 
 
 def require_mean_free(mesh, f, what):
@@ -127,14 +123,14 @@ def require_mean_free(mesh, f, what):
 
 def _hat_gradients(mesh):
     # gradients of the three nodal hats per triangle, shape (t, 3, 2)
-    if "hat_grads" not in mesh._cache:
+    def build():
         p = mesh.vertices[mesh.triangles]
         e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
         g = np.stack([-e[..., 1], e[..., 0]], axis=-1)
         g /= (2.0 * mesh.tri_areas())[:, None, None]
-        g.setflags(write=False)
-        mesh._cache["hat_grads"] = g
-    return mesh._cache["hat_grads"]
+        return g
+
+    return mesh.memo("hat_grads", build)
 
 
 def config_label(cracks, excluded=None, frozen=None):
@@ -269,7 +265,8 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
     if cracks.components:
         cracks.validate(mesh)
         if region is not None:
-            if cracks.vertex_set() & region.vertex_set(mesh):
+            chains = [v for comp in cracks.components for v in comp.chain]
+            if np.isin(chains, mesh.triangles[region.triangles()]).any():
                 raise ValueError("cracks overlapping the region are not supported")
 
     nv = len(mesh.vertices)

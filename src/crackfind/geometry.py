@@ -2,8 +2,10 @@
 
 Everything downstream (assembly, boundary maps, reconstruction) treats the
 objects built here as immutable: coordinate arrays are frozen after
-construction, and crack embedding returns a fresh ``Mesh`` instead of
-mutating its input.
+construction, every quantity derived from a mesh is built once through
+``Mesh.memo`` and frozen, and crack embedding returns a fresh ``Mesh``
+instead of mutating its input. A subset of a mesh's vertices is a boolean
+mask over them.
 
 Conventions:
 
@@ -213,17 +215,28 @@ class Mesh:
 
     __repr__ = __str__
 
+    def memo(self, name, build):
+        """The per-mesh quantity ``name``, built by ``build()`` on first use.
+
+        Every derived quantity of a mesh goes through here: the value is
+        built once, its array (or each array of a tuple) is frozen, and the
+        same object is returned from then on.
+        """
+        if name not in self._cache:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.setflags(write=False)
+            self._cache[name] = value
+        return self._cache[name]
+
     def tri_areas(self):
-        if "areas" not in self._cache:
-            a = _signed_areas(self.vertices, self.triangles)
-            a.setflags(write=False)
-            self._cache["areas"] = a
-        return self._cache["areas"]
+        return self.memo("areas", lambda: _signed_areas(self.vertices, self.triangles))
 
     def _edge_table(self):
-        # one np.unique over the undirected keys lo * n + hi of all triangle
-        # sides; the key encoding stays inside this method and edge_index
-        if "edges" not in self._cache:
+        # (keys, edges, tri_edges, edge_tris) from one np.unique over the
+        # undirected keys lo * n + hi of all triangle sides; the key encoding
+        # stays inside this method and edge_index
+        def build():
             n, t = len(self.vertices), self.triangles
             sides = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
             keys = sides.min(axis=1) * n + sides.max(axis=1)
@@ -233,40 +246,39 @@ class Mesh:
             _, first = np.unique(inv, return_index=True)
             _, last = np.unique(inv[::-1], return_index=True)
             lo, hi = first // 3, (len(inv) - 1 - last) // 3
-            self._cache.update(
-                edge_keys=uniq,
-                edges=np.column_stack([uniq // n, uniq % n]),
-                tri_edges=inv.reshape(-1, 3),
-                edge_tris=np.column_stack([lo, np.where(hi > lo, hi, -1)]),
+            return (
+                uniq,
+                np.column_stack([uniq // n, uniq % n]),
+                inv.reshape(-1, 3),
+                np.column_stack([lo, np.where(hi > lo, hi, -1)]),
             )
-            for name in ("edge_keys", "edges", "tri_edges", "edge_tris"):
-                self._cache[name].setflags(write=False)
-        return self._cache
+
+        return self.memo("edges", build)
 
     def edges(self):
         """Undirected edges, shape (E, 2), lower vertex first, rows sorted.
 
         A row index is the edge id that the other edge-table methods use.
         """
-        return self._edge_table()["edges"]
+        return self._edge_table()[1]
 
     def tri_edges(self):
         """Edge ids of the triangle sides (0, 1), (1, 2), (2, 0), shape (T, 3)."""
-        return self._edge_table()["tri_edges"]
+        return self._edge_table()[2]
 
     def edge_tris(self):
         """The two triangles at each edge, shape (E, 2).
 
         The lower triangle index comes first; a hull edge has -1 second.
         """
-        return self._edge_table()["edge_tris"]
+        return self._edge_table()[3]
 
     def edge_index(self, a, b):
         """Edge id of the vertex pair(s) ``a``-``b`` (either order), -1 if none.
 
         Works elementwise on arrays and returns an int for scalar input.
         """
-        keys = self._edge_table()["edge_keys"]
+        keys = self._edge_table()[0]
         n = len(self.vertices)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -276,10 +288,14 @@ class Mesh:
         out = np.where((lo >= 0) & (hi < n) & (keys[i] == q), i, -1)
         return out if out.ndim else int(out)
 
-    def boundary_vertex_set(self):
-        if "bvs" not in self._cache:
-            self._cache["bvs"] = set(self.boundary_edges.ravel().tolist())
-        return self._cache["bvs"]
+    def boundary_mask(self):
+        """Whether each vertex lies on the boundary, shape (n,), read-only."""
+        def build():
+            mask = np.zeros(len(self.vertices), dtype=bool)
+            mask[self.boundary_edges] = True
+            return mask
+
+        return self.memo("boundary", build)
 
     def h_max(self):
         e = self.edges()
@@ -295,7 +311,7 @@ class Mesh:
         arc end to the other (one more vertex than edges). The walk is
         done once per mesh; the returned array is read-only.
         """
-        if "gamma_vertices" not in self._cache:
+        def build():
             nxt = {int(a): int(b) for a, b in self.gamma_edges}
             has_in = set(nxt.values())
             starts = [a for a in nxt if a not in has_in]
@@ -311,10 +327,9 @@ class Mesh:
                 if cur is None or (closed and cur == order[0]):
                     break
                 order.append(cur)
-            order = np.array(order, dtype=np.int64)
-            order.setflags(write=False)
-            self._cache["gamma_vertices"] = order
-        return self._cache["gamma_vertices"]
+            return np.array(order, dtype=np.int64)
+
+        return self.memo("gamma_vertices", build)
 
     def boundary_segments(self):
         return self.vertices[self.boundary_edges[:, 0]], self.vertices[self.boundary_edges[:, 1]]
@@ -333,27 +348,6 @@ class Mesh:
             out[lo:lo + step] = point_segment_distance(pts[lo:lo + step], a, b).min(axis=-1)
         return out
 
-    def clearance(self, verts):
-        """Distances of the vertices ``verts`` to the boundary polygon.
-
-        Each vertex's distance is computed once per mesh, when it is first
-        asked for, and kept in a read-only array. Filling it for every vertex
-        at once would cost a pass over all vertex-segment pairs on each
-        fresh mesh, where crack embedding checks only a chain's vertices.
-        """
-        if "clearance" not in self._cache:
-            c = np.full(len(self.vertices), np.nan)
-            c.setflags(write=False)
-            self._cache["clearance"] = c
-        c = self._cache["clearance"]
-        verts = np.asarray(verts, dtype=np.int64)
-        todo = np.unique(verts[np.isnan(c[verts])])
-        if todo.size:
-            c.setflags(write=True)
-            c[todo] = self.distance_to_boundary(self.vertices[todo])
-            c.setflags(write=False)
-        return c[verts]
-
     def vertex_corners(self):
         """The triangle corners at each vertex: ``(corners, start)``.
 
@@ -362,15 +356,13 @@ class Mesh:
         ascending. One stable argsort of the 3T corners, done once per mesh;
         both arrays are read-only.
         """
-        if "corners" not in self._cache:
+        def build():
             flat = self.triangles.reshape(-1)
-            corners = np.argsort(flat, kind="stable")
             start = np.zeros(len(self.vertices) + 1, dtype=np.int64)
             np.cumsum(np.bincount(flat, minlength=len(self.vertices)), out=start[1:])
-            for arr in (corners, start):
-                arr.setflags(write=False)
-            self._cache["corners"] = (corners, start)
-        return self._cache["corners"]
+            return np.argsort(flat, kind="stable"), start
+
+        return self.memo("corners", build)
 
     def containing_triangle(self, pt):
         """Index of a triangle whose closure contains ``pt``, or -1."""
@@ -633,12 +625,6 @@ class CrackSet:
         a, b = self._edge_ends()
         return mesh.vertices[a], mesh.vertices[b]
 
-    def vertex_set(self):
-        out = set()
-        for comp in self.components:
-            out.update(comp.chain)
-        return out
-
     def validate(self, mesh):
         """Check all invariants against the mesh; raise ValueError on failure.
 
@@ -696,15 +682,16 @@ def _chain_faults(mesh, chains):
     )
     owner = np.repeat(np.arange(len(chains)), lens)
     valid = (verts >= 0) & (verts < len(mesh.vertices))
-    on_boundary = np.zeros(len(mesh.vertices), dtype=bool)
-    on_boundary[mesh.boundary_edges] = True
+    # one boundary distance per distinct vertex
+    uniq, at = np.unique(verts[valid], return_inverse=True)
+    clear = mesh.distance_to_boundary(mesh.vertices[uniq])[at]
     step = owner[1:] == owner[:-1]
     ids = mesh.edge_index(verts[:-1][step], verts[1:][step])
     not_interior = (ids < 0) | (mesh.edge_tris()[ids, 1] < 0)
     faults = np.zeros((len(chains), 3), dtype=bool)
-    faults[owner[valid][on_boundary[verts[valid]]], 0] = True
+    faults[owner[valid][mesh.boundary_mask()[verts[valid]]], 0] = True
     faults[owner[:-1][step][not_interior], 1] = True
-    faults[owner[valid][mesh.clearance(verts[valid]) <= 0], 2] = True
+    faults[owner[valid][clear <= 0], 2] = True
     return faults
 
 
@@ -756,12 +743,8 @@ def embed_crack(mesh, polyline, kind, cracks=None):
             raise ValueError("polyline touches the boundary")
 
     existing = cracks.components if cracks is not None else ()
-    blocked = mesh.boundary_vertex_set() | set().union(
-        *(set(c.chain) for c in existing), set()
-    )
-
-    free = np.ones(len(mesh.vertices), dtype=bool)
-    free[list(blocked)] = False
+    free = ~mesh.boundary_mask()
+    free[[v for c in existing for v in c.chain]] = False
 
     # nearest free vertex for each polyline anchor
     anchors = []
@@ -774,12 +757,14 @@ def embed_crack(mesh, polyline, kind, cracks=None):
     if len(set(anchors)) != len(anchors):
         raise ValueError("polyline is too short for the mesh resolution")
 
-    # adjacency over interior, unblocked vertices
+    # adjacency over the free vertices: the neighbours of u are
+    # nbrs[start[u]:start[u + 1]], ascending
     e = mesh.edges()
-    adj = {}
-    for a, b in e[free[e].all(axis=1)].tolist():
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    e = e[free[e].all(axis=1)]
+    ends = np.concatenate([e, e[:, ::-1]])
+    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+    start = np.searchsorted(ends[:, 0], np.arange(len(free) + 1)).tolist()
+    nbrs = ends[:, 1].tolist()
 
     def dijkstra(src, dst, seg_a, seg_b):
         # an edge costs its length plus 20 times its head's distance to the segment
@@ -794,7 +779,7 @@ def embed_crack(mesh, polyline, kind, cracks=None):
             if du > dist.get(u, np.inf):
                 continue
             pu = mesh.vertices[u]
-            for w in adj.get(u, ()):
+            for w in nbrs[start[u]:start[u + 1]]:
                 cost = float(np.linalg.norm(mesh.vertices[w] - pu)) + float(dev[w])
                 nd = du + cost
                 if nd < dist.get(w, np.inf) - 1e-15:
@@ -1016,10 +1001,22 @@ class PixelSet:
         """Sorted indices of the triangles inside the member pixels."""
         return np.flatnonzero(self.mask().ravel()[self.grid.tri_pixel])
 
-    def vertex_set(self, mesh):
-        """Vertices incident to any member-pixel triangle."""
-        t = self.triangles()
-        return set(mesh.triangles[t].ravel().tolist()) if t.size else set()
+    def covers(self, points):
+        """Whether each of the k points (shape (k, 2)) lies in the closed member squares.
+
+        On each axis the pixel at ``floor(f - 1e-9)`` and the one at
+        ``floor(f + 1e-9)`` are tried, with ``f`` the coordinate in pixel
+        units, so a point on a pixel edge belongs to the pixels on both sides.
+        """
+        grid = self.grid
+        mask = self.mask()
+        f = (np.asarray(points, dtype=float) - grid.origin) / grid.h
+        out = np.zeros(len(f), dtype=bool)
+        for ix in (np.floor(f[:, 0] - 1e-9), np.floor(f[:, 0] + 1e-9)):
+            for iy in (np.floor(f[:, 1] - 1e-9), np.floor(f[:, 1] + 1e-9)):
+                on = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
+                out[on] |= mask[iy[on].astype(int), ix[on].astype(int)]
+        return out
 
 
 def pixelset_is_admissible(p):

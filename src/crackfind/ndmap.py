@@ -55,18 +55,15 @@ class CurrentBasis:
         return "CurrentBasis(M=%d)" % self.M
 
     @classmethod
-    def from_vectors(cls, mesh, raw, orthonormalize=True):
-        """Project raw nodal vectors mean-free and orthonormalize them."""
-        v = np.array(raw, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
+    def from_vectors(cls, mesh, raw):
+        """Project a ``(nodes, M)`` block of raw nodal vectors mean-free and orthonormalize it."""
+        v = np.asarray(raw, dtype=float)
         Mg = fem.gamma_mass(mesh)
         w = fem.arc_weights(mesh)
         v = v - np.outer(np.ones(len(w)), (w @ v) / w.sum())
-        if orthonormalize:
-            gram = v.T @ Mg @ v
-            R = scipy.linalg.cholesky(gram, lower=False)
-            v = scipy.linalg.solve_triangular(R, v.T, lower=False, trans="T").T
+        gram = v.T @ Mg @ v
+        R = scipy.linalg.cholesky(gram, lower=False)
+        v = scipy.linalg.solve_triangular(R, v.T, lower=False, trans="T").T
         return cls(mesh, v)
 
 

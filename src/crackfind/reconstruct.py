@@ -234,8 +234,6 @@ def axis_chain_candidates(mesh, region, lengths):
     """
     verts = mesh.vertices
     tol = 1e-9 * mesh.h_max()
-    on_boundary = np.zeros(len(verts), dtype=bool)
-    on_boundary[list(mesh.boundary_vertex_set())] = True
 
     # interior axis edges: axis 0 runs along x (horizontal), 1 along y; an
     # edge points from its lower end ``lo`` to ``hi`` and lies on the line
@@ -244,7 +242,7 @@ def axis_chain_candidates(mesh, region, lengths):
     d = verts[e[:, 1]] - verts[e[:, 0]]
     flat = np.abs(d) <= tol
     axis = np.where(flat[:, 1], 0, 1)
-    keep = (flat[:, 0] | flat[:, 1]) & ~on_boundary[e].any(axis=1)
+    keep = (flat[:, 0] | flat[:, 1]) & ~mesh.boundary_mask()[e].any(axis=1)
     e, d, axis = e[keep], d[keep], axis[keep]
     level = np.round(verts[e[:, 0], 1 - axis], 9)
     forward = d[np.arange(len(e)), axis] > 0
@@ -256,15 +254,7 @@ def axis_chain_candidates(mesh, region, lengths):
     new_run = np.ones(len(order), dtype=bool)
     new_run[1:] = (axis[1:] != axis[:-1]) | (level[1:] != level[:-1]) | (lo[1:] != hi[:-1])
 
-    # closed squares: a vertex on a pixel edge belongs to both pixels
-    grid = region.grid
-    mask = region.mask()
-    f = (verts - grid.origin) / grid.h
-    in_region = np.zeros(len(verts), dtype=bool)
-    for ix in (np.floor(f[:, 0] - 1e-9), np.floor(f[:, 0] + 1e-9)):
-        for iy in (np.floor(f[:, 1] - 1e-9), np.floor(f[:, 1] + 1e-9)):
-            on = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
-            in_region[on] |= mask[iy[on].astype(int), ix[on].astype(int)]
+    in_region = region.covers(verts)
 
     # windows of k consecutive edges inside one run, from edge s on, whose
     # vertices all lie in the region, ordered by run, length and s
@@ -290,6 +280,9 @@ def score(result, ground_truth, grid):
     judged with one pixel of slack: precision allows results within the
     1-dilated truth, and the reported recall counts truth pixels within
     the 1-dilated result ("recall_strict" counts exact membership).
+    "crack_coverage" is the share of crack length inside the closed union
+    of the final pixels: 201 samples on each crack edge, each edge weighted
+    by its length.
     """
     truth = grid.crack_pixels(ground_truth)
     seg_a, seg_b = ground_truth.segments(grid.mesh)
@@ -316,6 +309,13 @@ def score(result, ground_truth, grid):
     recall_strict = (len(members & truth) / len(truth)) if truth else 1.0
     recall = (len(truth & dil_final) / len(truth)) if truth else 1.0
     precision = (len(members & dil_truth) / len(members)) if members else 1.0
+    coverage = 1.0
+    if len(seg_a):
+        t = np.linspace(0.0, 1.0, 201)[:, None]
+        samples = (seg_a[:, None] + t * (seg_b - seg_a)[:, None]).reshape(-1, 2)
+        inside = final.covers(samples).reshape(len(seg_a), -1).mean(axis=1)
+        length = np.linalg.norm(seg_b - seg_a, axis=1)
+        coverage = float(inside @ length / length.sum())
 
     h_res = h_truth = None
     if len(seg_a) and members:
@@ -339,6 +339,7 @@ def score(result, ground_truth, grid):
         "recall_strict": recall_strict,
         "recall": recall,
         "precision": precision,
+        "crack_coverage": coverage,
         "hausdorff_result_to_truth": h_res,
         "hausdorff_truth_to_result": h_truth,
     }

@@ -9,9 +9,12 @@ column space of a source operator, the slit fans by a scan of the whole
 mesh, a rectangle's triangulation one cell at a time, connected
 components by a search over an adjacency dict, the pixels a segment
 meets one pixel at a time, a pixel region's closed-square membership one
-point at a time, and the candidate test chains one mesh edge at a time.
+point at a time, the candidate test chains one mesh edge at a time, and a
+crack's embedding by a search over an adjacency dict. ``mean_free_basis``
+builds the current bases that are not orthonormalized.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -53,6 +56,16 @@ def projection_identity_check(mesh, gamma0, cracks, basis, f_index, which="P"):
     diff = fem.Field(u_big - emb.values, big.dm)
     rhs = energy(big.K, diff, diff)
     return float(lhs), float(rhs)
+
+
+def mean_free_basis(mesh, raw):
+    """A ``CurrentBasis`` of the ``(nodes, M)`` raw vectors projected mean-free.
+
+    The projection is ``CurrentBasis.from_vectors``'s, with no
+    orthonormalization after it.
+    """
+    w = fem.arc_weights(mesh)
+    return ndmap.CurrentBasis(mesh, raw - np.outer(np.ones(len(w)), (w @ raw) / w.sum()))
 
 
 def energy(K, a, b):
@@ -291,10 +304,9 @@ def pixels_touching_scan(grid, p0, p1, tol=1e-12):
 def in_closed_region(region, point):
     """Whether a point lies in the closed union of a pixel region's squares.
 
-    The rule ``reconstruct.axis_chain_candidates`` applies to all vertices
-    at once: on each axis the pixel at ``floor(f - 1e-9)`` and the one at
-    ``floor(f + 1e-9)`` are tried, so a point on a pixel edge belongs to
-    both pixels.
+    The rule ``PixelSet.covers`` applies to all points at once: on each
+    axis the pixel at ``floor(f - 1e-9)`` and the one at ``floor(f + 1e-9)``
+    are tried, so a point on a pixel edge belongs to both pixels.
     """
     grid = region.grid
     fx = (point[0] - grid.origin[0]) / grid.h
@@ -317,7 +329,7 @@ def axis_chain_candidates_loop(mesh, region, lengths):
     orientation, line, run, length and offset.
     """
     verts = mesh.vertices
-    bvs = mesh.boundary_vertex_set()
+    bvs = set(np.flatnonzero(mesh.boundary_mask()).tolist())
     tol = 1e-9 * mesh.h_max()
     lines = {"h": {}, "v": {}}
     for a, b in mesh.edges().tolist():
@@ -384,3 +396,108 @@ def carry_basis_search(basis, fine_mesh):
     vals = (1 - t)[:, None] * basis.vectors[ends[:, 0]] + t[:, None] * basis.vectors[ends[:, 1]]
     vals[coarse] = basis.vectors[pos[order_f[coarse]]]
     return vals
+
+
+def embed_crack_dict(mesh, polyline, kind, cracks=None):
+    """``geometry.embed_crack`` with its path search over an adjacency dict.
+
+    The free vertices (off the boundary and off the earlier chains) come
+    from a set union, and every free edge appends each end to the other's
+    neighbour list, in edge order. Returns (new mesh, crack set) or raises
+    the ``ValueError`` the embedding raises.
+    """
+    pts = np.asarray(polyline, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+        raise ValueError("polyline must be a list of at least two 2D points")
+    if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) == 0):
+        raise ValueError("consecutive polyline points must be distinct")
+    for i in range(len(pts) - 1):
+        for j in range(i + 2, len(pts) - 1):
+            if geometry._segments_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1]):
+                raise ValueError("polyline must not self-intersect")
+    for p, dist in zip(pts, mesh.distance_to_boundary(pts)):
+        if mesh.containing_triangle(p) < 0:
+            raise ValueError("polyline leaves the domain")
+        if dist <= 1e-12:
+            raise ValueError("polyline touches the boundary")
+
+    existing = cracks.components if cracks is not None else ()
+    blocked = set(mesh.boundary_edges.ravel().tolist()) | set().union(
+        *(set(c.chain) for c in existing), set()
+    )
+    free = np.ones(len(mesh.vertices), dtype=bool)
+    free[list(blocked)] = False
+
+    anchors = []
+    for p in pts:
+        d = np.where(free, np.linalg.norm(mesh.vertices - p, axis=1), np.inf)
+        pick = int(np.argmin(d))
+        if not free[pick]:
+            raise ValueError("no interior vertex available near polyline point")
+        anchors.append(pick)
+    if len(set(anchors)) != len(anchors):
+        raise ValueError("polyline is too short for the mesh resolution")
+
+    e = mesh.edges()
+    adj = {}
+    for a, b in e[free[e].all(axis=1)].tolist():
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+
+    def dijkstra(src, dst, seg_a, seg_b):
+        dev = 20.0 * geometry.point_segment_distance(mesh.vertices, seg_a, seg_b)[:, 0]
+        dist = {src: 0.0}
+        prev = {}
+        heap = [(0.0, src)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if u == dst:
+                break
+            if du > dist.get(u, np.inf):
+                continue
+            pu = mesh.vertices[u]
+            for w in adj.get(u, ()):
+                cost = float(np.linalg.norm(mesh.vertices[w] - pu)) + float(dev[w])
+                nd = du + cost
+                if nd < dist.get(w, np.inf) - 1e-15:
+                    dist[w] = nd
+                    prev[w] = u
+                    heapq.heappush(heap, (nd, w))
+        if dst not in dist:
+            raise ValueError("no edge path between polyline points")
+        path = [dst]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        return path[::-1]
+
+    chain = [anchors[0]]
+    moved = {anchors[0]: pts[0].copy()}
+    for s in range(len(pts) - 1):
+        path = dijkstra(anchors[s], anchors[s + 1], pts[s], pts[s + 1])
+        seg = pts[s + 1] - pts[s]
+        seg_len2 = float(seg @ seg)
+        last_t = 0.0
+        for v in path[1:]:
+            t = float((mesh.vertices[v] - pts[s]) @ seg) / seg_len2
+            if v == anchors[s + 1]:
+                moved[v] = pts[s + 1].copy()
+            else:
+                if t <= last_t or t >= 1.0:
+                    raise ValueError("edge path does not advance along the polyline")
+                moved[v] = pts[s] + t * seg
+                last_t = t
+            chain.append(v)
+    if len(set(chain)) != len(chain):
+        raise ValueError("crack chain must be simple")
+
+    new_vertices = mesh.vertices.copy()
+    for v, p in moved.items():
+        new_vertices[v] = p
+    if np.any(geometry._signed_areas(new_vertices, mesh.triangles) <= 0):
+        raise ValueError("crack not resolvable at this mesh size (triangle flip)")
+    new_mesh = geometry.Mesh(
+        new_vertices, mesh.triangles, mesh.boundary_edges, mesh.gamma_edges, check=False
+    )
+    out = geometry.CrackSet(tuple(existing) + (geometry.CrackComponent(chain, kind),))
+    out.validate(new_mesh)
+    return new_mesh, out

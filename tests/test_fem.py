@@ -27,7 +27,7 @@ from crackfind.geometry import (
     build_rect_mesh,
     embed_crack,
 )
-from oracles import embed_field, energy, split_fans_scan
+from oracles import embed_field, energy, mean_free_basis, split_fans_scan
 
 
 def square(n=8):
@@ -113,7 +113,7 @@ def test_frozen_dofmap_ties_each_component_to_its_smallest_vertex(shape, rects):
     root = np.arange(len(mesh.vertices))
     for k in range(1, n + 1):
         block = PixelSet(grid, np.flatnonzero(labels.ravel() == k))
-        verts = sorted(block.vertex_set(mesh))
+        verts = np.unique(mesh.triangles[block.triangles()])
         root[verts] = verts[0]
     used = np.unique(root[mesh.triangles])
     dm = build_dofmap(mesh, frozen=frozen)
@@ -160,7 +160,7 @@ FAN_MESHES = {
 
 def random_walk(mesh, rng, n_edges, blocked):
     """A simple chain of at most n_edges interior edges off ``blocked``; None if stuck."""
-    bvs = mesh.boundary_vertex_set()
+    bvs = set(np.flatnonzero(mesh.boundary_mask()).tolist())
     edges = mesh.edges()
     free = [v for v in range(len(mesh.vertices)) if v not in bvs and v not in blocked]
     if not free:
@@ -322,7 +322,7 @@ def test_mean_free_rule_is_relative_to_each_column():
     raw = np.column_stack([np.cos(theta), np.sin(2 * theta) + 0.3])
     fact = factorize(mesh, one(mesh))
     for scale in (1.0, 1e8):
-        basis = ndmap.CurrentBasis.from_vectors(mesh, scale * raw, orthonormalize=False)
+        basis = mean_free_basis(mesh, scale * raw)
         solve_neumann(fact, basis.vectors)
     tiny = np.full((len(p), 1), 1e-12)
     with pytest.raises(ValueError, match="mean-free"):

@@ -26,7 +26,13 @@ from crackfind.geometry import (
     peel_candidates,
     pixelset_is_admissible,
 )
-from oracles import components_search, pixels_touching_scan, rect_mesh_loop
+from oracles import (
+    components_search,
+    embed_crack_dict,
+    in_closed_region,
+    pixels_touching_scan,
+    rect_mesh_loop,
+)
 
 
 # ------------------------------------------------------------------ #
@@ -182,28 +188,27 @@ def test_distance_to_boundary_goes_in_chunks(monkeypatch):
     assert mesh.distance_to_boundary(np.zeros((0, 2))).shape == (0,)
 
 
-def test_clearance_is_each_vertex_distance_computed_once(monkeypatch):
-    mesh = build_rect_mesh(1.0, 1.0, 1.0 / 8)
-    asked = []
-    real = Mesh.distance_to_boundary
+def test_memo_builds_once_and_freezes_each_array():
+    mesh = build_rect_mesh(1.0, 1.0, 0.25)
+    built = []
 
-    def recording(self, pts):
-        asked.append(len(pts))
-        return real(self, pts)
+    def build():
+        built.append(1)
+        return np.zeros(3), np.ones(2)
 
-    monkeypatch.setattr(Mesh, "distance_to_boundary", recording)
-    first = mesh.clearance([10, 3, 10, 40])
-    assert asked == [3]
-    assert np.array_equal(first, real(mesh, mesh.vertices[[10, 3, 10, 40]]))
-    every = mesh.clearance(np.arange(len(mesh.vertices)))
-    assert asked == [3, len(mesh.vertices) - 3]
-    assert np.array_equal(every, real(mesh, mesh.vertices))
-    mesh.clearance([0, 10])
-    assert len(asked) == 2
-    cached = mesh._cache["clearance"]
-    assert not cached.flags.writeable
-    every[:] = -1.0
-    assert np.array_equal(mesh.clearance([10]), first[:1])
+    value = mesh.memo("pair", build)
+    assert mesh.memo("pair", build) is value and built == [1]
+    assert not any(arr.flags.writeable for arr in value)
+    single = mesh.memo("single", lambda: np.arange(4))
+    assert not single.flags.writeable
+
+
+def test_boundary_mask_marks_the_boundary_edge_ends():
+    mesh = build_disk_mesh(1.0, 0.25)
+    mask = mesh.boundary_mask()
+    assert mask.shape == (len(mesh.vertices),) and mask.dtype == bool
+    assert np.array_equal(np.flatnonzero(mask), np.unique(mesh.boundary_edges))
+    assert mesh.boundary_mask() is mask and not mask.flags.writeable
 
 
 def test_gamma_vertices_ordered():
@@ -351,7 +356,7 @@ def test_random_interior_chains_keep_interior_connected(name, data):
     for a, b in mesh.edges().tolist():
         nbrs.setdefault(a, []).append(b)
         nbrs.setdefault(b, []).append(a)
-    used = set(mesh.boundary_vertex_set())
+    used = set(np.flatnonzero(mesh.boundary_mask()).tolist())
     comps = []
     for _ in range(data.draw(st.integers(1, 4))):
         free = sorted(set(range(len(mesh.vertices))) - used)
@@ -374,7 +379,7 @@ def test_random_interior_chains_keep_interior_connected(name, data):
 
 def validate_one_by_one(mesh, cracks):
     """The component loop ``CrackSet.validate`` replaced: every check chain by chain."""
-    bvs = mesh.boundary_vertex_set()
+    bvs = set(np.flatnonzero(mesh.boundary_mask()).tolist())
     et = mesh.edge_tris()
     seen_vertices = set()
     for comp in cracks.components:
@@ -398,8 +403,8 @@ def validate_one_by_one(mesh, cracks):
 
 def random_test_chain(mesh, rng):
     """A chain that is valid or breaks one single-chain check, at random."""
-    bvs = sorted(mesh.boundary_vertex_set())
-    inner = [v for v in range(len(mesh.vertices)) if v not in mesh.boundary_vertex_set()]
+    bvs = np.flatnonzero(mesh.boundary_mask()).tolist()
+    inner = np.flatnonzero(~mesh.boundary_mask()).tolist()
     edges = mesh.edges()
     pick = rng.integers(0, 6)
     if pick == 0:
@@ -472,8 +477,7 @@ def test_embed_horizontal_crack():
     assert len(cracks) == 1
     comp = cracks.components[0]
     assert len(comp.chain) >= 2
-    bvs = m2.boundary_vertex_set()
-    assert not set(comp.chain) & bvs
+    assert not m2.boundary_mask()[list(comp.chain)].any()
     # chain lies on the segment exactly
     pts = m2.vertices[list(comp.chain)]
     assert np.allclose(pts[:, 1], 0.5)
@@ -552,6 +556,57 @@ def test_embedded_pairs_keep_distance(x0, x1, y1, y2):
     assert np.min(np.linalg.norm(vi[:, None, :] - vj[None, :, :], axis=2)) > 0
 
 
+# the meshes of the embedding oracle, each with an existing crack; a rect
+# mesh of cell size h has its lattice at multiples of h, the disk its own
+# ring spacing
+EMBED_MESHES = {
+    "rect16": (build_rect_mesh(1.0, 1.0, 1 / 16), [(0.25, 0.5), (0.75, 0.5)]),
+    "rect32": (build_rect_mesh(1.0, 1.0, 1 / 32), [(0.5, 0.25), (0.5, 0.75)]),
+    "disk": (build_disk_mesh(1.0, 0.1), [(-0.3, 0.0), (0.3, 0.0)]),
+}
+
+
+def embedding(embed, mesh, pts, cracks):
+    # (chains, vertex bytes) of an embedding, or its ValueError message
+    try:
+        m2, out = embed(mesh, pts, INSULATING, cracks=cracks)
+    except ValueError as err:
+        return str(err)
+    return [c.chain for c in out.components], m2.vertices.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(sorted(EMBED_MESHES)),
+    lattice=st.booleans(),
+    existing=st.booleans(),
+    data=st.data(),
+)
+def test_embedding_matches_the_dict_search(name, lattice, existing, data):
+    # differential oracle: the adjacency in arrays against the adjacency
+    # dict; lattice points joined off the mesh directions tie staircases
+    mesh, first = EMBED_MESHES[name]
+    cracks = None
+    if existing:
+        mesh, cracks = embed_crack(mesh, first, CONDUCTING)
+    n = data.draw(st.integers(2, 4))
+    if name == "disk":
+        h = 0.1
+        lo, hi = -8, 8
+    else:
+        h = 1 / 16 if name == "rect16" else 1 / 32
+        lo, hi = 2, round(1 / h) - 2
+    if lattice:
+        ij = data.draw(st.lists(st.tuples(st.integers(lo, hi), st.integers(lo, hi)),
+                                min_size=n, max_size=n))
+        pts = [(h * i, h * j) for i, j in ij]
+    else:
+        coord = st.floats(lo * h, hi * h)
+        pts = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    got = embedding(embed_crack, mesh, pts, cracks)
+    assert got == embedding(embed_crack_dict, mesh, pts, cracks)
+
+
 # ------------------------------------------------------------------ #
 # pixels
 # ------------------------------------------------------------------ #
@@ -560,6 +615,20 @@ def test_embedded_pairs_keep_distance(x0, x1, y1, y2):
 def unit_grid(npix=8, cells_per_pixel=2):
     mesh = build_rect_mesh(1.0, 1.0, 1.0 / (npix * cells_per_pixel))
     return PixelGrid(mesh, npix, npix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(members=st.sets(st.integers(0, 63)), seed=st.integers(0, 2**32 - 1))
+def test_covers_matches_the_per_point_rule(members, seed):
+    # random points, points on pixel edges and corners, and points a hair
+    # off an edge, inside and off the grid
+    region = PixelSet(unit_grid(8), members)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.2, 1.2, size=(80, 2))
+    pts[:20] = rng.integers(-1, 10, size=(20, 2)) / 8
+    pts[20:40, 0] = rng.integers(-1, 10, size=20) / 8
+    pts[40:60, 1] = rng.integers(-1, 10, size=20) / 8 + rng.choice([-1e-12, 1e-12, -1e-6], 20)
+    assert region.covers(pts).tolist() == [in_closed_region(region, p) for p in pts]
 
 
 def test_grid_assignment_total():

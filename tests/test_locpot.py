@@ -142,7 +142,8 @@ def random_source_config(mesh, rng, V, rect, kind):
         "tie": [geometry.CONDUCTING],
         "both": [geometry.INSULATING, geometry.CONDUCTING],
     }[kind]
-    free = V.vertex_set(mesh) - mesh.boundary_vertex_set()
+    region = np.unique(mesh.triangles[V.triangles()])
+    free = set(region[~mesh.boundary_mask()[region]].tolist())
     outside = np.ones(len(mesh.triangles), dtype=bool)
     outside[V.triangles()] = False
     # a slit vertex whose whole fan lies in the region keeps both its dofs there

@@ -347,7 +347,7 @@ CHAIN_MESHES = {
 
 def random_chain(mesh, rng, n_edges):
     """A simple chain of n_edges interior edges from a random walk."""
-    bvs = mesh.boundary_vertex_set()
+    bvs = set(np.flatnonzero(mesh.boundary_mask()).tolist())
     inner = [v for v in range(len(mesh.vertices)) if v not in bvs]
     edges = mesh.edges()
     for _ in range(100):
@@ -443,7 +443,7 @@ def test_chain_maps_refuse_invalid_chains():
     mesh = CHAIN_MESHES["rect", False]
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 6)
-    bvs = sorted(mesh.boundary_vertex_set())
+    bvs = np.flatnonzero(mesh.boundary_mask()).tolist()
     edges = mesh.edges()
     # an edge from a boundary vertex into the interior
     a, b = next(e for e in edges.tolist() if (e[0] in bvs) != (e[1] in bvs))

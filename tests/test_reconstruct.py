@@ -505,7 +505,7 @@ def test_axis_chain_candidates_structure(setup):
     chains = reconstruct.axis_chain_candidates(mesh, region, lengths=(1, 2, 4))
     assert chains == reconstruct.axis_chain_candidates(mesh, region, lengths=(1, 2, 4))
     assert len(chains) == len(set(chains))
-    bvs = mesh.boundary_vertex_set()
+    bvs = set(np.flatnonzero(mesh.boundary_mask()).tolist())
     et = mesh.edge_tris()
     x0, y0, x1, y1 = (2 / 16, 2 / 16, 14 / 16, 14 / 16)
     for chain in chains:
@@ -567,8 +567,9 @@ def test_score_trivial_cases(setup):
     empty = reconstruct.UpperBoundResult(PixelSet(grid, []), [], "both", True)
     s = reconstruct.score(empty, cracks, grid)
     assert s["recall"] == 0.0 and s["recall_strict"] == 0.0
-    assert s["precision"] == 1.0
+    assert s["precision"] == 1.0 and s["crack_coverage"] == 0.0
     assert s["hausdorff_result_to_truth"] is None
+    assert reconstruct.score(empty, CrackSet(), grid)["crack_coverage"] == 1.0
 
     inner_empty = reconstruct.InnerResult(geometry.INSULATING, [], [])
     s = reconstruct.score(inner_empty, cracks.of_kind(geometry.INSULATING), grid)
@@ -577,6 +578,42 @@ def test_score_trivial_cases(setup):
     for v in s.values():
         if isinstance(v, float):
             assert 0.0 <= v <= 1.0
+
+
+MIXED_32 = os.path.join(os.path.dirname(__file__), "..", "configs", "mixed_32.json")
+
+
+def test_crack_coverage_counts_samples_in_the_closed_squares():
+    # the insulating crack runs along y = 26/32 over eight edges from
+    # x = 8/32; pixel (2, 6) spans x in [8/32, 12/32], so it holds four
+    # edges whole and the fifth at its first sample only
+    built = harness.build_scenario(harness.load_scenario(MIXED_32))
+    grid = built.grid
+    one = reconstruct.UpperBoundResult(PixelSet(grid, [grid.index(2, 6)]), [], "both", True)
+    s = reconstruct.score(one, built.cracks.of_kind(geometry.INSULATING), grid)
+    assert s["crack_coverage"] == pytest.approx((4 + 1 / 201) / 8, rel=1e-15, abs=0)
+
+
+def upper_coverage(**changes):
+    with open(MIXED_32) as fh:
+        spec = dict(json.load(fh), **changes)
+    report = harness.run_scenario(harness.scenario_from_dict(spec))
+    return report.results["upper"]["score"]["crack_coverage"]
+
+
+@pytest.mark.parametrize("anti_crime", [True, False])
+def test_shipped_upper_run_covers_the_cracks(anti_crime):
+    assert upper_coverage(anti_crime=anti_crime) == 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="the row-major peel uncovers vertical cracks")
+def test_vertical_cracks_are_covered():
+    # the vertical layout of the coverage ladder, inverse crime, 8x8
+    cracks = [
+        {"kind": "insulating", "polyline": [[0.3125, 0.25], [0.3125, 0.5]]},
+        {"kind": "conducting", "polyline": [[0.6875, 0.5], [0.6875, 0.75]]},
+    ]
+    assert upper_coverage(cracks=cracks, anti_crime=False) == 1.0
 
 
 def test_result_serialization_roundtrip(setup, tmp_path):

@@ -10,7 +10,8 @@ read as an attribute, and not on a literal or on a fresh builtin container:
 must name one that src does not read, or it is stale.
 
 A module-level import must be read in its own module, by the name it
-binds; ``from __future__`` imports are exempt.
+binds; ``from __future__`` imports are exempt. Only ``geometry`` reads the
+attribute ``_cache``, the store behind ``Mesh.memo``.
 """
 
 import ast
@@ -137,6 +138,31 @@ def test_method_reads_on_builtins_and_bare_names_do_not_count():
     )])
     assert {"union", "region", "self"} <= names
     assert attrs == {"components", "grid", "coords"}
+
+
+def _cache_readers(modules):
+    # the modules that read an attribute named _cache
+    return sorted(
+        module
+        for module, tree in modules.items()
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "_cache" for node in ast.walk(tree)
+        )
+    )
+
+
+def test_only_geometry_reads_the_mesh_memo():
+    # a per-mesh quantity goes through Mesh.memo; no other module touches
+    # the store behind it
+    assert set(_cache_readers(_modules())) <= {"geometry"}
+
+
+def test_cache_readers_are_attribute_reads():
+    trees = {
+        "a": ast.parse("x = mesh._cache['k']\n"),
+        "b": ast.parse("_cache = {}\ny = mesh.memo('k', f)\n"),
+    }
+    assert _cache_readers(trees) == ["a"]
 
 
 def test_no_unused_module_import():
