@@ -3,9 +3,9 @@
 Everything downstream (assembly, boundary maps, reconstruction) treats the
 objects built here as immutable: coordinate arrays are frozen after
 construction, every quantity derived from a mesh is built once through
-``Mesh.memo`` and frozen, and crack embedding returns a fresh ``Mesh``
-instead of mutating its input. A subset of a mesh's vertices is a boolean
-mask over them.
+``Mesh.memo`` and frozen, and crack embedding returns a fresh ``Mesh``,
+which shares its input's topology entries, instead of mutating its input.
+A subset of a mesh's vertices is a boolean mask over them.
 
 Conventions:
 
@@ -34,6 +34,10 @@ KINDS = (INSULATING, CONDUCTING)
 
 # point-segment pairs per chunk of Mesh.distance_to_boundary
 DISTANCE_CHUNK = 1 << 12
+
+# the Mesh.memo entries that follow from the triangles, the boundary and the
+# arc alone, not from where the vertices are
+TOPOLOGY_MEMOS = ("edges", "boundary", "gamma_vertices", "corners")
 
 
 def _signed_areas(vertices, triangles):
@@ -823,6 +827,9 @@ def embed_crack(mesh, polyline, kind, cracks=None):
     new_mesh = Mesh(
         new_vertices, mesh.triangles, mesh.boundary_edges, mesh.gamma_edges, check=False
     )
+    # only vertices moved: the topology entries built so far carry over, the
+    # geometric ones are built afresh
+    new_mesh._cache.update((k, mesh._cache[k]) for k in TOPOLOGY_MEMOS if k in mesh._cache)
     comp = CrackComponent(chain, kind)
     out = CrackSet(tuple(existing) + (comp,))
     out.validate(new_mesh)

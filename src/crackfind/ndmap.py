@@ -139,11 +139,32 @@ class Configurations:
     no cracks); ``configs`` maps each name to the keyword arguments of
     ``fem.factorize``. The data, the monotonicity chain and the localized
     potentials all compare matrices of these configurations, so a run keeps
-    one table: ``nd(name)`` solves a configuration the first time it is
-    asked for, and ``factorization(name)`` gives a fresh
-    ``fem.Factorization`` to callers that need more than the matrix,
-    recording its matrix if the table lacks it. The table keeps matrices
-    only, never a factorization, so at most one is alive at a time.
+    one table, and ``nd(name)`` solves a configuration the first time it is
+    asked for:
+
+    * ``none`` and the crack configurations: ``nd_matrix`` of their own
+      factorization. ``factorization(name)`` gives a fresh
+      ``fem.Factorization`` to callers that need more than the matrix,
+      recording its matrix if the table lacks it.
+    * the four region configurations, all at once on the first request for
+      any of them, as exact updates of one factorization of the crack-free
+      background, which also gives ``none``; each fills only an entry the
+      table lacks. A region R changes the background only through its own
+      triangles, which touch the rest of the mesh at its boundary vertices
+      C (in a triangle of R and in one outside R). R's element stiffness
+      condensed onto C is
+      ``L = K_CC - K_CI K_II^-1 K_IC``, I the rest of R's vertices.
+      Excluding R takes L away, ``N = N0 - Z_C^T (I + E G_CC)^-1 E Z_C``
+      with ``E = -L``; freezing R ties C, one indicator column of T per
+      4-connected component, ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H)
+      Z_C`` with ``H = G_CC^-1``, as ``RegionMaps.frozen`` does. ``Z`` and
+      ``G`` are the background's pinned potentials and Green's entries on
+      the union of the two regions' C, each column solved once. An empty
+      region gives the background matrix itself.
+
+    The table keeps matrices only, never a factorization, so at most one
+    is alive at a time. ``nd_matrix`` of a region's factorization is the
+    reference its update must match.
     """
 
     def __init__(self, mesh, gamma0, basis, cracks, V, W):
@@ -166,7 +187,10 @@ class Configurations:
     def nd(self, name):
         """The named configuration's NdMatrix, solved on first request."""
         if name not in self._nd:
-            self.factorization(name)
+            if {"excluded", "frozen"} & set(self.configs[name]):
+                self._solve_regions()
+            else:
+                self.factorization(name)
         return self._nd[name]
 
     def factorization(self, name):
@@ -175,6 +199,73 @@ class Configurations:
         if name not in self._nd:
             self._nd[name] = nd_matrix(fact, self.basis)
         return fact
+
+    def _solve_regions(self):
+        # the four region matrices and "none", where the table lacks them,
+        # from one factorization of the background; the element stiffness
+        # is condensed and dropped before it is factorized
+        mesh = self.mesh
+        local = fem.element_stiffness(mesh, self.gamma0)
+        regions = {"V": self.V, "W": self.W}
+        blocks = {key: _region_blocks(mesh, local, region) for key, region in regions.items()}
+        del local
+        # V and W may share boundary vertices: each Green's column once
+        verts = np.unique(np.concatenate([C for C, _, _ in blocks.values()]))
+        at = [np.searchsorted(verts, C)[None] for C, _, _ in blocks.values()]
+        N0, Z, G = _background(fem.factorize(mesh, self.gamma0), self.basis, verts, at)
+        self._nd.setdefault("none", N0)
+        empty = geometry.CrackSet()
+        for (key, region), (C, L, T), P, G_C in zip(regions.items(), blocks.values(), at, G):
+            excluded = frozen = N0.entries
+            if len(C):
+                Z_C = Z[P[0]]
+                excluded = N0.entries - _chain_correction(G_C, Z_C[None], -L[None])[0]
+                frozen = N0.entries - _tied_correction(G_C[0], Z_C, T)
+            # symmetrizing leaves the exactly symmetric N0 of an empty region as it is
+            self._nd.setdefault("excluded " + key, NdMatrix(
+                0.5 * (excluded + excluded.T), fem.config_label(empty, excluded=region), ()
+            ))
+            self._nd.setdefault("frozen " + key, NdMatrix(
+                0.5 * (frozen + frozen.T), fem.config_label(empty, frozen=region), ()
+            ))
+
+
+def _region_blocks(mesh, local, region):
+    # (C, L, T) of a pixel region: its boundary vertices C ascending, its
+    # element stiffness ``local[its triangles]`` condensed onto C, and the
+    # indicator columns of its 4-connected components on C. The pinned arc
+    # vertex is zero in every potential: C drops it, and its component's
+    # column goes, since that component is tied to zero
+    if not len(region):
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 0)), np.zeros((0, 0))
+    if not geometry.pixelset_is_admissible(region):
+        raise ValueError("region must be an admissible pixel set")
+    tris = region.triangles()
+    S, node = np.unique(mesh.triangles[tris], return_inverse=True)
+    node = node.reshape(-1, 3)
+    K = np.zeros((len(S), len(S)))
+    np.add.at(K, (node[:, :, None], node[:, None, :]), local[tris])
+    outside = np.ones(len(mesh.triangles), dtype=bool)
+    outside[tris] = False
+    on = np.zeros(len(mesh.vertices), dtype=bool)
+    on[mesh.triangles[outside]] = True
+    c = on[S]
+    if np.isin(S[~c], mesh.gamma_vertices()).any():
+        # as fem.build_dofmap refuses the excluded region
+        raise ValueError("a measurement-arc vertex lost its dof")
+    L = K[np.ix_(c, c)]
+    if not c.all():
+        L = L - K[np.ix_(c, ~c)] @ _dense_solve(K[np.ix_(~c, ~c)], K[np.ix_(~c, c)])
+    # one component per vertex, as in fem.build_dofmap
+    comp = np.empty(len(S), dtype=np.int64)
+    comp[node] = region.components()[region.grid.tri_pixel[tris]][:, None]
+    T = np.eye(comp.max() + 1)[comp[c]]
+    C = S[c]
+    pin = mesh.gamma_vertices()[0]
+    if pin in S:
+        keep = C != pin
+        C, L, T = C[keep], L[np.ix_(keep, keep)], np.delete(T[keep], comp[S == pin], axis=1)
+    return C, L, T
 
 
 def _dense_solve(A, B):
@@ -225,6 +316,9 @@ def _background(fact, basis, verts, stars):
     N0 = _matrix(potentials, basis)
     dofs = fact.dm.vertex_dof[verts]
     Z = potentials.values[dofs] - potentials.values[fact.pin]
+    # the n x M potentials would otherwise stay alive through the Green's
+    # solves and raise their peak
+    del potentials
     return N0, Z, _green_block(fact, dofs, basis.M, stars)
 
 

@@ -2,7 +2,8 @@
 
 They recompute a quantity the program gets another way: the energy form
 of two fields, a quadratic-form difference as a projection energy, a
-field in a larger space, a carried current basis by a search for each
+field in a larger space, the configuration table by one factorization
+per configuration, a carried current basis by a search for each
 fine arc node's coarse edge, a source operator by one solved column per
 canonical source, the dimension of the span of its sources' loads, the
 column space of a source operator, the slit fans by a scan of the whole
@@ -103,6 +104,24 @@ def embed_field(field, target_dm):
     if np.any(np.isnan(out)):
         raise ValueError("target space has dofs outside the source's support")
     return fem.Field(out, target_dm)
+
+
+class FactorizedConfigurations(ndmap.Configurations):
+    """``ndmap.Configurations`` with every configuration solved on its own.
+
+    ``nd(name)`` is ``nd_matrix`` of ``fem.factorize(mesh, gamma0,
+    **configs[name])``: one factorization per configuration, the regions
+    included, where the table updates one background for them.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.matrices = {}
+
+    def nd(self, name):
+        if name not in self.matrices:
+            self.matrices[name] = ndmap.nd_matrix(self.factorization(name), self.basis)
+        return self.matrices[name]
 
 
 def source_operator_columns(fact, V, basis):

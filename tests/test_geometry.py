@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from crackfind import geometry
+from crackfind import fem, geometry
 from crackfind.geometry import (
     CONDUCTING,
     INSULATING,
@@ -484,6 +484,33 @@ def test_embed_horizontal_crack():
     assert pts[0, 0] == pytest.approx(0.3)
     assert pts[-1, 0] == pytest.approx(0.7)
     assert np.all(np.diff(pts[:, 0]) > 0)
+
+
+def test_embedded_mesh_shares_the_topology_memo():
+    # embedding moves vertices only: the new mesh holds the topology entries
+    # its source built, the same objects, and builds the geometric ones
+    # afresh, equal to those of a mesh with an empty memo; a second crack
+    # embeds alike on both
+    mesh = mark_gamma(build_rect_mesh(1.0, 1.0, 1 / 16), {"side": "top"})
+    topology = (Mesh.edges, Mesh.tri_edges, Mesh.edge_tris, Mesh.boundary_mask,
+                Mesh.gamma_vertices, Mesh.vertex_corners)
+    geometric = (Mesh.tri_areas, fem.gamma_mass, fem.arc_weights, fem._hat_gradients)
+    for get in topology + geometric:
+        get(mesh)
+    new, cracks = embed_crack(mesh, [(0.3, 0.47), (0.7, 0.47)], INSULATING)
+    assert not np.array_equal(new.vertices, mesh.vertices)
+    fresh = Mesh(new.vertices, new.triangles, new.boundary_edges, new.gamma_edges)
+    for get in topology:
+        assert get(new) is get(mesh)
+    for get in geometric:
+        assert get(new) is not get(mesh)
+        assert np.array_equal(get(new), get(fresh))
+    assert not np.array_equal(new.tri_areas(), mesh.tri_areas())
+    second = [(0.3, 0.72), (0.69, 0.78)]
+    m3, c3 = embed_crack(new, second, CONDUCTING, cracks=cracks)
+    f3, g3 = embed_crack(fresh, second, CONDUCTING, cracks=cracks)
+    assert m3.vertices.tobytes() == f3.vertices.tobytes()
+    assert [c.chain for c in c3.components] == [c.chain for c in g3.components]
 
 
 def test_embed_two_parallel_cracks():

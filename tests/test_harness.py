@@ -554,13 +554,16 @@ def table_runs(tmp_path_factory, count_factorizations):
 
 
 @pytest.mark.parametrize("methods, count", [
-    # data ("all"), locpot's eight with "all" refactorized for its source
-    # operators, nothing new for the chain
-    (("locpot", "chain"), 9),
-    # data, the chain's five, locpot's three source-operator factorizations and
-    # its two configurations the chain does not use
-    (("chain", "locpot"), 11),
-    (("chain",), 6),
+    # data ("all"), locpot's three source-operator factorizations ("all"
+    # again among them) and one background for "none" and the four regions,
+    # nothing new for the chain
+    (("locpot", "chain"), 5),
+    # data, the background of the chain's "excluded V" (which fills "none"
+    # and the other regions), its insulating and conducting, then locpot's
+    # three source-operator factorizations
+    (("chain", "locpot"), 7),
+    # data, the background, insulating and conducting
+    (("chain",), 4),
 ])
 def test_run_solves_each_configuration_once(table_runs, methods, count):
     made, most, _ = table_runs[methods]
