@@ -1,6 +1,6 @@
 """Piecewise-linear finite elements on slit and constrained triangulations.
 
-The degree-of-freedom map realizes four kinds of constrained spaces on one
+The degree-of-freedom map realizes three kinds of constrained spaces on one
 mesh:
 
 * insulating cracks: every interior vertex of a chain carries one dof per
@@ -9,9 +9,9 @@ mesh:
 * conducting cracks: all vertices of a component share one dof, which makes
   the potential constant there and balances the flux jump weakly;
 * an excluded pixel region: its triangles drop out of the bilinear form and
-  enclosed vertices lose their dofs (Neumann hole);
-* a frozen pixel region: each connected component of the region collapses
-  to a single dof (potential locally constant there).
+  enclosed vertices lose their dofs (Neumann hole).
+
+A frozen pixel region has no dof map: ``ndmap`` updates the background.
 
 Potentials are grounded by pinning one boundary dof during the solve and
 subtracting the mean of the trace over the measurement arc afterwards.
@@ -164,11 +164,10 @@ class DofMap:
     them it is the dof of the side holding their lowest triangle.
     """
 
-    def __init__(self, mesh, cracks, excluded, frozen, corner_dof, active_tri, n_dofs):
+    def __init__(self, mesh, cracks, excluded, corner_dof, active_tri, n_dofs):
         self.mesh = mesh
         self.cracks = cracks
         self.excluded = excluded
-        self.frozen = frozen
         self.corner_dof = corner_dof
         self.active_tri = active_tri
         self.n_dofs = int(n_dofs)
@@ -188,7 +187,7 @@ class DofMap:
         self.gamma_dofs.setflags(write=False)
 
     def config_label(self):
-        return config_label(self.cracks, self.excluded, self.frozen)
+        return config_label(self.cracks, self.excluded)
 
     def __repr__(self):
         return "DofMap(%s, %d dofs)" % (self.config_label(), self.n_dofs)
@@ -243,36 +242,29 @@ def split_fans(mesh, insulating):
     return fan[far], owner[far]
 
 
-def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
-    """Construct the dof map for a crack set and an optional pixel region.
+def build_dofmap(mesh, cracks=None, excluded=None):
+    """Construct the dof map for a crack set and an optional excluded region.
 
-    ``excluded`` and ``frozen`` are mutually exclusive. Regions must be
-    admissible pixel sets and may not touch any crack vertex: mixing a
-    region with a crack inside it has no defined meaning here and is
-    rejected outright.
+    The region must be an admissible pixel set and may not touch any crack
+    vertex: mixing a region with a crack inside it has no defined meaning
+    here and is rejected outright.
     """
     if cracks is None:
         cracks = geometry.CrackSet()
     if excluded is not None and len(excluded) == 0:
         excluded = None
-    if frozen is not None and len(frozen) == 0:
-        frozen = None
-    if excluded is not None and frozen is not None:
-        raise ValueError("excluded and frozen regions are mutually exclusive")
-    region = excluded if excluded is not None else frozen
-    if region is not None and not geometry.pixelset_is_admissible(region):
+    if excluded is not None and not geometry.pixelset_is_admissible(excluded):
         raise ValueError("region must be an admissible pixel set")
     if cracks.components:
         cracks.validate(mesh)
-        if region is not None:
+        if excluded is not None:
             chains = [v for comp in cracks.components for v in comp.chain]
-            if np.isin(chains, mesh.triangles[region.triangles()]).any():
+            if np.isin(chains, mesh.triangles[excluded.triangles()]).any():
                 raise ValueError("cracks overlapping the region are not supported")
 
     nv = len(mesh.vertices)
-    tri = mesh.triangles
-    corner = tri.astype(np.int64).copy()
-    active = np.ones(len(tri), dtype=bool)
+    corner = mesh.triangles.copy()
+    active = np.ones(len(corner), dtype=bool)
 
     # insulating slits: a second dof for the far-side fan of each interior
     # chain vertex, numbered after the vertices in slit order
@@ -281,22 +273,11 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
     corner.reshape(-1)[far] = nv + owner
     next_dof = nv + sum(len(comp.chain) - 2 for comp in insulating.components)
 
-    # ties: conducting chains and frozen-region components map onto their
-    # smallest vertex id
+    # ties: conducting chains map onto their smallest vertex id
     remap = np.arange(next_dof, dtype=np.int64)
     for comp in cracks.components:
         if comp.kind == CONDUCTING:
             remap[list(comp.chain)] = min(comp.chain)
-
-    if frozen is not None:
-        # one tie per vertex: the pixels of two components of an admissible
-        # region share no edge and no corner
-        tris = frozen.triangles()
-        comp = frozen.components()[frozen.grid.tri_pixel[tris]]
-        low = np.full(comp.max() + 1, nv)
-        np.minimum.at(low, comp, tri[tris].min(axis=1))
-        remap[tri[tris]] = low[comp, None]
-
     corner = remap[corner]
 
     if excluded is not None:
@@ -306,7 +287,7 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
     dense = np.full(next_dof, -1, dtype=np.int64)
     dense[used_dofs] = np.arange(len(used_dofs))
     final = np.where(active[:, None], dense[corner], -1)
-    return DofMap(mesh, cracks, excluded, frozen, final, active, len(used_dofs))
+    return DofMap(mesh, cracks, excluded, final, active, len(used_dofs))
 
 
 def element_stiffness(mesh, gamma0):
@@ -387,14 +368,14 @@ class Factorization:
         return x
 
 
-def factorize(mesh, gamma0, cracks=None, excluded=None, frozen=None):
+def factorize(mesh, gamma0, cracks=None, excluded=None):
     """The ``Factorization`` of one configuration on ``mesh``.
 
-    The configuration is a crack set and an excluded or a frozen pixel
-    region, as ``build_dofmap`` takes them; its stiffness is assembled with
-    the background conductivity ``gamma0``.
+    The configuration is a crack set and an excluded pixel region, as
+    ``build_dofmap`` takes them; its stiffness is assembled with the
+    background conductivity ``gamma0``.
     """
-    dm = build_dofmap(mesh, cracks, excluded=excluded, frozen=frozen)
+    dm = build_dofmap(mesh, cracks, excluded=excluded)
     return Factorization(assemble_stiffness(mesh, gamma0, dm), dm)
 
 
@@ -469,8 +450,8 @@ def source_loads(dm, tris, vectors):
     integral of the vector against the corner's hat gradient. The loads of
     a triangle sum to exactly zero, and rounding would leave a residue the
     solve fails on when it is not small against the load: so a triangle
-    whose three corners share one dof (inside a frozen block) has zero
-    loads, and of two corners that share one dof (tied), the first carries
+    whose three corners share one dof has zero loads, and of two corners
+    that share one dof (tied, on a conducting chain), the first carries
     exactly minus the load of the third corner and the second none. No
     source may meet an excluded region.
     """

@@ -195,16 +195,20 @@ class Mesh:
         if np.any(outdeg > 1) or not np.array_equal(outdeg, indeg):
             raise ValueError("boundary edges do not form simple closed loops")
 
+        self._validate_gamma()
+
+    def _validate_gamma(self):
+        # the checks of the arc alone: nonempty hull edges, once each, connected
         ge = self.gamma_edges
         if len(ge) == 0:
             raise ValueError("gamma must be nonempty")
         ge_ids = self.edge_index(ge[:, 0], ge[:, 1])
-        if not np.all(np.isin(ge_ids, be_ids)):
+        if np.any(ge_ids < 0) or np.any(self.edge_tris()[ge_ids, 1] >= 0):
             raise ValueError("gamma_edges must be a subset of boundary_edges")
         if len(np.unique(ge_ids)) != len(ge):
             raise ValueError("duplicate gamma edge")
         # connectivity along the boundary via shared vertices
-        arc = components(len(v), ge)[ge]
+        arc = components(len(self.vertices), ge)[ge]
         if np.any(arc != arc[0, 0]):
             raise ValueError("gamma must be connected along the boundary")
 
@@ -568,7 +572,13 @@ def mark_gamma(mesh, selector):
         raise ValueError("unrecognized gamma selector %r" % (selector,))
     if not keep.any():
         raise ValueError("gamma selector matched no boundary edge")
-    return Mesh(mesh.vertices, mesh.triangles, be, be[keep])
+    # the checked triangles and boundary of ``mesh`` with their memos: only the arc is new
+    marked = Mesh(mesh.vertices, mesh.triangles, be, be[keep], check=False)
+    marked._cache.update(
+        (k, mesh._cache[k]) for k in ("edges", "boundary", "corners") if k in mesh._cache
+    )
+    marked._validate_gamma()
+    return marked
 
 
 # ---------------------------------------------------------------------- #
@@ -876,6 +886,20 @@ class PixelGrid:
         self.boundary_pixels = frozenset(self.pixels_touching(*mesh.boundary_segments()).tolist())
         self.nonempty_pixels = frozenset(np.unique(self.tri_pixel).tolist())
 
+    def incidence(self):
+        """The pixels each vertex has a triangle in: ``(vertex, pixel, degree)``.
+
+        One row per such pair, sorted by vertex, then pixel; ``degree``
+        counts each vertex's rows. A read-only ``Mesh.memo`` per grid shape.
+        """
+        def build():
+            n = self.n_pixels
+            keys = np.unique(self.mesh.triangles * n + self.tri_pixel[:, None])
+            vertex, pixel = np.divmod(keys, n)
+            return vertex, pixel, np.bincount(vertex, minlength=len(self.mesh.vertices))
+
+        return self.mesh.memo("incidence %dx%d" % (self.nx, self.ny), build)
+
     def pixels_touching(self, a, b):
         """Sorted distinct pixels whose closed square meets a closed segment.
 
@@ -975,7 +999,7 @@ class PixelSet:
     def mask(self):
         """Membership as a boolean ``(ny, nx)`` array, row iy, column ix."""
         m = np.zeros(self.grid.n_pixels, dtype=bool)
-        m[list(self.members)] = True
+        m[np.fromiter(self.members, np.intp, len(self.members))] = True
         return m.reshape(self.grid.ny, self.grid.nx)
 
     def minus(self, pixel):
@@ -1057,6 +1081,32 @@ def pixelset_is_admissible(p):
     free = ~pad
     ids = np.arange(free.size).reshape(free.shape)
     return not components(free.size, _pairs4(ids, free))[free.ravel()].any()
+
+
+def region_closure(region, ties=False):
+    """Where a pixel region meets the rest of the mesh: ``(S, C[, tie])``.
+
+    Vertex masks: ``S`` marks the vertices of the region's triangles and
+    ``C`` those of them also in a triangle outside it, its boundary
+    vertices. With ``ties``, ``tie`` gives each vertex of C the component
+    of ``PixelSet.components`` whose triangles it lies in, and -1 off C or
+    at a vertex of two components. All is read off the grid's ``incidence``.
+    """
+    vertex, pixel, degree = region.grid.incidence()
+    inside = region.mask().ravel()[pixel]
+    count = np.bincount(vertex[inside], minlength=len(degree))
+    S = count > 0
+    C = S & (count < degree)
+    if not ties:
+        return S, C
+    # the components at each vertex of C; every other vertex keeps lo > hi
+    on = inside & C[vertex]
+    comp = region.components()[pixel[on]]
+    lo = np.full(len(degree), len(pixel))
+    hi = np.full(len(degree), -1)
+    np.minimum.at(lo, vertex[on], comp)
+    np.maximum.at(hi, vertex[on], comp)
+    return S, C, np.where(lo == hi, hi, -1)
 
 
 def interior_pixel_set(grid):

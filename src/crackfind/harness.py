@@ -298,15 +298,13 @@ def load_scenario(path):
 
 @dataclasses.dataclass
 class Built:
-    """Meshed realization of a scenario on the inversion mesh."""
+    """Meshed realization of a scenario; its crack regions are ``table.V``, ``table.W``."""
 
     mesh: object
     cracks: object
     grid: object
     gamma0: object
     basis: object
-    V: object
-    W: object
     table: object
 
 
@@ -371,7 +369,7 @@ def build_scenario(s):
         if problems:
             raise ScenarioError(problems)
     table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
-    return Built(mesh, cracks, grid, gamma0, basis, V, W, table)
+    return Built(mesh, cracks, grid, gamma0, basis, table)
 
 
 def carry_basis(basis, fine_mesh):

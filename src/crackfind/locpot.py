@@ -103,9 +103,9 @@ def build_source_operator(fact, V, basis):
     matrix. Summed from each root in breadth-first order, their voltages
     give the voltage of e_v - e_root for every dof v; a canonical column is
     then the combination of these by the source's corner loads from
-    ``fem.source_loads``, which sum to zero. A triangle whose corners share
-    one dof (inside a frozen block) has zero loads, so its columns are
-    exactly zero; no canonical source is solved.
+    ``fem.source_loads``, which sum to zero. A triangle whose three corners
+    share one dof has zero loads, so its columns are exactly zero; no
+    canonical source is solved.
     """
     interior = geometry.interior_pixel_set(V.grid).members
     if V.members - interior:

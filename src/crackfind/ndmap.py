@@ -137,10 +137,10 @@ class Configurations:
     ``insulating`` and ``conducting`` (one kind alone), and ``excluded V``,
     ``frozen V``, ``excluded W``, ``frozen W`` (a region excluded or frozen,
     no cracks); ``configs`` maps each name to the keyword arguments of
-    ``fem.factorize``. The data, the monotonicity chain and the localized
-    potentials all compare matrices of these configurations, so a run keeps
-    one table, and ``nd(name)`` solves a configuration the first time it is
-    asked for:
+    ``fem.factorize``, or ``{"frozen": region}``. The data, the
+    monotonicity chain and the localized potentials all compare matrices
+    of these configurations, so a run keeps one table, and ``nd(name)``
+    solves a configuration the first time it is asked for:
 
     * ``none`` and the crack configurations: ``nd_matrix`` of their own
       factorization. ``factorization(name)`` gives a fresh
@@ -151,20 +151,17 @@ class Configurations:
       background, which also gives ``none``; each fills only an entry the
       table lacks. A region R changes the background only through its own
       triangles, which touch the rest of the mesh at its boundary vertices
-      C (in a triangle of R and in one outside R). R's element stiffness
-      condensed onto C is
-      ``L = K_CC - K_CI K_II^-1 K_IC``, I the rest of R's vertices.
+      C (``geometry.region_closure``). R's element stiffness condensed onto
+      C is ``L = K_CC - K_CI K_II^-1 K_IC``, I the rest of R's vertices.
       Excluding R takes L away, ``N = N0 - Z_C^T (I + E G_CC)^-1 E Z_C``
-      with ``E = -L``; freezing R ties C, one indicator column of T per
-      4-connected component, ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H)
-      Z_C`` with ``H = G_CC^-1``, as ``RegionMaps.frozen`` does. ``Z`` and
-      ``G`` are the background's pinned potentials and Green's entries on
-      the union of the two regions' C, each column solved once. An empty
-      region gives the background matrix itself.
+      with ``E = -L``; freezing R ties C, one tie per 4-connected
+      component, by the update ``RegionMaps.frozen`` makes. ``Z`` and ``G``
+      are the background's pinned potentials and Green's entries on the
+      union of the two regions' C, each column solved once. An empty region
+      gives the background matrix itself.
 
     The table keeps matrices only, never a factorization, so at most one
-    is alive at a time. ``nd_matrix`` of a region's factorization is the
-    reference its update must match.
+    is alive at a time.
     """
 
     def __init__(self, mesh, gamma0, basis, cracks, V, W):
@@ -194,7 +191,9 @@ class Configurations:
         return self._nd[name]
 
     def factorization(self, name):
-        """A fresh factorization of the named configuration; the caller owns it."""
+        """A fresh factorization of a crack configuration; the caller owns it."""
+        if {"excluded", "frozen"} & set(self.configs[name]):
+            raise ValueError("%r is a region configuration, which is never factorized" % name)
         fact = fem.factorize(self.mesh, self.gamma0, **self.configs[name])
         if name not in self._nd:
             self._nd[name] = nd_matrix(fact, self.basis)
@@ -205,67 +204,73 @@ class Configurations:
         # from one factorization of the background; the element stiffness
         # is condensed and dropped before it is factorized
         mesh = self.mesh
+        pin = mesh.gamma_vertices()[0]
         local = fem.element_stiffness(mesh, self.gamma0)
         regions = {"V": self.V, "W": self.W}
-        blocks = {key: _region_blocks(mesh, local, region) for key, region in regions.items()}
+        blocks = [_region_blocks(mesh, local, region, pin) for region in regions.values()]
         del local
         # V and W may share boundary vertices: each Green's column once
-        verts = np.unique(np.concatenate([C for C, _, _ in blocks.values()]))
-        at = [np.searchsorted(verts, C)[None] for C, _, _ in blocks.values()]
+        verts = np.unique(np.concatenate([C for C, _ in blocks]))
+        at = [np.searchsorted(verts, C)[None] for C, _ in blocks]
         N0, Z, G = _background(fem.factorize(mesh, self.gamma0), self.basis, verts, at)
         self._nd.setdefault("none", N0)
         empty = geometry.CrackSet()
-        for (key, region), (C, L, T), P, G_C in zip(regions.items(), blocks.values(), at, G):
-            excluded = frozen = N0.entries
-            if len(C):
-                Z_C = Z[P[0]]
-                excluded = N0.entries - _chain_correction(G_C, Z_C[None], -L[None])[0]
-                frozen = N0.entries - _tied_correction(G_C[0], Z_C, T)
-            # symmetrizing leaves the exactly symmetric N0 of an empty region as it is
+        for (key, region), (C, L), P, G_C in zip(regions.items(), blocks, at, G):
+            # an empty C corrects nothing, and N0 symmetrized is N0 itself
+            excluded = N0.entries - _chain_correction(G_C, Z[P], -L[None])
+            excluded = excluded.reshape(N0.entries.shape)
             self._nd.setdefault("excluded " + key, NdMatrix(
                 0.5 * (excluded + excluded.T), fem.config_label(empty, excluded=region), ()
             ))
-            self._nd.setdefault("frozen " + key, NdMatrix(
-                0.5 * (frozen + frozen.T), fem.config_label(empty, frozen=region), ()
-            ))
+            self._nd.setdefault("frozen " + key, _frozen(N0, C, Z[P[0]], G_C[0], region, pin))
 
 
-def _region_blocks(mesh, local, region):
-    # (C, L, T) of a pixel region: its boundary vertices C ascending, its
-    # element stiffness ``local[its triangles]`` condensed onto C, and the
-    # indicator columns of its 4-connected components on C. The pinned arc
-    # vertex is zero in every potential: C drops it, and its component's
-    # column goes, since that component is tied to zero
-    if not len(region):
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 0)), np.zeros((0, 0))
+def _region_blocks(mesh, local, region, pin):
+    # (C, L) of a pixel region: its boundary vertices but the pin, which is
+    # zero in every potential, ascending, and its element stiffness
+    # ``local[its triangles]`` condensed onto them
+    in_S, in_C = geometry.region_closure(region)
+    S = np.flatnonzero(in_S)
+    if not len(S):
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
     if not geometry.pixelset_is_admissible(region):
         raise ValueError("region must be an admissible pixel set")
-    tris = region.triangles()
-    S, node = np.unique(mesh.triangles[tris], return_inverse=True)
-    node = node.reshape(-1, 3)
-    K = np.zeros((len(S), len(S)))
-    np.add.at(K, (node[:, :, None], node[:, None, :]), local[tris])
-    outside = np.ones(len(mesh.triangles), dtype=bool)
-    outside[tris] = False
-    on = np.zeros(len(mesh.vertices), dtype=bool)
-    on[mesh.triangles[outside]] = True
-    c = on[S]
+    c = in_C[S]
     if np.isin(S[~c], mesh.gamma_vertices()).any():
         # as fem.build_dofmap refuses the excluded region
         raise ValueError("a measurement-arc vertex lost its dof")
+    tris = region.triangles()
+    node = np.searchsorted(S, mesh.triangles[tris])
+    K = np.zeros((len(S), len(S)))
+    np.add.at(K, (node[:, :, None], node[:, None, :]), local[tris])
     L = K[np.ix_(c, c)]
     if not c.all():
         L = L - K[np.ix_(c, ~c)] @ _dense_solve(K[np.ix_(~c, ~c)], K[np.ix_(~c, c)])
-    # one component per vertex, as in fem.build_dofmap
-    comp = np.empty(len(S), dtype=np.int64)
-    comp[node] = region.components()[region.grid.tri_pixel[tris]][:, None]
-    T = np.eye(comp.max() + 1)[comp[c]]
     C = S[c]
-    pin = mesh.gamma_vertices()[0]
-    if pin in S:
-        keep = C != pin
-        C, L, T = C[keep], L[np.ix_(keep, keep)], np.delete(T[keep], comp[S == pin], axis=1)
-    return C, L, T
+    keep = C != pin
+    return C[keep], L[np.ix_(keep, keep)]
+
+
+def _frozen(N0, verts, Z, G, region, pin):
+    # the NdMatrix of ``region`` frozen, a tie update of the background N0
+    # by its pinned potentials Z and Green's block G on ``verts`` (ascending,
+    # all boundary vertices C of the region but the pin): T ties C, one
+    # column per 4-connected component. The pin is zero in every potential,
+    # so C drops it and its component's column goes, tied to zero with it
+    _, in_C, tie = geometry.region_closure(region, ties=True)
+    C = np.flatnonzero(in_C)
+    if np.any(tie[C] < 0):
+        # a vertex in two components would need them tied together
+        raise ValueError("frozen components share a vertex")
+    kept = C[C != pin]
+    N = N0.entries
+    if len(kept):
+        at = np.searchsorted(verts, kept)
+        comps = np.arange(tie.max() + 1)
+        T = (tie[kept, None] == comps[comps != tie[pin]]).astype(float)
+        N = N - _tied_correction(G[np.ix_(at, at)], Z[at], T)
+    label = fem.config_label(geometry.CrackSet(), frozen=region)
+    return NdMatrix(0.5 * (N + N.T), label, ())
 
 
 def _dense_solve(A, B):
@@ -514,10 +519,10 @@ class RegionMaps:
 
     Upper peeling tests regions that shrink from ``R0`` one pixel at a time.
     A region changes the crack-free forward problem only on its own
-    triangles and on how its boundary vertices C (vertices with triangles
-    both inside and outside R) are closed, so both responses are exact
-    low-rank updates. Every such C lies in the skeleton of R0: the vertices
-    of R0 whose triangles lie in more than one pixel.
+    triangles and on how its boundary vertices C (``geometry.region_closure``)
+    are closed, so both responses are exact low-rank updates. Every such C
+    lies in the skeleton of R0: the vertices of R0 whose triangles lie in
+    more than one pixel.
 
     * frozen, stateless: one factorization of the crack-free background
       gives ``N0``, its pinned potentials ``Z`` and its pinned Green's block
@@ -528,7 +533,8 @@ class RegionMaps:
       annihilates constants and an enclosed vertex then takes the tied
       value. So ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C`` with
       ``H = G_CC^-1`` and one indicator column of ``T`` per component, the
-      ``chain_matrices`` conducting formula with several ties.
+      ``chain_matrices`` conducting formula with several ties; the
+      configuration table freezes its regions through the same update.
     * excluded, one folded block: in vertex space, with a placeholder
       identity row on every enclosed vertex, taking pixel p out of R adds
       p's element stiffness back and drops the placeholder of the vertices
@@ -543,8 +549,9 @@ class RegionMaps:
     ``mode`` (one of ``MODES``) names the sides to build: "insulating"
     needs only the excluded response, "conducting" only the frozen one.
     The caller keeps every region admissible. Every small dense solve is
-    checked against ``fem.RESIDUAL_RTOL``; ``nd_matrix`` of the region's
-    factorization is the reference this path must match.
+    checked against ``fem.RESIDUAL_RTOL``. ``nd_matrix`` of a factorization
+    of the region's own constrained space is the reference this path must
+    match; the frozen space's dof map exists only as that test reference.
     """
 
     def __init__(self, mesh, gamma0, basis, R0, mode="both"):
@@ -554,20 +561,12 @@ class RegionMaps:
         self.region = R0
         self._start = R0.members
         self._grid = grid = R0.grid
+        self._pin = mesh.gamma_vertices()[0]
         self._local = fem.element_stiffness(mesh, gamma0)
-        # (vertex, pixel) for every pixel a vertex has a triangle in
-        pairs = np.unique(
-            np.column_stack([mesh.triangles.ravel(), np.repeat(grid.tri_pixel, 3)]), axis=0
-        )
-        in_R0 = np.zeros(len(mesh.vertices), dtype=bool)
-        in_R0[mesh.triangles[R0.triangles()]] = True
-        if in_R0[mesh.gamma_vertices()[0]]:
+        S, C = geometry.region_closure(R0)
+        if S[self._pin]:
             raise ValueError("the start region holds the pinned arc vertex")
-        multi = np.bincount(pairs[:, 0], minlength=len(mesh.vertices)) > 1
-        self._skeleton = np.flatnonzero(multi & in_R0)
-        on = np.isin(pairs[:, 0], self._skeleton)
-        self._pair_vertex = np.searchsorted(self._skeleton, pairs[on, 0])
-        self._pair_pixel = pairs[on, 1]
+        self._skeleton = np.flatnonzero(S & (grid.incidence()[2] > 1))
         self._frozen = self._excluded = self._last = None
         # each side is (NdMatrix, vertices, their pinned potentials, their
         # pinned Green's block); one factorization is alive at a time
@@ -577,18 +576,10 @@ class RegionMaps:
             # a C-ordered copy, which every frozen region reads from
             self._frozen = (N, self._skeleton, Z, G[0].copy())
         if mode != "conducting":
-            C = self._boundary(R0)
+            C = np.flatnonzero(C)
             N, Z, (G,) = _background(fem.factorize(mesh, gamma0, excluded=R0), basis, C,
                                      [np.arange(len(C))[None]])
             self._excluded = (N, C, Z, G[0])
-
-    def _boundary(self, region):
-        # the region's boundary vertices C, ascending
-        inside = region.mask().ravel()[self._pair_pixel]
-        n = len(self._skeleton)
-        has_in = np.bincount(self._pair_vertex[inside], minlength=n) > 0
-        has_out = np.bincount(self._pair_vertex[~inside], minlength=n) > 0
-        return self._skeleton[has_in & has_out]
 
     def matrices(self, pixel=None):
         """(excluded, frozen) NdMatrix of the region, or of it without ``pixel``.
@@ -607,26 +598,7 @@ class RegionMaps:
         """NdMatrix of ``region`` (any admissible subset of R0) frozen."""
         if not region.members <= self._start:
             raise ValueError("the region is not inside the start region")
-        N0, skeleton, Z, G = self._frozen
-        at = np.searchsorted(skeleton, self._boundary(region))
-        N = N0.entries
-        if len(at):
-            # each boundary vertex's component; a vertex in two would need
-            # the two components tied together, which a region never asks for
-            comp = region.components()
-            n = comp.max() + 1
-            inside = comp[self._pair_pixel] >= 0
-            lo = np.full(len(self._skeleton), n)
-            hi = np.full(len(self._skeleton), -1)
-            np.minimum.at(lo, self._pair_vertex[inside], comp[self._pair_pixel[inside]])
-            np.maximum.at(hi, self._pair_vertex[inside], comp[self._pair_pixel[inside]])
-            if np.any(lo[at] != hi[at]):
-                raise ValueError("frozen components share a vertex")
-            T = np.zeros((len(at), n))
-            T[np.arange(len(at)), lo[at]] = 1.0
-            N = N - _tied_correction(G[np.ix_(at, at)], Z[at], T)
-        label = fem.config_label(geometry.CrackSet(), frozen=region)
-        return NdMatrix(0.5 * (N + N.T), label, ())
+        return _frozen(*self._frozen, region, self._pin)
 
     def _without(self, pixel):
         if pixel not in self.region.members:
@@ -686,7 +658,7 @@ class RegionMaps:
             Y = G_U[:, pos]
             G_U -= Y @ _dense_solve(A, E @ Y.T)
             Z_U -= Y @ _dense_solve(A, E @ Z_S)
-            new = self._boundary(region)
+            new = np.flatnonzero(geometry.region_closure(region)[1])
             order = np.argsort(U)
             keep = order[np.searchsorted(U[order], new)]
             G = G_U[np.ix_(keep, keep)]

@@ -132,14 +132,8 @@ def reconstruct_upper(data, mesh, gamma0, basis, grid, mode="both", tau=None):
 
     Every region's matrices come from ``ndmap.RegionMaps``: one
     factorization of the crack-free background and one of the excluded
-    start region for the whole call, then per tested region
-
-    * frozen: ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C``, with C the
-      region's boundary vertices, ``H = G_CC^-1`` and T tying each
-      4-connected component;
-    * excluded: ``N(R - p) = N(R) - Z_S^T (I + E G_SS)^-1 E Z_S``, with E the
-      stiffness pixel p gives back on its vertices S, G and Z those of the
-      excluded R; an accepted peel folds the update into G and Z.
+    start region for the whole call, then exact low-rank updates of them
+    per tested region, an accepted peel folded into the excluded side.
     """
     maps = ndmap.RegionMaps(mesh, gamma0, basis, geometry.interior_pixel_set(grid), mode)
     data_tau = None if mode == "insulating" else ndmap.tau_for(data, tau)
@@ -282,7 +276,9 @@ def score(result, ground_truth, grid):
     the 1-dilated result ("recall_strict" counts exact membership).
     "crack_coverage" is the share of crack length inside the closed union
     of the final pixels: 201 samples on each crack edge, each edge weighted
-    by its length.
+    by its length. An inner result's "edge_coverage" is the share of crack
+    edges its accepted chains cover (recall), and "edge_precision" the
+    share of their distinct edges on a crack, 1.0 if none is accepted.
     """
     truth = grid.crack_pixels(ground_truth)
     seg_a, seg_b = ground_truth.segments(grid.mesh)
@@ -299,6 +295,7 @@ def score(result, ground_truth, grid):
             "n_accepted": len(result.accepted),
             "n_rejected": len(result.rejected),
             "edge_coverage": (len(truth_edges & covered) / n_truth) if n_truth else 1.0,
+            "edge_precision": (len(truth_edges & covered) / len(covered)) if covered else 1.0,
         }
 
     final = result.final_set

@@ -29,18 +29,21 @@ class Factorizations:
     """Counts the ``fem.Factorization`` objects a run makes.
 
     ``made`` is how many were made and ``most`` the most alive at once,
-    both since the last ``reset``. A factorization's end is seen through
-    ``weakref.finalize``, so a caller that holds one while it makes the
-    next shows up in ``most``.
+    both since the last ``reset``; ``labels`` lists the ``config_label`` of
+    each one's dof map, in the order they were made. A factorization's end
+    is seen through ``weakref.finalize``, so a caller that holds one while
+    it makes the next shows up in ``most``.
     """
 
     def __init__(self, monkeypatch):
         self.made = self.most = self.alive = 0
+        self.labels = []
         real = fem.Factorization
 
         def counting(*args):
             fact = real(*args)
             self.made += 1
+            self.labels.append(fact.dm.config_label())
             self.alive += 1
             self.most = max(self.most, self.alive)
             weakref.finalize(fact, self._end)
@@ -53,6 +56,7 @@ class Factorizations:
 
     def reset(self):
         self.made, self.most = 0, self.alive
+        self.labels = []
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@
 
 They recompute a quantity the program gets another way: the energy form
 of two fields, a quadratic-form difference as a projection energy, a
-field in a larger space, the configuration table by one factorization
+field in a larger space, the dof map and factorization of a frozen
+region, which the program gets as updates, a region's closure one
+triangle at a time, the configuration table by one factorization
 per configuration, a carried current basis by a search for each
 fine arc node's coarse edge, a source operator by one solved column per
 canonical source, the dimension of the span of its sources' loads, the
@@ -19,6 +21,7 @@ import heapq
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from crackfind import fem, geometry, locpot, ndmap
 
@@ -106,12 +109,90 @@ def embed_field(field, target_dm):
     return fem.Field(out, target_dm)
 
 
+class FrozenDofMap(fem.DofMap):
+    """A ``fem.DofMap`` of a crack set with a frozen pixel region tied in."""
+
+    def __init__(self, dm, frozen, corner_dof, n_dofs):
+        self.frozen = frozen
+        super().__init__(dm.mesh, dm.cracks, None, corner_dof, dm.active_tri, n_dofs)
+
+    def config_label(self):
+        return fem.config_label(self.cracks, frozen=self.frozen)
+
+
+def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
+    """``fem.build_dofmap``, with a frozen pixel region as well.
+
+    The dof map the frozen updates of ``ndmap`` are checked against. Each
+    4-connected component of ``frozen`` collapses to one dof: every corner
+    at a vertex of one of its triangles takes the dof of the smallest such
+    vertex, triangle by triangle, and the dofs are then renumbered densely
+    in order. ``excluded`` and ``frozen`` are mutually exclusive; a frozen
+    region must be admissible and keep off the cracks, as an excluded one.
+    """
+    if frozen is None or not len(frozen):
+        return fem.build_dofmap(mesh, cracks, excluded)
+    if excluded is not None and len(excluded):
+        raise ValueError("excluded and frozen regions are mutually exclusive")
+    if not geometry.pixelset_is_admissible(frozen):
+        raise ValueError("region must be an admissible pixel set")
+    dm = fem.build_dofmap(mesh, cracks)
+    tris = frozen.triangles()
+    chains = [v for comp in dm.cracks.components for v in comp.chain]
+    if np.isin(chains, mesh.triangles[tris]).any():
+        raise ValueError("cracks overlapping the region are not supported")
+    comp = frozen.components()[frozen.grid.tri_pixel[tris]]
+    low = {}
+    for t, k in zip(tris.tolist(), comp.tolist()):
+        low[k] = min(low.get(k, len(mesh.vertices)), min(mesh.triangles[t]))
+    # a frozen vertex is no slit vertex, so its corners share its own dof
+    remap = np.arange(dm.n_dofs)
+    for t, k in zip(tris.tolist(), comp.tolist()):
+        remap[dm.corner_dof[t]] = dm.vertex_dof[low[k]]
+    used, corner = np.unique(remap[dm.corner_dof], return_inverse=True)
+    return FrozenDofMap(dm, frozen, corner.reshape(-1, 3), len(used))
+
+
+def factorize(mesh, gamma0, cracks=None, excluded=None, frozen=None):
+    """``fem.factorize`` of a configuration that may freeze a region (``build_dofmap``)."""
+    dm = build_dofmap(mesh, cracks, excluded, frozen)
+    return fem.Factorization(fem.assemble_stiffness(mesh, gamma0, dm), dm)
+
+
+def region_closure_loop(region):
+    """``geometry.region_closure(region, ties=True)``, one triangle at a time.
+
+    Each vertex collects the components of the region's triangles at it,
+    labelled by ``scipy.ndimage.label`` (4-connected, numbered in raster
+    order, so by their smallest pixels), and whether a triangle outside the
+    region is at it. Returns the masks ``(S, C)`` and the ties as the
+    function does.
+    """
+    grid = region.grid
+    mesh = grid.mesh
+    labels = ndimage.label(region.mask())[0].ravel() - 1
+    comps = [set() for _ in mesh.vertices]
+    outside = [False] * len(mesh.vertices)
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        k = int(labels[grid.tri_pixel[t]])
+        for v in tri:
+            if k >= 0:
+                comps[v].add(k)
+            else:
+                outside[v] = True
+    S = np.array([bool(c) for c in comps])
+    C = S & np.array(outside)
+    tie = [min(c) if on and len(c) == 1 else -1 for c, on in zip(comps, C)]
+    return S, C, np.array(tie, dtype=np.int64)
+
+
 class FactorizedConfigurations(ndmap.Configurations):
     """``ndmap.Configurations`` with every configuration solved on its own.
 
-    ``nd(name)`` is ``nd_matrix`` of ``fem.factorize(mesh, gamma0,
+    ``nd(name)`` is ``nd_matrix`` of ``factorize(mesh, gamma0,
     **configs[name])``: one factorization per configuration, the regions
-    included, where the table updates one background for them.
+    included through the frozen dof map of ``build_dofmap``, where the
+    table updates one background for them.
     """
 
     def __init__(self, *args):
@@ -120,7 +201,8 @@ class FactorizedConfigurations(ndmap.Configurations):
 
     def nd(self, name):
         if name not in self.matrices:
-            self.matrices[name] = ndmap.nd_matrix(self.factorization(name), self.basis)
+            fact = factorize(self.mesh, self.gamma0, **self.configs[name])
+            self.matrices[name] = ndmap.nd_matrix(fact, self.basis)
         return self.matrices[name]
 
 

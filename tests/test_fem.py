@@ -27,6 +27,7 @@ from crackfind.geometry import (
     build_rect_mesh,
     embed_crack,
 )
+import oracles
 from oracles import embed_field, energy, mean_free_basis, split_fans_scan
 
 
@@ -87,7 +88,7 @@ def test_dofmap_excluded_and_frozen_counts():
     dm_ex = build_dofmap(mesh, excluded=block)
     # 4x4 cell block: 3x3 interior vertices disappear
     assert dm_ex.n_dofs == len(mesh.vertices) - 9
-    dm_fr = build_dofmap(mesh, frozen=block)
+    dm_fr = oracles.build_dofmap(mesh, frozen=block)
     # 5x5 vertices collapse to one dof
     assert dm_fr.n_dofs == len(mesh.vertices) - 24
 
@@ -116,7 +117,7 @@ def test_frozen_dofmap_ties_each_component_to_its_smallest_vertex(shape, rects):
         verts = np.unique(mesh.triangles[block.triangles()])
         root[verts] = verts[0]
     used = np.unique(root[mesh.triangles])
-    dm = build_dofmap(mesh, frozen=frozen)
+    dm = oracles.build_dofmap(mesh, frozen=frozen)
     assert dm.n_dofs == len(used)
     assert np.array_equal(dm.corner_dof, np.searchsorted(used, root[mesh.triangles]))
 
@@ -126,7 +127,19 @@ def test_dofmap_region_options_exclusive():
     grid = PixelGrid(mesh, 8, 8)
     block = PixelSet.from_rect(grid, 3, 3, 4, 4)
     with pytest.raises(ValueError):
-        build_dofmap(mesh, excluded=block, frozen=block)
+        oracles.build_dofmap(mesh, excluded=block, frozen=block)
+
+
+def test_no_frozen_dof_map_in_the_program():
+    # a frozen region's matrices are updates of the background: the program
+    # has no frozen dof map, only the test reference does
+    mesh = square(16)
+    block = PixelSet.from_rect(PixelGrid(mesh, 8, 8), 3, 3, 4, 4)
+    with pytest.raises(TypeError, match="frozen"):
+        build_dofmap(mesh, frozen=block)
+    with pytest.raises(TypeError, match="frozen"):
+        factorize(mesh, one(mesh), frozen=block)
+    assert not hasattr(build_dofmap(mesh, excluded=block), "frozen")
 
 
 def test_dofmap_crack_region_overlap_rejected():
@@ -137,7 +150,7 @@ def test_dofmap_crack_region_overlap_rejected():
     with pytest.raises(ValueError):
         build_dofmap(m2, cracks, excluded=block)
     with pytest.raises(ValueError):
-        build_dofmap(m2, cracks, frozen=block)
+        oracles.build_dofmap(m2, cracks, frozen=block)
 
 
 def test_dofmap_inadmissible_region_rejected():
@@ -345,7 +358,7 @@ def dofmaps():
         "slit": build_dofmap(m_ins, c_ins),
         "tied": build_dofmap(m_con, c_con),
         "excluded": build_dofmap(mesh, excluded=block),
-        "frozen": build_dofmap(mesh, frozen=block),
+        "frozen": oracles.build_dofmap(mesh, frozen=block),
     }
 
 

@@ -32,6 +32,7 @@ from oracles import (
     in_closed_region,
     pixels_touching_scan,
     rect_mesh_loop,
+    region_closure_loop,
 )
 
 
@@ -145,6 +146,24 @@ def test_mark_gamma_disconnected_selection():
     right = np.flatnonzero(mids[:, 0] > 0.99)[0]
     with pytest.raises(ValueError, match="connected along the boundary"):
         Mesh(mesh.vertices, mesh.triangles, be, be[[left, right]])
+
+
+def test_mark_gamma_checks_only_the_arc():
+    # the marked mesh shares the source mesh's topology memos, except the
+    # arc order, which follows the new arc; the arc checks still run
+    mesh = build_rect_mesh(1.0, 1.0, 0.25)
+    mask, corners = mesh.boundary_mask(), mesh.vertex_corners()
+    whole = mesh.gamma_vertices()
+    marked = mark_gamma(mesh, {"box": [-0.1, -0.1, 0.6, 0.6]})
+    assert marked.edges() is mesh.edges()
+    assert marked.boundary_mask() is mask and marked.vertex_corners() is corners
+    fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, marked.gamma_edges)
+    assert marked.gamma_vertices().tolist() == fresh.gamma_vertices().tolist()
+    assert len(marked.gamma_vertices()) == 5 < len(whole)
+    assert mesh.gamma_vertices() is whole
+    # the left and the right side of the band: two pieces
+    with pytest.raises(ValueError, match="gamma must be connected"):
+        mark_gamma(build_rect_mesh(1.0, 1.0, 0.1), {"box": [-0.1, 0.4, 1.1, 0.6]})
 
 
 def test_gamma_vertices_cached_read_only():
@@ -896,3 +915,75 @@ def test_boundary_pixels_match_scalar_clip(shape):
         grid = PixelGrid(mesh, 2 * n if shape == "rect" else n, n)
         want = set().union(*(pixels_touching_scan(grid, p, q) for p, q in zip(a, b)))
         assert grid.boundary_pixels == want
+
+
+# ------------------------------------------------------------------ #
+# a region's closure
+# ------------------------------------------------------------------ #
+
+CLOSURE_MESHES = {
+    ("rect", False): build_rect_mesh(1.0, 1.0, 1.0 / 16),
+    ("rect", True): mark_gamma(build_rect_mesh(1.0, 1.0, 1.0 / 16), {"side": "top"}),
+    ("disk", False): build_disk_mesh(1.0, 0.1),
+    ("disk", True): mark_gamma(build_disk_mesh(1.0, 0.1), {"angle": [0.5, 2.5]}),
+    # fine pixels on coarse meshes: a triangle spans several pixels
+    ("coarse rect", False): build_rect_mesh(1.0, 1.0, 0.25),
+    ("coarse disk", False): build_disk_mesh(1.0, 0.3),
+}
+
+
+def assert_closure_matches_loop(region):
+    S, C, tie = geometry.region_closure(region, ties=True)
+    want = region_closure_loop(region)
+    assert [a.tolist() for a in (S, C, tie)] == [a.tolist() for a in want]
+    assert [a.tolist() for a in geometry.region_closure(region)] == [S.tolist(), C.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mesh_key=st.sampled_from(sorted(CLOSURE_MESHES)),
+    n=st.sampled_from([6, 8, 12]),
+    rects=st.lists(st.tuples(*[st.integers(0, 11)] * 4), min_size=1, max_size=4),
+    admissible=st.booleans(),
+)
+def test_region_closure_matches_triangle_loop(mesh_key, n, rects, admissible):
+    # differential oracle: S, C and the tie of every vertex of C against a
+    # loop over the triangles, on rect and disk meshes, partial arcs and
+    # fine pixels on coarse meshes, for admissible regions and for any
+    # pixel set (whose components may share a vertex)
+    mesh = CLOSURE_MESHES[mesh_key]
+    grid = PixelGrid(mesh, n, n)
+    members = set()
+    for x0, x1, y0, y1 in rects:
+        members |= PixelSet.from_rect(
+            grid, min(x0, x1) % n, min(y0, y1) % n, max(x0, x1) % n, max(y0, y1) % n
+        ).members
+    region = PixelSet(grid, members & interior_pixel_set(grid).members)
+    if admissible and not pixelset_is_admissible(region):
+        region = PixelSet(grid, ())
+    assert_closure_matches_loop(region)
+
+
+def test_region_closure_of_the_pinned_arc_vertex():
+    # the disk whose arc starts at a vertex of an interior pixel: the pinned
+    # vertex closes both regions, and in W it ties to its own component
+    mesh = mark_gamma(build_disk_mesh(1.0, 0.1), {"angle": np.radians([-151.0, -100.0]).tolist()})
+    grid = PixelGrid(mesh, 12, 12)
+    pin = mesh.gamma_vertices()[0]
+    for members in ([37], [37, 46]):
+        region = PixelSet(grid, members)
+        assert_closure_matches_loop(region)
+        S, C, tie = geometry.region_closure(region, ties=True)
+        assert C[pin] and tie[pin] == region.components()[37]
+    assert region.components().max() == 1
+
+
+def test_incidence_is_built_once_per_mesh_and_grid_shape():
+    mesh = build_rect_mesh(1.0, 1.0, 1.0 / 8)
+    table = PixelGrid(mesh, 4, 4).incidence()
+    assert PixelGrid(mesh, 4, 4).incidence() is table
+    assert PixelGrid(mesh, 8, 8).incidence() is not table
+    assert not any(a.flags.writeable for a in table)
+    # the empty region touches nothing
+    S, C, tie = geometry.region_closure(PixelSet(PixelGrid(mesh, 4, 4), ()), ties=True)
+    assert not S.any() and not C.any() and np.all(tie == -1)

@@ -79,9 +79,10 @@ def test_inner_method_requires_single_kind():
 def test_build_scenario_regions_disjoint(mixed_scenario):
     built = harness.build_scenario(mixed_scenario)
     assert len(built.cracks.components) == 2
-    assert built.V.members and built.W.members
-    assert not (built.V.members & built.W.members)
-    assert geometry.pixelset_is_admissible(built.V)
+    V, W = built.table.V, built.table.W
+    assert V.members and W.members
+    assert not (V.members & W.members)
+    assert geometry.pixelset_is_admissible(V)
 
 
 def test_carry_basis_is_exact_interpolation(mixed_scenario):
@@ -478,6 +479,23 @@ def test_shipped_config_loads_and_builds(path):
     chains, digest = EMBEDDINGS[os.path.basename(path)]
     assert [c.chain for c in built.cracks.components] == [tuple(c) for c in chains]
     assert hashlib.sha256(built.mesh.vertices.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, labels", [
+    # the table's "none" for the anti-crime data, the fine crack and the
+    # fine background of its signature, then the peel's background and its
+    # excluded start region
+    ("mixed_32.json", ["none", "ins:1+con:1", "none", "none", "excluded:36px"]),
+    # the data, locpot's source operators ("all" again, then each kind
+    # alone) and the one background of the chain's region configurations
+    ("locpot_contrast_16.json", ["ins:1+con:1", "ins:1+con:1", "con:1", "ins:1", "none"]),
+])
+def test_shipped_run_factorizes_these_configurations(name, labels, factorizations):
+    # a change that adds or repeats a factorization, or factorizes a frozen
+    # region, fails here by name
+    path = os.path.join(os.path.dirname(CONFIGS[0]), name)
+    harness.run_scenario(harness.load_scenario(path))
+    assert factorizations.labels == labels
 
 
 def test_cli_inner_single_kind(tmp_path, capsys):

@@ -17,6 +17,7 @@ from crackfind.geometry import (
     interior_pixel_set,
     mark_gamma,
 )
+import oracles
 from oracles import numerical_range, source_operator_columns, source_rank
 
 
@@ -132,7 +133,7 @@ def chain_in(mesh, rng, verts, kind, n_edges):
 
 
 def random_source_config(mesh, rng, V, rect, kind):
-    """The configuration ``kind`` of the source oracle, as ``fem.factorize`` keywords."""
+    """The configuration ``kind`` of the source oracle, as ``oracles.factorize`` keywords."""
     if kind == "none":
         return {}
     if kind == "frozen":
@@ -185,7 +186,7 @@ def test_source_operator_matches_columns_on_random_regions(shape, arc, box, kind
     V, rect = random_source_region(grid, rng)
     config = random_source_config(mesh, rng, V, rect, kind)
     assume(config is not None)
-    fact = fem.factorize(mesh, gamma0, **config)
+    fact = oracles.factorize(mesh, gamma0, **config)
     dofs = fact.dm.corner_dof[V.triangles()]
     verts = mesh.triangles[V.triangles()]
     if kind == "slit":
@@ -406,7 +407,7 @@ def reference_variant(mesh, gamma0, cracks, grid, V, W, basis, variant):
         return locpot.build_source_operator(fem.factorize(mesh, gamma0, config), region, basis)
 
     def nd(**config):
-        return ndmap.nd_matrix(fem.factorize(mesh, gamma0, **config), basis)
+        return ndmap.nd_matrix(oracles.factorize(mesh, gamma0, **config), basis)
 
     diff = op(hi, near).matrix - op(lo, near).matrix
     U, s, _ = np.linalg.svd(diff, full_matrices=False)

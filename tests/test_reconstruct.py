@@ -18,6 +18,7 @@ from crackfind.geometry import (
     mark_gamma,
     pixelset_is_admissible,
 )
+import oracles
 from oracles import axis_chain_candidates_loop, split_fans_scan
 
 
@@ -128,7 +129,7 @@ def test_upper_rejection_certificates_reverifiable(setup):
             ok, certs = reconstruct.upper_bound_tests(
                 data["mixed"],
                 ndmap.nd_matrix(fem.factorize(mesh, gamma0, excluded=cand), basis),
-                ndmap.nd_matrix(fem.factorize(mesh, gamma0, frozen=cand), basis),
+                ndmap.nd_matrix(oracles.factorize(mesh, gamma0, frozen=cand), basis),
             )
             assert not ok
             for fresh, old in zip(certs, e["certificates"]):
@@ -574,10 +575,27 @@ def test_score_trivial_cases(setup):
     inner_empty = reconstruct.InnerResult(geometry.INSULATING, [], [])
     s = reconstruct.score(inner_empty, cracks.of_kind(geometry.INSULATING), grid)
     assert s["edge_coverage"] == 0.0
+    # nothing accepted, nothing off the crack, as upper precision of an empty set
+    assert s["edge_precision"] == 1.0
 
     for v in s.values():
         if isinstance(v, float):
             assert 0.0 <= v <= 1.0
+
+
+def test_edge_precision_counts_accepted_edges_off_the_crack(setup):
+    # one accepted chain on the crack and one off it, each of one edge: half
+    # the distinct accepted edges lie on the crack; a repeated chain counts once
+    mesh, cracks, grid, gamma0, basis, data = setup
+    ins = cracks.of_kind(geometry.INSULATING)
+    on = ins.components[0].chain[:2]
+    off = next(e for e in mesh.edges().tolist()
+               if mesh.edge_index(*e) not in set(ins.edge_ids(mesh).tolist()))
+    entry = {"min_eig": 0.0, "tau": 1e-9}
+    accepted = [dict(entry, chain=list(c)) for c in (on, off, off[::-1])]
+    s = reconstruct.score(reconstruct.InnerResult(geometry.INSULATING, accepted, []), ins, grid)
+    assert s["edge_precision"] == 0.5
+    assert s["edge_coverage"] == 1 / len(ins.edge_ids(mesh))
 
 
 MIXED_32 = os.path.join(os.path.dirname(__file__), "..", "configs", "mixed_32.json")
