@@ -154,8 +154,9 @@ class Configurations:
       C (``geometry.region_closure``). R's element stiffness condensed onto
       C is ``L = K_CC - K_CI K_II^-1 K_IC``, I the rest of R's vertices.
       Excluding R takes L away, ``N = N0 - Z_C^T (I + E G_CC)^-1 E Z_C``
-      with ``E = -L``; freezing R ties C, one tie per 4-connected
-      component, by the update ``RegionMaps.frozen`` makes. ``Z`` and ``G``
+      with ``E = -L``; freezing R ties C, one tie per group of 4-connected
+      components that meet at a vertex, by ``_frozen``, the update that
+      ``RegionMaps`` applies to its excluded region. ``Z`` and ``G``
       are the background's pinned potentials and Green's entries on the
       union of the two regions' C, each column solved once. An empty region
       gives the background matrix itself.
@@ -252,22 +253,31 @@ def _region_blocks(mesh, local, region, pin):
 
 
 def _frozen(N0, verts, Z, G, region, pin):
-    # the NdMatrix of ``region`` frozen, a tie update of the background N0
-    # by its pinned potentials Z and Green's block G on ``verts`` (ascending,
-    # all boundary vertices C of the region but the pin): T ties C, one
-    # column per 4-connected component. The pin is zero in every potential,
-    # so C drops it and its component's column goes, tied to zero with it
-    _, in_C, tie = geometry.region_closure(region, ties=True)
+    # the NdMatrix of ``region`` frozen, a tie update of a base N0 (which
+    # may hold the region's triangles or exclude them) by its pinned
+    # potentials Z and Green's block G on ``verts``, all boundary vertices C
+    # of the region but the pin, ascending. T ties C: components that meet
+    # at a vertex share its dof, so each vertex's smallest component joins
+    # every other one there, one column per joined group. The pin is zero
+    # in every potential, so C drops it and its group's column goes
+    in_C = geometry.region_closure(region)[1]
     C = np.flatnonzero(in_C)
-    if np.any(tie[C] < 0):
-        # a vertex in two components would need them tied together
-        raise ValueError("frozen components share a vertex")
     kept = C[C != pin]
     N = N0.entries
     if len(kept):
+        vertex, pixel, _ = region.grid.incidence()
+        comp = region.components()[pixel]
+        on = comp >= 0
+        vertex, comp = vertex[on], comp[on]
+        lo = np.full(len(in_C), len(pixel))
+        np.minimum.at(lo, vertex, comp)
+        group = geometry.components(comp.max() + 1, np.column_stack([lo[vertex], comp]))
+        tie = group[lo[kept]]
+        ties = np.unique(tie)
+        if in_C[pin]:
+            ties = ties[ties != group[lo[pin]]]
         at = np.searchsorted(verts, kept)
-        comps = np.arange(tie.max() + 1)
-        T = (tie[kept, None] == comps[comps != tie[pin]]).astype(float)
+        T = (tie[:, None] == ties).astype(float)
         N = N - _tied_correction(G[np.ix_(at, at)], Z[at], T)
     label = fem.config_label(geometry.CrackSet(), frozen=region)
     return NdMatrix(0.5 * (N + N.T), label, ())
@@ -520,38 +530,30 @@ class RegionMaps:
     Upper peeling tests regions that shrink from ``R0`` one pixel at a time.
     A region changes the crack-free forward problem only on its own
     triangles and on how its boundary vertices C (``geometry.region_closure``)
-    are closed, so both responses are exact low-rank updates. Every such C
-    lies in the skeleton of R0: the vertices of R0 whose triangles lie in
-    more than one pixel.
+    are closed, so both responses come from one block: the ND matrix of the
+    excluded R and its pinned potentials ``Z`` and Green's block ``G`` on
+    C, which start from one factorization of the excluded R0.
 
-    * frozen, stateless: one factorization of the crack-free background
-      gives ``N0``, its pinned potentials ``Z`` and its pinned Green's block
-      ``G`` on the skeleton, solved M columns at a time like the basis
-      currents, so no solve of the run is wider than the current solves.
-      Tying every vertex of a 4-connected component of R to one value is
-      the same as tying its boundary vertices alone, because the stiffness
-      annihilates constants and an enclosed vertex then takes the tied
-      value. So ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C`` with
-      ``H = G_CC^-1`` and one indicator column of ``T`` per component, the
-      ``chain_matrices`` conducting formula with several ties; the
-      configuration table freezes its regions through the same update.
-    * excluded, one folded block: in vertex space, with a placeholder
-      identity row on every enclosed vertex, taking pixel p out of R adds
-      p's element stiffness back and drops the placeholder of the vertices
-      p releases. That update ``E`` lives on p's vertices S, and
+    * excluded: in vertex space, with a placeholder identity row on every
+      enclosed vertex, taking pixel p out of R adds p's element stiffness
+      back and drops the placeholder of the vertices p releases. That
+      update ``E`` lives on p's vertices S, and
       ``N(R - p) = N(R) - Z_S^T (I + E G_SS)^-1 E Z_S``, the
-      ``chain_matrices`` insulating formula, where G and Z now belong to the excluded R. They
-      are kept on C(R) only, since an enclosed vertex has the Green's row
-      ``e_v`` and potential zero. The block starts from one factorization
-      of the excluded R0 and its Green's columns on C(R0); ``peel`` folds an
-      accepted removal into it.
+      ``chain_matrices`` insulating formula (an enclosed vertex has the
+      Green's row ``e_v`` and potential zero); it folds Z and G over to
+      C(R - p) too.
+    * frozen: R's triangles then carry no energy, so frozen(R) is the
+      excluded R with C tied, by ``_frozen``, the update the configuration
+      table applies to its background.
 
-    ``mode`` (one of ``MODES``) names the sides to build: "insulating"
-    needs only the excluded response, "conducting" only the frozen one.
-    The caller keeps every region admissible. Every small dense solve is
-    checked against ``fem.RESIDUAL_RTOL``. ``nd_matrix`` of a factorization
-    of the region's own constrained space is the reference this path must
-    match; the frozen space's dof map exists only as that test reference.
+    A candidate is folded once, when the frozen side needs it ("insulating"
+    folds only an accepted removal), and ``peel`` installs the fold.
+    ``mode`` (one of ``MODES``) names the sides to test: "insulating" the
+    excluded response, "conducting" the frozen one. The caller keeps every
+    region admissible. Every small dense solve is checked against
+    ``fem.RESIDUAL_RTOL``. ``nd_matrix`` of a factorization of the region's
+    own constrained space is the reference this path must match; the
+    frozen space's dof map exists only as that test reference.
     """
 
     def __init__(self, mesh, gamma0, basis, R0, mode="both"):
@@ -559,61 +561,60 @@ class RegionMaps:
             raise ValueError("mode must be one of %s" % (MODES,))
         self.mesh = mesh
         self.region = R0
-        self._start = R0.members
-        self._grid = grid = R0.grid
+        self._mode = mode
+        self._grid = R0.grid
         self._pin = mesh.gamma_vertices()[0]
         self._local = fem.element_stiffness(mesh, gamma0)
         S, C = geometry.region_closure(R0)
         if S[self._pin]:
             raise ValueError("the start region holds the pinned arc vertex")
-        self._skeleton = np.flatnonzero(S & (grid.incidence()[2] > 1))
-        self._frozen = self._excluded = self._last = None
-        # each side is (NdMatrix, vertices, their pinned potentials, their
-        # pinned Green's block); one factorization is alive at a time
-        if mode != "insulating":
-            N, Z, (G,) = _background(fem.factorize(mesh, gamma0), basis, self._skeleton,
-                                     [np.arange(len(self._skeleton))[None]])
-            # a C-ordered copy, which every frozen region reads from
-            self._frozen = (N, self._skeleton, Z, G[0].copy())
-        if mode != "conducting":
-            C = np.flatnonzero(C)
-            N, Z, (G,) = _background(fem.factorize(mesh, gamma0, excluded=R0), basis, C,
-                                     [np.arange(len(C))[None]])
-            self._excluded = (N, C, Z, G[0])
+        C = np.flatnonzero(C)
+        N, Z, (G,) = _background(fem.factorize(mesh, gamma0, excluded=R0), basis, C,
+                                 [np.arange(len(C))[None]])
+        # (NdMatrix, C, Z, G) of the excluded region
+        self._block = (N, C, Z, G[0])
+        self._last = None
 
     def matrices(self, pixel=None):
         """(excluded, frozen) NdMatrix of the region, or of it without ``pixel``.
 
         A side that ``mode`` leaves out is None.
         """
-        region = self.region if pixel is None else self._without(pixel)
-        excluded = frozen = None
-        if self._excluded is not None:
-            excluded = self._excluded[0] if pixel is None else self._opened(pixel)[0]
-        if self._frozen is not None:
-            frozen = self.frozen(region)
+        region, block = self.region, self._block
+        if pixel is not None:
+            region = self._without(pixel)
+            block = self._opened(pixel, region, fold=self._mode != "insulating")
+        excluded = None if self._mode == "conducting" else block[0]
+        frozen = None if self._mode == "insulating" else _frozen(*block, region, self._pin)
         return excluded, frozen
 
-    def frozen(self, region):
-        """NdMatrix of ``region`` (any admissible subset of R0) frozen."""
-        if not region.members <= self._start:
-            raise ValueError("the region is not inside the start region")
-        return _frozen(*self._frozen, region, self._pin)
+    def peel(self, pixel):
+        """Take ``pixel`` out of the region and install its folded block."""
+        region = self._without(pixel)
+        self._block = self._opened(pixel, region, fold=True)
+        self.region = region
+        self._last = None
 
     def _without(self, pixel):
         if pixel not in self.region.members:
             raise ValueError("pixel %d is not in the region" % pixel)
         return self.region.minus(pixel)
 
-    def _opened(self, pixel):
-        # the excluded matrix of the region without ``pixel`` and the pieces
-        # of its update: S (p's vertices), their positions in the kept block
-        # (-1 if enclosed), I + E G_SS, E and Z_S; kept until the region
-        # changes, since an accepted test is folded next
-        region = self._without(pixel)
-        if self._last is not None and self._last[0] == pixel:
-            return self._last[1]
-        N, kept, Z, G = self._excluded
+    def _opened(self, pixel, region, fold):
+        # the block of ``region``, the region without ``pixel``: only its
+        # NdMatrix unless ``fold``. The update and the fold are each made
+        # once and kept until the region changes
+        if self._last is None or self._last[0] != pixel:
+            self._last = [pixel, self._update(pixel, region), None]
+        if fold and self._last[2] is None:
+            self._last[2] = self._fold(region, *self._last[1])
+        return self._last[2] if fold else self._last[1][:1]
+
+    def _update(self, pixel, region):
+        # the excluded NdMatrix of ``region``, the region without ``pixel``,
+        # and the pieces of its update: S (p's vertices), their positions in
+        # the block (-1 if enclosed), I + E G_SS, E and (I + E G_SS)^-1 E Z_S
+        N, kept, Z, G = self._block
         tris = np.flatnonzero(self._grid.tri_pixel == pixel)
         S, local = np.unique(self.mesh.triangles[tris], return_inverse=True)
         local = local.reshape(-1, 3)
@@ -631,40 +632,34 @@ class RegionMaps:
         Z_S = np.zeros((len(S), Z.shape[1]))
         Z_S[boundary] = Z[at[boundary]]
         A = np.eye(len(S)) + E @ G_SS
-        N = N.entries - Z_S.T @ _dense_solve(A, E @ Z_S)
+        X = _dense_solve(A, E @ Z_S)
+        N = N.entries - Z_S.T @ X
         label = fem.config_label(geometry.CrackSet(), excluded=region)
-        N = NdMatrix(0.5 * (N + N.T), label, ())
-        self._last = (pixel, (N, S, at, A, E, Z_S))
-        return self._last[1]
+        return NdMatrix(0.5 * (N + N.T), label, ()), S, at, A, E, X
 
-    def peel(self, pixel):
-        """Take ``pixel`` out of the region and fold it into the excluded block."""
-        region = self._without(pixel)
-        if self._excluded is not None:
-            N, S, at, A, E, Z_S = self._opened(pixel)
-            _, kept, Z, G = self._excluded
-            # the kept block grows by the vertices p releases, whose Green's
-            # rows are e_v and potentials zero, then is updated and cut back
-            # to the new region's boundary
-            released = S[at < 0]
-            n = len(kept)
-            U = np.concatenate([kept, released])
-            G_U = np.zeros((len(U), len(U)))
-            G_U[:n, :n] = G
-            G_U[n:, n:] = np.eye(len(released))
-            Z_U = np.vstack([Z, np.zeros((len(released), Z.shape[1]))])
-            pos = at.copy()
-            pos[at < 0] = n + np.arange(len(released))
-            Y = G_U[:, pos]
-            G_U -= Y @ _dense_solve(A, E @ Y.T)
-            Z_U -= Y @ _dense_solve(A, E @ Z_S)
-            new = np.flatnonzero(geometry.region_closure(region)[1])
-            order = np.argsort(U)
-            keep = order[np.searchsorted(U[order], new)]
-            G = G_U[np.ix_(keep, keep)]
-            self._excluded = (N, new, Z_U[keep], 0.5 * (G + G.T))
-        self.region = region
-        self._last = None
+    def _fold(self, region, N, S, at, A, E, X):
+        # the block of ``region`` from the update that made it: the kept
+        # block grows by the vertices p releases, whose Green's rows are e_v
+        # and potentials zero, then is updated and cut back to the new
+        # region's boundary
+        _, kept, Z, G = self._block
+        released = S[at < 0]
+        n = len(kept)
+        U = np.concatenate([kept, released])
+        G_U = np.zeros((len(U), len(U)))
+        G_U[:n, :n] = G
+        G_U[n:, n:] = np.eye(len(released))
+        Z_U = np.vstack([Z, np.zeros((len(released), Z.shape[1]))])
+        pos = at.copy()
+        pos[at < 0] = n + np.arange(len(released))
+        Y = G_U[:, pos]
+        G_U -= Y @ _dense_solve(A, E @ Y.T)
+        Z_U -= Y @ X
+        new = np.flatnonzero(geometry.region_closure(region)[1])
+        order = np.argsort(U)
+        keep = order[np.searchsorted(U[order], new)]
+        G = G_U[np.ix_(keep, keep)]
+        return N, new, Z_U[keep], 0.5 * (G + G.T)
 
 
 def psd_tests(A, tau):

@@ -131,9 +131,11 @@ def reconstruct_upper(data, mesh, gamma0, basis, grid, mode="both", tau=None):
     trace records each removal's certificates from its first attempt.
 
     Every region's matrices come from ``ndmap.RegionMaps``: one
-    factorization of the crack-free background and one of the excluded
-    start region for the whole call, then exact low-rank updates of them
-    per tested region, an accepted peel folded into the excluded side.
+    factorization, of the excluded start region, for the whole call in
+    every mode, then exact low-rank updates of it per tested region. The
+    excluded matrix is the update; the frozen one ties the updated block's
+    boundary vertices, since a frozen region's triangles carry no energy.
+    An accepted peel installs its update as the new block.
     """
     maps = ndmap.RegionMaps(mesh, gamma0, basis, geometry.interior_pixel_set(grid), mode)
     data_tau = None if mode == "insulating" else ndmap.tau_for(data, tau)

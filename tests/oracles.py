@@ -124,11 +124,13 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
     """``fem.build_dofmap``, with a frozen pixel region as well.
 
     The dof map the frozen updates of ``ndmap`` are checked against. Each
-    4-connected component of ``frozen`` collapses to one dof: every corner
-    at a vertex of one of its triangles takes the dof of the smallest such
-    vertex, triangle by triangle, and the dofs are then renumbered densely
-    in order. ``excluded`` and ``frozen`` are mutually exclusive; a frozen
-    region must be admissible and keep off the cracks, as an excluded one.
+    4-connected component of ``frozen`` collapses to one dof, and
+    components whose triangles share a vertex collapse to the same one
+    (a vertex has one dof): every corner at a vertex of a triangle of such
+    a group takes the dof of the group's smallest vertex, triangle by
+    triangle, and the dofs are then renumbered densely in order.
+    ``excluded`` and ``frozen`` are mutually exclusive; a frozen region must
+    be admissible and keep off the cracks, as an excluded one.
     """
     if frozen is None or not len(frozen):
         return fem.build_dofmap(mesh, cracks, excluded)
@@ -142,12 +144,27 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
     if np.isin(chains, mesh.triangles[tris]).any():
         raise ValueError("cracks overlapping the region are not supported")
     comp = frozen.components()[frozen.grid.tri_pixel[tris]]
-    low = {}
+    # union-find over the components: the first component seen at a vertex
+    # is joined with every later one there
+    parent = {}
+
+    def root(k):
+        while parent.setdefault(k, k) != k:
+            k = parent[k]
+        return k
+
+    seen = {}
     for t, k in zip(tris.tolist(), comp.tolist()):
+        for v in mesh.triangles[t].tolist():
+            a, b = root(seen.setdefault(v, k)), root(k)
+            parent[max(a, b)] = min(a, b)
+    comp = [root(k) for k in comp.tolist()]
+    low = {}
+    for t, k in zip(tris.tolist(), comp):
         low[k] = min(low.get(k, len(mesh.vertices)), min(mesh.triangles[t]))
     # a frozen vertex is no slit vertex, so its corners share its own dof
     remap = np.arange(dm.n_dofs)
-    for t, k in zip(tris.tolist(), comp.tolist()):
+    for t, k in zip(tris.tolist(), comp):
         remap[dm.corner_dof[t]] = dm.vertex_dof[low[k]]
     used, corner = np.unique(remap[dm.corner_dof], return_inverse=True)
     return FrozenDofMap(dm, frozen, corner.reshape(-1, 3), len(used))

@@ -589,24 +589,20 @@ def test_region_maps_match_nd_solver(shape, arc, box, mode, seed):
 
 
 def test_region_maps_green_columns(monkeypatch):
-    # a start solves one Green's column per skeleton vertex (frozen side) and
-    # per boundary vertex of R0 (excluded side), in blocks of at most M
+    # a start solves one Green's column per boundary vertex of R0, the only
+    # block the peel keeps, in blocks of at most M
     mesh = REGION_MESHES["rect", False]
     basis = ndmap.build_basis(mesh, 6)
     grid = geometry.PixelGrid(mesh, 8, 8)
     R0 = geometry.interior_pixel_set(grid)
-    pixels = [set() for _ in mesh.vertices]
     inside = np.zeros(len(mesh.vertices), dtype=bool)
     outside = np.zeros(len(mesh.vertices), dtype=bool)
     for t, tri in enumerate(mesh.triangles.tolist()):
-        for v in tri:
-            pixels[v].add(int(grid.tri_pixel[t]))
         (inside if grid.tri_pixel[t] in R0.members else outside)[tri] = True
-    skeleton = [v for v in range(len(mesh.vertices)) if inside[v] and len(pixels[v]) > 1]
     boundary = np.flatnonzero(inside & outside)
     calls = record_green_solves(monkeypatch)
     ndmap.RegionMaps(mesh, fem.Conductivity(mesh, 1.0), basis, R0)
-    assert sum(len(c) for c in calls) == len(skeleton) + len(boundary)
+    assert sum(len(c) for c in calls) == len(boundary)
     assert max(len(c) for c in calls) <= basis.M
 
 
@@ -632,11 +628,6 @@ def test_region_maps_split_and_empty_regions():
         assert np.max(np.abs(N.entries - background.entries)) <= 1e-10 * np.max(
             np.abs(background.entries)
         )
-    # the frozen side takes any region inside the start region, and no other
-    two = geometry.PixelSet(grid, {grid.index(2, 4), grid.index(4, 4)})
-    assert_region_matches_factorization(mesh, gamma0, basis, two, (None, maps.frozen(two)), "conducting")
-    with pytest.raises(ValueError, match="start region"):
-        maps.frozen(geometry.PixelSet(grid, {grid.index(3, 3)}))
     for mode in ndmap.MODES:
         emptied = ndmap.RegionMaps(mesh, gamma0, basis, geometry.PixelSet(grid, [grid.index(3, 4)]), mode)
         emptied.peel(grid.index(3, 4))
@@ -768,6 +759,60 @@ def test_configurations_match_factorized_table(shape, arc, box, case, seed):
     assert sorted(columns) == np.setdiff1d(boundary, mesh.gamma_vertices()[:1]).tolist()
     assert max(map(len, calls), default=0) <= basis.M
     assert_table_matches_factorizations(table, names)
+
+
+@pytest.mark.parametrize("mesh, n, members", [
+    (build_rect_mesh(1.0, 1.0, 0.25), 8, [50, 52]),
+    (build_disk_mesh(1.0, 0.3), 12, [102, 111, 112, 114]),
+], ids=["rect", "disk"])
+def test_configurations_tie_components_that_share_a_vertex(mesh, n, members):
+    # pixels finer than the triangles: the region's two components meet at a
+    # mesh vertex, which is one dof, so freezing ties them together
+    grid = geometry.PixelGrid(mesh, n, n)
+    V = geometry.PixelSet(grid, members)
+    assert geometry.pixelset_is_admissible(V) and V.components().max() == 1
+    _, C, tie = geometry.region_closure(V, ties=True)
+    assert np.any(C & (tie < 0))
+    table = ndmap.Configurations(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 6),
+                                 CrackSet(), V, geometry.PixelSet(grid, ()))
+    assert_table_matches_factorizations(table, list(table.configs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.sampled_from(["rect", "disk"]),
+    arc=st.booleans(),
+    box=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_frozen_from_the_excluded_region_is_frozen_from_the_background(shape, arc, box, seed):
+    # the identity the upper peel rests on: frozen, a region's triangles
+    # carry no energy, so the tie update of the excluded region (its own N,
+    # Z and G on C) gives the frozen matrix of the background's tie update
+    mesh = REGION_MESHES[shape, arc]
+    rng = np.random.default_rng(seed)
+    spec = 1.0
+    if box:
+        x0, y0 = rng.uniform(-1.0, 0.5, 2)
+        spec = {"boxes": [{"box": [x0, y0, x0 + 0.6, y0 + 0.6], "value": rng.uniform(0.1, 10.0)}]}
+    gamma0 = fem.Conductivity.from_spec(mesh, spec)
+    basis = ndmap.build_basis(mesh, 6)
+    grid = geometry.PixelGrid(mesh, 8, 8)
+    corners = np.argwhere(geometry.interior_pixel_set(grid).mask())
+    pin = mesh.gamma_vertices()[0]
+    for _ in range(100):
+        region = random_table_region(grid, rng, corners)
+        if region is not None and not geometry.region_closure(region)[0][pin]:
+            break
+    else:
+        raise AssertionError("no region drawn")
+    C = np.flatnonzero(geometry.region_closure(region)[1])
+    got = []
+    for excluded in (region, None):
+        fact = fem.factorize(mesh, gamma0, excluded=excluded)
+        N, Z, (G,) = ndmap._background(fact, basis, C, [np.arange(len(C))[None]])
+        got.append(ndmap._frozen(N, C, Z, G[0], region, pin).entries)
+    assert np.max(np.abs(got[0] - got[1])) <= 1e-12 * np.max(np.abs(N.entries))
 
 
 def test_region_matrices_memory_stays_near_nd_matrix():
