@@ -1088,9 +1088,10 @@ def region_closure(region, ties=False):
 
     Vertex masks: ``S`` marks the vertices of the region's triangles and
     ``C`` those of them also in a triangle outside it, its boundary
-    vertices. With ``ties``, ``tie`` gives each vertex of C the component
-    of ``PixelSet.components`` whose triangles it lies in, and -1 off C or
-    at a vertex of two components. All is read off the grid's ``incidence``.
+    vertices. With ``ties``, ``tie`` gives each vertex of C its group of
+    ``PixelSet.components``: components whose triangles meet at a vertex
+    of S share that vertex, so they join one group, named by its smallest
+    component; -1 off C. All is read off the grid's ``incidence``.
     """
     vertex, pixel, degree = region.grid.incidence()
     inside = region.mask().ravel()[pixel]
@@ -1099,14 +1100,15 @@ def region_closure(region, ties=False):
     C = S & (count < degree)
     if not ties:
         return S, C
-    # the components at each vertex of C; every other vertex keeps lo > hi
-    on = inside & C[vertex]
-    comp = region.components()[pixel[on]]
+    # each vertex's smallest component joins every other one there
+    at = vertex[inside]
+    comp = region.components()[pixel[inside]]
     lo = np.full(len(degree), len(pixel))
-    hi = np.full(len(degree), -1)
-    np.minimum.at(lo, vertex[on], comp)
-    np.maximum.at(hi, vertex[on], comp)
-    return S, C, np.where(lo == hi, hi, -1)
+    np.minimum.at(lo, at, comp)
+    group = components(comp.max() + 1 if len(comp) else 0, np.column_stack([lo[at], comp]))
+    tie = np.full(len(degree), -1)
+    tie[C] = group[lo[C]]
+    return S, C, tie
 
 
 def interior_pixel_set(grid):

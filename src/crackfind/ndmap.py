@@ -256,28 +256,20 @@ def _frozen(N0, verts, Z, G, region, pin):
     # the NdMatrix of ``region`` frozen, a tie update of a base N0 (which
     # may hold the region's triangles or exclude them) by its pinned
     # potentials Z and Green's block G on ``verts``, all boundary vertices C
-    # of the region but the pin, ascending. T ties C: components that meet
-    # at a vertex share its dof, so each vertex's smallest component joins
-    # every other one there, one column per joined group. The pin is zero
-    # in every potential, so C drops it and its group's column goes
-    in_C = geometry.region_closure(region)[1]
+    # of the region but the pin, ascending. T ties C, one column per group
+    # of the closure's ties (components that meet at a vertex share its
+    # dof). The pin is zero in every potential, so C drops it and its
+    # group's column goes
+    _, in_C, tie = geometry.region_closure(region, ties=True)
     C = np.flatnonzero(in_C)
     kept = C[C != pin]
     N = N0.entries
     if len(kept):
-        vertex, pixel, _ = region.grid.incidence()
-        comp = region.components()[pixel]
-        on = comp >= 0
-        vertex, comp = vertex[on], comp[on]
-        lo = np.full(len(in_C), len(pixel))
-        np.minimum.at(lo, vertex, comp)
-        group = geometry.components(comp.max() + 1, np.column_stack([lo[vertex], comp]))
-        tie = group[lo[kept]]
-        ties = np.unique(tie)
+        ties = np.unique(tie[kept])
         if in_C[pin]:
-            ties = ties[ties != group[lo[pin]]]
+            ties = ties[ties != tie[pin]]
         at = np.searchsorted(verts, kept)
-        T = (tie[:, None] == ties).astype(float)
+        T = (tie[kept][:, None] == ties).astype(float)
         N = N - _tied_correction(G[np.ix_(at, at)], Z[at], T)
     label = fem.config_label(geometry.CrackSet(), frozen=region)
     return NdMatrix(0.5 * (N + N.T), label, ())

@@ -182,7 +182,8 @@ def region_closure_loop(region):
     Each vertex collects the components of the region's triangles at it,
     labelled by ``scipy.ndimage.label`` (4-connected, numbered in raster
     order, so by their smallest pixels), and whether a triangle outside the
-    region is at it. Returns the masks ``(S, C)`` and the ties as the
+    region is at it. Components collected at one vertex are joined by
+    ``components_search``. Returns the masks ``(S, C)`` and the ties as the
     function does.
     """
     grid = region.grid
@@ -199,7 +200,8 @@ def region_closure_loop(region):
                 outside[v] = True
     S = np.array([bool(c) for c in comps])
     C = S & np.array(outside)
-    tie = [min(c) if on and len(c) == 1 else -1 for c, on in zip(comps, C)]
+    group = components_search(range(labels.max() + 1), [(min(c), k) for c in comps for k in c])
+    tie = [group[min(c)] if on else -1 for c, on in zip(comps, C)]
     return S, C, np.array(tie, dtype=np.int64)
 
 

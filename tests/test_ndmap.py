@@ -639,6 +639,32 @@ def test_region_maps_split_and_empty_regions():
         ndmap.RegionMaps(mesh, gamma0, basis, strip, "all")
 
 
+def test_region_maps_tie_components_that_share_a_vertex():
+    # pixels finer than the triangles: only every other pixel holds a
+    # triangle, so each component is one pixel, and pixels 36, 50 and 52
+    # meet at mesh vertices. The frozen side ties them together while
+    # the excluded block keeps their shared vertices; peeling 36 leaves 50
+    # and 52 as two components that still share one. Each region is
+    # checked as a candidate and again after its fold, in every mode
+    mesh = build_rect_mesh(1.0, 1.0, 0.25)
+    gamma0 = fem.Conductivity(mesh, 1.0)
+    basis = ndmap.build_basis(mesh, 6)
+    grid = geometry.PixelGrid(mesh, 8, 8)
+    for mode in ndmap.MODES:
+        maps = ndmap.RegionMaps(mesh, gamma0, basis, geometry.PixelSet(grid, [36, 50, 52]), mode)
+        assert_region_matches_factorization(mesh, gamma0, basis, maps.region, maps.matrices(), mode)
+        split = maps.region.minus(36)
+        assert geometry.pixelset_is_admissible(split) and split.components().max() == 1
+        _, C, tie = geometry.region_closure(split, ties=True)
+        assert np.all(tie[C] == 0)
+        assert_region_matches_factorization(mesh, gamma0, basis, split, maps.matrices(36), mode)
+        maps.peel(36)
+        assert_region_matches_factorization(mesh, gamma0, basis, split, maps.matrices(), mode)
+        assert_region_matches_factorization(
+            mesh, gamma0, basis, split.minus(50), maps.matrices(50), mode
+        )
+
+
 # ------------------------------------------------------------------ #
 # the configuration table's regions as updates of one background
 # ------------------------------------------------------------------ #
@@ -771,8 +797,9 @@ def test_configurations_tie_components_that_share_a_vertex(mesh, n, members):
     grid = geometry.PixelGrid(mesh, n, n)
     V = geometry.PixelSet(grid, members)
     assert geometry.pixelset_is_admissible(V) and V.components().max() == 1
+    # the closure joins the two components into one group
     _, C, tie = geometry.region_closure(V, ties=True)
-    assert np.any(C & (tie < 0))
+    assert np.all(tie[C] == 0)
     table = ndmap.Configurations(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 6),
                                  CrackSet(), V, geometry.PixelSet(grid, ()))
     assert_table_matches_factorizations(table, list(table.configs))
