@@ -290,13 +290,15 @@ def build_dofmap(mesh, cracks=None, excluded=None):
     return DofMap(mesh, cracks, excluded, final, active, len(used_dofs))
 
 
-def element_stiffness(mesh, gamma0):
+def element_stiffness(mesh, gamma0, tris=slice(None)):
     """Per-triangle stiffness of the weighted Dirichlet form, shape (T, 3, 3).
 
-    Entry ``[t, i, j]`` pairs the hats of corners i and j of triangle t.
+    Entry ``[t, i, j]`` pairs the hats of corners i and j of triangle t; with
+    ``tris``, only the triangles ``tris`` are formed, in that order.
     """
-    g = _hat_gradients(mesh)
-    return np.einsum("tic,tjc->tij", g, g) * (mesh.tri_areas() * gamma0.values)[:, None, None]
+    g = _hat_gradients(mesh)[tris]
+    scale = mesh.tri_areas()[tris] * gamma0.values[tris]
+    return np.einsum("tic,tjc->tij", g, g) * scale[:, None, None]
 
 
 def assemble_stiffness(mesh, gamma0, dm):

@@ -416,7 +416,11 @@ def generate_data(s, built):
     Anti-crime data keeps the table's crack-free (``"none"``) matrix on the
     inversion mesh and adds the crack signature computed on a once refined
     mesh, so the systematic part of the discretization error stays matched
-    while the crack part comes from a different discrete operator.
+    while the crack part comes from a different discrete operator. The
+    signature ``N(cracks) - N0`` of the fine mesh is
+    ``ndmap.crack_signature``: one slit-and-tie update of one factorization
+    of the fine background, so no crack configuration is factorized on the
+    fine mesh.
     """
     provenance = {"seed": s.seed, "anti_crime": bool(s.anti_crime), "noise": float(s.noise)}
     if s.anti_crime:
@@ -424,15 +428,14 @@ def generate_data(s, built):
         fine_basis = carry_basis(built.basis, fine)
         fine_gamma0 = fem.Conductivity.from_spec(fine, s.gamma0)
         N_empty = built.table.nd("none")
-        Nf_crack = ndmap.nd_matrix(fem.factorize(fine, fine_gamma0, fine_cracks), fine_basis)
-        Nf_empty = ndmap.nd_matrix(fem.factorize(fine, fine_gamma0), fine_basis)
-        entries = N_empty.entries + (Nf_crack.entries - Nf_empty.entries)
-        entries = 0.5 * (entries + entries.T)
-        data = ndmap.NdMatrix(entries, "anti-crime:" + Nf_crack.config_label, Nf_crack.kinds)
-        provenance["fine_triangles"] = int(len(fine.triangles))
-        provenance["signature_norm"] = float(
-            np.linalg.norm(Nf_crack.entries - Nf_empty.entries, 2)
+        _, signature = ndmap.crack_signature(fine, fine_gamma0, fine_basis, fine_cracks)
+        data = ndmap.NdMatrix(
+            N_empty.entries + signature,
+            "anti-crime:" + fem.config_label(fine_cracks),
+            fine_cracks.kinds(),
         )
+        provenance["fine_triangles"] = int(len(fine.triangles))
+        provenance["signature_norm"] = float(np.linalg.norm(signature, 2))
     else:
         data = built.table.nd("all")
     if s.noise > 0:

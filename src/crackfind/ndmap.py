@@ -145,7 +145,10 @@ class Configurations:
     * ``none`` and the crack configurations: ``nd_matrix`` of their own
       factorization. ``factorization(name)`` gives a fresh
       ``fem.Factorization`` to callers that need more than the matrix,
-      recording its matrix if the table lacks it.
+      recording its matrix if the table lacks it; locpot's source operators
+      are such callers. The table holds the inversion mesh only: the crack
+      signature of anti-crime data lives on a refined mesh and is
+      ``crack_signature``'s update of its background, never a table entry.
     * the four region configurations, all at once on the first request for
       any of them, as exact updates of one factorization of the crack-free
       background, which also gives ``none``; each fills only an entry the
@@ -396,11 +399,10 @@ def chain_matrices(mesh, gamma0, basis, components):
     """
     components = list(components)
     geometry.check_chains(mesh, [comp.chain for comp in components])
-    local = fem.element_stiffness(mesh, gamma0)
     # the background pins its first arc vertex (fem.Factorization); the
     # stars are found before it is factorized
     pin = mesh.gamma_vertices()[0]
-    groups = _stars(mesh, local, pin, components)
+    groups = _stars(mesh, gamma0, pin, components)
     union = np.unique(np.concatenate([S.ravel() for _, S, _ in groups]))
     at = [np.searchsorted(union, S) for _, S, _ in groups]
     N0, Z, G = _background(fem.factorize(mesh, gamma0), basis, union, at)
@@ -416,7 +418,65 @@ def chain_matrices(mesh, gamma0, basis, components):
         yield 0.5 * (N + np.swapaxes(N, -1, -2))
 
 
-def _stars(mesh, local, pin, components):
+def crack_signature(mesh, gamma0, basis, cracks):
+    """The crack-free ND matrix and the change a crack set makes to it.
+
+    Returns ``(N0, dN)``: the background NdMatrix of ``mesh`` and
+    ``dN = N(cracks) - N0``, an exactly symmetric ``(M, M)`` array (zero
+    for an empty crack set). Both come from one factorization of the
+    background, since the cracks change it only on their stars: ``dN`` is
+    the exact low-rank correction of ``chain_matrices``, made for every
+    component at once.
+
+    * The slits of every insulating component form one update ``E``, their
+      far-fan stiffness change condensed onto the old dofs ``S`` of all
+      their far triangles, and ``N1 = N0 - Z_S^T (I + E G_SS)^-1 E Z_S``.
+      Far fans of two chains may share a triangle, whose corners then move
+      together, so the updates of single chains would not add up to it.
+    * The conducting components tie their vertices ``C``, one column of
+      ``T`` per component, on the slit problem: ``E`` is folded into the
+      pinned potentials and Green's entries on ``C``, as ``RegionMaps``
+      folds a removal, and ``_tied_correction`` applies the ties there.
+
+    Both steps are exact: the slit's new dofs carry no current and are
+    condensed out, and they never lie on ``C``. ``_background`` gives
+    ``N0``, ``Z`` and ``G`` on ``U = S ∪ C``, each Green's column solved
+    once; the pinned dof is zero in every potential, so ``S`` drops it as
+    ``_slit_stars`` does. The crack set is validated first, as
+    ``fem.build_dofmap`` does, and ``E`` is formed, from the element
+    stiffness of the far triangles alone, before the background is
+    factorized. ``nd_matrix`` of the crack configuration's own
+    factorization, minus ``N0``, is the reference this path must match.
+    """
+    if cracks.components:
+        cracks.validate(mesh)
+    pin = mesh.gamma_vertices()[0]
+    slits = [c for c in cracks.components if c.kind == geometry.INSULATING and len(c.chain) > 2]
+    S, E = np.zeros(0, dtype=np.int64), np.zeros((0, 0))
+    if slits:
+        (_, S, E), = _slit_stars(mesh, gamma0, pin, slits, np.zeros(1, dtype=np.int64), joint=True)
+        S, E = S[0], E[0]
+    tied = [c.chain for c in cracks.components if c.kind == geometry.CONDUCTING]
+    C = np.array([v for chain in tied for v in chain], dtype=np.int64)
+    T = np.repeat(np.eye(len(tied)), [len(chain) for chain in tied], axis=0)
+    U = np.unique(np.concatenate([S, C]))
+    N0, Z, (G,) = _background(fem.factorize(mesh, gamma0), basis, U, [np.arange(len(U))[None]])
+    s, c = np.searchsorted(U, S), np.searchsorted(U, C)
+    G, dN = G[0], np.zeros_like(N0.entries)
+    Z_C, G_CC = Z[c], G[np.ix_(c, c)]
+    if len(S):
+        A = np.eye(len(S)) + E @ G[np.ix_(s, s)]
+        X = _dense_solve(A, E @ Z[s])
+        dN -= Z[s].T @ X
+        Y = G[np.ix_(c, s)]
+        Z_C = Z_C - Y @ X
+        G_CC = G_CC - Y @ _dense_solve(A, E @ Y.T)
+    if len(C):
+        dN -= _tied_correction(G_CC, Z_C, T)
+    return N0, 0.5 * (dN + dN.T)
+
+
+def _stars(mesh, gamma0, pin, components):
     # the chains' stars in groups of one kind and size, each (idx, S, E): the
     # positions of its k chains, ascending, their star vertices S (k, m)
     # without the pin, and the updates E (k, m, m) on them (None for ties)
@@ -436,7 +496,7 @@ def _stars(mesh, local, pin, components):
     parts = {}
     for lo in range(0, len(slit), STAR_BATCH):
         idx = slit[lo:lo + STAR_BATCH]
-        for part in _slit_stars(mesh, local, pin, [components[i] for i in idx], idx):
+        for part in _slit_stars(mesh, gamma0, pin, [components[i] for i in idx], idx):
             parts.setdefault(part[1].shape[1], []).append(part)
     for part in parts.values():
         idx = np.concatenate([p[0] for p in part])
@@ -446,12 +506,16 @@ def _stars(mesh, local, pin, components):
     return groups
 
 
-def _slit_stars(mesh, local, pin, comps, idx):
+def _slit_stars(mesh, gamma0, pin, comps, idx, joint=False):
     # ``_stars`` of insulating chains with interior vertices, at positions
-    # idx, in groups of one shape
+    # idx, in groups of one shape; with ``joint``, the slits of all the
+    # chains form one star, at position idx[0], so a triangle in the far
+    # fans of two chains moves both its corners in one update
     far, owner = fem.split_fans(mesh, geometry.CrackSet(comps))
     n = np.array([len(comp.chain) - 2 for comp in comps], dtype=np.int64)
-    chain = np.repeat(np.arange(len(comps)), n)[owner]
+    if joint:
+        n = n.sum(keepdims=True)
+    chain = np.repeat(np.arange(len(n)), n)[owner]
     slit = owner - (np.cumsum(n) - n)[chain]
     order = np.lexsort((far, chain))
     far, chain, slit = far[order], chain[order], slit[order]
@@ -461,6 +525,9 @@ def _slit_stars(mesh, local, pin, comps, idx):
     first[1:] = (t[1:] != t[:-1]) | (chain[1:] != chain[:-1])
     row = np.cumsum(first) - 1
     tris, tri_chain = t[first], chain[first]
+    # the element stiffness of the far triangles only, each formed once
+    far_tris, at_far = np.unique(tris, return_inverse=True)
+    local = fem.element_stiffness(mesh, gamma0, far_tris)
     # a chain's vertices numbered locally in the order its triangles' corners
     # meet them, its new dofs after them in slit order
     nv = len(mesh.vertices)
@@ -468,7 +535,7 @@ def _slit_stars(mesh, local, pin, comps, idx):
     uniq, seen, inverse = np.unique(key, return_index=True, return_inverse=True)
     rank = np.empty(len(uniq), dtype=np.int64)
     rank[np.argsort(seen)] = np.arange(len(uniq))
-    m = np.bincount(uniq // nv, minlength=len(comps))
+    m = np.bincount(uniq // nv, minlength=len(n))
     start = np.cumsum(m) - m
     verts = np.empty(len(uniq), dtype=np.int64)
     verts[rank] = uniq % nv
@@ -481,7 +548,7 @@ def _slit_stars(mesh, local, pin, comps, idx):
     groups = []
     for mk, nk in np.unique(np.column_stack([m, n]), axis=0).tolist():
         cs = np.flatnonzero((m == mk) & (n == nk))
-        pos = np.full(len(comps), -1)
+        pos = np.full(len(n), -1)
         pos[cs] = np.arange(len(cs))
         # the moved entries of the group's triangles, triangle by triangle:
         # added with the new dofs, then taken away with the old ones, summed
@@ -491,7 +558,7 @@ def _slit_stars(mesh, local, pin, comps, idx):
         block = pos[tri_chain[tri]] * D
         at = np.concatenate([(block + new[tri, i]) * D + new[tri, j],
                              (block + old[tri, i]) * D + old[tri, j]])
-        entries = local[tris[tri], i, j]
+        entries = local[at_far[tri], i, j]
         dS = np.bincount(at, np.concatenate([entries, -entries]), minlength=len(cs) * D * D)
         dS = dS.reshape(len(cs), D, D)
         E = dS[:, :mk, :mk] - dS[:, :mk, mk:] @ _dense_solve(dS[:, mk:, mk:], dS[:, mk:, :mk])
@@ -500,7 +567,8 @@ def _slit_stars(mesh, local, pin, comps, idx):
         # drops its row and column
         held = S == pin
         has = held.any(axis=1)
-        groups.append((idx[cs[~has]], S[~has], E[~has]))
+        if not has.all():
+            groups.append((idx[cs[~has]], S[~has], E[~has]))
         if np.any(has):
             keep, k = ~held[has], int(np.sum(has))
             groups.append((

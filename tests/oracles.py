@@ -12,9 +12,10 @@ column space of a source operator, the slit fans by a scan of the whole
 mesh, a rectangle's triangulation one cell at a time, connected
 components by a search over an adjacency dict, the pixels a segment
 meets one pixel at a time, a pixel region's closed-square membership one
-point at a time, the candidate test chains one mesh edge at a time, and a
-crack's embedding by a search over an adjacency dict. ``mean_free_basis``
-builds the current bases that are not orthonormalized.
+point at a time, the candidate test chains one mesh edge at a time, a
+crack's embedding by a search over an adjacency dict, and a crack set's
+signature by two factorizations. ``mean_free_basis`` builds the current
+bases that are not orthonormalized.
 """
 
 import heapq
@@ -223,6 +224,18 @@ class FactorizedConfigurations(ndmap.Configurations):
             fact = factorize(self.mesh, self.gamma0, **self.configs[name])
             self.matrices[name] = ndmap.nd_matrix(fact, self.basis)
         return self.matrices[name]
+
+
+def crack_signature_factorized(mesh, gamma0, basis, cracks):
+    """``ndmap.crack_signature`` from two factorizations: ``(N0, N - N0)``.
+
+    ``N0`` is ``nd_matrix`` of the crack-free mesh's factorization and ``N``
+    that of the cracks' own factorization, whose dof map slits and ties
+    them.
+    """
+    N0 = ndmap.nd_matrix(fem.factorize(mesh, gamma0), basis)
+    N = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
+    return N0, N.entries - N0.entries
 
 
 def source_operator_columns(fact, V, basis):

@@ -849,6 +849,29 @@ def test_mask_operations_match_ndimage(name, data):
     assert ps.triangles().tolist() == want
 
 
+@functools.lru_cache(maxsize=None)
+def oblong_grid(nx, ny):
+    # nx by ny pixels of side 1/8 on a rectangle meshed at h = 1/8
+    return PixelGrid(build_rect_mesh(nx / 8, ny / 8, 1 / 8), nx, ny)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from([(3, 7), (12, 5), (9, 4), (5, 16)]), data=st.data())
+def test_pixel_components_match_a_search_over_four_neighbours(shape, data):
+    # non-square grids, so a swap of rows and columns shows: every pixel's
+    # component against a search over the 4-neighbour pairs of _pairs4,
+    # numbered in the order of the components' smallest members
+    grid = oblong_grid(*shape)
+    flags = data.draw(st.lists(st.booleans(), min_size=grid.n_pixels, max_size=grid.n_pixels))
+    ps = PixelSet(grid, np.flatnonzero(flags))
+    ids = np.arange(grid.n_pixels).reshape(grid.ny, grid.nx)
+    mask = ps.mask()
+    smallest = components_search(ids[mask].tolist(), geometry._pairs4(ids, mask).tolist())
+    number = {root: k for k, root in enumerate(sorted(set(smallest.values())))}
+    want = [number[smallest[p]] if p in smallest else -1 for p in range(grid.n_pixels)]
+    assert ps.components().tolist() == want
+
+
 def test_pixels_touching_segment_on_gridline():
     # a segment running along a pixel boundary touches both rows
     grid = unit_grid(8)

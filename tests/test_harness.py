@@ -482,9 +482,9 @@ def test_shipped_config_loads_and_builds(path):
 
 
 @pytest.mark.parametrize("name, labels", [
-    # the table's "none" for the anti-crime data, the fine crack and the
-    # fine background of its signature, then the peel's excluded start region
-    ("mixed_32.json", ["none", "ins:1+con:1", "none", "excluded:36px"]),
+    # the table's "none" for the anti-crime data, the fine background whose
+    # update is its signature, then the peel's excluded start region
+    ("mixed_32.json", ["none", "none", "excluded:36px"]),
     # the data, locpot's source operators ("all" again, then each kind
     # alone) and the one background of the chain's region configurations
     ("locpot_contrast_16.json", ["ins:1+con:1", "ins:1+con:1", "con:1", "ins:1", "none"]),

@@ -1,12 +1,13 @@
+import os
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from crackfind import fem, geometry, ndmap, reconstruct
+from crackfind import fem, geometry, harness, ndmap, reconstruct
 from crackfind.geometry import (
     CrackSet,
     build_disk_mesh,
@@ -522,6 +523,135 @@ def test_chain_green_columns_solved_once(monkeypatch):
     assert len(columns) == len(set(columns)) == len(stars) == 193
     assert set(columns) == stars
     assert max(len(c) for c in calls) <= basis.M
+
+
+# ------------------------------------------------------------------ #
+# a crack set's signature as one update of the crack-free background
+# ------------------------------------------------------------------ #
+
+# the h = 1/16 square as built and as the refinement of the h = 1/8 one,
+# which is how anti-crime data meets it; in the refinement's triangle order
+# the far fans of neighbouring chains can share triangles
+SIGNATURE_MESHES = {
+    "rect": build_rect_mesh(1.0, 1.0, 1.0 / 16),
+    "refined": geometry.refine_mesh(build_rect_mesh(1.0, 1.0, 1.0 / 8), CrackSet())[0],
+    "disk": build_disk_mesh(1.0, 0.1),
+}
+# partial arcs; the square's starts at (0.5, 1), the pinned vertex
+TOP_ARC = {"box": [-0.1, 0.9, 0.5, 1.1]}
+SIGNATURE_ARCS = {"rect": TOP_ARC, "refined": TOP_ARC, "disk": {"angle": [0.5, 2.5]}}
+SIGNATURE_MESHES.update({
+    (shape, True): mark_gamma(mesh, SIGNATURE_ARCS[shape]) for shape, mesh in SIGNATURE_MESHES.items()
+})
+SIGNATURE_CASES = (
+    "mixed", "insulating", "conducting", "empty", "one edge", "shared fans", "pinned star"
+)
+
+
+def grid_chain(mesh, points):
+    # the chain through the vertices at ``points``, given in units of 1/16
+    return tuple(
+        int(np.argmin(np.linalg.norm(mesh.vertices - np.divide(p, 16), axis=1))) for p in points
+    )
+
+
+def signature_cracks(mesh, rng, case, n):
+    # the crack set of a case: its fixed chains, then random-walk chains of
+    # 1 to 5 edges up to n components (kinds by the case), no two sharing a
+    # vertex
+    fixed = []
+    if case == "one edge":
+        fixed = [random_chain(mesh, rng, 1)]
+    elif case == "shared fans":
+        fixed = [grid_chain(mesh, [(x, y) for y in range(5, 9)]) for x in (2, 3)]
+    elif case == "pinned star":
+        fixed = [grid_chain(mesh, [(7, 15), (8, 15), (9, 15)])]
+    kinds = {"insulating": [geometry.INSULATING], "conducting": [geometry.CONDUCTING]}
+    comps = [geometry.CrackComponent(chain, geometry.INSULATING) for chain in fixed]
+    used = {v for chain in fixed for v in chain}
+    while case not in ("empty", "one edge") and len(comps) < n:
+        chain = random_chain(mesh, rng, int(rng.integers(1, 6)))
+        if used.isdisjoint(chain):
+            used.update(chain)
+            kind = rng.choice(kinds.get(case, geometry.KINDS))
+            comps.append(geometry.CrackComponent(chain, kind))
+    return CrackSet(comps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(SIGNATURE_CASES),
+    shape=st.sampled_from(["rect", "refined", "disk"]),
+    arc=st.booleans(),
+    box=st.booleans(),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(case="empty", shape="disk", arc=True, box=False, n=1, seed=0)
+@example(case="one edge", shape="rect", arc=False, box=True, n=1, seed=1)
+@example(case="shared fans", shape="refined", arc=False, box=False, n=1, seed=2)
+@example(case="shared fans", shape="refined", arc=True, box=True, n=3, seed=3)
+@example(case="pinned star", shape="rect", arc=True, box=False, n=2, seed=4)
+@example(case="pinned star", shape="refined", arc=True, box=True, n=1, seed=5)
+def test_crack_signature_matches_two_factorizations(case, shape, arc, box, n, seed):
+    # differential oracle: the one joint update of a crack set against the
+    # difference of its own and the background's factorizations. The fixed
+    # chains need the square: two chains one cell apart whose far fans share
+    # triangles in the refinement, and a slit whose star holds the pin of
+    # the top arc
+    if case == "shared fans":
+        shape = "refined"
+    elif case == "pinned star":
+        shape, arc = ("rect" if shape == "disk" else shape), True
+    mesh = SIGNATURE_MESHES[(shape, True) if arc else shape]
+    rng = np.random.default_rng(seed)
+    cracks = signature_cracks(mesh, rng, case, n)
+    pin = mesh.gamma_vertices()[0]
+    slits = cracks.of_kind(geometry.INSULATING)
+    far, owner = fem.split_fans(mesh, slits)
+    if case == "shared fans":
+        # a triangle in the far fans of both chains
+        chain = np.repeat(np.arange(len(slits)), [len(c.chain) - 2 for c in slits.components])
+        per_chain = [set((far[chain[owner] == k] // 3).tolist()) for k in (0, 1)]
+        assert per_chain[0] & per_chain[1]
+    if case == "pinned star":
+        assert pin in mesh.triangles[far // 3]
+    spec = 1.0
+    if box:
+        x0, y0 = rng.uniform(-1.0, 0.5, 2)
+        spec = {"boxes": [{"box": [x0, y0, x0 + 0.6, y0 + 0.6], "value": rng.uniform(0.1, 10.0)}]}
+    gamma0 = fem.Conductivity.from_spec(mesh, spec)
+    basis = ndmap.build_basis(mesh, min(12, len(mesh.gamma_vertices()) - 1))
+    N0, dN = ndmap.crack_signature(mesh, gamma0, basis, cracks)
+    ref0, ref = oracles.crack_signature_factorized(mesh, gamma0, basis, cracks)
+    assert np.array_equal(N0.entries, ref0.entries)
+    assert dN.shape == (basis.M, basis.M) and np.array_equal(dN, dN.T)
+    assert np.max(np.abs(dN - ref)) <= 1e-12 * np.max(np.abs(ref0.entries + ref))
+    if case in ("empty", "one edge"):
+        # nothing to slit or tie
+        assert not dN.any()
+
+
+def test_anti_crime_data_factorizes_only_crack_free_meshes(monkeypatch, count_factorizations):
+    # mixed_32's anti-crime data: the table's background, then the fine
+    # background, whose Green's columns on U, the 33 vertices of the slit's
+    # star and the 17 of the tie, are each solved once
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "mixed_32.json")
+    s = harness.load_scenario(path)
+    assert s.anti_crime
+    built = harness.build_scenario(s)
+    calls = record_green_solves(monkeypatch)
+    factorizations = count_factorizations(monkeypatch)
+    harness.generate_data(s, built)
+    assert factorizations.labels == ["none", "none"]
+    fine, cracks = geometry.refine_mesh(built.mesh, built.cracks)
+    far, _ = fem.split_fans(fine, cracks.of_kind(geometry.INSULATING))
+    star = set(fine.triangles[far // 3].ravel().tolist()) - {int(fine.gamma_vertices()[0])}
+    tied = {v for comp in cracks.of_kind(geometry.CONDUCTING).components for v in comp.chain}
+    columns = np.concatenate(calls).tolist()
+    assert (len(star), len(tied)) == (33, 17)
+    assert len(columns) == len(set(columns)) == 50
+    assert set(columns) == star | tied
 
 
 # ------------------------------------------------------------------ #
