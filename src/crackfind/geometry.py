@@ -241,19 +241,22 @@ class Mesh:
         return self.memo("areas", lambda: _signed_areas(self.vertices, self.triangles))
 
     def _edge_table(self):
-        # (keys, edges, tri_edges, edge_tris) from one np.unique over the
+        # (keys, edges, tri_edges, edge_tris) from one stable sort of the
         # undirected keys lo * n + hi of all triangle sides; the key encoding
         # stays inside this method and edge_index
         def build():
             n, t = len(self.vertices), self.triangles
             sides = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
             keys = sides.min(axis=1) * n + sides.max(axis=1)
-            uniq, inv = np.unique(keys, return_inverse=True)
-            # sides are numbered triangle by triangle, so an edge's first and
-            # last side lie in its lowest and highest triangle
-            _, first = np.unique(inv, return_index=True)
-            _, last = np.unique(inv[::-1], return_index=True)
-            lo, hi = first // 3, (len(inv) - 1 - last) // 3
+            order = np.argsort(keys, kind="stable")
+            run = np.append(True, keys[order[1:]] != keys[order[:-1]])
+            inv = np.empty(len(keys), dtype=np.int64)
+            inv[order] = np.cumsum(run) - 1
+            # each run of one key keeps the side order, triangle by triangle,
+            # so an edge's first and last side lie in its lowest and highest
+            first = np.flatnonzero(run)
+            lo, hi = order[first] // 3, order[np.append(first[1:], len(keys)) - 1] // 3
+            uniq = keys[order[first]]
             return (
                 uniq,
                 np.column_stack([uniq // n, uniq % n]),

@@ -417,10 +417,10 @@ def generate_data(s, built):
     inversion mesh and adds the crack signature computed on a once refined
     mesh, so the systematic part of the discretization error stays matched
     while the crack part comes from a different discrete operator. The
-    signature ``N(cracks) - N0`` of the fine mesh is
-    ``ndmap.crack_signature``: one slit-and-tie update of one factorization
-    of the fine background, so no crack configuration is factorized on the
-    fine mesh.
+    fine mesh's signature ``dN = N(cracks) - N0`` is ``ndmap.crack_signature``:
+    one slit-and-tie update on the Green's columns of one factorization of
+    the fine background (none if nothing is slit or tied), so the fine mesh
+    gets no crack factorization and no current solve.
     """
     provenance = {"seed": s.seed, "anti_crime": bool(s.anti_crime), "noise": float(s.noise)}
     if s.anti_crime:
@@ -428,7 +428,7 @@ def generate_data(s, built):
         fine_basis = carry_basis(built.basis, fine)
         fine_gamma0 = fem.Conductivity.from_spec(fine, s.gamma0)
         N_empty = built.table.nd("none")
-        _, signature = ndmap.crack_signature(fine, fine_gamma0, fine_basis, fine_cracks)
+        signature = ndmap.crack_signature(fine, fine_gamma0, fine_basis, fine_cracks)
         data = ndmap.NdMatrix(
             N_empty.entries + signature,
             "anti-crime:" + fem.config_label(fine_cracks),

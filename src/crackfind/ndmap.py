@@ -286,7 +286,7 @@ def _dense_solve(A, B):
     return X
 
 
-def _green_block(fact, dofs, width, stars):
+def _green_block(fact, dofs, width, stars, weighted=None):
     # the pinned Green's entries that stars pair. ``dofs`` are distinct and
     # none of them the pin; each (k, m) array in ``stars`` lists k stars as
     # positions in ``dofs`` and gets the (k, m, m) stack of G on them. Each
@@ -294,7 +294,11 @@ def _green_block(fact, dofs, width, stars):
     # array is formed, and of each solved block only the rows a star pairs
     # with its columns are kept. The load e_c - e_pin is balanced, so the
     # residual holds on every row. Each stack is filled a column per row,
-    # with one flat take per block, and handed out transposed
+    # with one flat take per block, and handed out transposed. Returns
+    # ``(Z, stacks)``: Z is None, or with ``weighted``, the arc loads (G, M)
+    # of M currents, their pinned potentials on ``dofs``, x_c^T b by the
+    # symmetry of the pinned stiffness (the Green's column x_c is 0 at the pin)
+    Z = None if weighted is None else np.empty((len(dofs), weighted.shape[1]))
     out = [np.empty(P.shape + P.shape[1:]) for P in stars]
     # per stack: the stars' dofs, and their places in the order of the
     # columns they read
@@ -308,12 +312,14 @@ def _green_block(fact, dofs, width, stars):
         at = np.append(cols, fact.pin)
         x = fact.solve(b, at)
         fem._check_residual(fact.K, x, b, at)
+        if Z is not None:
+            Z[lo:lo + width] = x[fact.dm.gamma_dofs].T @ weighted
         for GT, (D, col, order) in zip(out, plan):
             first, last = np.searchsorted(col, [lo, lo + width])
             if first < last:
                 j, i = np.divmod(order[first:last], D.shape[1])
                 GT[j, i] = x.take(D[j] * len(cols) + (col[first:last, None] - lo))
-    return [np.swapaxes(GT, 1, 2) for GT in out]
+    return Z, [np.swapaxes(GT, 1, 2) for GT in out]
 
 
 def _background(fact, basis, verts, stars):
@@ -329,7 +335,7 @@ def _background(fact, basis, verts, stars):
     # the n x M potentials would otherwise stay alive through the Green's
     # solves and raise their peak
     del potentials
-    return N0, Z, _green_block(fact, dofs, basis.M, stars)
+    return N0, Z, _green_block(fact, dofs, basis.M, stars)[1]
 
 
 def _tied_correction(G, Z, T):
@@ -419,14 +425,11 @@ def chain_matrices(mesh, gamma0, basis, components):
 
 
 def crack_signature(mesh, gamma0, basis, cracks):
-    """The crack-free ND matrix and the change a crack set makes to it.
+    """The change ``dN = N(cracks) - N0`` a crack set makes to the crack-free ND matrix.
 
-    Returns ``(N0, dN)``: the background NdMatrix of ``mesh`` and
-    ``dN = N(cracks) - N0``, an exactly symmetric ``(M, M)`` array (zero
-    for an empty crack set). Both come from one factorization of the
-    background, since the cracks change it only on their stars: ``dN`` is
-    the exact low-rank correction of ``chain_matrices``, made for every
-    component at once.
+    ``dN``, an exactly symmetric ``(M, M)`` array, is the exact low-rank
+    correction of ``chain_matrices`` made for every component at once,
+    since the cracks change the background only on their stars.
 
     * The slits of every insulating component form one update ``E``, their
       far-fan stiffness change condensed onto the old dofs ``S`` of all
@@ -439,14 +442,16 @@ def crack_signature(mesh, gamma0, basis, cracks):
       folds a removal, and ``_tied_correction`` applies the ties there.
 
     Both steps are exact: the slit's new dofs carry no current and are
-    condensed out, and they never lie on ``C``. ``_background`` gives
-    ``N0``, ``Z`` and ``G`` on ``U = S ∪ C``, each Green's column solved
-    once; the pinned dof is zero in every potential, so ``S`` drops it as
-    ``_slit_stars`` does. The crack set is validated first, as
-    ``fem.build_dofmap`` does, and ``E`` is formed, from the element
-    stiffness of the far triangles alone, before the background is
-    factorized. ``nd_matrix`` of the crack configuration's own
-    factorization, minus ``N0``, is the reference this path must match.
+    condensed out, and they never lie on ``C``. ``G`` and ``Z`` on
+    ``U = S ∪ C`` both come from the Green's columns of one factorization
+    of the background (``_green_block``), each solved once, so no current
+    is solved; the pinned dof is zero in every potential, so ``S`` drops it
+    as ``_slit_stars`` does. The crack set is validated, as
+    ``fem.build_dofmap`` does, and ``E`` formed from the far triangles'
+    element stiffness alone, before anything is factorized; an empty ``U``
+    (no crack, or only one-edge insulating chains) factorizes nothing.
+    ``nd_matrix`` of the crack configuration's own factorization minus the
+    background's is the reference this path must match.
     """
     if cracks.components:
         cracks.validate(mesh)
@@ -460,9 +465,16 @@ def crack_signature(mesh, gamma0, basis, cracks):
     C = np.array([v for chain in tied for v in chain], dtype=np.int64)
     T = np.repeat(np.eye(len(tied)), [len(chain) for chain in tied], axis=0)
     U = np.unique(np.concatenate([S, C]))
-    N0, Z, (G,) = _background(fem.factorize(mesh, gamma0), basis, U, [np.arange(len(U))[None]])
+    if not len(U):
+        return np.zeros((basis.M, basis.M))
+    # as many solves as blocks of M columns, but of equal width: the solved
+    # block's temporaries set the peak memory of an anti-crime run
+    width = -(-len(U) // -(-len(U) // basis.M))
+    fact = fem.factorize(mesh, gamma0)
+    Z, (G,) = _green_block(fact, fact.dm.vertex_dof[U], width, [np.arange(len(U))[None]],
+                           fem.gamma_mass(mesh) @ basis.vectors)
     s, c = np.searchsorted(U, S), np.searchsorted(U, C)
-    G, dN = G[0], np.zeros_like(N0.entries)
+    G, dN = G[0], np.zeros((basis.M, basis.M))
     Z_C, G_CC = Z[c], G[np.ix_(c, c)]
     if len(S):
         A = np.eye(len(S)) + E @ G[np.ix_(s, s)]
@@ -473,7 +485,7 @@ def crack_signature(mesh, gamma0, basis, cracks):
         G_CC = G_CC - Y @ _dense_solve(A, E @ Y.T)
     if len(C):
         dN -= _tied_correction(G_CC, Z_C, T)
-    return N0, 0.5 * (dN + dN.T)
+    return 0.5 * (dN + dN.T)
 
 
 def _stars(mesh, gamma0, pin, components):

@@ -13,9 +13,9 @@ mesh, a rectangle's triangulation one cell at a time, connected
 components by a search over an adjacency dict, the pixels a segment
 meets one pixel at a time, a pixel region's closed-square membership one
 point at a time, the candidate test chains one mesh edge at a time, a
-crack's embedding by a search over an adjacency dict, and a crack set's
-signature by two factorizations. ``mean_free_basis`` builds the current
-bases that are not orthonormalized.
+crack's embedding by a search over an adjacency dict, a crack set's
+signature by two factorizations, and a mesh's edge table by three sorts.
+``mean_free_basis`` builds the current bases that are not orthonormalized.
 """
 
 import heapq
@@ -236,6 +236,28 @@ def crack_signature_factorized(mesh, gamma0, basis, cracks):
     N0 = ndmap.nd_matrix(fem.factorize(mesh, gamma0), basis)
     N = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
     return N0, N.entries - N0.entries
+
+
+def edge_table_unique(mesh):
+    """``Mesh._edge_table`` from three ``np.unique`` sorts of the side keys.
+
+    The keys and the inverse come from one, each edge's first side from a
+    second over the inverse, and its last side from a third over the
+    reversed inverse; sides are numbered triangle by triangle.
+    """
+    n, t = len(mesh.vertices), mesh.triangles
+    sides = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = sides.min(axis=1) * n + sides.max(axis=1)
+    uniq, inv = np.unique(keys, return_inverse=True)
+    _, first = np.unique(inv, return_index=True)
+    _, last = np.unique(inv[::-1], return_index=True)
+    lo, hi = first // 3, (len(inv) - 1 - last) // 3
+    return (
+        uniq,
+        np.column_stack([uniq // n, uniq % n]),
+        inv.reshape(-1, 3),
+        np.column_stack([lo, np.where(hi > lo, hi, -1)]),
+    )
 
 
 def source_operator_columns(fact, V, basis):

@@ -28,6 +28,7 @@ from crackfind.geometry import (
 )
 from oracles import (
     components_search,
+    edge_table_unique,
     embed_crack_dict,
     in_closed_region,
     pixels_touching_scan,
@@ -265,10 +266,20 @@ def _cracked_refined_mesh():
 
 @pytest.mark.parametrize(
     "mesh",
-    [build_rect_mesh(2.0, 1.0, 0.2), build_disk_mesh(1.0, 0.21), _cracked_refined_mesh()],
-    ids=["rect", "disk", "cracked-refined"],
+    [
+        build_rect_mesh(2.0, 1.0, 0.2),
+        build_disk_mesh(1.0, 0.21),
+        refine_mesh(build_rect_mesh(1.0, 1.0, 1 / 8), CrackSet())[0],
+        embed_crack(build_rect_mesh(1.0, 1.0, 1 / 8), [(0.25, 0.5), (0.75, 0.5)], INSULATING)[0],
+        _cracked_refined_mesh(),
+    ],
+    ids=["rect", "disk", "refined", "crack-embedded", "cracked-refined"],
 )
 def test_edge_table_matches_reference(mesh):
+    # the one stable sort of the side keys gives the arrays of the three
+    # np.unique sorts it replaced, bit for bit and of the same dtypes
+    for got, want in zip(mesh._edge_table(), edge_table_unique(mesh), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     ref = _edge_dict(mesh)
     edges = mesh.edges()
     assert [tuple(e) for e in edges.tolist()] == sorted(ref)

@@ -622,9 +622,8 @@ def test_crack_signature_matches_two_factorizations(case, shape, arc, box, n, se
         spec = {"boxes": [{"box": [x0, y0, x0 + 0.6, y0 + 0.6], "value": rng.uniform(0.1, 10.0)}]}
     gamma0 = fem.Conductivity.from_spec(mesh, spec)
     basis = ndmap.build_basis(mesh, min(12, len(mesh.gamma_vertices()) - 1))
-    N0, dN = ndmap.crack_signature(mesh, gamma0, basis, cracks)
+    dN = ndmap.crack_signature(mesh, gamma0, basis, cracks)
     ref0, ref = oracles.crack_signature_factorized(mesh, gamma0, basis, cracks)
-    assert np.array_equal(N0.entries, ref0.entries)
     assert dN.shape == (basis.M, basis.M) and np.array_equal(dN, dN.T)
     assert np.max(np.abs(dN - ref)) <= 1e-12 * np.max(np.abs(ref0.entries + ref))
     if case in ("empty", "one edge"):
@@ -632,18 +631,65 @@ def test_crack_signature_matches_two_factorizations(case, shape, arc, box, n, se
         assert not dN.any()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from(["rect", "refined", "disk"]),
+    arc=st.booleans(),
+    box=st.booleans(),
+    n=st.integers(1, 40),
+    width=st.integers(1, 12),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_green_columns_give_the_basis_potentials(shape, arc, box, n, width, seed):
+    # differential oracle of the reciprocity: the pinned potentials Z read
+    # off the arc rows of the Green's columns, and the Green's block G
+    # itself, against _background's basis solve, on random vertex sets
+    # solved in chunks of ``width`` columns
+    mesh = SIGNATURE_MESHES[(shape, True) if arc else shape]
+    rng = np.random.default_rng(seed)
+    spec = 1.0
+    if box:
+        x0, y0 = rng.uniform(-1.0, 0.5, 2)
+        spec = {"boxes": [{"box": [x0, y0, x0 + 0.6, y0 + 0.6], "value": rng.uniform(0.1, 10.0)}]}
+    gamma0 = fem.Conductivity.from_spec(mesh, spec)
+    basis = ndmap.build_basis(mesh, min(12, len(mesh.gamma_vertices()) - 1))
+    pin = mesh.gamma_vertices()[0]
+    free = np.delete(np.arange(len(mesh.vertices)), pin)
+    verts = np.sort(rng.choice(free, size=n, replace=False))
+    star = [np.arange(n)[None]]
+    fact = fem.factorize(mesh, gamma0)
+    _, Z_ref, (G_ref,) = ndmap._background(fact, basis, verts, star)
+    weighted = fem.gamma_mass(mesh) @ basis.vectors
+    Z, (G,) = ndmap._green_block(fact, fact.dm.vertex_dof[verts], width, star, weighted)
+    assert Z.shape == Z_ref.shape == (n, basis.M)
+    assert np.max(np.abs(Z - Z_ref)) <= 1e-12 * np.max(np.abs(Z_ref))
+    if width == basis.M:
+        assert np.array_equal(G, G_ref)
+    assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+
+
 def test_anti_crime_data_factorizes_only_crack_free_meshes(monkeypatch, count_factorizations):
-    # mixed_32's anti-crime data: the table's background, then the fine
-    # background, whose Green's columns on U, the 33 vertices of the slit's
-    # star and the 17 of the tie, are each solved once
+    # mixed_32's anti-crime data: the table's background, whose one current
+    # solve gives the coarse "none", then the fine background, whose Green's
+    # columns on U, the 33 vertices of the slit's star and the 17 of the
+    # tie, are each solved once, in two blocks of 25, and are its only solves
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "mixed_32.json")
     s = harness.load_scenario(path)
     assert s.anti_crime
     built = harness.build_scenario(s)
     calls = record_green_solves(monkeypatch)
     factorizations = count_factorizations(monkeypatch)
+    currents = []
+    real = fem.solve_neumann
+
+    def solve_neumann(fact, F):
+        currents.append(fact.dm.config_label())
+        return real(fact, F)
+
+    monkeypatch.setattr(fem, "solve_neumann", solve_neumann)
     harness.generate_data(s, built)
     assert factorizations.labels == ["none", "none"]
+    assert currents == ["none"]
     fine, cracks = geometry.refine_mesh(built.mesh, built.cracks)
     far, _ = fem.split_fans(fine, cracks.of_kind(geometry.INSULATING))
     star = set(fine.triangles[far // 3].ravel().tolist()) - {int(fine.gamma_vertices()[0])}
@@ -651,7 +697,29 @@ def test_anti_crime_data_factorizes_only_crack_free_meshes(monkeypatch, count_fa
     columns = np.concatenate(calls).tolist()
     assert (len(star), len(tied)) == (33, 17)
     assert len(columns) == len(set(columns)) == 50
+    assert [len(c) for c in calls] == [25, 25]
     assert set(columns) == star | tied
+
+
+@pytest.mark.parametrize("case", ["empty", "one edge"])
+def test_crack_signature_without_slit_or_tie_factorizes_nothing(
+    monkeypatch, count_factorizations, case
+):
+    # nothing to slit or tie: no factorization and exact zeros, after the
+    # crack set is validated
+    mesh = SIGNATURE_MESHES["rect"]
+    cracks = signature_cracks(mesh, np.random.default_rng(1), case, 1)
+    assert len(cracks.components) == (case == "one edge")
+    basis = ndmap.build_basis(mesh, 12)
+    factorizations = count_factorizations(monkeypatch)
+    dN = ndmap.crack_signature(mesh, fem.Conductivity(mesh, 1.0), basis, cracks)
+    assert factorizations.made == 0
+    assert dN.shape == (12, 12) and not dN.any()
+    a, b = mesh.gamma_vertices()[:2]
+    with pytest.raises(ValueError):
+        ndmap.crack_signature(mesh, fem.Conductivity(mesh, 1.0), basis,
+                              CrackSet([geometry.CrackComponent((a, b), geometry.INSULATING)]))
+    assert factorizations.made == 0
 
 
 # ------------------------------------------------------------------ #
