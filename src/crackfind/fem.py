@@ -15,9 +15,21 @@ A frozen pixel region has no dof map: ``ndmap`` updates the background.
 
 Potentials are grounded by pinning one boundary dof during the solve and
 subtracting the mean of the trace over the measurement arc afterwards.
+
+``Factorization.solve`` is the one sparse solve: every current, source and
+Green's block goes through it, and it checks every column's residual
+against the stiffness itself (``_check_residual``), so no caller checks
+again. A block of k >= 2 columns with ``n_dofs * k >= SPLIT_SIZE`` is
+solved as two column halves at once, one on the caller's thread and one on
+a single worker thread: SuperLU's triangular solves release the GIL, so
+the halves use two cores. The split depends on the block's shape alone,
+never on the host, so a one-core host does the same arithmetic.
 """
 
 from __future__ import annotations
+
+import concurrent.futures
+import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +40,22 @@ from .geometry import CONDUCTING, INSULATING
 
 MEAN_FREE_RTOL = 1e-9
 RESIDUAL_RTOL = 1e-10
+# n_dofs * k from which a block of k >= 2 columns is solved as two halves
+# at once; below it the second thread costs more than it saves
+# (BENCH_25.json measures the split's speedup against n_dofs * k)
+SPLIT_SIZE = 2 ** 16
+
+# (pid, executor) of the one worker thread, made on first use; a forked
+# child makes its own, since the parent's thread does not run there
+_worker = None
+
+
+def _second_thread():
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        _worker = (os.getpid(), concurrent.futures.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="crackfind-solve"))
+    return _worker[1]
 
 
 class Conductivity:
@@ -330,8 +358,8 @@ class Factorization:
     in symmetric mode: a minimum-degree ordering of its pattern, applied to
     rows and columns alike, with the diagonal taken as pivot. That keeps
     the factors much sparser than the default column ordering does, which
-    sees only the pattern of A^T A. ``_check_residual`` still guards every
-    solve.
+    sees only the pattern of A^T A. ``solve`` checks the residual of every
+    column it solves.
     """
 
     def __init__(self, K, dm):
@@ -349,25 +377,57 @@ class Factorization:
         )
 
     def solve(self, b, rows):
-        """Solve for a block ``(len(rows), k)`` of right-hand side rows.
+        """Solve for a block ``(len(rows), k)`` of right-hand side rows, checked.
 
         ``rows`` are distinct dofs; ``b`` holds only those rows of the
-        right-hand side and every other row is zero. The dense block the
-        factorization solves is built once, already without the pinned row,
-        and goes through the factorization in one call; the pinned dof is
-        zero in every column.
+        right-hand side and every other row is zero. Returns the ``(n_dofs,
+        k)`` solution, zero at the pinned dof. Every column's residual
+        against ``K`` is checked on every row (``_check_residual`` raises),
+        so a load must be balanced: the pinned row's residual is minus the
+        sum of the load.
+
+        The right-hand side, without the pinned row, is built in the
+        result's own rows, which the factorization copies, and the solution
+        overwrites it. A block with k >= 2 and ``n_dofs * k >= SPLIT_SIZE``
+        is solved as two column halves at once: the second half on the
+        module's one worker thread, which runs only the factorization's
+        solve and the residual check, the first on the caller's thread.
+        Both write into the one result. An error in either half reaches the
+        caller unchanged, after both halves have ended. A column's last bits
+        may depend on the width of the block SuperLU solves it in, never on
+        the thread, so a block of a given shape always gives the same bits.
         """
         rows = np.asarray(rows, dtype=np.int64)
+        n, k = self.dm.n_dofs, b.shape[1]
+        x = np.zeros((n, k))
         free = rows != self.pin
-        dense = np.zeros((self.dm.n_dofs - 1,) + b.shape[1:])
-        dense[rows[free] - (rows[free] > self.pin)] = b[free]
-        y = self._lu.solve(dense)
-        del dense
-        # allocated after the solve, so the block's temporary copies are
-        # gone before the result exists
-        x = np.zeros((self.dm.n_dofs,) + y.shape[1:])
-        x[self.keep] = y
+        x[rows[free] - (rows[free] > self.pin)] = b[free]
+        # the worker gets the arrays it needs, not the factorization, so it
+        # never keeps a factorization alive after its caller drops it
+        part = (self._lu, self.K, self.keep, rows)
+        if k < 2 or n * k < SPLIT_SIZE:
+            _solve_columns(*part, x, b)
+            return x
+        half = k // 2
+        job = _second_thread().submit(_solve_columns, *part, x[:, half:], b[:, half:])
+        try:
+            _solve_columns(*part, x[:, :half], b[:, :half])
+        finally:
+            concurrent.futures.wait([job])
+        job.result()
         return x
+
+
+def _solve_columns(lu, K, keep, rows, x, b):
+    # solve the columns of ``x`` in place: its rows above the last hold the
+    # right-hand side without the pinned row, which the solve copies; the
+    # solution fills every row but the pinned one, which is zero, and each
+    # column's residual is checked against K and the load ``b`` on ``rows``
+    y = lu.solve(x[:-1])
+    x[keep] = y
+    del y
+    x[~keep] = 0.0
+    _check_residual(K, x, b, rows)
 
 
 def factorize(mesh, gamma0, cracks=None, excluded=None):
@@ -396,8 +456,9 @@ def _check_residual(K, x, b, rows=None):
         r -= b
     else:
         r[rows] -= b
-    bn = np.linalg.norm(b, axis=-2)
-    rn = np.linalg.norm(r, axis=-2)
+    # column norms without an n x k temporary of squares
+    bn = np.sqrt(np.einsum("...ij,...ij->...j", b, b))
+    rn = np.sqrt(np.einsum("...ij,...ij->...j", r, r))
     rel = np.divide(rn, bn, out=np.zeros_like(rn), where=bn > 0)
     worst = float(np.max(rel, initial=0.0))
     if worst > RESIDUAL_RTOL:
@@ -416,10 +477,9 @@ def _load(dofs, cols, values, k):
 
 
 def _solve(fact, rows, b):
-    # shared tail of every solve: one solve for the whole block from the
-    # load on its rows, per-column residual check, then grounding in place
+    # shared tail of every current and source solve: one checked solve for
+    # the whole block from the load on its rows, then grounding in place
     x = fact.solve(b, rows)
-    _check_residual(fact.K, x, b, rows)
     dm = fact.dm
     w = arc_weights(dm.mesh)
     x -= (w @ x[dm.gamma_dofs]) / w.sum()

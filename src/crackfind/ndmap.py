@@ -211,7 +211,9 @@ class Configurations:
         pin = mesh.gamma_vertices()[0]
         local = fem.element_stiffness(mesh, self.gamma0)
         regions = {"V": self.V, "W": self.W}
-        blocks = [_region_blocks(mesh, local, region, pin) for region in regions.values()]
+        closures = [geometry.region_closure(region, ties=True) for region in regions.values()]
+        blocks = [_region_blocks(mesh, local, region, closure, pin)
+                  for region, closure in zip(regions.values(), closures)]
         del local
         # V and W may share boundary vertices: each Green's column once
         verts = np.unique(np.concatenate([C for C, _ in blocks]))
@@ -219,21 +221,23 @@ class Configurations:
         N0, Z, G = _background(fem.factorize(mesh, self.gamma0), self.basis, verts, at)
         self._nd.setdefault("none", N0)
         empty = geometry.CrackSet()
-        for (key, region), (C, L), P, G_C in zip(regions.items(), blocks, at, G):
+        for (key, region), closure, (C, L), P, G_C in zip(regions.items(), closures, blocks, at, G):
             # an empty C corrects nothing, and N0 symmetrized is N0 itself
             excluded = N0.entries - _chain_correction(G_C, Z[P], -L[None])
             excluded = excluded.reshape(N0.entries.shape)
             self._nd.setdefault("excluded " + key, NdMatrix(
                 0.5 * (excluded + excluded.T), fem.config_label(empty, excluded=region), ()
             ))
-            self._nd.setdefault("frozen " + key, _frozen(N0, C, Z[P[0]], G_C[0], region, pin))
+            self._nd.setdefault("frozen " + key,
+                                _frozen(N0, C, Z[P[0]], G_C[0], closure, region, pin))
 
 
-def _region_blocks(mesh, local, region, pin):
-    # (C, L) of a pixel region: its boundary vertices but the pin, which is
-    # zero in every potential, ascending, and its element stiffness
-    # ``local[its triangles]`` condensed onto them
-    in_S, in_C = geometry.region_closure(region)
+def _region_blocks(mesh, local, region, closure, pin):
+    # (C, L) of a pixel region, given its ``geometry.region_closure``: its
+    # boundary vertices but the pin, which is zero in every potential,
+    # ascending, and its element stiffness ``local[its triangles]``
+    # condensed onto them
+    in_S, in_C = closure[:2]
     S = np.flatnonzero(in_S)
     if not len(S):
         return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
@@ -255,15 +259,16 @@ def _region_blocks(mesh, local, region, pin):
     return C[keep], L[np.ix_(keep, keep)]
 
 
-def _frozen(N0, verts, Z, G, region, pin):
+def _frozen(N0, verts, Z, G, closure, region, pin):
     # the NdMatrix of ``region`` frozen, a tie update of a base N0 (which
     # may hold the region's triangles or exclude them) by its pinned
     # potentials Z and Green's block G on ``verts``, all boundary vertices C
-    # of the region but the pin, ascending. T ties C, one column per group
+    # of the region but the pin, ascending. ``closure`` is the region's
+    # ``geometry.region_closure`` with ties; T ties C, one column per group
     # of the closure's ties (components that meet at a vertex share its
     # dof). The pin is zero in every potential, so C drops it and its
     # group's column goes
-    _, in_C, tie = geometry.region_closure(region, ties=True)
+    _, in_C, tie = closure
     C = np.flatnonzero(in_C)
     kept = C[C != pin]
     N = N0.entries
@@ -293,11 +298,12 @@ def _green_block(fact, dofs, width, stars, weighted=None):
     # column is solved once, ``width`` columns at a time, so no n x |dofs|
     # array is formed, and of each solved block only the rows a star pairs
     # with its columns are kept. The load e_c - e_pin is balanced, so the
-    # residual holds on every row. Each stack is filled a column per row,
-    # with one flat take per block, and handed out transposed. Returns
-    # ``(Z, stacks)``: Z is None, or with ``weighted``, the arc loads (G, M)
-    # of M currents, their pinned potentials on ``dofs``, x_c^T b by the
-    # symmetry of the pinned stiffness (the Green's column x_c is 0 at the pin)
+    # solve's residual check holds on every row. Each stack is filled a
+    # column per row, with one flat take per block, and handed out
+    # transposed. Returns ``(Z, stacks)``: Z is None, or with ``weighted``,
+    # the arc loads (G, M) of M currents, their pinned potentials on
+    # ``dofs``, x_c^T b by the symmetry of the pinned stiffness (the Green's
+    # column x_c is 0 at the pin)
     Z = None if weighted is None else np.empty((len(dofs), weighted.shape[1]))
     out = [np.empty(P.shape + P.shape[1:]) for P in stars]
     # per stack: the stars' dofs, and their places in the order of the
@@ -311,7 +317,6 @@ def _green_block(fact, dofs, width, stars, weighted=None):
         b = np.vstack([np.eye(len(cols)), -np.ones((1, len(cols)))])
         at = np.append(cols, fact.pin)
         x = fact.solve(b, at)
-        fem._check_residual(fact.K, x, b, at)
         if Z is not None:
             Z[lo:lo + width] = x[fact.dm.gamma_dofs].T @ weighted
         for GT, (D, col, order) in zip(out, plan):
@@ -637,14 +642,16 @@ class RegionMaps:
         self._grid = R0.grid
         self._pin = mesh.gamma_vertices()[0]
         self._local = fem.element_stiffness(mesh, gamma0)
-        S, C = geometry.region_closure(R0)
-        if S[self._pin]:
+        # the frozen side reads the ties of each tested region's closure
+        self._ties = mode != "insulating"
+        closure = geometry.region_closure(R0, ties=self._ties)
+        if closure[0][self._pin]:
             raise ValueError("the start region holds the pinned arc vertex")
-        C = np.flatnonzero(C)
+        C = np.flatnonzero(closure[1])
         N, Z, (G,) = _background(fem.factorize(mesh, gamma0, excluded=R0), basis, C,
                                  [np.arange(len(C))[None]])
-        # (NdMatrix, C, Z, G) of the excluded region
-        self._block = (N, C, Z, G[0])
+        # (NdMatrix, C, Z, G, closure) of the excluded region
+        self._block = (N, C, Z, G[0], closure)
         self._last = None
 
     def matrices(self, pixel=None):
@@ -686,7 +693,7 @@ class RegionMaps:
         # the excluded NdMatrix of ``region``, the region without ``pixel``,
         # and the pieces of its update: S (p's vertices), their positions in
         # the block (-1 if enclosed), I + E G_SS, E and (I + E G_SS)^-1 E Z_S
-        N, kept, Z, G = self._block
+        N, kept, Z, G, _ = self._block
         tris = np.flatnonzero(self._grid.tri_pixel == pixel)
         S, local = np.unique(self.mesh.triangles[tris], return_inverse=True)
         local = local.reshape(-1, 3)
@@ -713,8 +720,9 @@ class RegionMaps:
         # the block of ``region`` from the update that made it: the kept
         # block grows by the vertices p releases, whose Green's rows are e_v
         # and potentials zero, then is updated and cut back to the new
-        # region's boundary
-        _, kept, Z, G = self._block
+        # region's boundary. The region's closure is found once, here, and
+        # the block keeps it for ``_frozen``
+        _, kept, Z, G, _ = self._block
         released = S[at < 0]
         n = len(kept)
         U = np.concatenate([kept, released])
@@ -727,11 +735,12 @@ class RegionMaps:
         Y = G_U[:, pos]
         G_U -= Y @ _dense_solve(A, E @ Y.T)
         Z_U -= Y @ X
-        new = np.flatnonzero(geometry.region_closure(region)[1])
+        closure = geometry.region_closure(region, ties=self._ties)
+        new = np.flatnonzero(closure[1])
         order = np.argsort(U)
         keep = order[np.searchsorted(U[order], new)]
         G = G_U[np.ix_(keep, keep)]
-        return N, new, Z_U[keep], 0.5 * (G + G.T)
+        return N, new, Z_U[keep], 0.5 * (G + G.T), closure
 
 
 def psd_tests(A, tau):

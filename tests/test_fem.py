@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -425,6 +427,144 @@ def test_load_rows_solve_like_the_dense_load(dofmaps, kind):
     assert fem._check_residual(K, x, vals, rows) == pytest.approx(
         fem._check_residual(K, x, dense), rel=1e-6, abs=1e-15
     )
+
+
+# ------------------------------------------------------------------ #
+# split block solves
+# ------------------------------------------------------------------ #
+
+SPLIT_MESHES = {
+    "rect": square(16),
+    "refined": geometry.refine_mesh(square(8), geometry.CrackSet())[0],
+    "disk": build_disk_mesh(1.0, 0.1),
+}
+
+
+def split_factorization(shape, config, rng):
+    # random insulating chains, one random conducting chain or one interior
+    # pixel excluded, on one of SPLIT_MESHES
+    mesh = SPLIT_MESHES[shape]
+    if config == "excluded":
+        grid = PixelGrid(mesh, 8, 8)
+        members = geometry.interior_pixel_set(grid).members
+        region = PixelSet(grid, [sorted(members)[rng.integers(len(members))]])
+        return factorize(mesh, one(mesh), excluded=region)
+    if config == "insulating":
+        cracks = random_insulating_set(mesh, rng)
+    else:
+        chain = random_walk(mesh, rng, int(rng.integers(1, 7)), set())
+        cracks = geometry.CrackSet([geometry.CrackComponent(chain, CONDUCTING)])
+    return factorize(mesh, one(mesh), cracks=cracks)
+
+
+def balanced_load(fact, k, rng):
+    # k random loads on a few random dofs, the pinned one among them, each
+    # summing to zero
+    rows = np.unique(np.append(rng.choice(fact.dm.n_dofs, 12, replace=False), fact.pin))
+    b = rng.standard_normal((len(rows), k))
+    return rows, b - b.mean(axis=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(SPLIT_MESHES)),
+    config=st.sampled_from(["insulating", "conducting", "excluded"]),
+    offset=st.integers(-3, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_split_solve_matches_column_by_column_solves(shape, config, offset, seed):
+    # differential oracle of the split: a block as wide as the threshold
+    # asks for, give or take three columns, against each column solved on
+    # its own by a dense LU of the grounded stiffness
+    rng = np.random.default_rng(seed)
+    fact = split_factorization(shape, config, rng)
+    n = fact.dm.n_dofs
+    k = -(-fem.SPLIT_SIZE // n) + offset
+    rows, b = balanced_load(fact, k, rng)
+    x = fact.solve(b, rows)
+    assert x.shape == (n, k) and not x[fact.pin].any()
+    lu = scipy.linalg.lu_factor(fact.K[fact.keep][:, fact.keep].toarray())
+    for j in range(k):
+        load = np.zeros(n)
+        load[rows] = b[:, j]
+        ref = np.zeros(n)
+        ref[fact.keep] = scipy.linalg.lu_solve(lu, load[fact.keep])
+        assert np.linalg.norm(x[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_split_solve_runs_its_second_half_on_one_worker(monkeypatch):
+    # at the threshold the block splits; one column less and it does not.
+    # Every split solve runs its second half on the one worker thread
+    fact = split_factorization("rect", "insulating", np.random.default_rng(2))
+    n = fact.dm.n_dofs
+    k = -(-fem.SPLIT_SIZE // n)
+    halves = []
+    real = fem._solve_columns
+
+    def solve_columns(lu, K, keep, rows, x, b):
+        halves.append((threading.current_thread().name, x.shape[1]))
+        real(lu, K, keep, rows, x, b)
+
+    monkeypatch.setattr(fem, "_solve_columns", solve_columns)
+    rows, b = balanced_load(fact, k, np.random.default_rng(5))
+    fact.solve(b[:, 1:], rows)
+    assert halves == [(threading.current_thread().name, k - 1)]
+    halves.clear()
+    for _ in range(3):
+        fact.solve(b, rows)
+    caller = [name for name, _ in halves if name == threading.current_thread().name]
+    worker = {name for name, _ in halves} - set(caller)
+    assert len(caller) == 3 and len(worker) == 1
+    assert worker.pop().startswith("crackfind-solve")
+    assert sorted(width for _, width in halves[:2]) == [k // 2, k - k // 2]
+    solvers = [t for t in threading.enumerate() if t.name.startswith("crackfind-solve")]
+    assert len(solvers) == 1
+
+
+def test_split_solve_raises_the_worker_halfs_error_in_the_caller(monkeypatch):
+    # an unbalanced load in the last column leaves a residual on the pinned
+    # row; that column is in the worker's half, whose check raises there,
+    # and the caller gets the error after both halves have ended
+    fact = split_factorization("disk", "excluded", np.random.default_rng(3))
+    k = -(-fem.SPLIT_SIZE // fact.dm.n_dofs)
+    rows, b = balanced_load(fact, k, np.random.default_rng(4))
+    b[0, -1] += 1.0
+    raised = []
+    real = fem._check_residual
+
+    def check(K, x, b, rows=None):
+        try:
+            return real(K, x, b, rows)
+        except RuntimeError:
+            raised.append(threading.current_thread().name)
+            raise
+
+    monkeypatch.setattr(fem, "_check_residual", check)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        fact.solve(b, rows)
+    assert len(raised) == 1 and raised[0].startswith("crackfind-solve")
+    # the worker is free again, and a balanced block solves
+    b[0, -1] -= 1.0
+    assert fact.solve(b, rows).shape == (fact.dm.n_dofs, k)
+
+
+@pytest.mark.parametrize("config", ["insulating", "conducting", "excluded"])
+def test_split_solve_is_bit_identical_whoever_solves_the_second_half(config):
+    # repeated split solves of one block agree bit for bit, with each other
+    # and with each half solved as its own block on the caller's thread. (A
+    # column's bits may depend on the width of its block, never on the
+    # thread that solves it.)
+    fact = split_factorization("refined", config, np.random.default_rng(6))
+    n = fact.dm.n_dofs
+    # the widest block whose halves are each too narrow to split
+    k = 2 * (-(-fem.SPLIT_SIZE // n) - 1)
+    assert k // 2 * n < fem.SPLIT_SIZE <= k * n
+    rows, b = balanced_load(fact, k, np.random.default_rng(7))
+    x = fact.solve(b, rows)
+    for _ in range(3):
+        assert np.array_equal(fact.solve(b, rows), x)
+    assert np.array_equal(fact.solve(b[:, :k // 2], rows), x[:, :k // 2])
+    assert np.array_equal(fact.solve(b[:, k // 2:], rows), x[:, k // 2:])
 
 
 def test_gamma_mass_matches_edge_loop():

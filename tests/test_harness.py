@@ -139,6 +139,25 @@ def test_carry_basis_refuses_nodes_off_the_coarse_arc():
         harness.carry_basis(basis, geometry.mark_gamma(off, {"side": "left"}))
 
 
+def test_anti_crime_data_validates_the_fine_cracks_once(monkeypatch):
+    # mixed_32's anti-crime data validates its refined crack set once, in
+    # ndmap.crack_signature; geometry.refine_mesh carries a valid set over
+    # without validating it again
+    s = harness.load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs", "mixed_32.json"))
+    built = harness.build_scenario(s)
+    meshes = []
+    real = geometry.CrackSet.validate
+
+    def validate(self, mesh):
+        meshes.append(len(mesh.vertices))
+        return real(self, mesh)
+
+    monkeypatch.setattr(geometry.CrackSet, "validate", validate)
+    harness.generate_data(s, built)
+    fine, _ = refine_mesh(built.mesh, built.cracks)
+    assert meshes == [len(fine.vertices)]
+
+
 def test_anti_crime_changes_data_not_verdicts():
     # needs the scale where pixel gates are resolved by the basis; coarser
     # meshes leave borderline probes that the transplant legitimately flips

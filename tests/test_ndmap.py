@@ -786,6 +786,37 @@ def test_region_maps_match_nd_solver(shape, arc, box, mode, seed):
     assert_region_matches_factorization(mesh, gamma0, basis, maps.region, maps.matrices(), mode)
 
 
+@pytest.mark.parametrize("mode", ndmap.MODES)
+def test_region_maps_find_each_closure_once(monkeypatch, mode):
+    # each region's closure is found once, with the ties where the frozen
+    # side reads them, and serves both its fold and its frozen update; an
+    # accepted candidate installs the closure its test found
+    mesh = REGION_MESHES["rect", False]
+    grid = geometry.PixelGrid(mesh, 8, 8)
+    calls = []
+    real = geometry.region_closure
+
+    def region_closure(region, ties=False):
+        calls.append((tuple(sorted(region.members)), ties))
+        return real(region, ties)
+
+    monkeypatch.setattr(geometry, "region_closure", region_closure)
+    maps = ndmap.RegionMaps(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 6),
+                            geometry.interior_pixel_set(grid), mode)
+    maps.matrices()
+    tested = [maps.region]
+    for _ in range(3):
+        for pixel in geometry.peel_candidates(maps.region)[:3]:
+            maps.matrices(pixel)
+            tested.append(maps.region.minus(pixel))
+        maps.peel(pixel)
+        maps.matrices()
+    ties = mode != "insulating"
+    # "insulating" folds only the accepted candidates
+    folded = tested if ties else tested[:1] + tested[3::3]
+    assert calls == [(tuple(sorted(r.members)), ties) for r in folded]
+
+
 def test_region_maps_green_columns(monkeypatch):
     # a start solves one Green's column per boundary vertex of R0, the only
     # block the peel keeps, in blocks of at most M
@@ -1031,12 +1062,13 @@ def test_frozen_from_the_excluded_region_is_frozen_from_the_background(shape, ar
             break
     else:
         raise AssertionError("no region drawn")
-    C = np.flatnonzero(geometry.region_closure(region)[1])
+    closure = geometry.region_closure(region, ties=True)
+    C = np.flatnonzero(closure[1])
     got = []
     for excluded in (region, None):
         fact = fem.factorize(mesh, gamma0, excluded=excluded)
         N, Z, (G,) = ndmap._background(fact, basis, C, [np.arange(len(C))[None]])
-        got.append(ndmap._frozen(N, C, Z, G[0], region, pin).entries)
+        got.append(ndmap._frozen(N, C, Z, G[0], closure, region, pin).entries)
     assert np.max(np.abs(got[0] - got[1])) <= 1e-12 * np.max(np.abs(N.entries))
 
 
