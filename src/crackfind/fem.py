@@ -24,6 +24,13 @@ solved as two column halves at once, one on the caller's thread and one on
 a single worker thread: SuperLU's triangular solves release the GIL, so
 the halves use two cores. The split depends on the block's shape alone,
 never on the host, so a one-core host does the same arithmetic.
+
+The worker thread runs solve halves only, and this must stay so. A
+``Factorization.solve`` there would wait on itself, since its split submits
+to the one thread it runs on. A factorization there would overlap the
+caller's work with a second factorization's memory: in a trial that moved
+the factorizations onto it, the locpot-contrast benchmark's peak resident
+memory rose from about 79 MB to 100-128 MB.
 """
 
 from __future__ import annotations

@@ -437,7 +437,9 @@ def generate_data(s, built):
         provenance["fine_triangles"] = int(len(fine.triangles))
         provenance["signature_norm"] = float(np.linalg.norm(signature, 2))
     else:
-        data = built.table.nd("all")
+        # locpot factorizes "all" first: a run that starts with it takes
+        # the data's factorization over
+        data = built.table.nd("all", keep="locpot" in s.methods[:1])
     if s.noise > 0:
         rng = np.random.default_rng(s.seed)
         noisy = ndmap.symmetric_noise(data, s.noise, rng)
@@ -577,7 +579,9 @@ class RunReport:
 
 
 def _dump_json(obj):
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    # compact, so that json runs its C encoder (it has none for indented
+    # output); sorted keys and repr floats keep the bytes of a rerun
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _write_artifacts(report, artifacts, out_dir):

@@ -283,7 +283,8 @@ def run_localized_demo(table, n_values=None):
     the background's operator on the far region grown by one pixel ring
     (clipped to the meshed interior). The source operators come from the
     table's factorizations of the three crack configurations, one alive at
-    a time; every ND matrix comes from the table, so configurations another
+    a time, the first of them (``all``) the data's when the table kept it;
+    every ND matrix comes from the table, so configurations another
     method of the run has solved are not solved again. The far forms'
     excluded and frozen matrices are the table's updates of its one
     crack-free background. Returns ``{variant: (sequence, report)}``; a report's

@@ -108,7 +108,7 @@ class NdMatrix:
         return {
             "config": self.config_label,
             "M": int(len(self.entries)),
-            "entries": [float(x) for x in self.entries.reshape(-1)],
+            "entries": self.entries.reshape(-1).tolist(),
         }
 
 
@@ -164,8 +164,11 @@ class Configurations:
       union of the two regions' C, each column solved once. An empty region
       gives the background matrix itself.
 
-    The table keeps matrices only, never a factorization, so at most one
-    is alive at a time.
+    The table holds at most one factorization: the one behind
+    ``nd(name, keep=True)``, for the caller's next step to take with
+    ``factorization(name)``. It drops that one before it factorizes
+    anything else, so a run that keeps only what its next step reads has
+    at most one alive at a time.
     """
 
     def __init__(self, mesh, gamma0, basis, cracks, V, W):
@@ -184,20 +187,35 @@ class Configurations:
             self.configs["excluded " + key] = {"excluded": region}
             self.configs["frozen " + key] = {"frozen": region}
         self._nd = {}
+        # (name, Factorization) that ``nd`` kept for ``factorization``
+        self._kept = None
 
-    def nd(self, name):
-        """The named configuration's NdMatrix, solved on first request."""
+    def nd(self, name, keep=False):
+        """The named configuration's NdMatrix, solved on first request.
+
+        With ``keep``, a crack configuration solved here keeps its
+        factorization in the table for the next ``factorization(name)``.
+        """
         if name not in self._nd:
             if {"excluded", "frozen"} & set(self.configs[name]):
                 self._solve_regions()
             else:
-                self.factorization(name)
+                fact = self.factorization(name)
+                if keep:
+                    self._kept = (name, fact)
         return self._nd[name]
 
     def factorization(self, name):
-        """A fresh factorization of a crack configuration; the caller owns it."""
+        """A factorization of a crack configuration; the caller owns it.
+
+        It is the one ``nd(name, keep=True)`` kept, else a fresh one.
+        """
         if {"excluded", "frozen"} & set(self.configs[name]):
             raise ValueError("%r is a region configuration, which is never factorized" % name)
+        kept, self._kept = self._kept, None
+        if kept is not None and kept[0] == name:
+            return kept[1]
+        del kept
         fact = fem.factorize(self.mesh, self.gamma0, **self.configs[name])
         if name not in self._nd:
             self._nd[name] = nd_matrix(fact, self.basis)
@@ -207,6 +225,7 @@ class Configurations:
         # the four region matrices and "none", where the table lacks them,
         # from one factorization of the background; the element stiffness
         # is condensed and dropped before it is factorized
+        self._kept = None
         mesh = self.mesh
         pin = mesh.gamma_vertices()[0]
         local = fem.element_stiffness(mesh, self.gamma0)
@@ -482,12 +501,14 @@ def crack_signature(mesh, gamma0, basis, cracks):
     G, dN = G[0], np.zeros((basis.M, basis.M))
     Z_C, G_CC = Z[c], G[np.ix_(c, c)]
     if len(S):
-        A = np.eye(len(S)) + E @ G[np.ix_(s, s)]
-        X = _dense_solve(A, E @ Z[s])
-        dN -= Z[s].T @ X
+        # one solve with A = I + E G_SS for the update and its fold onto C,
+        # the products of E one by one as in ``RegionMaps._update``
         Y = G[np.ix_(c, s)]
+        X = _dense_solve(np.eye(len(S)) + E @ G[np.ix_(s, s)], np.hstack([E @ Z[s], E @ Y.T]))
+        X, X_Y = X[:, :basis.M], X[:, basis.M:]
+        dN -= Z[s].T @ X
         Z_C = Z_C - Y @ X
-        G_CC = G_CC - Y @ _dense_solve(A, E @ Y.T)
+        G_CC = G_CC - Y @ X_Y
     if len(C):
         dN -= _tied_correction(G_CC, Z_C, T)
     return 0.5 * (dN + dN.T)
@@ -624,7 +645,10 @@ class RegionMaps:
       table applies to its background.
 
     A candidate is folded once, when the frozen side needs it ("insulating"
-    folds only an accepted removal), and ``peel`` installs the fold.
+    folds only an accepted removal), and ``peel`` installs the fold. A fold
+    forms Z and G on C(R - p) alone; where every candidate is folded, one
+    solve with ``I + E G_SS`` gives both the update and the fold. Each
+    pixel's S and element stiffness are assembled once, at the start.
     ``mode`` (one of ``MODES``) names the sides to test: "insulating" the
     excluded response, "conducting" the frozen one. The caller keeps every
     region admissible. Every small dense solve is checked against
@@ -639,14 +663,13 @@ class RegionMaps:
         self.mesh = mesh
         self.region = R0
         self._mode = mode
-        self._grid = R0.grid
         self._pin = mesh.gamma_vertices()[0]
-        self._local = fem.element_stiffness(mesh, gamma0)
         # the frozen side reads the ties of each tested region's closure
         self._ties = mode != "insulating"
         closure = geometry.region_closure(R0, ties=self._ties)
         if closure[0][self._pin]:
             raise ValueError("the start region holds the pinned arc vertex")
+        self._pixels = _pixel_stiffness(mesh, gamma0, R0)
         C = np.flatnonzero(closure[1])
         N, Z, (G,) = _background(fem.factorize(mesh, gamma0, excluded=R0), basis, C,
                                  [np.arange(len(C))[None]])
@@ -662,7 +685,7 @@ class RegionMaps:
         region, block = self.region, self._block
         if pixel is not None:
             region = self._without(pixel)
-            block = self._opened(pixel, region, fold=self._mode != "insulating")
+            block = self._opened(pixel, region, fold=self._ties)
         excluded = None if self._mode == "conducting" else block[0]
         frozen = None if self._mode == "insulating" else _frozen(*block, region, self._pin)
         return excluded, frozen
@@ -681,66 +704,107 @@ class RegionMaps:
 
     def _opened(self, pixel, region, fold):
         # the block of ``region``, the region without ``pixel``: only its
-        # NdMatrix unless ``fold``. The update and the fold are each made
-        # once and kept until the region changes
+        # NdMatrix unless ``fold``. The update is made once and kept, as
+        # [pixel, block, pieces], until the region changes; the block is
+        # folded on first need
         if self._last is None or self._last[0] != pixel:
-            self._last = [pixel, self._update(pixel, region), None]
-        if fold and self._last[2] is None:
-            self._last[2] = self._fold(region, *self._last[1])
-        return self._last[2] if fold else self._last[1][:1]
+            self._last = [pixel, *self._update(region, pixel)]
+        if fold and len(self._last[1]) == 1:
+            self._last[1] = self._fold(region, self._last[1][0], *self._last[2])
+        return self._last[1] if fold else self._last[1][:1]
 
-    def _update(self, pixel, region):
-        # the excluded NdMatrix of ``region``, the region without ``pixel``,
-        # and the pieces of its update: S (p's vertices), their positions in
-        # the block (-1 if enclosed), I + E G_SS, E and (I + E G_SS)^-1 E Z_S
+    def _update(self, region, pixel):
+        # the block of ``region`` and the pieces of its update: S (p's
+        # vertices), their positions in the kept block (-1 if enclosed),
+        # A = I + E G_SS, E and A^-1 E Z_S. Where the frozen side reads
+        # every fold, one solve with A serves the update and the fold, and
+        # the block is folded; else it is the excluded NdMatrix alone
         N, kept, Z, G, _ = self._block
-        tris = np.flatnonzero(self._grid.tri_pixel == pixel)
-        S, local = np.unique(self.mesh.triangles[tris], return_inverse=True)
-        local = local.reshape(-1, 3)
-        E = np.zeros((len(S), len(S)))
-        np.add.at(E, (local[:, :, None], local[:, None, :]), self._local[tris])
-        is_kept = np.isin(S, kept)
-        boundary, enclosed = np.flatnonzero(is_kept), np.flatnonzero(~is_kept)
-        at = np.full(len(S), -1)
-        at[boundary] = np.searchsorted(kept, S[boundary])
+        S, E = self._pixels[pixel]
+        at = _positions(kept, S)
         # the released vertices lose their placeholder rows
-        E[enclosed, enclosed] -= 1.0
-        G_SS = np.zeros((len(S), len(S)))
-        G_SS[np.ix_(boundary, boundary)] = G[np.ix_(at[boundary], at[boundary])]
-        G_SS[enclosed, enclosed] = 1.0
-        Z_S = np.zeros((len(S), Z.shape[1]))
-        Z_S[boundary] = Z[at[boundary]]
-        A = np.eye(len(S)) + E @ G_SS
-        X = _dense_solve(A, E @ Z_S)
+        E = E - np.diag((at < 0).astype(float))
+        A = np.eye(len(S)) + E @ _grown(G, S, at, S, at)
+        Z_S = _grown_rows(Z, at)
+        onto = self._onto(region, S, at) if self._ties else None
+        # the products of E one by one, so that each column is formed as
+        # it would be alone
+        rhs = E @ Z_S
+        X = _dense_solve(A, rhs if onto is None else np.hstack([rhs, E @ onto[3].T]))
+        X, X_Y = X[:, :Z.shape[1]], X[:, Z.shape[1]:]
         N = N.entries - Z_S.T @ X
         label = fem.config_label(geometry.CrackSet(), excluded=region)
-        return NdMatrix(0.5 * (N + N.T), label, ()), S, at, A, E, X
+        N = NdMatrix(0.5 * (N + N.T), label, ())
+        block = (N,) if onto is None else self._folded(N, onto, X, X_Y)
+        return block, (S, at, A, E, X)
 
     def _fold(self, region, N, S, at, A, E, X):
-        # the block of ``region`` from the update that made it: the kept
-        # block grows by the vertices p releases, whose Green's rows are e_v
-        # and potentials zero, then is updated and cut back to the new
-        # region's boundary. The region's closure is found once, here, and
-        # the block keeps it for ``_frozen``
-        _, kept, Z, G, _ = self._block
-        released = S[at < 0]
-        n = len(kept)
-        U = np.concatenate([kept, released])
-        G_U = np.zeros((len(U), len(U)))
-        G_U[:n, :n] = G
-        G_U[n:, n:] = np.eye(len(released))
-        Z_U = np.vstack([Z, np.zeros((len(released), Z.shape[1]))])
-        pos = at.copy()
-        pos[at < 0] = n + np.arange(len(released))
-        Y = G_U[:, pos]
-        G_U -= Y @ _dense_solve(A, E @ Y.T)
-        Z_U -= Y @ X
+        # the folded block of an update made without it
+        onto = self._onto(region, S, at)
+        return self._folded(N, onto, X, _dense_solve(A, E @ onto[3].T))
+
+    def _onto(self, region, S, at):
+        # what a fold needs of the new region: its closure, found once here
+        # and kept in the block for ``_frozen``, its boundary C(R - p), their
+        # positions in the kept block and Y, the Green's entries on rows
+        # C(R - p) and columns S. C(R - p) lies in the kept C and the
+        # vertices p releases
+        kept, G = self._block[1], self._block[3]
         closure = geometry.region_closure(region, ties=self._ties)
         new = np.flatnonzero(closure[1])
-        order = np.argsort(U)
-        keep = order[np.searchsorted(U[order], new)]
-        G = G_U[np.ix_(keep, keep)]
-        return N, new, Z_U[keep], 0.5 * (G + G.T), closure
+        at_new = _positions(kept, new)
+        return closure, new, at_new, _grown(G, new, at_new, S, at)
+
+    def _folded(self, N, onto, X, X_Y):
+        # the block of the new region, formed on its boundary only:
+        # Z - Y X and G - Y A^-1 E Y^T there
+        _, _, Z, G, _ = self._block
+        closure, new, at_new, Y = onto
+        G = _grown(G, new, at_new, new, at_new) - Y @ X_Y
+        return N, new, _grown_rows(Z, at_new) - Y @ X, 0.5 * (G + G.T), closure
+
+
+def _pixel_stiffness(mesh, gamma0, region):
+    # {pixel: (S, E)} of each pixel of ``region``: the vertices of its
+    # triangles, ascending, and its element stiffness assembled on them
+    tris = region.triangles()
+    local = fem.element_stiffness(mesh, gamma0, tris)
+    owner = region.grid.tri_pixel[tris]
+    order = np.argsort(owner, kind="stable")
+    bounds = np.flatnonzero(np.diff(owner[order])) + 1
+    out = {}
+    for part in np.split(order, bounds):
+        S, node = np.unique(mesh.triangles[tris[part]], return_inverse=True)
+        node = node.reshape(-1, 3)
+        E = np.zeros((len(S), len(S)))
+        np.add.at(E, (node[:, :, None], node[:, None, :]), local[part])
+        out[int(owner[part[0]])] = (S, E)
+    return out
+
+
+def _positions(kept, verts):
+    # the positions of ``verts`` in the ascending ``kept``, -1 where absent
+    at = np.searchsorted(kept, verts)
+    found = at < len(kept)
+    found[found] = kept[at[found]] == verts[found]
+    return np.where(found, at, -1)
+
+
+def _grown(G, rows, at_r, cols, at_c):
+    # a peel block's Green's entries on vertex rows and columns, given their
+    # positions in the kept block (-1 for an enclosed vertex, whose Green's
+    # row is e_v)
+    out = ((rows[:, None] == cols) & (at_r[:, None] < 0)).astype(float)
+    r, c = at_r >= 0, at_c >= 0
+    out[np.ix_(r, c)] = G[np.ix_(at_r[r], at_c[c])]
+    return out
+
+
+def _grown_rows(Z, at):
+    # a peel block's potentials on vertices at positions ``at`` (zero where enclosed)
+    out = np.zeros((len(at), Z.shape[1]))
+    out[at >= 0] = Z[at[at >= 0]]
+    return out
 
 
 def psd_tests(A, tau):

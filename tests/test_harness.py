@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crackfind import cli, geometry, harness, ndmap
+from crackfind import cli, fem, geometry, harness, ndmap
 from crackfind.geometry import refine_mesh
 from oracles import carry_basis_search
 
@@ -253,6 +253,22 @@ def test_rerun_is_byte_identical(mixed_scenario, mixed_run, tmp_path):
     assert names == set(os.listdir(tmp_path))
     for name in names - {"timings.json"}:
         assert (first / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_artifacts_are_compact_sorted_json(mixed_scenario, mixed_run):
+    # every JSON artifact is one line of sorted-key JSON as the C encoder
+    # writes it (the rerun test checks its bytes), and the data matrix reads
+    # back to its exact entries
+    report, out = mixed_run
+    assert (out / "report.json").read_text() == json.dumps(
+        report.to_json(), sort_keys=True) + "\n"
+    for name in ("data_matrix.json", "manifest.json", "timings.json"):
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
+    data, _ = harness.generate_data(mixed_scenario, harness.build_scenario(mixed_scenario))
+    loaded = json.loads((out / "data_matrix.json").read_text())
+    entries = np.array(loaded["entries"]).reshape(loaded["M"], loaded["M"])
+    assert np.array_equal(entries, data.entries)
 
 
 def test_empty_crack_scenario_reports_empty_set(tmp_path):
@@ -504,9 +520,10 @@ def test_shipped_config_loads_and_builds(path):
     # the table's "none" for the anti-crime data, the fine background whose
     # update is its signature, then the peel's excluded start region
     ("mixed_32.json", ["none", "none", "excluded:36px"]),
-    # the data, locpot's source operators ("all" again, then each kind
-    # alone) and the one background of the chain's region configurations
-    ("locpot_contrast_16.json", ["ins:1+con:1", "ins:1+con:1", "con:1", "ins:1", "none"]),
+    # the data, whose factorization locpot's first source operator takes
+    # over, locpot's other source operators (each kind alone) and the one
+    # background of the chain's region configurations
+    ("locpot_contrast_16.json", ["ins:1+con:1", "con:1", "ins:1", "none"]),
 ])
 def test_shipped_run_factorizes_these_configurations(name, labels, factorizations):
     # a change that adds or repeats a factorization, or factorizes a frozen
@@ -590,10 +607,10 @@ def table_runs(tmp_path_factory, count_factorizations):
 
 
 @pytest.mark.parametrize("methods, count", [
-    # data ("all"), locpot's three source-operator factorizations ("all"
-    # again among them) and one background for "none" and the four regions,
-    # nothing new for the chain
-    (("locpot", "chain"), 5),
+    # data ("all"), which locpot's first source operator takes over, its
+    # two other source-operator factorizations and one background for
+    # "none" and the four regions, nothing new for the chain
+    (("locpot", "chain"), 4),
     # data, the background of the chain's "excluded V" (which fills "none"
     # and the other regions), its insulating and conducting, then locpot's
     # three source-operator factorizations
@@ -605,6 +622,22 @@ def test_run_solves_each_configuration_once(table_runs, methods, count):
     made, most, _ = table_runs[methods]
     assert made == count
     assert most == 1
+
+
+def test_locpot_takes_over_the_data_factorization(monkeypatch):
+    # a run that starts with locpot factorizes "all" once, for the data,
+    # and each other configuration once
+    labels = []
+    real = fem.factorize
+
+    def factorize(*args, **kwargs):
+        fact = real(*args, **kwargs)
+        labels.append(fact.dm.config_label())
+        return fact
+
+    monkeypatch.setattr(fem, "factorize", factorize)
+    harness.run_scenario(harness.scenario_from_dict(dict(TWO_KINDS, methods=["locpot"])))
+    assert labels == ["ins:1+con:1", "con:1", "ins:1", "none"]
 
 
 @pytest.mark.parametrize("methods", [("locpot", "chain"), ("chain", "locpot")])

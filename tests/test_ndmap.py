@@ -359,6 +359,29 @@ def test_configurations_refuse_to_factorize_a_region(chain_setup, factorizations
     assert factorizations.labels == ["none", "ins:1+con:1", "ins:1", "con:1"]
 
 
+def test_configurations_hand_a_kept_factorization_on_once(chain_setup, factorizations):
+    # ``nd(name, keep=True)`` keeps the factorization behind the matrix for
+    # the next ``factorization(name)`` alone; the table drops it before it
+    # factorizes anything else, so no two are ever alive at once
+    mesh, cracks, grid, V, W, gamma0, basis = chain_setup
+    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    table.nd("all", keep=True)
+    assert table.factorization("all").dm.config_label() == "ins:1+con:1"
+    assert factorizations.made == 1
+    table.factorization("all")
+    assert factorizations.made == 2
+    table.nd("insulating", keep=True)
+    table.nd("conducting")
+    table.factorization("insulating")
+    table.nd("none", keep=True)
+    table.nd("frozen V")
+    table.factorization("none")
+    assert factorizations.labels == [
+        "ins:1+con:1", "ins:1+con:1", "ins:1", "con:1", "ins:1", "none", "none", "none",
+    ]
+    assert factorizations.most == 1
+
+
 # ------------------------------------------------------------------ #
 # single chains as low-rank updates of the crack-free background
 # ------------------------------------------------------------------ #
@@ -815,6 +838,48 @@ def test_region_maps_find_each_closure_once(monkeypatch, mode):
     # "insulating" folds only the accepted candidates
     folded = tested if ties else tested[:1] + tested[3::3]
     assert calls == [(tuple(sorted(r.members)), ties) for r in folded]
+
+
+def record_dense_solves(monkeypatch):
+    # the matrices that ``ndmap._dense_solve`` is called with, as bytes
+    seen = []
+    real = ndmap._dense_solve
+
+    def dense_solve(A, B):
+        seen.append(np.ascontiguousarray(A).tobytes())
+        return real(A, B)
+
+    monkeypatch.setattr(ndmap, "_dense_solve", dense_solve)
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["both", "conducting"])
+def test_region_maps_solve_each_update_once(monkeypatch, mode):
+    # where the frozen side folds every tested removal, its update and its
+    # fold share one solve with I + E G_SS, and an accepted removal installs
+    # that fold without another
+    mesh = REGION_MESHES["rect", False]
+    grid = geometry.PixelGrid(mesh, 8, 8)
+    maps = ndmap.RegionMaps(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 6),
+                            geometry.interior_pixel_set(grid), mode)
+    seen = record_dense_solves(monkeypatch)
+    for _ in range(3):
+        for pixel in geometry.peel_candidates(maps.region)[:3]:
+            maps.matrices(pixel)
+        maps.peel(pixel)
+    assert len(seen) > 9
+    assert len(set(seen)) == len(seen)
+
+
+def test_crack_signature_solves_its_update_once(monkeypatch):
+    # the slits' update and its fold onto the tied vertices share one solve
+    mesh = SIGNATURE_MESHES["rect"]
+    cracks = signature_cracks(mesh, np.random.default_rng(0), "mixed", 3)
+    assert {c.kind for c in cracks.components} == set(geometry.KINDS)
+    seen = record_dense_solves(monkeypatch)
+    ndmap.crack_signature(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 12), cracks)
+    assert len(seen) > 1
+    assert len(set(seen)) == len(seen)
 
 
 def test_region_maps_green_columns(monkeypatch):
