@@ -1098,7 +1098,10 @@ def region_closure(region, ties=False):
     vertices. With ``ties``, ``tie`` gives each vertex of C its group of
     ``PixelSet.components``: components whose triangles meet at a vertex
     of S share that vertex, so they join one group, named by its smallest
-    component; -1 off C. All is read off the grid's ``incidence``.
+    component; -1 off C. All is read off the grid's ``incidence``. A region
+    of one piece, which is every region a peel tests until it splits, ties
+    all of C to group 0 without a component search: a walk over its
+    members tells whether it is one piece.
     """
     vertex, pixel, degree = region.grid.incidence()
     inside = region.mask().ravel()[pixel]
@@ -1107,6 +1110,8 @@ def region_closure(region, ties=False):
     C = S & (count < degree)
     if not ties:
         return S, C
+    if _connected(region):
+        return S, C, np.where(C, 0, -1)
     # each vertex's smallest component joins every other one there
     at = vertex[inside]
     comp = region.components()[pixel[inside]]
@@ -1116,6 +1121,25 @@ def region_closure(region, ties=False):
     tie = np.full(len(degree), -1)
     tie[C] = group[lo[C]]
     return S, C, tie
+
+
+def _connected(region):
+    # whether a nonempty pixel set is one 4-connected piece, by a walk over
+    # its members
+    members = region.members
+    if not members:
+        return False
+    nx = region.grid.nx
+    start = next(iter(members))
+    seen, todo = {start}, [start]
+    while todo:
+        p = todo.pop()
+        # -1 and the rows off the grid are never members
+        for q in (p - 1 if p % nx else -1, p + 1 if (p + 1) % nx else -1, p - nx, p + nx):
+            if q in members and q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen) == len(members)
 
 
 def interior_pixel_set(grid):

@@ -247,8 +247,7 @@ class Configurations:
             self._nd.setdefault("excluded " + key, NdMatrix(
                 0.5 * (excluded + excluded.T), fem.config_label(empty, excluded=region), ()
             ))
-            self._nd.setdefault("frozen " + key,
-                                _frozen(N0, C, Z[P[0]], G_C[0], closure, region, pin))
+            self._nd.setdefault("frozen " + key, _frozen(N0, Z[P[0]], G_C[0], closure, region, pin))
 
 
 def _region_blocks(mesh, local, region, closure, pin):
@@ -278,26 +277,25 @@ def _region_blocks(mesh, local, region, closure, pin):
     return C[keep], L[np.ix_(keep, keep)]
 
 
-def _frozen(N0, verts, Z, G, closure, region, pin):
+def _frozen(N0, Z, G, closure, region, pin):
     # the NdMatrix of ``region`` frozen, a tie update of a base N0 (which
     # may hold the region's triangles or exclude them) by its pinned
-    # potentials Z and Green's block G on ``verts``, all boundary vertices C
-    # of the region but the pin, ascending. ``closure`` is the region's
-    # ``geometry.region_closure`` with ties; T ties C, one column per group
-    # of the closure's ties (components that meet at a vertex share its
-    # dof). The pin is zero in every potential, so C drops it and its
-    # group's column goes
+    # potentials Z and Green's block G on all boundary vertices C of the
+    # region but the pin, ascending, used as handed. ``closure`` is the
+    # region's ``geometry.region_closure`` with ties; T ties C, one column
+    # per group of the closure's ties (components that meet at a vertex
+    # share its dof). The pin is zero in every potential, so C drops it and
+    # its group's column goes
     _, in_C, tie = closure
     C = np.flatnonzero(in_C)
-    kept = C[C != pin]
+    tied = tie[C[C != pin]]
     N = N0.entries
-    if len(kept):
-        ties = np.unique(tie[kept])
+    if len(tied):
+        ties = np.unique(tied)
         if in_C[pin]:
             ties = ties[ties != tie[pin]]
-        at = np.searchsorted(verts, kept)
-        T = (tie[kept][:, None] == ties).astype(float)
-        N = N - _tied_correction(G[np.ix_(at, at)], Z[at], T)
+        T = (tied[:, None] == ties).astype(float)
+        N = N - _tied_correction(G, Z, T)
     label = fem.config_label(geometry.CrackSet(), frozen=region)
     return NdMatrix(0.5 * (N + N.T), label, ())
 
@@ -648,7 +646,11 @@ class RegionMaps:
     folds only an accepted removal), and ``peel`` installs the fold. A fold
     forms Z and G on C(R - p) alone; where every candidate is folded, one
     solve with ``I + E G_SS`` gives both the update and the fold. Each
-    pixel's S and element stiffness are assembled once, at the start.
+    pixel's S and element stiffness are assembled once, at the start. A
+    block keeps each vertex's position in its C (-1 off C), so an update
+    gathers the rows of Z and G it reads, with identity entries only on
+    the vertices p releases, and the frozen side ties the block's own Z
+    and G; a test costs its dense solves plus a few gathers.
     ``mode`` (one of ``MODES``) names the sides to test: "insulating" the
     excluded response, "conducting" the frozen one. The caller keeps every
     region admissible. Every small dense solve is checked against
@@ -673,8 +675,9 @@ class RegionMaps:
         C = np.flatnonzero(closure[1])
         N, Z, (G,) = _background(fem.factorize(mesh, gamma0, excluded=R0), basis, C,
                                  [np.arange(len(C))[None]])
-        # (NdMatrix, C, Z, G, closure) of the excluded region
-        self._block = (N, C, Z, G[0], closure)
+        # (NdMatrix, Z, G, closure, position map) of the excluded region:
+        # the map gives each vertex its position in C, -1 off C
+        self._block = (N, Z, G[0], closure, _position_map(len(mesh.vertices), C))
         self._last = None
 
     def matrices(self, pixel=None):
@@ -687,7 +690,7 @@ class RegionMaps:
             region = self._without(pixel)
             block = self._opened(pixel, region, fold=self._ties)
         excluded = None if self._mode == "conducting" else block[0]
-        frozen = None if self._mode == "insulating" else _frozen(*block, region, self._pin)
+        frozen = None if self._mode == "insulating" else _frozen(*block[:4], region, self._pin)
         return excluded, frozen
 
     def peel(self, pixel):
@@ -719,9 +722,9 @@ class RegionMaps:
         # A = I + E G_SS, E and A^-1 E Z_S. Where the frozen side reads
         # every fold, one solve with A serves the update and the fold, and
         # the block is folded; else it is the excluded NdMatrix alone
-        N, kept, Z, G, _ = self._block
+        N, Z, G, _, pos = self._block
         S, E = self._pixels[pixel]
-        at = _positions(kept, S)
+        at = pos[S]
         # the released vertices lose their placeholder rows
         E = E - np.diag((at < 0).astype(float))
         A = np.eye(len(S)) + E @ _grown(G, S, at, S, at)
@@ -749,19 +752,20 @@ class RegionMaps:
         # positions in the kept block and Y, the Green's entries on rows
         # C(R - p) and columns S. C(R - p) lies in the kept C and the
         # vertices p releases
-        kept, G = self._block[1], self._block[3]
+        G, pos = self._block[2], self._block[4]
         closure = geometry.region_closure(region, ties=self._ties)
         new = np.flatnonzero(closure[1])
-        at_new = _positions(kept, new)
+        at_new = pos[new]
         return closure, new, at_new, _grown(G, new, at_new, S, at)
 
     def _folded(self, N, onto, X, X_Y):
         # the block of the new region, formed on its boundary only:
         # Z - Y X and G - Y A^-1 E Y^T there
-        _, _, Z, G, _ = self._block
+        _, Z, G, _, pos = self._block
         closure, new, at_new, Y = onto
         G = _grown(G, new, at_new, new, at_new) - Y @ X_Y
-        return N, new, _grown_rows(Z, at_new) - Y @ X, 0.5 * (G + G.T), closure
+        Z = _grown_rows(Z, at_new) - Y @ X
+        return N, Z, 0.5 * (G + G.T), closure, _position_map(len(pos), new)
 
 
 def _pixel_stiffness(mesh, gamma0, region):
@@ -782,28 +786,30 @@ def _pixel_stiffness(mesh, gamma0, region):
     return out
 
 
-def _positions(kept, verts):
-    # the positions of ``verts`` in the ascending ``kept``, -1 where absent
-    at = np.searchsorted(kept, verts)
-    found = at < len(kept)
-    found[found] = kept[at[found]] == verts[found]
-    return np.where(found, at, -1)
+def _position_map(n, verts):
+    # each of n vertices' position in the ascending ``verts``, -1 off them
+    pos = np.full(n, -1)
+    pos[verts] = np.arange(len(verts))
+    return pos
 
 
 def _grown(G, rows, at_r, cols, at_c):
-    # a peel block's Green's entries on vertex rows and columns, given their
-    # positions in the kept block (-1 for an enclosed vertex, whose Green's
-    # row is e_v)
-    out = ((rows[:, None] == cols) & (at_r[:, None] < 0)).astype(float)
-    r, c = at_r >= 0, at_c >= 0
-    out[np.ix_(r, c)] = G[np.ix_(at_r[r], at_c[c])]
+    # a peel block's Green's entries on ascending vertex rows and columns,
+    # given their positions in the kept block (-1 for an enclosed vertex,
+    # whose Green's row is e_v); every enclosed row is also a column. A -1
+    # gathers G's last row or column, which is then overwritten
+    out = G.take(at_r, 0).take(at_c, 1)
+    r = np.flatnonzero(at_r < 0)
+    out[r] = 0.0
+    out[:, at_c < 0] = 0.0
+    out[r, np.searchsorted(cols, rows[r])] = 1.0
     return out
 
 
 def _grown_rows(Z, at):
     # a peel block's potentials on vertices at positions ``at`` (zero where enclosed)
-    out = np.zeros((len(at), Z.shape[1]))
-    out[at >= 0] = Z[at[at >= 0]]
+    out = Z.take(at, 0)
+    out[at < 0] = 0.0
     return out
 
 
@@ -888,15 +894,18 @@ def certificate(name, diff, minuend, tau):
     return _record(name, passed, min_eig, t)
 
 
-def certificates(name, diffs, taus):
+def certificates(names, diffs, taus):
     """``certificate`` for a ``(k, M, M)`` stack of differences, one record each.
 
-    ``taus`` is the threshold of every test, one for all or one per
-    difference; ``default_taus`` gives the defaults of a stack of minuends.
+    ``names`` and ``taus`` give the name and the threshold of every test,
+    each one for all or one per difference; ``default_taus`` gives the
+    default thresholds of a stack of minuends.
     """
+    if isinstance(names, str):
+        names = [names] * len(diffs)
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (len(diffs),))
     passed, min_eig = psd_tests(diffs, taus)
-    return [_record(name, *test) for test in zip(passed, min_eig, taus)]
+    return [_record(*test) for test in zip(names, passed, min_eig, taus)]
 
 
 def symmetric_noise(N, level, rng):

@@ -100,19 +100,23 @@ def upper_bound_tests(data, excluded, frozen, tau=None, data_tau=None):
     given as None is not tested, which is how the single-kind modes run only
     the side that detects their crack kind. The frozen side's default
     threshold depends only on the data, so a caller that tests many regions
-    computes it once and passes it as ``data_tau``.
+    computes it once and passes it as ``data_tau``. Both differences are
+    tested as one ``ndmap.certificates`` stack; each record equals
+    ``ndmap.certificate`` of its side alone.
     """
     if excluded is None and frozen is None:
         raise ValueError("need the excluded or the frozen response")
     d = data.entries
-    certs = []
+    names, diffs, taus = [], [], []
     if excluded is not None:
-        certs.append(
-            ndmap.certificate("excluded_minus_data", excluded.entries - d, excluded, tau)
-        )
+        names.append("excluded_minus_data")
+        diffs.append(excluded.entries - d)
+        taus.append(ndmap.default_taus(excluded.entries[None])[0] if tau is None else tau)
     if frozen is not None:
-        t = tau if data_tau is None else data_tau
-        certs.append(ndmap.certificate("data_minus_frozen", d - frozen.entries, data, t))
+        names.append("data_minus_frozen")
+        diffs.append(d - frozen.entries)
+        taus.append(ndmap.tau_for(data, tau if data_tau is None else data_tau))
+    certs = ndmap.certificates(names, np.stack(diffs), taus)
     return all(c["passed"] for c in certs), certs
 
 

@@ -1133,7 +1133,7 @@ def test_frozen_from_the_excluded_region_is_frozen_from_the_background(shape, ar
     for excluded in (region, None):
         fact = fem.factorize(mesh, gamma0, excluded=excluded)
         N, Z, (G,) = ndmap._background(fact, basis, C, [np.arange(len(C))[None]])
-        got.append(ndmap._frozen(N, C, Z, G[0], closure, region, pin).entries)
+        got.append(ndmap._frozen(N, Z, G[0], closure, region, pin).entries)
     assert np.max(np.abs(got[0] - got[1])) <= 1e-12 * np.max(np.abs(N.entries))
 
 
