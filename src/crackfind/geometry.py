@@ -1010,7 +1010,10 @@ class PixelSet:
         return m.reshape(self.grid.ny, self.grid.nx)
 
     def minus(self, pixel):
-        return PixelSet(self.grid, self.members - {int(pixel)})
+        # the members were checked when this set was made: no second pass
+        out = object.__new__(PixelSet)
+        out.grid, out.members = self.grid, self.members - {int(pixel)}
+        return out
 
     def components(self):
         """4-connected component of every pixel, as an ``(n_pixels,)`` array.

@@ -157,9 +157,9 @@ class Configurations:
       C (``geometry.region_closure``). R's element stiffness condensed onto
       C is ``L = K_CC - K_CI K_II^-1 K_IC``, I the rest of R's vertices.
       Excluding R takes L away, ``N = N0 - Z_C^T (I + E G_CC)^-1 E Z_C``
-      with ``E = -L``; freezing R ties C, one tie per group of 4-connected
-      components that meet at a vertex, by ``_frozen``, the update that
-      ``RegionMaps`` applies to its excluded region. ``Z`` and ``G``
+      with ``E = -L`` (``_woodbury``); freezing R ties C, one tie per group
+      of 4-connected components that meet at a vertex, by ``_frozen``, the
+      update that ``RegionMaps`` applies to its excluded region. ``Z`` and ``G``
       are the background's pinned potentials and Green's entries on the
       union of the two regions' C, each column solved once. An empty region
       gives the background matrix itself.
@@ -242,7 +242,7 @@ class Configurations:
         empty = geometry.CrackSet()
         for (key, region), closure, (C, L), P, G_C in zip(regions.items(), closures, blocks, at, G):
             # an empty C corrects nothing, and N0 symmetrized is N0 itself
-            excluded = N0.entries - _chain_correction(G_C, Z[P], -L[None])
+            excluded = N0.entries - _woodbury(Z[P], G_C, -L[None])
             excluded = excluded.reshape(N0.entries.shape)
             self._nd.setdefault("excluded " + key, NdMatrix(
                 0.5 * (excluded + excluded.T), fem.config_label(empty, excluded=region), ()
@@ -372,15 +372,21 @@ def _tied_correction(G, Z, T):
     return ZT @ HZ - ZHT @ _dense_solve(np.swapaxes(T, -1, -2) @ HT, np.swapaxes(ZHT, -1, -2))
 
 
-def _chain_correction(G, Z, E):
-    # N0 - N for a stack of chains with the Green's blocks G (k, m, m) and the
-    # potentials Z (k, m, M) on their stars: a tie when E is None, else the
-    # condensed update E (k, m, m) of a slit
-    if not G.shape[-1]:
-        return 0.0
-    if E is None:
-        return _tied_correction(G, Z, np.ones(G.shape[:-1] + (1,)))
-    return np.swapaxes(Z, -1, -2) @ _dense_solve(np.eye(G.shape[-1]) + E @ G, E @ Z)
+def _woodbury(Z, G, E, Y=None):
+    # dN = Z^T (I + E G)^-1 E Z, so that N = N0 - dN, for a stiffness change
+    # E on vertices S with pinned potentials Z (m, M) and Green's block G on
+    # S, or (k, m, .) stacks. With Y, the Green's entries (c, m) of vertices
+    # C against S, also the fold onto C: (dN, Y X, Y (I + E G)^-1 E Y^T),
+    # X = (I + E G)^-1 E Z, subtracted from Z_C and G_CC. One solve for all
+    # right-hand sides; their products with E are formed one by one, so each
+    # column has the bits it would have alone
+    rhs = E @ Z
+    if Y is not None:
+        rhs = np.concatenate([rhs, E @ np.swapaxes(Y, -1, -2)], axis=-1)
+    X = _dense_solve(np.eye(G.shape[-1]) + E @ G, rhs)
+    X, X_Y = X[..., :Z.shape[-1]], X[..., Z.shape[-1]:]
+    dN = np.swapaxes(Z, -1, -2) @ X
+    return dN if Y is None else (dN, Y @ X, Y @ X_Y)
 
 
 # chains per stacked pass of chain_matrices' corrections and of the inner
@@ -399,7 +405,7 @@ def chain_matrices(mesh, gamma0, basis, components):
     (the last stack holds the rest). A chain changes the crack-free forward
     problem only on its star, the triangles at its slit or tied vertices,
     so its matrix is the background matrix ``N0`` minus a small dense
-    correction (static condensation plus Woodbury).
+    correction: ``_woodbury`` for a slit, ``_tied_correction`` for a tie.
     Every chain is checked first (``geometry.check_chains``, one pass; the
     first bad chain raises) and every star is found, ``STAR_BATCH`` slit
     chains at a time with one stacked condensation per star shape. Then
@@ -412,9 +418,10 @@ def chain_matrices(mesh, gamma0, basis, components):
       its far fan (``fem.split_fans``). ``dS``, the stiffness of the far
       triangles with the new dofs minus their original stiffness, is
       condensed onto the old dofs ``S`` of those triangles,
-      ``E = dS_SS - dS_Sn dS_nn^-1 dS_nS``, and
+      ``E = dS_SS - dS_Sn dS_nn^-1 dS_nS``, and ``_woodbury`` gives
       ``N = N0 - Z_S^T (I + E G_SS)^-1 E Z_S``.
-    * conducting chain C, tied to one dof by ``T`` (a column of ones):
+    * conducting chain C, tied to one dof by ``T`` (a column of ones),
+      by ``_tied_correction``:
       ``N = N0 - Z_C^T (H - H T (T^T H T)^-1 T^T H) Z_C`` with
       ``H = G_CC^-1``.
 
@@ -441,7 +448,11 @@ def chain_matrices(mesh, gamma0, basis, components):
             first, last = np.searchsorted(idx, [lo, hi])
             if first < last:
                 part = slice(first, last)
-                corr = _chain_correction(G_S[part], Z[P[part]], None if E is None else E[part])
+                G_p, Z_p = G_S[part], Z[P[part]]
+                if E is None:
+                    corr = _tied_correction(G_p, Z_p, np.ones(G_p.shape[:-1] + (1,)))
+                else:
+                    corr = _woodbury(Z_p, G_p, E[part])
                 N[idx[part] - lo] = N0.entries - corr
         yield 0.5 * (N + np.swapaxes(N, -1, -2))
 
@@ -455,13 +466,14 @@ def crack_signature(mesh, gamma0, basis, cracks):
 
     * The slits of every insulating component form one update ``E``, their
       far-fan stiffness change condensed onto the old dofs ``S`` of all
-      their far triangles, and ``N1 = N0 - Z_S^T (I + E G_SS)^-1 E Z_S``.
+      their far triangles, and ``N1 = N0 - Z_S^T (I + E G_SS)^-1 E Z_S``
+      by ``_woodbury``.
       Far fans of two chains may share a triangle, whose corners then move
       together, so the updates of single chains would not add up to it.
     * The conducting components tie their vertices ``C``, one column of
-      ``T`` per component, on the slit problem: ``E`` is folded into the
-      pinned potentials and Green's entries on ``C``, as ``RegionMaps``
-      folds a removal, and ``_tied_correction`` applies the ties there.
+      ``T`` per component, on the slit problem: the same ``_woodbury``
+      solve folds ``E`` into the pinned potentials and Green's entries on
+      ``C``, and ``_tied_correction`` applies the ties there.
 
     Both steps are exact: the slit's new dofs carry no current and are
     condensed out, and they never lie on ``C``. ``G`` and ``Z`` on
@@ -497,18 +509,10 @@ def crack_signature(mesh, gamma0, basis, cracks):
                            fem.gamma_mass(mesh) @ basis.vectors)
     s, c = np.searchsorted(U, S), np.searchsorted(U, C)
     G, dN = G[0], np.zeros((basis.M, basis.M))
-    Z_C, G_CC = Z[c], G[np.ix_(c, c)]
-    if len(S):
-        # one solve with A = I + E G_SS for the update and its fold onto C,
-        # the products of E one by one as in ``RegionMaps._update``
-        Y = G[np.ix_(c, s)]
-        X = _dense_solve(np.eye(len(S)) + E @ G[np.ix_(s, s)], np.hstack([E @ Z[s], E @ Y.T]))
-        X, X_Y = X[:, :basis.M], X[:, basis.M:]
-        dN -= Z[s].T @ X
-        Z_C = Z_C - Y @ X
-        G_CC = G_CC - Y @ X_Y
-    if len(C):
-        dN -= _tied_correction(G_CC, Z_C, T)
+    # the slits' update and its fold onto C; the ties then apply there
+    slit, dZ, dG = _woodbury(Z[s], G[np.ix_(s, s)], E, G[np.ix_(c, s)])
+    dN -= slit
+    dN -= _tied_correction(G[np.ix_(c, c)] - dG, Z[c] - dZ, T)
     return 0.5 * (dN + dN.T)
 
 
@@ -633,23 +637,21 @@ class RegionMaps:
     * excluded: in vertex space, with a placeholder identity row on every
       enclosed vertex, taking pixel p out of R adds p's element stiffness
       back and drops the placeholder of the vertices p releases. That
-      update ``E`` lives on p's vertices S, and
-      ``N(R - p) = N(R) - Z_S^T (I + E G_SS)^-1 E Z_S``, the
-      ``chain_matrices`` insulating formula (an enclosed vertex has the
-      Green's row ``e_v`` and potential zero); it folds Z and G over to
-      C(R - p) too.
+      update ``E`` lives on p's vertices S, and ``_woodbury`` gives
+      ``N(R - p) = N(R) - Z_S^T (I + E G_SS)^-1 E Z_S`` (an enclosed vertex
+      has the Green's row ``e_v`` and potential zero); the same solve folds
+      Z and G over to C(R - p).
     * frozen: R's triangles then carry no energy, so frozen(R) is the
       excluded R with C tied, by ``_frozen``, the update the configuration
       table applies to its background.
 
-    A candidate is folded once, when the frozen side needs it ("insulating"
-    folds only an accepted removal), and ``peel`` installs the fold. A fold
-    forms Z and G on C(R - p) alone; where every candidate is folded, one
-    solve with ``I + E G_SS`` gives both the update and the fold. Each
-    pixel's S and element stiffness are assembled once, at the start. A
-    block keeps each vertex's position in its C (-1 off C), so an update
-    gathers the rows of Z and G it reads, with identity entries only on
-    the vertices p releases, and the frozen side ties the block's own Z
+    A candidate's block is folded when the frozen side reads it, and in
+    mode "insulating" only when ``peel`` accepts it; the last folded block
+    is kept for ``peel`` to install. A fold forms Z and G on C(R - p)
+    alone. Each pixel's S and element stiffness are assembled once, at the
+    start. A block keeps each vertex's position in its C (-1 off C), so an
+    update gathers the rows of Z and G it reads, with identity entries only
+    on the vertices p releases, and the frozen side ties the block's own Z
     and G; a test costs its dense solves plus a few gathers.
     ``mode`` (one of ``MODES``) names the sides to test: "insulating" the
     excluded response, "conducting" the frozen one. The caller keeps every
@@ -707,65 +709,34 @@ class RegionMaps:
 
     def _opened(self, pixel, region, fold):
         # the block of ``region``, the region without ``pixel``: only its
-        # NdMatrix unless ``fold``. The update is made once and kept, as
-        # [pixel, block, pieces], until the region changes; the block is
-        # folded on first need
-        if self._last is None or self._last[0] != pixel:
-            self._last = [pixel, *self._update(region, pixel)]
-        if fold and len(self._last[1]) == 1:
-            self._last[1] = self._fold(region, self._last[1][0], *self._last[2])
-        return self._last[1] if fold else self._last[1][:1]
-
-    def _update(self, region, pixel):
-        # the block of ``region`` and the pieces of its update: S (p's
-        # vertices), their positions in the kept block (-1 if enclosed),
-        # A = I + E G_SS, E and A^-1 E Z_S. Where the frozen side reads
-        # every fold, one solve with A serves the update and the fold, and
-        # the block is folded; else it is the excluded NdMatrix alone
+        # NdMatrix unless ``fold``. A folded block is kept, as (pixel,
+        # block), until the region changes. S are p's vertices, ``at`` their
+        # positions in the kept block (-1 if enclosed); the fold forms Z
+        # and G on C(R - p) alone, which lies in the kept C and the
+        # vertices p releases, and finds the new region's closure once
+        if fold and self._last is not None and self._last[0] == pixel:
+            return self._last[1]
         N, Z, G, _, pos = self._block
         S, E = self._pixels[pixel]
         at = pos[S]
         # the released vertices lose their placeholder rows
         E = E - np.diag((at < 0).astype(float))
-        A = np.eye(len(S)) + E @ _grown(G, S, at, S, at)
-        Z_S = _grown_rows(Z, at)
-        onto = self._onto(region, S, at) if self._ties else None
-        # the products of E one by one, so that each column is formed as
-        # it would be alone
-        rhs = E @ Z_S
-        X = _dense_solve(A, rhs if onto is None else np.hstack([rhs, E @ onto[3].T]))
-        X, X_Y = X[:, :Z.shape[1]], X[:, Z.shape[1]:]
-        N = N.entries - Z_S.T @ X
-        label = fem.config_label(geometry.CrackSet(), excluded=region)
-        N = NdMatrix(0.5 * (N + N.T), label, ())
-        block = (N,) if onto is None else self._folded(N, onto, X, X_Y)
-        return block, (S, at, A, E, X)
-
-    def _fold(self, region, N, S, at, A, E, X):
-        # the folded block of an update made without it
-        onto = self._onto(region, S, at)
-        return self._folded(N, onto, X, _dense_solve(A, E @ onto[3].T))
-
-    def _onto(self, region, S, at):
-        # what a fold needs of the new region: its closure, found once here
-        # and kept in the block for ``_frozen``, its boundary C(R - p), their
-        # positions in the kept block and Y, the Green's entries on rows
-        # C(R - p) and columns S. C(R - p) lies in the kept C and the
-        # vertices p releases
-        G, pos = self._block[2], self._block[4]
-        closure = geometry.region_closure(region, ties=self._ties)
-        new = np.flatnonzero(closure[1])
-        at_new = pos[new]
-        return closure, new, at_new, _grown(G, new, at_new, S, at)
-
-    def _folded(self, N, onto, X, X_Y):
-        # the block of the new region, formed on its boundary only:
-        # Z - Y X and G - Y A^-1 E Y^T there
-        _, Z, G, _, pos = self._block
-        closure, new, at_new, Y = onto
-        G = _grown(G, new, at_new, new, at_new) - Y @ X_Y
-        Z = _grown_rows(Z, at_new) - Y @ X
-        return N, Z, 0.5 * (G + G.T), closure, _position_map(len(pos), new)
+        Z_S, G_SS = _grown_rows(Z, at), _grown(G, S, at, S, at)
+        if fold:
+            closure = geometry.region_closure(region, ties=self._ties)
+            C = np.flatnonzero(closure[1])
+            at_C = pos[C]
+            dN, dZ, dG = _woodbury(Z_S, G_SS, E, _grown(G, C, at_C, S, at))
+        else:
+            dN = _woodbury(Z_S, G_SS, E)
+        N = N.entries - dN
+        N = NdMatrix(0.5 * (N + N.T), fem.config_label(geometry.CrackSet(), excluded=region), ())
+        if not fold:
+            return (N,)
+        G = _grown(G, C, at_C, C, at_C) - dG
+        block = N, _grown_rows(Z, at_C) - dZ, 0.5 * (G + G.T), closure, _position_map(len(pos), C)
+        self._last = (pixel, block)
+        return block
 
 
 def _pixel_stiffness(mesh, gamma0, region):

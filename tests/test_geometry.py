@@ -860,6 +860,21 @@ def test_mask_operations_match_ndimage(name, data):
     assert ps.triangles().tolist() == want
 
 
+def test_minus_is_the_set_the_constructor_makes():
+    # minus builds its result from members checked already; the constructor
+    # keeps its checks for input from outside
+    grid = region_grid("8")
+    R = interior_pixel_set(grid)
+    for p in sorted(R.members) + [grid.n_pixels + 3]:
+        for pixel in (p, np.int64(p)):
+            out = R.minus(pixel)
+            assert out == PixelSet(grid, R.members - {p})
+            assert hash(out) == hash(PixelSet(grid, R.members - {p}))
+    for bad in ([grid.n_pixels], [-1], [0, grid.n_pixels + 3]):
+        with pytest.raises(ValueError, match="out of range"):
+            PixelSet(grid, bad)
+
+
 @functools.lru_cache(maxsize=None)
 def oblong_grid(nx, ny):
     # nx by ny pixels of side 1/8 on a rectangle meshed at h = 1/8

@@ -383,6 +383,62 @@ def test_configurations_hand_a_kept_factorization_on_once(chain_setup, factoriza
 
 
 # ------------------------------------------------------------------ #
+# the one low-rank update behind chains, regions and crack signatures
+# ------------------------------------------------------------------ #
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_woodbury_matches_the_dense_inverse(seed):
+    # from the pinned potentials and Green's entries on S and C alone: the
+    # ND matrix, the potentials on C and the Green's block on C of
+    # K + P_S E P_S^T against its dense inverse. K is SPD, S and C are
+    # disjoint, and E is indefinite but keeps K + P_S E P_S^T SPD
+    rng = np.random.default_rng(seed)
+    n, m, c = 30, int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    A = rng.standard_normal((n, n))
+    K = A @ A.T + n * np.eye(n)
+    B = rng.standard_normal((n, 5))
+    S, C = np.split(rng.permutation(n)[:m + c], [m])
+    F = rng.standard_normal((m, m))
+    E = F @ F.T - 2.0 * np.eye(m)
+    H = np.linalg.inv(K)
+    K[np.ix_(S, S)] += E
+    H1 = np.linalg.inv(K)
+    Z = H @ B
+    dN, dZ, dG = ndmap._woodbury(Z[S], H[np.ix_(S, S)], E, H[np.ix_(C, S)])
+    for got, want in (
+        (B.T @ Z - dN, B.T @ H1 @ B),
+        (Z[C] - dZ, (H1 @ B)[C]),
+        (H[np.ix_(C, C)] - dG, H1[np.ix_(C, C)]),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    alone = ndmap._woodbury(Z[S], H[np.ix_(S, S)], E)
+    assert np.max(np.abs(alone - dN)) <= 1e-13 * np.max(np.abs(dN))
+
+
+def test_stacked_updates_are_the_single_updates_bit_for_bit():
+    # a (k, m, .) stack, with and without the fold, gives the k single
+    # updates' bits; an empty S changes nothing
+    rng = np.random.default_rng(5)
+    k, m, c, M = 9, 6, 4, 7
+    A = rng.standard_normal((k, m + c, m + c))
+    H = np.linalg.inv(A @ np.swapaxes(A, 1, 2) + (m + c) * np.eye(m + c))
+    F = rng.standard_normal((k, m, m))
+    E = F @ np.swapaxes(F, 1, 2) - 2.0 * np.eye(m)
+    Z = rng.standard_normal((k, m, M))
+    G, Y = H[:, :m, :m], H[:, m:, :m]
+    stacked = ndmap._woodbury(Z, G, E, Y)
+    alone = ndmap._woodbury(Z, G, E)
+    for i in range(k):
+        for got, want in zip(stacked, ndmap._woodbury(Z[i], G[i], E[i], Y[i])):
+            assert np.array_equal(got[i], want)
+        assert np.array_equal(alone[i], ndmap._woodbury(Z[i], G[i], E[i]))
+    empty = ndmap._woodbury(Z[:, :0], G[:, :0, :0], E[:, :0, :0], Y[:, :, :0])
+    assert [x.shape for x in empty] == [(k, M, M), (k, c, M), (k, c, c)]
+    assert not any(np.any(x) for x in empty)
+
+
+# ------------------------------------------------------------------ #
 # single chains as low-rank updates of the crack-free background
 # ------------------------------------------------------------------ #
 
@@ -869,6 +925,35 @@ def test_region_maps_solve_each_update_once(monkeypatch, mode):
         maps.peel(pixel)
     assert len(seen) > 9
     assert len(set(seen)) == len(seen)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_insulating_peel_installs_the_block_of_both(seed):
+    # mode "insulating" folds a candidate only when peel accepts it, with
+    # the update solved again for the fold: along a random peel sequence its
+    # excluded matrices, of the candidates and of the installed blocks, are
+    # those of mode "both", which folds every candidate it tests
+    mesh = REGION_MESHES["rect", False]
+    rng = np.random.default_rng(seed)
+    grid = geometry.PixelGrid(mesh, 8, 8)
+    args = mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 6)
+    R0 = geometry.interior_pixel_set(grid)
+    ins, both = (ndmap.RegionMaps(*args, R0, mode) for mode in ("insulating", "both"))
+
+    def assert_same(a, b):
+        assert a.config_label == b.config_label
+        assert np.max(np.abs(a.entries - b.entries)) <= 1e-13 * np.max(np.abs(b.entries))
+
+    assert_same(ins.matrices()[0], both.matrices()[0])
+    for _ in range(6):
+        cands = geometry.peel_candidates(ins.region)
+        for pixel in rng.permutation(cands)[:3].tolist():
+            assert_same(ins.matrices(pixel)[0], both.matrices(pixel)[0])
+        ins.peel(pixel)
+        both.peel(pixel)
+        assert ins.region == both.region
+        assert_same(ins.matrices()[0], both.matrices()[0])
 
 
 def test_crack_signature_solves_its_update_once(monkeypatch):

@@ -11,7 +11,9 @@ must name one that src does not read, or it is stale.
 
 A module-level import must be read in its own module, by the name it
 binds; ``from __future__`` imports are exempt. Only ``geometry`` reads the
-attribute ``_cache``, the store behind ``Mesh.memo``.
+attribute ``_cache``, the store behind ``Mesh.memo``. Inside ``ndmap`` only
+``_dense_solve`` reads a ``linalg.solve``, so every small dense solve there
+has its residual checked.
 """
 
 import ast
@@ -163,6 +165,47 @@ def test_cache_readers_are_attribute_reads():
         "b": ast.parse("_cache = {}\ny = mesh.memo('k', f)\n"),
     }
     assert _cache_readers(trees) == ["a"]
+
+
+def _solve_readers(tree):
+    # the functions that read ``<x>.linalg.solve`` or import ``solve`` from a
+    # linalg module, each the innermost function around the read, sorted;
+    # "" for a read outside every function
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "solve":
+                value = child.value
+                if isinstance(value, ast.Attribute) and value.attr == "linalg":
+                    out.append(owner)
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg"):
+                out.extend(owner for alias in child.names if alias.name == "solve")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, "")
+    return sorted(out)
+
+
+def test_only_dense_solve_calls_linalg_solve_in_ndmap():
+    # every small dense solve of ndmap goes through _dense_solve, which
+    # checks the residual of every column
+    assert _solve_readers(_modules()["ndmap"]) == ["_dense_solve"]
+
+
+def test_solve_readers_find_every_read():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from scipy.linalg import solve\n"
+        "def _dense_solve(A, B):\n"
+        "    return np.linalg.solve(A, B)\n"
+        "class Maps:\n"
+        "    def fold(self, A):\n"
+        "        return np.linalg.solve(A, A) @ scipy.linalg.solve_triangular(A, A)\n"
+        "    def tie(self, A):\n"
+        "        return np.linalg.eigvalsh(A), self.solve(A)\n"
+    )
+    assert _solve_readers(tree) == ["", "_dense_solve", "fold"]
 
 
 def test_no_unused_module_import():
