@@ -412,7 +412,9 @@ def carry_basis(basis, fine_mesh):
 def generate_data(s, built):
     """Measured matrix for the scenario, with a provenance record.
 
-    Plain data is the ``"all"`` matrix of the run's configuration table.
+    Plain data is ``nd_matrix`` of the crack set's own factorization, the
+    one factorization of a crack configuration a run makes: the simulated
+    measurement, which no update of another configuration stands in for.
     Anti-crime data keeps the table's crack-free (``"none"``) matrix on the
     inversion mesh and adds the crack signature computed on a once refined
     mesh, so the systematic part of the discretization error stays matched
@@ -437,9 +439,8 @@ def generate_data(s, built):
         provenance["fine_triangles"] = int(len(fine.triangles))
         provenance["signature_norm"] = float(np.linalg.norm(signature, 2))
     else:
-        # locpot factorizes "all" first: a run that starts with it takes
-        # the data's factorization over
-        data = built.table.nd("all", keep=_steps(s)[:1] == ["locpot"])
+        data = ndmap.nd_matrix(fem.factorize(built.mesh, built.gamma0, cracks=built.cracks),
+                               built.basis)
     if s.noise > 0:
         rng = np.random.default_rng(s.seed)
         noisy = ndmap.symmetric_noise(data, s.noise, rng)
@@ -454,8 +455,8 @@ def _chain_report(built, data, tau):
     """The five-configuration comparison chain around the crack-free map.
 
     The five matrices come from the run's configuration table, so a
-    configuration the data or the localized potentials solved is not solved
-    again. Every test entry is an ``ndmap.certificate`` record.
+    configuration the localized potentials solved is not solved again.
+    Every test entry is an ``ndmap.certificate`` record.
     """
     names = ("excluded V", "insulating", "none", "conducting", "frozen W")
     named = [(m.config_label, m) for m in map(built.table.nd, names)]
@@ -471,22 +472,14 @@ def _chain_report(built, data, tau):
     return {"tests": tests, "passed": all(e["passed"] for e in tests)}
 
 
-def _steps(s):
-    # the order the methods run in: as listed, but the chain after locpot,
-    # which factorizes "insulating" and "conducting" for its source
-    # operators and leaves their matrices in the table for the chain
-    return sorted(s.methods, key=lambda m: m == "chain" and "locpot" in s.methods)
-
-
 def run_scenario(s, out_dir=None):
     """Execute a scenario end to end; optionally write the artifact set.
 
     The inner candidates need only the mesh, the grid and the lengths, so a
     run whose lengths give no candidate chain raises ``ScenarioError``
-    before the data is computed. The methods run in the listed order, but
-    a chain listed before locpot runs after it, so that every configuration
-    is factorized once; results are keyed by method, so the order leaves no
-    trace in ``report.json``.
+    before the data is computed. The methods run in the listed order;
+    results are keyed by method, and the chain and locpot read one filled
+    configuration table, so the order leaves no trace in ``report.json``.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -524,7 +517,7 @@ def run_scenario(s, out_dir=None):
             "exceeds_tau": bool(provenance["noise_norm"] > scale),
         }
 
-    for method in _steps(s):
+    for method in s.methods:
         t0 = time.perf_counter()
         if method == "upper":
             res = reconstruct.reconstruct_upper(

@@ -49,11 +49,12 @@ def _edge_forest(node, n):
     ``node`` ``(T, 3)`` numbers the corner dofs of the region's triangles
     0..n-1. The graph's edges are the triangle sides that join two distinct
     dofs, and each component is rooted at its smallest node. Returns
-    ``(tri, tail, head, ends)``: one forest edge per non-root node, as a
-    triangle (row of ``node``) and its corners at the parent (tail) and at
-    the child (head), in breadth-first order. ``ends`` starts at 0, and
+    ``(tri, tail, head, ends, root)``: one forest edge per non-root node, as
+    a triangle (row of ``node``) and its corners at the parent (tail) and
+    at the child (head), in breadth-first order. ``ends`` starts at 0, and
     the edges ``ends[j]:ends[j + 1]`` make level j + 1 of the forest, whose
-    parents all lie on earlier levels.
+    parents all lie on earlier levels. ``root`` gives each node its
+    component's root.
     """
     tri = np.repeat(np.arange(len(node)), 3)
     a = np.tile([0, 1, 2], len(node))
@@ -64,7 +65,8 @@ def _edge_forest(node, n):
     tail = np.concatenate([a[joins], b[joins]])
     head = np.concatenate([b[joins], a[joins]])
     parent, child = node[tri, tail], node[tri, head]
-    seen = geometry.components(n, np.column_stack([parent, child])) == np.arange(n)
+    root = geometry.components(n, np.column_stack([parent, child]))
+    seen = root == np.arange(n)
     frontier = seen.copy()
     levels = [np.zeros(0, dtype=np.int64)]
     while True:
@@ -79,73 +81,131 @@ def _edge_forest(node, n):
         levels.append(step)
     order = np.concatenate(levels)
     ends = np.cumsum([len(level) for level in levels])
-    return tri[order], tail[order], head[order], ends
+    return tri[order], tail[order], head[order], ends, root
 
 
-def build_source_operator(fact, V, basis):
+class RegionSolves:
+    """Voltages of the loads on a region's corner dofs, from edge-source solves.
+
+    ``fact`` is a configuration's ``fem.Factorization``. A source on one
+    triangle loads only that triangle's corner dofs, with loads that sum to
+    zero, so every load of a source on the region lies in the span of the
+    differences e_v - e_w of corner dofs joined by a triangle side. That
+    span has dimension r = (distinct corner dofs) - (connected components
+    of the graph those sides make), and a spanning forest of the graph
+    (``_edge_forest``) gives a basis of it: for a forest edge from parent p
+    to child v on triangle t, the element source (x_v - x_p) / area_t on t
+    loads exactly e_v - e_p, since each hat is linear on t. These r sources
+    go through ``fem.solve_source`` in blocks of ``basis.M`` columns, so a
+    block is never wider than the current block of the configuration's ND
+    matrix. Summed from each root in breadth-first order, they give for
+    every dof ``dofs[i]`` the load e_v - e_root(v): ``phi[:, i]`` is its
+    voltage in the current basis and ``psi[:, i]`` its pinned potentials
+    on the dofs ``rows``; the roots' columns are zero. ``root[i]`` is the
+    position of its root.
+    """
+
+    def __init__(self, fact, region, basis, rows=()):
+        dm = fact.dm
+        mesh = dm.mesh
+        tris = region.triangles()
+        self.dofs, node = np.unique(dm.corner_dof[tris], return_inverse=True)
+        node = node.reshape(-1, 3)
+        rows = np.asarray(rows, dtype=np.int64)
+        tri, tail, head, ends, self.root = _edge_forest(node, len(self.dofs))
+        # the edge source of each forest edge: (x_head - x_tail) / area
+        edge_tris = tris[tri]
+        corners = mesh.vertices[mesh.triangles[edge_tris]]
+        at = np.arange(len(tri))
+        vectors = (corners[at, head] - corners[at, tail]) / mesh.tri_areas()[edge_tris, None]
+        weighted = fem.gamma_mass(mesh) @ basis.vectors
+        # allocated before the solves, which they outlive: allocated after,
+        # they land among the freed solve blocks and the heap grows around them
+        self.phi = np.zeros((basis.M, len(self.dofs)))
+        self.psi = np.zeros((len(rows), len(self.dofs)))
+        E = np.zeros((basis.M, len(tri)))
+        P = np.zeros((len(rows), len(tri)))
+        for lo in range(0, len(tri), basis.M):
+            cols = slice(lo, lo + basis.M)
+            # keep only the traces and the rows: the block's potentials are
+            # freed before the next block is solved
+            x = fem.solve_source(fact, (edge_tris[cols], vectors[cols]))
+            E[:, cols] = weighted.T @ fem.trace_on_gamma(x)
+            P[:, cols] = x.values[rows] - x.values[fact.pin]
+            del x
+        parent, child = node[tri, tail], node[tri, head]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            self.phi[:, child[lo:hi]] = self.phi[:, parent[lo:hi]] + E[:, lo:hi]
+            self.psi[:, child[lo:hi]] = self.psi[:, parent[lo:hi]] + P[:, lo:hi]
+
+
+def build_source_operator(fact, V, basis, update=None, solves=None):
     """Assemble the source-to-voltage matrix for sources on region ``V``.
 
-    ``fact`` is the configuration's ``fem.Factorization``. Column 2k + d is
-    the current-basis representation of the voltage of the canonical
-    element source on triangle k of the region: direction d, scaled to unit
-    L2 norm. An empty region gives a zero-column operator.
+    ``fact`` is the configuration's ``fem.Factorization``, or with
+    ``update``, an ``ndmap.CrackUpdate``, the crack-free background that
+    the update's crack configuration is an exact update of. Column 2k + d
+    is the current-basis representation of the voltage of the canonical
+    element source on triangle k of the region: direction d, scaled to
+    unit L2 norm. An empty region gives a zero-column operator.
 
-    A source on one triangle loads only that triangle's corner dofs, with
-    loads that sum to zero, so every column is the voltage of a load in the
-    span of the differences e_v - e_w of corner dofs joined by a triangle
-    side. That span has dimension r = (distinct corner dofs) - (connected
-    components of the graph those sides make), and a spanning forest of the
-    graph gives a basis of it: for a forest edge from parent p to child v
-    on triangle t, the element source (x_v - x_p) / area_t on t loads
-    exactly e_v - e_p, since each hat is linear on t. These r sources go
-    through ``fem.solve_source`` in blocks of ``basis.M`` columns, so a
-    block is never wider than the current block of the configuration's ND
-    matrix. Summed from each root in breadth-first order, their voltages
-    give the voltage of e_v - e_root for every dof v; a canonical column is
-    then the combination of these by the source's corner loads from
-    ``fem.source_loads``, which sum to zero. A triangle whose three corners
-    share one dof has zero loads, so its columns are exactly zero; no
-    canonical source is solved.
+    ``solves`` are the ``RegionSolves`` on ``fact`` of a region that holds
+    V, with ``rows`` the update's U; by default V's own are solved here. A
+    canonical column is the combination of their ``phi`` by the source's
+    corner loads from ``fem.source_loads``, which sum to zero. A triangle
+    whose three corners share one dof has zero loads, so its columns are
+    exactly zero; no canonical source is solved.
+
+    With ``update``, a load on a far corner of a slit, whose dof the crack
+    configuration renews, is the load ``update.far_loads`` it condenses to
+    on the slit's star S, so every load is a vertex load of the background,
+    and the update's ``change`` turns the background's voltages of the
+    loads into the configuration's from their pinned potentials on U
+    (``psi``); a tied corner keeps its own vertex, which the tie holds
+    equal to the others. A region that holds a far corner must hold the
+    vertices its load condenses to in the same component of its forest,
+    else this raises.
     """
     interior = geometry.interior_pixel_set(V.grid).members
     if V.members - interior:
         raise ValueError("source region must lie in the meshed interior")
     dm = fact.dm
     mesh = dm.mesh
+    if solves is None:
+        rows = () if update is None else dm.vertex_dof[update.U]
+        solves = RegionSolves(fact, V, basis, rows)
     tris = V.triangles()
     src_tris = np.repeat(tris, 2)
     unit = np.tile(np.eye(2), (len(tris), 1)) / np.sqrt(mesh.tri_areas()[src_tris])[:, None]
     loads = fem.source_loads(dm, src_tris, unit)
-    dofs, node = np.unique(dm.corner_dof[tris], return_inverse=True)
-    node = node.reshape(-1, 3)
-
-    tri, tail, head, ends = _edge_forest(node, len(dofs))
-    # the edge source of each forest edge: (x_head - x_tail) / area
-    edge_tris = tris[tri]
-    corners = mesh.vertices[mesh.triangles[edge_tris]]
-    at = np.arange(len(tri))
-    vectors = (corners[at, head] - corners[at, tail]) / mesh.tri_areas()[edge_tris, None]
-    weighted = fem.gamma_mass(mesh) @ basis.vectors
-    # allocated before the solves, which they outlive: allocated after, they
-    # land among the freed solve blocks and the heap grows around them
-    matrix = np.zeros((basis.M, len(src_tris)))
-    phi = np.zeros((basis.M, len(dofs)))
-    E = np.zeros((basis.M, len(tri)))
-    for lo in range(0, len(tri), basis.M):
-        cols = slice(lo, lo + basis.M)
-        # keep only the traces: the block's potentials are freed before the
-        # next block is solved
-        traces = fem.trace_on_gamma(fem.solve_source(fact, (edge_tris[cols], vectors[cols])))
-        E[:, cols] = weighted.T @ traces
-
-    # phi[:, v] is the voltage of e_v - e_root; the roots' columns stay zero
-    parent, child = node[tri, tail], node[tri, head]
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        phi[:, child[lo:hi]] = phi[:, parent[lo:hi]] + E[:, lo:hi]
+    node = np.searchsorted(solves.dofs, dm.corner_dof[tris])
+    phi, psi = solves.phi, solves.psi
+    if update is not None and len(update.far):
+        flat = 3 * tris[:, None] + np.arange(3)
+        k = np.minimum(np.searchsorted(update.far, flat), len(update.far) - 1)
+        hit = update.far[k] == flat
+        if hit.any():
+            # the condensed loads of the far corners the region holds, as
+            # extra columns after its dofs
+            star = dm.vertex_dof[update.S]
+            held = np.isin(star, solves.dofs)
+            S = np.where(held, np.searchsorted(solves.dofs, star), 0)
+            joined = held & (solves.root[S] == solves.root[node[hit]][:, None])
+            if np.any((update.far_loads[k[hit]] != 0) & ~joined):
+                raise ValueError("source region holds a far-fan corner without its whole star")
+            phi = np.concatenate([phi, phi[:, S] @ update.far_loads.T], axis=1)
+            psi = np.concatenate([psi, psi[:, S] @ update.far_loads.T], axis=1)
+            node = np.where(hit, len(solves.dofs) + k, node)
 
     src_node = np.repeat(node, 2, axis=0)
+    matrix = np.zeros((basis.M, len(src_tris)))
     for i in range(3):
         matrix += phi[:, src_node[:, i]] * loads[:, i]
+    if update is not None:
+        P = np.zeros((len(psi), len(src_tris)))
+        for i in range(3):
+            P += psi[:, src_node[:, i]] * loads[:, i]
+        matrix += update.change(P)
     return SourceOperator(tris, matrix)
 
 
@@ -274,6 +334,46 @@ VARIANTS = {
 }
 
 
+def source_regions(table):
+    """The source regions of a two-crack run: ``V``, ``W`` and ``grown V``, ``grown W``.
+
+    A grown region is the region and the ring of pixels around it, clipped
+    to the meshed interior.
+    """
+    grid = table.V.grid
+    interior = geometry.interior_pixel_set(grid).members
+    pixels = {"V": table.V, "W": table.W}
+    for key in ("V", "W"):
+        pixels["grown " + key] = geometry.PixelSet(grid, pixels[key].dilate().members & interior)
+    return pixels
+
+
+def source_operators(table, wanted):
+    """Source operators of crack configurations on the run's source regions.
+
+    ``table`` is the run's ``ndmap.Configurations`` and ``wanted`` lists
+    (crack configuration, region) pairs, the regions named as in
+    ``source_regions``. Every operator is ``build_source_operator`` of the
+    table's crack-free background with the configuration's
+    ``ndmap.CrackUpdate``. The edge sources of ``grown V`` and ``grown W``
+    are solved on the background once each, as far as a wanted region
+    needs them, and serve both the region and the grown one, with the
+    pinned potentials on the update's U. Returns ``{pair: SourceOperator}``.
+    """
+    pixels = source_regions(table)
+    solves, out = {}, {}
+    for name, region in wanted:
+        update = table.crack_update(name)
+        fact = update.fact
+        key = region[-1]
+        if key not in solves:
+            solves[key] = RegionSolves(fact, pixels["grown " + key], table.basis,
+                                       fact.dm.vertex_dof[update.U])
+        out[name, region] = build_source_operator(fact, pixels[region], table.basis, update,
+                                                  solves[key])
+    return out
+
+
 def run_localized_demo(table, n_values=None):
     """End-to-end localized-current runs of both variants on a two-crack run.
 
@@ -281,33 +381,19 @@ def run_localized_demo(table, n_values=None):
     ``VARIANTS`` picks its target voltage from the source operators of its
     high and low configurations on the near region, and regularizes against
     the background's operator on the far region grown by one pixel ring
-    (clipped to the meshed interior). The source operators come from the
-    table's factorizations of the three crack configurations, one alive at
-    a time, the first of them (``all``) the data's when the table kept it;
-    every ND matrix comes from the table, so configurations another
-    method of the run has solved are not solved again. The far forms'
-    excluded and frozen matrices are the table's updates of its one
-    crack-free background. Returns ``{variant: (sequence, report)}``; a report's
-    form localized at the near cracks should grow while its far-region
-    forms shrink.
+    (clipped to the meshed interior). The six source operators come from
+    ``source_operators``: edge-source solves of the two grown regions on
+    the table's one crack-free background, and each crack configuration's
+    exact update of it. Every ND matrix comes from the table, so
+    configurations another method of the run has solved are not solved
+    again. Returns ``{variant: (sequence, report)}``; a report's form
+    localized at the near cracks should grow while its far-region forms
+    shrink.
     """
-    grid = table.V.grid
-    interior = geometry.interior_pixel_set(grid).members
-    pixels = {"V": table.V, "W": table.W}
-    for key in ("V", "W"):
-        pixels["grown " + key] = geometry.PixelSet(grid, pixels[key].dilate().members & interior)
-    # the source regions each crack configuration feeds
-    feeds = {}
+    wanted = []
     for near, far, hi, lo, bg in VARIANTS.values():
-        for name, region in ((hi, near), (lo, near), (bg, "grown " + far)):
-            feeds.setdefault(name, []).append(region)
-
-    ops = {}
-    for name, regions in feeds.items():
-        fact = table.factorization(name)
-        for region in regions:
-            ops[name, region] = build_source_operator(fact, pixels[region], table.basis)
-        del fact  # one factorization alive at a time
+        wanted += [(hi, near), (lo, near), (bg, "grown " + far)]
+    ops = source_operators(table, wanted)
 
     out = {}
     for variant, (near, far, hi, lo, bg) in VARIANTS.items():

@@ -129,6 +129,10 @@ def _matrix(potentials, basis):
     return NdMatrix(0.5 * (N + N.T), dm.config_label(), dm.cracks.kinds())
 
 
+# the crack configurations of a run's table
+CRACK_CONFIGS = ("all", "insulating", "conducting")
+
+
 class Configurations:
     """The named configurations of one two-crack run and their ND matrices.
 
@@ -137,38 +141,38 @@ class Configurations:
     ``insulating`` and ``conducting`` (one kind alone), and ``excluded V``,
     ``frozen V``, ``excluded W``, ``frozen W`` (a region excluded or frozen,
     no cracks); ``configs`` maps each name to the keyword arguments of
-    ``fem.factorize``, or ``{"frozen": region}``. The data, the
-    monotonicity chain and the localized potentials all compare matrices
-    of these configurations, so a run keeps one table, and ``nd(name)``
-    solves a configuration the first time it is asked for:
+    ``fem.factorize``, or ``{"frozen": region}``, which the references in
+    the tests factorize. The monotonicity chain and the localized
+    potentials compare matrices of these configurations, so a run keeps
+    one table, and ``nd(name)`` solves a configuration the first time it
+    is asked for:
 
-    * ``none`` and the crack configurations: ``nd_matrix`` of their own
-      factorization. ``factorization(name)`` gives a fresh
-      ``fem.Factorization`` to callers that need more than the matrix,
-      recording its matrix if the table lacks it; locpot's source operators
-      are such callers. The table holds the inversion mesh only: the crack
-      signature of anti-crime data lives on a refined mesh and is
-      ``crack_signature``'s update of its background, never a table entry.
-    * the four region configurations, all at once on the first request for
-      any of them, as exact updates of one factorization of the crack-free
-      background, which also gives ``none``; each fills only an entry the
-      table lacks. A region R changes the background only through its own
-      triangles, which touch the rest of the mesh at its boundary vertices
-      C (``geometry.region_closure``). R's element stiffness condensed onto
-      C is ``L = K_CC - K_CI K_II^-1 K_IC``, I the rest of R's vertices.
-      Excluding R takes L away, ``N = N0 - Z_C^T (I + E G_CC)^-1 E Z_C``
-      with ``E = -L`` (``_woodbury``); freezing R ties C, one tie per group
-      of 4-connected components that meet at a vertex, by ``_frozen``, the
-      update that ``RegionMaps`` applies to its excluded region. ``Z`` and ``G``
-      are the background's pinned potentials and Green's entries on the
-      union of the two regions' C, each column solved once. An empty region
-      gives the background matrix itself.
-
-    The table holds at most one factorization: the one behind
-    ``nd(name, keep=True)``, for the caller's next step to take with
-    ``factorization(name)``. It drops that one before it factorizes
-    anything else, so a run that keeps only what its next step reads has
-    at most one alive at a time.
+    * ``none`` asked before anything else: ``nd_matrix`` of a factorization
+      of the crack-free mesh, which the table does not keep. The table holds
+      the inversion mesh only: the crack signature of anti-crime data lives
+      on a refined mesh and is ``crack_signature``'s update of its
+      background, never a table entry.
+    * every other name, all at once on the first request for any of them
+      (the fill): exact updates of one factorization of the crack-free
+      background, which also gives ``none`` and which the table keeps for
+      the run. Its pinned potentials ``Z`` and Green's entries ``G`` are
+      solved on the union of the two regions' boundary vertices and the
+      crack stars, each column once.
+    * the crack configurations are ``N0 + dN`` by ``CrackUpdate``, the math
+      of ``crack_signature``: the slits' far fans condensed onto their
+      star S (``_woodbury``), then the ties on C (``_tied_correction``).
+      ``crack_update(name)`` hands the update to callers that need more
+      than the matrix; locpot's source operators are such callers.
+    * the four region configurations. A region R changes the background
+      only through its own triangles, which touch the rest of the mesh at
+      its boundary vertices C (``geometry.region_closure``). R's element
+      stiffness condensed onto C is ``L = K_CC - K_CI K_II^-1 K_IC``, I the
+      rest of R's vertices. Excluding R takes L away,
+      ``N = N0 - Z_C^T (I + E G_CC)^-1 E Z_C`` with ``E = -L``
+      (``_woodbury``); freezing R ties C, one tie per group of 4-connected
+      components that meet at a vertex, by ``_frozen``, the update that
+      ``RegionMaps`` applies to its excluded region. An empty region gives
+      the background matrix itself.
     """
 
     def __init__(self, mesh, gamma0, basis, cracks, V, W):
@@ -187,57 +191,49 @@ class Configurations:
             self.configs["excluded " + key] = {"excluded": region}
             self.configs["frozen " + key] = {"frozen": region}
         self._nd = {}
-        # (name, Factorization) that ``nd`` kept for ``factorization``
-        self._kept = None
+        # the crack configurations' CrackUpdate, which hold the background
+        self._updates = {}
 
-    def nd(self, name, keep=False):
-        """The named configuration's NdMatrix, solved on first request.
-
-        With ``keep``, a crack configuration solved here keeps its
-        factorization in the table for the next ``factorization(name)``.
-        """
+    def nd(self, name):
+        """The named configuration's NdMatrix, solved on first request."""
         if name not in self._nd:
-            if {"excluded", "frozen"} & set(self.configs[name]):
-                self._solve_regions()
+            if name == "none":
+                self._nd[name] = nd_matrix(fem.factorize(self.mesh, self.gamma0), self.basis)
             else:
-                fact = self.factorization(name)
-                if keep:
-                    self._kept = (name, fact)
+                self._fill()
         return self._nd[name]
 
-    def factorization(self, name):
-        """A factorization of a crack configuration; the caller owns it.
+    def crack_update(self, name):
+        """The ``CrackUpdate`` of a crack configuration on the run's background."""
+        if not self._updates:
+            self._fill()
+        return self._updates[name]
 
-        It is the one ``nd(name, keep=True)`` kept, else a fresh one.
-        """
-        if {"excluded", "frozen"} & set(self.configs[name]):
-            raise ValueError("%r is a region configuration, which is never factorized" % name)
-        kept, self._kept = self._kept, None
-        if kept is not None and kept[0] == name:
-            return kept[1]
-        del kept
-        fact = fem.factorize(self.mesh, self.gamma0, **self.configs[name])
-        if name not in self._nd:
-            self._nd[name] = nd_matrix(fact, self.basis)
-        return fact
-
-    def _solve_regions(self):
-        # the four region matrices and "none", where the table lacks them,
-        # from one factorization of the background; the element stiffness
-        # is condensed and dropped before it is factorized
-        self._kept = None
+    def _fill(self):
+        # every matrix the table lacks (it may hold "none"), from one
+        # factorization of the background; the element stiffness is
+        # condensed and dropped before it is factorized
         mesh = self.mesh
         pin = mesh.gamma_vertices()[0]
+        cracks = self.configs["all"]["cracks"]
+        if cracks.components:
+            cracks.validate(mesh)
+        stars = {name: _crack_star(mesh, self.gamma0, pin, self.configs[name]["cracks"])
+                 for name in CRACK_CONFIGS}
         local = fem.element_stiffness(mesh, self.gamma0)
         regions = {"V": self.V, "W": self.W}
         closures = [geometry.region_closure(region, ties=True) for region in regions.values()]
         blocks = [_region_blocks(mesh, local, region, closure, pin)
                   for region, closure in zip(regions.values(), closures)]
         del local
-        # V and W may share boundary vertices: each Green's column once
-        verts = np.unique(np.concatenate([C for C, _ in blocks]))
-        at = [np.searchsorted(verts, C)[None] for C, _ in blocks]
-        N0, Z, G = _background(fem.factorize(mesh, self.gamma0), self.basis, verts, at)
+        # the stars of "all" hold those of the other two
+        U = np.unique(np.concatenate([stars["all"][0], stars["all"][4]]))
+        # V, W and the stars may share vertices: each Green's column once
+        sets = [C for C, _ in blocks] + [U]
+        verts = np.unique(np.concatenate(sets))
+        at = [np.searchsorted(verts, X)[None] for X in sets]
+        fact = fem.factorize(mesh, self.gamma0)
+        N0, Z, G = _background(fact, self.basis, verts, at)
         self._nd.setdefault("none", N0)
         empty = geometry.CrackSet()
         for (key, region), closure, (C, L), P, G_C in zip(regions.items(), closures, blocks, at, G):
@@ -248,6 +244,73 @@ class Configurations:
                 0.5 * (excluded + excluded.T), fem.config_label(empty, excluded=region), ()
             ))
             self._nd.setdefault("frozen " + key, _frozen(N0, Z[P[0]], G_C[0], closure, region, pin))
+        for name, star in stars.items():
+            update = self._updates[name] = CrackUpdate(fact, star, U, Z[at[-1][0]], G[-1][0])
+            config = self.configs[name]["cracks"]
+            self._nd.setdefault(name, NdMatrix(
+                N0.entries + update.change(), fem.config_label(config), config.kinds()
+            ))
+
+
+class CrackUpdate:
+    """A crack set as an exact update of a factorized crack-free background.
+
+    The cracks change the background's stiffness only on their stars
+    (``_crack_star``): the slits by ``E`` on the old dofs S of their far
+    triangles, once the far fans' new dofs are condensed out, and the ties
+    by tying the conducting vertices C, one column of ``T`` per component.
+    ``fact`` is the background's ``fem.Factorization``; ``U`` is the
+    ascending union of S and C (or a superset), and ``Z`` and ``G`` are the
+    background's pinned potentials of the basis currents and its pinned
+    Green's block on U. ``far`` lists the flat corners ``3 t + c`` whose
+    dof a slit renews, ascending, and row k of ``far_loads`` is the load on
+    S that a unit load on far corner k becomes once its dof is condensed
+    out, ``-dS_nn^-1 dS_nS`` (``_slit_stars``); each row sums to one, so a
+    balanced load stays balanced.
+    """
+
+    def __init__(self, fact, star, U, Z, G):
+        self.fact = fact
+        self.S, self.E, self.far, self.far_loads, self.C, self.T = star
+        self.U, self.Z, self.G = U, Z, G
+        # whether S holds every vertex of the far triangles: all but the pin
+        self._whole = not np.any(fact.dm.corner_dof[self.far // 3] == fact.pin)
+
+    def change(self, P=None):
+        """How the cracks change the background's response: ``N - N0``, or of loads ``P``.
+
+        Without ``P``: the change ``(M, M)`` of the ND matrix, exactly
+        symmetric. With ``P`` ``(len(U), r)``, the background's pinned
+        potentials on U of r balanced vertex loads (far corners condensed):
+        the change ``(M, r)`` of their voltages in the current basis. One
+        ``_woodbury`` solve gives the slits' update and folds it onto C,
+        where ``_tied_correction`` then applies the ties; the loads ride
+        along as right-hand columns beside ``Z``.
+        """
+        Z, G, M = self.Z, self.G, self.Z.shape[1]
+        s, c = np.searchsorted(self.U, self.S), np.searchsorted(self.U, self.C)
+        Z_S, R_S, R_C = Z[s], None, None
+        if P is not None:
+            R = np.concatenate([Z, P], axis=1)
+            R_S, R_C = R[s], R[c]
+            # a step's columns X sum to zero over its vertices, since E and
+            # the tie correction annihilate constants (E on S only while S
+            # holds the whole star, which the pin would leave): so the left
+            # factor less its first row gives the same change, without the
+            # offset that the far pin gives every potential and that would
+            # scale the rounding of those sums into the loads' small change
+            if self._whole:
+                Z_S = Z_S - Z_S[:1]
+        slit, dR, dG = _woodbury(Z_S, G[np.ix_(s, s)], self.E, G[np.ix_(c, s)], R_S)
+        Z_C = Z[c] - dR[:, :M]
+        if P is not None:
+            Z_C = Z_C - Z_C[:1]
+            R_C = R_C - dR
+        tied = _tied_correction(G[np.ix_(c, c)] - dG, Z_C, self.T, R_C)
+        dN = np.zeros(slit.shape)
+        dN -= slit
+        dN -= tied
+        return 0.5 * (dN + dN.T) if P is None else dN[:, M:]
 
 
 def _region_blocks(mesh, local, region, closure, pin):
@@ -360,31 +423,37 @@ def _background(fact, basis, verts, stars):
     return N0, Z, _green_block(fact, dofs, basis.M, stars)[1]
 
 
-def _tied_correction(G, Z, T):
+def _tied_correction(G, Z, T, R=None):
     # how much tying the rows of the Green's block G by the indicator columns
     # T lowers the ND matrix of the potentials Z on them:
-    # Z^T (H - H T (T^T H T)^-1 T^T H) Z with H = G^-1; G, Z and T may be
+    # Z^T (H - H T (T^T H T)^-1 T^T H) R with H = G^-1 and R = Z unless
+    # given (the potentials of other loads on the rows); G, Z, R and T may be
     # stacks (k, m, .) of such blocks
-    HZ = _dense_solve(G, np.concatenate([Z, T], axis=-1))
-    HZ, HT = HZ[..., :Z.shape[-1]], HZ[..., Z.shape[-1]:]
+    R = Z if R is None else R
+    HR = _dense_solve(G, np.concatenate([R, T], axis=-1))
+    HR, HT = HR[..., :R.shape[-1]], HR[..., R.shape[-1]:]
     ZT = np.swapaxes(Z, -1, -2)
     ZHT = ZT @ HT
-    return ZT @ HZ - ZHT @ _dense_solve(np.swapaxes(T, -1, -2) @ HT, np.swapaxes(ZHT, -1, -2))
+    THR = np.swapaxes(ZHT if R is Z else np.swapaxes(R, -1, -2) @ HT, -1, -2)
+    return ZT @ HR - ZHT @ _dense_solve(np.swapaxes(T, -1, -2) @ HT, THR)
 
 
-def _woodbury(Z, G, E, Y=None):
-    # dN = Z^T (I + E G)^-1 E Z, so that N = N0 - dN, for a stiffness change
+def _woodbury(Z, G, E, Y=None, R=None):
+    # dN = Z^T (I + E G)^-1 E R, so that N = N0 - dN, for a stiffness change
     # E on vertices S with pinned potentials Z (m, M) and Green's block G on
-    # S, or (k, m, .) stacks. With Y, the Green's entries (c, m) of vertices
-    # C against S, also the fold onto C: (dN, Y X, Y (I + E G)^-1 E Y^T),
-    # X = (I + E G)^-1 E Z, subtracted from Z_C and G_CC. One solve for all
-    # right-hand sides; their products with E are formed one by one, so each
-    # column has the bits it would have alone
-    rhs = E @ Z
+    # S, or (k, m, .) stacks; R = Z unless given (the pinned potentials of
+    # other loads on S, which the update then maps to their voltages). With
+    # Y, the Green's entries (c, m) of vertices C against S, also the fold
+    # onto C: (dN, Y X, Y (I + E G)^-1 E Y^T), X = (I + E G)^-1 E R,
+    # subtracted from R_C and G_CC. One solve for all right-hand sides;
+    # their products with E are formed one by one, so each column has the
+    # bits it would have alone
+    R = Z if R is None else R
+    rhs = E @ R
     if Y is not None:
         rhs = np.concatenate([rhs, E @ np.swapaxes(Y, -1, -2)], axis=-1)
     X = _dense_solve(np.eye(G.shape[-1]) + E @ G, rhs)
-    X, X_Y = X[..., :Z.shape[-1]], X[..., Z.shape[-1]:]
+    X, X_Y = X[..., :R.shape[-1]], X[..., R.shape[-1]:]
     dN = np.swapaxes(Z, -1, -2) @ X
     return dN if Y is None else (dN, Y @ X, Y @ X_Y)
 
@@ -476,11 +545,13 @@ def crack_signature(mesh, gamma0, basis, cracks):
       ``C``, and ``_tied_correction`` applies the ties there.
 
     Both steps are exact: the slit's new dofs carry no current and are
-    condensed out, and they never lie on ``C``. ``G`` and ``Z`` on
-    ``U = S ∪ C`` both come from the Green's columns of one factorization
-    of the background (``_green_block``), each solved once, so no current
-    is solved; the pinned dof is zero in every potential, so ``S`` drops it
-    as ``_slit_stars`` does. The crack set is validated, as
+    condensed out, and they never lie on ``C``. ``CrackUpdate.change``
+    makes them, as it does for the crack configurations of a run's table.
+    ``G`` and ``Z`` on ``U = S ∪ C`` both come from the Green's columns of
+    one factorization of the background (``_green_block``), each solved
+    once, so no current is solved; the pinned dof is zero in every
+    potential, so ``S`` drops it as ``_slit_stars`` does. The crack set is
+    validated, as
     ``fem.build_dofmap`` does, and ``E`` formed from the far triangles'
     element stiffness alone, before anything is factorized; an empty ``U``
     (no crack, or only one-edge insulating chains) factorizes nothing.
@@ -489,16 +560,8 @@ def crack_signature(mesh, gamma0, basis, cracks):
     """
     if cracks.components:
         cracks.validate(mesh)
-    pin = mesh.gamma_vertices()[0]
-    slits = [c for c in cracks.components if c.kind == geometry.INSULATING and len(c.chain) > 2]
-    S, E = np.zeros(0, dtype=np.int64), np.zeros((0, 0))
-    if slits:
-        (_, S, E), = _slit_stars(mesh, gamma0, pin, slits, np.zeros(1, dtype=np.int64), joint=True)
-        S, E = S[0], E[0]
-    tied = [c.chain for c in cracks.components if c.kind == geometry.CONDUCTING]
-    C = np.array([v for chain in tied for v in chain], dtype=np.int64)
-    T = np.repeat(np.eye(len(tied)), [len(chain) for chain in tied], axis=0)
-    U = np.unique(np.concatenate([S, C]))
+    star = _crack_star(mesh, gamma0, mesh.gamma_vertices()[0], cracks)
+    U = np.unique(np.concatenate([star[0], star[4]]))
     if not len(U):
         return np.zeros((basis.M, basis.M))
     # as many solves as blocks of M columns, but of equal width: the solved
@@ -507,13 +570,23 @@ def crack_signature(mesh, gamma0, basis, cracks):
     fact = fem.factorize(mesh, gamma0)
     Z, (G,) = _green_block(fact, fact.dm.vertex_dof[U], width, [np.arange(len(U))[None]],
                            fem.gamma_mass(mesh) @ basis.vectors)
-    s, c = np.searchsorted(U, S), np.searchsorted(U, C)
-    G, dN = G[0], np.zeros((basis.M, basis.M))
-    # the slits' update and its fold onto C; the ties then apply there
-    slit, dZ, dG = _woodbury(Z[s], G[np.ix_(s, s)], E, G[np.ix_(c, s)])
-    dN -= slit
-    dN -= _tied_correction(G[np.ix_(c, c)] - dG, Z[c] - dZ, T)
-    return 0.5 * (dN + dN.T)
+    return CrackUpdate(fact, star, U, Z, G[0]).change()
+
+
+def _crack_star(mesh, gamma0, pin, cracks):
+    # (S, E, far, far_loads, C, T) of a crack set, as ``CrackUpdate`` reads
+    # them: the joint star of its slits without the pin and their update,
+    # their far corners and the loads those condense to on S, and the
+    # conducting vertices with one indicator column of T per component
+    slits = [c for c in cracks.components if c.kind == geometry.INSULATING and len(c.chain) > 2]
+    star = (np.zeros(0, dtype=np.int64), np.zeros((0, 0)), np.zeros(0, dtype=np.int64),
+            np.zeros((0, 0)))
+    if slits:
+        star = _slit_stars(mesh, gamma0, pin, slits, np.zeros(1, dtype=np.int64), joint=True)
+    tied = [c.chain for c in cracks.components if c.kind == geometry.CONDUCTING]
+    C = np.array([v for chain in tied for v in chain], dtype=np.int64)
+    T = np.repeat(np.eye(len(tied)), [len(chain) for chain in tied], axis=0)
+    return star + (C, T)
 
 
 def _stars(mesh, gamma0, pin, components):
@@ -549,8 +622,9 @@ def _stars(mesh, gamma0, pin, components):
 def _slit_stars(mesh, gamma0, pin, comps, idx, joint=False):
     # ``_stars`` of insulating chains with interior vertices, at positions
     # idx, in groups of one shape; with ``joint``, the slits of all the
-    # chains form one star, at position idx[0], so a triangle in the far
-    # fans of two chains moves both its corners in one update
+    # chains form one star, so a triangle in the far fans of two chains
+    # moves both its corners in one update, returned as ``_crack_star``'s
+    # (S, E, far, far_loads)
     far, owner = fem.split_fans(mesh, geometry.CrackSet(comps))
     n = np.array([len(comp.chain) - 2 for comp in comps], dtype=np.int64)
     if joint:
@@ -601,7 +675,8 @@ def _slit_stars(mesh, gamma0, pin, comps, idx, joint=False):
         entries = local[at_far[tri], i, j]
         dS = np.bincount(at, np.concatenate([entries, -entries]), minlength=len(cs) * D * D)
         dS = dS.reshape(len(cs), D, D)
-        E = dS[:, :mk, :mk] - dS[:, :mk, mk:] @ _dense_solve(dS[:, mk:, mk:], dS[:, mk:, :mk])
+        Y = _dense_solve(dS[:, mk:, mk:], dS[:, mk:, :mk])
+        E = dS[:, :mk, :mk] - dS[:, :mk, mk:] @ Y
         S = verts[start[cs][:, None] + np.arange(mk)]
         # the pinned dof is zero in every potential: a star that holds it
         # drops its row and column
@@ -616,6 +691,11 @@ def _slit_stars(mesh, gamma0, pin, comps, idx, joint=False):
                 S[has][keep].reshape(k, mk - 1),
                 E[has][keep[:, :, None] & keep[:, None, :]].reshape(k, mk - 1, mk - 1),
             ))
+    if joint:
+        # the one star, with the far corners, ascending, and the loads on S
+        # that a unit load on each one's new dof condenses to: -dS_nn^-1 dS_nS
+        (_, S, E), = groups
+        return S[0], E[0], far, -Y[0][slit][:, ~held[0]]
     return groups
 
 

@@ -8,7 +8,8 @@ triangle at a time, the configuration table by one factorization
 per configuration, a carried current basis by a search for each
 fine arc node's coarse edge, a source operator by one solved column per
 canonical source, the dimension of the span of its sources' loads, the
-column space of a source operator, the slit fans by a scan of the whole
+column space of a source operator, the source operators of the crack
+configurations by one factorization each, the slit fans by a scan of the whole
 mesh, a rectangle's triangulation one cell at a time, connected
 components by a search over an adjacency dict, the pixels a segment
 meets one pixel at a time, a pixel region's closed-square membership one
@@ -656,3 +657,19 @@ def embed_crack_dict(mesh, polyline, kind, cracks=None):
     out = geometry.CrackSet(tuple(existing) + (geometry.CrackComponent(chain, kind),))
     out.validate(new_mesh)
     return new_mesh, out
+
+
+def source_operators_factorized(table, wanted, build=locpot.build_source_operator):
+    """``locpot.source_operators`` with each configuration factorized on its own.
+
+    Operator (name, region) is ``build`` of the crack configuration's own
+    factorization (``table.configs[name]``) on the region of
+    ``locpot.source_regions``, where the program updates one background.
+    """
+    regions = locpot.source_regions(table)
+    out = {}
+    for name in dict.fromkeys(name for name, _ in wanted):
+        fact = fem.factorize(table.mesh, table.gamma0, **table.configs[name])
+        for region in dict.fromkeys(r for n, r in wanted if n == name):
+            out[name, region] = build(fact, regions[region], table.basis)
+    return out

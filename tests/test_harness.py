@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crackfind import cli, fem, geometry, harness, ndmap
+from crackfind import cli, fem, geometry, harness, locpot, ndmap
 from crackfind.geometry import refine_mesh
+import oracles
 from oracles import carry_basis_search
 
 
@@ -522,10 +523,9 @@ def test_shipped_config_loads_and_builds(path):
     # the table's "none" for the anti-crime data, the fine background whose
     # update is its signature, then the peel's excluded start region
     ("mixed_32.json", ["none", "none", "excluded:36px"]),
-    # the data, whose factorization locpot's first source operator takes
-    # over, locpot's other source operators (each kind alone) and the one
-    # background of the chain's region configurations
-    ("locpot_contrast_16.json", ["ins:1+con:1", "con:1", "ins:1", "none"]),
+    # the data, then the one background of locpot's source operators and of
+    # every crack and region configuration of the table
+    ("locpot_contrast_16.json", ["ins:1+con:1", "none"]),
 ])
 def test_shipped_run_factorizes_these_configurations(name, labels, factorizations):
     # a change that adds or repeats a factorization, or factorizes a frozen
@@ -609,14 +609,12 @@ def table_runs(tmp_path_factory, count_factorizations):
 
 
 @pytest.mark.parametrize("methods, count", [
-    # data ("all"), which locpot's first source operator takes over, its
-    # two other source-operator factorizations and one background for
-    # "none" and the four regions, nothing new for the chain
-    (("locpot", "chain"), 4),
-    # the same: a chain listed first still runs after locpot
-    (("chain", "locpot"), 4),
-    # data, the background, insulating and conducting
-    (("chain",), 4),
+    # the data ("all") and one background for the source operators and for
+    # every crack and region configuration, in either order
+    (("locpot", "chain"), 2),
+    (("chain", "locpot"), 2),
+    # the data and the background of the chain's configurations
+    (("chain",), 2),
 ])
 def test_run_solves_each_configuration_once(table_runs, methods, count):
     made, most, _ = table_runs[methods]
@@ -624,9 +622,10 @@ def test_run_solves_each_configuration_once(table_runs, methods, count):
     assert most == 1
 
 
-def test_locpot_takes_over_the_data_factorization(monkeypatch):
-    # a run that starts with locpot factorizes "all" once, for the data,
-    # and each other configuration once
+@pytest.mark.parametrize("methods", [("locpot",), ("locpot", "chain"), ("chain", "locpot")])
+def test_locpot_run_factorizes_the_data_and_the_background(monkeypatch, methods):
+    # the data's own factorization of "all", then the crack-free background,
+    # whatever the method order: no other crack configuration is factorized
     labels = []
     real = fem.factorize
 
@@ -636,8 +635,31 @@ def test_locpot_takes_over_the_data_factorization(monkeypatch):
         return fact
 
     monkeypatch.setattr(fem, "factorize", factorize)
-    harness.run_scenario(harness.scenario_from_dict(dict(TWO_KINDS, methods=["locpot"])))
-    assert labels == ["ins:1+con:1", "con:1", "ins:1", "none"]
+    harness.run_scenario(harness.scenario_from_dict(dict(TWO_KINDS, methods=list(methods))))
+    assert labels == ["ins:1+con:1", "none"]
+
+
+def test_locpot_solves_sources_on_the_background_only(monkeypatch):
+    # every edge-source block of a locpot run goes to the crack-free
+    # background, in ceil(r / M) blocks per grown region, r the rank of the
+    # region's loads there
+    s = harness.scenario_from_dict(dict(TWO_KINDS, methods=["locpot"]))
+    built = harness.build_scenario(s)
+    calls = []
+    real = fem.solve_source
+
+    def solve_source(fact, F):
+        calls.append(fact.dm.config_label())
+        return real(fact, F)
+
+    monkeypatch.setattr(fem, "solve_source", solve_source)
+    locpot.run_localized_demo(built.table)
+    background = fem.build_dofmap(built.mesh)
+    regions = locpot.source_regions(built.table)
+    blocks = sum(-(-oracles.source_rank(background, regions["grown " + key].triangles()) // s.M)
+                 for key in ("V", "W"))
+    assert calls == ["none"] * blocks
+    assert blocks >= 2
 
 
 @pytest.mark.parametrize("methods", [("locpot", "chain"), ("chain", "locpot")])

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 from scipy import ndimage
 
-from crackfind import fem, geometry, locpot, ndmap
+from crackfind import fem, geometry, harness, locpot, ndmap
 from crackfind.geometry import (
     CrackSet,
     PixelGrid,
@@ -206,6 +206,146 @@ def test_source_operator_matches_columns_on_random_regions(shape, arc, box, kind
     flat = np.repeat((dofs[:, 0] == dofs[:, 1]) & (dofs[:, 1] == dofs[:, 2]), 2)
     assert flat.any() or kind != "frozen"
     assert not np.any(op.matrix[:, flat])
+
+
+def random_chain(rng, n_cells, n_edges):
+    """A polyline of ``n_edges`` mesh edges inside the interior pixels of an 8x8 grid.
+
+    An axis run, or an L of two runs, from a random vertex at least one
+    pixel off the boundary; coordinates in mesh cells.
+    """
+    lo, hi = n_cells // 8, n_cells - n_cells // 8
+    first = int(rng.integers(1, n_edges + 1))
+    steps = [(first, bool(rng.integers(2)))]
+    if first < n_edges:
+        steps.append((n_edges - first, not steps[0][1]))
+    point = rng.integers(lo, hi + 1, size=2)
+    poly = [point.copy()]
+    for length, vertical in steps:
+        point = point.copy()
+        point[int(vertical)] += length * (1 if rng.integers(2) else -1)
+        poly.append(point)
+    if np.any(np.array(poly) < lo) or np.any(np.array(poly) > hi):
+        return None
+    return [[float(x) / n_cells, float(y) / n_cells] for x, y in poly]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n_cells=st.sampled_from([16, 24, 32]),
+    n_slit=st.integers(1, 5),
+    n_tie=st.integers(1, 4),
+    box=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_source_operators_match_own_factorizations(n_cells, n_slit, n_tie, box, seed):
+    # differential oracle: every (crack configuration, region) operator from
+    # the one background, with the configuration's exact update, against
+    # build_source_operator of the configuration's own factorization, on
+    # random two-crack layouts; one-edge insulating chains open no slit.
+    # The table's crack matrices against nd_matrix of their own
+    # factorizations
+    rng = np.random.default_rng(seed)
+    ins, con = random_chain(rng, n_cells, n_slit), random_chain(rng, n_cells, n_tie)
+    assume(ins is not None and con is not None)
+    gamma0 = 1.0
+    if box:
+        x0, y0 = rng.uniform(0.0, 0.6, 2)
+        gamma0 = {"boxes": [{"box": [x0, y0, x0 + 0.4, y0 + 0.4], "value": rng.uniform(0.1, 10.0)}]}
+    spec = {
+        "h": 1.0 / n_cells, "grid": [8, 8], "M": 8, "gamma0": gamma0, "methods": ["locpot"],
+        "cracks": [{"kind": "insulating", "polyline": ins},
+                   {"kind": "conducting", "polyline": con}],
+    }
+    try:
+        built = harness.build_scenario(harness.scenario_from_dict(spec))
+    except harness.ScenarioError:
+        # the cracks meet, or their pixel regions overlap
+        assume(False)
+    table = built.table
+    regions = locpot.source_regions(table)
+    wanted = []
+    for name in ndmap.CRACK_CONFIGS:
+        update = table.crack_update(name)
+        for key, region in regions.items():
+            verts = set(built.mesh.triangles[region.triangles()].ravel().tolist())
+            corners = 3 * region.triangles()[:, None] + np.arange(3)
+            if np.isin(update.far, corners).any() and not set(update.S.tolist()) <= verts:
+                # a grown W may reach into a far fan of the slit without
+                # holding its whole star, whose condensed loads it cannot
+                # express: refused
+                with pytest.raises(ValueError, match="far-fan corner"):
+                    locpot.source_operators(table, [(name, key)])
+            else:
+                wanted.append((name, key))
+    # the demo's six operators are always among them
+    assert {pair for near, far, hi, lo, bg in locpot.VARIANTS.values()
+            for pair in ((hi, near), (lo, near), (bg, "grown " + far))} <= set(wanted)
+    got = locpot.source_operators(table, wanted)
+    ref = oracles.source_operators_factorized(table, wanted)
+    for pair in wanted:
+        assert np.array_equal(got[pair].tris, ref[pair].tris)
+        assert np.max(np.abs(got[pair].matrix - ref[pair].matrix)) <= 1e-12 * np.max(
+            np.abs(ref[pair].matrix))
+    for name in ndmap.CRACK_CONFIGS:
+        want = ndmap.nd_matrix(fem.factorize(built.mesh, built.gamma0, **table.configs[name]),
+                               built.basis)
+        N = table.nd(name)
+        assert np.max(np.abs(N.entries - want.entries)) <= 1e-12 * np.max(np.abs(want.entries))
+        assert (N.config_label, N.kinds) == (want.config_label, want.kinds)
+
+
+def test_source_operator_refuses_a_far_corner_without_its_star(chain_setup):
+    # a region that holds a far corner of the slit but not every vertex its
+    # load condenses to cannot express that load by its own edge sources
+    mesh, cracks, grid, V, W, gamma0, basis = chain_setup
+    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    update = table.crack_update("insulating")
+    assert len(update.far)
+    # one pixel holding a far corner, whose star spans more than that pixel
+    pixel = int(grid.tri_pixel[update.far[0] // 3])
+    region = PixelSet(grid, [pixel])
+    assert not set(update.S.tolist()) <= set(mesh.triangles[region.triangles()].ravel().tolist())
+    with pytest.raises(ValueError, match="far-fan corner"):
+        locpot.build_source_operator(update.fact, region, basis, update)
+    # the whole crack region holds it: the operator of the slit configuration
+    op = locpot.build_source_operator(update.fact, V, basis, update)
+    ref = locpot.build_source_operator(fem.factorize(mesh, gamma0, cracks.of_kind(
+        geometry.INSULATING)), V, basis)
+    assert np.max(np.abs(op.matrix - ref.matrix)) <= 1e-12 * np.max(np.abs(ref.matrix))
+
+
+def test_source_operator_of_a_slit_whose_star_holds_the_pin():
+    # the pinned dof is zero in every potential, so a star that holds it
+    # drops it, and the update may not shift the potentials' common offset
+    # away there: a slit next to the pinned arc vertex of a disk, against the
+    # slit's own factorization, on the interior away from its far fans
+    mesh = build_disk_mesh(1.0, 0.125)
+    pin = mesh.gamma_vertices()[0]
+    edges, boundary = mesh.edges(), mesh.boundary_mask()
+
+    def inner(v):
+        near = np.concatenate([edges[edges[:, 0] == v, 1], edges[edges[:, 1] == v, 0]])
+        return [int(w) for w in near if not boundary[w]]
+
+    chains = [(a, v, b) for v in inner(pin) for a in inner(v) for b in inner(v) if a < b]
+    for chain in chains:
+        cracks = CrackSet([geometry.CrackComponent(chain, geometry.INSULATING)])
+        far, _ = fem.split_fans(mesh, cracks)
+        if pin in mesh.triangles[far // 3]:
+            break
+    else:
+        pytest.fail("no slit next to the pin holds it in its far fan")
+    gamma0 = fem.Conductivity(mesh, 1.0)
+    basis = ndmap.build_basis(mesh, 8)
+    grid = PixelGrid(mesh, 8, 8)
+    table = ndmap.Configurations(mesh, gamma0, basis, cracks, PixelSet(grid), PixelSet(grid))
+    update = table.crack_update("insulating")
+    region = PixelSet(grid, interior_pixel_set(grid).members
+                      - set(grid.tri_pixel[update.far // 3].tolist()))
+    got = locpot.build_source_operator(update.fact, region, basis, update)
+    ref = locpot.build_source_operator(fem.factorize(mesh, gamma0, cracks), region, basis)
+    assert np.max(np.abs(got.matrix - ref.matrix)) <= 1e-12 * np.max(np.abs(ref.matrix))
 
 
 def test_source_operator_memory_stays_near_nd_matrix():
@@ -436,11 +576,14 @@ def contrast_setup():
 
 @pytest.mark.parametrize("scenario", ["chain_setup", "criterion_5"])
 def test_localized_demo_matches_fresh_solver_reference(chain_setup, scenario):
-    # differential oracle: the one table of configurations against a fresh
-    # factorization per call gives the same numbers, bit for bit, except the
-    # far forms, whose region matrices are updates of the background: each
-    # step's form moves by at most |f|^2 times the 2-norm of the update's
-    # deviation from the region's own factorization
+    # differential oracle: the one table of configurations, whose source
+    # operators and matrices are updates of one background, against a fresh
+    # factorization per call, with the variant written out by hand. The
+    # operators agree to rounding, which the regularized solves amplify at
+    # the last decades of n, so the sequence and its norms agree to 1e-5
+    # relative, as against the column reference below. Each step's form
+    # moves by at most |f|^2 times the 2-norm of the matrices' deviation
+    # from their own factorizations, plus what the step's own deviation moves
     setup = chain_setup if scenario == "chain_setup" else contrast_setup()
     mesh, cracks, grid, V, W, gamma0, basis = setup
     table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
@@ -450,32 +593,42 @@ def test_localized_demo_matches_fresh_solver_reference(chain_setup, scenario):
             mesh, gamma0, cracks, grid, V, W, basis, variant
         )
         assert seq.n_values == ref_seq.n_values and seq.degenerate == ref_seq.degenerate
-        assert all(np.array_equal(f, g) for f, g in zip(seq.f_n, ref_seq.f_n))
-        assert seq.a1_norms == ref_seq.a1_norms
-        assert seq.a2_norms == ref_seq.a2_norms
+        for f, g in zip(seq.f_n, ref_seq.f_n):
+            assert np.linalg.norm(f - g) <= 1e-5 * np.linalg.norm(g)
+        assert seq.a1_norms == pytest.approx(ref_seq.a1_norms, rel=1e-5)
+        assert seq.a2_norms == pytest.approx(ref_seq.a2_norms, rel=1e-5)
         assert sorted(report["forms"]) == sorted(ref_report["forms"])
-        assert report["forms"]["crack_near"] == ref_report["forms"]["crack_near"]
-        far = locpot.VARIANTS[variant][1]
-        for label, name, ref in (
-            ("upper_far", "excluded " + far, ref_forms["upper_far"][0]),
-            ("lower_far", "frozen " + far, ref_forms["lower_far"][1]),
+        far, hi, lo = (locpot.VARIANTS[variant][i] for i in (1, 2, 3))
+        for label, names, refs in (
+            ("upper_far", ("excluded " + far, "none"), ref_forms["upper_far"]),
+            ("lower_far", ("none", "frozen " + far), ref_forms["lower_far"]),
+            ("crack_near", (hi, lo), ref_forms["crack_near"]),
         ):
-            dev = np.linalg.norm(table.nd(name).entries - ref.entries, 2)
-            for f, got, want in zip(seq.f_n, report["forms"][label], ref_report["forms"][label]):
-                assert abs(got - want) <= (f @ f) * dev
-        assert report["sigma"] == sigma
+            dev = sum(np.linalg.norm(table.nd(n).entries - r.entries, 2)
+                      for n, r in zip(names, refs))
+            diff = refs[0].entries - refs[1].entries
+            scale = np.linalg.norm(diff, 2)
+            for f, g, got, want in zip(seq.f_n, ref_seq.f_n, report["forms"][label],
+                                       ref_report["forms"][label]):
+                # the deviation of the matrices, that of the step, and the
+                # rounding of two forms that cancel
+                moved = np.linalg.norm(f - g) * scale * (np.linalg.norm(f) + np.linalg.norm(g))
+                assert abs(got - want) <= (f @ f) * (dev + 1e-12 * scale) + moved
+        assert report["sigma"] == pytest.approx(sigma, rel=1e-12)
         assert report["monotone"] == locpot.monotone_flags(ref_seq)
 
 
 @pytest.mark.parametrize("scenario", ["chain_setup", "criterion_5"])
 def test_localized_demo_matches_column_reference_operators(chain_setup, scenario, monkeypatch):
-    # the demo on edge-source operators against the demo on one solved
-    # column per canonical source: the same verdicts, sigma to rounding, and
-    # the forms up to the rounding they amplify at the last decades
+    # the demo on edge-source operators of one background against the demo
+    # on one solved column per canonical source of each configuration's
+    # own factorization: the same verdicts, sigma to rounding, and the
+    # forms up to the rounding they amplify at the last decades
     setup = chain_setup if scenario == "chain_setup" else contrast_setup()
     mesh, cracks, grid, V, W, gamma0, basis = setup
     runs = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
-    monkeypatch.setattr(locpot, "build_source_operator", source_operator_columns)
+    monkeypatch.setattr(locpot, "source_operators", lambda table, wanted: (
+        oracles.source_operators_factorized(table, wanted, source_operator_columns)))
     ref = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
     assert sorted(runs) == sorted(ref)
     for variant, (seq, report) in runs.items():
@@ -489,12 +642,11 @@ def test_localized_demo_matches_column_reference_operators(chain_setup, scenario
 
 
 def test_localized_demo_factorizes_each_configuration_once(chain_setup, factorizations):
-    # the three crack configurations of the source operators and the one
-    # background of the four regions and "none", never two alive at once
+    # the one background of the six source operators, the crack and region
+    # configurations and "none"
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
-    assert factorizations.made == 4
-    assert factorizations.most == 1
+    assert factorizations.labels == ["none"]
 
 
 def test_no_crack_control_form_is_zero(chain_setup, ops):

@@ -313,73 +313,54 @@ def test_configurations_match_nd_matrix_and_solve_once(chain_setup):
     assert {n: sorted(c) for n, c in table.configs.items()} == {
         n: sorted(c) for n, c in configs.items()
     }
-    fresh = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    alone = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W).nd("none")
     for name, config in configs.items():
         ref = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, **config), basis)
-        if "excluded" not in config and "frozen" not in config:
-            # records the matrix of the factorization it hands out
-            assert isinstance(fresh.factorization(name), fem.Factorization)
-        for got in (table.nd(name), fresh.nd(name)):
-            if "excluded" in config or "frozen" in config:
-                bound = 1e-10 * np.max(np.abs(ref.entries))
-                assert np.max(np.abs(got.entries - ref.entries)) <= bound
-            else:
-                assert np.array_equal(got.entries, ref.entries)
-            assert (got.config_label, got.kinds) == (ref.config_label, ref.kinds)
+        got = table.nd(name)
+        if name == "none":
+            assert np.array_equal(got.entries, ref.entries)
+            assert np.array_equal(alone.entries, ref.entries)
+        else:
+            # crack and region configurations are updates of the background
+            bound = (1e-12 if "cracks" in config else 1e-10) * np.max(np.abs(ref.entries))
+            assert np.max(np.abs(got.entries - ref.entries)) <= bound
+        assert np.array_equal(got.entries, got.entries.T)
+        assert (got.config_label, got.kinds) == (ref.config_label, ref.kinds)
 
-    # asked twice, or after a factorization: one factorization, one current solve
+    # asked twice, or any name after the first: one factorization, one
+    # current solve, and the table keeps that factorization for the run
     with mock.patch.object(fem, "Factorization", wraps=fem.Factorization) as fact, \
             mock.patch.object(fem, "solve_neumann", wraps=fem.solve_neumann) as solve:
         table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
         first = table.nd("frozen W")
         assert table.nd("frozen W") is first
         assert (fact.call_count, solve.call_count) == (1, 1)
-        # the first region request filled the other three and "none"
-        for name in ("excluded V", "frozen V", "excluded W", "none"):
+        # the first request filled every other name
+        for name in configs:
             table.nd(name)
+        for name in ndmap.CRACK_CONFIGS:
+            assert table.crack_update(name).fact.dm.config_label() == "none"
         assert (fact.call_count, solve.call_count) == (1, 1)
-        table.factorization("none")
-        assert (fact.call_count, solve.call_count) == (2, 1)
-        table.factorization("all")
-        assert table.nd("all") is table.nd("all")
-        assert (fact.call_count, solve.call_count) == (3, 2)
 
 
-def test_configurations_refuse_to_factorize_a_region(chain_setup, factorizations):
-    # a region configuration is only ever an update of the background: the
-    # table hands out factorizations of the crack configurations alone
+def test_none_asked_alone_keeps_nothing(chain_setup, factorizations, monkeypatch):
+    # the anti-crime data reads only "none": one factorization and one
+    # current solve, gone when the matrix is returned; a later fill makes
+    # the background the table keeps, and leaves "none" as it was
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
-    for name in ("excluded V", "frozen V", "excluded W", "frozen W"):
-        with pytest.raises(ValueError, match="region configuration"):
-            table.factorization(name)
-    assert factorizations.made == 0
-    for name in ("none", "all", "insulating", "conducting"):
-        table.factorization(name)
-    assert factorizations.labels == ["none", "ins:1+con:1", "ins:1", "con:1"]
-
-
-def test_configurations_hand_a_kept_factorization_on_once(chain_setup, factorizations):
-    # ``nd(name, keep=True)`` keeps the factorization behind the matrix for
-    # the next ``factorization(name)`` alone; the table drops it before it
-    # factorizes anything else, so no two are ever alive at once
-    mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
-    table.nd("all", keep=True)
-    assert table.factorization("all").dm.config_label() == "ins:1+con:1"
+    # a mock would keep the factorization alive in its call record
+    solves = []
+    real = fem.solve_neumann
+    monkeypatch.setattr(fem, "solve_neumann", lambda *a: solves.append(1) or real(*a))
+    N0 = table.nd("none")
+    assert solves == [1]
+    assert (factorizations.made, factorizations.alive) == (1, 0)
+    assert table.nd("none") is N0
     assert factorizations.made == 1
-    table.factorization("all")
-    assert factorizations.made == 2
-    table.nd("insulating", keep=True)
-    table.nd("conducting")
-    table.factorization("insulating")
-    table.nd("none", keep=True)
-    table.nd("frozen V")
-    table.factorization("none")
-    assert factorizations.labels == [
-        "ins:1+con:1", "ins:1+con:1", "ins:1", "con:1", "ins:1", "none", "none", "none",
-    ]
-    assert factorizations.most == 1
+    table.nd("excluded V")
+    assert (factorizations.made, factorizations.alive, factorizations.most) == (2, 1, 1)
+    assert table.nd("none") is N0
 
 
 # ------------------------------------------------------------------ #

@@ -13,7 +13,8 @@ A module-level import must be read in its own module, by the name it
 binds; ``from __future__`` imports are exempt. Only ``geometry`` reads the
 attribute ``_cache``, the store behind ``Mesh.memo``. Inside ``ndmap`` only
 ``_dense_solve`` reads a ``linalg.solve``, so every small dense solve there
-has its residual checked.
+has its residual checked. Only ``harness.generate_data`` factorizes a crack
+set; every other crack configuration is an update of the background.
 """
 
 import ast
@@ -225,3 +226,46 @@ def test_unused_import_check_reads_bound_names():
         "    return np.sum(scipy.linalg.norm(x)) + fem.energy\n"
     )
     assert _unused_imports({"m": tree}) == ["m.geometry", "m.io", "m.itertools"]
+
+
+def _crack_factorizations(modules):
+    # "module.function" of every call to ``factorize`` that may pass a crack
+    # set (a ``cracks`` keyword, a third positional argument or a ``**``
+    # mapping), the function the innermost one around the call, sorted
+    out = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "factorize" and (
+                    len(child.args) >= 3 or any(kw.arg in ("cracks", None) for kw in child.keywords)
+                ):
+                    out.append("%s.%s" % (module, owner))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner
+            visit(child, module, inner)
+
+    for module, tree in modules.items():
+        visit(tree, module, "")
+    return sorted(out)
+
+
+def test_only_the_data_factorizes_a_crack_set():
+    # every crack configuration of a run is an update of the crack-free
+    # background; the simulated measurement is the one crack factorization
+    assert _crack_factorizations(_modules()) == ["harness.generate_data"]
+
+
+def test_crack_factorizations_are_found_in_every_form():
+    tree = ast.parse(
+        "def data(mesh, g, c):\n"
+        "    return fem.factorize(mesh, g, cracks=c)\n"
+        "class Table:\n"
+        "    def solve(self, name):\n"
+        "        a = fem.factorize(self.mesh, self.g, self.c)\n"
+        "        return factorize(self.mesh, self.g, **self.configs[name])\n"
+        "def background(mesh, g, region):\n"
+        "    return fem.factorize(mesh, g), fem.factorize(mesh, g, excluded=region)\n"
+    )
+    assert _crack_factorizations({"m": tree}) == ["m.data", "m.solve", "m.solve"]
