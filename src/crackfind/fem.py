@@ -58,6 +58,11 @@ _worker = None
 
 
 def _second_thread():
+    # Only solve halves run here, never a factorization: with scipy 1.17.1 a
+    # SuperLU factorization made on a worker thread and freed on the main
+    # thread is never freed. 100 such factorizations of a 3,600-dof
+    # Laplacian raised a process's peak resident memory from 61 to 181 MB,
+    # where the same work on one thread did not grow it
     global _worker
     if _worker is None or _worker[0] != os.getpid():
         _worker = (os.getpid(), concurrent.futures.ThreadPoolExecutor(

@@ -1102,20 +1102,19 @@ def region_closure(region, ties=False):
     ``PixelSet.components``: components whose triangles meet at a vertex
     of S share that vertex, so they join one group, named by its smallest
     component; -1 off C. All is read off the grid's ``incidence``. A region
-    of one piece, which is every region a peel tests until it splits, ties
-    all of C to group 0 without a component search: a walk over its
-    members tells whether it is one piece.
+    of one piece (``one_piece``), which is every region a peel tests until
+    it splits, ties all of C to group 0 without a component search.
     """
     vertex, pixel, degree = region.grid.incidence()
-    inside = region.mask().ravel()[pixel]
-    count = np.bincount(vertex[inside], minlength=len(degree))
+    count = pixel_counts(region)
     S = count > 0
     C = S & (count < degree)
     if not ties:
         return S, C
-    if _connected(region):
+    if one_piece(region):
         return S, C, np.where(C, 0, -1)
     # each vertex's smallest component joins every other one there
+    inside = region.mask().ravel()[pixel]
     at = vertex[inside]
     comp = region.components()[pixel[inside]]
     lo = np.full(len(degree), len(pixel))
@@ -1126,13 +1125,40 @@ def region_closure(region, ties=False):
     return S, C, tie
 
 
-def _connected(region):
-    # whether a nonempty pixel set is one 4-connected piece, by a walk over
-    # its members
+def pixel_counts(region):
+    """How many of the region's pixels each mesh vertex has a triangle in."""
+    vertex, pixel, degree = region.grid.incidence()
+    return np.bincount(vertex[region.mask().ravel()[pixel]], minlength=len(degree))
+
+
+# the eight neighbours of a pixel as (dx, dy), in order around it, from the
+# one on its right: the even places share an edge with it, the odd a corner
+_RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+def one_piece(region, without=None):
+    """Whether the region, less the member ``without`` if given, is one 4-connected piece.
+
+    The empty set is not. With ``without``, the region itself must be one
+    piece; then the pixel's neighbours decide unless its edge neighbours in
+    the region fall into two or more runs of members around its ring of
+    eight: a path through the pixel can go round it along such a run. Else
+    a walk over the members tells.
+    """
     members = region.members
+    nx, ny = region.grid.nx, region.grid.ny
+    if without is not None:
+        x, y = without % nx, without // nx
+        ring = [0 <= x + dx < nx and 0 <= y + dy < ny and (y + dy) * nx + x + dx in members
+                for dx, dy in _RING]
+        # edge neighbours joined through the corner between them
+        joins = sum(ring[i] and ring[i + 1] and ring[(i + 2) % 8] for i in (0, 2, 4, 6))
+        runs = sum(ring[::2]) - joins + (joins == 4)
+        if runs < 2:
+            return runs == 1
+        members = members - {without}
     if not members:
         return False
-    nx = region.grid.nx
     start = next(iter(members))
     seen, todo = {start}, [start]
     while todo:

@@ -33,6 +33,8 @@ from . import fem, geometry, locpot, ndmap, reconstruct
 
 SHAPES = ("rect", "disk")
 METHODS = ("upper", "inner", "chain", "locpot")
+# the methods that read the run's configuration table
+TABLE_READERS = {"chain", "locpot"}
 KIND_NAMES = {"insulating": geometry.INSULATING, "conducting": geometry.CONDUCTING}
 
 
@@ -366,6 +368,16 @@ def build_scenario(s):
                     "crack %d reaches into the boundary pixel ring; the chain and "
                     "localized-potential methods need cracks inside the interior pixels" % i
                 )
+        if "locpot" in s.methods:
+            # a slit vertex on the edge of the ring has part of its far fan
+            # in the ring, outside V, where the source operators, updates of
+            # the crack-free background, cannot condense its loads
+            far, _ = fem.split_fans(mesh, cracks.of_kind(geometry.INSULATING))
+            if set(grid.tri_pixel[far // 3].tolist()) - V.members:
+                problems.append(
+                    "an insulating crack runs along the boundary pixel ring; the "
+                    "localized potentials need the far side of every slit vertex inside V"
+                )
         if problems:
             raise ScenarioError(problems)
     table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
@@ -517,7 +529,7 @@ def run_scenario(s, out_dir=None):
             "exceeds_tau": bool(provenance["noise_norm"] > scale),
         }
 
-    for method in s.methods:
+    for i, method in enumerate(s.methods):
         t0 = time.perf_counter()
         if method == "upper":
             res = reconstruct.reconstruct_upper(
@@ -544,6 +556,10 @@ def run_scenario(s, out_dir=None):
             results["locpot"] = {variant: rep for variant, (_, rep) in runs.items()}
             for variant, (seq, rep) in runs.items():
                 artifacts["locpot_%s.csv" % variant] = locpot.sequence_to_csv(seq, rep)
+        if method in TABLE_READERS and not TABLE_READERS & set(s.methods[i + 1:]):
+            # the table's background factorization would otherwise stay
+            # alive beside the factorizations of the methods after it
+            built.table.release()
         # the inner time also holds its candidate step
         timings[method] = timings.get(method, 0.0) + time.perf_counter() - t0
 

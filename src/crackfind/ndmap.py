@@ -93,9 +93,11 @@ class NdMatrix:
 
     def __init__(self, entries, config_label, kinds):
         e = np.asarray(entries, dtype=float)
-        scale = max(1.0e-300, float(np.max(np.abs(e))))
-        if np.max(np.abs(e - e.T)) > 1e-12 * scale:
-            raise ValueError("entries must be symmetric")
+        # most entries come exactly symmetric, which needs no scale
+        if not (e == e.T).all():
+            scale = max(1.0e-300, float(np.max(np.abs(e))))
+            if np.max(np.abs(e - e.T)) > 1e-12 * scale:
+                raise ValueError("entries must be symmetric")
         self.entries = e
         self.entries.setflags(write=False)
         self.config_label = config_label
@@ -163,6 +165,8 @@ class Configurations:
       star S (``_woodbury``), then the ties on C (``_tied_correction``).
       ``crack_update(name)`` hands the update to callers that need more
       than the matrix; locpot's source operators are such callers.
+    * ``release()`` drops the background once no later step reads the
+      table; every read after it raises.
     * the four region configurations. A region R changes the background
       only through its own triangles, which touch the rest of the mesh at
       its boundary vertices C (``geometry.region_closure``). R's element
@@ -191,11 +195,13 @@ class Configurations:
             self.configs["excluded " + key] = {"excluded": region}
             self.configs["frozen " + key] = {"frozen": region}
         self._nd = {}
-        # the crack configurations' CrackUpdate, which hold the background
+        # the crack configurations' CrackUpdate, which hold the background;
+        # None once the table is released
         self._updates = {}
 
     def nd(self, name):
         """The named configuration's NdMatrix, solved on first request."""
+        self._check_held()
         if name not in self._nd:
             if name == "none":
                 self._nd[name] = nd_matrix(fem.factorize(self.mesh, self.gamma0), self.basis)
@@ -205,9 +211,22 @@ class Configurations:
 
     def crack_update(self, name):
         """The ``CrackUpdate`` of a crack configuration on the run's background."""
+        self._check_held()
         if not self._updates:
             self._fill()
         return self._updates[name]
+
+    def release(self):
+        """Drop the background factorization once no later step reads the table.
+
+        Every later read raises, so a step that still needs the table fails
+        loudly instead of factorizing the background again.
+        """
+        self._updates = None
+
+    def _check_held(self):
+        if self._updates is None:
+            raise RuntimeError("the configuration table was released")
 
     def _fill(self):
         # every matrix the table lacks (it may hold "none"), from one
@@ -289,24 +308,20 @@ class CrackUpdate:
         """
         Z, G, M = self.Z, self.G, self.Z.shape[1]
         s, c = np.searchsorted(self.U, self.S), np.searchsorted(self.U, self.C)
-        Z_S, R_S, R_C = Z[s], None, None
-        if P is not None:
-            R = np.concatenate([Z, P], axis=1)
-            R_S, R_C = R[s], R[c]
-            # a step's columns X sum to zero over its vertices, since E and
-            # the tie correction annihilate constants (E on S only while S
-            # holds the whole star, which the pin would leave): so the left
-            # factor less its first row gives the same change, without the
-            # offset that the far pin gives every potential and that would
-            # scale the rounding of those sums into the loads' small change
-            if self._whole:
-                Z_S = Z_S - Z_S[:1]
-        slit, dR, dG = _woodbury(Z_S, G[np.ix_(s, s)], self.E, G[np.ix_(c, s)], R_S)
-        Z_C = Z[c] - dR[:, :M]
-        if P is not None:
-            Z_C = Z_C - Z_C[:1]
-            R_C = R_C - dR
-        tied = _tied_correction(G[np.ix_(c, c)] - dG, Z_C, self.T, R_C)
+        R = Z if P is None else np.concatenate([Z, P], axis=1)
+        # the slits' columns X = (I + E G)^-1 E R_S sum to zero over S, since
+        # E annihilates constants while S holds the whole star (the pin would
+        # leave it): so the left factor less its first row gives the same
+        # change, without the offset that the far pin gives every potential
+        # and that would scale the rounding of those sums into the change.
+        # The ties' short circuit cancels that offset by itself
+        Z_S = Z[s]
+        if self._whole:
+            Z_S = Z_S - Z_S[:1]
+        slit, dR, dG = _woodbury(Z_S, G[np.ix_(s, s)], self.E, G[np.ix_(c, s)], R[s])
+        R_C = R[c] - dR
+        tied = _tied_correction(G[np.ix_(c, c)] - dG, R_C[:, :M], self.T,
+                                None if P is None else R_C)
         dN = np.zeros(slit.shape)
         dN -= slit
         dN -= tied
@@ -363,10 +378,17 @@ def _frozen(N0, Z, G, closure, region, pin):
     return NdMatrix(0.5 * (N + N.T), label, ())
 
 
-def _dense_solve(A, B):
+def _dense_solve(A, B, spd=False):
     # small dense systems, one or a (k, n, n) stack, with the relative-residual
-    # guard of the sparse solves on every column of every system
-    X = np.linalg.solve(A, B)
+    # guard of the sparse solves on every column of every system. ``spd``
+    # marks symmetric positive definite systems: one of them is solved by
+    # Cholesky from its lower triangle, a stack by LU like any other
+    if spd and A.ndim == 2 and len(A):
+        _, X, info = scipy.linalg.lapack.dposv(A, B, lower=1)
+        if info:
+            raise np.linalg.LinAlgError("system is not positive definite")
+    else:
+        X = np.linalg.solve(A, B)
     fem._check_residual(A, X, B)
     return X
 
@@ -425,37 +447,62 @@ def _background(fact, basis, verts, stars):
 
 def _tied_correction(G, Z, T, R=None):
     # how much tying the rows of the Green's block G by the indicator columns
-    # T lowers the ND matrix of the potentials Z on them:
-    # Z^T (H - H T (T^T H T)^-1 T^T H) R with H = G^-1 and R = Z unless
-    # given (the potentials of other loads on the rows); G, Z, R and T may be
-    # stacks (k, m, .) of such blocks
-    R = Z if R is None else R
-    HR = _dense_solve(G, np.concatenate([R, T], axis=-1))
-    HR, HT = HR[..., :R.shape[-1]], HR[..., R.shape[-1]:]
-    ZT = np.swapaxes(Z, -1, -2)
-    ZHT = ZT @ HT
-    THR = np.swapaxes(ZHT if R is Z else np.swapaxes(R, -1, -2) @ HT, -1, -2)
-    return ZT @ HR - ZHT @ _dense_solve(np.swapaxes(T, -1, -2) @ HT, THR)
+    # T (m, groups) lowers the ND matrix of the potentials Z on them, with R
+    # = Z unless given (the potentials of other loads on the rows), in
+    # short-circuit form: (Q^T Z)^T (Q^T G Q)^-1 Q^T R, where Q spans the
+    # complement of T's columns, a column per tied row but its group's
+    # first (that row less the first) and a unit column per row T leaves
+    # out (tied to the pin). That is Z^T (H - H T (T^T H T)^-1 T^T H) R with
+    # H = G^-1, from one positive definite solve of size m - groups; the
+    # differences cancel the common offset a far pin gives the potentials.
+    # G, Z and R may be stacks (k, m, .) of blocks that T ties alike.
+    # ``lead`` is each row's group's first row, -1 for a row tied to the pin
+    row, col = np.nonzero(T)
+    lead = np.full(len(T), -1)
+    if len(row):
+        lead[row] = T.argmax(axis=0)[col]
+    short = lead != np.arange(len(T))
+    rows, base = np.flatnonzero(short), lead[short]
+    QZ = _shorted(Z, rows, base)
+    QR = QZ if R is None else _shorted(R, rows, base)
+    QGQ = _shorted(np.swapaxes(_shorted(G, rows, base), -1, -2), rows, base)
+    return np.swapaxes(QZ, -1, -2) @ _dense_solve(QGQ, QR, spd=True)
+
+
+def _shorted(X, rows, base):
+    # Q^T X for _tied_correction's Q along the rows (axis -2) of X: row
+    # ``rows[i]`` less row ``base[i]``, or alone where ``base[i]`` is -1.
+    # One group tied to its first row, the usual case, subtracts that row,
+    # from a slice where the rows are consecutive
+    if len(base) and base[0] >= 0 and (base == base[0]).all():
+        lo = rows[0]
+        part = (X[..., lo:lo + len(rows), :] if rows[-1] - lo == len(rows) - 1
+                else X.take(rows, axis=-2))
+        return part - X[..., base[0]:base[0] + 1, :]
+    out = X.take(rows, axis=-2)
+    live = base >= 0
+    out[..., live, :] -= X.take(base[live], axis=-2)
+    return out
 
 
 def _woodbury(Z, G, E, Y=None, R=None):
     # dN = Z^T (I + E G)^-1 E R, so that N = N0 - dN, for a stiffness change
     # E on vertices S with pinned potentials Z (m, M) and Green's block G on
     # S, or (k, m, .) stacks; R = Z unless given (the pinned potentials of
-    # other loads on S, which the update then maps to their voltages). With
-    # Y, the Green's entries (c, m) of vertices C against S, also the fold
-    # onto C: (dN, Y X, Y (I + E G)^-1 E Y^T), X = (I + E G)^-1 E R,
-    # subtracted from R_C and G_CC. One solve for all right-hand sides;
-    # their products with E are formed one by one, so each column has the
-    # bits it would have alone
+    # other loads on S, which the update then maps to their voltages). One
+    # solve: for X = (I + E G)^-1 E R, its right-hand sides' products with E
+    # formed one by one, so each column has the bits it would have alone.
+    # With Y, the Green's entries (c, m) of vertices C against S, also the
+    # fold onto C: (dN, Y X, Y W Y^T), subtracted from R_C and G_CC, from
+    # one solve for W = (I + E G)^-1 E, whose m columns are fewer than the
+    # fold's c, and X = W R
+    A = np.eye(G.shape[-1]) + E @ G
     R = Z if R is None else R
-    rhs = E @ R
-    if Y is not None:
-        rhs = np.concatenate([rhs, E @ np.swapaxes(Y, -1, -2)], axis=-1)
-    X = _dense_solve(np.eye(G.shape[-1]) + E @ G, rhs)
-    X, X_Y = X[..., :R.shape[-1]], X[..., R.shape[-1]:]
-    dN = np.swapaxes(Z, -1, -2) @ X
-    return dN if Y is None else (dN, Y @ X, Y @ X_Y)
+    if Y is None:
+        return np.swapaxes(Z, -1, -2) @ _dense_solve(A, E @ R)
+    W = _dense_solve(A, E)
+    X = W @ R
+    return np.swapaxes(Z, -1, -2) @ X, Y @ X, (Y @ W) @ np.swapaxes(Y, -1, -2)
 
 
 # chains per stacked pass of chain_matrices' corrections and of the inner
@@ -519,7 +566,7 @@ def chain_matrices(mesh, gamma0, basis, components):
                 part = slice(first, last)
                 G_p, Z_p = G_S[part], Z[P[part]]
                 if E is None:
-                    corr = _tied_correction(G_p, Z_p, np.ones(G_p.shape[:-1] + (1,)))
+                    corr = _tied_correction(G_p, Z_p, np.ones((G_p.shape[-1], 1)))
                 else:
                     corr = _woodbury(Z_p, G_p, E[part])
                 N[idx[part] - lo] = N0.entries - corr
@@ -729,10 +776,14 @@ class RegionMaps:
     mode "insulating" only when ``peel`` accepts it; the last folded block
     is kept for ``peel`` to install. A fold forms Z and G on C(R - p)
     alone. Each pixel's S and element stiffness are assembled once, at the
-    start. A block keeps each vertex's position in its C (-1 off C), so an
-    update gathers the rows of Z and G it reads, with identity entries only
-    on the vertices p releases, and the frozen side ties the block's own Z
-    and G; a test costs its dense solves plus a few gathers.
+    start. A block keeps each vertex's position in its C, and Z and G with
+    a zero row (and column) that a vertex off C gathers, so an update sets
+    identity entries only on the vertices p releases, and the frozen side
+    ties views of the block's own Z and G. R - p's closure comes from R's:
+    only p's vertices change, by how many of R's pixels hold each, and a
+    region that stays one piece (``geometry.one_piece``, decided around p)
+    ties all of its C as one group. A test costs its dense solves plus a
+    few gathers.
     ``mode`` (one of ``MODES``) names the sides to test: "insulating" the
     excluded response, "conducting" the frozen one. The caller keeps every
     region admissible. Every small dense solve is checked against
@@ -754,12 +805,19 @@ class RegionMaps:
         if closure[0][self._pin]:
             raise ValueError("the start region holds the pinned arc vertex")
         self._pixels = _pixel_stiffness(mesh, gamma0, R0)
+        # how many of the region's pixels each vertex is in: a tested
+        # region's closure follows from it and its parent's
+        self._count = geometry.pixel_counts(R0)
         C = np.flatnonzero(closure[1])
         N, Z, (G,) = _background(fem.factorize(mesh, gamma0, excluded=R0), basis, C,
                                  [np.arange(len(C))[None]])
-        # (NdMatrix, Z, G, closure, position map) of the excluded region:
-        # the map gives each vertex its position in C, -1 off C
-        self._block = (N, Z, G[0], closure, _position_map(len(mesh.vertices), C))
+        # (NdMatrix, Z, G, closure, position map, one piece) of the excluded
+        # region: Z and G with a last row (and column) of zeros, the map
+        # giving each vertex its position in C and -1, that zero row, off C,
+        # and the flag whether the frozen side knows the region to be one
+        # piece
+        self._block = (N, np.pad(Z, ((0, 1), (0, 0))), np.pad(G[0], (0, 1)), closure,
+                       _position_map(len(mesh.vertices), C), self._ties and geometry.one_piece(R0))
         self._last = None
 
     def matrices(self, pixel=None):
@@ -772,13 +830,17 @@ class RegionMaps:
             region = self._without(pixel)
             block = self._opened(pixel, region, fold=self._ties)
         excluded = None if self._mode == "conducting" else block[0]
-        frozen = None if self._mode == "insulating" else _frozen(*block[:4], region, self._pin)
+        frozen = None
+        if self._mode != "insulating":
+            N, Z, G, closure = block[:4]
+            frozen = _frozen(N, Z[:-1], G[:-1, :-1], closure, region, self._pin)
         return excluded, frozen
 
     def peel(self, pixel):
         """Take ``pixel`` out of the region and install its folded block."""
         region = self._without(pixel)
         self._block = self._opened(pixel, region, fold=True)
+        self._count[self._pixels[pixel][0]] -= 1
         self.region = region
         self._last = None
 
@@ -793,17 +855,17 @@ class RegionMaps:
         # block), until the region changes. S are p's vertices, ``at`` their
         # positions in the kept block (-1 if enclosed); the fold forms Z
         # and G on C(R - p) alone, which lies in the kept C and the
-        # vertices p releases, and finds the new region's closure once
+        # vertices p releases, and derives the new region's closure once
         if fold and self._last is not None and self._last[0] == pixel:
             return self._last[1]
-        N, Z, G, _, pos = self._block
+        N, Z, G, _, pos, _ = self._block
         S, E = self._pixels[pixel]
         at = pos[S]
         # the released vertices lose their placeholder rows
         E = E - np.diag((at < 0).astype(float))
-        Z_S, G_SS = _grown_rows(Z, at), _grown(G, S, at, S, at)
+        Z_S, G_SS = Z.take(at, 0), _grown(G, S, at, S, at)
         if fold:
-            closure = geometry.region_closure(region, ties=self._ties)
+            closure, whole = self._closure(pixel, region, S)
             C = np.flatnonzero(closure[1])
             at_C = pos[C]
             dN, dZ, dG = _woodbury(Z_S, G_SS, E, _grown(G, C, at_C, S, at))
@@ -813,28 +875,59 @@ class RegionMaps:
         N = NdMatrix(0.5 * (N + N.T), fem.config_label(geometry.CrackSet(), excluded=region), ())
         if not fold:
             return (N,)
-        G = _grown(G, C, at_C, C, at_C) - dG
-        block = N, _grown_rows(Z, at_C) - dZ, 0.5 * (G + G.T), closure, _position_map(len(pos), C)
+        # the new block, padded by gathering the kept block's zero row and
+        # column last; a released vertex's Green's row is e_v
+        ext = np.append(at_C, -1)
+        Z = Z.take(ext, 0)
+        Z[:-1] -= dZ
+        G = G.take(ext, 0).take(ext, 1)
+        released = np.flatnonzero(at_C < 0)
+        G[released, released] = 1.0
+        inner = G[:-1, :-1]
+        inner -= dG
+        np.add(inner, inner.T, out=inner)
+        inner *= 0.5
+        block = N, Z, G, closure, _position_map(len(pos), C), whole
         self._last = (pixel, block)
         return block
+
+    def _closure(self, pixel, region, S):
+        # ``geometry.region_closure`` of ``region``, the region without
+        # ``pixel``, from the kept block's: only the pixel's vertices S
+        # change, each staying in S and C while another pixel of the region
+        # holds it. A region that stays one piece ties all of C to group 0.
+        # Returns the closure and whether the region is known to be one piece
+        kept = self._block[3]
+        on = self._count[S] > 1
+        in_S, in_C = kept[0].copy(), kept[1].copy()
+        in_S[S] = on
+        in_C[S] = on
+        if not self._ties:
+            return (in_S, in_C), False
+        if self._block[5] and geometry.one_piece(self.region, pixel):
+            return (in_S, in_C, np.where(in_C, 0, -1)), True
+        return geometry.region_closure(region, ties=True), False
 
 
 def _pixel_stiffness(mesh, gamma0, region):
     # {pixel: (S, E)} of each pixel of ``region``: the vertices of its
-    # triangles, ascending, and its element stiffness assembled on them
+    # triangles, ascending, and its element stiffness assembled on them.
+    # All pixels in one pass: the blocks lie in one flat array, and each
+    # entry sums its triangles' terms in ascending triangle order
     tris = region.triangles()
     local = fem.element_stiffness(mesh, gamma0, tris)
     owner = region.grid.tri_pixel[tris]
-    order = np.argsort(owner, kind="stable")
-    bounds = np.flatnonzero(np.diff(owner[order])) + 1
-    out = {}
-    for part in np.split(order, bounds):
-        S, node = np.unique(mesh.triangles[tris[part]], return_inverse=True)
-        node = node.reshape(-1, 3)
-        E = np.zeros((len(S), len(S)))
-        np.add.at(E, (node[:, :, None], node[:, None, :]), local[part])
-        out[int(owner[part[0]])] = (S, E)
-    return out
+    nv = len(mesh.vertices)
+    keys, node = np.unique(owner[:, None] * nv + mesh.triangles[tris], return_inverse=True)
+    pixels, start, size = np.unique(keys // nv, return_index=True, return_counts=True)
+    base = np.cumsum(size * size) - size * size
+    at = np.searchsorted(pixels, owner)
+    node = node.reshape(-1, 3) - start[at][:, None]
+    flat = (base[at][:, None, None] + node[:, :, None] * size[at][:, None, None]
+            + node[:, None, :])
+    E = np.bincount(flat.ravel(), local.ravel(), minlength=int(np.sum(size * size)))
+    return {int(p): (keys[s:s + n] % nv, E[b:b + n * n].reshape(n, n))
+            for p, s, n, b in zip(pixels, start, size, base)}
 
 
 def _position_map(n, verts):
@@ -846,21 +939,12 @@ def _position_map(n, verts):
 
 def _grown(G, rows, at_r, cols, at_c):
     # a peel block's Green's entries on ascending vertex rows and columns,
-    # given their positions in the kept block (-1 for an enclosed vertex,
-    # whose Green's row is e_v); every enclosed row is also a column. A -1
-    # gathers G's last row or column, which is then overwritten
+    # given their positions in the kept, padded block: -1 gathers its zero
+    # row or column, and an enclosed vertex's Green's row is e_v, so only
+    # its unit entry is set; every enclosed row is also a column
     out = G.take(at_r, 0).take(at_c, 1)
     r = np.flatnonzero(at_r < 0)
-    out[r] = 0.0
-    out[:, at_c < 0] = 0.0
     out[r, np.searchsorted(cols, rows[r])] = 1.0
-    return out
-
-
-def _grown_rows(Z, at):
-    # a peel block's potentials on vertices at positions ``at`` (zero where enclosed)
-    out = Z.take(at, 0)
-    out[at < 0] = 0.0
     return out
 
 
@@ -870,10 +954,21 @@ def psd_tests(A, tau):
     Each matrix must be symmetric up to the same relative tolerance; ``tau``
     is one threshold for all or one per matrix. One stacked ``eigvalsh``.
     """
+    min_eig = _spectra(A)[:, 0]
+    return min_eig >= -tau, min_eig
+
+
+def _spectra(A):
+    # the ascending eigenvalues (k, n) of a (k, n, n) stack, each matrix
+    # checked symmetric to SYM_RTOL of its largest entry and symmetrized:
+    # one stacked eigvalsh
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("need a stack of square matrices")
     AT = np.swapaxes(A, 1, 2)
+    # an exactly symmetric stack, the usual one, is its own symmetric part
+    if (A == AT).all():
+        return np.linalg.eigvalsh(A)
     scale = np.maximum(np.abs(A).reshape(len(A), -1).max(axis=1), 1e-300)
     work = A - AT
     np.abs(work, out=work)
@@ -881,8 +976,7 @@ def psd_tests(A, tau):
         raise ValueError("matrix is not symmetric")
     np.add(A, AT, out=work)
     work *= 0.5
-    min_eig = np.linalg.eigvalsh(work)[:, 0]
-    return min_eig >= -tau, min_eig
+    return np.linalg.eigvalsh(work)
 
 
 def psd_test(A, tau):
@@ -945,18 +1039,28 @@ def certificate(name, diff, minuend, tau):
     return _record(name, passed, min_eig, t)
 
 
-def certificates(names, diffs, taus):
+def certificates(names, diffs, taus, minuend=None):
     """``certificate`` for a ``(k, M, M)`` stack of differences, one record each.
 
     ``names`` and ``taus`` give the name and the threshold of every test,
     each one for all or one per difference; ``default_taus`` gives the
-    default thresholds of a stack of minuends.
+    default thresholds of a stack of minuends. With ``minuend``, the
+    ``(M, M)`` entries of an NdMatrix, ``taus`` lists one threshold per
+    difference, and None there is ``default_tau`` of the minuend, whose
+    spectrum joins the differences' stacked ``eigvalsh`` (and is checked
+    symmetric like them).
     """
     if isinstance(names, str):
         names = [names] * len(diffs)
+    if minuend is None:
+        w = _spectra(diffs)
+    else:
+        w = _spectra(np.concatenate([minuend[None], diffs]))
+        default, w = PSD_TAU_FACTOR * np.max(np.abs(w[0])), w[1:]
+        taus = [default if t is None else t for t in taus]
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (len(diffs),))
-    passed, min_eig = psd_tests(diffs, taus)
-    return [_record(*test) for test in zip(names, passed, min_eig, taus)]
+    min_eig = w[:, 0]
+    return [_record(*test) for test in zip(names, min_eig >= -taus, min_eig, taus)]
 
 
 def symmetric_noise(N, level, rng):

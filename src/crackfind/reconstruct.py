@@ -100,8 +100,9 @@ def upper_bound_tests(data, excluded, frozen, tau=None, data_tau=None):
     given as None is not tested, which is how the single-kind modes run only
     the side that detects their crack kind. The frozen side's default
     threshold depends only on the data, so a caller that tests many regions
-    computes it once and passes it as ``data_tau``. Both differences are
-    tested as one ``ndmap.certificates`` stack; each record equals
+    computes it once and passes it as ``data_tau``. Both differences and the
+    spectrum behind the excluded side's default threshold come from one
+    stacked ``eigvalsh`` (``ndmap.certificates``); each record equals
     ``ndmap.certificate`` of its side alone.
     """
     if excluded is None and frozen is None:
@@ -111,12 +112,13 @@ def upper_bound_tests(data, excluded, frozen, tau=None, data_tau=None):
     if excluded is not None:
         names.append("excluded_minus_data")
         diffs.append(excluded.entries - d)
-        taus.append(ndmap.default_taus(excluded.entries[None])[0] if tau is None else tau)
+        taus.append(tau)
     if frozen is not None:
         names.append("data_minus_frozen")
         diffs.append(d - frozen.entries)
         taus.append(ndmap.tau_for(data, tau if data_tau is None else data_tau))
-    certs = ndmap.certificates(names, np.stack(diffs), taus)
+    minuend = excluded.entries if excluded is not None and tau is None else None
+    certs = ndmap.certificates(names, np.stack(diffs), taus, minuend)
     return all(c["passed"] for c in certs), certs
 
 

@@ -227,6 +227,46 @@ class FactorizedConfigurations(ndmap.Configurations):
         return self.matrices[name]
 
 
+def pixel_stiffness_loop(mesh, gamma0, region):
+    """``ndmap._pixel_stiffness``, one pixel at a time.
+
+    Each pixel's vertices from ``np.unique`` of its triangles' corners and
+    its element stiffness summed into them by ``np.add.at``, triangle by
+    triangle in ascending order, so the sums run in the same order.
+    """
+    tris = region.triangles()
+    local = fem.element_stiffness(mesh, gamma0, tris)
+    owner = region.grid.tri_pixel[tris]
+    out = {}
+    for pixel in np.unique(owner).tolist():
+        part = np.flatnonzero(owner == pixel)
+        S, node = np.unique(mesh.triangles[tris[part]], return_inverse=True)
+        node = node.reshape(-1, 3)
+        E = np.zeros((len(S), len(S)))
+        np.add.at(E, (node[:, :, None], node[:, None, :]), local[part])
+        out[pixel] = (S, E)
+    return out
+
+
+def tied_correction_projection(G, Z, T, R=None):
+    """``ndmap._tied_correction`` in projection form, the reference of its short circuit.
+
+    ``Z^T (H - H T (T^T H T)^-1 T^T H) R`` with ``H = G^-1``: the energy
+    ``H`` of the rows less its part in the span of the tie indicators ``T``
+    (a row of zeros ties that row to the pin), from a solve with G for R and
+    T and one with ``T^T H T``. G, Z and R may be ``(k, m, .)`` stacks that
+    T ties alike; R = Z unless given.
+    """
+    R = Z if R is None else R
+    T = np.broadcast_to(T, G.shape[:-1] + T.shape[-1:])
+    HR = np.linalg.solve(G, np.concatenate([R, T], axis=-1))
+    HR, HT = HR[..., :R.shape[-1]], HR[..., R.shape[-1]:]
+    ZT = np.swapaxes(Z, -1, -2)
+    THR = np.swapaxes(R, -1, -2) @ HT
+    return ZT @ HR - (ZT @ HT) @ np.linalg.solve(np.swapaxes(T, -1, -2) @ HT,
+                                                  np.swapaxes(THR, -1, -2))
+
+
 def crack_signature_factorized(mesh, gamma0, basis, cracks):
     """``ndmap.crack_signature`` from two factorizations: ``(N0, N - N0)``.
 

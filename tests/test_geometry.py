@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -1011,6 +1011,30 @@ def test_region_closure_matches_triangle_loop(mesh_key, n, rects, admissible):
     if admissible and not pixelset_is_admissible(region):
         region = PixelSet(grid, ())
     assert_closure_matches_loop(region)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8]),
+    rects=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 3),
+                             st.integers(0, 3)), min_size=1, max_size=4),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_one_piece_without_a_pixel_matches_the_components(n, rects, seed):
+    # the local test around a removed pixel against the component labels of
+    # the region without it, for every member of random one-piece regions
+    grid = PixelGrid(build_rect_mesh(1.0, 1.0, 1.0 / 16), n, n)
+    members = {grid.index(x, y) for x0, y0, w, h in rects
+               for x in range(x0 % n, min(n, x0 % n + w + 1))
+               for y in range(y0 % n, min(n, y0 % n + h + 1))}
+    region = PixelSet(grid, members)
+    assert geometry.one_piece(region) == (region.components().max() == 0)
+    assume(geometry.one_piece(region))
+    rng = np.random.default_rng(seed)
+    for pixel in rng.permutation(sorted(members)).tolist():
+        rest = region.minus(pixel)
+        want = bool(rest.members) and rest.components().max() == 0
+        assert geometry.one_piece(region, pixel) == want
 
 
 def test_region_closure_of_the_pinned_arc_vertex():

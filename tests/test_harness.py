@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -77,6 +78,37 @@ def test_inner_method_requires_single_kind():
     with pytest.raises(harness.ScenarioError) as err:
         harness.scenario_from_dict(bad)
     assert any("inner" in p for p in err.value.problems)
+
+
+@pytest.mark.parametrize("polyline, refused", [
+    # an interior vertex on the edge of the boundary pixel ring: part of its
+    # far fan lies in the ring, outside the crack region
+    ([[0.8125, 0.625], [0.875, 0.625], [0.875, 0.5625]], True),
+    # an end on the ring's edge opens no far fan there
+    ([[0.6875, 0.125], [0.6875, 0.25]], False),
+    ([[0.8125, 0.625], [0.8125, 0.5625]], False),
+])
+def test_locpot_refuses_a_slit_along_the_pixel_ring(polyline, refused):
+    # the localized potentials' source operators are updates of the
+    # crack-free background, which condense a far corner's load onto the
+    # slit's star inside V; the chain and the other methods run
+    spec = {"h": 1.0 / 16, "grid": [8, 8], "M": 8, "gamma0": 1.0,
+            "cracks": [{"kind": "insulating", "polyline": polyline},
+                       {"kind": "conducting", "polyline": [[0.1875, 0.375], [0.1875, 0.4375]]}]}
+    s = harness.scenario_from_dict(dict(spec, methods=["locpot"]))
+    if refused:
+        with pytest.raises(harness.ScenarioError, match="runs along the boundary pixel ring"):
+            harness.build_scenario(s)
+    else:
+        locpot.source_operators(harness.build_scenario(s).table, locpot_pairs())
+    for methods in (["chain"], ["upper"]):
+        harness.build_scenario(harness.scenario_from_dict(dict(spec, methods=methods)))
+
+
+def locpot_pairs():
+    # the (configuration, region) pairs of the demo's six source operators
+    return sorted({pair for near, far, hi, lo, bg in locpot.VARIANTS.values()
+                   for pair in ((hi, near), (lo, near), (bg, "grown " + far))})
 
 
 def test_build_scenario_regions_disjoint(mixed_scenario):
@@ -620,6 +652,62 @@ def test_run_solves_each_configuration_once(table_runs, methods, count):
     made, most, _ = table_runs[methods]
     assert made == count
     assert most == 1
+
+
+@pytest.mark.parametrize("first", ["chain", "locpot"])
+def test_table_releases_its_background_after_its_last_reader(count_factorizations, first):
+    # a table reader listed before upper drops the table's background before
+    # upper factorizes its start region, so one factorization is alive at a
+    # time; the results are those of each method run alone
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "mixed_chain_32.json")
+    spec = harness.load_scenario(path).to_json()
+    with pytest.MonkeyPatch.context() as mp:
+        counter = count_factorizations(mp)
+        counter.reset()
+        both = harness.run_scenario(harness.scenario_from_dict(dict(spec, methods=[first, "upper"])))
+        assert (counter.made, counter.most) == (4, 1)
+    for method in (first, "upper"):
+        alone = harness.run_scenario(harness.scenario_from_dict(dict(spec, methods=[method])))
+        assert harness._dump_json(both.results[method]) == harness._dump_json(alone.results[method])
+
+
+def test_every_factorization_is_made_on_the_main_thread(monkeypatch):
+    # the worker thread of the split solves never factorizes: SuperLU
+    # factors made there and freed on the main thread leak. Every method,
+    # with anti-crime data, whose fine background solves its Green's
+    # columns in split blocks
+    threads, workers = [], []
+    real, real_columns = fem.Factorization.__init__, fem._solve_columns
+
+    def init(self, *args):
+        threads.append(threading.current_thread() is threading.main_thread())
+        real(self, *args)
+
+    def solve_columns(*args):
+        workers.append(threading.current_thread() is not threading.main_thread())
+        return real_columns(*args)
+
+    monkeypatch.setattr(fem.Factorization, "__init__", init)
+    monkeypatch.setattr(fem, "_solve_columns", solve_columns)
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    mixed = harness.load_scenario(os.path.join(root, "mixed_chain_32.json")).to_json()
+    inner = harness.load_scenario(os.path.join(root, "inner_insulating_16.json")).to_json()
+    for spec in (dict(mixed, methods=["chain", "locpot", "upper"]), dict(inner, anti_crime=True)):
+        harness.run_scenario(harness.scenario_from_dict(spec))
+    assert len(threads) > 5 and all(threads)
+    assert any(workers)
+
+
+def test_a_released_table_refuses_every_read(chain_setup, factorizations):
+    mesh, cracks, grid, V, W, gamma0, basis = chain_setup
+    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    table.nd("excluded V")
+    table.release()
+    for read in (lambda: table.nd("excluded V"), lambda: table.nd("frozen W"),
+                 lambda: table.crack_update("all")):
+        with pytest.raises(RuntimeError, match="released"):
+            read()
+    assert factorizations.made == 1
 
 
 @pytest.mark.parametrize("methods", [("locpot",), ("locpot", "chain"), ("chain", "locpot")])

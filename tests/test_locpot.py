@@ -242,9 +242,9 @@ def test_source_operators_match_own_factorizations(n_cells, n_slit, n_tie, box, 
     # differential oracle: every (crack configuration, region) operator from
     # the one background, with the configuration's exact update, against
     # build_source_operator of the configuration's own factorization, on
-    # random two-crack layouts; one-edge insulating chains open no slit.
-    # The table's crack matrices against nd_matrix of their own
-    # factorizations
+    # random two-crack layouts; one-edge insulating chains open no slit, and
+    # a layout whose cracks meet the boundary pixel ring is refused. The
+    # table's crack matrices against nd_matrix of their own factorizations
     rng = np.random.default_rng(seed)
     ins, con = random_chain(rng, n_cells, n_slit), random_chain(rng, n_cells, n_tie)
     assume(ins is not None and con is not None)
@@ -260,7 +260,8 @@ def test_source_operators_match_own_factorizations(n_cells, n_slit, n_tie, box, 
     try:
         built = harness.build_scenario(harness.scenario_from_dict(spec))
     except harness.ScenarioError:
-        # the cracks meet, or their pixel regions overlap
+        # the cracks meet, their pixel regions overlap, or a crack meets the
+        # boundary pixel ring
         assume(False)
     table = built.table
     regions = locpot.source_regions(table)
@@ -268,14 +269,18 @@ def test_source_operators_match_own_factorizations(n_cells, n_slit, n_tie, box, 
     for name in ndmap.CRACK_CONFIGS:
         update = table.crack_update(name)
         for key, region in regions.items():
-            verts = set(built.mesh.triangles[region.triangles()].ravel().tolist())
-            corners = 3 * region.triangles()[:, None] + np.arange(3)
-            if np.isin(update.far, corners).any() and not set(update.S.tolist()) <= verts:
+            try:
+                locpot.source_operators(table, [(name, key)])
+            except ValueError as exc:
                 # a grown W may reach into a far fan of the slit without
-                # holding its whole star, whose condensed loads it cannot
-                # express: refused
-                with pytest.raises(ValueError, match="far-fan corner"):
-                    locpot.source_operators(table, [(name, key)])
+                # holding the star vertices that a far corner's load
+                # condenses to, which its edge sources cannot express:
+                # refused, and only there
+                assert "far-fan corner" in str(exc)
+                verts = set(built.mesh.triangles[region.triangles()].ravel().tolist())
+                corners = 3 * region.triangles()[:, None] + np.arange(3)
+                assert np.isin(update.far, corners).any()
+                assert not set(update.S.tolist()) <= verts
             else:
                 wanted.append((name, key))
     # the demo's six operators are always among them

@@ -397,6 +397,42 @@ def test_woodbury_matches_the_dense_inverse(seed):
     assert np.max(np.abs(alone - dN)) <= 1e-13 * np.max(np.abs(dN))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    groups=st.integers(0, 5),
+    grounded=st.floats(0.0, 0.5),
+    k=st.sampled_from([None, 1, 3]),
+    offset=st.sampled_from([0.0, 1.0, 30.0]),
+    loads=st.integers(0, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_tie_short_circuit_matches_the_projection(m, groups, grounded, k, offset, loads, seed):
+    # differential oracle: the short circuit (Q^T Z)^T (Q^T G Q)^-1 Q^T R
+    # against the projection form on random SPD Green's blocks, with the
+    # common offset c 11^T + S a far pin gives them (and the matching offset
+    # of the potentials), several groups, singleton groups, rows tied to the
+    # pin (no column of T), stacks that T ties alike, and load columns R
+    rng = np.random.default_rng(seed)
+    shape = () if k is None else (k,)
+    A = rng.standard_normal(shape + (m, m))
+    S = A @ np.swapaxes(A, -1, -2) / m + 0.1 * np.eye(m)
+    G = offset * np.ones((m, m)) + S
+    Z = rng.standard_normal(shape + (m, 5)) + offset * rng.standard_normal(shape + (1, 5))
+    R = None if not loads else rng.standard_normal(shape + (m, loads))
+    label = rng.integers(0, groups, m) if groups else np.full(m, -1)
+    label[rng.random(m) < grounded] = -1
+    ties = np.unique(label[label >= 0])
+    T = (label[:, None] == ties).astype(float)
+    got = ndmap._tied_correction(G, Z, T, R)
+    want = oracles.tied_correction_projection(G, Z, T, R)
+    assert got.shape == want.shape
+    # relative to the energy Z^T G^-1 R that the correction takes a part of;
+    # a tie that constrains nothing (singletons alone) corrects by zero
+    energy = np.swapaxes(Z, -1, -2) @ np.linalg.solve(G, Z if R is None else R)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(energy))
+
+
 def test_stacked_updates_are_the_single_updates_bit_for_bit():
     # a (k, m, .) stack, with and without the fold, gives the k single
     # updates' bits; an empty S changes nothing
@@ -847,10 +883,13 @@ def test_region_maps_match_nd_solver(shape, arc, box, mode, seed):
 
 
 @pytest.mark.parametrize("mode", ndmap.MODES)
-def test_region_maps_find_each_closure_once(monkeypatch, mode):
-    # each region's closure is found once, with the ties where the frozen
-    # side reads them, and serves both its fold and its frozen update; an
-    # accepted candidate installs the closure its test found
+def test_region_maps_derive_each_closure(monkeypatch, mode):
+    # on a peel that keeps the region in one piece, geometry.region_closure
+    # runs for the start region alone; every other region's closure is
+    # derived from its parent's, is the one region_closure finds (with the
+    # ties where the frozen side reads them), and serves both its fold and
+    # its frozen update; an accepted candidate installs the closure its test
+    # derived
     mesh = REGION_MESHES["rect", False]
     grid = geometry.PixelGrid(mesh, 8, 8)
     calls = []
@@ -860,34 +899,83 @@ def test_region_maps_find_each_closure_once(monkeypatch, mode):
         calls.append((tuple(sorted(region.members)), ties))
         return real(region, ties)
 
+    def assert_closure(got, region):
+        want = real(region, ties)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     monkeypatch.setattr(geometry, "region_closure", region_closure)
     maps = ndmap.RegionMaps(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 6),
                             geometry.interior_pixel_set(grid), mode)
+    ties = mode != "insulating"
+    assert calls == [(tuple(sorted(maps.region.members)), ties)]
     maps.matrices()
-    tested = [maps.region]
     for _ in range(3):
         for pixel in geometry.peel_candidates(maps.region)[:3]:
             maps.matrices(pixel)
-            tested.append(maps.region.minus(pixel))
+            if ties:
+                assert maps._last[0] == pixel
+                assert_closure(maps._last[1][3], maps.region.minus(pixel))
         maps.peel(pixel)
+        assert_closure(maps._block[3], maps.region)
         maps.matrices()
-    ties = mode != "insulating"
-    # "insulating" folds only the accepted candidates
-    folded = tested if ties else tested[:1] + tested[3::3]
-    assert calls == [(tuple(sorted(r.members)), ties) for r in folded]
+    assert len(calls) == 1
 
 
 def record_dense_solves(monkeypatch):
-    # the matrices that ``ndmap._dense_solve`` is called with, as bytes
+    # the matrices that ``ndmap._dense_solve`` is called with, as (bytes,
+    # shape, whether marked positive definite)
     seen = []
     real = ndmap._dense_solve
 
-    def dense_solve(A, B):
-        seen.append(np.ascontiguousarray(A).tobytes())
-        return real(A, B)
+    def dense_solve(A, B, spd=False):
+        seen.append((np.ascontiguousarray(A).tobytes(), A.shape, spd))
+        return real(A, B, spd)
 
     monkeypatch.setattr(ndmap, "_dense_solve", dense_solve)
     return seen
+
+
+def tie_sizes(closure, pin):
+    # |C| - groups of a frozen region's tie: C without the pin, less one
+    # row per group that a column of T ties (the pin's group has none)
+    _, in_C, tie = closure
+    C = np.flatnonzero(in_C)
+    tied = tie[C[C != pin]]
+    groups = set(tied.tolist()) - ({int(tie[pin])} if in_C[pin] else set())
+    return len(tied) - len(groups)
+
+
+@pytest.mark.parametrize("mode", ["both", "conducting"])
+def test_each_frozen_matrix_is_one_tie_solve(monkeypatch, chain_setup, mode):
+    # along a peel, each frozen matrix costs one positive definite solve of
+    # size |C| - groups, the short circuit of its ties; so does each of a
+    # table's frozen regions, and each crack update's ties (C of a crack set
+    # less one row per conducting crack, none without one)
+    mesh = REGION_MESHES["rect", False]
+    grid = geometry.PixelGrid(mesh, 8, 8)
+    maps = ndmap.RegionMaps(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 6),
+                            geometry.interior_pixel_set(grid), mode)
+    pin = mesh.gamma_vertices()[0]
+    seen = record_dense_solves(monkeypatch)
+    for _ in range(3):
+        for pixel in geometry.peel_candidates(maps.region)[:3]:
+            seen.clear()
+            maps.matrices(pixel)
+            size = tie_sizes(geometry.region_closure(maps.region.minus(pixel), ties=True), pin)
+            assert [shape for _, shape, spd in seen if spd] == [(size, size)]
+        maps.peel(pixel)
+    mesh, cracks, grid, V, W, gamma0, basis = chain_setup
+    pin = mesh.gamma_vertices()[0]
+    seen.clear()
+    ndmap.Configurations(mesh, gamma0, basis, cracks, V, W).nd("frozen V")
+    want = [tie_sizes(geometry.region_closure(region, ties=True), pin) for region in (V, W)]
+    for name in ndmap.CRACK_CONFIGS:
+        tied = [c.chain for c in cracks.components if c.kind == geometry.CONDUCTING
+                and name != "insulating"]
+        want.append(sum(len(chain) - 1 for chain in tied))
+    assert [shape for _, shape, spd in seen if spd] == [(n, n) for n in want]
 
 
 @pytest.mark.parametrize("mode", ["both", "conducting"])
@@ -937,6 +1025,35 @@ def test_insulating_peel_installs_the_block_of_both(seed):
         assert_same(ins.matrices()[0], both.matrices()[0])
 
 
+def test_crack_update_is_blind_to_the_far_pins_offset():
+    # the slits' update X = (I + E G)^-1 E Z_S has columns that sum to zero
+    # over S, so dN does not see a common offset of the pinned potentials,
+    # such as the far pin gives them. Inside a conductivity box of 10 the
+    # potentials on the star spread far less than that offset; the first
+    # row's shift cancels it before the product, where without the shift
+    # one max|Z| of offset moves dN by 7.6e-11 of |dN| on this layout
+    spec = {"h": 1 / 32, "grid": [8, 8], "M": 8, "methods": ["locpot"],
+            "gamma0": {"boxes": [{"box": [0.2625, 0.276, 0.6625, 0.676], "value": 10.0}]},
+            "cracks": [{"kind": "insulating", "polyline": [[0.65625, 0.625], [0.5, 0.625]]},
+                       {"kind": "conducting",
+                        "polyline": [[0.46875, 0.8125], [0.46875, 0.875], [0.5, 0.875]]}]}
+    built = harness.build_scenario(harness.scenario_from_dict(spec))
+    table = built.table
+    for name in ("insulating", "all"):
+        update = table.crack_update(name)
+        dN = update.change()
+        want = ndmap.nd_matrix(fem.factorize(built.mesh, built.gamma0, **table.configs[name]),
+                               built.basis).entries - table.nd("none").entries
+        assert np.max(np.abs(dN - want)) <= 1e-13 * np.max(np.abs(table.nd("none").entries))
+        Z = update.Z
+        update.Z = Z + np.max(np.abs(Z))
+        try:
+            moved = update.change()
+        finally:
+            update.Z = Z
+        assert np.max(np.abs(moved - dN)) <= 1e-12 * np.max(np.abs(dN))
+
+
 def test_crack_signature_solves_its_update_once(monkeypatch):
     # the slits' update and its fold onto the tied vertices share one solve
     mesh = SIGNATURE_MESHES["rect"]
@@ -946,6 +1063,21 @@ def test_crack_signature_solves_its_update_once(monkeypatch):
     ndmap.crack_signature(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 12), cracks)
     assert len(seen) > 1
     assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("shape, h, n", [("rect", 1 / 32, 8), ("rect", 0.25, 8), ("disk", 0.1, 8)])
+def test_pixel_stiffness_matches_the_pixel_loop(shape, h, n):
+    # all pixels in one pass, bit for bit the loop over pixels, under a
+    # conductivity box and with pixels finer than the triangles
+    mesh = build_rect_mesh(1.0, 1.0, h) if shape == "rect" else build_disk_mesh(1.0, h)
+    gamma0 = fem.Conductivity.from_spec(mesh, {"boxes": [{"box": [0, 0, 0.5, 0.7], "value": 3.3}]})
+    region = geometry.interior_pixel_set(geometry.PixelGrid(mesh, n, n))
+    got = ndmap._pixel_stiffness(mesh, gamma0, region)
+    want = oracles.pixel_stiffness_loop(mesh, gamma0, region)
+    assert sorted(got) == sorted(want) and len(got) > 4
+    for pixel, (S, E) in want.items():
+        assert np.array_equal(got[pixel][0], S)
+        assert np.array_equal(got[pixel][1], E)
 
 
 def test_region_maps_green_columns(monkeypatch):

@@ -333,10 +333,12 @@ def test_inner_factorizes_the_background_once(setup, monkeypatch, factorizations
 
 def test_upper_factorizes_once_and_thresholds_the_data_once(setup, monkeypatch, factorizations):
     # the excluded start region alone, in every mode; one data threshold per
-    # call, and one stacked threshold per excluded side
+    # call, and one stacked eigvalsh per test, which also gives the excluded
+    # side's threshold
     mesh, cracks, grid, gamma0, basis, data = setup
-    taus, stacked, admissible = [0], [0], [0]
+    taus, stacked, spectra, admissible = [0], [0], [0], [0]
     real_tau, real_taus = ndmap.default_tau, ndmap.default_taus
+    real_eigvalsh = np.linalg.eigvalsh
     real_admissible = geometry.pixelset_is_admissible
 
     def counting_tau(*args, **kwargs):
@@ -347,37 +349,44 @@ def test_upper_factorizes_once_and_thresholds_the_data_once(setup, monkeypatch, 
         stacked[0] += 1
         return real_taus(*args, **kwargs)
 
+    def counting_eigvalsh(*args, **kwargs):
+        spectra[0] += 1
+        return real_eigvalsh(*args, **kwargs)
+
     def counting_admissible(*args):
         admissible[0] += 1
         return real_admissible(*args)
 
     monkeypatch.setattr(ndmap, "default_tau", counting_tau)
     monkeypatch.setattr(ndmap, "default_taus", counting_taus)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(geometry, "pixelset_is_admissible", counting_admissible)
     for mode, key in (("both", "mixed"), ("insulating", "ins"), ("conducting", "con")):
         factorizations.reset()
-        taus[0] = stacked[0] = admissible[0] = 0
+        taus[0] = stacked[0] = spectra[0] = admissible[0] = 0
         res = reconstruct.reconstruct_upper(data[key], mesh, gamma0, basis, grid, mode=mode)
         assert len(res.peel_trace) > 10
         assert factorizations.labels == ["excluded:%dpx" % len(interior_pixel_set(grid))]
-        excluded_sides = len(res.peel_trace) if mode != "conducting" else 0
         # default_tau itself goes through default_taus
-        assert (taus[0], stacked[0] - taus[0]) == (mode != "insulating", excluded_sides)
+        data_taus = int(mode != "insulating")
+        assert (taus[0], stacked[0]) == (data_taus, data_taus)
+        assert spectra[0] == len(res.peel_trace) + data_taus
         # only the excluded start region's dof map checks admissibility
         assert admissible[0] == 1
 
 
 def test_upper_tests_pay_no_regathering(monkeypatch):
     # on the peel of mixed_32's layout: the closure searches components only
-    # for a region of several pieces, each test's two differences go through
-    # one stacked eigen test, and the frozen side's tie update reads the
-    # tested block's own Green's block, not a copy of it
+    # for a region of several pieces, each test's two differences and the
+    # excluded side's threshold go through one stacked eigvalsh, and the
+    # frozen side's tie update reads the tested block's own Green's block
+    # (a view of the block's padded array), not a copy of it
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "mixed_32.json")
     s = harness.load_scenario(path)
     built = harness.build_scenario(s)
     data, _ = harness.generate_data(s, built)
     pieces, stacks, tests, blocks, tied = [], [], [0], [], []
-    real_components, real_psd = PixelSet.components, ndmap.psd_tests
+    real_components, real_spectra = PixelSet.components, ndmap._spectra
     real_matrices, real_tied = ndmap.RegionMaps.matrices, ndmap._tied_correction
     real_tests = reconstruct.upper_bound_tests
 
@@ -386,9 +395,9 @@ def test_upper_tests_pay_no_regathering(monkeypatch):
         pieces.append(out.max() + 1)
         return out
 
-    def psd_tests(A, tau):
+    def spectra(A):
         stacks.append(len(A))
-        return real_psd(A, tau)
+        return real_spectra(A)
 
     def upper_bound_tests(*args, **kwargs):
         tests[0] += 1
@@ -404,16 +413,16 @@ def test_upper_tests_pay_no_regathering(monkeypatch):
         return real_tied(G, Z, T)
 
     monkeypatch.setattr(PixelSet, "components", components)
-    monkeypatch.setattr(ndmap, "psd_tests", psd_tests)
+    monkeypatch.setattr(ndmap, "_spectra", spectra)
     monkeypatch.setattr(reconstruct, "upper_bound_tests", upper_bound_tests)
     monkeypatch.setattr(ndmap.RegionMaps, "matrices", matrices)
     monkeypatch.setattr(ndmap, "_tied_correction", tied_correction)
     res = reconstruct.reconstruct_upper(data, built.mesh, built.gamma0, built.basis, built.grid)
     assert res.initial_ok and tests[0] == len(res.peel_trace) > 10
     assert all(n > 1 for n in pieces)
-    assert stacks == [2] * tests[0]
+    assert stacks == [3] * tests[0]
     assert len(tied) == len(blocks) == tests[0]
-    assert all(a is b for a, b in zip(tied, blocks))
+    assert all(np.shares_memory(a, b) for a, b in zip(tied, blocks))
 
 
 def test_inner_refuses_invalid_candidates(setup):

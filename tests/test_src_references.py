@@ -12,8 +12,8 @@ must name one that src does not read, or it is stale.
 A module-level import must be read in its own module, by the name it
 binds; ``from __future__`` imports are exempt. Only ``geometry`` reads the
 attribute ``_cache``, the store behind ``Mesh.memo``. Inside ``ndmap`` only
-``_dense_solve`` reads a ``linalg.solve``, so every small dense solve there
-has its residual checked. Only ``harness.generate_data`` factorizes a crack
+``_dense_solve`` reads a ``linalg.solve`` or a ``linalg.lapack`` routine, so
+every small dense solve there has its residual checked. Only ``harness.generate_data`` factorizes a crack
 set; every other crack configuration is an update of the background.
 """
 
@@ -169,14 +169,14 @@ def test_cache_readers_are_attribute_reads():
 
 
 def _solve_readers(tree):
-    # the functions that read ``<x>.linalg.solve`` or import ``solve`` from a
-    # linalg module, each the innermost function around the read, sorted;
-    # "" for a read outside every function
+    # the functions that read ``<x>.linalg.solve`` or ``<x>.linalg.lapack``
+    # or import ``solve`` from a linalg module, each the innermost function
+    # around the read, sorted; "" for a read outside every function
     out = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "solve":
+            if isinstance(child, ast.Attribute) and child.attr in ("solve", "lapack"):
                 value = child.value
                 if isinstance(value, ast.Attribute) and value.attr == "linalg":
                     out.append(owner)
@@ -190,8 +190,8 @@ def _solve_readers(tree):
 
 def test_only_dense_solve_calls_linalg_solve_in_ndmap():
     # every small dense solve of ndmap goes through _dense_solve, which
-    # checks the residual of every column
-    assert _solve_readers(_modules()["ndmap"]) == ["_dense_solve"]
+    # checks the residual of every column: its LU and its Cholesky
+    assert _solve_readers(_modules()["ndmap"]) == ["_dense_solve", "_dense_solve"]
 
 
 def test_solve_readers_find_every_read():
@@ -204,9 +204,11 @@ def test_solve_readers_find_every_read():
         "    def fold(self, A):\n"
         "        return np.linalg.solve(A, A) @ scipy.linalg.solve_triangular(A, A)\n"
         "    def tie(self, A):\n"
-        "        return np.linalg.eigvalsh(A), self.solve(A)\n"
+        "        return np.linalg.eigvalsh(A), self.solve(A), self.lapack\n"
+        "    def short(self, A):\n"
+        "        return scipy.linalg.lapack.dposv(A, A)\n"
     )
-    assert _solve_readers(tree) == ["", "_dense_solve", "fold"]
+    assert _solve_readers(tree) == ["", "_dense_solve", "fold", "short"]
 
 
 def test_no_unused_module_import():
