@@ -1,17 +1,12 @@
-"""Piecewise-linear finite elements on slit and constrained triangulations.
+"""Piecewise-linear finite elements on constrained triangulations.
 
-The degree-of-freedom map realizes three kinds of constrained spaces on one
-mesh:
-
-* insulating cracks: every interior vertex of a chain carries one dof per
-  side of the slit (the two fans of incident triangles), while the chain
-  tips keep a single dof, so the crack opens but stays attached at its ends;
-* conducting cracks: all vertices of a component share one dof, which makes
-  the potential constant there and balances the flux jump weakly;
-* an excluded pixel region: its triangles drop out of the bilinear form and
-  enclosed vertices lose their dofs (Neumann hole).
-
-A frozen pixel region has no dof map: ``ndmap`` updates the background.
+The program factorizes two kinds of space on one mesh: the crack-free one,
+and the one with an excluded pixel region, whose triangles drop out of the
+bilinear form and whose enclosed vertices lose their dofs (a Neumann hole).
+``ndmap`` gets every crack configuration and every frozen region as an
+exact update of the crack-free factorization. The ``DofMap`` still carries
+a crack set, so that a slit or tied space built elsewhere (the reference
+spaces the updates are checked against) solves and labels as any other.
 
 Potentials are grounded by pinning one boundary dof during the solve and
 subtracting the mean of the trace over the measurement arc afterwards.
@@ -282,52 +277,26 @@ def split_fans(mesh, insulating):
     return fan[far], owner[far]
 
 
-def build_dofmap(mesh, cracks=None, excluded=None):
-    """Construct the dof map for a crack set and an optional excluded region.
+def build_dofmap(mesh, excluded=None):
+    """Construct the dof map of the crack-free mesh, or of it with an excluded region.
 
-    The region must be an admissible pixel set and may not touch any crack
-    vertex: mixing a region with a crack inside it has no defined meaning
-    here and is rejected outright.
+    The region must be an admissible pixel set. A vertex of an active
+    triangle keeps one dof, numbered densely in vertex order; a vertex that
+    only excluded triangles hold has none.
     """
-    if cracks is None:
-        cracks = geometry.CrackSet()
     if excluded is not None and len(excluded) == 0:
         excluded = None
     if excluded is not None and not geometry.pixelset_is_admissible(excluded):
         raise ValueError("region must be an admissible pixel set")
-    if cracks.components:
-        cracks.validate(mesh)
-        if excluded is not None:
-            chains = [v for comp in cracks.components for v in comp.chain]
-            if np.isin(chains, mesh.triangles[excluded.triangles()]).any():
-                raise ValueError("cracks overlapping the region are not supported")
-
-    nv = len(mesh.vertices)
-    corner = mesh.triangles.copy()
+    corner = mesh.triangles
     active = np.ones(len(corner), dtype=bool)
-
-    # insulating slits: a second dof for the far-side fan of each interior
-    # chain vertex, numbered after the vertices in slit order
-    insulating = cracks.of_kind(INSULATING)
-    far, owner = split_fans(mesh, insulating)
-    corner.reshape(-1)[far] = nv + owner
-    next_dof = nv + sum(len(comp.chain) - 2 for comp in insulating.components)
-
-    # ties: conducting chains map onto their smallest vertex id
-    remap = np.arange(next_dof, dtype=np.int64)
-    for comp in cracks.components:
-        if comp.kind == CONDUCTING:
-            remap[list(comp.chain)] = min(comp.chain)
-    corner = remap[corner]
-
     if excluded is not None:
         active[excluded.triangles()] = False
-
     used_dofs = np.unique(corner[active])
-    dense = np.full(next_dof, -1, dtype=np.int64)
+    dense = np.full(len(mesh.vertices), -1, dtype=np.int64)
     dense[used_dofs] = np.arange(len(used_dofs))
     final = np.where(active[:, None], dense[corner], -1)
-    return DofMap(mesh, cracks, excluded, final, active, len(used_dofs))
+    return DofMap(mesh, geometry.CrackSet(), excluded, final, active, len(used_dofs))
 
 
 def element_stiffness(mesh, gamma0, tris=slice(None)):
@@ -442,14 +411,13 @@ def _solve_columns(lu, K, keep, rows, x, b):
     _check_residual(K, x, b, rows)
 
 
-def factorize(mesh, gamma0, cracks=None, excluded=None):
-    """The ``Factorization`` of one configuration on ``mesh``.
+def factorize(mesh, gamma0, excluded=None):
+    """The ``Factorization`` of the crack-free mesh, or of it with an excluded region.
 
-    The configuration is a crack set and an excluded pixel region, as
-    ``build_dofmap`` takes them; its stiffness is assembled with the
-    background conductivity ``gamma0``.
+    The region is as ``build_dofmap`` takes it; the stiffness is assembled
+    with the background conductivity ``gamma0``.
     """
-    dm = build_dofmap(mesh, cracks, excluded=excluded)
+    dm = build_dofmap(mesh, excluded)
     return Factorization(assemble_stiffness(mesh, gamma0, dm), dm)
 
 

@@ -483,8 +483,7 @@ def refine_mesh(mesh, cracks):
     The refined set is not validated here: a set valid on ``mesh`` stays
     valid, since the halves of an interior edge are interior and its
     midpoint is an interior vertex no other chain holds. Whatever solves on
-    the fine mesh validates the set it is given (``fem.build_dofmap``,
-    ``ndmap.crack_signature``).
+    the fine mesh validates the set it is given (``ndmap.crack_signature``).
     """
     nv = len(mesh.vertices)
     te = mesh.tri_edges()

@@ -33,8 +33,9 @@ from . import fem, geometry, locpot, ndmap, reconstruct
 
 SHAPES = ("rect", "disk")
 METHODS = ("upper", "inner", "chain", "locpot")
-# the methods that read the run's configuration table
-TABLE_READERS = {"chain", "locpot"}
+# the steps that read the run's crack-free background, which its
+# configuration table holds: the data step and these methods
+TABLE_READERS = {"data", "inner", "chain", "locpot"}
 KIND_NAMES = {"insulating": geometry.INSULATING, "conducting": geometry.CONDUCTING}
 
 
@@ -300,7 +301,11 @@ def load_scenario(path):
 
 @dataclasses.dataclass
 class Built:
-    """Meshed realization of a scenario; its crack regions are ``table.V``, ``table.W``."""
+    """Meshed realization of a scenario.
+
+    Its crack regions are ``table.V`` and ``table.W``, and ``table.background``
+    is the run's one crack-free ``ndmap.Background``.
+    """
 
     mesh: object
     cracks: object
@@ -380,7 +385,7 @@ def build_scenario(s):
                 )
         if problems:
             raise ScenarioError(problems)
-    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    table = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, V, W)
     return Built(mesh, cracks, grid, gamma0, basis, table)
 
 
@@ -424,35 +429,32 @@ def carry_basis(basis, fine_mesh):
 def generate_data(s, built):
     """Measured matrix for the scenario, with a provenance record.
 
-    Plain data is ``nd_matrix`` of the crack set's own factorization, the
-    one factorization of a crack configuration a run makes: the simulated
-    measurement, which no update of another configuration stands in for.
-    Anti-crime data keeps the table's crack-free (``"none"``) matrix on the
-    inversion mesh and adds the crack signature computed on a once refined
-    mesh, so the systematic part of the discretization error stays matched
-    while the crack part comes from a different discrete operator. The
-    fine mesh's signature ``dN = N(cracks) - N0`` is ``ndmap.crack_signature``:
-    one slit-and-tie update on the Green's columns of one factorization of
-    the fine background (none if nothing is slit or tied), so the fine mesh
-    gets no crack factorization and no current solve.
+    The data is the run's crack-free matrix ``N0`` plus a crack signature
+    ``dN = N(cracks) - N0``, ``ndmap.crack_signature``: one slit-and-tie
+    update on the Green's columns of a crack-free background. Plain data
+    takes the signature of the crack set on the run's own background.
+    Anti-crime data takes it on a once refined mesh's background, so the
+    systematic part of the discretization error stays matched while the
+    crack part comes from a different discrete operator. The signature is
+    taken first: the fine background is gone before the run's is read.
     """
     provenance = {"seed": s.seed, "anti_crime": bool(s.anti_crime), "noise": float(s.noise)}
+    background = built.table.background
     if s.anti_crime:
-        fine, fine_cracks = geometry.refine_mesh(built.mesh, built.cracks)
-        fine_basis = carry_basis(built.basis, fine)
-        fine_gamma0 = fem.Conductivity.from_spec(fine, s.gamma0)
-        N_empty = built.table.nd("none")
-        signature = ndmap.crack_signature(fine, fine_gamma0, fine_basis, fine_cracks)
-        data = ndmap.NdMatrix(
-            N_empty.entries + signature,
-            "anti-crime:" + fem.config_label(fine_cracks),
-            fine_cracks.kinds(),
+        fine, cracks = geometry.refine_mesh(built.mesh, built.cracks)
+        signature = ndmap.crack_signature(
+            ndmap.Background(fine, fem.Conductivity.from_spec(fine, s.gamma0),
+                             carry_basis(built.basis, fine)),
+            cracks,
         )
+        label = "anti-crime:" + fem.config_label(cracks)
         provenance["fine_triangles"] = int(len(fine.triangles))
         provenance["signature_norm"] = float(np.linalg.norm(signature, 2))
     else:
-        data = ndmap.nd_matrix(fem.factorize(built.mesh, built.gamma0, cracks=built.cracks),
-                               built.basis)
+        cracks = built.cracks
+        signature = ndmap.crack_signature(background, cracks)
+        label = fem.config_label(cracks)
+    data = ndmap.NdMatrix(background.N0.entries + signature, label, cracks.kinds())
     if s.noise > 0:
         rng = np.random.default_rng(s.seed)
         noisy = ndmap.symmetric_noise(data, s.noise, rng)
@@ -516,6 +518,9 @@ def run_scenario(s, out_dir=None):
 
     t0 = time.perf_counter()
     data, provenance = generate_data(s, built)
+    if not TABLE_READERS & set(s.methods):
+        # the data step was the background's last reader
+        built.table.release()
     timings["data"] = time.perf_counter() - t0
 
     results = {}
@@ -543,7 +548,7 @@ def run_scenario(s, out_dir=None):
             artifacts["upper_raster.csv"] = reconstruct.raster_csv(res.final_set)
         elif method == "inner":
             res = reconstruct.reconstruct_inner(
-                data, built.mesh, built.gamma0, built.basis, cands, kind, tau=s.tau
+                data, built.table.background, cands, kind, tau=s.tau
             )
             results["inner"] = {
                 "report": res.to_json(),
@@ -557,8 +562,8 @@ def run_scenario(s, out_dir=None):
             for variant, (seq, rep) in runs.items():
                 artifacts["locpot_%s.csv" % variant] = locpot.sequence_to_csv(seq, rep)
         if method in TABLE_READERS and not TABLE_READERS & set(s.methods[i + 1:]):
-            # the table's background factorization would otherwise stay
-            # alive beside the factorizations of the methods after it
+            # the background's factorization would otherwise stay alive
+            # beside the factorizations of the methods after it
             built.table.release()
         # the inner time also holds its candidate step
         timings[method] = timings.get(method, 0.0) + time.perf_counter() - t0

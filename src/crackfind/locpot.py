@@ -361,15 +361,16 @@ def source_operators(table, wanted):
     pinned potentials on the update's U. Returns ``{pair: SourceOperator}``.
     """
     pixels = source_regions(table)
+    basis = table.background.basis
     solves, out = {}, {}
     for name, region in wanted:
         update = table.crack_update(name)
         fact = update.fact
         key = region[-1]
         if key not in solves:
-            solves[key] = RegionSolves(fact, pixels["grown " + key], table.basis,
+            solves[key] = RegionSolves(fact, pixels["grown " + key], basis,
                                        fact.dm.vertex_dof[update.U])
-        out[name, region] = build_source_operator(fact, pixels[region], table.basis, update,
+        out[name, region] = build_source_operator(fact, pixels[region], basis, update,
                                                   solves[key])
     return out
 

@@ -120,15 +120,61 @@ def nd_matrix(fact, basis):
     ``fact`` is the configuration's ``fem.Factorization``; the basis
     currents go through it in one block solve.
     """
-    return _matrix(fem.solve_neumann(fact, basis.vectors), basis)
-
-
-def _matrix(potentials, basis):
-    # the NdMatrix of the potentials of the basis currents
-    dm = potentials.dofmap
+    dm = fact.dm
     weighted = fem.gamma_mass(dm.mesh) @ basis.vectors
-    N = fem.trace_on_gamma(potentials).T @ weighted
+    N = fem.trace_on_gamma(fem.solve_neumann(fact, basis.vectors)).T @ weighted
     return NdMatrix(0.5 * (N + N.T), dm.config_label(), dm.cracks.kinds())
+
+
+class Background:
+    """A mesh's crack-free forward problem, factorized once for a run.
+
+    Every crack configuration and region of a run changes the crack-free
+    stiffness only on its own star, so all of them are exact updates of
+    this one problem. ``fact``, its ``fem.Factorization``, is made on its
+    first read and ``N0``, its NdMatrix (``nd_matrix``), on the first read
+    of that; both are kept until ``release()``, and every read after it
+    raises. ``green`` gives the pinned Green's entries that updates read.
+    """
+
+    def __init__(self, mesh, gamma0, basis):
+        self.mesh = mesh
+        self.gamma0 = gamma0
+        self.basis = basis
+        self._fact = self._N0 = None
+        self._released = False
+
+    @property
+    def fact(self):
+        if self._released:
+            raise RuntimeError("the background was released")
+        if self._fact is None:
+            self._fact = fem.factorize(self.mesh, self.gamma0)
+        return self._fact
+
+    @property
+    def N0(self):
+        fact = self.fact
+        if self._N0 is None:
+            self._N0 = nd_matrix(fact, self.basis)
+        return self._N0
+
+    def release(self):
+        """Drop the factorization once no later step reads it."""
+        self._fact = self._N0 = None
+        self._released = True
+
+    def green(self, verts, stars, width=None):
+        """``(Z, stacks)``: ``_green_block`` on the distinct unpinned ``verts``.
+
+        Z ``(len(verts), M)`` holds the basis currents' pinned potentials,
+        read off the Green's columns; ``stars`` are positions in ``verts``.
+        Each column is solved once, ``width`` (by default M) at a time.
+        """
+        fact = self.fact
+        weighted = fem.gamma_mass(self.mesh) @ self.basis.vectors
+        return _green_block(fact, fact.dm.vertex_dof[verts], width or self.basis.M, stars,
+                            weighted)
 
 
 # the crack configurations of a run's table
@@ -142,31 +188,22 @@ class Configurations:
     The eight names: ``none`` (no cracks), ``all`` (every crack),
     ``insulating`` and ``conducting`` (one kind alone), and ``excluded V``,
     ``frozen V``, ``excluded W``, ``frozen W`` (a region excluded or frozen,
-    no cracks); ``configs`` maps each name to the keyword arguments of
-    ``fem.factorize``, or ``{"frozen": region}``, which the references in
-    the tests factorize. The monotonicity chain and the localized
-    potentials compare matrices of these configurations, so a run keeps
-    one table, and ``nd(name)`` solves a configuration the first time it
-    is asked for:
+    no cracks); ``configs`` maps each name to the crack set or the region
+    of that configuration, as keyword arguments (``cracks``, ``excluded``
+    or ``frozen``) of a factorization of it. The monotonicity chain and the
+    localized potentials compare matrices of these configurations, so a run
+    keeps one table on its ``Background``, and ``nd(name)`` reads them:
 
-    * ``none`` asked before anything else: ``nd_matrix`` of a factorization
-      of the crack-free mesh, which the table does not keep. The table holds
-      the inversion mesh only: the crack signature of anti-crime data lives
-      on a refined mesh and is ``crack_signature``'s update of its
-      background, never a table entry.
+    * ``none`` is the background's ``N0``.
     * every other name, all at once on the first request for any of them
-      (the fill): exact updates of one factorization of the crack-free
-      background, which also gives ``none`` and which the table keeps for
-      the run. Its pinned potentials ``Z`` and Green's entries ``G`` are
-      solved on the union of the two regions' boundary vertices and the
-      crack stars, each column once.
+      (the fill): exact updates of the background. Its pinned potentials
+      ``Z`` and Green's entries ``G`` are solved on the union of the two
+      regions' boundary vertices and the crack stars, each column once.
     * the crack configurations are ``N0 + dN`` by ``CrackUpdate``, the math
       of ``crack_signature``: the slits' far fans condensed onto their
       star S (``_woodbury``), then the ties on C (``_tied_correction``).
       ``crack_update(name)`` hands the update to callers that need more
       than the matrix; locpot's source operators are such callers.
-    * ``release()`` drops the background once no later step reads the
-      table; every read after it raises.
     * the four region configurations. A region R changes the background
       only through its own triangles, which touch the rest of the mesh at
       its boundary vertices C (``geometry.region_closure``). R's element
@@ -179,10 +216,8 @@ class Configurations:
       the background matrix itself.
     """
 
-    def __init__(self, mesh, gamma0, basis, cracks, V, W):
-        self.mesh = mesh
-        self.gamma0 = gamma0
-        self.basis = basis
+    def __init__(self, background, cracks, V, W):
+        self.background = background
         self.V = V
         self.W = W
         self.configs = {
@@ -202,11 +237,10 @@ class Configurations:
     def nd(self, name):
         """The named configuration's NdMatrix, solved on first request."""
         self._check_held()
+        if name == "none":
+            return self.background.N0
         if name not in self._nd:
-            if name == "none":
-                self._nd[name] = nd_matrix(fem.factorize(self.mesh, self.gamma0), self.basis)
-            else:
-                self._fill()
+            self._fill()
         return self._nd[name]
 
     def crack_update(self, name):
@@ -217,29 +251,31 @@ class Configurations:
         return self._updates[name]
 
     def release(self):
-        """Drop the background factorization once no later step reads the table.
+        """Drop the background once no later step reads it.
 
-        Every later read raises, so a step that still needs the table fails
-        loudly instead of factorizing the background again.
+        Every later read raises, so a step that still needs the background
+        fails loudly instead of factorizing it again.
         """
         self._updates = None
+        self.background.release()
 
     def _check_held(self):
         if self._updates is None:
             raise RuntimeError("the configuration table was released")
 
     def _fill(self):
-        # every matrix the table lacks (it may hold "none"), from one
-        # factorization of the background; the element stiffness is
-        # condensed and dropped before it is factorized
-        mesh = self.mesh
+        # every matrix but "none", as updates of the background; a region's
+        # element stiffness is condensed and dropped before the background
+        # is read, which may factorize it
+        background = self.background
+        mesh, gamma0 = background.mesh, background.gamma0
         pin = mesh.gamma_vertices()[0]
         cracks = self.configs["all"]["cracks"]
         if cracks.components:
             cracks.validate(mesh)
-        stars = {name: _crack_star(mesh, self.gamma0, pin, self.configs[name]["cracks"])
+        stars = {name: _crack_star(mesh, gamma0, pin, self.configs[name]["cracks"])
                  for name in CRACK_CONFIGS}
-        local = fem.element_stiffness(mesh, self.gamma0)
+        local = fem.element_stiffness(mesh, gamma0)
         regions = {"V": self.V, "W": self.W}
         closures = [geometry.region_closure(region, ties=True) for region in regions.values()]
         blocks = [_region_blocks(mesh, local, region, closure, pin)
@@ -251,24 +287,24 @@ class Configurations:
         sets = [C for C, _ in blocks] + [U]
         verts = np.unique(np.concatenate(sets))
         at = [np.searchsorted(verts, X)[None] for X in sets]
-        fact = fem.factorize(mesh, self.gamma0)
-        N0, Z, G = _background(fact, self.basis, verts, at)
-        self._nd.setdefault("none", N0)
+        N0 = background.N0
+        Z, G = background.green(verts, at)
         empty = geometry.CrackSet()
         for (key, region), closure, (C, L), P, G_C in zip(regions.items(), closures, blocks, at, G):
             # an empty C corrects nothing, and N0 symmetrized is N0 itself
             excluded = N0.entries - _woodbury(Z[P], G_C, -L[None])
             excluded = excluded.reshape(N0.entries.shape)
-            self._nd.setdefault("excluded " + key, NdMatrix(
+            self._nd["excluded " + key] = NdMatrix(
                 0.5 * (excluded + excluded.T), fem.config_label(empty, excluded=region), ()
-            ))
-            self._nd.setdefault("frozen " + key, _frozen(N0, Z[P[0]], G_C[0], closure, region, pin))
+            )
+            self._nd["frozen " + key] = _frozen(N0, Z[P[0]], G_C[0], closure, region, pin)
         for name, star in stars.items():
-            update = self._updates[name] = CrackUpdate(fact, star, U, Z[at[-1][0]], G[-1][0])
+            update = CrackUpdate(background.fact, star, U, Z[at[-1][0]], G[-1][0])
+            self._updates[name] = update
             config = self.configs[name]["cracks"]
-            self._nd.setdefault(name, NdMatrix(
+            self._nd[name] = NdMatrix(
                 N0.entries + update.change(), fem.config_label(config), config.kinds()
-            ))
+            )
 
 
 class CrackUpdate:
@@ -429,22 +465,6 @@ def _green_block(fact, dofs, width, stars, weighted=None):
     return Z, [np.swapaxes(GT, 1, 2) for GT in out]
 
 
-def _background(fact, basis, verts, stars):
-    # (N0, Z, G) of a factorized background on the vertices ``verts``
-    # (distinct, none of them pinned): its NdMatrix, the pinned potentials of
-    # the basis currents on them, and ``_green_block``'s stacks of the pinned
-    # Green's entries on ``stars`` (positions in ``verts``), solved basis.M
-    # columns at a time like the currents
-    potentials = fem.solve_neumann(fact, basis.vectors)
-    N0 = _matrix(potentials, basis)
-    dofs = fact.dm.vertex_dof[verts]
-    Z = potentials.values[dofs] - potentials.values[fact.pin]
-    # the n x M potentials would otherwise stay alive through the Green's
-    # solves and raise their peak
-    del potentials
-    return N0, Z, _green_block(fact, dofs, basis.M, stars)[1]
-
-
 def _tied_correction(G, Z, T, R=None):
     # how much tying the rows of the Green's block G by the indicator columns
     # T (m, groups) lowers the ND matrix of the potentials Z on them, with R
@@ -513,8 +533,8 @@ CHAIN_BATCH = 64
 STAR_BATCH = 256
 
 
-def chain_matrices(mesh, gamma0, basis, components):
-    """ND matrices of single test chains as low-rank updates of one background.
+def chain_matrices(background, components):
+    """ND matrices of single test chains as low-rank updates of the ``Background``.
 
     Yields the entries of the components' matrices in the given order, as
     exactly symmetric ``(k, M, M)`` stacks of ``CHAIN_BATCH`` components
@@ -525,10 +545,10 @@ def chain_matrices(mesh, gamma0, basis, components):
     Every chain is checked first (``geometry.check_chains``, one pass; the
     first bad chain raises) and every star is found, ``STAR_BATCH`` slit
     chains at a time with one stacked condensation per star shape. Then
-    the background is factorized once and ``_background`` gives ``N0``,
-    the pinned potentials ``Z`` on the union of the stars and the pinned
-    Green's entries ``G_SS`` of every star S; each Green's column is
-    solved once, and only the entries that stars pair are kept.
+    the background gives ``N0``, and ``Background.green`` the pinned
+    potentials ``Z`` on the union of the stars and the pinned Green's
+    entries ``G_SS`` of every star S; each Green's column is solved once,
+    and only the entries that stars pair are kept.
 
     * insulating chain: the slit gives each interior vertex a new dof for
       its far fan (``fem.split_fans``). ``dS``, the stiffness of the far
@@ -549,14 +569,16 @@ def chain_matrices(mesh, gamma0, basis, components):
     this path must match.
     """
     components = list(components)
+    mesh = background.mesh
     geometry.check_chains(mesh, [comp.chain for comp in components])
     # the background pins its first arc vertex (fem.Factorization); the
-    # stars are found before it is factorized
+    # stars are found before it is read
     pin = mesh.gamma_vertices()[0]
-    groups = _stars(mesh, gamma0, pin, components)
+    groups = _stars(mesh, background.gamma0, pin, components)
     union = np.unique(np.concatenate([S.ravel() for _, S, _ in groups]))
     at = [np.searchsorted(union, S) for _, S, _ in groups]
-    N0, Z, G = _background(fem.factorize(mesh, gamma0), basis, union, at)
+    N0 = background.N0
+    Z, G = background.green(union, at)
     for lo in range(0, len(components), CHAIN_BATCH):
         hi = min(lo + CHAIN_BATCH, len(components))
         N = np.empty((hi - lo,) + N0.entries.shape)
@@ -573,8 +595,8 @@ def chain_matrices(mesh, gamma0, basis, components):
         yield 0.5 * (N + np.swapaxes(N, -1, -2))
 
 
-def crack_signature(mesh, gamma0, basis, cracks):
-    """The change ``dN = N(cracks) - N0`` a crack set makes to the crack-free ND matrix.
+def crack_signature(background, cracks):
+    """The change ``dN = N(cracks) - N0`` a crack set makes to the ``Background``'s ``N0``.
 
     ``dN``, an exactly symmetric ``(M, M)`` array, is the exact low-rank
     correction of ``chain_matrices`` made for every component at once,
@@ -594,30 +616,25 @@ def crack_signature(mesh, gamma0, basis, cracks):
     Both steps are exact: the slit's new dofs carry no current and are
     condensed out, and they never lie on ``C``. ``CrackUpdate.change``
     makes them, as it does for the crack configurations of a run's table.
-    ``G`` and ``Z`` on ``U = S ∪ C`` both come from the Green's columns of
-    one factorization of the background (``_green_block``), each solved
-    once, so no current is solved; the pinned dof is zero in every
-    potential, so ``S`` drops it as ``_slit_stars`` does. The crack set is
-    validated, as
-    ``fem.build_dofmap`` does, and ``E`` formed from the far triangles'
-    element stiffness alone, before anything is factorized; an empty ``U``
-    (no crack, or only one-edge insulating chains) factorizes nothing.
-    ``nd_matrix`` of the crack configuration's own factorization minus the
-    background's is the reference this path must match.
+    ``G`` and ``Z`` on ``U = S ∪ C`` both come from the background's
+    Green's columns (``Background.green``), so no current is solved; ``S``
+    drops the pin as ``_slit_stars`` does. The crack set is validated and
+    ``E`` formed before the background is read; an empty ``U`` (no crack,
+    or only one-edge insulating chains) reads nothing. ``nd_matrix`` of the
+    cracks' own factorization minus the background's is the reference.
     """
+    mesh = background.mesh
     if cracks.components:
         cracks.validate(mesh)
-    star = _crack_star(mesh, gamma0, mesh.gamma_vertices()[0], cracks)
+    star = _crack_star(mesh, background.gamma0, mesh.gamma_vertices()[0], cracks)
     U = np.unique(np.concatenate([star[0], star[4]]))
     if not len(U):
-        return np.zeros((basis.M, basis.M))
+        return np.zeros((background.basis.M, background.basis.M))
     # as many solves as blocks of M columns, but of equal width: the solved
     # block's temporaries set the peak memory of an anti-crime run
-    width = -(-len(U) // -(-len(U) // basis.M))
-    fact = fem.factorize(mesh, gamma0)
-    Z, (G,) = _green_block(fact, fact.dm.vertex_dof[U], width, [np.arange(len(U))[None]],
-                           fem.gamma_mass(mesh) @ basis.vectors)
-    return CrackUpdate(fact, star, U, Z, G[0]).change()
+    width = -(-len(U) // -(-len(U) // background.basis.M))
+    Z, (G,) = background.green(U, [np.arange(len(U))[None]], width)
+    return CrackUpdate(background.fact, star, U, Z, G[0]).change()
 
 
 def _crack_star(mesh, gamma0, pin, cracks):
@@ -790,6 +807,11 @@ class RegionMaps:
     ``fem.RESIDUAL_RTOL``. ``nd_matrix`` of a factorization of the region's
     own constrained space is the reference this path must match; the
     frozen space's dof map exists only as that test reference.
+
+    R0 keeps its own factorization: condensed onto C(R0) as an update of
+    the crack-free ``Background``, it agreed to 1.3e-13 relative but took
+    26.9 ms against 8.6 ms on the upper-peel benchmark scenario (529
+    interior vertices onto 96, one BLAS thread).
     """
 
     def __init__(self, mesh, gamma0, basis, R0, mode="both"):
@@ -809,8 +831,10 @@ class RegionMaps:
         # region's closure follows from it and its parent's
         self._count = geometry.pixel_counts(R0)
         C = np.flatnonzero(closure[1])
-        N, Z, (G,) = _background(fem.factorize(mesh, gamma0, excluded=R0), basis, C,
-                                 [np.arange(len(C))[None]])
+        fact = fem.factorize(mesh, gamma0, excluded=R0)
+        N = nd_matrix(fact, basis)
+        Z, (G,) = _green_block(fact, fact.dm.vertex_dof[C], basis.M, [np.arange(len(C))[None]],
+                               fem.gamma_mass(mesh) @ basis.vectors)
         # (NdMatrix, Z, G, closure, position map, one piece) of the excluded
         # region: Z and G with a last row (and column) of zeros, the map
         # giving each vertex its position in C and -1, that zero row, off C,

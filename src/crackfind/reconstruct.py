@@ -176,7 +176,7 @@ def reconstruct_upper(data, mesh, gamma0, basis, grid, mode="both", tau=None):
     return UpperBoundResult(maps.region, trace, mode, initial_ok=True)
 
 
-def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
+def reconstruct_inner(data, background, candidates, kind, tau=None):
     """Classify candidate chains by whether the data dominates their response.
 
     ``candidates`` are vertex chains, each tested as a crack of ``kind``.
@@ -186,9 +186,9 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
     crack kinds are both, or the other one, is refused.
 
     Every N_chain comes from ``ndmap.chain_matrices``, a low-rank update of
-    one factorized crack-free background on the chain's star (the formulas
-    are in its docstring). A candidate that fails ``geometry.check_chains``
-    raises before anything is factorized. ``chain_matrices`` yields the
+    the crack-free ``background`` (an ``ndmap.Background``) on the chain's
+    star (the formulas are in its docstring). A candidate that fails
+    ``geometry.check_chains`` raises before the background is read. ``chain_matrices`` yields the
     entries of the chains in order, a batch at a time as one ``(k, M, M)``
     stack, and each stack is tested as it comes, one stacked ``eigvalsh``
     per batch. The insulating threshold depends only on the data, so it is
@@ -207,7 +207,7 @@ def reconstruct_inner(data, mesh, gamma0, basis, candidates, kind, tau=None):
         tau = ndmap.tau_for(data, tau)
     accepted, rejected = [], []
     lo = 0
-    for N in ndmap.chain_matrices(mesh, gamma0, basis, comps):
+    for N in ndmap.chain_matrices(background, comps):
         if kind == geometry.INSULATING:
             certs = ndmap.certificates("chain", d - N, tau)
         else:

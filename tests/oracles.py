@@ -45,12 +45,12 @@ def projection_identity_check(mesh, gamma0, cracks, basis, f_index, which="P"):
     if which not in ("P", "Q"):
         raise ValueError("which must be 'P' or 'Q'")
     f = basis.vectors[:, f_index : f_index + 1]
-    mixed = fem.factorize(mesh, gamma0, cracks)
+    mixed = factorize(mesh, gamma0, cracks)
     if which == "P":
-        other = fem.factorize(mesh, gamma0, cracks.of_kind(geometry.CONDUCTING))
+        other = factorize(mesh, gamma0, cracks.of_kind(geometry.CONDUCTING))
         big, small = mixed, other
     else:
-        other = fem.factorize(mesh, gamma0, cracks.of_kind(geometry.INSULATING))
+        other = factorize(mesh, gamma0, cracks.of_kind(geometry.INSULATING))
         big, small = other, mixed
     lhs = (
         ndmap.nd_matrix(big, basis).entries[f_index, f_index]
@@ -123,24 +123,35 @@ class FrozenDofMap(fem.DofMap):
 
 
 def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
-    """``fem.build_dofmap``, with a frozen pixel region as well.
+    """The dof map of a crack set with an excluded or a frozen pixel region.
 
-    The dof map the frozen updates of ``ndmap`` are checked against. Each
-    4-connected component of ``frozen`` collapses to one dof, and
-    components whose triangles share a vertex collapse to the same one
-    (a vertex has one dof): every corner at a vertex of a triangle of such
-    a group takes the dof of the group's smallest vertex, triangle by
-    triangle, and the dofs are then renumbered densely in order.
-    ``excluded`` and ``frozen`` are mutually exclusive; a frozen region must
-    be admissible and keep off the cracks, as an excluded one.
+    The slit, tied and frozen spaces the updates of ``ndmap`` are checked
+    against; ``fem.build_dofmap`` builds only the crack-free and excluded
+    spaces the program factorizes.
+
+    * insulating cracks: every interior vertex of a chain carries one dof
+      per side of the slit (``fem.split_fans``), numbered after the
+      vertices in slit order, while the chain tips keep a single dof, so
+      the crack opens but stays attached at its ends;
+    * conducting cracks: all vertices of a component share the dof of its
+      smallest vertex, which makes the potential constant there;
+    * an excluded region drops its triangles, as ``fem.build_dofmap`` does;
+    * a frozen region: each 4-connected component collapses to one dof, and
+      components whose triangles share a vertex collapse to the same one (a
+      vertex has one dof): every corner at a vertex of a triangle of such a
+      group takes the dof of the group's smallest vertex, triangle by
+      triangle, and the dofs are then renumbered densely in order.
+
+    ``excluded`` and ``frozen`` are mutually exclusive; a region must be an
+    admissible pixel set and may not touch any crack vertex.
     """
     if frozen is None or not len(frozen):
-        return fem.build_dofmap(mesh, cracks, excluded)
+        return _crack_dofmap(mesh, cracks, excluded)
     if excluded is not None and len(excluded):
         raise ValueError("excluded and frozen regions are mutually exclusive")
     if not geometry.pixelset_is_admissible(frozen):
         raise ValueError("region must be an admissible pixel set")
-    dm = fem.build_dofmap(mesh, cracks)
+    dm = _crack_dofmap(mesh, cracks, None)
     tris = frozen.triangles()
     chains = [v for comp in dm.cracks.components for v in comp.chain]
     if np.isin(chains, mesh.triangles[tris]).any():
@@ -172,8 +183,51 @@ def build_dofmap(mesh, cracks=None, excluded=None, frozen=None):
     return FrozenDofMap(dm, frozen, corner.reshape(-1, 3), len(used))
 
 
+def _crack_dofmap(mesh, cracks, excluded):
+    # the slit and tied space of a crack set, with an optional excluded region
+    if cracks is None:
+        cracks = geometry.CrackSet()
+    if excluded is not None and len(excluded) == 0:
+        excluded = None
+    if excluded is not None and not geometry.pixelset_is_admissible(excluded):
+        raise ValueError("region must be an admissible pixel set")
+    if cracks.components:
+        cracks.validate(mesh)
+        if excluded is not None:
+            chains = [v for comp in cracks.components for v in comp.chain]
+            if np.isin(chains, mesh.triangles[excluded.triangles()]).any():
+                raise ValueError("cracks overlapping the region are not supported")
+
+    nv = len(mesh.vertices)
+    corner = mesh.triangles.copy()
+    active = np.ones(len(corner), dtype=bool)
+
+    # insulating slits: a second dof for the far-side fan of each interior
+    # chain vertex, numbered after the vertices in slit order
+    insulating = cracks.of_kind(geometry.INSULATING)
+    far, owner = fem.split_fans(mesh, insulating)
+    corner.reshape(-1)[far] = nv + owner
+    next_dof = nv + sum(len(comp.chain) - 2 for comp in insulating.components)
+
+    # ties: conducting chains map onto their smallest vertex id
+    remap = np.arange(next_dof, dtype=np.int64)
+    for comp in cracks.components:
+        if comp.kind == geometry.CONDUCTING:
+            remap[list(comp.chain)] = min(comp.chain)
+    corner = remap[corner]
+
+    if excluded is not None:
+        active[excluded.triangles()] = False
+
+    used_dofs = np.unique(corner[active])
+    dense = np.full(next_dof, -1, dtype=np.int64)
+    dense[used_dofs] = np.arange(len(used_dofs))
+    final = np.where(active[:, None], dense[corner], -1)
+    return fem.DofMap(mesh, cracks, excluded, final, active, len(used_dofs))
+
+
 def factorize(mesh, gamma0, cracks=None, excluded=None, frozen=None):
-    """``fem.factorize`` of a configuration that may freeze a region (``build_dofmap``)."""
+    """The ``fem.Factorization`` of any configuration ``build_dofmap`` takes."""
     dm = build_dofmap(mesh, cracks, excluded, frozen)
     return fem.Factorization(fem.assemble_stiffness(mesh, gamma0, dm), dm)
 
@@ -211,9 +265,10 @@ class FactorizedConfigurations(ndmap.Configurations):
     """``ndmap.Configurations`` with every configuration solved on its own.
 
     ``nd(name)`` is ``nd_matrix`` of ``factorize(mesh, gamma0,
-    **configs[name])``: one factorization per configuration, the regions
-    included through the frozen dof map of ``build_dofmap``, where the
-    table updates one background for them.
+    **configs[name])`` on the background's mesh: one factorization per
+    configuration, the cracks and regions included through the slit, tied
+    and frozen dof maps of ``build_dofmap``, where the table updates the
+    background's one factorization for them.
     """
 
     def __init__(self, *args):
@@ -222,8 +277,9 @@ class FactorizedConfigurations(ndmap.Configurations):
 
     def nd(self, name):
         if name not in self.matrices:
-            fact = factorize(self.mesh, self.gamma0, **self.configs[name])
-            self.matrices[name] = ndmap.nd_matrix(fact, self.basis)
+            background = self.background
+            fact = factorize(background.mesh, background.gamma0, **self.configs[name])
+            self.matrices[name] = ndmap.nd_matrix(fact, background.basis)
         return self.matrices[name]
 
 
@@ -268,15 +324,14 @@ def tied_correction_projection(G, Z, T, R=None):
 
 
 def crack_signature_factorized(mesh, gamma0, basis, cracks):
-    """``ndmap.crack_signature`` from two factorizations: ``(N0, N - N0)``.
+    """``ndmap.crack_signature`` from two factorizations: ``(N0, N)``.
 
     ``N0`` is ``nd_matrix`` of the crack-free mesh's factorization and ``N``
     that of the cracks' own factorization, whose dof map slits and ties
-    them.
+    them: the signature is ``N - N0``, and ``N`` the plain data.
     """
     N0 = ndmap.nd_matrix(fem.factorize(mesh, gamma0), basis)
-    N = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
-    return N0, N.entries - N0.entries
+    return N0, ndmap.nd_matrix(factorize(mesh, gamma0, cracks), basis)
 
 
 def edge_table_unique(mesh):
@@ -707,9 +762,10 @@ def source_operators_factorized(table, wanted, build=locpot.build_source_operato
     ``locpot.source_regions``, where the program updates one background.
     """
     regions = locpot.source_regions(table)
+    background = table.background
     out = {}
     for name in dict.fromkeys(name for name, _ in wanted):
-        fact = fem.factorize(table.mesh, table.gamma0, **table.configs[name])
+        fact = factorize(background.mesh, background.gamma0, **table.configs[name])
         for region in dict.fromkeys(r for n, r in wanted if n == name):
-            out[name, region] = build(fact, regions[region], table.basis)
+            out[name, region] = build(fact, regions[region], background.basis)
     return out

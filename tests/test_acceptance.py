@@ -23,6 +23,7 @@ from crackfind.geometry import (
     embed_crack,
     point_segment_distance,
 )
+import oracles
 from oracles import mean_free_basis, projection_identity_check
 
 
@@ -44,8 +45,8 @@ def pinned_mixed():
     grid = PixelGrid(mesh, 8, 8)
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 32)
-    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
-    data_ins = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks.of_kind(geometry.INSULATING)),
+    data = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, cracks), basis)
+    data_ins = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, cracks.of_kind(geometry.INSULATING)),
                                basis)
     return mesh, cracks, grid, gamma0, basis, data, data_ins
 
@@ -141,7 +142,7 @@ def test_criterion_4_adjoint_identity(chain_setup):
     rng = np.random.default_rng(404)
     worst = 0.0
     for config in (None, cracks):
-        fact = fem.factorize(mesh, gamma0, config)
+        fact = oracles.factorize(mesh, gamma0, config)
         op = locpot.build_source_operator(fact, V, basis)
         for _ in range(100):
             Fv = rng.standard_normal((len(op.tris), 2))
@@ -172,7 +173,8 @@ def test_criterion_5_localized_potential_trends():
     gamma0 = fem.Conductivity(mesh, 0.01)
     basis = ndmap.build_basis(mesh, 40)
     ratios = {}
-    runs = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
+    runs = locpot.run_localized_demo(ndmap.Configurations(
+        ndmap.Background(mesh, gamma0, basis), cracks, V, W))
     for variant, (seq, report) in runs.items():
         assert seq.n_values[0] == 1 and seq.n_values[-1] == 10**6
         t = report["trend"]
@@ -212,11 +214,11 @@ def _inner_roundtrip(kind):
     grid = PixelGrid(mesh, 8, 8)
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 24)
-    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
+    data = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, cracks), basis)
     region = geometry.interior_pixel_set(grid)
     lengths = (2, 4) if kind == geometry.INSULATING else (1, 2, 4)
     cands = reconstruct.axis_chain_candidates(mesh, region, lengths)
-    res = reconstruct.reconstruct_inner(data, mesh, gamma0, basis, cands, kind)
+    res = reconstruct.reconstruct_inner(data, ndmap.Background(mesh, gamma0, basis), cands, kind)
 
     comp = cracks.components[0]
     pts = mesh.vertices[list(comp.chain)]

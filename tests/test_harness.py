@@ -552,12 +552,13 @@ def test_shipped_config_loads_and_builds(path):
 
 
 @pytest.mark.parametrize("name, labels", [
-    # the table's "none" for the anti-crime data, the fine background whose
-    # update is its signature, then the peel's excluded start region
+    # the fine background whose update is the anti-crime data's signature,
+    # the run's background for the data's "none", then the peel's excluded
+    # start region
     ("mixed_32.json", ["none", "none", "excluded:36px"]),
-    # the data, then the one background of locpot's source operators and of
+    # the one background of the data, of locpot's source operators and of
     # every crack and region configuration of the table
-    ("locpot_contrast_16.json", ["ins:1+con:1", "none"]),
+    ("locpot_contrast_16.json", ["none"]),
 ])
 def test_shipped_run_factorizes_these_configurations(name, labels, factorizations):
     # a change that adds or repeats a factorization, or factorizes a frozen
@@ -565,6 +566,9 @@ def test_shipped_run_factorizes_these_configurations(name, labels, factorization
     path = os.path.join(os.path.dirname(CONFIGS[0]), name)
     harness.run_scenario(harness.load_scenario(path))
     assert factorizations.labels == labels
+    # the run's background goes after its last reader, here the data step
+    # or locpot, before anything else is factorized
+    assert factorizations.most == 1
 
 
 def test_cli_inner_single_kind(tmp_path, capsys):
@@ -622,7 +626,16 @@ TWO_KINDS = {
     "M": 16,
 }
 
-METHOD_ORDERS = [("locpot", "chain"), ("chain", "locpot"), ("chain",), ("locpot",)]
+METHOD_ORDERS = [("locpot", "chain"), ("chain", "locpot"), ("chain",), ("locpot",), ("inner",)]
+
+
+def two_kinds_run(methods):
+    # TWO_KINDS running ``methods``; the inner method tests its insulating
+    # crack alone, since it needs cracks of one kind
+    spec = dict(TWO_KINDS, methods=list(methods))
+    if "inner" in methods:
+        spec.update(cracks=TWO_KINDS["cracks"][:1], inner_lengths=[2])
+    return harness.scenario_from_dict(spec)
 
 
 @pytest.fixture(scope="module")
@@ -633,39 +646,36 @@ def table_runs(tmp_path_factory, count_factorizations):
         counter = count_factorizations(mp)
         for methods in METHOD_ORDERS:
             counter.reset()
-            s = harness.scenario_from_dict(dict(TWO_KINDS, methods=list(methods)))
+            s = two_kinds_run(methods)
             run_dir = tmp_path_factory.mktemp("-".join(methods))
             harness.run_scenario(s, out_dir=str(run_dir))
             out[methods] = (counter.made, counter.most, run_dir)
     return out
 
 
-@pytest.mark.parametrize("methods, count", [
-    # the data ("all") and one background for the source operators and for
-    # every crack and region configuration, in either order
-    (("locpot", "chain"), 2),
-    (("chain", "locpot"), 2),
-    # the data and the background of the chain's configurations
-    (("chain",), 2),
-])
-def test_run_solves_each_configuration_once(table_runs, methods, count):
+@pytest.mark.parametrize("methods", [("locpot", "chain"), ("chain", "locpot"), ("chain",),
+                                     ("inner",)])
+def test_run_solves_each_configuration_once(table_runs, methods):
+    # one background for the data, the source operators, every crack and
+    # region configuration of the table and every test chain, in any order
     made, most, _ = table_runs[methods]
-    assert made == count
+    assert made == 1
     assert most == 1
 
 
 @pytest.mark.parametrize("first", ["chain", "locpot"])
 def test_table_releases_its_background_after_its_last_reader(count_factorizations, first):
-    # a table reader listed before upper drops the table's background before
-    # upper factorizes its start region, so one factorization is alive at a
-    # time; the results are those of each method run alone
+    # the fine background of the anti-crime signature, then the run's
+    # background, which a table reader listed before upper drops before
+    # upper factorizes its start region: one factorization is alive at a
+    # time, and the results are those of each method run alone
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "mixed_chain_32.json")
     spec = harness.load_scenario(path).to_json()
     with pytest.MonkeyPatch.context() as mp:
         counter = count_factorizations(mp)
         counter.reset()
         both = harness.run_scenario(harness.scenario_from_dict(dict(spec, methods=[first, "upper"])))
-        assert (counter.made, counter.most) == (4, 1)
+        assert (counter.made, counter.most) == (3, 1)
     for method in (first, "upper"):
         alone = harness.run_scenario(harness.scenario_from_dict(dict(spec, methods=[method])))
         assert harness._dump_json(both.results[method]) == harness._dump_json(alone.results[method])
@@ -675,7 +685,8 @@ def test_every_factorization_is_made_on_the_main_thread(monkeypatch):
     # the worker thread of the split solves never factorizes: SuperLU
     # factors made there and freed on the main thread leak. Every method,
     # with anti-crime data, whose fine background solves its Green's
-    # columns in split blocks
+    # columns in split blocks; each run factorizes its fine background and
+    # its own, and the upper run its start region
     threads, workers = [], []
     real, real_columns = fem.Factorization.__init__, fem._solve_columns
 
@@ -694,17 +705,18 @@ def test_every_factorization_is_made_on_the_main_thread(monkeypatch):
     inner = harness.load_scenario(os.path.join(root, "inner_insulating_16.json")).to_json()
     for spec in (dict(mixed, methods=["chain", "locpot", "upper"]), dict(inner, anti_crime=True)):
         harness.run_scenario(harness.scenario_from_dict(spec))
-    assert len(threads) > 5 and all(threads)
+    assert len(threads) == 5 and all(threads)
     assert any(workers)
 
 
 def test_a_released_table_refuses_every_read(chain_setup, factorizations):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    table = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, V, W)
     table.nd("excluded V")
     table.release()
     for read in (lambda: table.nd("excluded V"), lambda: table.nd("frozen W"),
-                 lambda: table.crack_update("all")):
+                 lambda: table.nd("none"), lambda: table.crack_update("all"),
+                 lambda: table.background.N0, lambda: table.background.fact):
         with pytest.raises(RuntimeError, match="released"):
             read()
     assert factorizations.made == 1
@@ -712,8 +724,8 @@ def test_a_released_table_refuses_every_read(chain_setup, factorizations):
 
 @pytest.mark.parametrize("methods", [("locpot",), ("locpot", "chain"), ("chain", "locpot")])
 def test_locpot_run_factorizes_the_data_and_the_background(monkeypatch, methods):
-    # the data's own factorization of "all", then the crack-free background,
-    # whatever the method order: no other crack configuration is factorized
+    # the crack-free background, for the data and every later step whatever
+    # the method order: no crack configuration is factorized
     labels = []
     real = fem.factorize
 
@@ -724,7 +736,7 @@ def test_locpot_run_factorizes_the_data_and_the_background(monkeypatch, methods)
 
     monkeypatch.setattr(fem, "factorize", factorize)
     harness.run_scenario(harness.scenario_from_dict(dict(TWO_KINDS, methods=list(methods))))
-    assert labels == ["ins:1+con:1", "none"]
+    assert labels == ["none"]
 
 
 def test_locpot_solves_sources_on_the_background_only(monkeypatch):

@@ -25,7 +25,7 @@ def source_op(chain_setup, config, region):
     # a fresh factorization of the crack set ``config`` per operator, as
     # every caller outside the demo does
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    return locpot.build_source_operator(fem.factorize(mesh, gamma0, config), region, basis)
+    return locpot.build_source_operator(oracles.factorize(mesh, gamma0, config), region, basis)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def test_adjoint_identity_on_random_pairs(chain_setup, ops):
     areas = mesh.tri_areas()
     rng = np.random.default_rng(3)
     for op, config in ((op_empty, None), (op_mixed, cracks)):
-        fact = fem.factorize(mesh, gamma0, config)
+        fact = oracles.factorize(mesh, gamma0, config)
         for _ in range(20):
             Fv = rng.standard_normal((len(op.tris), 2))
             d = rng.standard_normal(basis.M)
@@ -71,7 +71,7 @@ def test_source_operator_matches_per_column_reference(chain_setup, ops, monkeypa
     # reference: one solved column per canonical source
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     for op, config in zip(ops, (None, cracks)):
-        ref = source_operator_columns(fem.factorize(mesh, gamma0, config), V, basis).matrix
+        ref = source_operator_columns(oracles.factorize(mesh, gamma0, config), V, basis).matrix
         assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # one edge source per dimension of the loads' span, in blocks of
@@ -293,7 +293,7 @@ def test_source_operators_match_own_factorizations(n_cells, n_slit, n_tie, box, 
         assert np.max(np.abs(got[pair].matrix - ref[pair].matrix)) <= 1e-12 * np.max(
             np.abs(ref[pair].matrix))
     for name in ndmap.CRACK_CONFIGS:
-        want = ndmap.nd_matrix(fem.factorize(built.mesh, built.gamma0, **table.configs[name]),
+        want = ndmap.nd_matrix(oracles.factorize(built.mesh, built.gamma0, **table.configs[name]),
                                built.basis)
         N = table.nd(name)
         assert np.max(np.abs(N.entries - want.entries)) <= 1e-12 * np.max(np.abs(want.entries))
@@ -304,7 +304,7 @@ def test_source_operator_refuses_a_far_corner_without_its_star(chain_setup):
     # a region that holds a far corner of the slit but not every vertex its
     # load condenses to cannot express that load by its own edge sources
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    table = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, V, W)
     update = table.crack_update("insulating")
     assert len(update.far)
     # one pixel holding a far corner, whose star spans more than that pixel
@@ -315,7 +315,7 @@ def test_source_operator_refuses_a_far_corner_without_its_star(chain_setup):
         locpot.build_source_operator(update.fact, region, basis, update)
     # the whole crack region holds it: the operator of the slit configuration
     op = locpot.build_source_operator(update.fact, V, basis, update)
-    ref = locpot.build_source_operator(fem.factorize(mesh, gamma0, cracks.of_kind(
+    ref = locpot.build_source_operator(oracles.factorize(mesh, gamma0, cracks.of_kind(
         geometry.INSULATING)), V, basis)
     assert np.max(np.abs(op.matrix - ref.matrix)) <= 1e-12 * np.max(np.abs(ref.matrix))
 
@@ -344,12 +344,13 @@ def test_source_operator_of_a_slit_whose_star_holds_the_pin():
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 8)
     grid = PixelGrid(mesh, 8, 8)
-    table = ndmap.Configurations(mesh, gamma0, basis, cracks, PixelSet(grid), PixelSet(grid))
+    table = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, PixelSet(grid),
+                                 PixelSet(grid))
     update = table.crack_update("insulating")
     region = PixelSet(grid, interior_pixel_set(grid).members
                       - set(grid.tri_pixel[update.far // 3].tolist()))
     got = locpot.build_source_operator(update.fact, region, basis, update)
-    ref = locpot.build_source_operator(fem.factorize(mesh, gamma0, cracks), region, basis)
+    ref = locpot.build_source_operator(oracles.factorize(mesh, gamma0, cracks), region, basis)
     assert np.max(np.abs(got.matrix - ref.matrix)) <= 1e-12 * np.max(np.abs(ref.matrix))
 
 
@@ -466,7 +467,7 @@ def test_pick_y0_symmetry_needs_enough_modes():
     V = PixelSet.from_rect(grid, 2, 3, 5, 4)
     order = mesh.gamma_vertices()
     ang = np.arctan2(mesh.vertices[order, 1], mesh.vertices[order, 0])
-    cracked, plain = fem.factorize(mesh, gamma0, cracks), fem.factorize(mesh, gamma0)
+    cracked, plain = oracles.factorize(mesh, gamma0, cracks), fem.factorize(mesh, gamma0)
 
     def pick(basis):
         return locpot.pick_y0(
@@ -523,7 +524,8 @@ def test_localized_sequence_y0_in_far_range_stays_bounded(chain_setup, ops):
 
 def test_localized_demo_trends(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    runs = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
+    runs = locpot.run_localized_demo(ndmap.Configurations(
+        ndmap.Background(mesh, gamma0, basis), cracks, V, W))
     assert sorted(runs) == ["conducting", "insulating"]
     for variant, (seq, report) in runs.items():
         assert report["variant"] == variant
@@ -549,7 +551,7 @@ def reference_variant(mesh, gamma0, cracks, grid, V, W, basis, variant):
         near, far, hi, lo, bg = W, V, ins, cracks, ins
 
     def op(config, region):
-        return locpot.build_source_operator(fem.factorize(mesh, gamma0, config), region, basis)
+        return locpot.build_source_operator(oracles.factorize(mesh, gamma0, config), region, basis)
 
     def nd(**config):
         return ndmap.nd_matrix(oracles.factorize(mesh, gamma0, **config), basis)
@@ -591,7 +593,7 @@ def test_localized_demo_matches_fresh_solver_reference(chain_setup, scenario):
     # from their own factorizations, plus what the step's own deviation moves
     setup = chain_setup if scenario == "chain_setup" else contrast_setup()
     mesh, cracks, grid, V, W, gamma0, basis = setup
-    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    table = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, V, W)
     runs = locpot.run_localized_demo(table)
     for variant, (seq, report) in runs.items():
         ref_seq, ref_report, sigma, ref_forms = reference_variant(
@@ -631,10 +633,12 @@ def test_localized_demo_matches_column_reference_operators(chain_setup, scenario
     # forms up to the rounding they amplify at the last decades
     setup = chain_setup if scenario == "chain_setup" else contrast_setup()
     mesh, cracks, grid, V, W, gamma0, basis = setup
-    runs = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
+    runs = locpot.run_localized_demo(ndmap.Configurations(
+        ndmap.Background(mesh, gamma0, basis), cracks, V, W))
     monkeypatch.setattr(locpot, "source_operators", lambda table, wanted: (
         oracles.source_operators_factorized(table, wanted, source_operator_columns)))
-    ref = locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
+    ref = locpot.run_localized_demo(ndmap.Configurations(
+        ndmap.Background(mesh, gamma0, basis), cracks, V, W))
     assert sorted(runs) == sorted(ref)
     for variant, (seq, report) in runs.items():
         ref_seq, ref_report = ref[variant]
@@ -650,7 +654,8 @@ def test_localized_demo_factorizes_each_configuration_once(chain_setup, factoriz
     # the one background of the six source operators, the crack and region
     # configurations and "none"
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    locpot.run_localized_demo(ndmap.Configurations(mesh, gamma0, basis, cracks, V, W))
+    locpot.run_localized_demo(ndmap.Configurations(
+        ndmap.Background(mesh, gamma0, basis), cracks, V, W))
     assert factorizations.labels == ["none"]
 
 
@@ -669,7 +674,7 @@ def test_no_crack_control_form_is_zero(chain_setup, ops):
 
 def test_sequence_csv_round_trip(tmp_path, chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    table = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, V, W)
     seq, report = locpot.run_localized_demo(table)["insulating"]
     path = tmp_path / "seq.csv"
     path.write_text(locpot.sequence_to_csv(seq, report))

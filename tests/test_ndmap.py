@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 from unittest import mock
@@ -65,7 +66,7 @@ def test_disk_low_modes_match_separation_of_variables():
 
 def test_nd_matrix_diagonal_equals_dirichlet_energy(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    fact = fem.factorize(mesh, gamma0, cracks)
+    fact = oracles.factorize(mesh, gamma0, cracks)
     N = ndmap.nd_matrix(fact, basis)
     for i in (0, 5, 11):
         u = fem.solve_neumann(fact, basis.vectors[:, i : i + 1])
@@ -216,7 +217,7 @@ def test_monotonicity_chain(chain_setup):
 def test_bracketing_of_mixed_cracks(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     C = geometry.PixelSet(grid, V.members | W.members)
-    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
+    data = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, cracks), basis)
     upper = ndmap.nd_matrix(fem.factorize(mesh, gamma0, excluded=C), basis)
     lower = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, frozen=C), basis)
     ok, _ = ndmap.psd_test(upper.entries - data.entries, ndmap.default_tau(upper))
@@ -227,7 +228,7 @@ def test_bracketing_of_mixed_cracks(chain_setup):
 
 def test_bracketing_fails_when_region_misses_crack(chain_setup):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
+    data = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, cracks), basis)
     upper = ndmap.nd_matrix(fem.factorize(mesh, gamma0, excluded=W), basis)
     tau = ndmap.default_tau(upper)
     ok, eig = ndmap.psd_test(upper.entries - data.entries, tau)
@@ -268,7 +269,7 @@ def test_disk_axis_crack_matrix_invisible():
     ang = np.arctan2(mesh.vertices[order, 1], mesh.vertices[order, 0])
     basis = ndmap.CurrentBasis.from_vectors(mesh, np.cos(ang)[:, None])
     N0 = ndmap.nd_matrix(fem.factorize(mesh, gamma0), basis)
-    N1 = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
+    N1 = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, cracks), basis)
     assert abs(N1.entries[0, 0] - N0.entries[0, 0]) < 1e-10 * N0.entries[0, 0]
 
 
@@ -292,7 +293,7 @@ def test_config_dict_validation(chain_setup):
     # unknown key is refused by the call itself
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     with pytest.raises(TypeError, match="bogus"):
-        fem.factorize(mesh, gamma0, **{"bogus": V})
+        oracles.factorize(mesh, gamma0, **{"bogus": V})
 
 
 def test_configurations_match_nd_matrix_and_solve_once(chain_setup):
@@ -308,12 +309,12 @@ def test_configurations_match_nd_matrix_and_solve_once(chain_setup):
         "excluded W": {"excluded": W},
         "frozen W": {"frozen": W},
     }
-    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    table = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, V, W)
     # keyword dicts of the reference factorization, under the same keys
     assert {n: sorted(c) for n, c in table.configs.items()} == {
         n: sorted(c) for n, c in configs.items()
     }
-    alone = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W).nd("none")
+    alone = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, V, W).nd("none")
     for name, config in configs.items():
         ref = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, **config), basis)
         got = table.nd(name)
@@ -331,7 +332,7 @@ def test_configurations_match_nd_matrix_and_solve_once(chain_setup):
     # current solve, and the table keeps that factorization for the run
     with mock.patch.object(fem, "Factorization", wraps=fem.Factorization) as fact, \
             mock.patch.object(fem, "solve_neumann", wraps=fem.solve_neumann) as solve:
-        table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+        table = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, V, W)
         first = table.nd("frozen W")
         assert table.nd("frozen W") is first
         assert (fact.call_count, solve.call_count) == (1, 1)
@@ -343,23 +344,22 @@ def test_configurations_match_nd_matrix_and_solve_once(chain_setup):
         assert (fact.call_count, solve.call_count) == (1, 1)
 
 
-def test_none_asked_alone_keeps_nothing(chain_setup, factorizations, monkeypatch):
-    # the anti-crime data reads only "none": one factorization and one
-    # current solve, gone when the matrix is returned; a later fill makes
-    # the background the table keeps, and leaves "none" as it was
+def test_none_asked_first_keeps_the_background(chain_setup, factorizations, monkeypatch):
+    # the anti-crime data reads only "none": the background's one
+    # factorization and one current solve, which the table keeps, so a
+    # later fill updates that factorization and leaves "none" as it was
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
-    table = ndmap.Configurations(mesh, gamma0, basis, cracks, V, W)
+    table = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, V, W)
     # a mock would keep the factorization alive in its call record
     solves = []
     real = fem.solve_neumann
     monkeypatch.setattr(fem, "solve_neumann", lambda *a: solves.append(1) or real(*a))
     N0 = table.nd("none")
     assert solves == [1]
-    assert (factorizations.made, factorizations.alive) == (1, 0)
-    assert table.nd("none") is N0
-    assert factorizations.made == 1
+    assert (factorizations.made, factorizations.alive) == (1, 1)
+    assert table.nd("none") is N0 is table.background.N0
     table.nd("excluded V")
-    assert (factorizations.made, factorizations.alive, factorizations.most) == (2, 1, 1)
+    assert (factorizations.made, factorizations.alive, solves) == (1, 1, [1])
     assert table.nd("none") is N0
 
 
@@ -491,7 +491,7 @@ def assert_matches_factorization(mesh, gamma0, basis, comps, stacks):
     got = np.concatenate(stacks)
     assert got.shape == (len(comps), basis.M, basis.M)
     for comp, N in zip(comps, got):
-        ref = ndmap.nd_matrix(fem.factorize(mesh, gamma0, CrackSet([comp])), basis)
+        ref = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, CrackSet([comp])), basis)
         assert np.max(np.abs(N - ref.entries)) <= 1e-10 * np.max(np.abs(ref.entries))
 
 
@@ -517,7 +517,7 @@ def test_chain_maps_match_nd_solver(shape, arc, box, seed):
         geometry.CrackComponent(random_chain(mesh, rng, int(rng.integers(1, 6))), kind)
         for kind in rng.choice(geometry.KINDS, size=5)
     ]
-    got = list(ndmap.chain_matrices(mesh, gamma0, basis, comps))
+    got = list(ndmap.chain_matrices(ndmap.Background(mesh, gamma0, basis), comps))
     assert_matches_factorization(mesh, gamma0, basis, comps, got)
 
 
@@ -534,7 +534,7 @@ def test_chain_maps_yield_symmetric_stacks_in_candidate_order():
     comps = [
         geometry.CrackComponent(chain, geometry.KINDS[i % 2]) for i, chain in enumerate(cands[:n])
     ]
-    got = list(ndmap.chain_matrices(mesh, gamma0, basis, comps))
+    got = list(ndmap.chain_matrices(ndmap.Background(mesh, gamma0, basis), comps))
     assert [N.shape for N in got] == [(ndmap.CHAIN_BATCH, 6, 6), (13, 6, 6)]
     for N in got:
         assert N.dtype == float
@@ -557,7 +557,7 @@ def test_chain_maps_star_holding_the_pinned_dof():
     assert pin in mesh.triangles[far // 3]
     gamma0 = fem.Conductivity.from_spec(mesh, {"boxes": [{"box": [0, 0.7, 1, 1], "value": 3.0}]})
     basis = ndmap.build_basis(mesh, 4)
-    got = list(ndmap.chain_matrices(mesh, gamma0, basis, [comp]))
+    got = list(ndmap.chain_matrices(ndmap.Background(mesh, gamma0, basis), [comp]))
     assert_matches_factorization(mesh, gamma0, basis, [comp], got)
 
 
@@ -571,7 +571,8 @@ def test_chain_maps_refuse_invalid_chains():
     a, b = next(e for e in edges.tolist() if (e[0] in bvs) != (e[1] in bvs))
     for kind in geometry.KINDS:
         with pytest.raises(ValueError, match="boundary"):
-            list(ndmap.chain_matrices(mesh, gamma0, basis, [geometry.CrackComponent((a, b), kind)]))
+            list(ndmap.chain_matrices(ndmap.Background(mesh, gamma0, basis),
+                                      [geometry.CrackComponent((a, b), kind)]))
 
 
 def record_green_solves(monkeypatch):
@@ -613,7 +614,8 @@ def test_chain_green_columns_solved_once(monkeypatch):
         stars.update(mesh.triangles[far // 3].ravel().tolist())
     stars.discard(int(mesh.gamma_vertices()[0]))
     calls = record_green_solves(monkeypatch)
-    got = list(ndmap.chain_matrices(mesh, fem.Conductivity(mesh, 1.0), basis, comps))
+    background = ndmap.Background(mesh, fem.Conductivity(mesh, 1.0), basis)
+    got = list(ndmap.chain_matrices(background, comps))
     assert sum(len(N) for N in got) == 520
     columns = np.concatenate(calls).tolist()
     assert len(columns) == len(set(columns)) == len(stars) == 193
@@ -689,43 +691,65 @@ def signature_cracks(mesh, rng, case, n):
 @example(case="shared fans", shape="refined", arc=True, box=True, n=3, seed=3)
 @example(case="pinned star", shape="rect", arc=True, box=False, n=2, seed=4)
 @example(case="pinned star", shape="refined", arc=True, box=True, n=1, seed=5)
+# each shipped crack layout, whose scenario gives the mesh, the cracks, the
+# conductivity and the basis
+@example(case="inner_insulating_16.json", shape="rect", arc=False, box=False, n=1, seed=0)
+@example(case="locpot_contrast_16.json", shape="rect", arc=False, box=False, n=1, seed=0)
+@example(case="mixed_32.json", shape="rect", arc=False, box=False, n=1, seed=0)
+@example(case="mixed_chain_32.json", shape="rect", arc=False, box=False, n=1, seed=0)
 def test_crack_signature_matches_two_factorizations(case, shape, arc, box, n, seed):
     # differential oracle: the one joint update of a crack set against the
-    # difference of its own and the background's factorizations. The fixed
-    # chains need the square: two chains one cell apart whose far fans share
-    # triangles in the refinement, and a slit whose star holds the pin of
-    # the top arc
-    if case == "shared fans":
-        shape = "refined"
-    elif case == "pinned star":
-        shape, arc = ("rect" if shape == "disk" else shape), True
-    mesh = SIGNATURE_MESHES[(shape, True) if arc else shape]
-    rng = np.random.default_rng(seed)
-    cracks = signature_cracks(mesh, rng, case, n)
-    pin = mesh.gamma_vertices()[0]
-    slits = cracks.of_kind(geometry.INSULATING)
-    far, owner = fem.split_fans(mesh, slits)
-    if case == "shared fans":
-        # a triangle in the far fans of both chains
-        chain = np.repeat(np.arange(len(slits)), [len(c.chain) - 2 for c in slits.components])
-        per_chain = [set((far[chain[owner] == k] // 3).tolist()) for k in (0, 1)]
-        assert per_chain[0] & per_chain[1]
-    if case == "pinned star":
-        assert pin in mesh.triangles[far // 3]
-    spec = 1.0
-    if box:
-        x0, y0 = rng.uniform(-1.0, 0.5, 2)
-        spec = {"boxes": [{"box": [x0, y0, x0 + 0.6, y0 + 0.6], "value": rng.uniform(0.1, 10.0)}]}
-    gamma0 = fem.Conductivity.from_spec(mesh, spec)
-    basis = ndmap.build_basis(mesh, min(12, len(mesh.gamma_vertices()) - 1))
-    dN = ndmap.crack_signature(mesh, gamma0, basis, cracks)
+    # difference of its own and the background's factorizations, and the
+    # plain data, N0 plus that update as generate_data forms it, against
+    # the cracks' own factorization. The fixed chains need the square: two
+    # chains one cell apart whose far fans share triangles in the
+    # refinement, and a slit whose star holds the pin of the top arc
+    if case.endswith(".json"):
+        scenario = harness.load_scenario(
+            os.path.join(os.path.dirname(__file__), "..", "configs", case))
+        scenario = dataclasses.replace(scenario, anti_crime=False)
+        built = harness.build_scenario(scenario)
+        mesh, gamma0, basis, cracks = built.mesh, built.gamma0, built.basis, built.cracks
+        background = built.table.background
+    else:
+        if case == "shared fans":
+            shape = "refined"
+        elif case == "pinned star":
+            shape, arc = ("rect" if shape == "disk" else shape), True
+        mesh = SIGNATURE_MESHES[(shape, True) if arc else shape]
+        rng = np.random.default_rng(seed)
+        cracks = signature_cracks(mesh, rng, case, n)
+        pin = mesh.gamma_vertices()[0]
+        slits = cracks.of_kind(geometry.INSULATING)
+        far, owner = fem.split_fans(mesh, slits)
+        if case == "shared fans":
+            # a triangle in the far fans of both chains
+            chain = np.repeat(np.arange(len(slits)), [len(c.chain) - 2 for c in slits.components])
+            per_chain = [set((far[chain[owner] == k] // 3).tolist()) for k in (0, 1)]
+            assert per_chain[0] & per_chain[1]
+        if case == "pinned star":
+            assert pin in mesh.triangles[far // 3]
+        spec = 1.0
+        if box:
+            x0, y0 = rng.uniform(-1.0, 0.5, 2)
+            spec = {"boxes": [{"box": [x0, y0, x0 + 0.6, y0 + 0.6],
+                               "value": rng.uniform(0.1, 10.0)}]}
+        gamma0 = fem.Conductivity.from_spec(mesh, spec)
+        basis = ndmap.build_basis(mesh, min(12, len(mesh.gamma_vertices()) - 1))
+        background = ndmap.Background(mesh, gamma0, basis)
+    dN = ndmap.crack_signature(background, cracks)
+    plain = background.N0.entries + dN
     ref0, ref = oracles.crack_signature_factorized(mesh, gamma0, basis, cracks)
+    scale = np.max(np.abs(ref.entries))
     assert dN.shape == (basis.M, basis.M) and np.array_equal(dN, dN.T)
-    assert np.max(np.abs(dN - ref)) <= 1e-12 * np.max(np.abs(ref0.entries + ref))
+    assert np.max(np.abs(dN - (ref.entries - ref0.entries))) <= 1e-12 * scale
+    assert np.max(np.abs(plain - ref.entries)) <= 1e-12 * scale
+    if case.endswith(".json"):
+        # the run's plain data is that sum
+        assert np.array_equal(harness.generate_data(scenario, built)[0].entries, plain)
     if case in ("empty", "one edge"):
         # nothing to slit or tie
         assert not dN.any()
-
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -739,8 +763,9 @@ def test_crack_signature_matches_two_factorizations(case, shape, arc, box, n, se
 def test_green_columns_give_the_basis_potentials(shape, arc, box, n, width, seed):
     # differential oracle of the reciprocity: the pinned potentials Z read
     # off the arc rows of the Green's columns, and the Green's block G
-    # itself, against _background's basis solve, on random vertex sets
-    # solved in chunks of ``width`` columns
+    # itself, against the basis currents' potentials and the Green's block
+    # solved M columns at a time, on random vertex sets solved in chunks of
+    # ``width`` columns
     mesh = SIGNATURE_MESHES[(shape, True) if arc else shape]
     rng = np.random.default_rng(seed)
     spec = 1.0
@@ -753,10 +778,12 @@ def test_green_columns_give_the_basis_potentials(shape, arc, box, n, width, seed
     free = np.delete(np.arange(len(mesh.vertices)), pin)
     verts = np.sort(rng.choice(free, size=n, replace=False))
     star = [np.arange(n)[None]]
-    fact = fem.factorize(mesh, gamma0)
-    _, Z_ref, (G_ref,) = ndmap._background(fact, basis, verts, star)
-    weighted = fem.gamma_mass(mesh) @ basis.vectors
-    Z, (G,) = ndmap._green_block(fact, fact.dm.vertex_dof[verts], width, star, weighted)
+    background = ndmap.Background(mesh, gamma0, basis)
+    fact = background.fact
+    potentials = fem.solve_neumann(fact, basis.vectors).values
+    Z_ref = potentials[fact.dm.vertex_dof[verts]] - potentials[fact.pin]
+    _, (G_ref,) = ndmap._green_block(fact, fact.dm.vertex_dof[verts], basis.M, star)
+    Z, (G,) = background.green(verts, star, width)
     assert Z.shape == Z_ref.shape == (n, basis.M)
     assert np.max(np.abs(Z - Z_ref)) <= 1e-12 * np.max(np.abs(Z_ref))
     if width == basis.M:
@@ -765,10 +792,10 @@ def test_green_columns_give_the_basis_potentials(shape, arc, box, n, width, seed
 
 
 def test_anti_crime_data_factorizes_only_crack_free_meshes(monkeypatch, count_factorizations):
-    # mixed_32's anti-crime data: the table's background, whose one current
-    # solve gives the coarse "none", then the fine background, whose Green's
-    # columns on U, the 33 vertices of the slit's star and the 17 of the
-    # tie, are each solved once, in two blocks of 25, and are its only solves
+    # mixed_32's anti-crime data: the fine background, whose Green's columns
+    # on U, the 33 vertices of the slit's star and the 17 of the tie, are
+    # each solved once, in two blocks of 25, and are its only solves, then
+    # the run's background, whose one current solve gives the coarse "none"
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "mixed_32.json")
     s = harness.load_scenario(path)
     assert s.anti_crime
@@ -808,12 +835,13 @@ def test_crack_signature_without_slit_or_tie_factorizes_nothing(
     assert len(cracks.components) == (case == "one edge")
     basis = ndmap.build_basis(mesh, 12)
     factorizations = count_factorizations(monkeypatch)
-    dN = ndmap.crack_signature(mesh, fem.Conductivity(mesh, 1.0), basis, cracks)
+    background = ndmap.Background(mesh, fem.Conductivity(mesh, 1.0), basis)
+    dN = ndmap.crack_signature(background, cracks)
     assert factorizations.made == 0
     assert dN.shape == (12, 12) and not dN.any()
     a, b = mesh.gamma_vertices()[:2]
     with pytest.raises(ValueError):
-        ndmap.crack_signature(mesh, fem.Conductivity(mesh, 1.0), basis,
+        ndmap.crack_signature(background,
                               CrackSet([geometry.CrackComponent((a, b), geometry.INSULATING)]))
     assert factorizations.made == 0
 
@@ -969,7 +997,7 @@ def test_each_frozen_matrix_is_one_tie_solve(monkeypatch, chain_setup, mode):
     mesh, cracks, grid, V, W, gamma0, basis = chain_setup
     pin = mesh.gamma_vertices()[0]
     seen.clear()
-    ndmap.Configurations(mesh, gamma0, basis, cracks, V, W).nd("frozen V")
+    ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), cracks, V, W).nd("frozen V")
     want = [tie_sizes(geometry.region_closure(region, ties=True), pin) for region in (V, W)]
     for name in ndmap.CRACK_CONFIGS:
         tied = [c.chain for c in cracks.components if c.kind == geometry.CONDUCTING
@@ -1042,7 +1070,7 @@ def test_crack_update_is_blind_to_the_far_pins_offset():
     for name in ("insulating", "all"):
         update = table.crack_update(name)
         dN = update.change()
-        want = ndmap.nd_matrix(fem.factorize(built.mesh, built.gamma0, **table.configs[name]),
+        want = ndmap.nd_matrix(oracles.factorize(built.mesh, built.gamma0, **table.configs[name]),
                                built.basis).entries - table.nd("none").entries
         assert np.max(np.abs(dN - want)) <= 1e-13 * np.max(np.abs(table.nd("none").entries))
         Z = update.Z
@@ -1060,7 +1088,8 @@ def test_crack_signature_solves_its_update_once(monkeypatch):
     cracks = signature_cracks(mesh, np.random.default_rng(0), "mixed", 3)
     assert {c.kind for c in cracks.components} == set(geometry.KINDS)
     seen = record_dense_solves(monkeypatch)
-    ndmap.crack_signature(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 12), cracks)
+    background = ndmap.Background(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 12))
+    ndmap.crack_signature(background, cracks)
     assert len(seen) > 1
     assert len(set(seen)) == len(seen)
 
@@ -1203,7 +1232,7 @@ def assert_table_matches_factorizations(table, names):
     # against its own factorization: the regions within the RegionMaps bound,
     # the others bit for bit
     ref = FactorizedConfigurations(
-        table.mesh, table.gamma0, table.basis, table.configs["all"]["cracks"], table.V, table.W
+        table.background, table.configs["all"]["cracks"], table.V, table.W
     )
     for name in names:
         got, want = table.nd(name), ref.nd(name)
@@ -1263,7 +1292,7 @@ def test_configurations_match_factorized_table(shape, arc, box, case, seed):
                 break
     else:
         raise AssertionError("no region pair drawn")
-    table = ndmap.Configurations(mesh, gamma0, basis, CrackSet(), V, W)
+    table = ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), CrackSet(), V, W)
     names = list(table.configs)
     rng.shuffle(names)
     # the first region request solves one Green's column per boundary vertex
@@ -1292,8 +1321,8 @@ def test_configurations_tie_components_that_share_a_vertex(mesh, n, members):
     # the closure joins the two components into one group
     _, C, tie = geometry.region_closure(V, ties=True)
     assert np.all(tie[C] == 0)
-    table = ndmap.Configurations(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 6),
-                                 CrackSet(), V, geometry.PixelSet(grid, ()))
+    background = ndmap.Background(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 6))
+    table = ndmap.Configurations(background, CrackSet(), V, geometry.PixelSet(grid, ()))
     assert_table_matches_factorizations(table, list(table.configs))
 
 
@@ -1328,9 +1357,12 @@ def test_frozen_from_the_excluded_region_is_frozen_from_the_background(shape, ar
     closure = geometry.region_closure(region, ties=True)
     C = np.flatnonzero(closure[1])
     got = []
+    weighted = fem.gamma_mass(mesh) @ basis.vectors
     for excluded in (region, None):
         fact = fem.factorize(mesh, gamma0, excluded=excluded)
-        N, Z, (G,) = ndmap._background(fact, basis, C, [np.arange(len(C))[None]])
+        N = ndmap.nd_matrix(fact, basis)
+        Z, (G,) = ndmap._green_block(fact, fact.dm.vertex_dof[C], basis.M,
+                                     [np.arange(len(C))[None]], weighted)
         got.append(ndmap._frozen(N, Z, G[0], closure, region, pin).entries)
     assert np.max(np.abs(got[0] - got[1])) <= 1e-12 * np.max(np.abs(N.entries))
 
@@ -1357,7 +1389,8 @@ def test_region_matrices_memory_stays_near_nd_matrix():
             tracemalloc.stop()
 
     regions = peak(
-        lambda: ndmap.Configurations(mesh, gamma0, basis, CrackSet(), V, W).nd("excluded V")
+        lambda: ndmap.Configurations(ndmap.Background(mesh, gamma0, basis), CrackSet(), V,
+                                     W).nd("excluded V")
     )
     currents = peak(lambda: ndmap.nd_matrix(fem.factorize(mesh, gamma0), basis))
     assert regions <= 1.1 * currents
@@ -1374,8 +1407,8 @@ def test_configurations_with_the_pinned_vertex_in_a_region():
     W = geometry.PixelSet(grid, [37, 46])
     assert pin in region_vertices(mesh, V)
     assert W.components().max() == 1
-    table = ndmap.Configurations(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 8),
-                                 CrackSet(), V, W)
+    background = ndmap.Background(mesh, fem.Conductivity(mesh, 1.0), ndmap.build_basis(mesh, 8))
+    table = ndmap.Configurations(background, CrackSet(), V, W)
     assert_table_matches_factorizations(table, ["frozen V", *table.configs])
 
 
@@ -1389,7 +1422,8 @@ def test_configurations_refuse_a_region_enclosing_an_arc_vertex():
     V = geometry.PixelSet(grid, [7])
     assert geometry.pixelset_is_admissible(V)
     gamma0 = fem.Conductivity(mesh, 1.0)
-    table = ndmap.Configurations(mesh, gamma0, ndmap.build_basis(mesh, 4), CrackSet(), V, V)
+    background = ndmap.Background(mesh, gamma0, ndmap.build_basis(mesh, 4))
+    table = ndmap.Configurations(background, CrackSet(), V, V)
     for name in ("frozen V", "excluded W"):
         with pytest.raises(ValueError, match="lost its dof"):
             table.nd(name)

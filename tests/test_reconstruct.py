@@ -46,7 +46,7 @@ def setup():
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 20)
     data = {
-        key: ndmap.nd_matrix(fem.factorize(mesh, gamma0, config), basis)
+        key: ndmap.nd_matrix(oracles.factorize(mesh, gamma0, config), basis)
         for key, config in (
             ("mixed", cracks),
             ("ins", cracks.of_kind(geometry.INSULATING)),
@@ -163,7 +163,7 @@ def test_upper_initial_failure_reported():
     grid = PixelGrid(mesh, 8, 8)
     gamma0 = fem.Conductivity(mesh, 1.0)
     basis = ndmap.build_basis(mesh, 16)
-    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, cracks), basis)
+    data = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, cracks), basis)
     res = reconstruct.reconstruct_upper(data, mesh, gamma0, basis, grid)
     assert not res.initial_ok
     assert res.final_set == interior_pixel_set(grid)
@@ -196,7 +196,7 @@ def test_inner_insulating_subchains_accepted_far_rejected(setup):
     subs = sub_chains(d_chain, [2, 4])
     far = far_chains(mesh, 9 / 16, [2 ** -4 * k for k in range(4, 12)], 2)
     res = reconstruct.reconstruct_inner(
-        data["ins"], mesh, gamma0, basis, subs + far, geometry.INSULATING
+        data["ins"], ndmap.Background(mesh, gamma0, basis), subs + far, geometry.INSULATING
     )
     got_accepted = {tuple(e["chain"]) for e in res.accepted}
     got_rejected = {tuple(e["chain"]) for e in res.rejected}
@@ -219,7 +219,7 @@ def test_inner_conducting_subchains_accepted_far_rejected(setup):
     subs = sub_chains(d_chain, [1, 2])
     far = far_chains(mesh, 7 / 16, [2 ** -4 * k for k in range(4, 12)], 1)
     res = reconstruct.reconstruct_inner(
-        data["con"], mesh, gamma0, basis, subs + far, geometry.CONDUCTING
+        data["con"], ndmap.Background(mesh, gamma0, basis), subs + far, geometry.CONDUCTING
     )
     assert {tuple(e["chain"]) for e in res.accepted} == set(subs)
     assert {tuple(e["chain"]) for e in res.rejected} == set(far)
@@ -238,7 +238,7 @@ def test_inner_random_subchain_soundness(setup, start, k, kind_ins):
         k = 2
     start = min(start, len(chain) - 1 - k)
     sub = chain[start : start + k + 1]
-    res = reconstruct.reconstruct_inner(d, mesh, gamma0, basis, [sub], kind)
+    res = reconstruct.reconstruct_inner(d, ndmap.Background(mesh, gamma0, basis), [sub], kind)
     assert len(res.accepted) == 1
     assert res.accepted[0]["min_eig"] >= -res.accepted[0]["tau"]
 
@@ -248,11 +248,11 @@ def test_inner_mixed_data_refused(setup):
     chain = cracks.components[0].chain[:3]
     with pytest.raises(ValueError):
         reconstruct.reconstruct_inner(
-            data["mixed"], mesh, gamma0, basis, [chain], geometry.INSULATING
+            data["mixed"], ndmap.Background(mesh, gamma0, basis), [chain], geometry.INSULATING
         )
     with pytest.raises(ValueError):
         reconstruct.reconstruct_inner(
-            data["ins"], mesh, gamma0, basis, [chain], geometry.CONDUCTING
+            data["ins"], ndmap.Background(mesh, gamma0, basis), [chain], geometry.CONDUCTING
         )
     # the crack kinds ride along through anti-crime data and noise
     assert data["mixed"].kinds == set(geometry.KINDS)
@@ -277,7 +277,7 @@ def test_inner_mixed_data_refused(setup):
         noisy, _ = harness.generate_data(scn, built)
         assert noisy.kinds == {c["kind"] for c in cracks_spec}
         own_chain = built.cracks.components[0].chain[:3]
-        args = (noisy, built.mesh, built.gamma0, built.basis, [own_chain], kind)
+        args = (noisy, built.table.background, [own_chain], kind)
         if refused:
             with pytest.raises(ValueError, match="kind"):
                 reconstruct.reconstruct_inner(*args)
@@ -321,7 +321,8 @@ def test_inner_factorizes_the_background_once(setup, monkeypatch, factorizations
             matrices.clear()
             taus.clear()
             stacked.clear()
-            res = reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, subset, kind)
+            res = reconstruct.reconstruct_inner(data[key], ndmap.Background(mesh, gamma0, basis),
+                                                subset, kind)
             assert len(res.accepted) + len(res.rejected) == len(subset)
             assert (factorizations.made, len(matrices)) == (1, 1)
             batches = -(-len(subset) // ndmap.CHAIN_BATCH)
@@ -439,7 +440,8 @@ def test_inner_refuses_invalid_candidates(setup):
             for at in range(len(valid) + 1):
                 cands = valid[:at] + [bad] + valid[at:]
                 with pytest.raises(ValueError, match=message):
-                    reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, cands, kind)
+                    reconstruct.reconstruct_inner(
+                        data[key], ndmap.Background(mesh, gamma0, basis), cands, kind)
 
 
 def test_inner_refuses_a_bad_candidate_before_factorizing(setup, factorizations):
@@ -463,7 +465,8 @@ def test_inner_refuses_a_bad_candidate_before_factorizing(setup, factorizations)
             at = int(rng.integers(0, len(valid) + 1))
             cands = valid[:at] + [bad] + valid[at:]
             with pytest.raises(ValueError) as got:
-                reconstruct.reconstruct_inner(data[key], mesh, gamma0, basis, cands, kind)
+                reconstruct.reconstruct_inner(
+                    data[key], ndmap.Background(mesh, gamma0, basis), cands, kind)
             assert str(got.value) == message
     assert factorizations.made == 0
 
@@ -480,14 +483,15 @@ def test_stacked_certificates_match_per_candidate_tests(kind):
     pin = int(mesh.gamma_vertices()[0])
     assert pin == vid(mesh, 0.5, 1.0)
     crack = CrackComponent([vid(mesh, x / 8, 4 / 8) for x in range(2, 6)], kind)
-    data = ndmap.nd_matrix(fem.factorize(mesh, gamma0, CrackSet([crack])), basis)
+    data = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, CrackSet([crack])), basis)
     grid = PixelGrid(mesh, 4, 4)
     cands = reconstruct.axis_chain_candidates(mesh, PixelSet(grid, range(16)), (1, 2, 3, 5))
     assert len(cands) > ndmap.CHAIN_BATCH
     if kind == geometry.INSULATING:
         far = [split_fans_scan(mesh, CrackSet([CrackComponent(c, kind)]))[0] for c in cands]
         assert any(pin in mesh.triangles[f // 3] for f in far)
-    res = reconstruct.reconstruct_inner(data, mesh, gamma0, basis, cands, kind).to_json()
+    res = reconstruct.reconstruct_inner(data, ndmap.Background(mesh, gamma0, basis), cands, kind)
+    res = res.to_json()
     entries = {
         tuple(e["chain"]): (passed, e)
         for passed, key in ((True, "accepted"), (False, "rejected"))
@@ -497,7 +501,7 @@ def test_stacked_certificates_match_per_candidate_tests(kind):
     verdicts = set()
     for chain in cands:
         config = CrackSet([CrackComponent(chain, kind)])
-        n_chain = ndmap.nd_matrix(fem.factorize(mesh, gamma0, config), basis)
+        n_chain = ndmap.nd_matrix(oracles.factorize(mesh, gamma0, config), basis)
         if kind == geometry.INSULATING:
             diff, minuend = data.entries - n_chain.entries, data
         else:
@@ -519,7 +523,7 @@ def inner_reference(data, built, cands, kind):
     out = {"accepted": [], "rejected": []}
     for chain in cands:
         comp = CrackComponent(chain, kind)
-        n_chain = ndmap.nd_matrix(fem.factorize(built.mesh, built.gamma0, CrackSet([comp])),
+        n_chain = ndmap.nd_matrix(oracles.factorize(built.mesh, built.gamma0, CrackSet([comp])),
                                   built.basis)
         if kind == geometry.INSULATING:
             diff, minuend = data.entries - n_chain.entries, data
@@ -544,9 +548,7 @@ def test_inner_partition_matches_per_candidate_reference(kind):
     data, _ = harness.generate_data(scn, built)
     region = interior_pixel_set(built.grid)
     cands = reconstruct.axis_chain_candidates(built.mesh, region, scn.inner_lengths)
-    res = reconstruct.reconstruct_inner(
-        data, built.mesh, built.gamma0, built.basis, cands, kind
-    )
+    res = reconstruct.reconstruct_inner(data, built.table.background, cands, kind)
     ref = inner_reference(data, built, cands, kind)
     assert ref["accepted"] and ref["rejected"]
     scale = np.max(np.abs(data.entries))

@@ -13,8 +13,10 @@ A module-level import must be read in its own module, by the name it
 binds; ``from __future__`` imports are exempt. Only ``geometry`` reads the
 attribute ``_cache``, the store behind ``Mesh.memo``. Inside ``ndmap`` only
 ``_dense_solve`` reads a ``linalg.solve`` or a ``linalg.lapack`` routine, so
-every small dense solve there has its residual checked. Only ``harness.generate_data`` factorizes a crack
-set; every other crack configuration is an update of the background.
+every small dense solve there has its residual checked. No call of
+``factorize`` passes a crack set: every crack configuration, the data's
+included, is an update of a crack-free background. Only
+``RegionMaps.__init__`` factorizes an excluded region, the peel's start.
 """
 
 import ast
@@ -230,33 +232,52 @@ def test_unused_import_check_reads_bound_names():
     assert _unused_imports({"m": tree}) == ["m.geometry", "m.io", "m.itertools"]
 
 
-def _crack_factorizations(modules):
-    # "module.function" of every call to ``factorize`` that may pass a crack
-    # set (a ``cracks`` keyword, a third positional argument or a ``**``
-    # mapping), the function the innermost one around the call, sorted
+def _factorizations(modules, keyword):
+    # "module.Class.function" (or "module.function") of every call to
+    # ``factorize`` that may pass ``keyword`` (by name, in a ``**`` mapping,
+    # or as a third positional argument, which may be either), the owner the
+    # functions and classes around the call, sorted
     out = []
 
-    def visit(node, module, owner):
+    def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name == "factorize" and (
-                    len(child.args) >= 3 or any(kw.arg in ("cracks", None) for kw in child.keywords)
+                    len(child.args) >= 3
+                    or any(kw.arg in (keyword, None) for kw in child.keywords)
                 ):
-                    out.append("%s.%s" % (module, owner))
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner
-            visit(child, module, inner)
+                    out.append(".".join(owner))
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = owner + (child.name,)
+            visit(child, inner)
 
     for module, tree in modules.items():
-        visit(tree, module, "")
+        visit(tree, (module,))
     return sorted(out)
 
 
-def test_only_the_data_factorizes_a_crack_set():
-    # every crack configuration of a run is an update of the crack-free
-    # background; the simulated measurement is the one crack factorization
-    assert _crack_factorizations(_modules()) == ["harness.generate_data"]
+def _crack_factorizations(modules):
+    return _factorizations(modules, "cracks")
+
+
+def _region_factorizations(modules):
+    return _factorizations(modules, "excluded")
+
+
+def test_no_src_path_factorizes_a_crack_set():
+    # every crack configuration of a run, the data's included, is an update
+    # of a crack-free background
+    assert _crack_factorizations(_modules()) == []
+
+
+def test_only_the_peel_start_factorizes_a_region():
+    # every region of the table and of the peel is an update; the peel's
+    # start region keeps its own factorization, which measured faster than
+    # its condensation from the background
+    assert _region_factorizations(_modules()) == ["ndmap.RegionMaps.__init__"]
 
 
 def test_crack_factorizations_are_found_in_every_form():
@@ -270,4 +291,7 @@ def test_crack_factorizations_are_found_in_every_form():
         "def background(mesh, g, region):\n"
         "    return fem.factorize(mesh, g), fem.factorize(mesh, g, excluded=region)\n"
     )
-    assert _crack_factorizations({"m": tree}) == ["m.data", "m.solve", "m.solve"]
+    assert _crack_factorizations({"m": tree}) == ["m.Table.solve", "m.Table.solve", "m.data"]
+    assert _region_factorizations({"m": tree}) == [
+        "m.Table.solve", "m.Table.solve", "m.background",
+    ]
