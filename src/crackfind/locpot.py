@@ -365,7 +365,7 @@ def source_operators(table, wanted):
     solves, out = {}, {}
     for name, region in wanted:
         update = table.crack_update(name)
-        fact = update.fact
+        fact = table.background.fact
         key = region[-1]
         if key not in solves:
             solves[key] = RegionSolves(fact, pixels["grown " + key], basis,

@@ -133,8 +133,9 @@ class Background:
     stiffness only on its own star, so all of them are exact updates of
     this one problem. ``fact``, its ``fem.Factorization``, is made on its
     first read and ``N0``, its NdMatrix (``nd_matrix``), on the first read
-    of that; both are kept until ``release()``, and every read after it
-    raises. ``green`` gives the pinned Green's entries that updates read.
+    of that; ``crack_update`` makes each crack set's ``CrackUpdate`` once.
+    All are kept until ``release()``, and every read after it raises.
+    ``green`` gives the pinned Green's entries that updates read.
     """
 
     def __init__(self, mesh, gamma0, basis):
@@ -142,12 +143,13 @@ class Background:
         self.gamma0 = gamma0
         self.basis = basis
         self._fact = self._N0 = None
+        # each crack set's CrackUpdate, keyed by its components' (kind, chain)
+        self._updates = {}
         self._released = False
 
     @property
     def fact(self):
-        if self._released:
-            raise RuntimeError("the background was released")
+        self._check_held()
         if self._fact is None:
             self._fact = fem.factorize(self.mesh, self.gamma0)
         return self._fact
@@ -160,21 +162,57 @@ class Background:
         return self._N0
 
     def release(self):
-        """Drop the factorization once no later step reads it."""
+        """Drop the factorization and the crack updates that hold it."""
         self._fact = self._N0 = None
+        self._updates = {}
         self._released = True
 
-    def green(self, verts, stars, width=None):
+    def _check_held(self):
+        if self._released:
+            raise RuntimeError("the background was released")
+
+    def green(self, verts, stars, width=None, rows=None):
         """``(Z, stacks)``: ``_green_block`` on the distinct unpinned ``verts``.
 
         Z ``(len(verts), M)`` holds the basis currents' pinned potentials,
         read off the Green's columns; ``stars`` are positions in ``verts``.
-        Each column is solved once, ``width`` (by default M) at a time.
+        With ``rows``, one vertex array per stack, each stack holds the
+        entries of its rows against its stars' columns. Each column is
+        solved once, ``width`` (by default M) at a time.
         """
         fact = self.fact
         weighted = fem.gamma_mass(self.mesh) @ self.basis.vectors
-        return _green_block(fact, fact.dm.vertex_dof[verts], width or self.basis.M, stars,
-                            weighted)
+        dofs = fact.dm.vertex_dof
+        return _green_block(fact, dofs[verts], width or self.basis.M, stars, weighted,
+                            None if rows is None else [dofs[r] for r in rows])
+
+    def crack_update(self, cracks):
+        """The ``CrackUpdate`` of a ``geometry.CrackSet`` on this background, made once.
+
+        On the first request for a crack set (by its components' kinds and
+        chains, in order) the set is validated and its star formed
+        (``_crack_star``) before the background is read; then ``Z`` and
+        ``G`` on the star's vertices U come from one pass of Green's
+        columns, in as many blocks as blocks of M columns but of equal
+        width: the solved block's temporaries set the peak memory of an
+        anti-crime run. An empty U (no crack, or only one-edge insulating
+        chains) reads nothing, and its update holds no factorization.
+        """
+        self._check_held()
+        key = tuple((comp.kind, comp.chain) for comp in cracks.components)
+        if key not in self._updates:
+            mesh, M = self.mesh, self.basis.M
+            if cracks.components:
+                cracks.validate(mesh)
+            star = _crack_star(mesh, self.gamma0, mesh.gamma_vertices()[0], cracks)
+            U = np.unique(np.concatenate([star[0], star[4]]))
+            fact, Z, G = None, np.zeros((0, M)), np.zeros((0, 0))
+            if len(U):
+                width = -(-len(U) // -(-len(U) // M))
+                Z, (G,) = self.green(U, [np.arange(len(U))[None]], width)
+                fact, G = self.fact, G[0]
+            self._updates[key] = CrackUpdate(fact, star, U, Z, G)
+        return self._updates[key]
 
 
 # the crack configurations of a run's table
@@ -196,14 +234,16 @@ class Configurations:
 
     * ``none`` is the background's ``N0``.
     * every other name, all at once on the first request for any of them
-      (the fill): exact updates of the background. Its pinned potentials
-      ``Z`` and Green's entries ``G`` are solved on the union of the two
-      regions' boundary vertices and the crack stars, each column once.
+      (the fill): exact updates of the background.
     * the crack configurations are ``N0 + dN`` by ``CrackUpdate``, the math
       of ``crack_signature``: the slits' far fans condensed onto their
       star S (``_woodbury``), then the ties on C (``_tied_correction``).
-      ``crack_update(name)`` hands the update to callers that need more
-      than the matrix; locpot's source operators are such callers.
+      ``all`` is the background's ``crack_update`` of the run's cracks, the
+      one the plain data has made; ``insulating`` and ``conducting`` are
+      its slits and its ties alone (``CrackUpdate.of_kind``), on the same
+      Green's entries. ``crack_update(name)`` hands the update to callers
+      that need more than the matrix; locpot's source operators are such
+      callers.
     * the four region configurations. A region R changes the background
       only through its own triangles, which touch the rest of the mesh at
       its boundary vertices C (``geometry.region_closure``). R's element
@@ -214,6 +254,10 @@ class Configurations:
       components that meet at a vertex, by ``_frozen``, the update that
       ``RegionMaps`` applies to its excluded region. An empty region gives
       the background matrix itself.
+      The regions' pinned potentials ``Z`` and Green's entries ``G`` come
+      from one pass of Green's columns on the union of their boundary
+      vertices, without the columns of ``all``'s U, whose entries its
+      update holds.
     """
 
     def __init__(self, background, cracks, V, W):
@@ -230,8 +274,8 @@ class Configurations:
             self.configs["excluded " + key] = {"excluded": region}
             self.configs["frozen " + key] = {"frozen": region}
         self._nd = {}
-        # the crack configurations' CrackUpdate, which hold the background;
-        # None once the table is released
+        # the crack configurations' CrackUpdate, which hold the background's
+        # factorization; None once the table is released
         self._updates = {}
 
     def nd(self, name):
@@ -265,46 +309,59 @@ class Configurations:
 
     def _fill(self):
         # every matrix but "none", as updates of the background; a region's
-        # element stiffness is condensed and dropped before the background
-        # is read, which may factorize it
+        # element stiffness is condensed before the background is read,
+        # which may factorize it
         background = self.background
-        mesh, gamma0 = background.mesh, background.gamma0
+        mesh = background.mesh
         pin = mesh.gamma_vertices()[0]
-        cracks = self.configs["all"]["cracks"]
-        if cracks.components:
-            cracks.validate(mesh)
-        stars = {name: _crack_star(mesh, gamma0, pin, self.configs[name]["cracks"])
-                 for name in CRACK_CONFIGS}
-        local = fem.element_stiffness(mesh, gamma0)
         regions = {"V": self.V, "W": self.W}
         closures = [geometry.region_closure(region, ties=True) for region in regions.values()]
-        blocks = [_region_blocks(mesh, local, region, closure, pin)
+        blocks = [_region_blocks(mesh, background.gamma0, region, closure, pin)
                   for region, closure in zip(regions.values(), closures)]
-        del local
-        # the stars of "all" hold those of the other two
-        U = np.unique(np.concatenate([stars["all"][0], stars["all"][4]]))
-        # V, W and the stars may share vertices: each Green's column once
-        sets = [C for C, _ in blocks] + [U]
-        verts = np.unique(np.concatenate(sets))
-        at = [np.searchsorted(verts, X)[None] for X in sets]
+        update = background.crack_update(self.configs["all"]["cracks"])
+        self._updates = dict(zip(CRACK_CONFIGS, (update, update.of_kind(geometry.INSULATING),
+                                                 update.of_kind(geometry.CONDUCTING))))
         N0 = background.N0
-        Z, G = background.green(verts, at)
+        green = self._region_green([C for C, _ in blocks], update)
         empty = geometry.CrackSet()
-        for (key, region), closure, (C, L), P, G_C in zip(regions.items(), closures, blocks, at, G):
+        for (key, region), closure, (C, L), (Z, G) in zip(regions.items(), closures, blocks, green):
             # an empty C corrects nothing, and N0 symmetrized is N0 itself
-            excluded = N0.entries - _woodbury(Z[P], G_C, -L[None])
+            excluded = N0.entries - _woodbury(Z[None], G[None], -L[None])
             excluded = excluded.reshape(N0.entries.shape)
             self._nd["excluded " + key] = NdMatrix(
                 0.5 * (excluded + excluded.T), fem.config_label(empty, excluded=region), ()
             )
-            self._nd["frozen " + key] = _frozen(N0, Z[P[0]], G_C[0], closure, region, pin)
-        for name, star in stars.items():
-            update = CrackUpdate(background.fact, star, U, Z[at[-1][0]], G[-1][0])
-            self._updates[name] = update
+            self._nd["frozen " + key] = _frozen(N0, Z, G, closure, region, pin)
+        for name, part in self._updates.items():
             config = self.configs[name]["cracks"]
             self._nd[name] = NdMatrix(
-                N0.entries + update.change(), fem.config_label(config), config.kinds()
+                N0.entries + part.change(), fem.config_label(config), config.kinds()
             )
+
+    def _region_green(self, sets, update):
+        # (Z, G) of each vertex set: the pinned potentials and the Green's
+        # block on it. A vertex of the update's U keeps its Z and its G
+        # against U; the other columns, of all the sets, are solved in one
+        # pass, each once (V and W may share vertices), with their rows on
+        # their set, and G pairs the two kinds by symmetry
+        U, M = update.U, self.background.basis.M
+        known = [np.isin(C, U) for C in sets]
+        new = np.setdiff1d(np.concatenate(sets), U)
+        stars = [np.searchsorted(new, C[~k])[None] for C, k in zip(sets, known)]
+        Z_new, H = np.zeros((0, M)), [np.zeros((1, len(C), 0)) for C in sets]
+        if len(new):
+            Z_new, H = self.background.green(new, stars, rows=sets)
+        out = []
+        for C, k, P, H_C in zip(sets, known, stars, H):
+            u = np.searchsorted(U, C[k])
+            Z = np.empty((len(C), M))
+            Z[~k], Z[k] = Z_new[P[0]], update.Z[u]
+            G = np.empty((len(C), len(C)))
+            G[:, ~k] = H_C[0]
+            G[np.ix_(~k, k)] = H_C[0][k].T
+            G[np.ix_(k, k)] = update.G[np.ix_(u, u)]
+            out.append((Z, G))
+        return out
 
 
 class CrackUpdate:
@@ -314,14 +371,15 @@ class CrackUpdate:
     (``_crack_star``): the slits by ``E`` on the old dofs S of their far
     triangles, once the far fans' new dofs are condensed out, and the ties
     by tying the conducting vertices C, one column of ``T`` per component.
-    ``fact`` is the background's ``fem.Factorization``; ``U`` is the
-    ascending union of S and C (or a superset), and ``Z`` and ``G`` are the
-    background's pinned potentials of the basis currents and its pinned
-    Green's block on U. ``far`` lists the flat corners ``3 t + c`` whose
-    dof a slit renews, ascending, and row k of ``far_loads`` is the load on
-    S that a unit load on far corner k becomes once its dof is condensed
-    out, ``-dS_nn^-1 dS_nS`` (``_slit_stars``); each row sums to one, so a
-    balanced load stays balanced.
+    ``fact`` is the background's ``fem.Factorization`` (None when U is
+    empty); ``U`` is the ascending union of S and C (or a superset), and
+    ``Z`` and ``G`` are the background's pinned potentials of the basis
+    currents and its pinned Green's block on U. ``far`` lists the flat
+    corners ``3 t + c`` whose dof a slit renews, ascending, and row k of
+    ``far_loads`` is the load on S that a unit load on far corner k
+    becomes once its dof is condensed out, ``-dS_nn^-1 dS_nS``
+    (``_slit_stars``); each row sums to one, so a balanced load stays
+    balanced. ``Background.crack_update`` makes one per crack set.
     """
 
     def __init__(self, fact, star, U, Z, G):
@@ -329,7 +387,22 @@ class CrackUpdate:
         self.S, self.E, self.far, self.far_loads, self.C, self.T = star
         self.U, self.Z, self.G = U, Z, G
         # whether S holds every vertex of the far triangles: all but the pin
-        self._whole = not np.any(fact.dm.corner_dof[self.far // 3] == fact.pin)
+        self._whole = not len(self.far) or not np.any(
+            fact.dm.corner_dof[self.far // 3] == fact.pin)
+
+    def of_kind(self, kind):
+        """The update of this crack set's components of one kind alone.
+
+        The slits' joint star is the same with or without the ties, and the
+        ties' C and T the same without the slits, so the part is cut out of
+        this update's star, on the same U, Z and G; nothing is solved.
+        """
+        S, E, far, far_loads, C, T = self.S, self.E, self.far, self.far_loads, self.C, self.T
+        if kind == geometry.INSULATING:
+            C, T = C[:0], T[:0, :0]
+        else:
+            S, E, far, far_loads = S[:0], E[:0, :0], far[:0], far_loads[:0, :0]
+        return CrackUpdate(self.fact, (S, E, far, far_loads, C, T), self.U, self.Z, self.G)
 
     def change(self, P=None):
         """How the cracks change the background's response: ``N - N0``, or of loads ``P``.
@@ -364,11 +437,11 @@ class CrackUpdate:
         return 0.5 * (dN + dN.T) if P is None else dN[:, M:]
 
 
-def _region_blocks(mesh, local, region, closure, pin):
+def _region_blocks(mesh, gamma0, region, closure, pin):
     # (C, L) of a pixel region, given its ``geometry.region_closure``: its
     # boundary vertices but the pin, which is zero in every potential,
-    # ascending, and its element stiffness ``local[its triangles]``
-    # condensed onto them
+    # ascending, and the element stiffness of its triangles condensed onto
+    # them
     in_S, in_C = closure[:2]
     S = np.flatnonzero(in_S)
     if not len(S):
@@ -382,7 +455,7 @@ def _region_blocks(mesh, local, region, closure, pin):
     tris = region.triangles()
     node = np.searchsorted(S, mesh.triangles[tris])
     K = np.zeros((len(S), len(S)))
-    np.add.at(K, (node[:, :, None], node[:, None, :]), local[tris])
+    np.add.at(K, (node[:, :, None], node[:, None, :]), fem.element_stiffness(mesh, gamma0, tris))
     L = K[np.ix_(c, c)]
     if not c.all():
         L = L - K[np.ix_(c, ~c)] @ _dense_solve(K[np.ix_(~c, ~c)], K[np.ix_(~c, c)])
@@ -429,27 +502,29 @@ def _dense_solve(A, B, spd=False):
     return X
 
 
-def _green_block(fact, dofs, width, stars, weighted=None):
+def _green_block(fact, dofs, width, stars, weighted=None, rows=None):
     # the pinned Green's entries that stars pair. ``dofs`` are distinct and
     # none of them the pin; each (k, m) array in ``stars`` lists k stars as
-    # positions in ``dofs`` and gets the (k, m, m) stack of G on them. Each
-    # column is solved once, ``width`` columns at a time, so no n x |dofs|
-    # array is formed, and of each solved block only the rows a star pairs
-    # with its columns are kept. The load e_c - e_pin is balanced, so the
-    # solve's residual check holds on every row. Each stack is filled a
-    # column per row, with one flat take per block, and handed out
-    # transposed. Returns ``(Z, stacks)``: Z is None, or with ``weighted``,
-    # the arc loads (G, M) of M currents, their pinned potentials on
-    # ``dofs``, x_c^T b by the symmetry of the pinned stiffness (the Green's
-    # column x_c is 0 at the pin)
+    # positions in ``dofs`` and gets the (k, m, m) stack of G on them, or
+    # with ``rows``, one dof array R per stack, the (k, len(R), m) stack of
+    # R against the stars' columns. Each column is solved once, ``width`` columns at a
+    # time, so no n x |dofs| array is formed, and of each solved block only
+    # the rows a star pairs with its columns are kept. The load e_c - e_pin
+    # is balanced, so the solve's residual check holds on every row. Each
+    # stack is filled a column per row, with one flat take per block, and
+    # handed out transposed. Returns ``(Z, stacks)``: Z is None, or with
+    # ``weighted``, the arc loads (G, M) of M currents, their pinned
+    # potentials on ``dofs``, x_c^T b by the symmetry of the pinned
+    # stiffness (the Green's column x_c is 0 at the pin)
     Z = None if weighted is None else np.empty((len(dofs), weighted.shape[1]))
-    out = [np.empty(P.shape + P.shape[1:]) for P in stars]
-    # per stack: the stars' dofs, and their places in the order of the
-    # columns they read
-    plan = []
-    for P in stars:
+    # per stack: the stars' row dofs, and their columns' places in the
+    # order of the columns they read
+    out, plan = [], []
+    for P, R in zip(stars, rows or [None] * len(stars)):
+        D = dofs[P] if R is None else np.broadcast_to(R, (len(P), len(R)))
+        out.append(np.empty(P.shape + D.shape[1:]))
         order = np.argsort(P.ravel(), kind="stable")
-        plan.append((dofs[P], P.ravel()[order], order))
+        plan.append((D, P.ravel()[order], order, P.shape[1]))
     for lo in range(0, len(dofs), width):
         cols = dofs[lo:lo + width]
         b = np.vstack([np.eye(len(cols)), -np.ones((1, len(cols)))])
@@ -457,10 +532,10 @@ def _green_block(fact, dofs, width, stars, weighted=None):
         x = fact.solve(b, at)
         if Z is not None:
             Z[lo:lo + width] = x[fact.dm.gamma_dofs].T @ weighted
-        for GT, (D, col, order) in zip(out, plan):
+        for GT, (D, col, order, m) in zip(out, plan):
             first, last = np.searchsorted(col, [lo, lo + width])
             if first < last:
-                j, i = np.divmod(order[first:last], D.shape[1])
+                j, i = np.divmod(order[first:last], m)
                 GT[j, i] = x.take(D[j] * len(cols) + (col[first:last, None] - lo))
     return Z, [np.swapaxes(GT, 1, 2) for GT in out]
 
@@ -614,27 +689,18 @@ def crack_signature(background, cracks):
       ``C``, and ``_tied_correction`` applies the ties there.
 
     Both steps are exact: the slit's new dofs carry no current and are
-    condensed out, and they never lie on ``C``. ``CrackUpdate.change``
-    makes them, as it does for the crack configurations of a run's table.
-    ``G`` and ``Z`` on ``U = S ∪ C`` both come from the background's
-    Green's columns (``Background.green``), so no current is solved; ``S``
-    drops the pin as ``_slit_stars`` does. The crack set is validated and
-    ``E`` formed before the background is read; an empty ``U`` (no crack,
-    or only one-edge insulating chains) reads nothing. ``nd_matrix`` of the
-    cracks' own factorization minus the background's is the reference.
+    condensed out, and they never lie on ``C``. The update is the
+    background's ``crack_update`` of the set, made once per crack set and
+    run, so the configuration table's ``all`` is the same update;
+    ``CrackUpdate.change`` makes both steps. ``G`` and ``Z`` on
+    ``U = S ∪ C`` both come from the background's Green's columns, so no
+    current is solved; ``S`` drops the pin as ``_slit_stars`` does. The
+    crack set is validated and ``E`` formed before the background is read;
+    an empty ``U`` (no crack, or only one-edge insulating chains) reads
+    nothing and gives exact zeros. ``nd_matrix`` of the cracks' own
+    factorization minus the background's is the reference.
     """
-    mesh = background.mesh
-    if cracks.components:
-        cracks.validate(mesh)
-    star = _crack_star(mesh, background.gamma0, mesh.gamma_vertices()[0], cracks)
-    U = np.unique(np.concatenate([star[0], star[4]]))
-    if not len(U):
-        return np.zeros((background.basis.M, background.basis.M))
-    # as many solves as blocks of M columns, but of equal width: the solved
-    # block's temporaries set the peak memory of an anti-crime run
-    width = -(-len(U) // -(-len(U) // background.basis.M))
-    Z, (G,) = background.green(U, [np.arange(len(U))[None]], width)
-    return CrackUpdate(background.fact, star, U, Z, G[0]).change()
+    return background.crack_update(cracks).change()
 
 
 def _crack_star(mesh, gamma0, pin, cracks):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -663,6 +664,63 @@ def test_run_solves_each_configuration_once(table_runs, methods):
     assert most == 1
 
 
+# the locpot-contrast benchmark scenario at seed 0
+LOCPOT_CONTRAST = {
+    "name": "locpot-contrast",
+    "h": 1.0 / 48,
+    "gamma0": 0.01,
+    "cracks": [
+        {"kind": "insulating", "polyline": [[0.25, 0.125], [0.5, 0.125]]},
+        {"kind": "conducting", "polyline": [[0.5, 0.875], [0.75, 0.875]]},
+    ],
+    "grid": [16, 16],
+    "M": 48,
+}
+
+
+@pytest.mark.parametrize("spec", [
+    LOCPOT_CONTRAST,
+    harness.load_scenario(os.path.join(os.path.dirname(CONFIGS[0]), "locpot_contrast_16.json"))
+    .to_json(),
+], ids=["locpot-contrast", "locpot_contrast_16"])
+def test_run_solves_each_green_column_and_crack_star_once(monkeypatch, spec):
+    # the data's crack update is the table's "all", and "insulating" and
+    # "conducting" are cut out of its star: one star per crack set, and the
+    # fill solves only the regions' columns that the crack stars lack. On
+    # locpot_contrast_16, whose pixels are one cell wide, V's boundary
+    # vertices share some of them
+    stars, columns = [], []
+    real_star, real_green = ndmap._crack_star, ndmap._green_block
+
+    def crack_star(mesh, gamma0, pin, cracks):
+        stars.append(tuple((c.kind, c.chain) for c in cracks.components))
+        return real_star(mesh, gamma0, pin, cracks)
+
+    def green_block(fact, dofs, *args, **kwargs):
+        columns.extend(dofs.tolist())
+        return real_green(fact, dofs, *args, **kwargs)
+
+    monkeypatch.setattr(ndmap, "_crack_star", crack_star)
+    monkeypatch.setattr(ndmap, "_green_block", green_block)
+    s = harness.scenario_from_dict(dict(spec, methods=["locpot", "chain"]))
+    harness.run_scenario(s)
+    assert len(stars) == len(set(stars)) == 1
+    assert len(columns) == len(set(columns))
+    built = harness.build_scenario(s)
+    table = built.table
+    pin = built.mesh.gamma_vertices()[0]
+    star = real_star(built.mesh, built.gamma0, pin, built.cracks)
+    U = set(star[0].tolist()) | set(star[4].tolist())
+    C = [set(ndmap._region_blocks(built.mesh, built.gamma0, region,
+                                  geometry.region_closure(region, ties=True), pin)[0].tolist())
+         for region in (table.V, table.W)]
+    assert set(columns) == U | C[0] | C[1]
+    if spec is LOCPOT_CONTRAST:
+        assert (len(U), len(C[0] | C[1] - U)) == (38, 96)
+    else:
+        assert U & C[0]
+
+
 @pytest.mark.parametrize("first", ["chain", "locpot"])
 def test_table_releases_its_background_after_its_last_reader(count_factorizations, first):
     # the fine background of the anti-crime signature, then the run's
@@ -720,6 +778,31 @@ def test_a_released_table_refuses_every_read(chain_setup, factorizations):
         with pytest.raises(RuntimeError, match="released"):
             read()
     assert factorizations.made == 1
+
+
+@pytest.mark.parametrize("methods", [("inner",), ("locpot", "chain")])
+def test_released_table_keeps_no_factorization_alive(monkeypatch, methods):
+    # the run releases its table after its last reader while the run still
+    # holds the table: the background's factorization must die then,
+    # though the data step's crack update, memoized on the background,
+    # held it, and the background then refuses to make another update
+    seen = []
+    real = ndmap.Configurations.release
+
+    def release(table):
+        background = table.background
+        updates = list(background._updates.values())
+        assert updates and all(u.fact is background.fact for u in updates)
+        fact = weakref.ref(background.fact)
+        del updates
+        real(table)
+        seen.append(fact() is None)
+        with pytest.raises(RuntimeError, match="released"):
+            background.crack_update(geometry.CrackSet())
+
+    monkeypatch.setattr(ndmap.Configurations, "release", release)
+    harness.run_scenario(two_kinds_run(methods))
+    assert seen == [True]
 
 
 @pytest.mark.parametrize("methods", [("locpot",), ("locpot", "chain"), ("chain", "locpot")])

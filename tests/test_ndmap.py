@@ -751,6 +751,60 @@ def test_crack_signature_matches_two_factorizations(case, shape, arc, box, n, se
         # nothing to slit or tie
         assert not dN.any()
 
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(SIGNATURE_CASES),
+    shape=st.sampled_from(["rect", "refined", "disk"]),
+    arc=st.booleans(),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(case="mixed", shape="rect", arc=False, n=3, seed=0)
+@example(case="empty", shape="rect", arc=False, n=1, seed=0)
+@example(case="pinned star", shape="rect", arc=True, n=1, seed=4)
+@example(case="shared fans", shape="refined", arc=False, n=3, seed=3)
+def test_crack_update_parts_match_their_own_stars(case, shape, arc, n, seed):
+    # differential oracle: the table's "insulating" and "conducting" are
+    # cut out of the crack set's update; each part has the arrays of its
+    # own crack set's star, and changes the background as an update built
+    # from that star (on the same U) and as its own crack set's update
+    if case == "shared fans":
+        shape = "refined"
+    elif case == "pinned star":
+        shape, arc = ("rect" if shape == "disk" else shape), True
+    mesh = SIGNATURE_MESHES[(shape, True) if arc else shape]
+    rng = np.random.default_rng(seed)
+    cracks = signature_cracks(mesh, rng, case, n)
+    gamma0 = fem.Conductivity(mesh, 1.0)
+    basis = ndmap.build_basis(mesh, min(12, len(mesh.gamma_vertices()) - 1))
+    background = ndmap.Background(mesh, gamma0, basis)
+    update = background.crack_update(cracks)
+    assert background.crack_update(cracks) is update
+    pin = mesh.gamma_vertices()[0]
+    P = rng.standard_normal((len(update.U), 3))
+    for kind in geometry.KINDS:
+        part = update.of_kind(kind)
+        config = cracks.of_kind(kind)
+        star = ndmap._crack_star(mesh, gamma0, pin, config)
+        got = (part.S, part.E, part.far, part.far_loads, part.C, part.T)
+        for a, b in zip(got, star):
+            assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+        if case == "pinned star" and kind == geometry.INSULATING:
+            # the far fan holds the pin, so S lacks a vertex of it
+            assert not part._whole
+        ref = ndmap.CrackUpdate(update.fact, star, update.U, update.Z, update.G)
+        own = background.crack_update(config)
+        scale = max(1e-300, np.max(np.abs(ref.change())))
+        for want in (ref.change(), own.change()):
+            assert np.max(np.abs(part.change() - want), initial=0) <= 1e-12 * scale
+        want = ref.change(P)
+        assert np.max(np.abs(part.change(P) - want), initial=0) <= 1e-12 * max(
+            1e-300, np.max(np.abs(want), initial=0))
+        if not config.components:
+            assert not part.change().any()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     shape=st.sampled_from(["rect", "refined", "disk"]),
